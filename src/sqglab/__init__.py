@@ -77,6 +77,7 @@ from .spectral import (
     riesz_perp,
     save_field,
     sobolev_norm,
+    transport,
 )
 
 __all__ = [
@@ -135,5 +136,6 @@ __all__ = [
     "run_simulation",
     "save_field",
     "sobolev_norm",
+    "transport",
     "trilinear_form",
 ]

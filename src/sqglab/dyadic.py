@@ -30,11 +30,13 @@ from .spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_ORDER,
     PROFILE_OUTER,
+    apply_multiplier,
     forward_transform,
     grid_arrays,
     lp_norm,
     real_samples_unchecked,
     radial_profile,
+    transport,
 )
 
 __all__ = [
@@ -392,14 +394,6 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
 # ---------------------------------------------------------------------------
 
 
-def _grad_samples(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    ga = grid_arrays(field.grid)
-    nyq = ga.nyquist
-    gx = SpectralField(field.grid, 1j * np.where(nyq, 0.0, ga.k1) * field.coeffs)
-    gy = SpectralField(field.grid, 1j * np.where(nyq, 0.0, ga.k2) * field.coeffs)
-    return real_samples_unchecked(gx), real_samples_unchecked(gy)
-
-
 def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
                      gamma: float, cap: float = GEVREY_EXPONENT_CAP) -> SpectralField:
     """Commutator of the weighted block projection with weighted advection.
@@ -427,24 +421,11 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
             )
 
     heat = MultiplierSpec.heat(1.0, t, gamma).symbol_on(grid)
-    fh = SpectralField(grid, f.coeffs * heat)
-    gh = SpectralField(grid, g.coeffs * heat)
-    from .spectral import riesz_perp  # local import keeps module load order simple
-
-    u1, u2 = riesz_perp(fh)
-    u1s, u2s = real_samples_unchecked(u1), real_samples_unchecked(u2)
-
-    gx, gy = _grad_samples(gh)
-    prod = forward_transform(u1s * gx + u2s * gy, grid).coeffs
-    prod = _dealias(prod, grid)
+    fh = f.coeffs * heat
+    prod, _ = transport(grid, fh, g.coeffs * heat)
     grow = np.where(on_block, np.exp(np.minimum(t * ga.k_abs ** gamma, cap)), 0.0)
     term1 = block_sym * grow * prod
-
-    pjg = SpectralField(grid, block_sym * g.coeffs)
-    px, py = _grad_samples(pjg)
-    term2 = forward_transform(u1s * px + u2s * py, grid).coeffs
-    term2 = _dealias(term2, grid)
-
+    term2, _ = transport(grid, fh, block_sym * g.coeffs)
     return SpectralField(grid, term1 - term2)
 
 
@@ -468,13 +449,8 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
         s = 2.0 - gamma
     ga = grid_arrays(grid)
 
-    from .spectral import apply_multiplier, riesz_perp
-
-    decay = MultiplierSpec.heat(weight, t, gamma)
-    u1, u2 = riesz_perp(apply_multiplier(g1, decay))
-    u1s, u2s = real_samples_unchecked(u1), real_samples_unchecked(u2)
-    gx, gy = _grad_samples(apply_multiplier(g2, decay))
-    prod = _dealias(forward_transform(u1s * gx + u2s * gy, grid).coeffs, grid)
+    decay = MultiplierSpec.heat(weight, t, gamma).symbol_on(grid)
+    prod, _ = transport(grid, g1.coeffs * decay, g2.coeffs * decay)
 
     grown = apply_multiplier(g3, MultiplierSpec.gevrey(weight, t, gamma, cap))
     with np.errstate(divide="ignore", invalid="ignore"):

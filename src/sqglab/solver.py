@@ -26,13 +26,12 @@ from .spectral import (
     SpectralField,
     apply_multiplier,
     field_lp_norm,
-    forward_transform,
     grid_arrays,
     hermitian_symmetrize,
     lp_norm,
     real_samples_unchecked,
-    riesz_perp,
     sobolev_norm,
+    transport,
 )
 
 INTEGRATORS = ("if_rk4", "etd_rk2")
@@ -108,52 +107,15 @@ def nonlinear_term(
     return SpectralField(theta.grid, rhs)
 
 
-def nonlinear_term_divergence(
-    theta: SpectralField, projection: int | None = None
-) -> SpectralField:
-    """-dealias(div(u theta)); equals the advective form up to round-off."""
-    _require_mean_free(theta.coeffs)
-    grid = theta.grid
-    coeffs = theta.coeffs
-    if projection is not None:
-        coeffs = coeffs * MultiplierSpec.low_pass(projection).symbol_on(grid)
-    ka = grid_arrays(grid)
-    u1c, u2c = _velocity_coeffs(grid, coeffs)
-    th = real_samples_unchecked(SpectralField(grid, coeffs))
-    u1 = real_samples_unchecked(SpectralField(grid, u1c))
-    u2 = real_samples_unchecked(SpectralField(grid, u2c))
-    f1 = forward_transform(u1 * th, grid).coeffs * ka.dealias_mask
-    f2 = forward_transform(u2 * th, grid).coeffs * ka.dealias_mask
-    out = -(1j * ka.k1 * f1 + 1j * ka.k2 * f2)
-    if projection is not None:
-        out = out * MultiplierSpec.low_pass(projection).symbol_on(grid)
-    out[0, 0] = 0.0
-    return SpectralField(grid, out)
-
-
-def _velocity_coeffs(grid: GridSpec, coeffs: np.ndarray):
-    u1f, u2f = riesz_perp(SpectralField(grid, coeffs))
-    return u1f.coeffs, u2f.coeffs
-
-
 def _advective_rhs(grid: GridSpec, coeffs: np.ndarray, projection: int | None):
     """Core tendency shared by the steppers; returns (rhs coeffs, max |u|)."""
-    ka = grid_arrays(grid)
-    if projection is not None:
-        coeffs = coeffs * MultiplierSpec.low_pass(projection).symbol_on(grid)
-    u1c, u2c = _velocity_coeffs(grid, coeffs)
-    u1 = real_samples_unchecked(SpectralField(grid, u1c))
-    u2 = real_samples_unchecked(SpectralField(grid, u2c))
-    gx = real_samples_unchecked(SpectralField(grid, 1j * ka.k1 * coeffs))
-    gy = real_samples_unchecked(SpectralField(grid, 1j * ka.k2 * coeffs))
-    advect = u1 * gx + u2 * gy
-    out = -forward_transform(advect, grid).coeffs * ka.dealias_mask
-    if projection is not None:
-        out = out * MultiplierSpec.low_pass(projection).symbol_on(grid)
-    # Transport has zero mean analytically; pin it so theta's mean is
-    # invariant at machine precision over long runs.
-    out[0, 0] = 0.0
-    umax = float(np.max(np.hypot(u1, u2)))
+    if projection is None:
+        out, umax = transport(grid, coeffs, coeffs)
+        return np.negative(out, out=out), umax
+    low = MultiplierSpec.low_pass(projection).symbol_on(grid)
+    coeffs = coeffs * low
+    out, umax = transport(grid, coeffs, coeffs)
+    out *= -low
     return out, umax
 
 
@@ -204,20 +166,17 @@ class Stepper:
             self._factors[dt] = cached
         return cached
 
-    def _rhs(self, coeffs: np.ndarray, advect: np.ndarray | None):
+    def _rhs(self, coeffs: np.ndarray, advect: np.ndarray | None, dt: float):
+        """Stage tendency; every stage's velocity goes through the CFL guard."""
         if advect is None:
-            return _advective_rhs(self.grid, coeffs, self.projection)
-        # Frozen advecting field: differentiate the state, advect with the
-        # override's velocity.
-        ka = grid_arrays(self.grid)
-        u1c, u2c = _velocity_coeffs(self.grid, advect)
-        u1 = real_samples_unchecked(SpectralField(self.grid, u1c))
-        u2 = real_samples_unchecked(SpectralField(self.grid, u2c))
-        gx = real_samples_unchecked(SpectralField(self.grid, 1j * ka.k1 * coeffs))
-        gy = real_samples_unchecked(SpectralField(self.grid, 1j * ka.k2 * coeffs))
-        out = -forward_transform(u1 * gx + u2 * gy, self.grid).coeffs * ka.dealias_mask
-        out[0, 0] = 0.0
-        return out, float(np.max(np.hypot(u1, u2)))
+            out, umax = _advective_rhs(self.grid, coeffs, self.projection)
+        else:
+            # Frozen advecting field: advect the state with the override's
+            # velocity.
+            out, umax = transport(self.grid, advect, coeffs)
+            np.negative(out, out=out)
+        self._check_cfl(dt, umax)
+        return out
 
     def _check_cfl(self, dt: float, umax: float) -> None:
         number = dt * umax * self._kmax
@@ -231,7 +190,7 @@ class Stepper:
             warnings.warn(
                 f"CFL number {number:.3g} above advisory limit {CFL_WARN}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
     def step(
@@ -256,12 +215,11 @@ class Stepper:
 
     def _step_if_rk4(self, coeffs, dt, adv0, adv1):
         e1, e2 = self._factor_set(dt)
-        m1, umax = self._rhs(coeffs, self._advect_at(adv0, adv1, 0.0))
-        self._check_cfl(dt, umax)
+        m1 = self._rhs(coeffs, self._advect_at(adv0, adv1, 0.0), dt)
         half = self._advect_at(adv0, adv1, 0.5)
-        m2, _ = self._rhs(e1 * (coeffs + 0.5 * dt * m1), half)
-        m3, _ = self._rhs(e1 * coeffs + 0.5 * dt * m2, half)
-        m4, _ = self._rhs(e2 * coeffs + dt * e1 * m3, self._advect_at(adv0, adv1, 1.0))
+        m2 = self._rhs(e1 * (coeffs + 0.5 * dt * m1), half, dt)
+        m3 = self._rhs(e1 * coeffs + 0.5 * dt * m2, half, dt)
+        m4 = self._rhs(e2 * coeffs + dt * e1 * m3, self._advect_at(adv0, adv1, 1.0), dt)
         out = e2 * coeffs + (dt / 6.0) * (e2 * m1 + 2.0 * e1 * (m2 + m3) + m4)
         if not np.all(np.isfinite(out)):
             raise GuardError("non-finite state after step (NaN guard)")
@@ -269,10 +227,9 @@ class Stepper:
 
     def _step_etd_rk2(self, coeffs, dt, adv0, adv1):
         ez, p1, p2 = self._factor_set(dt)
-        n0, umax = self._rhs(coeffs, self._advect_at(adv0, adv1, 0.0))
-        self._check_cfl(dt, umax)
+        n0 = self._rhs(coeffs, self._advect_at(adv0, adv1, 0.0), dt)
         predictor = ez * coeffs + dt * p1 * n0
-        n1, _ = self._rhs(predictor, self._advect_at(adv0, adv1, 1.0))
+        n1 = self._rhs(predictor, self._advect_at(adv0, adv1, 1.0), dt)
         out = predictor + dt * p2 * (n1 - n0)
         if not np.all(np.isfinite(out)):
             raise GuardError("non-finite state after step (NaN guard)")

@@ -20,7 +20,6 @@ zeroed on the unpaired Nyquist line to keep it exact).
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.fft
 
 from .errors import OverflowGuardError, SymmetryError, UsageError
 
@@ -39,6 +39,7 @@ __all__ = [
     "inverse_transform",
     "apply_multiplier",
     "riesz_perp",
+    "transport",
     "sobolev_norm",
     "lp_norm",
     "field_lp_norm",
@@ -48,8 +49,6 @@ __all__ = [
     "hermitian_symmetrize",
     "save_field",
     "load_field",
-    "field_to_csv",
-    "field_from_csv",
 ]
 
 #: Default cap on analyticity-weight exponents; exp(500) is near the top of
@@ -115,10 +114,14 @@ def _grid_arrays(grid: GridSpec) -> SimpleNamespace:
     dealias_mask = k_abs <= grid.dealias_radius + 1e-12 * grid.freq_scale
     # The -n/2 column has no +n/2 partner; odd symbols must vanish there.
     nyquist = (m1 == -n // 2) | (m2 == -n // 2)
-    for arr in (m1, m2, k1, k2, k_sq, k_abs, dealias_mask, nyquist):
+    # Riesz factor 1/|k|: zero at the origin and on the Nyquist lines.
+    with np.errstate(divide="ignore"):
+        inv_k_abs = np.where((k_abs > 0.0) & ~nyquist, 1.0 / k_abs, 0.0)
+    arrays = (m1, m2, k1, k2, k_sq, k_abs, inv_k_abs, dealias_mask, nyquist)
+    for arr in arrays:
         arr.flags.writeable = False
     return SimpleNamespace(
-        m1=m1, m2=m2, k1=k1, k2=k2, k_sq=k_sq, k_abs=k_abs,
+        m1=m1, m2=m2, k1=k1, k2=k2, k_sq=k_sq, k_abs=k_abs, inv_k_abs=inv_k_abs,
         dealias_mask=dealias_mask, nyquist=nyquist,
     )
 
@@ -393,12 +396,78 @@ def riesz_perp(field: SpectralField) -> tuple[SpectralField, SpectralField]:
     """
     ga = _grid_arrays(field.grid)
     c = field.coeffs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(ga.k_abs > 0.0, 1.0 / ga.k_abs, 0.0)
-    inv = np.where(ga.nyquist, 0.0, inv)
-    u1 = SpectralField(field.grid, (-1j) * ga.k2 * inv * c)
-    u2 = SpectralField(field.grid, (+1j) * ga.k1 * inv * c)
+    u1 = SpectralField(field.grid, (-1j) * ga.k2 * ga.inv_k_abs * c)
+    u2 = SpectralField(field.grid, (+1j) * ga.k1 * ga.inv_k_abs * c)
     return u1, u2
+
+
+# ---------------------------------------------------------------------------
+# Transport: the dealiased advective product on the rfft half spectrum.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def _transport_operator(grid: GridSpec) -> SimpleNamespace:
+    """Stacked ``[R_perp_1, R_perp_2, i k1, i k2]`` on the rfft half spectrum.
+
+    The odd symbols are zeroed on the unpaired Nyquist lines, so every
+    operator maps real fields to real fields exactly.  Also holds the half
+    dealias mask and the row permutation ``m1 -> -m1``.
+    """
+    ga = _grid_arrays(grid)
+    n = grid.n
+    half = slice(0, n // 2 + 1)
+    k1 = np.where(ga.nyquist, 0.0, ga.k1)[:, half]
+    k2 = np.where(ga.nyquist, 0.0, ga.k2)[:, half]
+    inv = ga.inv_k_abs[:, half]
+    stack = np.stack([(-1j) * k2 * inv, (+1j) * k1 * inv, 1j * k1, 1j * k2])
+    mask = ga.dealias_mask[:, half].astype(np.float64)
+    rows = (-np.arange(n)) % n
+    for arr in (stack, mask, rows):
+        arr.flags.writeable = False
+    return SimpleNamespace(stack=stack, mask=mask, rows=rows)
+
+
+def transport(grid: GridSpec, source: np.ndarray,
+              target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Dealiased advection of ``target`` by the velocity of ``source``.
+
+    Returns ``(dealias(R_perp source . grad target), max |R_perp source|)``:
+    full-spectrum coefficients of the product, exactly conjugate-symmetric
+    and with the mean mode pinned to 0 (the product of a divergence-free
+    velocity with a gradient has zero mean), plus the largest sampled
+    speed.  Both inputs are full coefficient arrays of real fields; only
+    their rfft half spectra (columns ``0..n/2``) are read.  Four ``irfft2``
+    and one ``rfft2`` per call.
+    """
+    op = _transport_operator(grid)
+    n = grid.n
+    m = n // 2 + 1
+    spec = np.empty((4, n, m), dtype=np.complex128)
+    np.multiply(op.stack[:2], source[:, :m], out=spec[:2])
+    np.multiply(op.stack[2:], target[:, :m], out=spec[2:])
+    # One irfft2 per slice measured 3-5% faster than a single batched call
+    # on the stack at 256^2 and 512^2 (2-vCPU host, one thread).
+    u1, u2, gx, gy = (scipy.fft.irfft2(c, s=(n, n), norm="forward") for c in spec)
+    speed_sq = u1 * u1
+    speed_sq += u2 * u2
+    umax = math.sqrt(float(speed_sq.max()))
+    u1 *= gx
+    u2 *= gy
+    u1 += u2
+    half = scipy.fft.rfft2(u1, norm="forward")
+    half *= op.mask
+    # Columns 0 and n/2 are their own conjugate partners; symmetrize them so
+    # the extension below is exactly Hermitian.
+    edge = half[:, :: n // 2]
+    half[:, :: n // 2] = 0.5 * (edge + np.conj(edge[op.rows]))
+    half[0, 0] = 0.0
+    # Hermitian extension: c(m1, m2) = conj(c(-m1, -m2)) for m2 < 0.
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, :m] = half
+    np.conjugate(half[0, n // 2 - 1 : 0 : -1], out=out[0, m:])
+    np.conjugate(half[:0:-1, n // 2 - 1 : 0 : -1], out=out[1:, m:])
+    return out, umax
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +523,7 @@ def field_lp_norm(field: SpectralField, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a small binary container plus a CSV form for small grids.
+# Serialization: a small binary container.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"SQGF"
@@ -499,45 +568,3 @@ def load_field(path: str) -> SpectralField:
     with open(path, "rb") as fh:
         blob = fh.read()
     return field_from_bytes(blob, origin=path)
-
-
-def field_to_csv(field: SpectralField, path: str) -> None:
-    """CSV form (k1, k2, re, im) on the integer lattice; for small grids."""
-    ga = _grid_arrays(field.grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k1", "k2", "re", "im"])
-        c = field.coeffs
-        m1 = ga.m1.astype(int)
-        m2 = ga.m2.astype(int)
-        for i in range(field.grid.n):
-            for j in range(field.grid.n):
-                z = c[i, j]
-                writer.writerow(
-                    [m1[i, j], m2[i, j], f"{z.real:.17g}", f"{z.imag:.17g}"]
-                )
-
-
-def field_from_csv(path: str, period: float = 2.0 * math.pi,
-                   dealias_fraction: float = 2.0 / 3.0) -> SpectralField:
-    """Rebuild a field from its CSV form; grid size inferred from indices."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["k1", "k2", "re", "im"]:
-            raise UsageError(f"{path}: expected header k1,k2,re,im")
-        for row in reader:
-            if row:
-                rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3])))
-    if not rows:
-        raise UsageError(f"{path}: no coefficient rows")
-    lo = min(min(r[0], r[1]) for r in rows)
-    n = -2 * lo
-    if n < 8:
-        raise UsageError(f"{path}: inferred grid size {n} is too small")
-    grid = GridSpec(n, period, dealias_fraction)
-    coeffs = np.zeros((n, n), dtype=np.complex128)
-    for m1, m2, re, im in rows:
-        coeffs[m1 % n, m2 % n] = re + 1j * im
-    return SpectralField(grid, coeffs)

@@ -14,7 +14,6 @@ from sqglab.solver import (
     gevrey_safe_horizon,
     mild_residual,
     nonlinear_term,
-    nonlinear_term_divergence,
     run_simulation,
 )
 from sqglab.spectral import (
@@ -23,10 +22,38 @@ from sqglab.spectral import (
     SpectralField,
     forward_transform,
     grid_arrays,
+    riesz_perp,
     sobolev_norm,
 )
 
 GRID = GridSpec(64)
+
+
+def nonlinear_term_divergence(theta, projection=None):
+    """-dealias(div(u theta)) with complex FFTs on the full spectrum.
+
+    An oracle independent of the solver's transport code: conservative
+    instead of advective form, built from ``numpy.fft`` directly.
+    """
+    grid = theta.grid
+    n = grid.n
+    ka = grid_arrays(grid)
+    coeffs = theta.coeffs
+    if projection is not None:
+        coeffs = coeffs * MultiplierSpec.low_pass(projection).symbol_on(grid)
+    u1c, u2c = (u.coeffs for u in riesz_perp(SpectralField(grid, coeffs)))
+
+    def samples(c):
+        return np.fft.ifft2(c).real * (n * n)
+
+    th, u1, u2 = samples(coeffs), samples(u1c), samples(u2c)
+    f1 = np.fft.fft2(u1 * th) / (n * n) * ka.dealias_mask
+    f2 = np.fft.fft2(u2 * th) / (n * n) * ka.dealias_mask
+    out = -(1j * ka.k1 * f1 + 1j * ka.k2 * f2)
+    if projection is not None:
+        out = out * MultiplierSpec.low_pass(projection).symbol_on(grid)
+    out[0, 0] = 0.0
+    return SpectralField(grid, out)
 
 
 def single_mode(grid, k1, k2, amp=1.0):
@@ -67,10 +94,11 @@ def test_nonlinear_term_single_mode_vanishes():
 
 def test_nonlinear_forms_agree(rng):
     theta = small_random(GRID, amp=1.0)
-    a = nonlinear_term(theta).coeffs
-    b = nonlinear_term_divergence(theta).coeffs
-    scale = np.max(np.abs(a))
-    assert np.max(np.abs(a - b)) < 1e-10 * scale
+    for projection in (None, 3):
+        a = nonlinear_term(theta, projection).coeffs
+        b = nonlinear_term_divergence(theta, projection).coeffs
+        scale = np.max(np.abs(a))
+        assert np.max(np.abs(a - b)) < 1e-10 * scale
 
 
 def test_nonlinear_term_pins_mean():
@@ -206,6 +234,22 @@ def test_stepper_rejects_direct_cfl_breach():
         coeffs = blowup.coeffs * grid_arrays(GRID).dealias_mask
         for _ in range(10):
             coeffs = stepper.step(coeffs)
+
+
+@pytest.mark.parametrize("integrator", ["if_rk4", "etd_rk2"])
+def test_cfl_guard_checks_every_stage(integrator):
+    # Frozen advection ramping from zero: the first stage's velocity is 0,
+    # so only the later stages see the breach.
+    mask = grid_arrays(GRID).dealias_mask
+    theta = small_random(GRID, amp=0.3).coeffs * mask
+    fast = small_random(GRID, seed=8, amp=40.0).coeffs * mask
+    cfg = SolverConfig(grid=GRID, nu=0.001, gamma=0.5, dt=5e-3, t_final=0.05,
+                       integrator=integrator)
+    stepper = Stepper(cfg)
+    with pytest.raises(CflGuardError):
+        stepper.step(theta, advect_coeffs=np.zeros_like(theta),
+                     advect_coeffs_end=fast)
+    assert stepper.cfl_max > 2.0
 
 
 def test_galerkin_truncation_support_invariant():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqglab.dyadic import BilinearSymbol, apply_bilinear_symbol
 from sqglab.errors import OverflowGuardError, SymmetryError, UsageError
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
@@ -15,6 +16,7 @@ from sqglab.spectral import (
     MultiplierSpec,
     SpectralField,
     apply_multiplier,
+    conjugate_flip,
     field_from_bytes,
     field_lp_norm,
     field_to_bytes,
@@ -27,6 +29,7 @@ from sqglab.spectral import (
     riesz_perp,
     save_field,
     sobolev_norm,
+    transport,
 )
 
 GRID = GridSpec(64)
@@ -171,6 +174,71 @@ def test_riesz_zeroes_mean_and_nyquist(rng):
         assert u.coeffs[0, 0] == 0.0
         assert np.max(np.abs(u.coeffs[n2, :])) == 0.0
         assert np.max(np.abs(u.coeffs[:, n2])) == 0.0
+
+
+def band_limited(grid: GridSpec, rng, radius: float) -> np.ndarray:
+    field = random_field(grid, rng)
+    return field.coeffs * (grid_arrays(grid).k_abs <= radius)
+
+
+def complex_fft_transport(grid: GridSpec, source: np.ndarray,
+                          target: np.ndarray) -> np.ndarray:
+    """dealias(R_perp source . grad target) with full complex FFTs."""
+    n = grid.n
+    ka = grid_arrays(grid)
+    k1 = np.where(ka.nyquist, 0.0, ka.k1)
+    k2 = np.where(ka.nyquist, 0.0, ka.k2)
+    u1, u2 = riesz_perp(SpectralField(grid, source))
+
+    def samples(c):
+        return np.fft.ifft2(c).real * (n * n)
+
+    prod = samples(u1.coeffs) * samples(1j * k1 * target)
+    prod += samples(u2.coeffs) * samples(1j * k2 * target)
+    out = np.fft.fft2(prod) / (n * n) * ka.dealias_mask
+    out[0, 0] = 0.0
+    return out
+
+
+def test_transport_matches_direct_bilinear_sum(rng):
+    def sigma(xi, eta):
+        mag = np.sqrt(np.sum(xi * xi, axis=-1))
+        cross = xi[..., 1] * eta[..., 0] - xi[..., 0] * eta[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(mag > 0.0, cross / mag, 0.0)
+
+    # |xi|, |eta| <= 10, so every sum lies inside the dealias radius 64/3
+    f = band_limited(GRID, rng, 10.0)
+    g = band_limited(GRID, rng, 10.0)
+    out, umax = transport(GRID, f, g)
+    direct = apply_bilinear_symbol(
+        BilinearSymbol(sigma), SpectralField(GRID, f), SpectralField(GRID, g)
+    ).coeffs * grid_arrays(GRID).dealias_mask
+    assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+    u1, u2 = riesz_perp(SpectralField(GRID, f))
+    speed = np.hypot(inverse_transform(u1), inverse_transform(u2))
+    assert umax == pytest.approx(float(np.max(speed)), rel=1e-12)
+
+
+def test_transport_output_exactly_hermitian(rng):
+    for n in (16, 64, 96):
+        grid = GridSpec(n)
+        f = random_field(grid, rng).coeffs
+        g = random_field(grid, rng).coeffs
+        out, _ = transport(grid, f, g)
+        assert np.array_equal(out, conjugate_flip(out))
+        assert out[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_transport_matches_complex_fft_formula(n, rng):
+    grid = GridSpec(n)
+    mask = grid_arrays(grid).dealias_mask
+    f = random_field(grid, rng).coeffs * mask
+    g = random_field(grid, rng).coeffs * mask
+    out, _ = transport(grid, f, g)
+    ref = complex_fft_transport(grid, f, g)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_sobolev_norm_single_mode():
