@@ -237,7 +237,7 @@ def _verify(lemma_id):
 def _build_heat_decay(args):
     return lab.check_heat_decay(
         grid=GridSpec(args.grid or 128),
-        j=args.j,
+        j=args.j if args.j is not None else 3,
         gamma=args.gamma if args.gamma is not None else 0.5,
         q=args.q if args.q is not None else math.inf,
         n_samples=args.n_samples or 200,
@@ -249,7 +249,7 @@ def _build_heat_decay(args):
 def _build_coercivity(args):
     return lab.check_coercivity(
         grid=GridSpec(args.grid or 128),
-        j=args.j if args.j != 3 else 2,
+        j=args.j if args.j is not None else 2,
         gamma=args.gamma if args.gamma is not None else 1.0,
         q=args.q if args.q is not None else 4.0,
         n_samples=args.n_samples or 500,
@@ -261,7 +261,7 @@ def _build_coercivity(args):
 def _build_sign_integral(args):
     return lab.check_sign_integral(
         grid=GridSpec(args.grid or 128),
-        j=args.j,
+        j=args.j if args.j is not None else 3,
         gamma=args.gamma if args.gamma is not None else 0.5,
         n_samples=args.n_samples or 200,
         seed=args.seed if args.seed is not None else 303,
@@ -272,7 +272,7 @@ def _build_sign_integral(args):
 def _build_max_point(args):
     return lab.check_max_point(
         grid=GridSpec(args.grid or 128),
-        j=args.j,
+        j=args.j if args.j is not None else 3,
         gamma=args.gamma if args.gamma is not None else 0.9,
         n_samples=args.n_samples or 200,
         seed=args.seed if args.seed is not None else 303,
@@ -325,7 +325,7 @@ def _build_spectral_mass(args):
 def _build_lq_decay(args):
     return lab.check_lq_semigroup_decay(
         grid=GridSpec(args.grid or 128),
-        j=args.j,
+        j=args.j if args.j is not None else 3,
         gamma=args.gamma if args.gamma is not None else 0.5,
         n_samples=args.n_samples or 100,
         seed=args.seed if args.seed is not None else 606,
@@ -459,7 +459,7 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run one inequality check")
     p_ver.add_argument("lemma_id", help="which estimate to check")
     p_ver.add_argument("--q", type=float, default=None)
-    p_ver.add_argument("--j", type=int, default=3)
+    p_ver.add_argument("--j", type=int, default=None)
     p_ver.add_argument("--n-samples", type=int, default=None, dest="n_samples")
     p_ver.add_argument("--eps0", type=float, default=0.5)
     p_ver.add_argument("--n0", type=float, default=8.0)

@@ -28,14 +28,13 @@ from .sampling import (
 )
 from .spectral import (
     GridSpec,
-    MultiplierSpec,
     SpectralField,
-    apply_multiplier,
-    field_lp_norm,
-    forward_transform,
+    analyze,
     grid_arrays,
     lp_norm,
+    parseval_columns,
     sobolev_norm,
+    synthesize,
 )
 
 DEFAULT_GRID = GridSpec(128)
@@ -54,6 +53,42 @@ def _check_gamma_range(gamma: float, upper: float = 2.0) -> None:
         raise UsageError(f"gamma must lie in (0, {upper}], got {gamma}")
 
 
+def _half_powers(grid: GridSpec, gamma: float) -> np.ndarray:
+    """|k|^gamma on the rfft half spectrum (0 at the origin)."""
+    return grid_arrays(grid).k_abs[:, : grid.n // 2 + 1] ** gamma
+
+
+def _heat_stack(grid: GridSpec, gamma: float, t_values) -> np.ndarray:
+    """``[1, e^{-t_1 |k|^gamma}, ...]`` on the rfft half spectrum."""
+    kg = _half_powers(grid, gamma)
+    return np.stack([np.ones_like(kg)] + [np.exp(-float(t) * kg) for t in t_values])
+
+
+def _dissipation_stack(grid: GridSpec, gamma: float) -> np.ndarray:
+    """``[1, |k|^gamma]`` on the rfft half spectrum: f and D^gamma f at once."""
+    kg = _half_powers(grid, gamma)
+    return np.stack([np.ones_like(kg), kg])
+
+
+def _stacked_decay_rate(field, stack, q, t_values, scale) -> float:
+    """Min fitted c over ``t_values``, with ``stack`` from :func:`_heat_stack`.
+
+    One stacked inverse transform gives f and every e^{-tD^gamma} f at once.
+    """
+    grid = field.grid
+    cooled = synthesize(grid, stack * field.coeffs[:, : grid.n // 2 + 1])
+    base, *norms = (lp_norm(samples, q, grid.cell_area) for samples in cooled)
+    if base <= 0.0:
+        raise UsageError("degenerate sample: zero field")
+    worst = math.inf
+    for t, norm in zip(t_values, norms):
+        ratio = norm / base
+        if ratio <= 0.0:
+            continue
+        worst = min(worst, -math.log(ratio) / (float(t) * scale))
+    return worst
+
+
 def fitted_decay_rate(
     field: SpectralField, gamma: float, q: float, t_values, scale: float
 ) -> float:
@@ -62,28 +97,20 @@ def fitted_decay_rate(
     Returns the minimum fitted c over the time grid, the conservative choice:
     the decay bound then holds with that c at every sampled time.
     """
-    base = field_lp_norm(field, q)
-    if base <= 0.0:
-        raise UsageError("degenerate sample: zero field")
-    worst = math.inf
-    for t in t_values:
-        cooled = apply_multiplier(field, MultiplierSpec.heat(1.0, float(t), gamma))
-        ratio = field_lp_norm(cooled, q) / base
-        if ratio <= 0.0:
-            continue
-        worst = min(worst, -math.log(ratio) / (float(t) * scale))
-    return worst
+    stack = _heat_stack(field.grid, gamma, t_values)
+    return _stacked_decay_rate(field, stack, q, t_values, scale)
 
 
 def _decay_sweep(grid, j, gamma, q, tau_grid, n_samples, rng):
     """Min fitted decay constant over block-j samples."""
+    scale = 2.0 ** (j * gamma)
+    t_values = [tau / scale for tau in tau_grid]
+    stack = _heat_stack(grid, gamma, t_values)
     worst = math.inf
     worst_field = None
     for _ in range(n_samples):
         f = gaussian_block_field(grid, j, rng)
-        scale = 2.0 ** (j * gamma)
-        t_values = [tau / scale for tau in tau_grid]
-        c = fitted_decay_rate(f, gamma, q, t_values, scale)
+        c = _stacked_decay_rate(f, stack, q, t_values, scale)
         if c < worst:
             worst = c
             worst_field = f
@@ -169,32 +196,36 @@ def check_coercivity(
         raise UsageError(f"q must lie in (1, inf), got {q}")
     rng = np.random.default_rng(seed)
     const = 4.0 * (q - 1.0) / (q * q)
-    frac = MultiplierSpec.fractional_laplacian(gamma)
+    ops = _dissipation_stack(grid, gamma)
+    # ||D^{gamma/2} w||_2^2 = period^2 sum |k|^gamma |w^|^2 over the full lattice.
+    energy = grid.period ** 2 * parseval_columns(grid) * ops[1]
     min_ratio_signed = math.inf
     min_ratio_plain = math.inf
     min_c2 = math.inf
     variant_ordered = True
-    witness = None
+    worst = None
     for _ in range(n_samples):
         f = gaussian_block_field(grid, j, rng)
-        samples = f.to_samples()
-        dgf = apply_multiplier(f, frac).to_samples()
+        samples, dgf = synthesize(grid, ops * f.coeffs[:, : grid.n // 2 + 1])
         lhs = float(np.sum(dgf * _signed_power(samples, q - 1.0))) * grid.cell_area
-        w_signed = forward_transform(_signed_power(samples, q / 2.0), grid)
-        w_plain = forward_transform(np.abs(samples) ** (q / 2.0), grid)
-        rhs_signed = sobolev_norm(w_signed, gamma / 2.0, homogeneous=True) ** 2
-        rhs_plain = sobolev_norm(w_plain, gamma / 2.0, homogeneous=True) ** 2
+        plain = np.abs(samples) ** (q / 2.0)
+        w_hat = analyze(grid, np.stack([np.sign(samples) * plain, plain]))
+        mag2 = w_hat.real * w_hat.real + w_hat.imag * w_hat.imag
+        rhs_signed, rhs_plain = np.sum(energy * mag2, axis=(-2, -1)).tolist()
         # At gamma=2 the variants agree analytically; allow the same slack.
         if rhs_plain > rhs_signed * (1.0 + slack):
             variant_ordered = False
         ratio_signed = lhs / (const * rhs_signed)
         ratio_plain = lhs / (const * rhs_plain)
-        c2 = lhs / (2.0 ** (j * gamma) * field_lp_norm(f, q) ** q)
+        c2 = lhs / (2.0 ** (j * gamma) * lp_norm(samples, q, grid.cell_area) ** q)
         min_c2 = min(min_c2, c2)
         min_ratio_plain = min(min_ratio_plain, ratio_plain)
         if ratio_signed < min_ratio_signed:
             min_ratio_signed = ratio_signed
-            witness = witness_from_field(f, ratio=ratio_signed)
+            worst = f
+    witness = None
+    if worst is not None:
+        witness = witness_from_field(worst, ratio=min_ratio_signed)
     verdict = (
         min_ratio_signed >= 1.0 - slack
         and min_ratio_plain >= 1.0 - slack
@@ -220,15 +251,14 @@ def check_coercivity(
 
 
 def _sign_integral_sweep(grid, j, gamma, n_samples, rng):
-    frac = MultiplierSpec.fractional_laplacian(gamma)
+    ops = _dissipation_stack(grid, gamma)
     scale = 2.0 ** (j * gamma)
     min_c2 = math.inf
     min_c3 = math.inf
     worst = None
     for _ in range(n_samples):
         f = gaussian_block_field(grid, j, rng)
-        samples = f.to_samples()
-        dgf = apply_multiplier(f, frac).to_samples()
+        samples, dgf = synthesize(grid, ops * f.coeffs[:, : grid.n // 2 + 1])
         l1 = lp_norm(samples, 1.0, grid.cell_area)
         c2 = float(np.sum(dgf * np.sign(samples))) * grid.cell_area / (scale * l1)
         flat = np.argmax(np.abs(samples))
@@ -236,9 +266,10 @@ def _sign_integral_sweep(grid, j, gamma, n_samples, rng):
         c3 = float(np.sign(samples[idx]) * dgf[idx]) / (scale * float(np.abs(samples[idx])))
         if c2 < min_c2:
             min_c2 = c2
-            worst = witness_from_field(f, c2=c2)
+            worst = f
         min_c3 = min(min_c3, c3)
-    return min_c2, min_c3, worst
+    witness = None if worst is None else witness_from_field(worst, c2=min_c2)
+    return min_c2, min_c3, witness
 
 
 def check_sign_integral(

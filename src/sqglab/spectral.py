@@ -39,6 +39,9 @@ __all__ = [
     "inverse_transform",
     "apply_multiplier",
     "riesz_perp",
+    "synthesize",
+    "analyze",
+    "parseval_columns",
     "transport",
     "sobolev_norm",
     "lp_norm",
@@ -402,6 +405,51 @@ def riesz_perp(field: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 
 # ---------------------------------------------------------------------------
+# The rfft half spectrum: columns 0..n/2 of a real field's coefficients.
+# ---------------------------------------------------------------------------
+
+
+def synthesize(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients -> real samples, over the last two axes.
+
+    ``half`` holds columns ``0..n/2`` of full coefficient arrays of real
+    fields (any leading stack axes); the missing columns are implied by
+    conjugate symmetry.  No symmetry guard runs: callers pass half spectra
+    of real fields, which are real by construction.
+    """
+    if half.ndim > 2:
+        # One irfft2 per field: a single call on a stack of five measured
+        # 1.6-1.8x slower per field at 128^2 and 256^2 (2-vCPU host, one
+        # thread), and no faster on a stack of two.
+        return np.stack([synthesize(grid, h) for h in half])
+    n = grid.n
+    return scipy.fft.irfft2(half, s=(n, n), norm="forward")
+
+
+def analyze(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
+    """Real samples -> half-spectrum coefficients, over the last two axes.
+
+    Same series convention as :func:`forward_transform`, columns ``0..n/2``.
+    """
+    return scipy.fft.rfft2(samples, norm="forward")
+
+
+@lru_cache(maxsize=32)
+def parseval_columns(grid: GridSpec) -> np.ndarray:
+    """Column weights turning a half-spectrum sum into the full-lattice sum.
+
+    For a real field and an even weight g(k), ``sum_k g |c|^2`` over the
+    full lattice equals the half-spectrum sum with each column ``0 < m2 <
+    n/2`` counted twice (it stands for its conjugate partner ``-m2`` too);
+    columns 0 and n/2 are their own partners and count once.
+    """
+    weights = np.full(grid.n // 2 + 1, 2.0)
+    weights[0] = weights[-1] = 1.0
+    weights.flags.writeable = False
+    return weights
+
+
+# ---------------------------------------------------------------------------
 # Transport: the dealiased advective product on the rfft half spectrum.
 # ---------------------------------------------------------------------------
 
@@ -446,16 +494,15 @@ def transport(grid: GridSpec, source: np.ndarray,
     spec = np.empty((4, n, m), dtype=np.complex128)
     np.multiply(op.stack[:2], source[:, :m], out=spec[:2])
     np.multiply(op.stack[2:], target[:, :m], out=spec[2:])
-    # One irfft2 per slice measured 3-5% faster than a single batched call
-    # on the stack at 256^2 and 512^2 (2-vCPU host, one thread).
-    u1, u2, gx, gy = (scipy.fft.irfft2(c, s=(n, n), norm="forward") for c in spec)
+    # Slice by slice: the outputs are used apart, so skip the stacking copy.
+    u1, u2, gx, gy = (synthesize(grid, c) for c in spec)
     speed_sq = u1 * u1
     speed_sq += u2 * u2
     umax = math.sqrt(float(speed_sq.max()))
     u1 *= gx
     u2 *= gy
     u1 += u2
-    half = scipy.fft.rfft2(u1, norm="forward")
+    half = analyze(grid, u1)
     half *= op.mask
     # Columns 0 and n/2 are their own conjugate partners; symmetrize them so
     # the extension below is exactly Hermitian.

@@ -157,6 +157,16 @@ def test_verify_failing_verdict_exits_one(tmp_path):
     assert report["verdict"] == "fail"
 
 
+def test_verify_j_flag_reaches_coercivity(tmp_path):
+    args = ["verify", "coercivity_q", "--grid", "32", "--n-samples", "3",
+            "--output-dir", str(tmp_path)]
+    path = tmp_path / "verify_coercivity_q.json"
+    main(args + ["--j", "3"])
+    assert json.loads(path.read_text())["parameters"]["j"] == 3
+    main(args)
+    assert json.loads(path.read_text())["parameters"]["j"] == 2
+
+
 def test_verify_unknown_lemma_exits_one(capsys):
     assert main(["verify", "definitely_not_a_lemma"]) == 1
     assert "unknown lemma id" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sqglab.errors import UsageError
 from sqglab.inequalities import (
+    DECAY_TAU_GRID,
     check_ab_inequality,
     check_coercivity,
     check_gagliardo_equivalence,
@@ -31,7 +32,14 @@ from sqglab.inequalities import (
     spectral_mass_horizon,
 )
 from sqglab.sampling import OneDGrid, bump_field_1d, gaussian_block_field
-from sqglab.spectral import GridSpec, forward_transform, sobolev_norm
+from sqglab.spectral import (
+    GridSpec,
+    MultiplierSpec,
+    apply_multiplier,
+    field_lp_norm,
+    forward_transform,
+    sobolev_norm,
+)
 
 GRID = GridSpec(64)
 
@@ -51,6 +59,30 @@ def test_decay_rate_exact_on_eigenmode():
     for q in (1.5, 2.0, math.inf):
         c = fitted_decay_rate(field, 0.5, q, (0.1, 0.2, 0.4), scale=8.0**0.5)
         assert c == pytest.approx(1.0, abs=1e-8)
+
+
+def per_time_decay_rate(field, gamma, q, t_values, scale):
+    """Independent oracle: one heat multiplier and one guarded L^q norm per t."""
+    base = field_lp_norm(field, q)
+    worst = math.inf
+    for t in t_values:
+        cooled = apply_multiplier(field, MultiplierSpec.heat(1.0, float(t), gamma))
+        ratio = field_lp_norm(cooled, q) / base
+        if ratio > 0.0:
+            worst = min(worst, -math.log(ratio) / (float(t) * scale))
+    return worst
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 6.0, math.inf])
+def test_fitted_decay_rate_matches_per_time_oracle(q, rng):
+    grid = GridSpec(128)
+    for j, gamma in ((3, 0.5), (4, 0.9)):
+        scale = 2.0 ** (j * gamma)
+        t_values = [tau / scale for tau in DECAY_TAU_GRID]
+        field = gaussian_block_field(grid, j, rng)
+        assert fitted_decay_rate(field, gamma, q, t_values, scale) == pytest.approx(
+            per_time_decay_rate(field, gamma, q, t_values, scale), rel=1e-12
+        )
 
 
 def test_heat_decay_sweep():
@@ -315,3 +347,26 @@ def test_trilinear_rejects_gamma_one():
 def test_trilinear_rejects_unknown_regime():
     with pytest.raises(UsageError):
         check_trilinear_bounds(grid=GRID, regime="sideways")
+
+
+# -- regression pin ------------------------------------------------------------
+
+# measured_constant of each block sweep at its CLI defaults (128^2 grid,
+# default seeds), as computed by the earlier per-quantity complex-FFT sweeps.
+PINNED_DEFAULTS = {
+    "heat_decay": (check_heat_decay, 0.8324015352423284),
+    "coercivity_q": (check_coercivity, 0.9076379728499409),
+    "sign_integral_q1": (check_sign_integral, 0.888913574946089),
+    "max_point_bound": (check_max_point, 0.7627159566438645),
+    "lq_semigroup_decay": (check_lq_semigroup_decay, 0.8705754337673036),
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(PINNED_DEFAULTS))
+def test_block_sweeps_reproduce_pinned_defaults(lemma_id):
+    check, pinned = PINNED_DEFAULTS[lemma_id]
+    report = check()
+    assert report.lemma_id == lemma_id
+    assert report.parameters["j"] == (2 if lemma_id == "coercivity_q" else 3)
+    assert report.verdict
+    assert report.measured_constant == pytest.approx(pinned, rel=1e-12)

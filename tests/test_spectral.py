@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from sqglab.dyadic import BilinearSymbol, apply_bilinear_symbol
 from sqglab.errors import OverflowGuardError, SymmetryError, UsageError
+from sqglab.sampling import band_limited_field, gaussian_block_field, power_law_field
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
     GridSpec,
     MultiplierSpec,
     SpectralField,
+    analyze,
     apply_multiplier,
     conjugate_flip,
     field_from_bytes,
@@ -25,10 +27,12 @@ from sqglab.spectral import (
     inverse_transform,
     load_field,
     lp_norm,
+    parseval_columns,
     radial_profile,
     riesz_perp,
     save_field,
     sobolev_norm,
+    synthesize,
     transport,
 )
 
@@ -241,6 +245,55 @@ def test_transport_matches_complex_fft_formula(n, rng):
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+SAMPLERS = {
+    "block": lambda grid, rng: gaussian_block_field(grid, 4, rng),
+    "band_limited": lambda grid, rng: band_limited_field(grid, grid.n / 4.0, rng),
+    "power_law": lambda grid, rng: power_law_field(grid, 1.5, rng),
+}
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("kind", sorted(SAMPLERS))
+def test_synthesize_matches_inverse_transform(kind, n, rng):
+    # Sampler output is exactly Hermitian, so the half spectrum loses
+    # nothing the guarded full inverse transform would have checked.
+    grid = GridSpec(n)
+    field = SAMPLERS[kind](grid, rng)
+    half = field.coeffs[:, : n // 2 + 1]
+    ref = inverse_transform(field)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(synthesize(grid, half) - ref)) <= 1e-13 * scale
+    stacked = synthesize(grid, np.stack([half, -2.0 * half]))
+    assert stacked.shape == (2, n, n)
+    assert np.max(np.abs(stacked[0] - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(stacked[1] + 2.0 * ref)) <= 2e-13 * scale
+
+
+def test_analyze_is_half_of_forward_transform(rng):
+    samples = rng.standard_normal((3, GRID.n, GRID.n))
+    half = analyze(GRID, samples)
+    assert half.shape == (3, GRID.n, GRID.n // 2 + 1)
+    for got, s in zip(half, samples):
+        ref = forward_transform(s, GRID).coeffs[:, : GRID.n // 2 + 1]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(128), GridSpec(64, period=3.0)])
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 1.0])
+def test_half_spectrum_parseval_matches_sobolev_norm(grid, r, rng):
+    # w = sgn f |f|^2 and |f|^2 are not band-limited: every column, the
+    # Nyquist ones included, carries data.
+    f = inverse_transform(gaussian_block_field(grid, 3, rng))
+    m = grid.n // 2 + 1
+    weight = grid_arrays(grid).k_abs[:, :m] ** (2.0 * r)
+    for w in (np.sign(f) * np.abs(f) ** 2, np.abs(f) ** 2):
+        half = analyze(grid, w)
+        mass = parseval_columns(grid) * weight * np.abs(half) ** 2
+        total = grid.period**2 * np.sum(mass)
+        ref = sobolev_norm(forward_transform(w, grid), r, homogeneous=True) ** 2
+        assert total == pytest.approx(ref, rel=1e-12)
+
+
 def test_sobolev_norm_single_mode():
     # ||cos(k.x)||_{L^2}^2 = (2 pi)^2 / 2 on the 2pi torus
     field = single_mode(GRID, 3, 4)
@@ -269,6 +322,7 @@ def test_lp_norms(rng):
     assert lp_norm(samples, 1.0, vol) == pytest.approx(np.sum(np.abs(samples)) * vol)
     with pytest.raises(UsageError):
         lp_norm(samples, 0.5)
+
 
 
 def test_field_lp_matches_sample_lp(rng):
