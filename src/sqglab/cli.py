@@ -205,7 +205,7 @@ def cmd_simulate(args, argv: list) -> int:
                      "dealias_fraction": grid.dealias_fraction},
             "solver": {k: getattr(solver, k) for k in (
                 "nu", "gamma", "dt", "t_final", "integrator",
-                "gevrey_epsilon0", "besov_p", "besov_q",
+                "gevrey_epsilon0", "besov_p", "besov_q", "galerkin_n", "j0",
                 "output_stride", "snapshot_stride")},
             "seed": seed,
         },

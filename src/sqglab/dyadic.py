@@ -18,6 +18,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,9 +34,12 @@ from .spectral import (
     apply_multiplier,
     forward_transform,
     grid_arrays,
+    half_power,
+    k_power,
     lp_norm,
     real_samples_unchecked,
     radial_profile,
+    synthesize,
     transport,
 )
 
@@ -45,6 +49,8 @@ __all__ = [
     "project_block",
     "project_low",
     "besov_norm",
+    "block_power_weights",
+    "half_besov_norm",
     "ParaproductParts",
     "paraproduct_decompose",
     "BilinearSymbol",
@@ -130,6 +136,23 @@ def project_low(field: SpectralField, j: int) -> SpectralField:
     )
 
 
+@lru_cache(maxsize=16)
+def block_power_weights(partition: DyadicPartition) -> np.ndarray:
+    """Read-only ``|phi_j|^2`` stack on the half spectrum, cached per partition.
+
+    One row per block ``j_min..j_max``, then a last row with the squared
+    low-pass(0) profile.  With a :func:`~sqglab.spectral.half_power` array
+    ``P``, ``period^2 * (stack @ P)`` is every block's squared L^2 norm.
+    """
+    grid = partition.grid
+    m = grid.n // 2 + 1
+    syms = [MultiplierSpec.block(j).symbol_on(grid) for j in partition.block_indices()]
+    syms.append(MultiplierSpec.low_pass(0).symbol_on(grid))
+    stack = np.stack([sym[:, :m] ** 2 for sym in syms])
+    stack.flags.writeable = False
+    return stack
+
+
 def besov_norm(field: SpectralField, s: float, p: float, q: float,
                homogeneous: bool = False,
                partition: Optional[DyadicPartition] = None) -> float:
@@ -138,22 +161,52 @@ def besov_norm(field: SpectralField, s: float, p: float, q: float,
     Inhomogeneous: ``|P_{<=0} f|_p + (sum_{j>=1} (2^{js} |P_j f|_p)^q)^(1/q)``.
     Homogeneous: the block sum over every nonempty block, no low-pass term
     (the mean is invisible to it).  ``q = inf`` takes the sup over blocks.
+    See :func:`half_besov_norm` for how the block norms are evaluated.
+    """
+    part = partition or default_partition(field.grid)
+    return half_besov_norm(part, field.coeffs, s, p, q, homogeneous)
+
+
+def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
+                    p: float, q: float, homogeneous: bool = False,
+                    power: Optional[np.ndarray] = None) -> float:
+    """Besov norm of the real field with coefficients ``coeffs`` (full or half).
+
+    With ``p == 2`` every block norm comes from Parseval: one product of the
+    :func:`block_power_weights` stack with the field's half-spectrum power
+    (``power``, computed from ``coeffs`` when not given).  Otherwise the
+    block half spectra are synthesized as one stack and measured in L^p.
     """
     if q < 1.0:
         raise UsageError(f"Besov norm needs q >= 1, got {q}")
-    part = partition or default_partition(field.grid)
-    if homogeneous:
-        j_lo = part.j_min
-        low_term = 0.0
+    grid = partition.grid
+    # Blocks below j_min are empty: their zero terms change no sum or sup.
+    j_lo = partition.j_min if homogeneous else max(1, partition.j_min)
+    blocks = range(j_lo, partition.j_max + 1)
+    if p == 2.0:
+        if power is None:
+            power = half_power(grid, coeffs)
+        flat = power.ravel()
+        stack = block_power_weights(partition).reshape(-1, flat.size)
+        if np.all(np.isfinite(flat)):
+            sq = stack @ flat
+        else:
+            # A Gevrey-weighted power past double range: sum only where the
+            # block profile is nonzero, so 0 * inf adds nothing.
+            sq = np.array([np.sum(row[row > 0.0] * flat[row > 0.0]) for row in stack])
+        norms = np.sqrt(grid.period ** 2 * sq)
+        block_norms = norms[j_lo - partition.j_min : -1]
     else:
-        j_lo = 1
-        low_piece = project_low(field, 0)
-        low_term = lp_norm(real_samples_unchecked(low_piece), p, field.grid.cell_area)
-    terms = []
-    for j in range(j_lo, part.j_max + 1):
-        piece = project_block(field, j)
-        block_norm = lp_norm(real_samples_unchecked(piece), p, field.grid.cell_area)
-        terms.append(2.0 ** (j * s) * block_norm)
+        m = grid.n // 2 + 1
+        half = coeffs[:, :m]
+        syms = [MultiplierSpec.block(j).symbol_on(grid) for j in blocks]
+        if not homogeneous:
+            syms.append(MultiplierSpec.low_pass(0).symbol_on(grid))
+        pieces = synthesize(grid, np.stack([sym[:, :m] * half for sym in syms]))
+        norms = [lp_norm(piece, p, grid.cell_area) for piece in pieces]
+        block_norms = norms[: len(blocks)]
+    low_term = 0.0 if homogeneous else float(norms[-1])
+    terms = [2.0 ** (j * s) * float(b) for j, b in zip(blocks, block_norms)]
     if not terms:
         tail = 0.0
     elif math.isinf(q):
@@ -423,7 +476,7 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
     heat = MultiplierSpec.heat(1.0, t, gamma).symbol_on(grid)
     fh = f.coeffs * heat
     prod, _ = transport(grid, fh, g.coeffs * heat)
-    grow = np.where(on_block, np.exp(np.minimum(t * ga.k_abs ** gamma, cap)), 0.0)
+    grow = np.where(on_block, np.exp(np.minimum(t * k_power(grid, gamma), cap)), 0.0)
     term1 = block_sym * grow * prod
     term2, _ = transport(grid, fh, block_sym * g.coeffs)
     return SpectralField(grid, term1 - term2)

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dyadic import besov_norm, default_partition
+from .dyadic import besov_norm, default_partition, half_besov_norm
 from .errors import UsageError
 from .reports import IterateTrace, fit_log2
 from .solver import SolverConfig, Stepper
@@ -24,9 +24,11 @@ from .spectral import (
     MultiplierSpec,
     PROFILE_OUTER,
     SpectralField,
-    apply_multiplier,
+    gevrey_half_weight,
     grid_arrays,
-    sobolev_norm,
+    half_power,
+    sobolev_weights,
+    weighted_norm,
 )
 
 DEFAULT_S0 = 0.05
@@ -41,20 +43,27 @@ NORM_LABELS = (
 )
 
 
-def _norm_row(field: SpectralField, t: float, config: SolverConfig, s0: float) -> dict:
-    partition = default_partition(field.grid)
-    s_crit = 2.0 - config.gamma
-    warm = apply_multiplier(
-        field, MultiplierSpec.gevrey(config.gevrey_epsilon0, t, config.gamma)
-    )
-    p, q = config.besov_p, config.besov_q
+def _norm_row(coeffs: np.ndarray, t: float, config: SolverConfig, s0: float) -> dict:
+    """Every norm of one state from its half-spectrum power and Gevrey weight."""
+    grid = config.grid
+    partition = default_partition(grid)
+    half = coeffs[:, : grid.n // 2 + 1]
+    power = half_power(grid, half)
+    warm = gevrey_half_weight(grid, config.gevrey_epsilon0, t, config.gamma, half)
+    warm_power = power * warm
+    warm_power *= warm
+    w_l2 = sobolev_weights(grid, 0.0, False)
+    w_crit = sobolev_weights(grid, 2.0 - config.gamma, False)
+    p = config.besov_p
     return {
-        "l2": sobolev_norm(field, 0.0),
-        "h_crit": sobolev_norm(field, s_crit),
-        "besov_s0": besov_norm(field, s0, p, math.inf, partition=partition),
-        "gevrey_l2": sobolev_norm(warm, 0.0),
-        "gevrey_h_crit": sobolev_norm(warm, s_crit),
-        "gevrey_besov_s0": besov_norm(warm, s0, p, math.inf, partition=partition),
+        "l2": weighted_norm(grid, w_l2, power),
+        "h_crit": weighted_norm(grid, w_crit, power),
+        "besov_s0": half_besov_norm(partition, half, s0, p, math.inf, power=power),
+        "gevrey_l2": weighted_norm(grid, w_l2, warm_power),
+        "gevrey_h_crit": weighted_norm(grid, w_crit, warm_power),
+        "gevrey_besov_s0": half_besov_norm(
+            partition, half * warm, s0, p, math.inf, power=warm_power
+        ),
     }
 
 
@@ -120,31 +129,29 @@ def galerkin_sequence(
         support_radius = PROFILE_OUTER * 2.0**cutoff
         low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)
         stepper = Stepper(config, projection=cutoff)
+        # Stepper.step returns a fresh array, so states are stored as is.
         coeffs = theta0.coeffs * ka.dealias_mask * low
-        stored = [(0.0, coeffs.copy())]
+        stored = [(0.0, coeffs)]
         t = 0.0
         for k in range(1, n_steps + 1):
             coeffs = stepper.step(coeffs)
             t += config.dt
             if k % stride == 0 or k == n_steps:
-                stored.append((t, coeffs.copy()))
+                stored.append((t, coeffs))
         outside = ka.k_abs > support_radius
         for _, c in stored:
             total = float(np.sum(np.abs(c) ** 2))
             if total > 0.0:
                 leak = float(np.sum(np.abs(c[outside]) ** 2)) / total
                 worst_leak = max(worst_leak, leak)
-        rows = [
-            _norm_row(SpectralField(grid, c), ts, config, s0) for ts, c in stored
-        ]
+        rows = [_norm_row(c, ts, config, s0) for ts, c in stored]
         sups = _sup_rows(rows)
         for label in NORM_LABELS:
             trace.norms[label].append(sups[label])
         if previous is not None:
             diff_rows = []
             for (ts, c_new), (_, c_old) in zip(stored, previous):
-                gap = SpectralField(grid, c_new - c_old)
-                diff_rows.append(_norm_row(gap, ts, config, s0))
+                diff_rows.append(_norm_row(c_new - c_old, ts, config, s0))
             dsup = _sup_rows(diff_rows)
             for label in NORM_LABELS:
                 trace.diffs[label].append(dsup[label])
@@ -230,38 +237,37 @@ def picard_besov_sequence(
             [2.0**n for n in n_values[1:]], data_diffs
         )
 
+    # Zero advecting field of the first iterate: pure linear flow.
+    zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
     previous_traj = None  # trajectory of theta^{(k-1)} at every step
     previous_stored = None
     for idx, n in enumerate(n_values):
         stepper = Stepper(run_config)
-        coeffs = data_fields[idx].copy()
-        traj = [coeffs.copy()]
-        stored = [(0.0, coeffs.copy())]
+        # Stepper.step neither mutates nor returns its input, so the
+        # trajectory and the stored rows share the states without copies.
+        coeffs = data_fields[idx]
+        traj = [coeffs]
+        stored = [(0.0, coeffs)]
         t = 0.0
         for k in range(1, n_steps + 1):
             if previous_traj is None:
-                # Zero advecting field: pure linear flow.
-                adv0 = np.zeros_like(coeffs)
-                adv1 = adv0
+                adv0 = adv1 = zero
             else:
                 adv0 = previous_traj[k - 1]
                 adv1 = previous_traj[k]
             coeffs = stepper.step(coeffs, advect_coeffs=adv0, advect_coeffs_end=adv1)
             t += config.dt
-            traj.append(coeffs.copy())
+            traj.append(coeffs)
             if k % stride == 0 or k == n_steps:
-                stored.append((t, coeffs.copy()))
-        rows = [
-            _norm_row(SpectralField(grid, c), ts, run_config, s0) for ts, c in stored
-        ]
+                stored.append((t, coeffs))
+        rows = [_norm_row(c, ts, run_config, s0) for ts, c in stored]
         sups = _sup_rows(rows)
         for label in NORM_LABELS:
             trace.norms[label].append(sups[label])
         if previous_stored is not None:
             diff_rows = []
             for (ts, c_new), (_, c_old) in zip(stored, previous_stored):
-                gap = SpectralField(grid, c_new - c_old)
-                diff_rows.append(_norm_row(gap, ts, run_config, s0))
+                diff_rows.append(_norm_row(c_new - c_old, ts, run_config, s0))
             dsup = _sup_rows(diff_rows)
             for label in NORM_LABELS:
                 trace.diffs[label].append(dsup[label])

@@ -34,6 +34,8 @@ __all__ = [
 def _finish(grid: GridSpec, coeffs: np.ndarray) -> SpectralField:
     c = hermitian_symmetrize(coeffs)
     c[0, 0] = 0.0
+    # c is a fresh array: hand it over read-only so the field keeps it as is.
+    c.flags.writeable = False
     return SpectralField(grid, c)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 
-from .dyadic import DyadicPartition, besov_norm, default_partition
+from .dyadic import DyadicPartition, block_power_weights, default_partition, half_besov_norm
 from .errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from .reports import write_timeseries_csv
 from .spectral import (
@@ -26,12 +26,16 @@ from .spectral import (
     SpectralField,
     apply_multiplier,
     field_lp_norm,
+    gevrey_half_weight,
     grid_arrays,
+    half_power,
     hermitian_symmetrize,
+    k_power,
     lp_norm,
-    real_samples_unchecked,
-    sobolev_norm,
+    sobolev_weights,
+    synthesize,
     transport,
+    weighted_norm,
 )
 
 INTEGRATORS = ("if_rk4", "etd_rk2")
@@ -147,8 +151,7 @@ class Stepper:
         self.config = config
         self.projection = projection
         self.grid = config.grid
-        ka = grid_arrays(self.grid)
-        self._symbol = config.nu * ka.k_abs**config.gamma
+        self._symbol = config.nu * k_power(self.grid, config.gamma)
         self._kmax = self.grid.dealias_radius
         self._factors: dict[float, tuple] = {}
         self.cfl_max = 0.0
@@ -314,43 +317,52 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     partition = default_partition(grid)
     names = _series_columns(partition, config.j0)
     series = TimeSeries(config, columns={name: [] for name in names})
+    cols = series.columns
+    m = grid.n // 2 + 1
     s_crit = 2.0 - config.gamma
-    split_sym = (
-        MultiplierSpec.low_pass(config.j0).symbol_on(grid)
-        if config.j0 is not None
-        else None
-    )
+    s_besov = 1.0 - config.gamma + 2.0 / config.besov_p
+    area = grid.period**2
+    w_neg_half = sobolev_weights(grid, -0.5, True)
+    w_crit = sobolev_weights(grid, s_crit, False)
+    w_diss = sobolev_weights(grid, config.gamma / 2.0, True)
+    w_mid = sobolev_weights(grid, 2.0 - config.gamma / 2.0, False)
+    block_rows = block_power_weights(partition)[:-1].reshape(-1, grid.n * m)
+    block_names = [f"block_{j}_l2" for j in partition.block_indices()]
+    split_rows = None
+    if config.j0 is not None:
+        split_sym = MultiplierSpec.low_pass(config.j0).symbol_on(grid)[:, :m]
+        split_rows = np.stack([split_sym**2, (1.0 - split_sym) ** 2]).reshape(2, -1)
 
     integral_state = {"value": 0.0, "last_t": None, "last_sq": None}
 
     def emit(t: float, coeffs: np.ndarray) -> None:
-        f = SpectralField(grid, coeffs)
-        samples = real_samples_unchecked(f)
-        cols = series.columns
+        """One diagnostics row: every column from one half-spectrum power."""
+        half = coeffs[:, :m]
+        power = half_power(grid, half)
+        samples = synthesize(grid, half)
         cols["t"].append(t)
         for p, name in ((1.0, "l1"), (2.0, "l2"), (4.0, "l4"), (math.inf, "linf")):
             cols[name].append(lp_norm(samples, p, grid.cell_area))
-        cols["h_neg_half"].append(sobolev_norm(f, -0.5, homogeneous=True))
-        cols["h_crit"].append(sobolev_norm(f, s_crit))
-        warm = apply_multiplier(
-            f, MultiplierSpec.gevrey(config.gevrey_epsilon0, t, config.gamma)
-        )
-        cols["gevrey_h_crit"].append(sobolev_norm(warm, s_crit))
-        half_warm = apply_multiplier(
-            f, MultiplierSpec.gevrey(0.5, t, config.gamma)
-        )
+        cols["h_neg_half"].append(weighted_norm(grid, w_neg_half, power))
+        cols["h_crit"].append(weighted_norm(grid, w_crit, power))
+        warm = gevrey_half_weight(grid, config.gevrey_epsilon0, t, config.gamma, half)
+        warm_power = power * warm
+        warm_power *= warm
+        cols["gevrey_h_crit"].append(weighted_norm(grid, w_crit, warm_power))
+        if config.gevrey_epsilon0 == 0.5:
+            half_warm, half_warm_power = warm, warm_power
+        else:
+            half_warm = gevrey_half_weight(grid, 0.5, t, config.gamma, half)
+            half_warm_power = power * half_warm
+            half_warm_power *= half_warm
         cols["besov_weighted"].append(
-            besov_norm(
-                half_warm,
-                1.0 - config.gamma + 2.0 / config.besov_p,
-                config.besov_p,
-                config.besov_q,
-                partition=partition,
+            half_besov_norm(
+                partition, half * half_warm, s_besov, config.besov_p,
+                config.besov_q, power=half_warm_power,
             )
         )
-        diss_sq = sobolev_norm(f, config.gamma / 2.0, homogeneous=True) ** 2
-        cols["dissipation"].append(diss_sq)
-        warm_mid = sobolev_norm(warm, 2.0 - config.gamma / 2.0) ** 2
+        cols["dissipation"].append(area * float(np.vdot(w_diss, power)))
+        warm_mid = area * float(np.vdot(w_mid, warm_power))
         if integral_state["last_t"] is not None:
             dt_out = t - integral_state["last_t"]
             integral_state["value"] += (
@@ -359,19 +371,17 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
         integral_state["last_t"] = t
         integral_state["last_sq"] = warm_mid
         cols["gevrey_dissipation_integral"].append(integral_state["value"])
-        for j in partition.block_indices():
-            block = coeffs * MultiplierSpec.block(j).symbol_on(grid)
-            cols[f"block_{j}_l2"].append(
-                sobolev_norm(SpectralField(grid, block), 0.0)
-            )
-        if split_sym is not None:
-            low = SpectralField(grid, coeffs * split_sym)
-            high = SpectralField(grid, coeffs * (1.0 - split_sym))
-            cols["split_low_l2"].append(sobolev_norm(low, 0.0))
-            cols["split_high_l2"].append(sobolev_norm(high, 0.0))
+        flat = power.ravel()
+        for name, sq in zip(block_names, block_rows @ flat):
+            cols[name].append(math.sqrt(area * sq))
+        if split_rows is not None:
+            low_sq, high_sq = split_rows @ flat
+            cols["split_low_l2"].append(math.sqrt(area * low_sq))
+            cols["split_high_l2"].append(math.sqrt(area * high_sq))
 
     def snapshot(t: float, coeffs: np.ndarray) -> None:
-        series.snapshots.append((t, SpectralField(grid, coeffs.copy())))
+        # SpectralField copies the writeable array it is given.
+        series.snapshots.append((t, SpectralField(grid, coeffs)))
 
     projection = None if config.galerkin_n is None else config.galerkin_n - 1
     stepper = Stepper(config, projection=projection)
@@ -398,7 +408,7 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
         series.aborted = True
         series.abort_reason = f"{type(guard).__name__}: {guard}"
     else:
-        series.final_state = SpectralField(grid, coeffs.copy())
+        series.final_state = SpectralField(grid, coeffs)
     series.cfl_max = stepper.cfl_max
     return series
 

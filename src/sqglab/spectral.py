@@ -42,6 +42,11 @@ __all__ = [
     "synthesize",
     "analyze",
     "parseval_columns",
+    "half_power",
+    "k_power",
+    "sobolev_weights",
+    "gevrey_half_weight",
+    "weighted_norm",
     "transport",
     "sobolev_norm",
     "lp_norm",
@@ -134,6 +139,19 @@ def grid_arrays(grid: GridSpec) -> SimpleNamespace:
     return _grid_arrays(grid)
 
 
+@lru_cache(maxsize=32)
+def k_power(grid: GridSpec, gamma: float) -> np.ndarray:
+    """Read-only ``|k|^gamma`` on the full lattice, cached per (grid, gamma).
+
+    The one source of the dissipation exponent: heat and Gevrey symbols,
+    the overflow guard and the diagnostics rows scale it by ``t`` on the
+    fly, so no cache entry is keyed on a time value.
+    """
+    table = _grid_arrays(grid).k_abs ** gamma
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """A scalar field held as Fourier coefficients on a grid.
@@ -207,13 +225,21 @@ def real_samples_unchecked(field: SpectralField) -> np.ndarray:
 
 def conjugate_flip(coeffs: np.ndarray) -> np.ndarray:
     """Return the array ``c~(k) = conj(c(-k))`` in FFT index order."""
-    flipped = coeffs[::-1, ::-1]
-    return np.conj(np.roll(flipped, (1, 1), axis=(0, 1)))
+    # Index -m is (n - m) % n: row and column 0 stay put, the rest reverse.
+    out = np.empty_like(coeffs)
+    out[0, 0] = coeffs[0, 0]
+    out[0, 1:] = coeffs[0, :0:-1]
+    out[1:, 0] = coeffs[:0:-1, 0]
+    out[1:, 1:] = coeffs[:0:-1, :0:-1]
+    return np.conjugate(out, out=out)
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     """Project onto conjugate-symmetric arrays (the real-field subspace)."""
-    return 0.5 * (coeffs + conjugate_flip(coeffs))
+    out = conjugate_flip(coeffs)
+    out += coeffs
+    out *= 0.5
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +349,21 @@ class MultiplierSpec:
 
         For the gevrey kind, entries past the exponent cap are set to 0;
         the guard in :func:`apply_multiplier` ensures such entries never
-        multiply actual data.
+        multiply actual data.  Heat and gevrey symbols depend on ``t`` and
+        are built from the cached ``|k|^gamma`` table on every call; the
+        other kinds are cached per (spec, grid).
         """
-        return _symbol_cached(self, grid)
+        if self.kind == "heat":
+            nu, t, gamma = self.params
+            sym = np.exp(-nu * t * k_power(grid, gamma))
+        elif self.kind == "gevrey":
+            lam, t, gamma = self.params
+            expo = lam * t * k_power(grid, gamma)
+            sym = np.where(expo <= self.cap, np.exp(np.minimum(expo, self.cap)), 0.0)
+        else:
+            return _symbol_cached(self, grid)
+        sym.flags.writeable = False
+        return sym
 
 
 def _check_gamma(gamma: float) -> None:
@@ -341,13 +379,6 @@ def _symbol_cached(mult: MultiplierSpec, grid: GridSpec) -> np.ndarray:
         (s,) = p
         with np.errstate(divide="ignore", invalid="ignore"):
             sym = np.where(ga.k_abs > 0.0, ga.k_abs ** s, 0.0)
-    elif kind == "heat":
-        nu, t, gamma = p
-        sym = np.exp(-nu * t * ga.k_abs ** gamma)
-    elif kind == "gevrey":
-        lam, t, gamma = p
-        expo = lam * t * ga.k_abs ** gamma
-        sym = np.where(expo <= mult.cap, np.exp(np.minimum(expo, mult.cap)), 0.0)
     elif kind == "riesz_component":
         (axis,) = p
         comp = ga.k1 if axis == 0 else ga.k2
@@ -377,17 +408,24 @@ def apply_multiplier(field: SpectralField, mult: MultiplierSpec) -> SpectralFiel
 
 def _gevrey_guard(field: SpectralField, mult: MultiplierSpec) -> None:
     lam, t, gamma = mult.params
-    ga = _grid_arrays(field.grid)
-    expo = lam * t * ga.k_abs ** gamma
-    over = expo > mult.cap
+    _check_exponents(lam * t * k_power(field.grid, gamma), field.coeffs, mult.cap)
+
+
+def _check_exponents(expo: np.ndarray, coeffs: np.ndarray, cap: float) -> None:
+    """Raise if a mode whose weight exponent exceeds ``cap`` carries data.
+
+    ``expo`` and ``coeffs`` cover the same modes: the full lattice, or the
+    half spectrum of a real field (which holds every magnitude).
+    """
+    over = expo > cap
     if not np.any(over):
         return
-    mag = np.abs(field.coeffs)
+    mag = np.abs(coeffs)
     floor = SUPPORT_THRESHOLD * float(mag.max())
     if np.any(over & (mag > floor)):
         worst = float(np.max(expo[mag > floor]))
         raise OverflowGuardError(
-            f"analyticity weight exponent {worst:.1f} exceeds cap {mult.cap:.0f} "
+            f"analyticity weight exponent {worst:.1f} exceeds cap {cap:.0f} "
             "on populated modes; shorten the time horizon or reduce the weight"
         )
 
@@ -447,6 +485,62 @@ def parseval_columns(grid: GridSpec) -> np.ndarray:
     weights[0] = weights[-1] = 1.0
     weights.flags.writeable = False
     return weights
+
+
+def half_power(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Parseval mass of each half-spectrum mode of a real field.
+
+    ``parseval_columns * |c|^2`` over columns ``0..n/2`` of ``coeffs`` (full
+    or half), so that for any even weight g, ``period^2 * sum(g * P)`` is
+    the full-lattice sum ``period^2 * sum_k g |c(k)|^2``.
+    """
+    half = coeffs[:, : grid.n // 2 + 1]
+    power = half.real * half.real
+    power += half.imag * half.imag
+    power *= parseval_columns(grid)
+    return power
+
+
+@lru_cache(maxsize=32)
+def sobolev_weights(grid: GridSpec, r: float, homogeneous: bool = False) -> np.ndarray:
+    """Read-only Sobolev weights of order ``r`` on the half spectrum.
+
+    Homogeneous: ``|k|^(2r)`` with 0 at the origin (1 everywhere for
+    ``r = 0``); inhomogeneous: ``(1 + |k|^2)^r``.
+    """
+    ga = _grid_arrays(grid)
+    if homogeneous:
+        if r == 0.0:
+            weights = np.ones_like(ga.k_abs)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weights = np.where(ga.k_abs > 0.0, ga.k_abs ** (2.0 * r), 0.0)
+    else:
+        weights = (1.0 + ga.k_sq) ** r
+    weights = np.ascontiguousarray(weights[:, : grid.n // 2 + 1])
+    weights.flags.writeable = False
+    return weights
+
+
+def weighted_norm(grid: GridSpec, weights: np.ndarray, power: np.ndarray) -> float:
+    """``sqrt(period^2 * sum(weights * power))`` for a :func:`half_power` array."""
+    return math.sqrt(grid.period ** 2 * float(np.vdot(weights, power)))
+
+
+def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
+                       coeffs: np.ndarray) -> np.ndarray:
+    """Gevrey weight ``exp(lam t |k|^gamma)`` on the half spectrum.
+
+    Same guard as applying :meth:`MultiplierSpec.gevrey` to the real field
+    with coefficients ``coeffs`` (full or half): modes past the exponent
+    cap get weight 0 if they carry no data, and raise
+    ``OverflowGuardError`` if they do.
+    """
+    m = grid.n // 2 + 1
+    cap = GEVREY_EXPONENT_CAP
+    expo = lam * t * k_power(grid, gamma)[:, :m]
+    _check_exponents(expo, coeffs[:, :m], cap)
+    return np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -527,27 +621,18 @@ def sobolev_norm(field: SpectralField, r: float, homogeneous: bool = False) -> f
 
     Homogeneous: ``(period^2 * sum_{k!=0} |k|^(2r) |c|^2)^(1/2)``; negative
     ``r`` requires a mean-free field.  Inhomogeneous uses ``(1+|k|^2)^r``.
+    The sum runs over the half spectrum (:func:`half_power`).
     """
-    ga = _grid_arrays(field.grid)
     c = field.coeffs
-    mag2 = (c.real * c.real + c.imag * c.imag)
-    if homogeneous:
-        if r < 0.0:
-            mean_mag = abs(c[0, 0])
-            scale = float(np.max(np.abs(c)))
-            if scale > 0.0 and mean_mag > 1e-12 * scale:
-                raise UsageError(
-                    "homogeneous norm of negative order requires a mean-free field"
-                )
-        if r == 0.0:
-            weights = np.ones_like(ga.k_abs)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                weights = np.where(ga.k_abs > 0.0, ga.k_abs ** (2.0 * r), 0.0)
-    else:
-        weights = (1.0 + ga.k_sq) ** r
-    total = float(np.sum(weights * mag2)) * field.grid.period ** 2
-    return math.sqrt(total)
+    if homogeneous and r < 0.0:
+        mean_mag = abs(c[0, 0])
+        scale = float(np.max(np.abs(c)))
+        if scale > 0.0 and mean_mag > 1e-12 * scale:
+            raise UsageError(
+                "homogeneous norm of negative order requires a mean-free field"
+            )
+    grid = field.grid
+    return weighted_norm(grid, sobolev_weights(grid, r, homogeneous), half_power(grid, c))
 
 
 def lp_norm(samples: np.ndarray, p: float, cell_volume: float = 1.0) -> float:

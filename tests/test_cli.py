@@ -85,6 +85,21 @@ def test_flags_override_config(tmp_path):
     assert resolved["seed"] == 99
 
 
+def test_manifest_records_galerkin_n_and_j0(tmp_path):
+    cfg = write_config(tmp_path / "sim.json", solver={"galerkin_n": 3, "j0": 2})
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    solver = manifest["config"]["resolved"]["solver"]
+    assert solver["galerkin_n"] == 3
+    assert solver["j0"] == 2
+    plain = write_config(tmp_path / "plain.json")
+    assert main(["simulate", str(plain), "--output-dir", str(tmp_path / "p")]) == 0
+    manifest = json.loads((tmp_path / "p" / "run_manifest.json").read_text())
+    solver = manifest["config"]["resolved"]["solver"]
+    assert solver["galerkin_n"] is None and solver["j0"] is None
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "sim.json")
     env_dir = tmp_path / "from_env"

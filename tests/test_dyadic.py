@@ -11,6 +11,8 @@ from sqglab.dyadic import (
     apply_bilinear_symbol,
     besov_norm,
     block_commutator,
+    block_power_weights,
+    half_besov_norm,
     default_partition,
     paraproduct_decompose,
     project_block,
@@ -23,9 +25,12 @@ from sqglab.spectral import (
     MultiplierSpec,
     SpectralField,
     forward_transform,
+    half_power,
     inverse_transform,
     sobolev_norm,
 )
+
+from oracles import besov_sample_oracle
 
 GRID = GridSpec(64)
 
@@ -102,6 +107,61 @@ def test_besov_matches_sobolev_at_p2(rng):
     b = besov_norm(field, 0.5, 2.0, 2.0, homogeneous=True)
     h = sobolev_norm(field, 0.5, homogeneous=True)
     assert 0.6 < b / h < 1.5
+
+
+@pytest.mark.parametrize("n, period", [
+    (64, 3.0), (128, 3.0),
+    (64, 2.0 * math.pi),  # j_min = 0: block 0 sits under the low-pass term
+    (64, 1.0),            # j_min = 3: blocks 1 and 2 are empty
+])
+@pytest.mark.parametrize("p", [2.0, 1.0, 4.0, math.inf])
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_besov_norm_matches_sample_oracle(n, period, p, q, homogeneous, rng):
+    grid = GridSpec(n, period=period)
+    # white noise: every block and the mean carry data
+    field = random_field(grid, rng)
+    for s in (-0.5, 0.05, 1.5):
+        want = besov_sample_oracle(field, s, p, q, homogeneous)
+        got = besov_norm(field, s, p, q, homogeneous=homogeneous)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_besov_p2_skips_empty_blocks_of_an_overflowed_power(rng):
+    # A Gevrey-weighted power can pass double range at a few modes while
+    # under the exponent cap; blocks that do not reach those modes stay
+    # finite, and no 0 * inf turns into NaN.
+    grid = GridSpec(64)
+    part = default_partition(grid)
+    field = random_field(grid, rng)
+    power = half_power(grid, field.coeffs)
+    power[0, 2] = np.inf  # |k| = 2: blocks 1 and 2 only
+    assert half_besov_norm(part, field.coeffs, 0.5, 2.0, 2.0, power=power) == math.inf
+    sup_all = half_besov_norm(part, field.coeffs, 0.5, 2.0, math.inf,
+                              homogeneous=True, power=power)
+    assert sup_all == math.inf
+    # the homogeneous sup over the blocks above |k| = 2 * 7/6 is finite
+    part_hi = DyadicPartition(grid, 3, part.j_max)
+    high = half_besov_norm(part_hi, field.coeffs, 0.5, 2.0, math.inf,
+                           homogeneous=True, power=power)
+    assert math.isfinite(high)
+    assert high == pytest.approx(
+        besov_sample_oracle(field, 0.5, 2.0, math.inf, True, part_hi), rel=1e-12
+    )
+
+
+def test_block_power_weights_read_only_and_square_the_profiles():
+    grid = GridSpec(64, period=3.0)
+    part = default_partition(grid)
+    stack = block_power_weights(part)
+    assert not stack.flags.writeable
+    assert len(stack) == len(part.block_indices()) + 1
+    m = grid.n // 2 + 1
+    j = part.j_max - 1
+    block = MultiplierSpec.block(j).symbol_on(grid)[:, :m]
+    assert np.array_equal(stack[j - part.j_min], block**2)
+    low = MultiplierSpec.low_pass(0).symbol_on(grid)[:, :m]
+    assert np.array_equal(stack[-1], low**2)
 
 
 def test_besov_rejects_bad_q(rng):

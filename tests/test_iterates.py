@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sqglab.errors import UsageError
-from sqglab.iterates import galerkin_sequence, picard_besov_sequence
+from sqglab.errors import OverflowGuardError, UsageError
+from sqglab.iterates import _norm_row, galerkin_sequence, picard_besov_sequence
 from sqglab.sampling import power_law_field
 from sqglab.solver import SolverConfig
 from sqglab.spectral import (
@@ -17,6 +17,8 @@ from sqglab.spectral import (
     grid_arrays,
     sobolev_norm,
 )
+
+from oracles import besov_sample_oracle, full_sobolev_norm, gevrey_warm
 
 GRID = GridSpec(64)
 
@@ -128,3 +130,48 @@ def test_grid_mismatch_rejected():
         galerkin_sequence(wrong, range(2, 4), CFG)
     with pytest.raises(UsageError):
         picard_besov_sequence(wrong, range(0, 2), 2.0, 2.0, CFG)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_norm_row_matches_oracle(p):
+    grid = GridSpec(64, period=3.0)
+    cfg = SolverConfig(grid=grid, nu=1.0, gamma=0.5, dt=2e-3, t_final=0.02,
+                       gevrey_epsilon0=0.3, besov_p=p)
+    field = power_law_field(grid, 2.2, np.random.default_rng(4))
+    t, s0 = 0.7, 0.05
+    warm = gevrey_warm(field, 0.3, t, 0.5)
+    want = {
+        "l2": full_sobolev_norm(field, 0.0),
+        "h_crit": full_sobolev_norm(field, 1.5),
+        "besov_s0": besov_sample_oracle(field, s0, p, math.inf),
+        "gevrey_l2": full_sobolev_norm(warm, 0.0),
+        "gevrey_h_crit": full_sobolev_norm(warm, 1.5),
+        "gevrey_besov_s0": besov_sample_oracle(warm, s0, p, math.inf),
+    }
+    got = _norm_row(field.coeffs, t, cfg, s0)
+    assert set(got) == set(want)
+    for label, value in want.items():
+        assert got[label] == pytest.approx(value, rel=1e-12), label
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_rows_keep_the_overflow_guard():
+    # Inviscid data kept at every populated mode while the Gevrey exponent
+    # eps0 * t * |k|^2 passes the cap there: the sweeps must refuse.
+    grid = GridSpec(32)
+    theta0 = power_law_field(grid, 2.7, np.random.default_rng(3))
+    theta0 = theta0.with_coeffs(theta0.coeffs * 1e-3)
+    cfg = SolverConfig(grid=grid, nu=0.0, gamma=2.0, dt=1.0, t_final=20.0)
+    with pytest.raises(OverflowGuardError, match="exceeds cap"):
+        galerkin_sequence(theta0, [3, 4], cfg)
+    with pytest.raises(OverflowGuardError, match="exceeds cap"):
+        picard_besov_sequence(theta0, [0, 1], 2.0, 2.0, cfg)
+    with pytest.raises(OverflowGuardError, match="exceeds cap"):
+        _norm_row(theta0.coeffs, 20.0, cfg, 0.05)
+    # the same exponent where no data lives gives weight 0, not an error
+    low = np.zeros((GRID.n, GRID.n), dtype=np.complex128)
+    low[1, 0] = low[-1, 0] = 0.5  # cos(x), with exact zeros elsewhere
+    row = _norm_row(low, 20.0, SolverConfig(grid=GRID, gamma=2.0), 0.05)
+    assert row["gevrey_l2"] == pytest.approx(
+        math.exp(0.5 * 20.0) * row["l2"], rel=1e-12
+    )

@@ -14,7 +14,13 @@ from sqglab.sampling import (
     low_pass_field,
     power_law_field,
 )
-from sqglab.spectral import GridSpec, PROFILE_OUTER, grid_arrays, inverse_transform
+from sqglab.spectral import (
+    GridSpec,
+    MultiplierSpec,
+    PROFILE_OUTER,
+    grid_arrays,
+    inverse_transform,
+)
 
 GRID = GridSpec(64)
 
@@ -112,3 +118,18 @@ def test_bump_field_concentrates():
     # mass near the center, tiny at the box edge
     edge = np.max(np.abs(f[: g.n // 16]))
     assert edge < 1e-8 * peak
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_block_field_is_byte_identical_to_roll_symmetrization(n):
+    # The stream is pinned downstream (seeded reports, benchmark reference):
+    # the sampled coefficients must equal the np.roll-based symmetrization
+    # of the same noise bit for bit.
+    grid = GridSpec(n)
+    field = gaussian_block_field(grid, 3, np.random.default_rng(77))
+    rng = np.random.default_rng(77)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = noise * MultiplierSpec.block(3).symbol_on(grid)
+    want = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1))))
+    want[0, 0] = 0.0
+    assert np.array_equal(field.coeffs, want)

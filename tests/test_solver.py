@@ -1,13 +1,16 @@
 """Time integration: exactness, order, guards, conservation, mild form."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sqglab.dyadic import default_partition
 from sqglab.errors import CflGuardError, OverflowGuardError, UsageError
 from sqglab.sampling import power_law_field
 from sqglab.solver import (
+    INTEGRATORS,
     SolverConfig,
     Stepper,
     conservation_report,
@@ -21,10 +24,15 @@ from sqglab.spectral import (
     MultiplierSpec,
     SpectralField,
     forward_transform,
+    _symbol_cached,
     grid_arrays,
+    lp_norm,
+    real_samples_unchecked,
     riesz_perp,
     sobolev_norm,
 )
+
+from oracles import besov_sample_oracle, full_sobolev_norm, gevrey_warm
 
 GRID = GridSpec(64)
 
@@ -321,3 +329,103 @@ def test_grid_mismatch_rejected():
     cfg = SolverConfig(grid=GRID)
     with pytest.raises(UsageError):
         run_simulation(theta, cfg)
+
+
+def old_emit_columns(config, states):
+    """The diagnostics rows of ``states`` [(t, field)], column by column.
+
+    The row formula the solver used before the half-spectrum power rows:
+    complex inverse FFT samples, one field copy per column, Besov norms
+    from block samples, Sobolev sums over the full lattice.
+    """
+    grid = config.grid
+    partition = default_partition(grid)
+    s_crit = 2.0 - config.gamma
+    cols = {}
+    integral, last_t, last_sq = 0.0, None, None
+
+    def put(name, value):
+        cols.setdefault(name, []).append(value)
+
+    for t, f in states:
+        samples = real_samples_unchecked(f)
+        put("t", t)
+        for p, name in ((1.0, "l1"), (2.0, "l2"), (4.0, "l4"), (math.inf, "linf")):
+            put(name, lp_norm(samples, p, grid.cell_area))
+        put("h_neg_half", full_sobolev_norm(f, -0.5, homogeneous=True))
+        put("h_crit", full_sobolev_norm(f, s_crit))
+        warm = gevrey_warm(f, config.gevrey_epsilon0, t, config.gamma)
+        put("gevrey_h_crit", full_sobolev_norm(warm, s_crit))
+        half_warm = gevrey_warm(f, 0.5, t, config.gamma)
+        put("besov_weighted", besov_sample_oracle(
+            half_warm, 1.0 - config.gamma + 2.0 / config.besov_p,
+            config.besov_p, config.besov_q, partition=partition,
+        ))
+        put("dissipation", full_sobolev_norm(f, config.gamma / 2.0, homogeneous=True) ** 2)
+        warm_mid = full_sobolev_norm(warm, 2.0 - config.gamma / 2.0) ** 2
+        if last_t is not None:
+            integral += 0.5 * (last_sq + warm_mid) * (t - last_t)
+        last_t, last_sq = t, warm_mid
+        put("gevrey_dissipation_integral", integral)
+        for j in partition.block_indices():
+            block = f.coeffs * MultiplierSpec.block(j).symbol_on(grid)
+            put(f"block_{j}_l2", full_sobolev_norm(SpectralField(grid, block), 0.0))
+        if config.j0 is not None:
+            split = MultiplierSpec.low_pass(config.j0).symbol_on(grid)
+            low = SpectralField(grid, f.coeffs * split)
+            high = SpectralField(grid, f.coeffs * (1.0 - split))
+            put("split_low_l2", full_sobolev_norm(low, 0.0))
+            put("split_high_l2", full_sobolev_norm(high, 0.0))
+    return cols
+
+
+@pytest.mark.parametrize("grid, besov_p, besov_q, eps0", [
+    (GridSpec(64), 2.0, 2.0, 0.5),
+    (GridSpec(64, period=3.0), 4.0, math.inf, 0.3),
+    (GridSpec(128), 1.0, 1.0, 0.7),
+])
+def test_emit_rows_match_old_emit(grid, besov_p, besov_q, eps0):
+    theta = power_law_field(grid, 2.2, np.random.default_rng(8))
+    theta = theta.with_coeffs(theta.coeffs * 0.5 / sobolev_norm(theta, 0.0))
+    cfg = SolverConfig(grid=grid, nu=0.5, gamma=0.5, dt=2e-3, t_final=0.02,
+                       integrator="etd_rk2", gevrey_epsilon0=eps0,
+                       besov_p=besov_p, besov_q=besov_q, j0=3,
+                       output_stride=1, snapshot_stride=1)
+    series = run_simulation(theta, cfg)
+    assert not series.aborted
+    want = old_emit_columns(cfg, series.snapshots)
+    assert set(want) == set(series.columns)
+    for name, values in want.items():
+        np.testing.assert_allclose(series.column(name), values, rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+
+
+def test_run_simulation_adds_no_symbol_cache_entries():
+    theta = small_random(GRID, amp=0.3)
+    cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=0.02,
+                       output_stride=1, j0=3)
+    _symbol_cached.cache_clear()
+    run_simulation(theta, replace(cfg, t_final=1e-3))  # fills the t-free symbols
+    before = _symbol_cached.cache_info()
+    series = run_simulation(theta, cfg)
+    after = _symbol_cached.cache_info()
+    assert len(series.column("t")) == 21
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_step_neither_mutates_nor_aliases_input(integrator):
+    cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=0.01,
+                       integrator=integrator)
+    stepper = Stepper(cfg)
+    coeffs = small_random(GRID, amp=0.3).coeffs.copy()
+    advect = small_random(GRID, seed=6, amp=0.3).coeffs.copy()
+    before, advect_before = coeffs.copy(), advect.copy()
+    for kwargs in ({}, {"advect_coeffs": advect},
+                   {"advect_coeffs": advect, "advect_coeffs_end": advect}):
+        out = stepper.step(coeffs, **kwargs)
+        assert np.array_equal(coeffs, before)
+        assert np.array_equal(advect, advect_before)
+        assert not np.shares_memory(out, coeffs)
+        assert not np.shares_memory(out, advect)

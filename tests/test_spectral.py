@@ -23,8 +23,12 @@ from sqglab.spectral import (
     field_lp_norm,
     field_to_bytes,
     forward_transform,
+    gevrey_half_weight,
     grid_arrays,
+    half_power,
+    hermitian_symmetrize,
     inverse_transform,
+    k_power,
     load_field,
     lp_norm,
     parseval_columns,
@@ -32,9 +36,13 @@ from sqglab.spectral import (
     riesz_perp,
     save_field,
     sobolev_norm,
+    sobolev_weights,
     synthesize,
     transport,
+    weighted_norm,
 )
+
+from oracles import full_sobolev_norm
 
 GRID = GridSpec(64)
 
@@ -379,3 +387,90 @@ def test_apply_multiplier_does_not_mutate_input(rng):
     before = field.coeffs.copy()
     apply_multiplier(field, MultiplierSpec.fractional_laplacian(0.5))
     assert np.array_equal(field.coeffs, before)
+
+
+# -- symbols, flips and weight tables against the formulas they replaced ----
+
+
+def old_conjugate_flip(coeffs):
+    return np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_conjugate_flip_matches_roll_formula_bitwise(n, rng):
+    coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.array_equal(conjugate_flip(coeffs), old_conjugate_flip(coeffs))
+    assert np.array_equal(
+        hermitian_symmetrize(coeffs), 0.5 * (coeffs + old_conjugate_flip(coeffs))
+    )
+    assert not np.shares_memory(conjugate_flip(coeffs), coeffs)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0])
+def test_heat_and_gevrey_symbols_match_old_formula_bitwise(gamma):
+    grid = GridSpec(128, period=3.0)
+    k_abs = grid_arrays(grid).k_abs
+    for nu, t in ((1.0, 0.013), (0.7, 0.9)):
+        old = np.exp(-nu * t * k_abs ** gamma)
+        assert np.array_equal(MultiplierSpec.heat(nu, t, gamma).symbol_on(grid), old)
+    # the last (lam, t) pushes the exponent past the cap on part of the grid
+    t_over = 1.5 * GEVREY_EXPONENT_CAP / float(k_abs.max()) ** gamma
+    for lam, t in ((0.5, 0.013), (1.0, 0.9), (1.0, t_over)):
+        expo = lam * t * k_abs ** gamma
+        assert t != t_over or np.any(expo > GEVREY_EXPONENT_CAP)
+        old = np.where(expo <= GEVREY_EXPONENT_CAP,
+                       np.exp(np.minimum(expo, GEVREY_EXPONENT_CAP)), 0.0)
+        sym = MultiplierSpec.gevrey(lam, t, gamma).symbol_on(grid)
+        assert np.array_equal(sym, old)
+        assert not sym.flags.writeable
+
+
+def test_weight_tables_are_read_only():
+    grid = GridSpec(64, period=3.0)
+    tables = [
+        k_power(grid, 0.5),
+        sobolev_weights(grid, 0.0, False),
+        sobolev_weights(grid, -0.5, True),
+        sobolev_weights(grid, 1.5, True),
+        parseval_columns(grid),
+    ]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, ...] = 1.0
+
+
+@pytest.mark.parametrize("grid", [GridSpec(64, period=3.0), GridSpec(128)])
+@pytest.mark.parametrize("r, homogeneous", [
+    (0.0, False), (1.5, False), (-0.5, True), (0.25, True), (0.0, True),
+])
+def test_sobolev_norm_matches_full_lattice_sum(grid, r, homogeneous, rng):
+    field = power_law_field(grid, 1.5, rng)
+    full = full_sobolev_norm(field, r, homogeneous)
+    assert sobolev_norm(field, r, homogeneous) == pytest.approx(full, rel=1e-12)
+    power = half_power(grid, field.coeffs)
+    assert weighted_norm(grid, sobolev_weights(grid, r, homogeneous), power) == (
+        sobolev_norm(field, r, homogeneous)
+    )
+
+
+def test_gevrey_half_weight_matches_symbol_and_guard(rng):
+    grid = GridSpec(64)
+    m = grid.n // 2 + 1
+    field = power_law_field(grid, 2.0, rng)  # data up to the dealias radius
+    t = 0.3
+    weight = gevrey_half_weight(grid, 0.5, t, 0.5, field.coeffs)
+    sym = MultiplierSpec.gevrey(0.5, t, 0.5).symbol_on(grid)
+    assert np.array_equal(weight, sym[:, :m])
+    # exponent past the cap on populated modes: the same error as applying it
+    t_bad = 2.0 * GEVREY_EXPONENT_CAP / grid.dealias_radius
+    with pytest.raises(OverflowGuardError):
+        apply_multiplier(field, MultiplierSpec.gevrey(1.0, t_bad, 1.0))
+    with pytest.raises(OverflowGuardError):
+        gevrey_half_weight(grid, 1.0, t_bad, 1.0, field.coeffs)
+    # past the cap only where no data lives: weight 0 there, no error
+    low = single_mode(grid, 1, 0)
+    weight = gevrey_half_weight(grid, 1.0, t_bad, 1.0, low.coeffs)
+    expo = t_bad * grid_arrays(grid).k_abs[:, :m]
+    assert np.all(weight[expo > GEVREY_EXPONENT_CAP] == 0.0)
+    assert np.all(weight[expo <= GEVREY_EXPONENT_CAP] > 0.0)
