@@ -12,6 +12,7 @@ manifest last; a missing manifest marks an aborted run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -25,7 +26,7 @@ from . import __version__
 from . import inequalities as lab
 from .dyadic import besov_norm, default_partition
 from .errors import GuardError, UsageError
-from .iterates import galerkin_sequence, picard_besov_sequence
+from .iterates import DEFAULT_S0, galerkin_sequence, picard_besov_sequence
 from .reports import RunManifest
 from .sampling import (
     band_limited_field,
@@ -45,6 +46,11 @@ from .spectral import (
 )
 
 CONFIG_SCHEMA_VERSION = 1
+
+#: Keys of the config's "solver" section: every SolverConfig field but the grid.
+_SOLVER_KEYS = tuple(
+    f.name for f in dataclasses.fields(SolverConfig) if f.name != "grid"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,31 +89,18 @@ def _grid_from_config(config: dict, args) -> GridSpec:
     )
 
 
-def _solver_from_config(config: dict, grid: GridSpec, args) -> SolverConfig:
+def _solver_from_config(config: dict, args) -> SolverConfig:
     section = dict(config.get("solver", {}))
     if getattr(args, "gamma", None) is not None:
         section["gamma"] = args.gamma
-    known = {
-        "nu",
-        "gamma",
-        "dt",
-        "t_final",
-        "integrator",
-        "gevrey_epsilon0",
-        "besov_p",
-        "besov_q",
-        "galerkin_n",
-        "j0",
-        "output_stride",
-        "snapshot_stride",
-    }
-    unknown = set(section) - known
+    unknown = set(section) - set(_SOLVER_KEYS)
     if unknown:
         raise UsageError(f"unknown solver keys: {sorted(unknown)}")
-    return SolverConfig(grid=grid, **section)
+    return SolverConfig(grid=_grid_from_config(config, args), **section)
 
 
-def _initial_field(config: dict, grid: GridSpec, args) -> tuple[SpectralField, int]:
+def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralField, int]:
+    grid = solver.grid
     section = dict(config.get("initial_data", {}))
     seed = int(section.get("seed", 0))
     if getattr(args, "seed", None) is not None:
@@ -140,10 +133,9 @@ def _initial_field(config: dict, grid: GridSpec, args) -> tuple[SpectralField, i
     if normalize == "l2":
         field = field.with_coeffs(field.coeffs / sobolev_norm(field, 0.0))
     elif normalize == "h_crit":
-        gamma = float(config.get("solver", {}).get("gamma", 0.5))
-        if getattr(args, "gamma", None) is not None:
-            gamma = args.gamma
-        field = field.with_coeffs(field.coeffs / sobolev_norm(field, 2.0 - gamma))
+        field = field.with_coeffs(
+            field.coeffs / sobolev_norm(field, 2.0 - solver.gamma)
+        )
     elif normalize not in (None, "none"):
         raise UsageError(f"unknown normalize mode {normalize!r}")
     amplitude = float(section.get("amplitude", 1.0))
@@ -164,11 +156,22 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _resolved(solver: SolverConfig, seed: int, **sections) -> dict:
+    """The manifest's ``config.resolved`` block: grid, solver, seed and extras."""
+    grid = solver.grid
+    return {
+        "grid": {"n": grid.n, "period": grid.period,
+                 "dealias_fraction": grid.dealias_fraction},
+        "solver": {k: getattr(solver, k) for k in _SOLVER_KEYS},
+        "seed": seed,
+        **sections,
+    }
+
+
 def cmd_simulate(args, argv: list) -> int:
     config = _load_config(args.config)
-    grid = _grid_from_config(config, args)
-    solver = _solver_from_config(config, grid, args)
-    theta0, seed = _initial_field(config, grid, args)
+    solver = _solver_from_config(config, args)
+    theta0, seed = _initial_field(config, solver, args)
     out = _output_dir(args)
     prefix = config.get("output", {}).get("prefix", "run")
     started = _now()
@@ -200,15 +203,7 @@ def cmd_simulate(args, argv: list) -> int:
     manifest.timings = {"run_seconds": run_seconds}
     manifest.config = {
         "input": config,
-        "resolved": {
-            "grid": {"n": grid.n, "period": grid.period,
-                     "dealias_fraction": grid.dealias_fraction},
-            "solver": {k: getattr(solver, k) for k in (
-                "nu", "gamma", "dt", "t_final", "integrator",
-                "gevrey_epsilon0", "besov_p", "besov_q", "galerkin_n", "j0",
-                "output_stride", "snapshot_stride")},
-            "seed": seed,
-        },
+        "resolved": _resolved(solver, seed),
         "cfl_max": series.cfl_max,
         "aborted": series.aborted,
         "abort_reason": series.abort_reason,
@@ -222,91 +217,15 @@ def cmd_simulate(args, argv: list) -> int:
     return 0
 
 
-_VERIFY_BUILDERS = {}
-
-
-def _verify(lemma_id):
-    def register(fn):
-        _VERIFY_BUILDERS[lemma_id] = fn
-        return fn
-
-    return register
-
-
-@_verify("heat_decay")
-def _build_heat_decay(args):
-    return lab.check_heat_decay(
-        grid=GridSpec(args.grid or 128),
-        j=args.j if args.j is not None else 3,
-        gamma=args.gamma if args.gamma is not None else 0.5,
-        q=args.q if args.q is not None else math.inf,
-        n_samples=args.n_samples or 200,
-        seed=args.seed if args.seed is not None else 101,
-    )
-
-
-@_verify("coercivity_q")
-def _build_coercivity(args):
-    return lab.check_coercivity(
-        grid=GridSpec(args.grid or 128),
-        j=args.j if args.j is not None else 2,
-        gamma=args.gamma if args.gamma is not None else 1.0,
-        q=args.q if args.q is not None else 4.0,
-        n_samples=args.n_samples or 500,
-        seed=args.seed if args.seed is not None else 202,
-    )
-
-
-@_verify("sign_integral_q1")
-def _build_sign_integral(args):
-    return lab.check_sign_integral(
-        grid=GridSpec(args.grid or 128),
-        j=args.j if args.j is not None else 3,
-        gamma=args.gamma if args.gamma is not None else 0.5,
-        n_samples=args.n_samples or 200,
-        seed=args.seed if args.seed is not None else 303,
-    )
-
-
-@_verify("max_point_bound")
-def _build_max_point(args):
-    return lab.check_max_point(
-        grid=GridSpec(args.grid or 128),
-        j=args.j if args.j is not None else 3,
-        gamma=args.gamma if args.gamma is not None else 0.9,
-        n_samples=args.n_samples or 200,
-        seed=args.seed if args.seed is not None else 303,
-    )
-
-
-@_verify("counterexample_gamma2")
-def _build_counterexample(args):
-    return lab.counterexample_gamma2_q1()
-
-
-@_verify("gagliardo_equiv")
-def _build_gagliardo(args):
-    return lab.check_gagliardo_equivalence(
-        n_samples=args.n_samples or 3,
-        seed=args.seed if args.seed is not None else 404,
-    )
-
-
-@_verify("ab_pointwise")
-def _build_ab(args):
-    return lab.check_ab_inequality(
-        q=args.q if args.q is not None else 4.0,
-        sample_count=args.n_samples or 1_000_000,
-        seed=args.seed if args.seed is not None else 505,
-    )
-
-
-@_verify("spectral_mass_contraction")
-def _build_spectral_mass(args):
-    grid = GridSpec(args.grid or 128)
-    eps0 = args.eps0
-    n0 = args.n0
-    rng = np.random.default_rng(args.seed if args.seed is not None else 808)
+def _spectral_mass_contraction(
+    grid: GridSpec = lab.DEFAULT_GRID,
+    eps0: float = 0.5,
+    n0: float = 8.0,
+    gamma: float = 0.5,
+    seed: int = 808,
+):
+    """Build a field whose high-frequency mass fraction clears eps0, then check it."""
+    rng = np.random.default_rng(seed)
     high = gaussian_block_field(grid, max(3, int(math.log2(max(n0, 2.0)))), rng)
     low = low_pass_field(grid, 1, rng)
     # Scale the split so the high-frequency fraction strictly clears eps0.
@@ -316,46 +235,53 @@ def _build_spectral_mass(args):
         low.coeffs / sobolev_norm(low, 0.0) * math.sqrt(1.0 - target)
     )
     g = high.with_coeffs(high.coeffs + low.coeffs)
-    return lab.check_spectral_mass_contraction(
-        g, n0, eps0, args.gamma if args.gamma is not None else 0.5
-    )
+    return lab.check_spectral_mass_contraction(g, n0, eps0, gamma)
 
 
-@_verify("lq_semigroup_decay")
-def _build_lq_decay(args):
-    return lab.check_lq_semigroup_decay(
-        grid=GridSpec(args.grid or 128),
-        j=args.j if args.j is not None else 3,
-        gamma=args.gamma if args.gamma is not None else 0.5,
-        n_samples=args.n_samples or 100,
-        seed=args.seed if args.seed is not None else 606,
-    )
+#: Lemma id -> (check, the verify flags it takes).  Only flags the user set
+#: are passed, so each check's signature supplies its defaults; flags a
+#: check does not take are ignored.  ``flag:param`` passes a flag under
+#: another keyword.
+VERIFY_CHECKS = {
+    "heat_decay": (lab.check_heat_decay, "grid j gamma q n_samples seed"),
+    "coercivity_q": (lab.check_coercivity, "grid j gamma q n_samples seed"),
+    "sign_integral_q1": (lab.check_sign_integral, "grid j gamma n_samples seed"),
+    "max_point_bound": (lab.check_max_point, "grid j gamma n_samples seed"),
+    "lq_semigroup_decay": (
+        lab.check_lq_semigroup_decay, "grid j gamma n_samples seed"
+    ),
+    "bilinear_ratio": (
+        lab.check_trilinear_bounds, "grid gamma regime n_samples seed"
+    ),
+    "gagliardo_equiv": (lab.check_gagliardo_equivalence, "n_samples seed"),
+    "ab_pointwise": (lab.check_ab_inequality, "q n_samples:sample_count seed"),
+    "spectral_mass_contraction": (
+        _spectral_mass_contraction, "grid eps0 n0 gamma seed"
+    ),
+    "phase_lower_bound": (lab.check_phase_bounds, "gamma"),
+    "counterexample_gamma2": (lab.counterexample_gamma2_q1, ""),
+}
 
 
-@_verify("phase_lower_bound")
-def _build_phase(args):
-    return lab.check_phase_bounds(args.gamma if args.gamma is not None else 0.5)
-
-
-@_verify("bilinear_ratio")
-def _build_bilinear(args):
-    return lab.check_trilinear_bounds(
-        grid=GridSpec(args.grid or 128),
-        gamma=args.gamma if args.gamma is not None else 0.5,
-        regime=args.regime,
-        n_samples=args.n_samples or 8,
-        seed=args.seed if args.seed is not None else 707,
-    )
+def _set_flags(args, flags: str) -> dict:
+    """Keyword arguments for the flags in ``flags`` that the user set."""
+    kwargs = {}
+    for flag in flags.split():
+        flag, _, param = flag.partition(":")
+        value = getattr(args, flag)
+        if value is not None:
+            kwargs[param or flag] = GridSpec(value) if flag == "grid" else value
+    return kwargs
 
 
 def cmd_verify(args, argv: list) -> int:
-    builder = _VERIFY_BUILDERS.get(args.lemma_id)
-    if builder is None:
+    if args.lemma_id not in VERIFY_CHECKS:
         raise UsageError(
-            f"unknown lemma id {args.lemma_id!r}; known: {sorted(_VERIFY_BUILDERS)}"
+            f"unknown lemma id {args.lemma_id!r}; known: {sorted(VERIFY_CHECKS)}"
         )
+    check, flags = VERIFY_CHECKS[args.lemma_id]
     out = _output_dir(args)
-    report = builder(args)
+    report = check(**_set_flags(args, flags))
     path = os.path.join(out, f"verify_{args.lemma_id}.json")
     report.write_json(path)
     verdict = "pass" if report.verdict else "fail"
@@ -368,32 +294,31 @@ def cmd_verify(args, argv: list) -> int:
 
 def cmd_iterate(args, argv: list) -> int:
     config = _load_config(args.config)
-    grid = _grid_from_config(config, args)
-    solver = _solver_from_config(config, grid, args)
-    theta0, seed = _initial_field(config, grid, args)
+    solver = _solver_from_config(config, args)
+    theta0, seed = _initial_field(config, solver, args)
     section = dict(config.get("iterate", {}))
-    n_min = int(section.get("n_min", 3))
-    n_max = int(section.get("n_max", 6))
-    s0 = float(section.get("s0", 0.05))
+    iterate = {
+        "n_min": int(section.get("n_min", 3)),
+        "n_max": int(section.get("n_max", 6)),
+        "s0": float(section.get("s0", DEFAULT_S0)),
+        "p": float(section.get("p", 2.0)),
+        "q": float(section.get("q", 2.0)),
+    }
+    n_range = range(iterate["n_min"], iterate["n_max"] + 1)
     out = _output_dir(args)
     prefix = config.get("output", {}).get("prefix", args.scheme)
     started = _now()
     t0 = time.perf_counter()
     if args.scheme == "galerkin":
-        trace = galerkin_sequence(theta0, range(n_min, n_max + 1), solver, s0=s0)
+        trace = galerkin_sequence(theta0, n_range, solver, s0=iterate["s0"])
     else:
         trace = picard_besov_sequence(
-            theta0,
-            range(n_min, n_max + 1),
-            float(section.get("p", 2.0)),
-            float(section.get("q", 2.0)),
-            solver,
-            s0=s0,
+            theta0, n_range, iterate["p"], iterate["q"], solver, s0=iterate["s0"]
         )
     run_seconds = time.perf_counter() - t0
     manifest = RunManifest(
         command=argv,
-        config=config,
+        config={"input": config, "resolved": _resolved(solver, seed, iterate=iterate)},
         seed=seed,
         artifact_version=__version__,
         started_at=started,
@@ -438,6 +363,13 @@ def cmd_norms(args, argv: list) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqglab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -460,10 +392,10 @@ def build_parser() -> _Parser:
     p_ver.add_argument("lemma_id", help="which estimate to check")
     p_ver.add_argument("--q", type=float, default=None)
     p_ver.add_argument("--j", type=int, default=None)
-    p_ver.add_argument("--n-samples", type=int, default=None, dest="n_samples")
-    p_ver.add_argument("--eps0", type=float, default=0.5)
-    p_ver.add_argument("--n0", type=float, default=8.0)
-    p_ver.add_argument("--regime", default="random", choices=lab.TRILINEAR_REGIMES)
+    p_ver.add_argument("--n-samples", type=_count, default=None, dest="n_samples")
+    p_ver.add_argument("--eps0", type=float, default=None)
+    p_ver.add_argument("--n0", type=float, default=None)
+    p_ver.add_argument("--regime", default=None, choices=lab.TRILINEAR_REGIMES)
     common(p_ver)
 
     p_it = sub.add_parser("iterate", help="run an approximation-scheme sweep")

@@ -251,11 +251,10 @@ def check_coercivity(
 
 
 def _sign_integral_sweep(grid, j, gamma, n_samples, rng):
+    """Minimum of c2 and of c3 over the samples, each with the field attaining it."""
     ops = _dissipation_stack(grid, gamma)
     scale = 2.0 ** (j * gamma)
-    min_c2 = math.inf
-    min_c3 = math.inf
-    worst = None
+    worst = {"c2": (math.inf, None), "c3": (math.inf, None)}
     for _ in range(n_samples):
         f = gaussian_block_field(grid, j, rng)
         samples, dgf = synthesize(grid, ops * f.coeffs[:, : grid.n // 2 + 1])
@@ -264,12 +263,35 @@ def _sign_integral_sweep(grid, j, gamma, n_samples, rng):
         flat = np.argmax(np.abs(samples))
         idx = np.unravel_index(flat, samples.shape)
         c3 = float(np.sign(samples[idx]) * dgf[idx]) / (scale * float(np.abs(samples[idx])))
-        if c2 < min_c2:
-            min_c2 = c2
-            worst = f
-        min_c3 = min(min_c3, c3)
-    witness = None if worst is None else witness_from_field(worst, c2=min_c2)
-    return min_c2, min_c3, witness
+        for name, value in (("c2", c2), ("c3", c3)):
+            if value < worst[name][0]:
+                worst[name] = (value, f)
+    return worst
+
+
+def _sign_sweep_report(lemma_id, measured, required, grid, j, gamma, n_samples, seed):
+    """Report the minimum of ``measured`` ("c2" or "c3") from the shared sweep.
+
+    The verdict needs every constant named in ``required`` to stay positive;
+    the witness is the field attaining the measured minimum.
+    """
+    grid = grid or DEFAULT_GRID
+    _check_gamma_range(gamma, upper=2.0)
+    rng = np.random.default_rng(seed)
+    worst = _sign_integral_sweep(grid, j, gamma, n_samples, rng)
+    other = "c3" if measured == "c2" else "c2"
+    value, field = worst[measured]
+    return InequalityReport(
+        lemma_id=lemma_id,
+        parameters={"gamma": gamma, "j": j},
+        n_samples=n_samples,
+        measured_constant=value,
+        theoretical_bound="unknown",
+        verdict=all(worst[name][0] > 0.0 for name in required),
+        seed=seed,
+        details={f"min_{other}": worst[other][0]},
+        witness=None if field is None else witness_from_field(field, **{measured: value}),
+    )
 
 
 def check_sign_integral(
@@ -285,20 +307,8 @@ def check_sign_integral(
     maximum-point bound from the same sweep is reported by
     :func:`check_max_point`.
     """
-    grid = grid or DEFAULT_GRID
-    _check_gamma_range(gamma, upper=2.0)
-    rng = np.random.default_rng(seed)
-    min_c2, min_c3, worst = _sign_integral_sweep(grid, j, gamma, n_samples, rng)
-    return InequalityReport(
-        lemma_id="sign_integral_q1",
-        parameters={"gamma": gamma, "j": j},
-        n_samples=n_samples,
-        measured_constant=min_c2,
-        theoretical_bound="unknown",
-        verdict=min_c2 > 0.0 and min_c3 > 0.0,
-        seed=seed,
-        details={"min_c3": min_c3},
-        witness=worst,
+    return _sign_sweep_report(
+        "sign_integral_q1", "c2", ("c2", "c3"), grid, j, gamma, n_samples, seed
     )
 
 
@@ -310,20 +320,8 @@ def check_max_point(
     seed: int = 303,
 ) -> InequalityReport:
     """At a grid point maximizing |P_j f|: sgn(f(x0)) (D^gamma f)(x0) >= c 2^{j gamma} ||f||_inf."""
-    grid = grid or DEFAULT_GRID
-    _check_gamma_range(gamma, upper=2.0)
-    rng = np.random.default_rng(seed)
-    min_c2, min_c3, worst = _sign_integral_sweep(grid, j, gamma, n_samples, rng)
-    return InequalityReport(
-        lemma_id="max_point_bound",
-        parameters={"gamma": gamma, "j": j},
-        n_samples=n_samples,
-        measured_constant=min_c3,
-        theoretical_bound="unknown",
-        verdict=min_c3 > 0.0,
-        seed=seed,
-        details={"min_c2": min_c2},
-        witness=worst,
+    return _sign_sweep_report(
+        "max_point_bound", "c3", ("c3",), grid, j, gamma, n_samples, seed
     )
 
 
@@ -503,7 +501,7 @@ def check_gagliardo_equivalence(
 
 
 def check_ab_inequality(
-    q: float, sample_count: int = 1_000_000, seed: int = 505, slack: float = 1e-12
+    q: float = 4.0, sample_count: int = 1_000_000, seed: int = 505, slack: float = 1e-12
 ) -> InequalityReport:
     """Scalar convexity bound behind the coercivity estimate.
 
@@ -776,7 +774,7 @@ def _phase_fd_constants(gamma: float) -> dict:
 
 
 def check_phase_bounds(
-    gamma: float,
+    gamma: float = 0.5,
     xi_radii=None,
     eta_radii=None,
     n_angles: int = 48,

@@ -1,12 +1,13 @@
 """Approximation schemes: dyadic Galerkin truncations and Picard sweeps.
 
-Both schemes reuse the solver's steppers.  A Galerkin iterate integrates the
-frequency-truncated tendency with truncated data; a Picard iterate solves a
-linear advection-diffusion problem whose advecting velocity is frozen from
-the previous iterate's stored trajectory (interpolated linearly in time
-within each step).  Traces record per-iterate norms and successive
-differences so the contraction rates asserted by the well-posedness argument
-can be fitted rather than assumed.
+Both schemes reuse the solver's steppers and run on one engine that
+advances all iterates together, one step at a time.  A Galerkin iterate
+integrates the frequency-truncated tendency with truncated data; a Picard
+iterate solves a linear advection-diffusion problem whose advecting velocity
+is frozen from the previous iterate (interpolated linearly in time within
+each step).  Traces record per-iterate norms and successive differences so
+the contraction rates asserted by the well-posedness argument can be fitted
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -67,15 +68,103 @@ def _norm_row(coeffs: np.ndarray, t: float, config: SolverConfig, s0: float) -> 
     }
 
 
-def _sup_rows(rows: list) -> dict:
-    return {label: max(row[label] for row in rows) for label in NORM_LABELS}
+def _fold_sup(sup: dict | None, row: dict) -> dict:
+    """Running per-label maximum; the first row seeds it."""
+    if sup is None:
+        return row
+    return {label: max(sup[label], row[label]) for label in NORM_LABELS}
 
 
-def _check_steps(config: SolverConfig) -> int:
+def _validated(theta0: SpectralField, n_range, config: SolverConfig,
+               offset: int, what: str) -> tuple[list, int]:
+    """Shared checks; ``n + offset`` is the highest block iterate n touches."""
+    grid = config.grid
+    if theta0.grid != grid:
+        raise UsageError("initial data grid does not match config grid")
+    n_values = list(n_range)
+    if len(n_values) < 2 or any(
+        b - a != 1 for a, b in zip(n_values, n_values[1:])
+    ):
+        raise UsageError("n_range must be consecutive integers, length >= 2")
+    j_max = default_partition(grid).j_max_verified
+    if n_values[-1] + offset > j_max:
+        raise UsageError(
+            f"{what} exceeds the grid's fully resolved dyadic range "
+            f"(max n = {j_max - offset})"
+        )
     n_steps = int(round(config.t_final / config.dt))
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
         raise UsageError("t_final must be an integer number of steps for iterates")
-    return n_steps
+    return n_values, n_steps
+
+
+def _cut_data(theta0: SpectralField, cutoff: int) -> np.ndarray:
+    """Dealiased data restricted to blocks <= cutoff."""
+    grid = theta0.grid
+    low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)
+    return theta0.coeffs * grid_arrays(grid).dealias_mask * low
+
+
+def _lockstep(
+    scheme: str,
+    n_values: list,
+    starts,
+    advance,
+    n_steps: int,
+    config: SolverConfig,
+    s0: float,
+    parameters: dict,
+    fits: dict | None = None,
+    audit=None,
+) -> IterateTrace:
+    """Advance every iterate together, one step at a time.
+
+    ``advance(i, old, new)`` returns iterate i's state at step k from the
+    step-(k-1) states ``old`` and the step-k states ``new`` of the iterates
+    before i, so iterates are updated in increasing i.  At every stored time
+    each state's norm row, and the row of its difference from the previous
+    iterate, is folded into running sups, and ``audit(i, state)`` sees the
+    state; memory therefore grows with the number of iterates, not of steps.
+    Differences are fitted geometrically against 2^n.
+    """
+    states = list(starts)
+    norms = [None] * len(states)
+    diffs = [None] * (len(states) - 1)
+
+    def record(t, states):
+        for i, coeffs in enumerate(states):
+            if audit is not None:
+                audit(i, coeffs)
+            norms[i] = _fold_sup(norms[i], _norm_row(coeffs, t, config, s0))
+            if i:
+                row = _norm_row(coeffs - states[i - 1], t, config, s0)
+                diffs[i - 1] = _fold_sup(diffs[i - 1], row)
+
+    t = 0.0
+    record(t, states)
+    for k in range(1, n_steps + 1):
+        new = []
+        for i in range(len(states)):
+            new.append(advance(i, states, new))
+        states = new
+        t += config.dt
+        if k % config.output_stride == 0 or k == n_steps:
+            record(t, states)
+
+    trace = IterateTrace(
+        scheme=scheme,
+        indices=n_values,
+        norms={label: [sup[label] for sup in norms] for label in NORM_LABELS},
+        diffs={label: [sup[label] for sup in diffs] for label in NORM_LABELS},
+        fits=fits or {},
+        parameters=parameters,
+    )
+    mids = [2.0**n for n in n_values[1:]]
+    for label in NORM_LABELS:
+        vals = trace.diffs[label]
+        if len(vals) >= 2 and all(v > 0.0 for v in vals):
+            trace.fits[label] = fit_log2(mids, vals)
+    return trace
 
 
 def galerkin_sequence(
@@ -89,29 +178,27 @@ def galerkin_sequence(
     Differences between consecutive iterates are sups over the output
     cadence, and the geometric rate is fitted against 2^n.
     """
-    grid = config.grid
-    if theta0.grid != grid:
-        raise UsageError("initial data grid does not match config grid")
-    n_values = list(n_range)
-    if len(n_values) < 2 or any(
-        b - a != 1 for a, b in zip(n_values, n_values[1:])
-    ):
-        raise UsageError("n_range must be consecutive integers, length >= 2")
-    partition = default_partition(grid)
-    if n_values[-1] - 1 > partition.j_max_verified:
-        raise UsageError(
-            "cutoff exceeds the grid's fully resolved dyadic range "
-            f"(max n = {partition.j_max_verified + 1})"
-        )
-    n_steps = _check_steps(config)
-    stride = config.output_stride
-    ka = grid_arrays(grid)
+    n_values, n_steps = _validated(theta0, n_range, config, -1, "cutoff")
+    k_abs = grid_arrays(config.grid).k_abs
+    outside = [k_abs > PROFILE_OUTER * 2.0 ** (n - 1) for n in n_values]
+    steppers = [Stepper(config, projection=n - 1) for n in n_values]
+    worst_leak = 0.0
 
-    trace = IterateTrace(
-        scheme="galerkin",
-        indices=n_values,
-        norms={label: [] for label in NORM_LABELS},
-        diffs={label: [] for label in NORM_LABELS},
+    def audit(i, coeffs):
+        nonlocal worst_leak
+        total = float(np.sum(np.abs(coeffs) ** 2))
+        if total > 0.0:
+            leak = float(np.sum(np.abs(coeffs[outside[i]]) ** 2)) / total
+            worst_leak = max(worst_leak, leak)
+
+    trace = _lockstep(
+        "galerkin",
+        n_values,
+        (_cut_data(theta0, n - 1) for n in n_values),
+        lambda i, old, new: steppers[i].step(old[i]),
+        n_steps,
+        config,
+        s0,
         parameters={
             "gamma": config.gamma,
             "nu": config.nu,
@@ -120,49 +207,9 @@ def galerkin_sequence(
             "s0": s0,
             "cutoff_rule": "blocks <= n-1",
         },
+        audit=audit,
     )
-
-    previous = None
-    worst_leak = 0.0
-    for n in n_values:
-        cutoff = n - 1
-        support_radius = PROFILE_OUTER * 2.0**cutoff
-        low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)
-        stepper = Stepper(config, projection=cutoff)
-        # Stepper.step returns a fresh array, so states are stored as is.
-        coeffs = theta0.coeffs * ka.dealias_mask * low
-        stored = [(0.0, coeffs)]
-        t = 0.0
-        for k in range(1, n_steps + 1):
-            coeffs = stepper.step(coeffs)
-            t += config.dt
-            if k % stride == 0 or k == n_steps:
-                stored.append((t, coeffs))
-        outside = ka.k_abs > support_radius
-        for _, c in stored:
-            total = float(np.sum(np.abs(c) ** 2))
-            if total > 0.0:
-                leak = float(np.sum(np.abs(c[outside]) ** 2)) / total
-                worst_leak = max(worst_leak, leak)
-        rows = [_norm_row(c, ts, config, s0) for ts, c in stored]
-        sups = _sup_rows(rows)
-        for label in NORM_LABELS:
-            trace.norms[label].append(sups[label])
-        if previous is not None:
-            diff_rows = []
-            for (ts, c_new), (_, c_old) in zip(stored, previous):
-                diff_rows.append(_norm_row(c_new - c_old, ts, config, s0))
-            dsup = _sup_rows(diff_rows)
-            for label in NORM_LABELS:
-                trace.diffs[label].append(dsup[label])
-        previous = stored
-
     trace.parameters["max_support_leak"] = worst_leak
-    mids = [2.0**n for n in n_values[1:]]
-    for label in NORM_LABELS:
-        vals = trace.diffs[label]
-        if len(vals) >= 2 and all(v > 0.0 for v in vals):
-            trace.fits[label] = fit_log2(mids, vals)
     return trace
 
 
@@ -177,39 +224,48 @@ def picard_besov_sequence(
     """Linearized iteration with frozen advecting field and growing data cutoff.
 
     Iterate k solves d/dt theta = -u^{(k-1)} . grad theta - nu D^gamma theta
-    from data P_{<= n_k + 2} theta0, where u^{(k-1)} derives from the stored
-    previous trajectory (theta^{(0)} = 0, so the first iterate is the pure
-    linear flow).  On the periodic box the spatial cutoff that the scheme
-    would use on the plane is identically 1 and only the frequency cutoff
-    remains.  The trace's ``data_rate`` fit measures the cutoff-increment
-    norms ||data_{k+1} - data_k||_{B^{s0}_{p,inf}} against 2^{n}.
+    from data P_{<= n_k + 2} theta0, where u^{(k-1)} derives from the
+    previous iterate, advanced in lockstep (theta^{(0)} = 0, so the first
+    iterate is the pure linear flow).  On the periodic box the spatial cutoff
+    that the scheme would use on the plane is identically 1 and only the
+    frequency cutoff remains.  The trace's ``data_rate`` fit measures the
+    cutoff-increment norms ||data_{k+1} - data_k||_{B^{s0}_{p,inf}} against
+    2^{n}.
     """
+    n_values, n_steps = _validated(theta0, n_range, config, 2, "data cutoff")
     grid = config.grid
-    if theta0.grid != grid:
-        raise UsageError("initial data grid does not match config grid")
-    n_values = list(n_range)
-    if len(n_values) < 2 or any(
-        b - a != 1 for a, b in zip(n_values, n_values[1:])
-    ):
-        raise UsageError("n_range must be consecutive integers, length >= 2")
-    partition = default_partition(grid)
-    if n_values[-1] + 2 > partition.j_max_verified:
-        raise UsageError(
-            "data cutoff exceeds the grid's fully resolved dyadic range "
-            f"(max n = {partition.j_max_verified - 2})"
-        )
-    n_steps = _check_steps(config)
-    stride = config.output_stride
-    ka = grid_arrays(grid)
     run_config = config
     if config.besov_p != p or config.besov_q != q:
         run_config = replace(config, besov_p=p, besov_q=q)
 
-    trace = IterateTrace(
-        scheme="picard",
-        indices=n_values,
-        norms={label: [] for label in NORM_LABELS},
-        diffs={label: [] for label in NORM_LABELS},
+    data_fields = [_cut_data(theta0, n + 2) for n in n_values]
+    partition = default_partition(grid)
+    data_diffs = []
+    for older, newer in zip(data_fields, data_fields[1:]):
+        gap = SpectralField(grid, newer - older)
+        data_diffs.append(besov_norm(gap, s0, p, math.inf, partition=partition))
+    fits = {}
+    if len(data_diffs) >= 2 and all(v > 0.0 for v in data_diffs):
+        fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
+
+    # Every iterate has the same config and no projection, so one stepper
+    # serves them all.  The first iterate advects with a zero field; iterate
+    # i ramps linearly from iterate i-1's state at step k-1 to that at step k.
+    stepper = Stepper(run_config)
+    zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
+
+    def advance(i, old, new):
+        adv0, adv1 = (old[i - 1], new[i - 1]) if i else (zero, zero)
+        return stepper.step(old[i], advect_coeffs=adv0, advect_coeffs_end=adv1)
+
+    trace = _lockstep(
+        "picard",
+        n_values,
+        data_fields,
+        advance,
+        n_steps,
+        run_config,
+        s0,
         parameters={
             "gamma": config.gamma,
             "nu": config.nu,
@@ -220,68 +276,12 @@ def picard_besov_sequence(
             "s0": s0,
             "data_cutoff_rule": "blocks <= n+2",
             "spatial_cutoff": "identically 1 on the torus",
+            "data_diffs_besov_s0": data_diffs,
         },
+        fits=fits,
     )
-
-    data_fields = []
-    for n in n_values:
-        low = MultiplierSpec.low_pass(n + 2).symbol_on(grid)
-        data_fields.append(theta0.coeffs * ka.dealias_mask * low)
-    data_diffs = []
-    for older, newer in zip(data_fields, data_fields[1:]):
-        gap = SpectralField(grid, newer - older)
-        data_diffs.append(besov_norm(gap, s0, p, math.inf, partition=partition))
-    trace.parameters["data_diffs_besov_s0"] = data_diffs
-    if len(data_diffs) >= 2 and all(v > 0.0 for v in data_diffs):
-        trace.fits["data_rate"] = fit_log2(
-            [2.0**n for n in n_values[1:]], data_diffs
-        )
-
-    # Zero advecting field of the first iterate: pure linear flow.
-    zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    previous_traj = None  # trajectory of theta^{(k-1)} at every step
-    previous_stored = None
-    for idx, n in enumerate(n_values):
-        stepper = Stepper(run_config)
-        # Stepper.step neither mutates nor returns its input, so the
-        # trajectory and the stored rows share the states without copies.
-        coeffs = data_fields[idx]
-        traj = [coeffs]
-        stored = [(0.0, coeffs)]
-        t = 0.0
-        for k in range(1, n_steps + 1):
-            if previous_traj is None:
-                adv0 = adv1 = zero
-            else:
-                adv0 = previous_traj[k - 1]
-                adv1 = previous_traj[k]
-            coeffs = stepper.step(coeffs, advect_coeffs=adv0, advect_coeffs_end=adv1)
-            t += config.dt
-            traj.append(coeffs)
-            if k % stride == 0 or k == n_steps:
-                stored.append((t, coeffs))
-        rows = [_norm_row(c, ts, run_config, s0) for ts, c in stored]
-        sups = _sup_rows(rows)
-        for label in NORM_LABELS:
-            trace.norms[label].append(sups[label])
-        if previous_stored is not None:
-            diff_rows = []
-            for (ts, c_new), (_, c_old) in zip(stored, previous_stored):
-                diff_rows.append(_norm_row(c_new - c_old, ts, run_config, s0))
-            dsup = _sup_rows(diff_rows)
-            for label in NORM_LABELS:
-                trace.diffs[label].append(dsup[label])
-        previous_traj = traj
-        previous_stored = stored
-
-    ratios = []
     vals = trace.diffs["besov_s0"]
-    for a, b in zip(vals, vals[1:]):
-        ratios.append(b / a if a > 0.0 else math.inf)
-    trace.parameters["contraction_ratios_besov_s0"] = ratios
-    mids = [2.0**n for n in n_values[1:]]
-    for label in NORM_LABELS:
-        dvals = trace.diffs[label]
-        if len(dvals) >= 2 and all(v > 0.0 for v in dvals):
-            trace.fits[label] = fit_log2(mids, dvals)
+    trace.parameters["contraction_ratios_besov_s0"] = [
+        b / a if a > 0.0 else math.inf for a, b in zip(vals, vals[1:])
+    ]
     return trace

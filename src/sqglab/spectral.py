@@ -287,14 +287,13 @@ def radial_profile(r: np.ndarray, order: int = PROFILE_ORDER) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """A radial (or Riesz) Fourier multiplier with validated parameters.
+    """A radial Fourier multiplier with validated parameters.
 
     Kinds and their symbols:
 
     * ``fractional_laplacian(s)``:      |k|^s        (zero mode -> 0)
     * ``heat(nu, t, gamma)``:           exp(-nu t |k|^gamma)
     * ``gevrey(lam, t, gamma)``:        exp(+lam t |k|^gamma), guarded
-    * ``riesz_component(axis)``:        i k_axis / |k|  (0 at the origin)
     * ``low_pass(j)``:                  profile(|k| / 2^j)
     * ``block(j)``:                     profile(|k|/2^j) - profile(|k|/2^(j-1))
 
@@ -327,12 +326,6 @@ class MultiplierSpec:
             raise UsageError("gevrey multiplier needs lam * t >= 0 (else use heat)")
         _check_gamma(gamma)
         return MultiplierSpec("gevrey", (float(lam), float(t), float(gamma)), cap)
-
-    @staticmethod
-    def riesz_component(axis: int) -> "MultiplierSpec":
-        if axis not in (0, 1):
-            raise UsageError(f"riesz axis must be 0 or 1, got {axis}")
-        return MultiplierSpec("riesz_component", (axis,))
 
     @staticmethod
     def low_pass(j: int) -> "MultiplierSpec":
@@ -379,12 +372,6 @@ def _symbol_cached(mult: MultiplierSpec, grid: GridSpec) -> np.ndarray:
         (s,) = p
         with np.errstate(divide="ignore", invalid="ignore"):
             sym = np.where(ga.k_abs > 0.0, ga.k_abs ** s, 0.0)
-    elif kind == "riesz_component":
-        (axis,) = p
-        comp = ga.k1 if axis == 0 else ga.k2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sym = np.where(ga.k_abs > 0.0, comp / ga.k_abs, 0.0)
-        sym = np.where(ga.nyquist, 0.0, sym) * 1j
     elif kind == "low_pass":
         (j,) = p
         sym = radial_profile(ga.k_abs / 2.0 ** j)

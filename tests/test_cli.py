@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from sqglab.cli import main
-from sqglab.reports import manifest_from_json, sha256_of_file
+from sqglab.cli import VERIFY_CHECKS, main
+from sqglab.reports import LEMMA_IDS, manifest_from_json, sha256_of_file
 
 
 def write_config(path, **overrides):
@@ -182,6 +182,31 @@ def test_verify_j_flag_reaches_coercivity(tmp_path):
     assert json.loads(path.read_text())["parameters"]["j"] == 2
 
 
+def test_every_lemma_id_has_a_verify_route():
+    assert set(VERIFY_CHECKS) == set(LEMMA_IDS)
+
+
+# The ids the benchmark times; its warm-up runs each with one sample.  The
+# phase and counterexample checks take neither flag and ignore both.
+@pytest.mark.parametrize("lemma_id", [
+    "heat_decay", "coercivity_q", "sign_integral_q1", "max_point_bound",
+    "gagliardo_equiv", "lq_semigroup_decay", "phase_lower_bound",
+    "counterexample_gamma2", "bilinear_ratio",
+])
+def test_verify_one_sample(tmp_path, lemma_id):
+    assert main(["verify", lemma_id, "--n-samples", "1", "--seed", "3",
+                 "--output-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"verify_{lemma_id}.json").read_text())
+    assert report["seed"] in (3, None)
+
+
+def test_verify_rejects_zero_samples(tmp_path, capsys):
+    assert main(["verify", "heat_decay", "--n-samples", "0",
+                 "--output-dir", str(tmp_path)]) == 1
+    assert "--n-samples" in capsys.readouterr().err
+    assert not (tmp_path / "verify_heat_decay.json").exists()
+
+
 def test_verify_unknown_lemma_exits_one(capsys):
     assert main(["verify", "definitely_not_a_lemma"]) == 1
     assert "unknown lemma id" in capsys.readouterr().err
@@ -203,6 +228,13 @@ def test_iterate_writes_trace(tmp_path):
     assert {e["path"] for e in manifest["outputs"]} == {
         "sweep_trace.csv", "sweep_trace.json"
     }
+    resolved = manifest["config"]["resolved"]
+    assert resolved["grid"]["n"] == 32
+    assert resolved["solver"]["dt"] == 2e-3 and resolved["solver"]["j0"] is None
+    assert resolved["seed"] == 11
+    assert resolved["iterate"] == {"n_min": 1, "n_max": 3, "s0": 0.05,
+                                   "p": 2.0, "q": 2.0}
+    assert manifest["config"]["input"]["iterate"] == {"n_min": 1, "n_max": 3}
 
 
 def test_iterate_guard_exits_one(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqglab.errors import UsageError
+from sqglab.reports import field_from_witness
 from sqglab.inequalities import (
     DECAY_TAU_GRID,
     check_ab_inequality,
@@ -38,6 +39,7 @@ from sqglab.spectral import (
     apply_multiplier,
     field_lp_norm,
     forward_transform,
+    inverse_transform,
     sobolev_norm,
 )
 
@@ -179,6 +181,28 @@ def test_max_point_sweep():
     report = check_max_point(grid=GRID, j=3, n_samples=25)
     assert report.verdict
     assert report.measured_constant > 0.3
+
+
+@pytest.mark.parametrize("check, name", [(check_sign_integral, "c2"),
+                                         (check_max_point, "c3")])
+def test_sign_sweep_witness_reproduces_measured_constant(check, name):
+    # CLI defaults, where the c2 and c3 minima come from different samples.
+    report = check()
+    assert report.witness[name] == report.measured_constant
+    field = field_from_witness(report.witness)
+    j, gamma = report.parameters["j"], report.parameters["gamma"]
+    f = inverse_transform(field)
+    dgf = inverse_transform(
+        apply_multiplier(field, MultiplierSpec.fractional_laplacian(gamma))
+    )
+    scale = 2.0 ** (j * gamma)
+    if name == "c2":
+        l1 = np.sum(np.abs(f)) * field.grid.cell_area
+        value = np.sum(dgf * np.sign(f)) * field.grid.cell_area / (scale * l1)
+    else:
+        idx = np.unravel_index(np.argmax(np.abs(f)), f.shape)
+        value = np.sign(f[idx]) * dgf[idx] / (scale * np.abs(f[idx]))
+    assert value == pytest.approx(report.measured_constant, rel=1e-12)
 
 
 def test_counterexample_gamma2():

@@ -1,15 +1,26 @@
 """Approximation sweeps: truncation confinement, contraction, rate fits."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sqglab.dyadic import besov_norm, default_partition
 from sqglab.errors import OverflowGuardError, UsageError
-from sqglab.iterates import _norm_row, galerkin_sequence, picard_besov_sequence
+from sqglab.iterates import (
+    DEFAULT_S0,
+    NORM_LABELS,
+    _norm_row,
+    galerkin_sequence,
+    picard_besov_sequence,
+)
+from sqglab.reports import IterateTrace, fit_log2
 from sqglab.sampling import power_law_field
-from sqglab.solver import SolverConfig
+from sqglab.solver import SolverConfig, Stepper
 from sqglab.spectral import (
+    PROFILE_OUTER,
     GridSpec,
     MultiplierSpec,
     SpectralField,
@@ -175,3 +186,172 @@ def test_norm_rows_keep_the_overflow_guard():
     assert row["gevrey_l2"] == pytest.approx(
         math.exp(0.5 * 20.0) * row["l2"], rel=1e-12
     )
+
+
+# -- sequential oracle ---------------------------------------------------------
+
+# The sweeps as they were before the lockstep engine: each iterate runs to
+# the end before the next starts, and Picard keeps the previous iterate's
+# state at every step.  Same arithmetic, so the traces must agree bitwise.
+
+
+def _sup_rows(rows):
+    return {label: max(row[label] for row in rows) for label in NORM_LABELS}
+
+
+def _fit_diffs(trace, n_values):
+    mids = [2.0**n for n in n_values[1:]]
+    for label in NORM_LABELS:
+        vals = trace.diffs[label]
+        if len(vals) >= 2 and all(v > 0.0 for v in vals):
+            trace.fits[label] = fit_log2(mids, vals)
+
+
+def _fold_stored(trace, stored, previous, config, s0):
+    rows = [_norm_row(c, ts, config, s0) for ts, c in stored]
+    sups = _sup_rows(rows)
+    for label in NORM_LABELS:
+        trace.norms[label].append(sups[label])
+    if previous is not None:
+        diff_rows = [
+            _norm_row(c_new - c_old, ts, config, s0)
+            for (ts, c_new), (_, c_old) in zip(stored, previous)
+        ]
+        dsup = _sup_rows(diff_rows)
+        for label in NORM_LABELS:
+            trace.diffs[label].append(dsup[label])
+
+
+def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
+    grid = config.grid
+    n_steps = int(round(config.t_final / config.dt))
+    ka = grid_arrays(grid)
+    trace = IterateTrace(
+        scheme="galerkin",
+        indices=list(n_values),
+        norms={label: [] for label in NORM_LABELS},
+        diffs={label: [] for label in NORM_LABELS},
+        parameters={"gamma": config.gamma, "nu": config.nu, "dt": config.dt,
+                    "t_final": config.t_final, "s0": s0,
+                    "cutoff_rule": "blocks <= n-1"},
+    )
+    previous = None
+    worst_leak = 0.0
+    for n in n_values:
+        low = MultiplierSpec.low_pass(n - 1).symbol_on(grid)
+        stepper = Stepper(config, projection=n - 1)
+        coeffs = theta0.coeffs * ka.dealias_mask * low
+        stored = [(0.0, coeffs)]
+        t = 0.0
+        for k in range(1, n_steps + 1):
+            coeffs = stepper.step(coeffs)
+            t += config.dt
+            if k % config.output_stride == 0 or k == n_steps:
+                stored.append((t, coeffs))
+        outside = ka.k_abs > PROFILE_OUTER * 2.0 ** (n - 1)
+        for _, c in stored:
+            total = float(np.sum(np.abs(c) ** 2))
+            if total > 0.0:
+                leak = float(np.sum(np.abs(c[outside]) ** 2)) / total
+                worst_leak = max(worst_leak, leak)
+        _fold_stored(trace, stored, previous, config, s0)
+        previous = stored
+    trace.parameters["max_support_leak"] = worst_leak
+    _fit_diffs(trace, n_values)
+    return trace
+
+
+def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
+    grid = config.grid
+    n_steps = int(round(config.t_final / config.dt))
+    ka = grid_arrays(grid)
+    run_config = replace(config, besov_p=p, besov_q=q)
+    trace = IterateTrace(
+        scheme="picard",
+        indices=list(n_values),
+        norms={label: [] for label in NORM_LABELS},
+        diffs={label: [] for label in NORM_LABELS},
+        parameters={"gamma": config.gamma, "nu": config.nu, "dt": config.dt,
+                    "t_final": config.t_final, "p": p, "q": q, "s0": s0,
+                    "data_cutoff_rule": "blocks <= n+2",
+                    "spatial_cutoff": "identically 1 on the torus"},
+    )
+    data_fields = [
+        theta0.coeffs * ka.dealias_mask * MultiplierSpec.low_pass(n + 2).symbol_on(grid)
+        for n in n_values
+    ]
+    partition = default_partition(grid)
+    data_diffs = [
+        besov_norm(SpectralField(grid, b - a), s0, p, math.inf, partition=partition)
+        for a, b in zip(data_fields, data_fields[1:])
+    ]
+    trace.parameters["data_diffs_besov_s0"] = data_diffs
+    if len(data_diffs) >= 2 and all(v > 0.0 for v in data_diffs):
+        trace.fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
+    zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    previous_traj = previous_stored = None
+    for idx in range(len(n_values)):
+        stepper = Stepper(run_config)
+        coeffs = data_fields[idx]
+        traj = [coeffs]
+        stored = [(0.0, coeffs)]
+        t = 0.0
+        for k in range(1, n_steps + 1):
+            if previous_traj is None:
+                adv0 = adv1 = zero
+            else:
+                adv0, adv1 = previous_traj[k - 1], previous_traj[k]
+            coeffs = stepper.step(coeffs, advect_coeffs=adv0, advect_coeffs_end=adv1)
+            t += config.dt
+            traj.append(coeffs)
+            if k % config.output_stride == 0 or k == n_steps:
+                stored.append((t, coeffs))
+        _fold_stored(trace, stored, previous_stored, run_config, s0)
+        previous_traj, previous_stored = traj, stored
+    vals = trace.diffs["besov_s0"]
+    trace.parameters["contraction_ratios_besov_s0"] = [
+        b / a if a > 0.0 else math.inf for a, b in zip(vals, vals[1:])
+    ]
+    _fit_diffs(trace, n_values)
+    return trace
+
+
+@pytest.mark.parametrize("stride", [2, 3])  # 3 does not divide the 10 steps
+@pytest.mark.parametrize("scheme", ["galerkin", "picard"])
+def test_lockstep_matches_sequential_loops(scheme, stride):
+    # With nu below the Gevrey rate eps0 = 0.5 the weighted norms grow, so
+    # their sups come from late stored states and depend on every step; at
+    # nu = 1 each sup would be the t = 0 value.
+    cfg = replace(CFG, nu=0.1, output_stride=stride)
+    theta0 = data_field(amp=3.0)
+    if scheme == "galerkin":
+        got = galerkin_sequence(theta0, range(2, 5), cfg)
+        want = sequential_galerkin(theta0, [2, 3, 4], cfg)
+    else:
+        got = picard_besov_sequence(theta0, range(0, 3), 4.0, math.inf, cfg)
+        want = sequential_picard(theta0, [0, 1, 2], 4.0, math.inf, cfg)
+    assert got.to_dict() == want.to_dict()
+    assert len(got.fits) > 2
+
+
+def test_picard_memory_does_not_grow_with_steps():
+    # The lockstep engine keeps two states per iterate, so the traced peak
+    # is the same at 12 and 48 steps (the per-step trajectory read 2x).
+    grid = GridSpec(128)
+    rng = np.random.default_rng(5)
+    theta0 = power_law_field(grid, 2.7, rng)
+    theta0 = theta0.with_coeffs(theta0.coeffs / sobolev_norm(theta0, 0.0))
+
+    def peak(steps):
+        cfg = SolverConfig(grid=grid, nu=1.0, gamma=0.5, dt=1e-3,
+                           t_final=steps * 1e-3, output_stride=4)
+        tracemalloc.start()
+        try:
+            picard_besov_sequence(theta0, range(0, 4), 2.0, 2.0, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # builds the per-grid caches outside the measured runs
+    short, long = peak(12), peak(48)
+    assert long <= 1.2 * short, (short / 2**20, long / 2**20)
