@@ -71,6 +71,7 @@ from .spectral import (
     apply_multiplier,
     field_lp_norm,
     forward_transform,
+    full_spectrum,
     inverse_transform,
     load_field,
     lp_norm,
@@ -119,6 +120,7 @@ __all__ = [
     "field_lp_norm",
     "fit_log2",
     "forward_transform",
+    "full_spectrum",
     "galerkin_sequence",
     "gaussian_block_field",
     "inverse_transform",

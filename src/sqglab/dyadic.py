@@ -14,7 +14,6 @@ reconstructs the identity to round-off.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,12 +32,14 @@ from .spectral import (
     PROFILE_OUTER,
     apply_multiplier,
     forward_transform,
+    full_spectrum,
     grid_arrays,
     half_power,
     k_power,
     lp_norm,
+    parseval_columns,
     real_samples_unchecked,
-    radial_profile,
+    sobolev_weights,
     synthesize,
     transport,
 )
@@ -105,17 +106,6 @@ class DyadicPartition:
 
     def block_indices(self) -> range:
         return range(self.j_min, self.j_max + 1)
-
-    def export_profile(self, path: str, n_points: int = 512) -> None:
-        """Write the radial profile and one block shape as CSV (r, low, band)."""
-        r = np.linspace(0.0, 2.0 * PROFILE_OUTER, n_points)
-        low = radial_profile(r)
-        band = radial_profile(r) - radial_profile(2.0 * r)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "low_pass", "band"])
-            for i in range(n_points):
-                writer.writerow([f"{r[i]:.17g}", f"{low[i]:.17g}", f"{band[i]:.17g}"])
 
 
 def default_partition(grid: GridSpec) -> DyadicPartition:
@@ -333,25 +323,6 @@ class BilinearSymbol:
 
         return BilinearSymbol(fn)
 
-    @staticmethod
-    def phase_decay(gamma: float, t: float,
-                    xi_band: Optional[tuple[float, float]] = None,
-                    eta_band: Optional[tuple[float, float]] = None,
-                    sum_band: Optional[tuple[float, float]] = None) -> "BilinearSymbol":
-        """exp(-t * dissipation phase), optionally band-limited.
-
-        For gamma <= 1 the phase is nonnegative, so the symbol is bounded
-        by 1 and the double sum is stable at any t >= 0.
-        """
-
-        def fn(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-            phase = (
-                _mag(xi) ** gamma + _mag(eta) ** gamma - _mag(xi + eta) ** gamma
-            )
-            return np.exp(-t * phase)
-
-        return BilinearSymbol(fn, xi_band, eta_band, sum_band)
-
 
 def _mag(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(v * v, axis=-1))
@@ -473,13 +444,19 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
                 f"block-{j} weight exponent {max_expo:.1f} exceeds cap {cap:.0f}"
             )
 
-    heat = MultiplierSpec.heat(1.0, t, gamma).symbol_on(grid)
-    fh = f.coeffs * heat
-    prod, _ = transport(grid, fh, g.coeffs * heat)
-    grow = np.where(on_block, np.exp(np.minimum(t * k_power(grid, gamma), cap)), 0.0)
+    # Both products are real fields: work on the half spectrum and extend
+    # the result once.
+    half = slice(0, grid.n // 2 + 1)
+    block_sym = block_sym[:, half]
+    heat = MultiplierSpec.heat(1.0, t, gamma).symbol_on(grid)[:, half]
+    g_half = g.coeffs[:, half]
+    fh = f.coeffs[:, half] * heat
+    prod, _ = transport(grid, fh, g_half * heat)
+    expo = np.minimum(t * k_power(grid, gamma)[:, half], cap)
+    grow = np.where(on_block[:, half], np.exp(expo), 0.0)
     term1 = block_sym * grow * prod
-    term2, _ = transport(grid, fh, block_sym * g.coeffs)
-    return SpectralField(grid, term1 - term2)
+    term2, _ = transport(grid, fh, block_sym * g_half)
+    return SpectralField(grid, full_spectrum(grid, term1 - term2))
 
 
 def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
@@ -490,7 +467,8 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     Evaluates ``integral D^s(R_perp e^{-tA} g1 . grad e^{-tA} g2)
     * D^s e^{tA} g3 dx`` with ``A = weight * D^gamma`` and default
     ``s = 2 - gamma``.  The advective product is pseudospectral and
-    dealiased; the pairing is spectral (Parseval).  The growing weight on
+    dealiased; the pairing is spectral (Parseval, on the half spectrum with
+    :func:`~sqglab.spectral.parseval_columns`).  The growing weight on
     ``g3`` is guarded against the exponent cap.
     """
     if not (g1.grid == g2.grid == g3.grid):
@@ -500,13 +478,14 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     grid = g1.grid
     if s is None:
         s = 2.0 - gamma
-    ga = grid_arrays(grid)
+    half = slice(0, grid.n // 2 + 1)
 
-    decay = MultiplierSpec.heat(weight, t, gamma).symbol_on(grid)
-    prod, _ = transport(grid, g1.coeffs * decay, g2.coeffs * decay)
+    decay = MultiplierSpec.heat(weight, t, gamma).symbol_on(grid)[:, half]
+    prod, _ = transport(grid, g1.coeffs[:, half] * decay, g2.coeffs[:, half] * decay)
 
     grown = apply_multiplier(g3, MultiplierSpec.gevrey(weight, t, gamma, cap))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w2s = np.where(ga.k_abs > 0.0, ga.k_abs ** (2.0 * s), 0.0 if s != 0 else 1.0)
-    value = np.sum(w2s * prod * np.conj(grown.coeffs)) * grid.period ** 2
-    return float(value.real)
+    # Real fields: each column 0 < m2 < n/2 stands for its conjugate partner
+    # too, and the partner's term is the conjugate of this one.
+    pair = prod * np.conj(grown.coeffs[:, half])
+    w2s = sobolev_weights(grid, s, homogeneous=True) * parseval_columns(grid)
+    return grid.period ** 2 * float(np.vdot(w2s, pair.real))

@@ -1,12 +1,13 @@
 """Approximation schemes: dyadic Galerkin truncations and Picard sweeps.
 
 Both schemes reuse the solver's steppers and run on one engine that
-advances all iterates together, one step at a time.  A Galerkin iterate
-integrates the frequency-truncated tendency with truncated data; a Picard
-iterate solves a linear advection-diffusion problem whose advecting velocity
-is frozen from the previous iterate (interpolated linearly in time within
-each step).  Traces record per-iterate norms and successive differences so
-the contraction rates asserted by the well-posedness argument can be fitted
+advances all iterates together, one step at a time, each held as its rfft
+half spectrum.  A Galerkin iterate integrates the frequency-truncated
+tendency with truncated data; a Picard iterate solves a linear
+advection-diffusion problem whose advecting velocity is frozen from the
+previous iterate (interpolated linearly in time within each step).
+Traces record per-iterate norms and successive differences so the
+contraction rates asserted by the well-posedness argument can be fitted
 rather than assumed.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dyadic import besov_norm, default_partition, half_besov_norm
+from .dyadic import default_partition, half_besov_norm
 from .errors import UsageError
 from .reports import IterateTrace, fit_log2
 from .solver import SolverConfig, Stepper
@@ -45,7 +46,8 @@ NORM_LABELS = (
 
 
 def _norm_row(coeffs: np.ndarray, t: float, config: SolverConfig, s0: float) -> dict:
-    """Every norm of one state from its half-spectrum power and Gevrey weight."""
+    """Every norm of one state (full or half spectrum) from its half-spectrum
+    power and Gevrey weight."""
     grid = config.grid
     partition = default_partition(grid)
     half = coeffs[:, : grid.n // 2 + 1]
@@ -99,10 +101,11 @@ def _validated(theta0: SpectralField, n_range, config: SolverConfig,
 
 
 def _cut_data(theta0: SpectralField, cutoff: int) -> np.ndarray:
-    """Dealiased data restricted to blocks <= cutoff."""
+    """Half spectrum of the dealiased data restricted to blocks <= cutoff."""
     grid = theta0.grid
-    low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)
-    return theta0.coeffs * grid_arrays(grid).dealias_mask * low
+    half = slice(0, grid.n // 2 + 1)
+    low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)[:, half]
+    return theta0.coeffs[:, half] * grid_arrays(grid).dealias_mask[:, half] * low
 
 
 def _lockstep(
@@ -179,16 +182,18 @@ def galerkin_sequence(
     cadence, and the geometric rate is fitted against 2^n.
     """
     n_values, n_steps = _validated(theta0, n_range, config, -1, "cutoff")
-    k_abs = grid_arrays(config.grid).k_abs
+    grid = config.grid
+    k_abs = grid_arrays(grid).k_abs[:, : grid.n // 2 + 1]
     outside = [k_abs > PROFILE_OUTER * 2.0 ** (n - 1) for n in n_values]
     steppers = [Stepper(config, projection=n - 1) for n in n_values]
     worst_leak = 0.0
 
     def audit(i, coeffs):
         nonlocal worst_leak
-        total = float(np.sum(np.abs(coeffs) ** 2))
+        power = half_power(grid, coeffs)
+        total = float(np.sum(power))
         if total > 0.0:
-            leak = float(np.sum(np.abs(coeffs[outside[i]]) ** 2)) / total
+            leak = float(np.sum(power[outside[i]])) / total
             worst_leak = max(worst_leak, leak)
 
     trace = _lockstep(
@@ -240,10 +245,10 @@ def picard_besov_sequence(
 
     data_fields = [_cut_data(theta0, n + 2) for n in n_values]
     partition = default_partition(grid)
-    data_diffs = []
-    for older, newer in zip(data_fields, data_fields[1:]):
-        gap = SpectralField(grid, newer - older)
-        data_diffs.append(besov_norm(gap, s0, p, math.inf, partition=partition))
+    data_diffs = [
+        half_besov_norm(partition, newer - older, s0, p, math.inf)
+        for older, newer in zip(data_fields, data_fields[1:])
+    ]
     fits = {}
     if len(data_diffs) >= 2 and all(v > 0.0 for v in data_diffs):
         fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
@@ -252,7 +257,7 @@ def picard_besov_sequence(
     # serves them all.  The first iterate advects with a zero field; iterate
     # i ramps linearly from iterate i-1's state at step k-1 to that at step k.
     stepper = Stepper(run_config)
-    zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
 
     def advance(i, old, new):
         adv0, adv1 = (old[i - 1], new[i - 1]) if i else (zero, zero)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson
@@ -26,6 +27,7 @@ from .spectral import (
     SpectralField,
     apply_multiplier,
     field_lp_norm,
+    full_spectrum,
     gevrey_half_weight,
     grid_arrays,
     half_power,
@@ -107,20 +109,33 @@ def nonlinear_term(
     Galerkin scheme.
     """
     _require_mean_free(theta.coeffs)
-    rhs, _ = _advective_rhs(theta.grid, theta.coeffs, projection)
-    return SpectralField(theta.grid, rhs)
+    grid = theta.grid
+    low = None if projection is None else _half_low_pass(grid, projection)
+    rhs, _ = _advective_rhs(grid, theta.coeffs[:, : grid.n // 2 + 1], low)
+    return SpectralField(grid, full_spectrum(grid, rhs))
 
 
-def _advective_rhs(grid: GridSpec, coeffs: np.ndarray, projection: int | None):
-    """Core tendency shared by the steppers; returns (rhs coeffs, max |u|)."""
-    if projection is None:
-        out, umax = transport(grid, coeffs, coeffs)
+def _advective_rhs(grid: GridSpec, half: np.ndarray, low: np.ndarray | None):
+    """Core tendency on the half spectrum; returns (rhs, max |u|).
+
+    ``low`` is the half-width Galerkin low-pass, or None for no projection.
+    """
+    if low is None:
+        out, umax = transport(grid, half, half)
         return np.negative(out, out=out), umax
-    low = MultiplierSpec.low_pass(projection).symbol_on(grid)
-    coeffs = coeffs * low
-    out, umax = transport(grid, coeffs, coeffs)
+    half = half * low
+    out, umax = transport(grid, half, half)
     out *= -low
     return out, umax
+
+
+@lru_cache(maxsize=16)
+def _half_low_pass(grid: GridSpec, j: int) -> np.ndarray:
+    """Read-only low-pass profile at scale 2^j on the half spectrum."""
+    sym = MultiplierSpec.low_pass(j).symbol_on(grid)
+    table = np.ascontiguousarray(sym[:, : grid.n // 2 + 1])
+    table.flags.writeable = False
+    return table
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -139,40 +154,54 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, out)
 
 
-class Stepper:
-    """Advances coefficients by dt with the configured scheme.
+@lru_cache(maxsize=16)
+def _factor_tables(grid: GridSpec, nu: float, gamma: float, dt: float,
+                   integrator: str) -> tuple:
+    """Read-only exponential factors of ``-nu |k|^gamma dt`` on the half spectrum.
 
-    The advecting field may be overridden per step (``advect_coeffs``), which
-    turns the update into the linear advection-diffusion flow used by the
-    Picard scheme; the override is treated as frozen within the step.
+    ``(e^{z/2}, e^z)`` for IF-RK4, ``(e^z, phi1(z), phi2(z))`` for ETD-RK2.
+    Shared by every stepper with the same key, so sweeps that hold several
+    steppers hold one copy.
+    """
+    z = -(nu * k_power(grid, gamma)[:, : grid.n // 2 + 1]) * dt
+    if integrator == "if_rk4":
+        e_half = np.exp(0.5 * z)
+        tables = (e_half, e_half * e_half)
+    else:
+        tables = (np.exp(z), _phi1(z), _phi2(z))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+class Stepper:
+    """Advances a half spectrum by dt with the configured scheme.
+
+    States are rfft half spectra, ``(n, n/2 + 1)`` arrays: columns ``0..n/2``
+    of a real field's coefficients.  The advecting field may be overridden
+    per step (``advect_coeffs``, also a half spectrum), which turns the update
+    into the linear advection-diffusion flow used by the Picard scheme; the
+    override is treated as frozen within the step.
     """
 
     def __init__(self, config: SolverConfig, projection: int | None = None):
         self.config = config
         self.projection = projection
         self.grid = config.grid
-        self._symbol = config.nu * k_power(self.grid, config.gamma)
+        self._shape = (self.grid.n, self.grid.n // 2 + 1)
+        self._low = None if projection is None else _half_low_pass(self.grid, projection)
         self._kmax = self.grid.dealias_radius
-        self._factors: dict[float, tuple] = {}
         self.cfl_max = 0.0
         self._warned = False
 
-    def _factor_set(self, dt: float):
-        cached = self._factors.get(dt)
-        if cached is None:
-            z = -self._symbol * dt
-            if self.config.integrator == "if_rk4":
-                e_half = np.exp(0.5 * z)
-                cached = (e_half, e_half * e_half)
-            else:
-                cached = (np.exp(z), _phi1(z), _phi2(z))
-            self._factors[dt] = cached
-        return cached
+    def _factor_set(self, dt: float) -> tuple:
+        cfg = self.config
+        return _factor_tables(self.grid, cfg.nu, cfg.gamma, dt, cfg.integrator)
 
     def _rhs(self, coeffs: np.ndarray, advect: np.ndarray | None, dt: float):
         """Stage tendency; every stage's velocity goes through the CFL guard."""
         if advect is None:
-            out, umax = _advective_rhs(self.grid, coeffs, self.projection)
+            out, umax = _advective_rhs(self.grid, coeffs, self._low)
         else:
             # Frozen advecting field: advect the state with the override's
             # velocity.
@@ -203,7 +232,15 @@ class Stepper:
         advect_coeffs: np.ndarray | None = None,
         advect_coeffs_end: np.ndarray | None = None,
     ) -> np.ndarray:
-        """One step; with an override, stage fields interpolate linearly in t."""
+        """One step of a half spectrum; with an override, stage fields
+        interpolate linearly in t."""
+        for name, arr in (("coeffs", coeffs), ("advect_coeffs", advect_coeffs),
+                          ("advect_coeffs_end", advect_coeffs_end)):
+            if arr is not None and np.shape(arr) != self._shape:
+                raise UsageError(
+                    f"{name} has shape {np.shape(arr)}; the stepper takes half "
+                    f"spectra of shape {self._shape}"
+                )
         dt = self.config.dt if dt is None else dt
         if self.config.integrator == "if_rk4":
             return self._step_if_rk4(coeffs, dt, advect_coeffs, advect_coeffs_end)
@@ -287,6 +324,13 @@ def _series_columns(partition: DyadicPartition, j0: int | None) -> list:
     return names
 
 
+def _full_field(grid: GridSpec, half: np.ndarray) -> SpectralField:
+    """The field a half-spectrum state stands for, without a second copy."""
+    full = full_spectrum(grid, half)
+    full.flags.writeable = False
+    return SpectralField(grid, full)
+
+
 def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     """Integrate to t_final, emitting diagnostics every ``output_stride`` steps.
 
@@ -335,9 +379,8 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
 
     integral_state = {"value": 0.0, "last_t": None, "last_sq": None}
 
-    def emit(t: float, coeffs: np.ndarray) -> None:
+    def emit(t: float, half: np.ndarray) -> None:
         """One diagnostics row: every column from one half-spectrum power."""
-        half = coeffs[:, :m]
         power = half_power(grid, half)
         samples = synthesize(grid, half)
         cols["t"].append(t)
@@ -379,19 +422,17 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
             cols["split_low_l2"].append(math.sqrt(area * low_sq))
             cols["split_high_l2"].append(math.sqrt(area * high_sq))
 
-    def snapshot(t: float, coeffs: np.ndarray) -> None:
-        # SpectralField copies the writeable array it is given.
-        series.snapshots.append((t, SpectralField(grid, coeffs)))
-
     projection = None if config.galerkin_n is None else config.galerkin_n - 1
     stepper = Stepper(config, projection=projection)
-    coeffs = theta0.coeffs * ka.dealias_mask
+    # The state is the half spectrum from here on; only the returned fields
+    # are extended to the full lattice.
+    coeffs = theta0.coeffs[:, :m] * ka.dealias_mask[:, :m]
     if projection is not None:
-        coeffs = coeffs * MultiplierSpec.low_pass(projection).symbol_on(grid)
+        coeffs = coeffs * _half_low_pass(grid, projection)
     n_steps = int(math.ceil(config.t_final / config.dt - 1e-12))
     emit(0.0, coeffs)
     if config.snapshot_stride > 0:
-        snapshot(0.0, coeffs)
+        series.snapshots.append((0.0, _full_field(grid, coeffs)))
     t = 0.0
     try:
         for k in range(1, n_steps + 1):
@@ -403,12 +444,12 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
             if config.snapshot_stride > 0 and (
                 k % config.snapshot_stride == 0 or k == n_steps
             ):
-                snapshot(t, coeffs)
+                series.snapshots.append((t, _full_field(grid, coeffs)))
     except GuardError as guard:
         series.aborted = True
         series.abort_reason = f"{type(guard).__name__}: {guard}"
     else:
-        series.final_state = SpectralField(grid, coeffs)
+        series.final_state = _full_field(grid, coeffs)
     series.cfl_max = stepper.cfl_max
     return series
 

@@ -48,6 +48,7 @@ __all__ = [
     "gevrey_half_weight",
     "weighted_norm",
     "transport",
+    "full_spectrum",
     "sobolev_norm",
     "lp_norm",
     "field_lp_norm",
@@ -521,13 +522,50 @@ def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
     Same guard as applying :meth:`MultiplierSpec.gevrey` to the real field
     with coefficients ``coeffs`` (full or half): modes past the exponent
     cap get weight 0 if they carry no data, and raise
-    ``OverflowGuardError`` if they do.
+    ``OverflowGuardError`` if they do.  A second guard keeps the weighted
+    power of the populated modes inside double range, with room for the
+    Parseval sums taken of it (``_weighted_amplitude_limit``), so the norms
+    built from it raise instead of overflowing into ``inf``.
     """
     m = grid.n // 2 + 1
     cap = GEVREY_EXPONENT_CAP
+    half = coeffs[:, :m]
     expo = lam * t * k_power(grid, gamma)[:, :m]
-    _check_exponents(expo, coeffs[:, :m], cap)
-    return np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
+    _check_exponents(expo, half, cap)
+    weight = np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
+    mag = np.abs(half)
+    populated = mag > SUPPORT_THRESHOLD * float(mag.max())
+    with np.errstate(over="ignore"):
+        peak = float(np.max(mag * weight, where=populated, initial=0.0))
+    limit = _weighted_amplitude_limit(grid)
+    if peak > limit:
+        worst = float(np.max(expo[populated]))
+        raise OverflowGuardError(
+            f"Gevrey-weighted amplitude {peak:.3g} exceeds cap {limit:.3g} "
+            f"of double range on populated modes (weight exponent up to "
+            f"{worst:.1f}); shorten the time horizon or reduce the weight"
+        )
+    return weight
+
+
+@lru_cache(maxsize=32)
+def _weighted_amplitude_limit(grid: GridSpec) -> float:
+    """Largest weighted amplitude ``|c| w`` whose Parseval norms stay finite.
+
+    Its power ``2 (|c| w)^2`` times the largest factor a Parseval norm puts
+    on one mode's power stays below ``DBL_MAX``.  That factor is
+    ``period^2``, times the ``n (n/2 + 1)`` half-spectrum terms of the sum,
+    times Sobolev weights up to ``(1 + |k|^2)^2`` (order 2, the highest the
+    diagnostics use).
+    """
+    k_max_sq = float(_grid_arrays(grid).k_sq.max())
+    log_factor = (
+        math.log(2.0)
+        + 2.0 * math.log(grid.period)
+        + math.log(grid.n * (grid.n // 2 + 1))
+        + 2.0 * math.log1p(k_max_sq)
+    )
+    return math.exp(0.5 * (math.log(np.finfo(np.float64).max) - log_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +600,12 @@ def transport(grid: GridSpec, source: np.ndarray,
     """Dealiased advection of ``target`` by the velocity of ``source``.
 
     Returns ``(dealias(R_perp source . grad target), max |R_perp source|)``:
-    full-spectrum coefficients of the product, exactly conjugate-symmetric
-    and with the mean mode pinned to 0 (the product of a divergence-free
-    velocity with a gradient has zero mean), plus the largest sampled
-    speed.  Both inputs are full coefficient arrays of real fields; only
-    their rfft half spectra (columns ``0..n/2``) are read.  Four ``irfft2``
-    and one ``rfft2`` per call.
+    the rfft half spectrum (columns ``0..n/2``) of the product, with columns
+    0 and n/2 exactly conjugate-symmetric and the mean mode pinned to 0 (the
+    product of a divergence-free velocity with a gradient has zero mean),
+    plus the largest sampled speed.  Both inputs are coefficient arrays of
+    real fields, full or half; only their columns ``0..n/2`` are read.
+    Four ``irfft2`` and one ``rfft2`` per call.
     """
     op = _transport_operator(grid)
     n = grid.n
@@ -586,16 +624,32 @@ def transport(grid: GridSpec, source: np.ndarray,
     half = analyze(grid, u1)
     half *= op.mask
     # Columns 0 and n/2 are their own conjugate partners; symmetrize them so
-    # the extension below is exactly Hermitian.
+    # the half spectrum is exactly that of a real field.
     edge = half[:, :: n // 2]
     half[:, :: n // 2] = 0.5 * (edge + np.conj(edge[op.rows]))
     half[0, 0] = 0.0
-    # Hermitian extension: c(m1, m2) = conj(c(-m1, -m2)) for m2 < 0.
+    return half, umax
+
+
+def full_spectrum(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Hermitian extension of a half spectrum to the full ``(n, n)`` lattice.
+
+    Fills ``c(m1, m2) = conj(c(-m1, -m2))`` for ``m2 < 0``.  Exactly
+    conjugate-symmetric when ``half`` is edge-symmetrized, as the output of
+    :func:`transport` is.  For the boundaries that hand back a
+    :class:`SpectralField`; the solver state itself stays half.
+    """
+    n = grid.n
+    m = n // 2 + 1
     out = np.empty((n, n), dtype=np.complex128)
     out[:, :m] = half
-    np.conjugate(half[0, n // 2 - 1 : 0 : -1], out=out[0, m:])
-    np.conjugate(half[:0:-1, n // 2 - 1 : 0 : -1], out=out[1:, m:])
-    return out, umax
+    out[0, m:] = half[0, n // 2 - 1 : 0 : -1]
+    out[1:, m:] = half[:0:-1, n // 2 - 1 : 0 : -1]
+    # Conjugate as 0 - im, not -im, so an empty (+0.0) mode stays +0.0 on
+    # both sides of the lattice instead of turning into -0.0i on this one.
+    ext = out[:, m:].imag
+    np.subtract(0.0, ext, out=ext)
+    return out
 
 
 # ---------------------------------------------------------------------------

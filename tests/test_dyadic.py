@@ -311,12 +311,3 @@ def test_trilinear_rejects_negative_time(rng):
     f = random_field(GRID, rng)
     with pytest.raises(UsageError):
         trilinear_form(f, f, f, -0.1, 0.5)
-
-
-def test_export_profile(tmp_path):
-    part = default_partition(GRID)
-    path = tmp_path / "profile.csv"
-    part.export_profile(str(path), n_points=64)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,low_pass,band"
-    assert len(lines) == 65

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from sqglab.spectral import (
     MultiplierSpec,
     SpectralField,
     forward_transform,
+    full_spectrum,
     grid_arrays,
     sobolev_norm,
 )
@@ -188,6 +190,21 @@ def test_norm_rows_keep_the_overflow_guard():
     )
 
 
+def test_weighted_power_overflow_raises_before_any_warning():
+    # Inviscid Galerkin sweep on 32^2 with small data: the Gevrey-weighted
+    # power of the populated modes leaves double range (near exponent 382)
+    # long before the exponent passes the cap (at 510).  The guard must
+    # raise before numpy overflows into inf.
+    grid = GridSpec(32)
+    theta0 = power_law_field(grid, 2.7, np.random.default_rng(0))
+    theta0 = theta0.with_coeffs(theta0.coeffs * (1e-4 / np.max(np.abs(theta0.coeffs))))
+    cfg = SolverConfig(grid=grid, nu=0.0, gamma=2.0, dt=1.0, t_final=20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowGuardError, match="double range"):
+            galerkin_sequence(theta0, range(1, 5), cfg)
+
+
 # -- sequential oracle ---------------------------------------------------------
 
 # The sweeps as they were before the lockstep engine: each iterate runs to
@@ -226,6 +243,7 @@ def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
     grid = config.grid
     n_steps = int(round(config.t_final / config.dt))
     ka = grid_arrays(grid)
+    half = grid.n // 2 + 1
     trace = IterateTrace(
         scheme="galerkin",
         indices=list(n_values),
@@ -240,7 +258,7 @@ def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
     for n in n_values:
         low = MultiplierSpec.low_pass(n - 1).symbol_on(grid)
         stepper = Stepper(config, projection=n - 1)
-        coeffs = theta0.coeffs * ka.dealias_mask * low
+        coeffs = (theta0.coeffs * ka.dealias_mask * low)[:, :half]
         stored = [(0.0, coeffs)]
         t = 0.0
         for k in range(1, n_steps + 1):
@@ -250,6 +268,7 @@ def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
                 stored.append((t, coeffs))
         outside = ka.k_abs > PROFILE_OUTER * 2.0 ** (n - 1)
         for _, c in stored:
+            c = full_spectrum(grid, c)  # the leak as a full-lattice sum
             total = float(np.sum(np.abs(c) ** 2))
             if total > 0.0:
                 leak = float(np.sum(np.abs(c[outside]) ** 2)) / total
@@ -265,6 +284,7 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
     grid = config.grid
     n_steps = int(round(config.t_final / config.dt))
     ka = grid_arrays(grid)
+    half = grid.n // 2 + 1
     run_config = replace(config, besov_p=p, besov_q=q)
     trace = IterateTrace(
         scheme="picard",
@@ -277,18 +297,20 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
                     "spatial_cutoff": "identically 1 on the torus"},
     )
     data_fields = [
-        theta0.coeffs * ka.dealias_mask * MultiplierSpec.low_pass(n + 2).symbol_on(grid)
+        (theta0.coeffs * ka.dealias_mask
+         * MultiplierSpec.low_pass(n + 2).symbol_on(grid))[:, :half]
         for n in n_values
     ]
     partition = default_partition(grid)
     data_diffs = [
-        besov_norm(SpectralField(grid, b - a), s0, p, math.inf, partition=partition)
+        besov_norm(SpectralField(grid, full_spectrum(grid, b - a)), s0, p, math.inf,
+                   partition=partition)
         for a, b in zip(data_fields, data_fields[1:])
     ]
     trace.parameters["data_diffs_besov_s0"] = data_diffs
     if len(data_diffs) >= 2 and all(v > 0.0 for v in data_diffs):
         trace.fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
-    zero = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    zero = np.zeros((grid.n, half), dtype=np.complex128)
     previous_traj = previous_stored = None
     for idx in range(len(n_values)):
         stepper = Stepper(run_config)

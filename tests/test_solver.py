@@ -1,6 +1,7 @@
 """Time integration: exactness, order, guards, conservation, mild form."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from sqglab.errors import CflGuardError, OverflowGuardError, UsageError
 from sqglab.sampling import power_law_field
 from sqglab.solver import (
     INTEGRATORS,
+    _phi1,
+    _phi2,
     SolverConfig,
     Stepper,
     conservation_report,
@@ -23,18 +26,22 @@ from sqglab.spectral import (
     GridSpec,
     MultiplierSpec,
     SpectralField,
+    field_to_bytes,
     forward_transform,
     _symbol_cached,
     grid_arrays,
+    k_power,
     lp_norm,
     real_samples_unchecked,
     riesz_perp,
     sobolev_norm,
+    transport,
 )
 
 from oracles import besov_sample_oracle, full_sobolev_norm, gevrey_warm
 
 GRID = GridSpec(64)
+HALF = GRID.n // 2 + 1  # columns of the rfft half spectrum
 
 
 def nonlinear_term_divergence(theta, projection=None):
@@ -239,7 +246,7 @@ def test_stepper_rejects_direct_cfl_breach():
     cfg = SolverConfig(grid=GRID, nu=0.001, gamma=0.5, dt=5e-3, t_final=0.05)
     stepper = Stepper(cfg)
     with pytest.raises(CflGuardError):
-        coeffs = blowup.coeffs * grid_arrays(GRID).dealias_mask
+        coeffs = (blowup.coeffs * grid_arrays(GRID).dealias_mask)[:, :HALF]
         for _ in range(10):
             coeffs = stepper.step(coeffs)
 
@@ -248,9 +255,9 @@ def test_stepper_rejects_direct_cfl_breach():
 def test_cfl_guard_checks_every_stage(integrator):
     # Frozen advection ramping from zero: the first stage's velocity is 0,
     # so only the later stages see the breach.
-    mask = grid_arrays(GRID).dealias_mask
-    theta = small_random(GRID, amp=0.3).coeffs * mask
-    fast = small_random(GRID, seed=8, amp=40.0).coeffs * mask
+    mask = grid_arrays(GRID).dealias_mask[:, :HALF]
+    theta = small_random(GRID, amp=0.3).coeffs[:, :HALF] * mask
+    fast = small_random(GRID, seed=8, amp=40.0).coeffs[:, :HALF] * mask
     cfg = SolverConfig(grid=GRID, nu=0.001, gamma=0.5, dt=5e-3, t_final=0.05,
                        integrator=integrator)
     stepper = Stepper(cfg)
@@ -419,8 +426,8 @@ def test_step_neither_mutates_nor_aliases_input(integrator):
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=0.01,
                        integrator=integrator)
     stepper = Stepper(cfg)
-    coeffs = small_random(GRID, amp=0.3).coeffs.copy()
-    advect = small_random(GRID, seed=6, amp=0.3).coeffs.copy()
+    coeffs = small_random(GRID, amp=0.3).coeffs[:, :HALF].copy()
+    advect = small_random(GRID, seed=6, amp=0.3).coeffs[:, :HALF].copy()
     before, advect_before = coeffs.copy(), advect.copy()
     for kwargs in ({}, {"advect_coeffs": advect},
                    {"advect_coeffs": advect, "advect_coeffs_end": advect}):
@@ -429,3 +436,170 @@ def test_step_neither_mutates_nor_aliases_input(integrator):
         assert np.array_equal(advect, advect_before)
         assert not np.shares_memory(out, coeffs)
         assert not np.shares_memory(out, advect)
+
+
+# -- the half-spectrum state against the full-lattice stepper it replaced ----
+
+
+def hermitian_extension(grid, half):
+    """Full-lattice coefficients of a half spectrum, extended as transport
+    used to extend its product."""
+    n = grid.n
+    m = n // 2 + 1
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, :m] = half
+    np.conjugate(half[0, n // 2 - 1 : 0 : -1], out=out[0, m:])
+    np.conjugate(half[:0:-1, n // 2 - 1 : 0 : -1], out=out[1:, m:])
+    return out
+
+
+class FullLatticeStepper:
+    """The stepper as it was before the half-spectrum state: full (n, n)
+    arrays, every transport product extended to the full lattice, every RK
+    stage done on all n^2 modes.  Guards left out."""
+
+    def __init__(self, config, projection=None):
+        self.config = config
+        self.grid = config.grid
+        self.low = None
+        if projection is not None:
+            self.low = MultiplierSpec.low_pass(projection).symbol_on(self.grid)
+        self.symbol = config.nu * k_power(self.grid, config.gamma)
+
+    def factors(self, dt):
+        z = -self.symbol * dt
+        if self.config.integrator == "if_rk4":
+            e_half = np.exp(0.5 * z)
+            return e_half, e_half * e_half
+        return np.exp(z), _phi1(z), _phi2(z)
+
+    def rhs(self, coeffs, advect):
+        grid = self.grid
+        if advect is not None:
+            return -hermitian_extension(grid, transport(grid, advect, coeffs)[0])
+        if self.low is None:
+            return -hermitian_extension(grid, transport(grid, coeffs, coeffs)[0])
+        coeffs = coeffs * self.low
+        out = hermitian_extension(grid, transport(grid, coeffs, coeffs)[0])
+        out *= -self.low
+        return out
+
+    def step(self, coeffs, adv0=None, adv1=None):
+        dt = self.config.dt
+
+        def at(frac):
+            if adv0 is None:
+                return None
+            return (1.0 - frac) * adv0 + frac * adv1
+
+        if self.config.integrator == "if_rk4":
+            e1, e2 = self.factors(dt)
+            m1 = self.rhs(coeffs, at(0.0))
+            m2 = self.rhs(e1 * (coeffs + 0.5 * dt * m1), at(0.5))
+            m3 = self.rhs(e1 * coeffs + 0.5 * dt * m2, at(0.5))
+            m4 = self.rhs(e2 * coeffs + dt * e1 * m3, at(1.0))
+            return e2 * coeffs + (dt / 6.0) * (e2 * m1 + 2.0 * e1 * (m2 + m3) + m4)
+        ez, p1, p2 = self.factors(dt)
+        n0 = self.rhs(coeffs, at(0.0))
+        predictor = ez * coeffs + dt * p1 * n0
+        n1 = self.rhs(predictor, at(1.0))
+        return predictor + dt * p2 * (n1 - n0)
+
+
+@pytest.mark.parametrize("mode", ["plain", "galerkin", "picard_ramp"])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
+    cfg = SolverConfig(grid=GRID, nu=0.1, gamma=0.5, dt=2e-3, t_final=0.02,
+                       integrator=integrator)
+    projection = 3 if mode == "galerkin" else None
+    mask = grid_arrays(GRID).dealias_mask
+    full = small_random(GRID, amp=0.5).coeffs * mask
+    adv0 = adv1 = None
+    if mode == "picard_ramp":
+        adv0 = small_random(GRID, seed=6, amp=0.5).coeffs * mask
+        adv1 = small_random(GRID, seed=7, amp=0.5).coeffs * mask
+    oracle = FullLatticeStepper(cfg, projection)
+    stepper = Stepper(cfg, projection)
+    half = full[:, :HALF]
+    kwargs = {}
+    if adv0 is not None:
+        kwargs = {"advect_coeffs": adv0[:, :HALF], "advect_coeffs_end": adv1[:, :HALF]}
+    for _ in range(6):
+        full = oracle.step(full, adv0, adv1)
+        half = stepper.step(half, **kwargs)
+        assert half.shape == (GRID.n, HALF)
+        assert np.array_equal(half, full[:, :HALF])
+    # the data are exactly Hermitian, so the full state is the half's extension
+    assert np.array_equal(hermitian_extension(GRID, half), full)
+
+
+def test_saved_final_state_is_byte_identical_to_full_lattice_run():
+    # Shaped like the sim-256-sparse benchmark: 256^2, IF-RK4, dt 2e-4, 40
+    # steps, power-law data L2-normalised by division and scaled to 0.5, as
+    # the CLI builds them.  Division leaves every empty mode at +0.0.
+    grid = GridSpec(256)
+    field = power_law_field(grid, 2.7, np.random.default_rng(0))
+    theta0 = field.with_coeffs(field.coeffs / sobolev_norm(field, 0.0) * 0.5)
+    cfg = SolverConfig(grid=grid, nu=1.0, gamma=0.5, dt=2e-4, t_final=40 * 2e-4,
+                       output_stride=40)
+    oracle = FullLatticeStepper(cfg)
+    mask = grid_arrays(grid).dealias_mask
+    saved = []
+    for data in (theta0, field.with_coeffs(field.coeffs * 0.1)):
+        series = run_simulation(data, cfg)
+        assert len(series.column("t")) == 2
+        coeffs = data.coeffs * mask
+        for _ in range(40):
+            coeffs = oracle.step(coeffs)
+        assert np.array_equal(series.final_state.coeffs, coeffs)
+        saved.append((field_to_bytes(series.final_state),
+                      field_to_bytes(SpectralField(grid, coeffs))))
+    # The normalised data agree bytewise.  A product with 0.0 (the second
+    # data) can leave -0.0 on empty modes, whose sign the full-lattice
+    # arithmetic carries and the half state does not: there only the values
+    # agree.
+    assert saved[0][0] == saved[0][1]
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_steppers_share_read_only_factor_tables(integrator):
+    cfg = SolverConfig(grid=GRID, nu=0.3, gamma=0.5, dt=1e-3, integrator=integrator)
+    a = Stepper(cfg, projection=3)
+    b = Stepper(replace(cfg, t_final=0.5), projection=3)
+    tables_a, tables_b = a._factor_set(cfg.dt), b._factor_set(cfg.dt)
+    assert len(tables_a) == (2 if integrator == "if_rk4" else 3)
+    for ta, tb in zip(tables_a, tables_b):
+        assert ta is tb
+        assert ta.shape == (GRID.n, HALF)
+        assert not ta.flags.writeable
+    assert a._low is b._low and not a._low.flags.writeable
+    other = Stepper(replace(cfg, nu=0.2))._factor_set(cfg.dt)
+    assert all(x is not y for x, y in zip(other, tables_a))
+
+
+@pytest.mark.parametrize("which", ["coeffs", "advect_coeffs", "advect_coeffs_end"])
+def test_step_rejects_arrays_that_are_not_half_spectra(which):
+    stepper = Stepper(SolverConfig(grid=GRID))
+    full = small_random(GRID, amp=0.3).coeffs * grid_arrays(GRID).dealias_mask
+    half = full[:, :HALF]
+    for bad in (full, full[:, : HALF + 1], full[: GRID.n - 1, :HALF], half[0]):
+        kwargs = {"coeffs": half, "advect_coeffs": half, "advect_coeffs_end": half}
+        kwargs[which] = bad
+        with pytest.raises(UsageError, match="half spectra"):
+            stepper.step(**kwargs)
+
+
+def test_gevrey_overflow_aborts_a_run_before_any_warning():
+    # A steady inviscid mode at |k| = 10 on 32^2: within the safe horizon
+    # the exponent stays under the cap, but the weighted power leaves double
+    # range at t = 7.5; the row guard must stop the run first.
+    grid = GridSpec(32)
+    theta0 = single_mode(grid, 10, 0, amp=1e-2)
+    cfg = SolverConfig(grid=grid, nu=0.0, gamma=2.0, dt=0.5, t_final=8.5)
+    assert cfg.t_final < gevrey_safe_horizon(grid, 2.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        series = run_simulation(theta0, cfg)
+    assert series.aborted
+    assert series.abort_reason.startswith("OverflowGuardError")
+    assert np.all(np.isfinite(series.column("gevrey_h_crit")))
