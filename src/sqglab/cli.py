@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import inequalities as lab
-from .dyadic import besov_norm, default_partition
+from .dyadic import besov_norm, block_power_weights, default_partition
 from .errors import GuardError, UsageError
 from .iterates import DEFAULT_S0, galerkin_sequence, picard_besov_sequence
 from .reports import RunManifest
@@ -34,15 +34,19 @@ from .sampling import (
     low_pass_field,
     power_law_field,
 )
-from .solver import SolverConfig, run_simulation
+from .solver import SolverConfig, _factor_tables, run_simulation
 from .spectral import (
     GridSpec,
     SpectralField,
+    _grid_arrays,
+    _transport_operator,
     field_lp_norm,
     forward_transform,
+    k_power,
     load_field,
     save_field,
     sobolev_norm,
+    sobolev_weights,
 )
 
 CONFIG_SCHEMA_VERSION = 1
@@ -51,6 +55,28 @@ CONFIG_SCHEMA_VERSION = 1
 _SOLVER_KEYS = tuple(
     f.name for f in dataclasses.fields(SolverConfig) if f.name != "grid"
 )
+
+
+#: The per-grid caches whose hits and misses a run's manifest records.  Bound
+#: once here, so rebinding the module attributes later cannot hide them.
+_COUNTED_CACHES = {
+    fn.__name__: fn
+    for fn in (_factor_tables, _grid_arrays, k_power, sobolev_weights,
+               _transport_operator, block_power_weights)
+}
+
+
+def _cache_counts() -> dict:
+    return {name: fn.cache_info() for name, fn in _COUNTED_CACHES.items()}
+
+
+def _cache_deltas(before: dict) -> dict:
+    """Hits and misses of each counted cache since ``before``."""
+    return {
+        name: {"hits": now.hits - before[name].hits,
+               "misses": now.misses - before[name].misses}
+        for name, now in _cache_counts().items()
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,8 +210,10 @@ def cmd_simulate(args, argv: list) -> int:
         artifact_version=__version__,
         started_at=started,
     )
+    before = _cache_counts()
     series = run_simulation(theta0, solver)
     run_seconds = time.perf_counter() - t0
+    caches = _cache_deltas(before)
 
     series_path = os.path.join(out, f"{prefix}_series.csv")
     series.write_csv(series_path)
@@ -200,7 +228,7 @@ def cmd_simulate(args, argv: list) -> int:
             snap_path = os.path.join(out, f"{prefix}_snap_{idx:04d}.sqgf")
             save_field(snap, snap_path)
             manifest.add_output(snap_path)
-    manifest.timings = {"run_seconds": run_seconds}
+    manifest.timings = {"run_seconds": run_seconds, "caches": caches}
     manifest.config = {
         "input": config,
         "resolved": _resolved(solver, seed),
@@ -309,6 +337,7 @@ def cmd_iterate(args, argv: list) -> int:
     prefix = config.get("output", {}).get("prefix", args.scheme)
     started = _now()
     t0 = time.perf_counter()
+    before = _cache_counts()
     if args.scheme == "galerkin":
         trace = galerkin_sequence(theta0, n_range, solver, s0=iterate["s0"])
     else:
@@ -316,13 +345,14 @@ def cmd_iterate(args, argv: list) -> int:
             theta0, n_range, iterate["p"], iterate["q"], solver, s0=iterate["s0"]
         )
     run_seconds = time.perf_counter() - t0
+    caches = _cache_deltas(before)
     manifest = RunManifest(
         command=argv,
         config={"input": config, "resolved": _resolved(solver, seed, iterate=iterate)},
         seed=seed,
         artifact_version=__version__,
         started_at=started,
-        timings={"run_seconds": run_seconds},
+        timings={"run_seconds": run_seconds, "caches": caches},
     )
     csv_path = os.path.join(out, f"{prefix}_trace.csv")
     json_path = os.path.join(out, f"{prefix}_trace.json")

@@ -30,6 +30,7 @@ from .spectral import (
     grid_arrays,
     half_power,
     sobolev_weights,
+    velocity,
     weighted_norm,
 )
 
@@ -256,12 +257,21 @@ def picard_besov_sequence(
     # Every iterate has the same config and no projection, so one stepper
     # serves them all.  The first iterate advects with a zero field; iterate
     # i ramps linearly from iterate i-1's state at step k-1 to that at step k.
+    # The velocity of the ramp's end is the next step's start velocity, so
+    # it is handed over instead of synthesized again: one velocity per
+    # iterate is held between steps.  The zero field's velocity costs no
+    # transform.
     stepper = Stepper(run_config)
     zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    starts = [velocity(grid, zero)] + [velocity(grid, d) for d in data_fields[:-1]]
 
     def advance(i, old, new):
         adv0, adv1 = (old[i - 1], new[i - 1]) if i else (zero, zero)
-        return stepper.step(old[i], advect_coeffs=adv0, advect_coeffs_end=adv1)
+        end = velocity(grid, adv1)
+        out = stepper.step(old[i], advect_coeffs=adv0, advect_coeffs_end=adv1,
+                           advect_velocities=(starts[i], end))
+        starts[i] = end
+        return out
 
     trace = _lockstep(
         "picard",

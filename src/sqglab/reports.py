@@ -231,8 +231,10 @@ class RunManifest:
     """Provenance record for one CLI run; written last, atomically.
 
     The manifest is the completion marker: consumers may treat any run
-    directory without one as aborted.  Wall-clock fields are the only
-    outputs allowed to differ between reruns of the same seeded command.
+    directory without one as aborted.  Wall-clock fields and ``timings``
+    are the only outputs allowed to differ between reruns of the same
+    seeded command; ``timings`` also holds the run's cache hit and miss
+    counts, which depend on what ran before it in the same process.
     """
 
     command: list

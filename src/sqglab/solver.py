@@ -25,6 +25,8 @@ from .spectral import (
     GridSpec,
     MultiplierSpec,
     SpectralField,
+    Velocity,
+    advect,
     apply_multiplier,
     field_lp_norm,
     full_spectrum,
@@ -37,6 +39,7 @@ from .spectral import (
     sobolev_weights,
     synthesize,
     transport,
+    velocity,
     weighted_norm,
 )
 
@@ -181,7 +184,8 @@ class Stepper:
     of a real field's coefficients.  The advecting field may be overridden
     per step (``advect_coeffs``, also a half spectrum), which turns the update
     into the linear advection-diffusion flow used by the Picard scheme; the
-    override is treated as frozen within the step.
+    override is treated as frozen within the step, and its velocity is
+    synthesized once per stage time, not once per stage.
     """
 
     def __init__(self, config: SolverConfig, projection: int | None = None):
@@ -198,14 +202,16 @@ class Stepper:
         cfg = self.config
         return _factor_tables(self.grid, cfg.nu, cfg.gamma, dt, cfg.integrator)
 
-    def _rhs(self, coeffs: np.ndarray, advect: np.ndarray | None, dt: float):
-        """Stage tendency; every stage's velocity goes through the CFL guard."""
-        if advect is None:
+    def _rhs(self, coeffs: np.ndarray, vel: Velocity | None, dt: float):
+        """Stage tendency; every stage's velocity goes through the CFL guard.
+
+        ``vel`` is the frozen advecting velocity, or None to advect the
+        state by its own velocity.
+        """
+        if vel is None:
             out, umax = _advective_rhs(self.grid, coeffs, self._low)
         else:
-            # Frozen advecting field: advect the state with the override's
-            # velocity.
-            out, umax = transport(self.grid, advect, coeffs)
+            out, umax = advect(self.grid, vel, coeffs), vel.umax
             np.negative(out, out=out)
         self._check_cfl(dt, umax)
         return out
@@ -231,9 +237,17 @@ class Stepper:
         dt: float | None = None,
         advect_coeffs: np.ndarray | None = None,
         advect_coeffs_end: np.ndarray | None = None,
+        advect_velocities: tuple | None = None,
     ) -> np.ndarray:
         """One step of a half spectrum; with an override, stage fields
-        interpolate linearly in t."""
+        interpolate linearly in t.
+
+        ``advect_velocities``, a ``(start, end)`` pair of
+        :func:`spectral.velocity` results of ``advect_coeffs`` and
+        ``advect_coeffs_end`` (either may be None), spares their synthesis
+        to a caller that already holds them, such as the end velocity of the
+        previous step.
+        """
         for name, arr in (("coeffs", coeffs), ("advect_coeffs", advect_coeffs),
                           ("advect_coeffs_end", advect_coeffs_end)):
             if arr is not None and np.shape(arr) != self._shape:
@@ -242,34 +256,52 @@ class Stepper:
                     f"spectra of shape {self._shape}"
                 )
         dt = self.config.dt if dt is None else dt
-        if self.config.integrator == "if_rk4":
-            return self._step_if_rk4(coeffs, dt, advect_coeffs, advect_coeffs_end)
-        return self._step_etd_rk2(coeffs, dt, advect_coeffs, advect_coeffs_end)
+        rk4 = self.config.integrator == "if_rk4"
+        ramp = self._ramp(advect_coeffs, advect_coeffs_end, advect_velocities, rk4)
+        if rk4:
+            return self._step_if_rk4(coeffs, dt, ramp)
+        return self._step_etd_rk2(coeffs, dt, ramp)
 
-    def _advect_at(self, start, end, frac):
+    def _ramp(self, start, end, given, mid: bool) -> tuple:
+        """Velocities at the stage times of a step: start, mid (if ``mid``)
+        and end; all None without an override, all the start's without an
+        end.
+
+        The stage field is interpolated on the spectrum, so each velocity is
+        synthesized from the field the stage would advect with.
+        """
+        times = 3 if mid else 2
         if start is None:
-            return None
+            return (None,) * times
+        v0, v1 = given if given is not None else (None, None)
+        if v0 is None:
+            v0 = velocity(self.grid, start)
         if end is None:
-            return start
-        return (1.0 - frac) * start + frac * end
+            return (v0,) * times
+        if v1 is None:
+            v1 = velocity(self.grid, end)
+        if not mid:
+            return v0, v1
+        return v0, velocity(self.grid, 0.5 * start + 0.5 * end), v1
 
-    def _step_if_rk4(self, coeffs, dt, adv0, adv1):
+    def _step_if_rk4(self, coeffs, dt, ramp):
         e1, e2 = self._factor_set(dt)
-        m1 = self._rhs(coeffs, self._advect_at(adv0, adv1, 0.0), dt)
-        half = self._advect_at(adv0, adv1, 0.5)
-        m2 = self._rhs(e1 * (coeffs + 0.5 * dt * m1), half, dt)
-        m3 = self._rhs(e1 * coeffs + 0.5 * dt * m2, half, dt)
-        m4 = self._rhs(e2 * coeffs + dt * e1 * m3, self._advect_at(adv0, adv1, 1.0), dt)
+        v0, vh, v1 = ramp
+        m1 = self._rhs(coeffs, v0, dt)
+        m2 = self._rhs(e1 * (coeffs + 0.5 * dt * m1), vh, dt)
+        m3 = self._rhs(e1 * coeffs + 0.5 * dt * m2, vh, dt)
+        m4 = self._rhs(e2 * coeffs + dt * e1 * m3, v1, dt)
         out = e2 * coeffs + (dt / 6.0) * (e2 * m1 + 2.0 * e1 * (m2 + m3) + m4)
         if not np.all(np.isfinite(out)):
             raise GuardError("non-finite state after step (NaN guard)")
         return out
 
-    def _step_etd_rk2(self, coeffs, dt, adv0, adv1):
+    def _step_etd_rk2(self, coeffs, dt, ramp):
         ez, p1, p2 = self._factor_set(dt)
-        n0 = self._rhs(coeffs, self._advect_at(adv0, adv1, 0.0), dt)
+        v0, v1 = ramp
+        n0 = self._rhs(coeffs, v0, dt)
         predictor = ez * coeffs + dt * p1 * n0
-        n1 = self._rhs(predictor, self._advect_at(adv0, adv1, 1.0), dt)
+        n1 = self._rhs(predictor, v1, dt)
         out = predictor + dt * p2 * (n1 - n0)
         if not np.all(np.isfinite(out)):
             raise GuardError("non-finite state after step (NaN guard)")
@@ -436,9 +468,13 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     t = 0.0
     try:
         for k in range(1, n_steps + 1):
-            dt = min(config.dt, config.t_final - t)
+            # A last step within round-off of dt is a full step, so it reuses
+            # the run's factor tables instead of building its own.
+            dt = config.t_final - t
+            if dt > config.dt * (1.0 - 1e-9):
+                dt = config.dt
             coeffs = stepper.step(coeffs, dt=dt)
-            t += dt
+            t = config.t_final if k == n_steps else t + dt
             if k % config.output_stride == 0 or k == n_steps:
                 emit(t, coeffs)
             if config.snapshot_stride > 0 and (

@@ -28,6 +28,28 @@ class _AcceptanceLog:
 
 
 @pytest.fixture
+def count_transforms(monkeypatch):
+    """``count_transforms(fn, *args, **kwargs)`` -> ``(result, transforms)``:
+    the number of ``scipy.fft`` ``rfft2``/``irfft2`` calls ``fn`` made."""
+    import scipy.fft
+
+    calls = [0]
+    for name in ("rfft2", "irfft2"):
+        def counted(*args, _original=getattr(scipy.fft, name), **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+
+    def count(fn, *args, **kwargs):
+        start = calls[0]
+        result = fn(*args, **kwargs)
+        return result, calls[0] - start
+
+    return count
+
+
+@pytest.fixture
 def acceptance():
     return _AcceptanceLog()
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sqglab.iterates as iterates_module
 from sqglab.dyadic import besov_norm, default_partition
 from sqglab.errors import OverflowGuardError, UsageError
 from sqglab.iterates import (
@@ -310,6 +311,8 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
     trace.parameters["data_diffs_besov_s0"] = data_diffs
     if len(data_diffs) >= 2 and all(v > 0.0 for v in data_diffs):
         trace.fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
+    # Spectra only: the stepper synthesizes every ramp velocity afresh, so
+    # the bitwise match checks the lockstep engine's velocity handover.
     zero = np.zeros((grid.n, half), dtype=np.complex128)
     previous_traj = previous_stored = None
     for idx in range(len(n_values)):
@@ -354,6 +357,44 @@ def test_lockstep_matches_sequential_loops(scheme, stride):
         want = sequential_picard(theta0, [0, 1, 2], 4.0, math.inf, cfg)
     assert got.to_dict() == want.to_dict()
     assert len(got.fits) > 2
+
+
+def test_lockstep_picard_cfl_max_matches_sequential_steppers(monkeypatch):
+    # The handed-over velocities go through the CFL guard at every stage,
+    # as the sequential oracle's freshly synthesized ones do.
+    made = []
+
+    class Recording(Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(iterates_module, "Stepper", Recording)
+    monkeypatch.setitem(globals(), "Stepper", Recording)
+    cfg = replace(CFG, nu=0.1)
+    theta0 = data_field(amp=3.0)
+    picard_besov_sequence(theta0, range(0, 3), 4.0, math.inf, cfg)
+    (lockstep,) = made
+    made.clear()
+    sequential_picard(theta0, [0, 1, 2], 4.0, math.inf, cfg)
+    assert len(made) == 3
+    assert lockstep.cfl_max > 0.0
+    assert lockstep.cfl_max == max(s.cfl_max for s in made)
+
+
+@pytest.mark.parametrize("integrator, per_step", [("if_rk4", 16), ("etd_rk2", 8)])
+def test_picard_transform_budget(integrator, per_step, count_transforms):
+    # Iterate 0 advects with the zero field: no transform.  Every later
+    # iterate synthesizes its first start velocity, then per step its end
+    # velocity (handed over as the next start), its mid velocity (IF-RK4
+    # only) and three transforms per stage.  With p = 2 the norm rows make
+    # none.
+    cfg = replace(CFG, integrator=integrator)
+    steps = int(round(cfg.t_final / cfg.dt))
+    iterates = 3  # cutoffs 0..2, the most a 64^2 grid resolves
+    _, calls = count_transforms(picard_besov_sequence, data_field(),
+                                range(0, iterates), 2.0, 2.0, cfg)
+    assert calls == (iterates - 1) * (per_step * steps + 2)
 
 
 def test_picard_memory_does_not_grow_with_steps():

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from sqglab.dyadic import default_partition
-from sqglab.errors import CflGuardError, OverflowGuardError, UsageError
+from sqglab.errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from sqglab.sampling import power_law_field
 from sqglab.solver import (
     INTEGRATORS,
+    _factor_tables,
     _phi1,
     _phi2,
     SolverConfig,
@@ -265,6 +266,55 @@ def test_cfl_guard_checks_every_stage(integrator):
         stepper.step(theta, advect_coeffs=np.zeros_like(theta),
                      advect_coeffs_end=fast)
     assert stepper.cfl_max > 2.0
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_zero_ramp_step_is_the_heat_flow_and_keeps_the_nan_guard(
+        integrator, count_transforms):
+    # The iterate-0 Picard step: frozen advection by the zero field.  Its
+    # tendencies are exactly zero and cost no transform, but a NaN in the
+    # state must still stop the step.
+    mask = grid_arrays(GRID).dealias_mask[:, :HALF]
+    coeffs = small_random(GRID, amp=0.3).coeffs[:, :HALF] * mask
+    zero = np.zeros_like(coeffs)
+    cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, integrator=integrator)
+    stepper = Stepper(cfg)
+    out, calls = count_transforms(stepper.step, coeffs, advect_coeffs=zero,
+                                  advect_coeffs_end=zero)
+    assert calls == 0
+    heat = MultiplierSpec.heat(cfg.nu, cfg.dt, cfg.gamma).symbol_on(GRID)[:, :HALF]
+    np.testing.assert_allclose(out, heat * coeffs, rtol=1e-14, atol=0.0)
+    assert stepper.cfl_max == 0.0
+    coeffs[3, 2] = np.nan
+    with pytest.raises(GuardError, match="NaN guard"):
+        stepper.step(coeffs, advect_coeffs=zero, advect_coeffs_end=zero)
+
+
+@pytest.mark.parametrize("integrator, transforms", [("if_rk4", 20), ("etd_rk2", 10)])
+def test_autonomous_step_transform_budget(integrator, transforms, count_transforms):
+    # Five transforms per stage: two for the velocity, two for the gradient
+    # and one back; no step may add more unnoticed.
+    mask = grid_arrays(GRID).dealias_mask[:, :HALF]
+    coeffs = small_random(GRID, amp=0.3).coeffs[:, :HALF] * mask
+    cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, integrator=integrator)
+    for projection in (None, 3):
+        stepper = Stepper(cfg, projection=projection)
+        _, calls = count_transforms(stepper.step, coeffs)
+        assert calls == transforms
+
+
+@pytest.mark.parametrize("t_final, misses", [(0.1, 1), (0.1005, 2)])
+def test_last_step_within_round_off_of_dt_is_a_full_step(t_final, misses):
+    # 100 steps of 1e-3 leave 0.0009999999999999315 for the last step; it
+    # runs as dt and reuses the run's factor tables.  A genuinely short last
+    # step (t_final 0.1005) builds its own.
+    theta = small_random(GRID, amp=0.3)
+    cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=t_final,
+                       output_stride=50)
+    _factor_tables.cache_clear()
+    series = run_simulation(theta, cfg)
+    assert _factor_tables.cache_info().misses == misses
+    assert series.column("t")[-1] == t_final
 
 
 def test_galerkin_truncation_support_invariant():

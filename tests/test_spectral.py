@@ -16,6 +16,7 @@ from sqglab.spectral import (
     GridSpec,
     MultiplierSpec,
     SpectralField,
+    advect,
     analyze,
     apply_multiplier,
     conjugate_flip,
@@ -40,6 +41,7 @@ from sqglab.spectral import (
     sobolev_weights,
     synthesize,
     transport,
+    velocity,
     weighted_norm,
 )
 
@@ -257,6 +259,40 @@ def test_transport_matches_complex_fft_formula(n, rng):
     # half spectra in, the same half spectrum out
     half = slice(0, n // 2 + 1)
     assert np.array_equal(transport(grid, f[:, half], g[:, half])[0], out)
+
+
+def test_transport_is_advect_by_velocity(rng, count_transforms):
+    grid = GridSpec(64)
+    mask = grid_arrays(grid).dealias_mask
+    f = random_field(grid, rng).coeffs * mask
+    targets = [random_field(grid, rng).coeffs * mask for _ in range(2)]
+    vel, calls = count_transforms(velocity, grid, f)
+    assert calls == 2
+    assert not vel.u1.flags.writeable and not vel.u2.flags.writeable
+    # one velocity serves several targets, bitwise as transport would
+    for g in targets:
+        out, calls = count_transforms(advect, grid, vel, g)
+        assert calls == 3
+        ref, umax = transport(grid, f, g)
+        assert np.array_equal(out, ref) and vel.umax == umax
+
+
+def test_zero_velocity_costs_no_transform(rng, count_transforms):
+    grid = GridSpec(64)
+    zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    g = random_field(grid, rng).coeffs
+    vel, calls = count_transforms(velocity, grid, zero)
+    assert calls == 0 and vel.umax == 0.0
+    assert vel.u1.shape == (grid.n, grid.n) and not vel.u1.any() and not vel.u2.any()
+    out, calls = count_transforms(advect, grid, vel, g)
+    assert calls == 0
+    assert out.shape == zero.shape and out.dtype == np.complex128 and not out.any()
+    ref = complex_fft_transport(grid, np.zeros_like(g), g)
+    assert np.array_equal(out, ref[:, : grid.n // 2 + 1])
+    # a NaN is a nonzero entry: it reaches the samples and the speed
+    bad = zero.copy()
+    bad[1, 2] = np.nan
+    assert math.isnan(velocity(grid, bad).umax)
 
 
 SAMPLERS = {
