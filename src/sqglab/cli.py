@@ -34,7 +34,7 @@ from .sampling import (
     low_pass_field,
     power_law_field,
 )
-from .solver import SolverConfig, _factor_tables, run_simulation
+from .solver import SolverConfig, _factor_tables, run_simulation, stepping_grid
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -338,8 +338,10 @@ def cmd_iterate(args, argv: list) -> int:
     started = _now()
     t0 = time.perf_counter()
     before = _cache_counts()
+    extra = {}
     if args.scheme == "galerkin":
         trace = galerkin_sequence(theta0, n_range, solver, s0=iterate["s0"])
+        extra["step_grids"] = [stepping_grid(solver.grid, n - 1).n for n in n_range]
     else:
         trace = picard_besov_sequence(
             theta0, n_range, iterate["p"], iterate["q"], solver, s0=iterate["s0"]
@@ -348,7 +350,8 @@ def cmd_iterate(args, argv: list) -> int:
     caches = _cache_deltas(before)
     manifest = RunManifest(
         command=argv,
-        config={"input": config, "resolved": _resolved(solver, seed, iterate=iterate)},
+        config={"input": config,
+                "resolved": _resolved(solver, seed, iterate=iterate, **extra)},
         seed=seed,
         artifact_version=__version__,
         started_at=started,

@@ -129,20 +129,24 @@ def _lockstep(
     each state's norm row, and the row of its difference from the previous
     iterate, is folded into running sups, and ``audit(i, state)`` sees the
     state; memory therefore grows with the number of iterates, not of steps.
+    The rows of the last stored time, t_final, are kept as the final rows.
     Differences are fitted geometrically against 2^n.
     """
     states = list(starts)
     norms = [None] * len(states)
     diffs = [None] * (len(states) - 1)
+    final_norms = [None] * len(states)
+    final_diffs = [None] * (len(states) - 1)
 
     def record(t, states):
         for i, coeffs in enumerate(states):
             if audit is not None:
                 audit(i, coeffs)
-            norms[i] = _fold_sup(norms[i], _norm_row(coeffs, t, config, s0))
+            final_norms[i] = _norm_row(coeffs, t, config, s0)
+            norms[i] = _fold_sup(norms[i], final_norms[i])
             if i:
-                row = _norm_row(coeffs - states[i - 1], t, config, s0)
-                diffs[i - 1] = _fold_sup(diffs[i - 1], row)
+                final_diffs[i - 1] = _norm_row(coeffs - states[i - 1], t, config, s0)
+                diffs[i - 1] = _fold_sup(diffs[i - 1], final_diffs[i - 1])
 
     t = 0.0
     record(t, states)
@@ -155,13 +159,18 @@ def _lockstep(
         if k % config.output_stride == 0 or k == n_steps:
             record(t, states)
 
+    def columns(rows):
+        return {label: [row[label] for row in rows] for label in NORM_LABELS}
+
     trace = IterateTrace(
         scheme=scheme,
         indices=n_values,
-        norms={label: [sup[label] for sup in norms] for label in NORM_LABELS},
-        diffs={label: [sup[label] for sup in diffs] for label in NORM_LABELS},
+        norms=columns(norms),
+        diffs=columns(diffs),
         fits=fits or {},
         parameters=parameters,
+        final_norms=columns(final_norms),
+        final_diffs=columns(final_diffs),
     )
     mids = [2.0**n for n in n_values[1:]]
     for label in NORM_LABELS:

@@ -176,8 +176,11 @@ class IterateTrace:
     """Per-iterate norm tables from an approximation scheme.
 
     ``norms[label][i]`` is the named norm of iterate i; ``diffs[label][i]``
-    the norm of the difference between iterates i+1 and i.  Rate fits are
-    attached by the producing routine.
+    the norm of the difference between iterates i+1 and i.  Both are sups
+    over the stored times; ``final_norms`` and ``final_diffs`` hold the same
+    norms at the final time alone, which see the time stepping even when
+    every sup is taken at t = 0.  Rate fits are attached by the producing
+    routine.
     """
 
     scheme: str
@@ -186,6 +189,8 @@ class IterateTrace:
     diffs: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
     parameters: dict = field(default_factory=dict)
+    final_norms: dict = field(default_factory=dict)
+    final_diffs: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -196,6 +201,8 @@ class IterateTrace:
             "diffs": _jsonable(self.diffs),
             "fits": {k: v.to_dict() for k, v in self.fits.items()},
             "parameters": _jsonable(self.parameters),
+            "final_norms": _jsonable(self.final_norms),
+            "final_diffs": _jsonable(self.final_diffs),
         }
 
     def write_json(self, path: str) -> None:
@@ -204,17 +211,19 @@ class IterateTrace:
             fh.write("\n")
 
     def write_csv(self, path: str) -> None:
-        labels = sorted(self.norms) + [f"diff_{k}" for k in sorted(self.diffs)]
+        columns = [
+            (f"{prefix}{lab}", table[lab])
+            for prefix, table in (("", self.norms), ("diff_", self.diffs),
+                                  ("final_", self.final_norms),
+                                  ("final_diff_", self.final_diffs))
+            for lab in sorted(table)
+        ]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["index"] + labels) + "\n")
+            fh.write(",".join(["index"] + [name for name, _ in columns]) + "\n")
             for row, idx in enumerate(self.indices):
-                cells = [str(idx)]
-                for lab in sorted(self.norms):
-                    col = self.norms[lab]
-                    cells.append("%.17g" % col[row] if row < len(col) else "")
-                for lab in sorted(self.diffs):
-                    col = self.diffs[lab]
-                    cells.append("%.17g" % col[row] if row < len(col) else "")
+                cells = [str(idx)] + [
+                    "%.17g" % col[row] if row < len(col) else "" for _, col in columns
+                ]
                 fh.write(",".join(cells) + "\n")
 
 

@@ -22,6 +22,7 @@ from .errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from .reports import write_timeseries_csv
 from .spectral import (
     GEVREY_EXPONENT_CAP,
+    PROFILE_OUTER,
     GridSpec,
     MultiplierSpec,
     SpectralField,
@@ -177,6 +178,34 @@ def _factor_tables(grid: GridSpec, nu: float, gamma: float, dt: float,
     return tables
 
 
+def stepping_grid(grid: GridSpec, projection: int | None) -> GridSpec:
+    """The smallest grid on which a step under ``projection`` is exact.
+
+    The Galerkin low-pass at scale 2^p vanishes for |k| >= PROFILE_OUTER 2^p,
+    a radius R = PROFILE_OUTER 2^p / freq_scale in lattice units, and the
+    truncated tendency projects a product of two fields supported inside it.
+    On N > 3R points every alias of that product lands past R, where the
+    projection vanishes, so stepping there is exact.  The smallest such
+    power of two N >= 8 is taken; ``grid`` itself is kept when N is not
+    below ``grid.n`` or when a dealias mask would clip the support (the
+    sub-grid's: the larger ``grid``'s radius then clips nothing either).
+    """
+    if projection is None:
+        return grid
+    # A hair of margin so that a mode at round-off distance from R counts
+    # as inside the support.
+    radius = PROFILE_OUTER * 2.0**projection / grid.freq_scale * (1.0 + 1e-9)
+    size = 8
+    while size <= 3.0 * radius:
+        size *= 2
+    if size >= grid.n:
+        return grid
+    sub = GridSpec(size, grid.period, grid.dealias_fraction)
+    if sub.dealias_radius < radius * grid.freq_scale:
+        return grid
+    return sub
+
+
 class Stepper:
     """Advances a half spectrum by dt with the configured scheme.
 
@@ -186,21 +215,29 @@ class Stepper:
     into the linear advection-diffusion flow used by the Picard scheme; the
     override is treated as frozen within the step, and its velocity is
     synthesized once per stage time, not once per stage.
+
+    With a ``projection`` the step runs on :func:`stepping_grid`: the state
+    is restricted to that grid's half spectrum, stepped there and embedded
+    back; the modes outside it carry no tendency and get the heat flow.  The
+    CFL guard keeps the full grid's dealias radius as its ``kmax``.
     """
 
     def __init__(self, config: SolverConfig, projection: int | None = None):
         self.config = config
         self.projection = projection
         self.grid = config.grid
+        self.step_grid = stepping_grid(self.grid, projection)
         self._shape = (self.grid.n, self.grid.n // 2 + 1)
-        self._low = None if projection is None else _half_low_pass(self.grid, projection)
+        self._low = (None if projection is None
+                     else _half_low_pass(self.step_grid, projection))
         self._kmax = self.grid.dealias_radius
         self.cfl_max = 0.0
         self._warned = False
 
-    def _factor_set(self, dt: float) -> tuple:
+    def _factor_set(self, dt: float, grid: GridSpec | None = None) -> tuple:
         cfg = self.config
-        return _factor_tables(self.grid, cfg.nu, cfg.gamma, dt, cfg.integrator)
+        grid = self.step_grid if grid is None else grid
+        return _factor_tables(grid, cfg.nu, cfg.gamma, dt, cfg.integrator)
 
     def _rhs(self, coeffs: np.ndarray, vel: Velocity | None, dt: float):
         """Stage tendency; every stage's velocity goes through the CFL guard.
@@ -209,7 +246,7 @@ class Stepper:
         state by its own velocity.
         """
         if vel is None:
-            out, umax = _advective_rhs(self.grid, coeffs, self._low)
+            out, umax = _advective_rhs(self.step_grid, coeffs, self._low)
         else:
             out, umax = advect(self.grid, vel, coeffs), vel.umax
             np.negative(out, out=out)
@@ -255,12 +292,45 @@ class Stepper:
                     f"{name} has shape {np.shape(arr)}; the stepper takes half "
                     f"spectra of shape {self._shape}"
                 )
+        if advect_coeffs is not None and self.projection is not None:
+            raise UsageError(
+                "a frozen advecting field does not combine with a projection: "
+                "its tendency would not be truncated"
+            )
         dt = self.config.dt if dt is None else dt
         rk4 = self.config.integrator == "if_rk4"
         ramp = self._ramp(advect_coeffs, advect_coeffs_end, advect_velocities, rk4)
+        state = self._restrict(coeffs)
         if rk4:
-            return self._step_if_rk4(coeffs, dt, ramp)
-        return self._step_etd_rk2(coeffs, dt, ramp)
+            out = self._step_if_rk4(state, dt, ramp)
+        else:
+            out = self._step_etd_rk2(state, dt, ramp)
+        out = self._embed(coeffs, out, dt)
+        if not np.all(np.isfinite(out)):
+            raise GuardError("non-finite state after step (NaN guard)")
+        return out
+
+    def _restrict(self, coeffs: np.ndarray) -> np.ndarray:
+        """The step grid's half spectrum: rows ``m1`` in ``[-N/2, N/2)`` and
+        columns ``0..N/2`` of ``coeffs``."""
+        if self.step_grid is self.grid:
+            return coeffs
+        n, h = self.grid.n, self.step_grid.n // 2
+        return np.concatenate((coeffs[:h, : h + 1], coeffs[n - h :, : h + 1]))
+
+    def _embed(self, coeffs: np.ndarray, stepped: np.ndarray, dt: float) -> np.ndarray:
+        """The full half spectrum after a step: ``stepped`` on the step grid's
+        modes, the heat flow of ``coeffs`` on the rest (their tendency is
+        zero: the projection vanishes there)."""
+        if self.step_grid is self.grid:
+            return stepped
+        n, h = self.grid.n, self.step_grid.n // 2
+        # e^z over the whole step: IF-RK4's second table, ETD-RK2's first.
+        tables = self._factor_set(dt, self.grid)
+        out = tables[1 if self.config.integrator == "if_rk4" else 0] * coeffs
+        out[:h, : h + 1] = stepped[:h]
+        out[n - h :, : h + 1] = stepped[h:]
+        return out
 
     def _ramp(self, start, end, given, mid: bool) -> tuple:
         """Velocities at the stage times of a step: start, mid (if ``mid``)
@@ -282,7 +352,11 @@ class Stepper:
             v1 = velocity(self.grid, end)
         if not mid:
             return v0, v1
-        return v0, velocity(self.grid, 0.5 * start + 0.5 * end), v1
+        # Halving the sum is exact, so this equals 0.5*start + 0.5*end with
+        # one temporary instead of three.
+        middle = start + end
+        middle *= 0.5
+        return v0, velocity(self.grid, middle), v1
 
     def _step_if_rk4(self, coeffs, dt, ramp):
         e1, e2 = self._factor_set(dt)
@@ -291,10 +365,7 @@ class Stepper:
         m2 = self._rhs(e1 * (coeffs + 0.5 * dt * m1), vh, dt)
         m3 = self._rhs(e1 * coeffs + 0.5 * dt * m2, vh, dt)
         m4 = self._rhs(e2 * coeffs + dt * e1 * m3, v1, dt)
-        out = e2 * coeffs + (dt / 6.0) * (e2 * m1 + 2.0 * e1 * (m2 + m3) + m4)
-        if not np.all(np.isfinite(out)):
-            raise GuardError("non-finite state after step (NaN guard)")
-        return out
+        return e2 * coeffs + (dt / 6.0) * (e2 * m1 + 2.0 * e1 * (m2 + m3) + m4)
 
     def _step_etd_rk2(self, coeffs, dt, ramp):
         ez, p1, p2 = self._factor_set(dt)
@@ -302,10 +373,7 @@ class Stepper:
         n0 = self._rhs(coeffs, v0, dt)
         predictor = ez * coeffs + dt * p1 * n0
         n1 = self._rhs(predictor, v1, dt)
-        out = predictor + dt * p2 * (n1 - n0)
-        if not np.all(np.isfinite(out)):
-            raise GuardError("non-finite state after step (NaN guard)")
-        return out
+        return predictor + dt * p2 * (n1 - n0)
 
 
 @dataclass

@@ -27,24 +27,36 @@ class _AcceptanceLog:
         return passed
 
 
+class Transforms(int):
+    """A transform count that also carries ``points``: the real samples the
+    transforms consumed (``rfft2``) or produced (``irfft2``)."""
+
+    points: int
+
+
 @pytest.fixture
 def count_transforms(monkeypatch):
     """``count_transforms(fn, *args, **kwargs)`` -> ``(result, transforms)``:
-    the number of ``scipy.fft`` ``rfft2``/``irfft2`` calls ``fn`` made."""
+    the number of ``scipy.fft`` ``rfft2``/``irfft2`` calls ``fn`` made, with
+    the points they transformed as ``transforms.points``."""
     import scipy.fft
 
-    calls = [0]
+    calls, points = [0], [0]
     for name in ("rfft2", "irfft2"):
-        def counted(*args, _original=getattr(scipy.fft, name), **kwargs):
+        def counted(*args, _original=getattr(scipy.fft, name), _name=name, **kwargs):
+            out = _original(*args, **kwargs)
             calls[0] += 1
-            return _original(*args, **kwargs)
+            points[0] += np.size(out if _name == "irfft2" else args[0])
+            return out
 
         monkeypatch.setattr(scipy.fft, name, counted)
 
     def count(fn, *args, **kwargs):
-        start = calls[0]
+        start, start_points = calls[0], points[0]
         result = fn(*args, **kwargs)
-        return result, calls[0] - start
+        transforms = Transforms(calls[0] - start)
+        transforms.points = points[0] - start_points
+        return result, transforms
 
     return count
 

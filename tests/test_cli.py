@@ -238,6 +238,18 @@ def test_iterate_writes_trace(tmp_path):
     assert manifest["config"]["input"]["iterate"] == {"n_min": 1, "n_max": 3}
 
 
+def test_iterate_manifest_records_step_grids(tmp_path):
+    # 32^2, cutoffs 1..3: projections 0, 1 and 2 step on 8^2, 8^2 and 16^2.
+    # Picard steps every iterate on the full grid and records none.
+    for scheme, iterate, grids in (("galerkin", {"n_min": 1, "n_max": 3}, [8, 8, 16]),
+                                   ("picard", {"n_min": 0, "n_max": 1}, None)):
+        cfg = write_config(tmp_path / f"{scheme}.json", iterate=iterate)
+        out = tmp_path / scheme
+        assert main(["iterate", scheme, str(cfg), "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["config"]["resolved"].get("step_grids") == grids
+
+
 def test_iterate_guard_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "it.json", iterate={"n_min": 1, "n_max": 9})
     assert main(["iterate", "galerkin", str(cfg), "--output-dir", str(tmp_path)]) == 1

@@ -10,7 +10,7 @@ import pytest
 
 import sqglab.iterates as iterates_module
 from sqglab.dyadic import besov_norm, default_partition
-from sqglab.errors import OverflowGuardError, UsageError
+from sqglab.errors import CflGuardError, OverflowGuardError, UsageError
 from sqglab.iterates import (
     DEFAULT_S0,
     NORM_LABELS,
@@ -226,10 +226,12 @@ def _fit_diffs(trace, n_values):
 
 
 def _fold_stored(trace, stored, previous, config, s0):
+    # Sups over the stored times, and the rows of the last one (t_final).
     rows = [_norm_row(c, ts, config, s0) for ts, c in stored]
     sups = _sup_rows(rows)
     for label in NORM_LABELS:
         trace.norms[label].append(sups[label])
+        trace.final_norms.setdefault(label, []).append(rows[-1][label])
     if previous is not None:
         diff_rows = [
             _norm_row(c_new - c_old, ts, config, s0)
@@ -238,6 +240,7 @@ def _fold_stored(trace, stored, previous, config, s0):
         dsup = _sup_rows(diff_rows)
         for label in NORM_LABELS:
             trace.diffs[label].append(dsup[label])
+            trace.final_diffs.setdefault(label, []).append(diff_rows[-1][label])
 
 
 def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
@@ -418,3 +421,50 @@ def test_picard_memory_does_not_grow_with_steps():
     peak(4)  # builds the per-grid caches outside the measured runs
     short, long = peak(12), peak(48)
     assert long <= 1.2 * short, (short / 2**20, long / 2**20)
+
+
+def test_galerkin_path_keeps_the_cfl_guard():
+    # Full-grid stepping reads CFL 2.70 on the first step of cutoff 2; its
+    # 8^2 step grid samples the peak speed at fewer points and reads 2.47,
+    # still past the hard limit with the full grid's dealias radius as kmax.
+    cfg = SolverConfig(grid=GRID, nu=0.001, gamma=0.5, dt=5e-3, t_final=0.05)
+    with pytest.raises(CflGuardError, match="hard limit"):
+        galerkin_sequence(data_field(amp=100.0), range(2, 5), cfg)
+
+
+def test_galerkin_transform_points_budget(count_transforms):
+    # Cutoffs 3..7 at 256^2 step on 16^2, 32^2, 64^2, 128^2 and 256^2: 20
+    # transforms per IF-RK4 step each, as before, but 3.75x fewer points
+    # than five 256^2 steppers.  The norm rows and the audit transform
+    # nothing, and the states stay inside their cutoffs.
+    grid = GridSpec(256)
+    field = power_law_field(grid, 2.7, np.random.default_rng(0))
+    theta0 = field.with_coeffs(field.coeffs / sobolev_norm(field, 0.0))
+    steps = 2
+    cfg = SolverConfig(grid=grid, nu=1.0, gamma=0.5, dt=1e-3, t_final=steps * 1e-3)
+    trace, calls = count_transforms(galerkin_sequence, theta0, range(3, 8), cfg)
+    sizes = (16, 32, 64, 128, 256)
+    assert calls == 20 * steps * len(sizes)
+    assert calls.points == 20 * steps * sum(n * n for n in sizes)
+    assert 3.75 < 5 * 256**2 / sum(n * n for n in sizes) < 3.76
+    assert trace.parameters["max_support_leak"] <= 1e-20
+
+
+def test_final_rows_see_the_picard_ramp(monkeypatch):
+    # At nu = 1 >= eps0 the sups come from t = 0, so they cannot tell a ramp
+    # frozen at the step start from the true one; the final-time rows can.
+    theta0 = data_field()
+    good = picard_besov_sequence(theta0, range(0, 3), 2.0, 2.0, CFG)
+    step = Stepper.step
+
+    def frozen(self, coeffs, dt=None, advect_coeffs=None, advect_coeffs_end=None,
+               advect_velocities=None):
+        return step(self, coeffs, dt, advect_coeffs, advect_coeffs)
+
+    monkeypatch.setattr(Stepper, "step", frozen)
+    bad = picard_besov_sequence(theta0, range(0, 3), 2.0, 2.0, CFG)
+    assert bad.norms == good.norms and bad.diffs == good.diffs
+    for label in NORM_LABELS:
+        assert bad.final_norms[label][0] == good.final_norms[label][0]
+        assert bad.final_norms[label][2] != good.final_norms[label][2]
+        assert bad.final_diffs[label] != good.final_diffs[label]

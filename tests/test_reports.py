@@ -121,6 +121,30 @@ def test_iterate_trace_outputs(tmp_path):
     assert raw["fits"]["l2"]["slope"] == pytest.approx(-1.0)
 
 
+def test_iterate_trace_writes_final_rows(tmp_path):
+    trace = IterateTrace(
+        scheme="picard",
+        indices=[0, 1],
+        norms={"l2": [1.0, 1.1]},
+        diffs={"l2": [0.5]},
+        final_norms={"l2": [0.9, 0.95]},
+        final_diffs={"l2": [0.25]},
+    )
+    csv_path = tmp_path / "t.csv"
+    json_path = tmp_path / "t.json"
+    trace.write_csv(str(csv_path))
+    trace.write_json(str(json_path))
+    assert csv_path.read_text().splitlines() == [
+        "index,l2,diff_l2,final_l2,final_diff_l2",
+        "0,1,0.5,0.90000000000000002,0.25",
+        "1,1.1000000000000001,,0.94999999999999996,",
+    ]
+    raw = json.loads(json_path.read_text())
+    assert raw["final_norms"] == {"l2": [0.9, 0.95]}
+    assert raw["final_diffs"] == {"l2": [0.25]}
+    assert raw["norms"] == {"l2": [1.0, 1.1]} and raw["diffs"] == {"l2": [0.5]}
+
+
 def test_timeseries_csv_rejects_ragged(tmp_path):
     with pytest.raises(UsageError):
         write_timeseries_csv(str(tmp_path / "x.csv"), {"t": [0, 1], "v": [1.0]})

@@ -22,6 +22,7 @@ from sqglab.solver import (
     mild_residual,
     nonlinear_term,
     run_simulation,
+    stepping_grid,
 )
 from sqglab.spectral import (
     GridSpec,
@@ -556,6 +557,12 @@ class FullLatticeStepper:
         return predictor + dt * p2 * (n1 - n0)
 
 
+def lattice_rows(n, size):
+    """Rows (and columns) of an n^2 full lattice that a size^2 grid holds:
+    ``m`` in ``[-size/2, size/2)``, in FFT order."""
+    return np.r_[0 : size // 2, n - size // 2 : n]
+
+
 @pytest.mark.parametrize("mode", ["plain", "galerkin", "picard_ramp"])
 @pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
@@ -568,19 +575,87 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
     if mode == "picard_ramp":
         adv0 = small_random(GRID, seed=6, amp=0.5).coeffs * mask
         adv1 = small_random(GRID, seed=7, amp=0.5).coeffs * mask
-    oracle = FullLatticeStepper(cfg, projection)
     stepper = Stepper(cfg, projection)
+    # A projection steps on the grid that resolves it (32^2 here), so the
+    # oracle runs there on the Galerkin data, which are zero outside it.
+    rows = lattice_rows(GRID.n, stepper.step_grid.n)
+    width = stepper.step_grid.n // 2 + 1
     half = full[:, :HALF]
+    if projection is not None:
+        assert stepper.step_grid.n == 32
+        half = half * MultiplierSpec.low_pass(projection).symbol_on(GRID)[:, :HALF]
+        full = hermitian_extension(GRID, half)[np.ix_(rows, rows)]
+    oracle = FullLatticeStepper(replace(cfg, grid=stepper.step_grid), projection)
     kwargs = {}
     if adv0 is not None:
         kwargs = {"advect_coeffs": adv0[:, :HALF], "advect_coeffs_end": adv1[:, :HALF]}
+    outside = np.ones((GRID.n, HALF), dtype=bool)
+    outside[np.ix_(rows, np.arange(width))] = False
     for _ in range(6):
         full = oracle.step(full, adv0, adv1)
         half = stepper.step(half, **kwargs)
         assert half.shape == (GRID.n, HALF)
-        assert np.array_equal(half, full[:, :HALF])
+        assert np.array_equal(half[rows, :width], full[:, :width])
+        assert not np.any(half[outside])
     # the data are exactly Hermitian, so the full state is the half's extension
-    assert np.array_equal(hermitian_extension(GRID, half), full)
+    assert np.array_equal(hermitian_extension(GRID, half)[np.ix_(rows, rows)], full)
+
+
+# (grid, {projection: step grid size}) for the reduced-grid agreement tests.
+STEP_GRID_CASES = {
+    "256": (GridSpec(256), {0: 8, 1: 8, 2: 16, 3: 32, 4: 64, 5: 128, 6: 256}),
+    "96": (GridSpec(96), {0: 8, 1: 8, 2: 16, 3: 32, 4: 64}),
+    "period_3": (GridSpec(128, period=3.0), {0: 8, 1: 8, 2: 8, 3: 16, 4: 32, 5: 64}),
+    "dealias_1": (GridSpec(64, dealias_fraction=1.0), {0: 8, 1: 8, 2: 16, 3: 32}),
+    # A quarter of the sub-grid's points no longer covers R: the fallback.
+    "dealias_0.5": (GridSpec(64, dealias_fraction=0.5), {0: 8, 1: 64, 2: 64}),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_GRID_CASES))
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_reduced_grid_steps_agree_with_full_grid_steps(integrator, case):
+    grid, sizes = STEP_GRID_CASES[case]
+    width = grid.n // 2 + 1
+    field = power_law_field(grid, 2.0, np.random.default_rng(3))
+    field = field.with_coeffs(field.coeffs * 2.0 / sobolev_norm(field, 0.0))
+    cfg = SolverConfig(grid=grid, nu=0.1, gamma=0.5, dt=2e-3, integrator=integrator)
+    for projection, size in sizes.items():
+        stepper = Stepper(cfg, projection)
+        assert stepper.step_grid.n == size
+        assert (stepper.step_grid is grid) == (size == grid.n)
+        low = MultiplierSpec.low_pass(projection).symbol_on(grid)
+        full = field.coeffs * grid_arrays(grid).dealias_mask * low
+        oracle = FullLatticeStepper(cfg, projection)
+        heat = MultiplierSpec.heat(cfg.nu, 4 * cfg.dt, cfg.gamma).symbol_on(grid)
+        linear = (heat * full)[:, :width]
+        half = full[:, :width]
+        for _ in range(4):
+            full = oracle.step(full)
+            half = stepper.step(half)
+        want = full[:, :width]
+        scale = np.max(np.abs(want))
+        if scale == 0.0:  # no mode inside the support (period 3, projection 0)
+            assert not np.any(half)
+            continue
+        assert np.max(np.abs(half - want)) <= 1e-14 * scale, (projection, size)
+        if size >= 16:  # the transport term moved the state well past round-off
+            assert np.max(np.abs(want - linear)) > 1e-6 * scale
+
+
+def test_stepping_grid_edge_cases():
+    small = GridSpec(8)
+    assert stepping_grid(GRID, None) is GRID
+    assert stepping_grid(small, 0) is small  # N = 8 is not below n
+    assert stepping_grid(GridSpec(12), 1) == GridSpec(8)  # n need not be 2^k
+    assert stepping_grid(GRID, 40) is GRID
+
+
+def test_frozen_advection_rejects_a_projection():
+    stepper = Stepper(SolverConfig(grid=GRID), projection=3)
+    half = small_random(GRID, amp=0.3).coeffs[:, :HALF]
+    with pytest.raises(UsageError, match="projection"):
+        stepper.step(half, advect_coeffs=half)
 
 
 def test_saved_final_state_is_byte_identical_to_full_lattice_run():
@@ -618,9 +693,11 @@ def test_steppers_share_read_only_factor_tables(integrator):
     b = Stepper(replace(cfg, t_final=0.5), projection=3)
     tables_a, tables_b = a._factor_set(cfg.dt), b._factor_set(cfg.dt)
     assert len(tables_a) == (2 if integrator == "if_rk4" else 3)
+    # Projection 3 steps on 32^2, so the tables are that grid's half width.
+    assert a.step_grid == b.step_grid == GridSpec(32)
     for ta, tb in zip(tables_a, tables_b):
         assert ta is tb
-        assert ta.shape == (GRID.n, HALF)
+        assert ta.shape == (32, 17)
         assert not ta.flags.writeable
     assert a._low is b._low and not a._low.flags.writeable
     other = Stepper(replace(cfg, nu=0.2))._factor_set(cfg.dt)
