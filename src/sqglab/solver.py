@@ -185,10 +185,10 @@ def stepping_grid(grid: GridSpec, projection: int | None) -> GridSpec:
     a radius R = PROFILE_OUTER 2^p / freq_scale in lattice units, and the
     truncated tendency projects a product of two fields supported inside it.
     On N > 3R points every alias of that product lands past R, where the
-    projection vanishes, so stepping there is exact.  The smallest such
-    power of two N >= 8 is taken; ``grid`` itself is kept when N is not
-    below ``grid.n`` or when a dealias mask would clip the support (the
-    sub-grid's: the larger ``grid``'s radius then clips nothing either).
+    projection vanishes, and a dealias mask of radius
+    N dealias_fraction / 2 >= R clips none of the support, so stepping there
+    is exact.  The smallest such power of two N >= 8 is taken; ``grid``
+    itself is kept when N is not below ``grid.n``.
     """
     if projection is None:
         return grid
@@ -196,14 +196,11 @@ def stepping_grid(grid: GridSpec, projection: int | None) -> GridSpec:
     # as inside the support.
     radius = PROFILE_OUTER * 2.0**projection / grid.freq_scale * (1.0 + 1e-9)
     size = 8
-    while size <= 3.0 * radius:
+    while size <= 3.0 * radius or grid.dealias_fraction * size / 2 < radius:
         size *= 2
     if size >= grid.n:
         return grid
-    sub = GridSpec(size, grid.period, grid.dealias_fraction)
-    if sub.dealias_radius < radius * grid.freq_scale:
-        return grid
-    return sub
+    return GridSpec(size, grid.period, grid.dealias_fraction)
 
 
 class Stepper:
@@ -219,7 +216,9 @@ class Stepper:
     With a ``projection`` the step runs on :func:`stepping_grid`: the state
     is restricted to that grid's half spectrum, stepped there and embedded
     back; the modes outside it carry no tendency and get the heat flow.  The
-    CFL guard keeps the full grid's dealias radius as its ``kmax``.
+    CFL guard keeps the full grid's dealias radius as its ``kmax`` but reads
+    the peak speed from the step grid's samples, which can fall below the
+    full grid's.
     """
 
     def __init__(self, config: SolverConfig, projection: int | None = None):

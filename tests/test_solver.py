@@ -38,6 +38,7 @@ from sqglab.spectral import (
     riesz_perp,
     sobolev_norm,
     transport,
+    velocity,
 )
 
 from oracles import besov_sample_oracle, full_sobolev_norm, gevrey_warm
@@ -570,35 +571,40 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
                        integrator=integrator)
     projection = 3 if mode == "galerkin" else None
     mask = grid_arrays(GRID).dealias_mask
+    # Dealiased, not projected: under the projection the state has modes
+    # outside its support and outside the step grid.
     full = small_random(GRID, amp=0.5).coeffs * mask
     adv0 = adv1 = None
     if mode == "picard_ramp":
         adv0 = small_random(GRID, seed=6, amp=0.5).coeffs * mask
         adv1 = small_random(GRID, seed=7, amp=0.5).coeffs * mask
     stepper = Stepper(cfg, projection)
-    # A projection steps on the grid that resolves it (32^2 here), so the
-    # oracle runs there on the Galerkin data, which are zero outside it.
-    rows = lattice_rows(GRID.n, stepper.step_grid.n)
-    width = stepper.step_grid.n // 2 + 1
+    sub = stepper.step_grid
+    assert sub.n == (32 if projection is not None else GRID.n)
+    # The step grid's modes follow the oracle on that grid; every other mode
+    # carries no tendency, so there the full-grid oracle's e^z coeffs holds
+    # exactly.
+    rows = lattice_rows(GRID.n, sub.n)
+    width = sub.n // 2 + 1
     half = full[:, :HALF]
-    if projection is not None:
-        assert stepper.step_grid.n == 32
-        half = half * MultiplierSpec.low_pass(projection).symbol_on(GRID)[:, :HALF]
-        full = hermitian_extension(GRID, half)[np.ix_(rows, rows)]
-    oracle = FullLatticeStepper(replace(cfg, grid=stepper.step_grid), projection)
+    state = hermitian_extension(sub, half[rows, :width])
+    oracle = FullLatticeStepper(replace(cfg, grid=sub), projection)
+    wide = FullLatticeStepper(cfg, projection)
     kwargs = {}
     if adv0 is not None:
         kwargs = {"advect_coeffs": adv0[:, :HALF], "advect_coeffs_end": adv1[:, :HALF]}
     outside = np.ones((GRID.n, HALF), dtype=bool)
     outside[np.ix_(rows, np.arange(width))] = False
+    assert np.any(half[outside]) == (projection is not None)
     for _ in range(6):
-        full = oracle.step(full, adv0, adv1)
+        state = oracle.step(state, adv0, adv1)
+        full = wide.step(full, adv0, adv1)
         half = stepper.step(half, **kwargs)
         assert half.shape == (GRID.n, HALF)
-        assert np.array_equal(half[rows, :width], full[:, :width])
-        assert not np.any(half[outside])
+        assert np.array_equal(half[rows, :width], state[:, :width])
+        assert np.array_equal(half[outside], full[:, :HALF][outside])
     # the data are exactly Hermitian, so the full state is the half's extension
-    assert np.array_equal(hermitian_extension(GRID, half)[np.ix_(rows, rows)], full)
+    assert np.array_equal(hermitian_extension(sub, half[rows, :width]), state)
 
 
 # (grid, {projection: step grid size}) for the reduced-grid agreement tests.
@@ -606,9 +612,10 @@ STEP_GRID_CASES = {
     "256": (GridSpec(256), {0: 8, 1: 8, 2: 16, 3: 32, 4: 64, 5: 128, 6: 256}),
     "96": (GridSpec(96), {0: 8, 1: 8, 2: 16, 3: 32, 4: 64}),
     "period_3": (GridSpec(128, period=3.0), {0: 8, 1: 8, 2: 8, 3: 16, 4: 32, 5: 64}),
-    "dealias_1": (GridSpec(64, dealias_fraction=1.0), {0: 8, 1: 8, 2: 16, 3: 32}),
-    # A quarter of the sub-grid's points no longer covers R: the fallback.
-    "dealias_0.5": (GridSpec(64, dealias_fraction=0.5), {0: 8, 1: 64, 2: 64}),
+    "dealias_1": (GridSpec(64, dealias_fraction=1.0), {0: 8, 1: 8, 2: 16, 3: 32, 4: 64}),
+    # The mask keeps N/4 here, so N grows past 3R until N/4 >= R; at p = 3
+    # that reaches n: the fallback.
+    "dealias_0.5": (GridSpec(64, dealias_fraction=0.5), {0: 8, 1: 16, 2: 32, 3: 64}),
 }
 
 
@@ -620,27 +627,30 @@ def test_reduced_grid_steps_agree_with_full_grid_steps(integrator, case):
     field = power_law_field(grid, 2.0, np.random.default_rng(3))
     field = field.with_coeffs(field.coeffs * 2.0 / sobolev_norm(field, 0.0))
     cfg = SolverConfig(grid=grid, nu=0.1, gamma=0.5, dt=2e-3, integrator=integrator)
+    dealiased = field.coeffs * grid_arrays(grid).dealias_mask
     for projection, size in sizes.items():
         stepper = Stepper(cfg, projection)
         assert stepper.step_grid.n == size
         assert (stepper.step_grid is grid) == (size == grid.n)
         low = MultiplierSpec.low_pass(projection).symbol_on(grid)
-        full = field.coeffs * grid_arrays(grid).dealias_mask * low
-        oracle = FullLatticeStepper(cfg, projection)
-        heat = MultiplierSpec.heat(cfg.nu, 4 * cfg.dt, cfg.gamma).symbol_on(grid)
-        linear = (heat * full)[:, :width]
-        half = full[:, :width]
-        for _ in range(4):
-            full = oracle.step(full)
-            half = stepper.step(half)
-        want = full[:, :width]
-        scale = np.max(np.abs(want))
-        if scale == 0.0:  # no mode inside the support (period 3, projection 0)
-            assert not np.any(half)
-            continue
-        assert np.max(np.abs(half - want)) <= 1e-14 * scale, (projection, size)
-        if size >= 16:  # the transport term moved the state well past round-off
-            assert np.max(np.abs(want - linear)) > 1e-6 * scale
+        # Projected data, and data with modes outside the support (which
+        # reach past the step grid whenever it is smaller than the grid).
+        for full in (dealiased * low, dealiased):
+            oracle = FullLatticeStepper(cfg, projection)
+            heat = MultiplierSpec.heat(cfg.nu, 4 * cfg.dt, cfg.gamma).symbol_on(grid)
+            linear = (heat * full)[:, :width]
+            half = full[:, :width]
+            for _ in range(4):
+                full = oracle.step(full)
+                half = stepper.step(half)
+            want = full[:, :width]
+            scale = np.max(np.abs(want))
+            if scale == 0.0:  # no mode inside the support (period 3, projection 0)
+                assert not np.any(half)
+                continue
+            assert np.max(np.abs(half - want)) <= 1e-14 * scale, (projection, size)
+            if size >= 16:  # the transport term moved the state well past round-off
+                assert np.max(np.abs(want - linear)) > 1e-6 * scale
 
 
 def test_stepping_grid_edge_cases():
@@ -649,6 +659,32 @@ def test_stepping_grid_edge_cases():
     assert stepping_grid(small, 0) is small  # N = 8 is not below n
     assert stepping_grid(GridSpec(12), 1) == GridSpec(8)  # n need not be 2^k
     assert stepping_grid(GRID, 40) is GRID
+
+
+def test_step_grid_samples_the_peak_speed_at_most_15_percent_low():
+    # The CFL guard reads max |u| from the samples of the grid it steps on.
+    # A step grid N ~ 3.4 R samples the band-limited velocity more coarsely
+    # than the full grid, so it can read low; pin how far on rough and
+    # smooth power-law data (worst here 0.851 of the full grid's read, at
+    # p = 1 on 8^2, alpha 1).
+    grid = GridSpec(128)
+    width = grid.n // 2 + 1
+    mask = grid_arrays(grid).dealias_mask[:, :width]
+    cfg = SolverConfig(grid=grid, dt=1e-3)
+    ratios = []
+    for projection in range(5):
+        stepper = Stepper(cfg, projection)
+        assert stepper.step_grid.n == max(8, 2 ** (projection + 2))
+        low = MultiplierSpec.low_pass(projection).symbol_on(grid)[:, :width]
+        for alpha in (1.0, 2.7):
+            for seed in range(40):
+                half = power_law_field(grid, alpha, np.random.default_rng(seed)).coeffs
+                half = half[:, :width] * mask
+                stepper.cfl_max = 0.0
+                stepper._rhs(stepper._restrict(half), None, cfg.dt)
+                full_grid = cfg.dt * grid.dealias_radius * velocity(grid, half * low).umax
+                ratios.append(stepper.cfl_max / full_grid)
+    assert min(ratios) >= 0.85, min(ratios)
 
 
 def test_frozen_advection_rejects_a_projection():
