@@ -40,6 +40,7 @@ from .spectral import (
     SpectralField,
     _grid_arrays,
     _transport_operator,
+    _workspace,
     field_lp_norm,
     forward_transform,
     k_power,
@@ -62,7 +63,7 @@ _SOLVER_KEYS = tuple(
 _COUNTED_CACHES = {
     fn.__name__: fn
     for fn in (_factor_tables, _grid_arrays, k_power, sobolev_weights,
-               _transport_operator, block_power_weights)
+               _transport_operator, _workspace, block_power_weights)
 }
 
 

@@ -27,6 +27,7 @@ from .spectral import (
     MultiplierSpec,
     SpectralField,
     Velocity,
+    _workspace,
     advect,
     apply_multiplier,
     field_lp_norm,
@@ -119,18 +120,21 @@ def nonlinear_term(
     return SpectralField(grid, full_spectrum(grid, rhs))
 
 
-def _advective_rhs(grid: GridSpec, half: np.ndarray, low: np.ndarray | None):
+def _advective_rhs(grid: GridSpec, half: np.ndarray, low: np.ndarray | None,
+                   out: np.ndarray | None = None, projected: np.ndarray | None = None):
     """Core tendency on the half spectrum; returns (rhs, max |u|).
 
     ``low`` is the half-width Galerkin low-pass, or None for no projection.
+    The tendency is fresh or written into ``out`` (which may be ``half``),
+    the projected state fresh or into ``projected``.  ``-(x low)`` equals
+    ``x (-low)`` up to the sign of zeros, so no negated table is needed.
     """
-    if low is None:
-        out, umax = transport(grid, half, half)
-        return np.negative(out, out=out), umax
-    half = half * low
-    out, umax = transport(grid, half, half)
-    out *= -low
-    return out, umax
+    if low is not None:
+        half = np.multiply(half, low, out=projected)
+    out, umax = transport(grid, half, half, out)
+    if low is not None:
+        out *= low
+    return np.negative(out, out=out), umax
 
 
 @lru_cache(maxsize=16)
@@ -238,16 +242,20 @@ class Stepper:
         grid = self.step_grid if grid is None else grid
         return _factor_tables(grid, cfg.nu, cfg.gamma, dt, cfg.integrator)
 
-    def _rhs(self, coeffs: np.ndarray, vel: Velocity | None, dt: float):
-        """Stage tendency; every stage's velocity goes through the CFL guard.
+    def _rhs(self, coeffs: np.ndarray, vel: Velocity | None, dt: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Stage tendency, fresh or into ``out`` (which may be ``coeffs``);
+        every stage's velocity goes through the CFL guard.
 
         ``vel`` is the frozen advecting velocity, or None to advect the
         state by its own velocity.
         """
         if vel is None:
-            out, umax = _advective_rhs(self.step_grid, coeffs, self._low)
+            # A projected state goes to the stage buffer no stage uses.
+            out, umax = _advective_rhs(self.step_grid, coeffs, self._low, out,
+                                       _workspace(self.step_grid).halves[3])
         else:
-            out, umax = advect(self.grid, vel, coeffs), vel.umax
+            out, umax = advect(self.grid, vel, coeffs, out), vel.umax
             np.negative(out, out=out)
         self._check_cfl(dt, umax)
         return out
@@ -283,6 +291,11 @@ class Stepper:
         ``advect_coeffs_end`` (either may be None), spares their synthesis
         to a caller that already holds them, such as the end velocity of the
         previous step.
+
+        The stages run in the step grid's workspace (``halves``: 0-2 the
+        stages, 3 the projected state, 4 and 5 the restricted state and its
+        step on a smaller grid), so the returned state is the one array a
+        step allocates.
         """
         for name, arr in (("coeffs", coeffs), ("advect_coeffs", advect_coeffs),
                           ("advect_coeffs_end", advect_coeffs_end)):
@@ -298,24 +311,31 @@ class Stepper:
             )
         dt = self.config.dt if dt is None else dt
         rk4 = self.config.integrator == "if_rk4"
-        ramp = self._ramp(advect_coeffs, advect_coeffs_end, advect_velocities, rk4)
-        state = self._restrict(coeffs)
-        if rk4:
-            out = self._step_if_rk4(state, dt, ramp)
+        halves = _workspace(self.step_grid).halves
+        ramp = self._ramp(advect_coeffs, advect_coeffs_end, advect_velocities, rk4,
+                          halves[0])
+        if self.step_grid is self.grid:
+            state, out = coeffs, np.empty(self._shape, dtype=np.complex128)
         else:
-            out = self._step_etd_rk2(state, dt, ramp)
+            state, out = self._restrict(coeffs, halves[4]), halves[5]
+        if rk4:
+            self._step_if_rk4(state, dt, ramp, halves, out)
+        else:
+            self._step_etd_rk2(state, dt, ramp, halves, out)
         out = self._embed(coeffs, out, dt)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out, out=_workspace(self.grid).finite).all():
             raise GuardError("non-finite state after step (NaN guard)")
         return out
 
-    def _restrict(self, coeffs: np.ndarray) -> np.ndarray:
-        """The step grid's half spectrum: rows ``m1`` in ``[-N/2, N/2)`` and
-        columns ``0..N/2`` of ``coeffs``."""
-        if self.step_grid is self.grid:
-            return coeffs
+    def _restrict(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The step grid's half spectrum, fresh or into ``out``: rows ``m1``
+        in ``[-N/2, N/2)`` and columns ``0..N/2`` of ``coeffs``."""
         n, h = self.grid.n, self.step_grid.n // 2
-        return np.concatenate((coeffs[:h, : h + 1], coeffs[n - h :, : h + 1]))
+        if out is None:
+            out = np.empty((2 * h, h + 1), dtype=np.complex128)
+        out[:h] = coeffs[:h, : h + 1]
+        out[h:] = coeffs[n - h :, : h + 1]
+        return out
 
     def _embed(self, coeffs: np.ndarray, stepped: np.ndarray, dt: float) -> np.ndarray:
         """The full half spectrum after a step: ``stepped`` on the step grid's
@@ -331,13 +351,14 @@ class Stepper:
         out[n - h :, : h + 1] = stepped[h:]
         return out
 
-    def _ramp(self, start, end, given, mid: bool) -> tuple:
+    def _ramp(self, start, end, given, mid: bool, scratch: np.ndarray) -> tuple:
         """Velocities at the stage times of a step: start, mid (if ``mid``)
         and end; all None without an override, all the start's without an
         end.
 
         The stage field is interpolated on the spectrum, so each velocity is
-        synthesized from the field the stage would advect with.
+        synthesized from the field the stage would advect with; the mid
+        field is built in ``scratch``.
         """
         times = 3 if mid else 2
         if start is None:
@@ -351,28 +372,65 @@ class Stepper:
             v1 = velocity(self.grid, end)
         if not mid:
             return v0, v1
-        # Halving the sum is exact, so this equals 0.5*start + 0.5*end with
-        # one temporary instead of three.
-        middle = start + end
+        # Halving the sum is exact, so this equals 0.5*start + 0.5*end.
+        middle = np.add(start, end, out=scratch)
         middle *= 0.5
         return v0, velocity(self.grid, middle), v1
 
-    def _step_if_rk4(self, coeffs, dt, ramp):
+    # The stages below run in place, each operation in the order and with
+    # the operands of the formula in its docstring, so the state is bitwise
+    # the one the formula gives.  ``out`` serves as scratch until the last
+    # line writes the result into it.
+
+    def _step_if_rk4(self, coeffs, dt, ramp, halves, out):
+        """``m1 = N(c)``, ``m2 = N(e1 (c + dt/2 m1))``,
+        ``m3 = N(e1 c + dt/2 m2)``, ``m4 = N(e2 c + dt e1 m3)``;
+        ``e2 c + dt/6 (e2 m1 + 2 e1 (m2 + m3) + m4)``."""
         e1, e2 = self._factor_set(dt)
         v0, vh, v1 = ramp
-        m1 = self._rhs(coeffs, v0, dt)
-        m2 = self._rhs(e1 * (coeffs + 0.5 * dt * m1), vh, dt)
-        m3 = self._rhs(e1 * coeffs + 0.5 * dt * m2, vh, dt)
-        m4 = self._rhs(e2 * coeffs + dt * e1 * m3, v1, dt)
-        return e2 * coeffs + (dt / 6.0) * (e2 * m1 + 2.0 * e1 * (m2 + m3) + m4)
+        a, b, s = halves[:3]
+        self._rhs(coeffs, v0, dt, a)                 # a = m1
+        np.multiply(a, 0.5 * dt, out=b)
+        b += coeffs
+        b *= e1
+        self._rhs(b, vh, dt, b)                      # b = m2
+        a *= e2                                      # a = e2 m1
+        np.multiply(e1, coeffs, out=s)
+        np.multiply(b, 0.5 * dt, out=out)
+        s += out
+        self._rhs(s, vh, dt, s)                      # s = m3
+        np.multiply(e1, dt, out=out)
+        out *= s                                     # out = dt e1 m3
+        b += s                                       # b = m2 + m3
+        np.multiply(e2, coeffs, out=s)
+        s += out
+        self._rhs(s, v1, dt, s)                      # s = m4
+        np.multiply(e1, 2.0, out=out)
+        out *= b
+        a += out
+        a += s
+        a *= dt / 6.0
+        np.multiply(e2, coeffs, out=out)
+        out += a
+        return out
 
-    def _step_etd_rk2(self, coeffs, dt, ramp):
+    def _step_etd_rk2(self, coeffs, dt, ramp, halves, out):
+        """``n0 = N(c)``, ``p = ez c + dt p1 n0``, ``n1 = N(p)``;
+        ``p + dt p2 (n1 - n0)``."""
         ez, p1, p2 = self._factor_set(dt)
         v0, v1 = ramp
-        n0 = self._rhs(coeffs, v0, dt)
-        predictor = ez * coeffs + dt * p1 * n0
-        n1 = self._rhs(predictor, v1, dt)
-        return predictor + dt * p2 * (n1 - n0)
+        a, p = halves[:2]
+        self._rhs(coeffs, v0, dt, a)                 # a = n0
+        np.multiply(ez, coeffs, out=p)
+        np.multiply(p1, dt, out=out)
+        out *= a
+        p += out                                     # p = predictor
+        self._rhs(p, v1, dt, out)                    # out = n1
+        out -= a
+        np.multiply(p2, dt, out=a)
+        a *= out
+        np.add(p, a, out=out)
+        return out
 
 
 @dataclass

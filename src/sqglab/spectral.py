@@ -28,7 +28,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import OverflowGuardError, SymmetryError, UsageError
 
@@ -438,6 +437,35 @@ def riesz_perp(field: SpectralField) -> tuple[SpectralField, SpectralField]:
 # ---------------------------------------------------------------------------
 
 
+def _inverse_pass(spec: np.ndarray, columns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One 2-D inverse transform: the seam every sample synthesis goes through.
+
+    ``spec`` holds columns ``0..w-1`` of a half spectrum whose later columns
+    are zero.  A column pass (``ifft`` along axis 0) writes them into
+    ``columns[:, :w]``, an ``(n, n/2 + 1)`` array whose columns from ``w`` on
+    must already be zero, and a row pass (``irfft`` along axis 1) writes the
+    real samples into ``out``.  Both passes are unscaled, as ``irfft2`` with
+    ``norm="forward"``, which they equal bitwise.  An ``irfft`` row pass that
+    pads a narrow input itself ran 1.4x slower than on the zero tail.
+    """
+    w = spec.shape[-1]
+    np.fft.ifft(spec, axis=-2, norm="forward", out=columns[..., :w])
+    return np.fft.irfft(columns, n=out.shape[-1], axis=-1, norm="forward", out=out)
+
+
+def _forward_pass(samples: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One 2-D forward transform: the seam every sample analysis goes through.
+
+    A row pass (``rfft`` along axis 1) writes the ``(n, n/2 + 1)`` array
+    ``rows``, and a column pass (``fft`` along axis 0) writes its columns
+    ``0..w-1`` into ``out``, of width ``w``.  Each pass scales by ``1/n``, so
+    the result is ``rfft2(samples, norm="forward")``, bitwise when ``n`` is a
+    power of two and within a rounding of it otherwise.
+    """
+    np.fft.rfft(samples, axis=-1, norm="forward", out=rows)
+    return np.fft.fft(rows[..., : out.shape[-1]], axis=-2, norm="forward", out=out)
+
+
 def synthesize(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients -> real samples, over the last two axes.
 
@@ -447,12 +475,13 @@ def synthesize(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     of real fields, which are real by construction.
     """
     if half.ndim > 2:
-        # One irfft2 per field: a single call on a stack of five measured
+        # One transform per field: a single call on a stack of five measured
         # 1.6-1.8x slower per field at 128^2 and 256^2 (2-vCPU host, one
         # thread), and no faster on a stack of two.
         return np.stack([synthesize(grid, h) for h in half])
     n = grid.n
-    return scipy.fft.irfft2(half, s=(n, n), norm="forward")
+    half = half[:, : n // 2 + 1]
+    return _inverse_pass(half, np.empty(half.shape, np.complex128), np.empty((n, n)))
 
 
 def analyze(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
@@ -460,7 +489,9 @@ def analyze(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
 
     Same series convention as :func:`forward_transform`, columns ``0..n/2``.
     """
-    return scipy.fft.rfft2(samples, norm="forward")
+    shape = samples.shape[:-1] + (grid.n // 2 + 1,)
+    rows = np.empty(shape, np.complex128)
+    return _forward_pass(samples, rows, np.empty(shape, np.complex128))
 
 
 @lru_cache(maxsize=32)
@@ -582,13 +613,9 @@ def _transport_operator(grid: GridSpec) -> SimpleNamespace:
 
     The odd symbols are zeroed on the unpaired Nyquist lines, so every
     operator maps real fields to real fields exactly.  Also holds the half
-    dealias mask, the row permutation ``m1 -> -m1`` and ``work``, the one
-    writable array: a ``(2, n, n/2 + 1)`` buffer for the spectrum pair that
-    :func:`velocity` or :func:`advect` synthesizes, dead once their
-    transforms return.  Fresh product arrays there read 2-3x the page
-    faults of a whole 128^2 ETD-RK2 run (100 steps, a diagnostics row at
-    each; glibc trims and regrows its heap) and ran it 10 % slower, in
-    fresh single-threaded processes.
+    dealias mask, the row permutation ``m1 -> -m1`` and ``band``, the last
+    column the mask keeps plus one: a dealiased half spectrum is zero from
+    column ``band`` on (``n/3 + 1`` of the ``n/2 + 1`` under the 2/3 rule).
     """
     ga = _grid_arrays(grid)
     n = grid.n
@@ -601,8 +628,86 @@ def _transport_operator(grid: GridSpec) -> SimpleNamespace:
     rows = (-np.arange(n)) % n
     for arr in (stack, mask, rows):
         arr.flags.writeable = False
-    work = np.empty((2, n, n // 2 + 1), dtype=np.complex128)
-    return SimpleNamespace(stack=stack, mask=mask, rows=rows, work=work)
+    band = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+    return SimpleNamespace(stack=stack, mask=mask, rows=rows, band=band)
+
+
+class _Workspace:
+    """The writable buffers of one grid, so stepping allocates nothing.
+
+    Every :func:`transport` on the grid, and every solver ``Stepper`` that
+    steps on it, writes its intermediates here; each buffer is dead once the
+    call that wrote it returns (single-threaded use).  Fresh arrays there
+    cost a warm 256^2 IF-RK4 step about 800 minor page faults (glibc trims
+    and regrows its heap).
+
+    * ``spectrum``, ``(n, band)``: one symbol times a field, the input of a
+      transform's column pass;
+    * ``columns``, ``(n, n/2 + 1)``: that pass's output, zero from column
+      ``band`` on;
+    * ``samples``, ``(3, n, n)``: a velocity, then the advective product;
+    * ``rows``, ``(n, n/2 + 1)``: the row pass of the forward transform;
+    * ``edges``, ``(n, 2)``: the flipped edge columns of a product;
+    * ``halves``, ``(6, n, n/2 + 1)``: the stepper's stage buffers;
+    * ``finite``, ``(n, n/2 + 1)`` booleans: the stepper's NaN guard.
+
+    Buffers are allocated empty; the pages of one that is never written
+    never become resident.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n
+        shape = (n, n // 2 + 1)
+        self.spectrum = np.empty((n, _transport_operator(grid).band), np.complex128)
+        self.columns = np.zeros(shape, np.complex128)
+        self.samples = np.empty((3, n, n))
+        self.rows = np.empty(shape, np.complex128)
+        self.edges = np.empty((n, 2), np.complex128)
+        self.halves = np.empty((6,) + shape, np.complex128)
+        self.finite = np.empty(shape, dtype=bool)
+
+
+@lru_cache(maxsize=8)
+def _workspace(grid: GridSpec) -> _Workspace:
+    """The :class:`_Workspace` of ``grid``, built once."""
+    return _Workspace(grid)
+
+
+def _band_width(op: SimpleNamespace, coeffs: np.ndarray) -> int:
+    """Columns an inverse transform of ``coeffs`` (a half spectrum) must read:
+    ``op.band`` when every later column is zero, all of them otherwise."""
+    return coeffs.shape[1] if coeffs[:, op.band :].any() else op.band
+
+
+def _synthesize_product(ws: _Workspace, symbol: np.ndarray, coeffs: np.ndarray,
+                        width: int, out: np.ndarray) -> np.ndarray:
+    """Samples of ``symbol * coeffs`` into ``out``, reading columns ``< width``.
+
+    At the band width the transform runs in the workspace; past it (modes
+    outside the dealias band), on fresh full-width buffers.
+    """
+    if width == ws.spectrum.shape[1]:
+        spec = np.multiply(symbol[:, :width], coeffs[:, :width], out=ws.spectrum)
+        return _inverse_pass(spec, ws.columns, out)
+    spec = symbol * coeffs
+    return _inverse_pass(spec, np.empty_like(spec), out)
+
+
+def _peak_speed(u1: np.ndarray, u2: np.ndarray, scratch: np.ndarray) -> float:
+    """``max sqrt(u1^2 + u2^2)``, NaN if any sample is NaN.
+
+    Taken over the two row halves in turn, so that one ``(n, n)`` scratch
+    holds both squares.
+    """
+    h = u1.shape[0] // 2
+    top, bottom = scratch[:h], scratch[h:]
+    peak = np.float64(0.0)
+    for rows in (slice(0, h), slice(h, None)):
+        np.multiply(u1[rows], u1[rows], out=top)
+        np.multiply(u2[rows], u2[rows], out=bottom)
+        top += bottom
+        peak = np.maximum(peak, top.max())
+    return math.sqrt(float(peak))
 
 
 class Velocity(NamedTuple):
@@ -613,74 +718,101 @@ class Velocity(NamedTuple):
     umax: float
 
 
-def velocity(grid: GridSpec, source: np.ndarray) -> Velocity:
+def velocity(grid: GridSpec, source: np.ndarray, out: np.ndarray | None = None) -> Velocity:
     """Samples of ``R_perp source`` and ``max |R_perp source|``.
 
     ``source`` is the coefficient array of a real field, full or half; only
-    its columns ``0..n/2`` are read.  Two ``irfft2`` per call, none when
-    ``source`` has no nonzero entry (then the samples are zero).  The
-    samples are read-only, so one velocity can serve many :func:`advect`
-    calls.
+    its columns ``0..n/2`` are read, and only those below the dealias band
+    when the rest are zero.  Two transforms per call, none when ``source``
+    has no nonzero entry (then the samples are zero).  The samples are
+    fresh and read-only, so one velocity can serve many :func:`advect`
+    calls; with ``out``, a ``(2, n, n)`` array, they are written there
+    instead.
     """
     op = _transport_operator(grid)
-    source = source[:, : grid.n // 2 + 1]
+    n = grid.n
+    source = source[:, : n // 2 + 1]
     if not source.any():
-        zero = np.zeros((grid.n, grid.n))
-        zero.flags.writeable = False
-        return Velocity(zero, zero, 0.0)
-    spec = np.multiply(op.stack[:2], source, out=op.work)
-    u1 = synthesize(grid, spec[0])
-    u2 = synthesize(grid, spec[1])
-    speed_sq = u1 * u1
-    speed_sq += u2 * u2
-    u1.flags.writeable = u2.flags.writeable = False
-    return Velocity(u1, u2, math.sqrt(float(speed_sq.max())))
+        if out is None:
+            out = np.zeros((2, n, n))
+            out.flags.writeable = False
+        else:
+            out.fill(0.0)
+        return Velocity(out[0], out[1], 0.0)
+    ws = _workspace(grid)
+    u = np.empty((2, n, n)) if out is None else out
+    width = _band_width(op, source)
+    _synthesize_product(ws, op.stack[0], source, width, u[0])
+    _synthesize_product(ws, op.stack[1], source, width, u[1])
+    umax = _peak_speed(u[0], u[1], ws.samples[2])
+    if out is None:
+        u.flags.writeable = False
+    return Velocity(u[0], u[1], umax)
 
 
-def advect(grid: GridSpec, vel: Velocity, target: np.ndarray) -> np.ndarray:
+def advect(grid: GridSpec, vel: Velocity, target: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Dealiased ``u . grad target`` for a :func:`velocity` ``u``.
 
     Returns the rfft half spectrum (columns ``0..n/2``) of the product, with
     columns 0 and n/2 exactly conjugate-symmetric and the mean mode pinned
     to 0 (the product of a divergence-free velocity with a gradient has zero
-    mean).  ``target`` is read like :func:`velocity`'s source.  Two
-    ``irfft2`` and one ``rfft2`` per call; none when ``vel.umax`` is 0, where
-    every product is zero and the result is an exact zero half spectrum.
+    mean).  ``target`` is read like :func:`velocity`'s source.  Three
+    transforms per call; none when ``vel.umax`` is 0, where every product is
+    zero and the result is an exact zero half spectrum.  The forward
+    transform computes only the columns below the dealias band: the mask
+    zeroes the rest.
+
+    The result is fresh, or written into ``out``, an ``(n, n/2 + 1)`` array
+    that may be ``target`` itself.  The second gradient is synthesized into
+    the workspace samples that hold the velocity of :func:`transport`, so
+    such a velocity serves one call only.
     """
-    op = _transport_operator(grid)
     n = grid.n
     m = n // 2 + 1
+    if out is None:
+        out = np.empty((n, m), dtype=np.complex128)
     if vel.umax == 0.0:
-        return np.zeros((n, m), dtype=np.complex128)
+        out.fill(0.0)
+        return out
+    op, ws = _transport_operator(grid), _workspace(grid)
     target = target[:, :m]
-    spec = np.multiply(op.stack[2:], target, out=op.work)
-    product = synthesize(grid, spec[0])
+    width = _band_width(op, target)
+    product, gy = ws.samples[2], ws.samples[0]
+    _synthesize_product(ws, op.stack[2], target, width, product)
     product *= vel.u1
-    gy = synthesize(grid, spec[1])
+    _synthesize_product(ws, op.stack[3], target, width, gy)
     gy *= vel.u2
     product += gy
-    half = analyze(grid, product)
-    half *= op.mask
+    band = op.band
+    _forward_pass(product, ws.rows, out[:, :band])
+    out[:, band:] = 0.0
+    out[:, :band] *= op.mask[:, :band]
     # Columns 0 and n/2 are their own conjugate partners; symmetrize them so
     # the half spectrum is exactly that of a real field.
-    edge = half[:, :: n // 2]
-    half[:, :: n // 2] = 0.5 * (edge + np.conj(edge[op.rows]))
-    half[0, 0] = 0.0
-    return half
+    edge = out[:, :: n // 2]
+    flip = np.take(edge, op.rows, axis=0, out=ws.edges, mode="wrap")
+    np.conjugate(flip, out=flip)
+    flip += edge
+    flip *= 0.5
+    edge[...] = flip
+    out[0, 0] = 0.0
+    return out
 
 
-def transport(grid: GridSpec, source: np.ndarray,
-              target: np.ndarray) -> tuple[np.ndarray, float]:
+def transport(grid: GridSpec, source: np.ndarray, target: np.ndarray,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Dealiased advection of ``target`` by the velocity of ``source``.
 
     Returns ``(dealias(R_perp source . grad target), max |R_perp source|)``:
-    :func:`advect` by the :func:`velocity` of ``source``, so four ``irfft2``
-    and one ``rfft2`` per call.  Callers that advect several targets by one
-    frozen field call the two halves themselves and synthesize its velocity
-    once.
+    :func:`advect` by the :func:`velocity` of ``source``, so five transforms
+    per call, the velocity held in the workspace.  The result is fresh, or
+    written into ``out`` (which may be ``source`` or ``target``).  Callers
+    that advect several targets by one frozen field call the two halves
+    themselves and synthesize its velocity once.
     """
-    vel = velocity(grid, source)
-    return advect(grid, vel, target), vel.umax
+    vel = velocity(grid, source, out=_workspace(grid).samples[:2])
+    return advect(grid, vel, target, out), vel.umax
 
 
 def full_spectrum(grid: GridSpec, half: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ class _AcceptanceLog:
 
 class Transforms(int):
     """A transform count that also carries ``points``: the real samples the
-    transforms consumed (``rfft2``) or produced (``irfft2``)."""
+    transforms consumed (forward) or produced (inverse)."""
 
     points: int
 
@@ -37,19 +37,32 @@ class Transforms(int):
 @pytest.fixture
 def count_transforms(monkeypatch):
     """``count_transforms(fn, *args, **kwargs)`` -> ``(result, transforms)``:
-    the number of ``scipy.fft`` ``rfft2``/``irfft2`` calls ``fn`` made, with
-    the points they transformed as ``transforms.points``."""
-    import scipy.fft
+    the number of 2-D field transforms ``fn`` made, with the points they
+    transformed as ``transforms.points``.
+
+    Every transform of the package goes through ``spectral._inverse_pass``
+    or ``spectral._forward_pass``, each run as two 1-D ``numpy.fft`` passes,
+    so the count is taken there: one per field of the stack a call
+    transforms, whatever the 1-D passes look like underneath.
+    """
+    from sqglab import spectral
 
     calls, points = [0], [0]
-    for name in ("rfft2", "irfft2"):
-        def counted(*args, _original=getattr(scipy.fft, name), _name=name, **kwargs):
-            out = _original(*args, **kwargs)
-            calls[0] += 1
-            points[0] += np.size(out if _name == "irfft2" else args[0])
+
+    def counting(original, samples_arg):
+        def counted(*args):
+            out = original(*args)
+            samples = args[samples_arg]
+            calls[0] += samples.size // samples.shape[-1] ** 2
+            points[0] += samples.size
             return out
 
-        monkeypatch.setattr(scipy.fft, name, counted)
+        return counted
+
+    # The real samples are the inverse pass's output and the forward pass's
+    # input.
+    monkeypatch.setattr(spectral, "_inverse_pass", counting(spectral._inverse_pass, 2))
+    monkeypatch.setattr(spectral, "_forward_pass", counting(spectral._forward_pass, 0))
 
     def count(fn, *args, **kwargs):
         start, start_points = calls[0], points[0]

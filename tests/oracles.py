@@ -57,3 +57,31 @@ def gevrey_warm(field, lam, t, gamma, cap=GEVREY_EXPONENT_CAP):
     expo = lam * t * grid_arrays(field.grid).k_abs ** gamma
     weight = np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
     return SpectralField(field.grid, field.coeffs * weight)
+
+
+def scipy_transport(grid, source, target):
+    """``(dealias(R_perp source . grad target), max |R_perp source|)`` on the
+    half spectrum with whole-array ``scipy.fft`` 2-D transforms over every
+    column: the transport before the dealias-band passes, operation for
+    operation."""
+    import scipy.fft
+
+    from sqglab.spectral import _transport_operator
+
+    n = grid.n
+    m = n // 2 + 1
+    op = _transport_operator(grid)
+    source, target = source[:, :m], target[:, :m]
+
+    def samples(spec):
+        return scipy.fft.irfft2(spec, s=(n, n), norm="forward")
+
+    u1, u2 = samples(op.stack[0] * source), samples(op.stack[1] * source)
+    umax = math.sqrt(float((u1 * u1 + u2 * u2).max()))
+    product = samples(op.stack[2] * target) * u1
+    product += samples(op.stack[3] * target) * u2
+    half = scipy.fft.rfft2(product, norm="forward") * op.mask
+    edge = half[:, :: n // 2]
+    half[:, :: n // 2] = 0.5 * (edge + np.conj(edge[op.rows]))
+    half[0, 0] = 0.0
+    return half, umax

@@ -1,6 +1,7 @@
 """Time integration: exactness, order, guards, conservation, mild form."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -303,6 +304,28 @@ def test_autonomous_step_transform_budget(integrator, transforms, count_transfor
         stepper = Stepper(cfg, projection=projection)
         _, calls = count_transforms(stepper.step, coeffs)
         assert calls == transforms
+
+
+
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_warm_step_allocates_little_beyond_its_result(integrator):
+    # The stages run in the grid's workspace, so a warm step's traced peak
+    # is its returned state plus small temporaries.  Fresh stage arrays read
+    # 9.9x the state's bytes (IF-RK4) and 7.9x (ETD-RK2) here.
+    grid = GridSpec(128)
+    m = grid.n // 2 + 1
+    field = power_law_field(grid, 2.7, np.random.default_rng(3))
+    mask = grid_arrays(grid).dealias_mask[:, :m]
+    coeffs = field.coeffs[:, :m] / sobolev_norm(field, 0.0) * mask
+    stepper = Stepper(SolverConfig(grid=grid, dt=2e-4, integrator=integrator))
+    coeffs = stepper.step(coeffs)
+    tracemalloc.start()
+    try:
+        stepper.step(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * coeffs.nbytes, peak / coeffs.nbytes
 
 
 @pytest.mark.parametrize("t_final, misses", [(0.1, 1), (0.1005, 2)])

@@ -42,10 +42,13 @@ from sqglab.spectral import (
     synthesize,
     transport,
     velocity,
+    _forward_pass,
+    _inverse_pass,
+    _transport_operator,
     weighted_norm,
 )
 
-from oracles import full_sobolev_norm
+from oracles import full_sobolev_norm, scipy_transport
 
 GRID = GridSpec(64)
 
@@ -293,6 +296,88 @@ def test_zero_velocity_costs_no_transform(rng, count_transforms):
     bad = zero.copy()
     bad[1, 2] = np.nan
     assert math.isnan(velocity(grid, bad).umax)
+
+
+BAND_GRIDS = [GridSpec(n, dealias_fraction=frac)
+              for n in (8, 16, 32, 128, 256, 512) for frac in (0.5, 2.0 / 3.0, 1.0)]
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS, ids=lambda g: f"{g.n}-{g.dealias_fraction:.3f}")
+def test_band_passes_equal_scipy_2d_transforms(grid):
+    # The column passes skip the columns past the dealias band; the result is
+    # bitwise what the whole-array scipy.fft transforms give.
+    import scipy.fft
+
+    n, m = grid.n, grid.n // 2 + 1
+    band = _transport_operator(grid).band
+    radius = grid.n * grid.dealias_fraction / 2
+    assert band == (m if grid.dealias_fraction == 1.0 else int(radius) + 1)
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    half[:, band:] = 0.0
+    samples = np.empty((n, n))
+    columns = np.zeros((n, m), dtype=np.complex128)
+    _inverse_pass(np.ascontiguousarray(half[:, :band]), columns, samples)
+    assert np.array_equal(samples, scipy.fft.irfft2(half, s=(n, n), norm="forward"))
+    out = np.empty((n, band), dtype=np.complex128)
+    _forward_pass(samples, np.empty((n, m), dtype=np.complex128), out)
+    assert np.array_equal(out, scipy.fft.rfft2(samples, norm="forward")[:, :band])
+
+
+def test_band_passes_at_a_grid_that_is_not_a_power_of_two():
+    # Two 1/96 scalings round differently from one 1/96^2: the forward pass
+    # agrees to a rounding, the unscaled inverse pass bitwise.
+    import scipy.fft
+
+    grid = GridSpec(96)
+    n, m = grid.n, grid.n // 2 + 1
+    band = _transport_operator(grid).band
+    rng = np.random.default_rng(96)
+    half = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    half[:, band:] = 0.0
+    samples = np.empty((n, n))
+    _inverse_pass(half[:, :band], np.zeros((n, m), dtype=np.complex128), samples)
+    assert np.array_equal(samples, scipy.fft.irfft2(half, s=(n, n), norm="forward"))
+    out = _forward_pass(samples, np.empty((n, m), dtype=np.complex128),
+                        np.empty((n, band), dtype=np.complex128))
+    ref = scipy.fft.rfft2(samples, norm="forward")[:, :band]
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(64), GridSpec(128, dealias_fraction=0.5),
+                                  GridSpec(64, dealias_fraction=1.0)],
+                         ids=lambda g: f"{g.n}-{g.dealias_fraction:.3f}")
+def test_transport_equals_whole_array_transport(grid, rng, monkeypatch):
+    # Dealiased fields take the band passes, fields with modes past the band
+    # the full-width ones; both give the whole-array transport bitwise, in
+    # fresh arrays and written in place over the target.
+    from sqglab import spectral
+
+    n, m = grid.n, grid.n // 2 + 1
+    mask = grid_arrays(grid).dealias_mask[:, :m]
+    raw = [random_field(grid, rng).coeffs[:, :m] for _ in range(2)]
+    band = _transport_operator(grid).band
+    widths = []
+
+    def spy(spec, columns, out):
+        widths.append(spec.shape[-1])
+        return _inverse_pass(spec, columns, out)
+
+    monkeypatch.setattr(spectral, "_inverse_pass", spy)
+    # (source, target, columns read by the four inverse passes)
+    cases = [(raw[0] * mask, raw[1] * mask, [band] * 4),
+             (raw[0], raw[1] * mask, [m, m, band, band]),
+             (raw[0] * mask, raw[1], [band, band, m, m]),
+             (raw[0], raw[0], [m] * 4)]
+    for source, target, read in cases:
+        ref, ref_umax = scipy_transport(grid, source, target)
+        widths.clear()
+        out, umax = transport(grid, source, target)
+        assert widths == read
+        assert np.array_equal(out, ref) and umax == ref_umax
+        in_place = target.copy()
+        transport(grid, source, in_place, out=in_place)
+        assert np.array_equal(in_place, ref)
 
 
 SAMPLERS = {
