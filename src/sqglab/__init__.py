@@ -72,7 +72,6 @@ from .spectral import (
     field_lp_norm,
     forward_transform,
     full_spectrum,
-    inverse_transform,
     load_field,
     lp_norm,
     riesz_perp,
@@ -123,7 +122,6 @@ __all__ = [
     "full_spectrum",
     "galerkin_sequence",
     "gaussian_block_field",
-    "inverse_transform",
     "load_field",
     "low_pass_field",
     "lp_norm",

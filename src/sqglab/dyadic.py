@@ -30,7 +30,7 @@ from .spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_ORDER,
     PROFILE_OUTER,
-    apply_multiplier,
+    _check_exponents,
     forward_transform,
     full_spectrum,
     grid_arrays,
@@ -38,7 +38,6 @@ from .spectral import (
     k_power,
     lp_norm,
     parseval_columns,
-    real_samples_unchecked,
     sobolev_weights,
     synthesize,
     transport,
@@ -135,10 +134,9 @@ def block_power_weights(partition: DyadicPartition) -> np.ndarray:
     ``P``, ``period^2 * (stack @ P)`` is every block's squared L^2 norm.
     """
     grid = partition.grid
-    m = grid.n // 2 + 1
     syms = [MultiplierSpec.block(j).symbol_on(grid) for j in partition.block_indices()]
     syms.append(MultiplierSpec.low_pass(0).symbol_on(grid))
-    stack = np.stack([sym[:, :m] ** 2 for sym in syms])
+    stack = np.stack([sym ** 2 for sym in syms])
     stack.flags.writeable = False
     return stack
 
@@ -160,7 +158,7 @@ def besov_norm(field: SpectralField, s: float, p: float, q: float,
 def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
                     p: float, q: float, homogeneous: bool = False,
                     power: Optional[np.ndarray] = None) -> float:
-    """Besov norm of the real field with coefficients ``coeffs`` (full or half).
+    """Besov norm of the real field with half spectrum ``coeffs``.
 
     With ``p == 2`` every block norm comes from Parseval: one product of the
     :func:`block_power_weights` stack with the field's half-spectrum power
@@ -187,12 +185,10 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
         norms = np.sqrt(grid.period ** 2 * sq)
         block_norms = norms[j_lo - partition.j_min : -1]
     else:
-        m = grid.n // 2 + 1
-        half = coeffs[:, :m]
         syms = [MultiplierSpec.block(j).symbol_on(grid) for j in blocks]
         if not homogeneous:
             syms.append(MultiplierSpec.low_pass(0).symbol_on(grid))
-        pieces = synthesize(grid, np.stack([sym[:, :m] * half for sym in syms]))
+        pieces = synthesize(grid, np.stack([sym * coeffs for sym in syms]))
         norms = [lp_norm(piece, p, grid.cell_area) for piece in pieces]
         block_norms = norms[: len(blocks)]
     low_term = 0.0 if homogeneous else float(norms[-1])
@@ -257,12 +253,12 @@ def paraproduct_decompose(f: SpectralField, g: SpectralField,
                 piece = project_low(field, base)
             else:
                 piece = project_block(field, i)
-            out[i] = real_samples_unchecked(piece)
+            out[i] = piece.to_samples()
         return out
 
     def lows_of(field: SpectralField) -> dict[int, np.ndarray]:
         return {
-            i: real_samples_unchecked(project_low(field, i))
+            i: project_low(field, i).to_samples()
             for i in range(base, top - 1)  # only S_{i-2} with i <= top is needed
         }
 
@@ -328,44 +324,46 @@ def _mag(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(v * v, axis=-1))
 
 
-def _band_filter(idx: np.ndarray, mags: np.ndarray,
-                 band: Optional[tuple[float, float]]) -> np.ndarray:
-    if band is None:
-        return idx
-    lo, hi = band
-    keep = (mags >= lo) & (mags <= hi)
-    return idx[keep]
-
-
 def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralField,
                           chunk_pairs: int = 2_000_000) -> SpectralField:
     """Evaluate ``sum_{xi+eta=k} sigma(xi,eta) f^(xi) g^(eta)`` directly.
 
-    A literal double sum over populated mode pairs: no FFT, no aliasing,
-    exact up to round-off, with a fixed (hence deterministic) accumulation
-    order.  Output modes beyond the representable lattice are dropped.
-    Intended for band-limited inputs; the pair count is guarded.
+    A literal double sum over populated mode pairs of the full lattice, in
+    coordinates built here: no FFT, no aliasing, no package table, exact up
+    to round-off, with a fixed (hence deterministic) accumulation order.
+    Output modes on or beyond the Nyquist lines are dropped, since their
+    partners are not on the lattice.  The sum must be a real field: a
+    symbol that breaks conjugate symmetry, such as an odd real one, raises
+    ``UsageError``.  Intended for band-limited inputs; the pair count is
+    guarded.
     """
     if f.grid != g.grid:
         raise UsageError("bilinear symbol needs both fields on the same grid")
     grid = f.grid
-    ga = grid_arrays(grid)
     n = grid.n
+    lattice = np.fft.fftfreq(n, d=1.0 / n)
+    scale = grid.freq_scale
 
-    def populated(field: SpectralField) -> np.ndarray:
-        mag = np.abs(field.coeffs)
+    def populated(field: SpectralField, band) -> tuple[np.ndarray, np.ndarray]:
+        """Integer coordinates and coefficients of the modes that carry data."""
+        coeffs = full_spectrum(grid, field.coeffs)
+        mag = np.abs(coeffs)
         top = float(mag.max())
         if top == 0.0:
-            return np.empty((0, 2), dtype=np.intp)
+            return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.complex128)
         rows, cols = np.nonzero(mag > 1e-16 * top)
-        return np.stack([rows, cols], axis=1)
+        if band is not None:
+            k1, k2 = scale * lattice[rows], scale * lattice[cols]
+            k_abs = np.sqrt(k1 * k1 + k2 * k2)
+            keep = (k_abs >= band[0]) & (k_abs <= band[1])
+            rows, cols = rows[keep], cols[keep]
+        coords = np.stack([lattice[rows], lattice[cols]], axis=1).astype(np.int64)
+        return coords, coeffs[rows, cols]
 
-    fi = populated(f)
-    gi = populated(g)
-    fi = _band_filter(fi, ga.k_abs[fi[:, 0], fi[:, 1]], sym.xi_band)
-    gi = _band_filter(gi, ga.k_abs[gi[:, 0], gi[:, 1]], sym.eta_band)
+    fm, cf = populated(f, sym.xi_band)
+    gm, cg = populated(g, sym.eta_band)
 
-    pairs = fi.shape[0] * gi.shape[0]
+    pairs = fm.shape[0] * gm.shape[0]
     if pairs > 10 * PAIR_WARN_LIMIT:
         raise UsageError(
             f"direct bilinear sum over {pairs} pairs refused; band-limit the inputs"
@@ -376,22 +374,9 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
         )
 
     out = np.zeros((n, n), dtype=np.complex128)
-    if pairs == 0:
-        return SpectralField(grid, out)
-
-    # integer lattice coordinates and coefficients of the populated modes
-    fm = np.stack(
-        [ga.m1[fi[:, 0], fi[:, 1]], ga.m2[fi[:, 0], fi[:, 1]]], axis=1
-    ).astype(np.int64)
-    gm = np.stack(
-        [ga.m1[gi[:, 0], gi[:, 1]], ga.m2[gi[:, 0], gi[:, 1]]], axis=1
-    ).astype(np.int64)
-    cf = f.coeffs[fi[:, 0], fi[:, 1]]
-    cg = g.coeffs[gi[:, 0], gi[:, 1]]
-    scale = grid.freq_scale
-
+    magnitude = 0.0  # sum of |term| over the kept pairs, the round-off scale
     rows_per_chunk = max(1, chunk_pairs // max(1, gm.shape[0]))
-    half = n // 2
+    reach = n // 2 - 1
     for start in range(0, fm.shape[0], rows_per_chunk):
         stop = min(start + rows_per_chunk, fm.shape[0])
         xi_int = fm[start:stop]                       # (a, 2)
@@ -399,10 +384,7 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
         vals = sym.fn(scale * xi_int[:, None, :].astype(float),
                       scale * gm[None, :, :].astype(float))
         vals = vals * cf[start:stop, None] * cg[None, :]
-        keep = (
-            (sums[..., 0] >= -half) & (sums[..., 0] <= half - 1)
-            & (sums[..., 1] >= -half) & (sums[..., 1] <= half - 1)
-        )
+        keep = np.all(np.abs(sums) <= reach, axis=-1)
         if sym.sum_band is not None:
             smag = scale * np.sqrt(np.sum(sums.astype(float) ** 2, axis=-1))
             keep &= (smag >= sym.sum_band[0]) & (smag <= sym.sum_band[1])
@@ -410,7 +392,17 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
             continue
         tgt = sums[keep]
         np.add.at(out, (tgt[:, 0] % n, tgt[:, 1] % n), vals[keep])
-    return SpectralField(grid, out)
+        magnitude += float(np.sum(np.abs(vals[keep])))
+    flip = (-np.arange(n)) % n
+    partner = np.conjugate(out[np.ix_(flip, flip)])
+    if float(np.max(np.abs(out - partner))) > 1e-10 * magnitude:
+        raise UsageError(
+            "direct bilinear sum is not conjugate-symmetric, so it is not a real "
+            "field; the symbol must satisfy sigma(-xi, -eta) = conj(sigma(xi, eta))"
+        )
+    out += partner
+    out *= 0.5
+    return SpectralField(grid, out[:, : n // 2 + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +436,14 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
                 f"block-{j} weight exponent {max_expo:.1f} exceeds cap {cap:.0f}"
             )
 
-    # Both products are real fields: work on the half spectrum and extend
-    # the result once.
-    half = slice(0, grid.n // 2 + 1)
-    block_sym = block_sym[:, half]
-    heat = MultiplierSpec.heat(1.0, t, gamma).symbol_on(grid)[:, half]
-    g_half = g.coeffs[:, half]
-    fh = f.coeffs[:, half] * heat
-    prod, _ = transport(grid, fh, g_half * heat)
-    expo = np.minimum(t * k_power(grid, gamma)[:, half], cap)
-    grow = np.where(on_block[:, half], np.exp(expo), 0.0)
+    heat = np.exp(-t * k_power(grid, gamma))
+    fh = f.coeffs * heat
+    prod, _ = transport(grid, fh, g.coeffs * heat)
+    expo = np.minimum(t * k_power(grid, gamma), cap)
+    grow = np.where(on_block, np.exp(expo), 0.0)
     term1 = block_sym * grow * prod
-    term2, _ = transport(grid, fh, block_sym * g_half)
-    return SpectralField(grid, full_spectrum(grid, term1 - term2))
+    term2, _ = transport(grid, fh, block_sym * g.coeffs)
+    return SpectralField(grid, term1 - term2)
 
 
 def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
@@ -478,14 +465,15 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     grid = g1.grid
     if s is None:
         s = 2.0 - gamma
-    half = slice(0, grid.n // 2 + 1)
 
-    decay = MultiplierSpec.heat(weight, t, gamma).symbol_on(grid)[:, half]
-    prod, _ = transport(grid, g1.coeffs[:, half] * decay, g2.coeffs[:, half] * decay)
+    decay = np.exp(-weight * t * k_power(grid, gamma))
+    prod, _ = transport(grid, g1.coeffs * decay, g2.coeffs * decay)
 
-    grown = apply_multiplier(g3, MultiplierSpec.gevrey(weight, t, gamma, cap))
+    expo = weight * t * k_power(grid, gamma)
+    _check_exponents(expo, g3.coeffs, cap)
+    grown = g3.coeffs * np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
     # Real fields: each column 0 < m2 < n/2 stands for its conjugate partner
     # too, and the partner's term is the conjugate of this one.
-    pair = prod * np.conj(grown.coeffs[:, half])
+    pair = prod * np.conj(grown)
     w2s = sobolev_weights(grid, s, homogeneous=True) * parseval_columns(grid)
     return grid.period ** 2 * float(np.vdot(w2s, pair.real))

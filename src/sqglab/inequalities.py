@@ -31,6 +31,8 @@ from .spectral import (
     SpectralField,
     analyze,
     grid_arrays,
+    half_power,
+    k_power,
     lp_norm,
     parseval_columns,
     sobolev_norm,
@@ -53,20 +55,15 @@ def _check_gamma_range(gamma: float, upper: float = 2.0) -> None:
         raise UsageError(f"gamma must lie in (0, {upper}], got {gamma}")
 
 
-def _half_powers(grid: GridSpec, gamma: float) -> np.ndarray:
-    """|k|^gamma on the rfft half spectrum (0 at the origin)."""
-    return grid_arrays(grid).k_abs[:, : grid.n // 2 + 1] ** gamma
-
-
 def _heat_stack(grid: GridSpec, gamma: float, t_values) -> np.ndarray:
     """``[1, e^{-t_1 |k|^gamma}, ...]`` on the rfft half spectrum."""
-    kg = _half_powers(grid, gamma)
+    kg = k_power(grid, gamma)
     return np.stack([np.ones_like(kg)] + [np.exp(-float(t) * kg) for t in t_values])
 
 
 def _dissipation_stack(grid: GridSpec, gamma: float) -> np.ndarray:
     """``[1, |k|^gamma]`` on the rfft half spectrum: f and D^gamma f at once."""
-    kg = _half_powers(grid, gamma)
+    kg = k_power(grid, gamma)
     return np.stack([np.ones_like(kg), kg])
 
 
@@ -76,7 +73,7 @@ def _stacked_decay_rate(field, stack, q, t_values, scale) -> float:
     One stacked inverse transform gives f and every e^{-tD^gamma} f at once.
     """
     grid = field.grid
-    cooled = synthesize(grid, stack * field.coeffs[:, : grid.n // 2 + 1])
+    cooled = synthesize(grid, stack * field.coeffs)
     base, *norms = (lp_norm(samples, q, grid.cell_area) for samples in cooled)
     if base <= 0.0:
         raise UsageError("degenerate sample: zero field")
@@ -206,7 +203,7 @@ def check_coercivity(
     worst = None
     for _ in range(n_samples):
         f = gaussian_block_field(grid, j, rng)
-        samples, dgf = synthesize(grid, ops * f.coeffs[:, : grid.n // 2 + 1])
+        samples, dgf = synthesize(grid, ops * f.coeffs)
         lhs = float(np.sum(dgf * _signed_power(samples, q - 1.0))) * grid.cell_area
         plain = np.abs(samples) ** (q / 2.0)
         w_hat = analyze(grid, np.stack([np.sign(samples) * plain, plain]))
@@ -257,7 +254,7 @@ def _sign_integral_sweep(grid, j, gamma, n_samples, rng):
     worst = {"c2": (math.inf, None), "c3": (math.inf, None)}
     for _ in range(n_samples):
         f = gaussian_block_field(grid, j, rng)
-        samples, dgf = synthesize(grid, ops * f.coeffs[:, : grid.n // 2 + 1])
+        samples, dgf = synthesize(grid, ops * f.coeffs)
         l1 = lp_norm(samples, 1.0, grid.cell_area)
         c2 = float(np.sum(dgf * np.sign(samples))) * grid.cell_area / (scale * l1)
         flat = np.argmax(np.abs(samples))
@@ -586,7 +583,9 @@ def check_spectral_mass_contraction(
     """
     _check_gamma_range(gamma)
     ka = grid_arrays(g.grid)
-    mass = np.abs(g.coeffs) ** 2
+    # Parseval masses of the half spectrum: columns 0 < m2 < n/2 also stand
+    # for their conjugate partners.
+    mass = half_power(g.grid, g.coeffs)
     total = float(np.sum(mass))
     if total <= 0.0:
         raise UsageError("zero field")

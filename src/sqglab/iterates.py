@@ -46,12 +46,10 @@ NORM_LABELS = (
 )
 
 
-def _norm_row(coeffs: np.ndarray, t: float, config: SolverConfig, s0: float) -> dict:
-    """Every norm of one state (full or half spectrum) from its half-spectrum
-    power and Gevrey weight."""
+def _norm_row(half: np.ndarray, t: float, config: SolverConfig, s0: float) -> dict:
+    """Every norm of one half-spectrum state from its power and Gevrey weight."""
     grid = config.grid
     partition = default_partition(grid)
-    half = coeffs[:, : grid.n // 2 + 1]
     power = half_power(grid, half)
     warm = gevrey_half_weight(grid, config.gevrey_epsilon0, t, config.gamma, half)
     warm_power = power * warm
@@ -104,9 +102,8 @@ def _validated(theta0: SpectralField, n_range, config: SolverConfig,
 def _cut_data(theta0: SpectralField, cutoff: int) -> np.ndarray:
     """Half spectrum of the dealiased data restricted to blocks <= cutoff."""
     grid = theta0.grid
-    half = slice(0, grid.n // 2 + 1)
-    low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)[:, half]
-    return theta0.coeffs[:, half] * grid_arrays(grid).dealias_mask[:, half] * low
+    low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)
+    return theta0.coeffs * grid_arrays(grid).dealias_mask * low
 
 
 def _lockstep(
@@ -193,7 +190,7 @@ def galerkin_sequence(
     """
     n_values, n_steps = _validated(theta0, n_range, config, -1, "cutoff")
     grid = config.grid
-    k_abs = grid_arrays(grid).k_abs[:, : grid.n // 2 + 1]
+    k_abs = grid_arrays(grid).k_abs
     outside = [k_abs > PROFILE_OUTER * 2.0 ** (n - 1) for n in n_values]
     steppers = [Stepper(config, projection=n - 1) for n in n_values]
     worst_leak = 0.0

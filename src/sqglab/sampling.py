@@ -1,8 +1,10 @@
 """Seeded random field generators used by sweeps and tests.
 
 All samplers take a ``numpy.random.Generator`` so every sweep is
-reproducible from a single integer seed.  Generated coefficient arrays are
-conjugate-symmetrized (real fields) and mean-free unless stated otherwise.
+reproducible from a single integer seed.  Each sampler draws complex
+Gaussian noise on the full lattice, shapes it by a radial profile and keeps
+the real part of the resulting field, as a half spectrum; fields are
+mean-free unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .spectral import (
     MultiplierSpec,
     SpectralField,
     grid_arrays,
-    hermitian_symmetrize,
 )
 
 __all__ = [
@@ -31,8 +32,22 @@ __all__ = [
 ]
 
 
-def _finish(grid: GridSpec, coeffs: np.ndarray) -> SpectralField:
-    c = hermitian_symmetrize(coeffs)
+def _finish(grid: GridSpec, noise: np.ndarray, profile: np.ndarray) -> SpectralField:
+    """The mean-free real part of ``noise * profile``, as a half spectrum.
+
+    ``noise`` covers the full lattice and ``profile``, an even table, the
+    half spectrum.  Each half-spectrum mode k gets
+    ``0.5 * (conj(noise(-k) profile(k)) + noise(k) profile(k))``.
+    """
+    m = grid.n // 2 + 1
+    negated = grid_arrays(grid).negated
+    c = noise[np.ix_(negated, negated[:m])]
+    # Multiply, then conjugate: the other order gives equal values with other
+    # zero signs, so the saved bytes of a field would change.
+    c *= profile
+    np.conjugate(c, out=c)
+    c += noise[:, :m] * profile
+    c *= 0.5
     c[0, 0] = 0.0
     # c is a fresh array: hand it over read-only so the field keeps it as is.
     c.flags.writeable = False
@@ -55,7 +70,7 @@ def gaussian_block_field(grid: GridSpec, j: int,
     sym = MultiplierSpec.block(j).symbol_on(grid)
     if not np.any(sym != 0.0):
         raise UsageError(f"block {j} does not intersect the frequency lattice")
-    return _finish(grid, _complex_noise(grid, rng) * sym)
+    return _finish(grid, _complex_noise(grid, rng), sym)
 
 
 def band_limited_field(grid: GridSpec, k_max: float,
@@ -65,14 +80,14 @@ def band_limited_field(grid: GridSpec, k_max: float,
     mask = (ga.k_abs > 0.0) & (ga.k_abs <= k_max)
     if not np.any(mask):
         raise UsageError(f"no lattice frequencies below k_max={k_max}")
-    return _finish(grid, _complex_noise(grid, rng) * mask)
+    return _finish(grid, _complex_noise(grid, rng), mask)
 
 
 def low_pass_field(grid: GridSpec, j: int,
                    rng: np.random.Generator) -> SpectralField:
     """Random field shaped by the low-pass profile at scale ``2^j``."""
     sym = MultiplierSpec.low_pass(j).symbol_on(grid)
-    return _finish(grid, _complex_noise(grid, rng) * sym)
+    return _finish(grid, _complex_noise(grid, rng), sym)
 
 
 def power_law_field(grid: GridSpec, alpha: float, rng: np.random.Generator,
@@ -88,7 +103,7 @@ def power_law_field(grid: GridSpec, alpha: float, rng: np.random.Generator,
     mask = (ga.k_abs > 0.0) & (ga.k_abs <= cut)
     with np.errstate(divide="ignore"):
         shape = np.where(mask, ga.k_abs ** (-alpha), 0.0)
-    return _finish(grid, _complex_noise(grid, rng) * shape)
+    return _finish(grid, _complex_noise(grid, rng), shape)
 
 
 # ---------------------------------------------------------------------------

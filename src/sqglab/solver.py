@@ -2,7 +2,7 @@
 
 The equation is theta_t + u . grad(theta) + nu D^gamma theta = 0 with
 u = riesz_perp(theta) on the periodic box.  The stiff dissipation is applied
-exactly through heat multipliers (integrating factor); only the transport
+exactly through heat factors (integrating factor); only the transport
 term is stepped explicitly, so the linear flow is reproduced to round-off
 regardless of dt.
 """
@@ -29,13 +29,10 @@ from .spectral import (
     Velocity,
     _workspace,
     advect,
-    apply_multiplier,
     field_lp_norm,
-    full_spectrum,
     gevrey_half_weight,
     grid_arrays,
     half_power,
-    hermitian_symmetrize,
     k_power,
     lp_norm,
     sobolev_weights,
@@ -115,16 +112,16 @@ def nonlinear_term(
     """
     _require_mean_free(theta.coeffs)
     grid = theta.grid
-    low = None if projection is None else _half_low_pass(grid, projection)
-    rhs, _ = _advective_rhs(grid, theta.coeffs[:, : grid.n // 2 + 1], low)
-    return SpectralField(grid, full_spectrum(grid, rhs))
+    low = None if projection is None else MultiplierSpec.low_pass(projection).symbol_on(grid)
+    rhs, _ = _advective_rhs(grid, theta.coeffs, low)
+    return SpectralField(grid, rhs)
 
 
 def _advective_rhs(grid: GridSpec, half: np.ndarray, low: np.ndarray | None,
                    out: np.ndarray | None = None, projected: np.ndarray | None = None):
     """Core tendency on the half spectrum; returns (rhs, max |u|).
 
-    ``low`` is the half-width Galerkin low-pass, or None for no projection.
+    ``low`` is the Galerkin low-pass symbol, or None for no projection.
     The tendency is fresh or written into ``out`` (which may be ``half``),
     the projected state fresh or into ``projected``.  ``-(x low)`` equals
     ``x (-low)`` up to the sign of zeros, so no negated table is needed.
@@ -135,15 +132,6 @@ def _advective_rhs(grid: GridSpec, half: np.ndarray, low: np.ndarray | None,
     if low is not None:
         out *= low
     return np.negative(out, out=out), umax
-
-
-@lru_cache(maxsize=16)
-def _half_low_pass(grid: GridSpec, j: int) -> np.ndarray:
-    """Read-only low-pass profile at scale 2^j on the half spectrum."""
-    sym = MultiplierSpec.low_pass(j).symbol_on(grid)
-    table = np.ascontiguousarray(sym[:, : grid.n // 2 + 1])
-    table.flags.writeable = False
-    return table
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -171,7 +159,7 @@ def _factor_tables(grid: GridSpec, nu: float, gamma: float, dt: float,
     Shared by every stepper with the same key, so sweeps that hold several
     steppers hold one copy.
     """
-    z = -(nu * k_power(grid, gamma)[:, : grid.n // 2 + 1]) * dt
+    z = -(nu * k_power(grid, gamma)) * dt
     if integrator == "if_rk4":
         e_half = np.exp(0.5 * z)
         tables = (e_half, e_half * e_half)
@@ -232,7 +220,7 @@ class Stepper:
         self.step_grid = stepping_grid(self.grid, projection)
         self._shape = (self.grid.n, self.grid.n // 2 + 1)
         self._low = (None if projection is None
-                     else _half_low_pass(self.step_grid, projection))
+                     else MultiplierSpec.low_pass(projection).symbol_on(self.step_grid))
         self._kmax = self.grid.dealias_radius
         self.cfl_max = 0.0
         self._warned = False
@@ -481,13 +469,6 @@ def _series_columns(partition: DyadicPartition, j0: int | None) -> list:
     return names
 
 
-def _full_field(grid: GridSpec, half: np.ndarray) -> SpectralField:
-    """The field a half-spectrum state stands for, without a second copy."""
-    full = full_spectrum(grid, half)
-    full.flags.writeable = False
-    return SpectralField(grid, full)
-
-
 def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     """Integrate to t_final, emitting diagnostics every ``output_stride`` steps.
 
@@ -519,7 +500,6 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     names = _series_columns(partition, config.j0)
     series = TimeSeries(config, columns={name: [] for name in names})
     cols = series.columns
-    m = grid.n // 2 + 1
     s_crit = 2.0 - config.gamma
     s_besov = 1.0 - config.gamma + 2.0 / config.besov_p
     area = grid.period**2
@@ -527,11 +507,11 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     w_crit = sobolev_weights(grid, s_crit, False)
     w_diss = sobolev_weights(grid, config.gamma / 2.0, True)
     w_mid = sobolev_weights(grid, 2.0 - config.gamma / 2.0, False)
-    block_rows = block_power_weights(partition)[:-1].reshape(-1, grid.n * m)
     block_names = [f"block_{j}_l2" for j in partition.block_indices()]
+    block_rows = block_power_weights(partition)[:-1].reshape(len(block_names), -1)
     split_rows = None
     if config.j0 is not None:
-        split_sym = MultiplierSpec.low_pass(config.j0).symbol_on(grid)[:, :m]
+        split_sym = MultiplierSpec.low_pass(config.j0).symbol_on(grid)
         split_rows = np.stack([split_sym**2, (1.0 - split_sym) ** 2]).reshape(2, -1)
 
     integral_state = {"value": 0.0, "last_t": None, "last_sq": None}
@@ -581,15 +561,16 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
 
     projection = None if config.galerkin_n is None else config.galerkin_n - 1
     stepper = Stepper(config, projection=projection)
-    # The state is the half spectrum from here on; only the returned fields
-    # are extended to the full lattice.
-    coeffs = theta0.coeffs[:, :m] * ka.dealias_mask[:, :m]
+    # Every state is a fresh array that nothing writes to again, so the
+    # snapshots and the final state wrap it read-only without a copy.
+    coeffs = theta0.coeffs * ka.dealias_mask
     if projection is not None:
-        coeffs = coeffs * _half_low_pass(grid, projection)
+        coeffs = coeffs * MultiplierSpec.low_pass(projection).symbol_on(grid)
+    coeffs.flags.writeable = False
     n_steps = int(math.ceil(config.t_final / config.dt - 1e-12))
     emit(0.0, coeffs)
     if config.snapshot_stride > 0:
-        series.snapshots.append((0.0, _full_field(grid, coeffs)))
+        series.snapshots.append((0.0, SpectralField(grid, coeffs)))
     t = 0.0
     try:
         for k in range(1, n_steps + 1):
@@ -599,18 +580,19 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
             if dt > config.dt * (1.0 - 1e-9):
                 dt = config.dt
             coeffs = stepper.step(coeffs, dt=dt)
+            coeffs.flags.writeable = False
             t = config.t_final if k == n_steps else t + dt
             if k % config.output_stride == 0 or k == n_steps:
                 emit(t, coeffs)
             if config.snapshot_stride > 0 and (
                 k % config.snapshot_stride == 0 or k == n_steps
             ):
-                series.snapshots.append((t, _full_field(grid, coeffs)))
+                series.snapshots.append((t, SpectralField(grid, coeffs)))
     except GuardError as guard:
         series.aborted = True
         series.abort_reason = f"{type(guard).__name__}: {guard}"
     else:
-        series.final_state = _full_field(grid, coeffs)
+        series.final_state = SpectralField(grid, coeffs)
     series.cfl_max = stepper.cfl_max
     return series
 
@@ -661,21 +643,14 @@ def mild_residual(series: TimeSeries, t0: float, t1: float, p: float = 2.0) -> f
     ):
         raise UsageError("snapshots must bracket [t0, t1]")
 
-    propagated = apply_multiplier(
-        nodes[0][1], MultiplierSpec.heat(nu, t1 - t0, gamma)
-    ).coeffs
+    kg = k_power(grid, gamma)
+    propagated = nodes[0][1].coeffs * np.exp(-nu * (t1 - t0) * kg)
     integrand = np.empty((len(nodes),) + propagated.shape, dtype=np.complex128)
     for i, (ts, state) in enumerate(nodes):
-        tendency = nonlinear_term(state)
-        cooled = apply_multiplier(
-            tendency, MultiplierSpec.heat(nu, t1 - ts, gamma)
-        )
-        integrand[i] = cooled.coeffs
+        integrand[i] = nonlinear_term(state).coeffs * np.exp(-nu * (t1 - ts) * kg)
     duhamel = simpson(integrand, x=times, axis=0)
     rebuilt = propagated + duhamel
     target = nodes[-1][1]
-    # The defect is tiny, so round-off conjugate asymmetry can be large
-    # relative to the defect itself; symmetrize instead of rejecting.
-    gap = SpectralField(grid, hermitian_symmetrize(target.coeffs - rebuilt))
+    gap = SpectralField(grid, target.coeffs - rebuilt)
     scale = field_lp_norm(target, p)
     return field_lp_norm(gap, p) / max(scale, 1e-300)

@@ -13,9 +13,14 @@ goes through this module.  Conventions, fixed once:
 * With this convention Parseval reads
   ``integral |f|^2 dx = period**2 * sum_k |c(k)|**2``.
 
-Real fields correspond to conjugate-symmetric coefficient arrays; that
-symmetry is an invariant all operators here preserve (odd symbols are
-zeroed on the unpaired Nyquist line to keep it exact).
+Fields are real, so their coefficients are conjugate-symmetric,
+``c(-k) = conj(c(k))``, and the rfft half spectrum, columns ``0..n/2`` of
+the lattice (an ``(n, n/2 + 1)`` array), holds every one of them.  It is
+the only layout in memory: :class:`SpectralField`, every operator and every
+per-grid table use it.  The full ``(n, n)`` lattice appears only at the
+``.sqgf`` boundary (:func:`field_to_bytes`, :func:`field_from_bytes`) and
+in :func:`full_spectrum`.  Odd symbols are zeroed on the unpaired Nyquist
+lines, so every operator maps real fields to real fields exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ __all__ = [
     "SpectralField",
     "MultiplierSpec",
     "forward_transform",
-    "inverse_transform",
     "apply_multiplier",
     "riesz_perp",
     "synthesize",
@@ -56,8 +60,6 @@ __all__ = [
     "field_lp_norm",
     "smoothstep",
     "radial_profile",
-    "conjugate_flip",
-    "hermitian_symmetrize",
     "save_field",
     "load_field",
 ]
@@ -69,6 +71,10 @@ GEVREY_EXPONENT_CAP = 500.0
 #: Coefficients with relative magnitude below this are treated as absent
 #: when the overflow guard decides whether a weight may be applied.
 SUPPORT_THRESHOLD = 1e-13
+
+#: Largest gap, relative to the largest coefficient, between a loaded mode
+#: and the conjugate of its partner that is taken for round-off.
+SYMMETRY_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -113,27 +119,35 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def _grid_arrays(grid: GridSpec) -> SimpleNamespace:
-    """Precomputed frequency arrays for a grid (cached per GridSpec)."""
+    """Frequency arrays on the grid's half spectrum (cached per GridSpec).
+
+    Rows run over ``m1`` in FFT order, columns over ``m2 = 0..n/2 - 1`` and
+    then the Nyquist column, which FFT order labels ``-n/2``.  ``negated``
+    is the index of ``-m`` for each FFT-order index ``m``: it pairs each
+    mode with its conjugate partner.
+    """
     n = grid.n
     m = np.fft.fftfreq(n, d=1.0 / n)  # integer lattice in FFT order
-    m1 = m[:, None] * np.ones((1, n))
-    m2 = np.ones((n, 1)) * m[None, :]
+    m1 = m[:, None] * np.ones((1, n // 2 + 1))
+    m2 = np.ones((n, 1)) * m[None, : n // 2 + 1]
     k1 = grid.freq_scale * m1
     k2 = grid.freq_scale * m2
     k_sq = k1 * k1 + k2 * k2
     k_abs = np.sqrt(k_sq)
     dealias_mask = k_abs <= grid.dealias_radius + 1e-12 * grid.freq_scale
-    # The -n/2 column has no +n/2 partner; odd symbols must vanish there.
+    # The -n/2 row and column have no +n/2 partner; odd symbols must vanish
+    # there.
     nyquist = (m1 == -n // 2) | (m2 == -n // 2)
     # Riesz factor 1/|k|: zero at the origin and on the Nyquist lines.
     with np.errstate(divide="ignore"):
         inv_k_abs = np.where((k_abs > 0.0) & ~nyquist, 1.0 / k_abs, 0.0)
-    arrays = (m1, m2, k1, k2, k_sq, k_abs, inv_k_abs, dealias_mask, nyquist)
+    negated = (-np.arange(n)) % n
+    arrays = (m1, m2, k1, k2, k_sq, k_abs, inv_k_abs, dealias_mask, nyquist, negated)
     for arr in arrays:
         arr.flags.writeable = False
     return SimpleNamespace(
         m1=m1, m2=m2, k1=k1, k2=k2, k_sq=k_sq, k_abs=k_abs, inv_k_abs=inv_k_abs,
-        dealias_mask=dealias_mask, nyquist=nyquist,
+        dealias_mask=dealias_mask, nyquist=nyquist, negated=negated,
     )
 
 
@@ -144,9 +158,9 @@ def grid_arrays(grid: GridSpec) -> SimpleNamespace:
 
 @lru_cache(maxsize=32)
 def k_power(grid: GridSpec, gamma: float) -> np.ndarray:
-    """Read-only ``|k|^gamma`` on the full lattice, cached per (grid, gamma).
+    """Read-only ``|k|^gamma`` on the half spectrum, cached per (grid, gamma).
 
-    The one source of the dissipation exponent: heat and Gevrey symbols,
+    The one source of the dissipation exponent: heat and Gevrey factors,
     the overflow guard and the diagnostics rows scale it by ``t`` on the
     fly, so no cache entry is keyed on a time value.
     """
@@ -157,9 +171,12 @@ def k_power(grid: GridSpec, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A scalar field held as Fourier coefficients on a grid.
+    """A real scalar field held as its rfft half spectrum on a grid.
 
-    Treat instances as immutable; operations return new fields.
+    ``coeffs`` is the ``(n, n/2 + 1)`` array of columns ``0..n/2`` of the
+    field's Fourier coefficients; the others follow from conjugate symmetry
+    (:func:`full_spectrum`).  Treat instances as immutable; operations
+    return new fields.
     """
 
     grid: GridSpec
@@ -167,9 +184,11 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs)
-        if c.shape != (self.grid.n, self.grid.n):
+        n = self.grid.n
+        if c.shape != (n, n // 2 + 1):
             raise UsageError(
-                f"coefficient array shape {c.shape} does not match grid n={self.grid.n}"
+                f"coefficient array shape {c.shape} is not the half spectrum "
+                f"{(n, n // 2 + 1)} of grid n={n}"
             )
         if c.dtype != np.complex128:
             c = c.astype(np.complex128)
@@ -182,7 +201,8 @@ class SpectralField:
         return SpectralField(self.grid, coeffs)
 
     def to_samples(self) -> np.ndarray:
-        return inverse_transform(self)
+        """The field's real samples on the grid."""
+        return synthesize(self.grid, self.coeffs)
 
 
 def forward_transform(samples: np.ndarray, grid: GridSpec) -> SpectralField:
@@ -192,57 +212,26 @@ def forward_transform(samples: np.ndarray, grid: GridSpec) -> SpectralField:
         raise UsageError(f"sample array shape {s.shape} does not match grid n={grid.n}")
     if np.iscomplexobj(s):
         raise UsageError("forward_transform expects a real sample array")
-    coeffs = np.fft.fft2(s) / (grid.n * grid.n)
-    return SpectralField(grid, coeffs)
+    half = analyze(grid, s)
+    _symmetrize_edges(half, _grid_arrays(grid).negated)
+    return SpectralField(grid, half)
 
 
-def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Coefficients -> real samples; errors if the field is not real.
+def _symmetrize_edges(half: np.ndarray, rows: np.ndarray,
+                      scratch: np.ndarray | None = None) -> None:
+    """Make columns 0 and n/2 of ``half`` exactly conjugate-symmetric, in place.
 
-    Imaginary residue below 1e-10 (relative) is round-off and is dropped;
-    anything larger means the coefficients were not conjugate-symmetric.
+    Those columns are their own conjugate partners, ``c(-m1) = conj(c(m1))``
+    with ``rows`` the permutation ``m1 -> -m1``; a transform leaves them
+    symmetric only to round-off.  ``scratch``, ``(n, 2)``, holds the
+    flipped columns.
     """
-    n = field.grid.n
-    z = np.fft.ifft2(field.coeffs) * (n * n)
-    scale = float(np.max(np.abs(z)))
-    if scale > 0.0:
-        resid = float(np.max(np.abs(z.imag))) / scale
-        if resid > 1e-10:
-            raise SymmetryError(
-                f"imaginary residue {resid:.3e} relative; coefficients are not "
-                "conjugate-symmetric, no real field exists"
-            )
-    return np.ascontiguousarray(z.real)
-
-
-def real_samples_unchecked(field: SpectralField) -> np.ndarray:
-    """Real part of the inverse transform, skipping the symmetry guard.
-
-    For internal compositions of even/odd symbols on real fields, where
-    symmetry holds by construction and intermediate pieces may consist of
-    round-off junk that would trip the relative-residue check.
-    """
-    n = field.grid.n
-    return np.ascontiguousarray(np.fft.ifft2(field.coeffs).real) * (n * n)
-
-
-def conjugate_flip(coeffs: np.ndarray) -> np.ndarray:
-    """Return the array ``c~(k) = conj(c(-k))`` in FFT index order."""
-    # Index -m is (n - m) % n: row and column 0 stay put, the rest reverse.
-    out = np.empty_like(coeffs)
-    out[0, 0] = coeffs[0, 0]
-    out[0, 1:] = coeffs[0, :0:-1]
-    out[1:, 0] = coeffs[:0:-1, 0]
-    out[1:, 1:] = coeffs[:0:-1, :0:-1]
-    return np.conjugate(out, out=out)
-
-
-def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto conjugate-symmetric arrays (the real-field subspace)."""
-    out = conjugate_flip(coeffs)
-    out += coeffs
-    out *= 0.5
-    return out
+    edge = half[:, :: (half.shape[1] - 1)]
+    flip = np.take(edge, rows, axis=0, out=scratch, mode="wrap")
+    np.conjugate(flip, out=flip)
+    flip += edge
+    flip *= 0.5
+    edge[...] = flip
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +284,22 @@ class MultiplierSpec:
     Kinds and their symbols:
 
     * ``fractional_laplacian(s)``:      |k|^s        (zero mode -> 0)
-    * ``heat(nu, t, gamma)``:           exp(-nu t |k|^gamma)
-    * ``gevrey(lam, t, gamma)``:        exp(+lam t |k|^gamma), guarded
     * ``low_pass(j)``:                  profile(|k| / 2^j)
     * ``block(j)``:                     profile(|k|/2^j) - profile(|k|/2^(j-1))
 
-    The gevrey kind grows without bound, so applying it is guarded: modes
-    whose exponent exceeds ``cap`` must carry no data (relative magnitude
-    below 1e-13), otherwise the apply raises ``OverflowGuardError``.
+    Time-dependent factors (heat ``exp(-nu t |k|^gamma)``, Gevrey
+    ``exp(lam t |k|^gamma)``) are not kinds: their callers scale
+    :func:`k_power` by ``t``, so no symbol is keyed on a time value.
     """
 
     kind: str
     params: tuple = ()
-    cap: float = GEVREY_EXPONENT_CAP
 
     # -- factories ---------------------------------------------------------
 
     @staticmethod
     def fractional_laplacian(s: float) -> "MultiplierSpec":
         return MultiplierSpec("fractional_laplacian", (float(s),))
-
-    @staticmethod
-    def heat(nu: float, t: float, gamma: float) -> "MultiplierSpec":
-        if nu * t < 0.0:
-            raise UsageError("heat multiplier needs nu * t >= 0 (else use gevrey)")
-        _check_gamma(gamma)
-        return MultiplierSpec("heat", (float(nu), float(t), float(gamma)))
-
-    @staticmethod
-    def gevrey(lam: float, t: float, gamma: float,
-               cap: float = GEVREY_EXPONENT_CAP) -> "MultiplierSpec":
-        if lam * t < 0.0:
-            raise UsageError("gevrey multiplier needs lam * t >= 0 (else use heat)")
-        _check_gamma(gamma)
-        return MultiplierSpec("gevrey", (float(lam), float(t), float(gamma)), cap)
 
     @staticmethod
     def low_pass(j: int) -> "MultiplierSpec":
@@ -341,30 +312,9 @@ class MultiplierSpec:
     # -- evaluation --------------------------------------------------------
 
     def symbol_on(self, grid: GridSpec) -> np.ndarray:
-        """Symbol values on the grid's frequency lattice.
-
-        For the gevrey kind, entries past the exponent cap are set to 0;
-        the guard in :func:`apply_multiplier` ensures such entries never
-        multiply actual data.  Heat and gevrey symbols depend on ``t`` and
-        are built from the cached ``|k|^gamma`` table on every call; the
-        other kinds are cached per (spec, grid).
-        """
-        if self.kind == "heat":
-            nu, t, gamma = self.params
-            sym = np.exp(-nu * t * k_power(grid, gamma))
-        elif self.kind == "gevrey":
-            lam, t, gamma = self.params
-            expo = lam * t * k_power(grid, gamma)
-            sym = np.where(expo <= self.cap, np.exp(np.minimum(expo, self.cap)), 0.0)
-        else:
-            return _symbol_cached(self, grid)
-        sym.flags.writeable = False
-        return sym
-
-
-def _check_gamma(gamma: float) -> None:
-    if not (0.0 < gamma <= 2.0):
-        raise UsageError(f"dissipation exponent gamma must lie in (0, 2], got {gamma}")
+        """Read-only symbol values on the grid's half spectrum, cached per
+        (spec, grid)."""
+        return _symbol_cached(self, grid)
 
 
 @lru_cache(maxsize=64)
@@ -389,23 +339,14 @@ def _symbol_cached(mult: MultiplierSpec, grid: GridSpec) -> np.ndarray:
 
 
 def apply_multiplier(field: SpectralField, mult: MultiplierSpec) -> SpectralField:
-    """Multiply coefficients by the symbol; guarded for growing symbols."""
-    if mult.kind == "gevrey":
-        _gevrey_guard(field, mult)
-    sym = mult.symbol_on(field.grid)
-    return SpectralField(field.grid, field.coeffs * sym)
-
-
-def _gevrey_guard(field: SpectralField, mult: MultiplierSpec) -> None:
-    lam, t, gamma = mult.params
-    _check_exponents(lam * t * k_power(field.grid, gamma), field.coeffs, mult.cap)
+    """Multiply coefficients by the symbol."""
+    return SpectralField(field.grid, field.coeffs * mult.symbol_on(field.grid))
 
 
 def _check_exponents(expo: np.ndarray, coeffs: np.ndarray, cap: float) -> None:
     """Raise if a mode whose weight exponent exceeds ``cap`` carries data.
 
-    ``expo`` and ``coeffs`` cover the same modes: the full lattice, or the
-    half spectrum of a real field (which holds every magnitude).
+    ``expo`` and ``coeffs`` cover the same half-spectrum modes.
     """
     over = expo > cap
     if not np.any(over):
@@ -469,10 +410,9 @@ def _forward_pass(samples: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.
 def synthesize(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients -> real samples, over the last two axes.
 
-    ``half`` holds columns ``0..n/2`` of full coefficient arrays of real
-    fields (any leading stack axes); the missing columns are implied by
-    conjugate symmetry.  No symmetry guard runs: callers pass half spectra
-    of real fields, which are real by construction.
+    ``half`` holds the ``(n, n/2 + 1)`` half spectra of real fields (any
+    leading stack axes); the missing columns are implied by conjugate
+    symmetry, so the samples are real by construction.
     """
     if half.ndim > 2:
         # One transform per field: a single call on a stack of five measured
@@ -480,7 +420,6 @@ def synthesize(grid: GridSpec, half: np.ndarray) -> np.ndarray:
         # thread), and no faster on a stack of two.
         return np.stack([synthesize(grid, h) for h in half])
     n = grid.n
-    half = half[:, : n // 2 + 1]
     return _inverse_pass(half, np.empty(half.shape, np.complex128), np.empty((n, n)))
 
 
@@ -512,13 +451,12 @@ def parseval_columns(grid: GridSpec) -> np.ndarray:
 def half_power(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Parseval mass of each half-spectrum mode of a real field.
 
-    ``parseval_columns * |c|^2`` over columns ``0..n/2`` of ``coeffs`` (full
-    or half), so that for any even weight g, ``period^2 * sum(g * P)`` is
-    the full-lattice sum ``period^2 * sum_k g |c(k)|^2``.
+    ``parseval_columns * |c|^2`` over the half spectrum ``coeffs``, so that
+    for any even weight g, ``period^2 * sum(g * P)`` is the full-lattice sum
+    ``period^2 * sum_k g |c(k)|^2``.
     """
-    half = coeffs[:, : grid.n // 2 + 1]
-    power = half.real * half.real
-    power += half.imag * half.imag
+    power = coeffs.real * coeffs.real
+    power += coeffs.imag * coeffs.imag
     power *= parseval_columns(grid)
     return power
 
@@ -539,7 +477,6 @@ def sobolev_weights(grid: GridSpec, r: float, homogeneous: bool = False) -> np.n
                 weights = np.where(ga.k_abs > 0.0, ga.k_abs ** (2.0 * r), 0.0)
     else:
         weights = (1.0 + ga.k_sq) ** r
-    weights = np.ascontiguousarray(weights[:, : grid.n // 2 + 1])
     weights.flags.writeable = False
     return weights
 
@@ -553,21 +490,18 @@ def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
                        coeffs: np.ndarray) -> np.ndarray:
     """Gevrey weight ``exp(lam t |k|^gamma)`` on the half spectrum.
 
-    Same guard as applying :meth:`MultiplierSpec.gevrey` to the real field
-    with coefficients ``coeffs`` (full or half): modes past the exponent
-    cap get weight 0 if they carry no data, and raise
+    Guarded for the real field with half spectrum ``coeffs``: modes past
+    the exponent cap get weight 0 if they carry no data, and raise
     ``OverflowGuardError`` if they do.  A second guard keeps the weighted
     power of the populated modes inside double range, with room for the
     Parseval sums taken of it (``_weighted_amplitude_limit``), so the norms
     built from it raise instead of overflowing into ``inf``.
     """
-    m = grid.n // 2 + 1
     cap = GEVREY_EXPONENT_CAP
-    half = coeffs[:, :m]
-    expo = lam * t * k_power(grid, gamma)[:, :m]
-    _check_exponents(expo, half, cap)
+    expo = lam * t * k_power(grid, gamma)
+    _check_exponents(expo, coeffs, cap)
     weight = np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
-    mag = np.abs(half)
+    mag = np.abs(coeffs)
     populated = mag > SUPPORT_THRESHOLD * float(mag.max())
     with np.errstate(over="ignore"):
         peak = float(np.max(mag * weight, where=populated, initial=0.0))
@@ -618,18 +552,15 @@ def _transport_operator(grid: GridSpec) -> SimpleNamespace:
     column ``band`` on (``n/3 + 1`` of the ``n/2 + 1`` under the 2/3 rule).
     """
     ga = _grid_arrays(grid)
-    n = grid.n
-    half = slice(0, n // 2 + 1)
-    k1 = np.where(ga.nyquist, 0.0, ga.k1)[:, half]
-    k2 = np.where(ga.nyquist, 0.0, ga.k2)[:, half]
-    inv = ga.inv_k_abs[:, half]
+    k1 = np.where(ga.nyquist, 0.0, ga.k1)
+    k2 = np.where(ga.nyquist, 0.0, ga.k2)
+    inv = ga.inv_k_abs
     stack = np.stack([(-1j) * k2 * inv, (+1j) * k1 * inv, 1j * k1, 1j * k2])
-    mask = ga.dealias_mask[:, half].astype(np.float64)
-    rows = (-np.arange(n)) % n
-    for arr in (stack, mask, rows):
+    mask = ga.dealias_mask.astype(np.float64)
+    for arr in (stack, mask):
         arr.flags.writeable = False
     band = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
-    return SimpleNamespace(stack=stack, mask=mask, rows=rows, band=band)
+    return SimpleNamespace(stack=stack, mask=mask, rows=ga.negated, band=band)
 
 
 class _Workspace:
@@ -721,9 +652,8 @@ class Velocity(NamedTuple):
 def velocity(grid: GridSpec, source: np.ndarray, out: np.ndarray | None = None) -> Velocity:
     """Samples of ``R_perp source`` and ``max |R_perp source|``.
 
-    ``source`` is the coefficient array of a real field, full or half; only
-    its columns ``0..n/2`` are read, and only those below the dealias band
-    when the rest are zero.  Two transforms per call, none when ``source``
+    ``source`` is the half spectrum of a real field; only its columns below
+    the dealias band are read when the rest are zero.  Two transforms per call, none when ``source``
     has no nonzero entry (then the samples are zero).  The samples are
     fresh and read-only, so one velocity can serve many :func:`advect`
     calls; with ``out``, a ``(2, n, n)`` array, they are written there
@@ -731,7 +661,6 @@ def velocity(grid: GridSpec, source: np.ndarray, out: np.ndarray | None = None) 
     """
     op = _transport_operator(grid)
     n = grid.n
-    source = source[:, : n // 2 + 1]
     if not source.any():
         if out is None:
             out = np.zeros((2, n, n))
@@ -768,15 +697,12 @@ def advect(grid: GridSpec, vel: Velocity, target: np.ndarray,
     the workspace samples that hold the velocity of :func:`transport`, so
     such a velocity serves one call only.
     """
-    n = grid.n
-    m = n // 2 + 1
     if out is None:
-        out = np.empty((n, m), dtype=np.complex128)
+        out = np.empty(target.shape, dtype=np.complex128)
     if vel.umax == 0.0:
         out.fill(0.0)
         return out
     op, ws = _transport_operator(grid), _workspace(grid)
-    target = target[:, :m]
     width = _band_width(op, target)
     product, gy = ws.samples[2], ws.samples[0]
     _synthesize_product(ws, op.stack[2], target, width, product)
@@ -788,14 +714,7 @@ def advect(grid: GridSpec, vel: Velocity, target: np.ndarray,
     _forward_pass(product, ws.rows, out[:, :band])
     out[:, band:] = 0.0
     out[:, :band] *= op.mask[:, :band]
-    # Columns 0 and n/2 are their own conjugate partners; symmetrize them so
-    # the half spectrum is exactly that of a real field.
-    edge = out[:, :: n // 2]
-    flip = np.take(edge, op.rows, axis=0, out=ws.edges, mode="wrap")
-    np.conjugate(flip, out=flip)
-    flip += edge
-    flip *= 0.5
-    edge[...] = flip
+    _symmetrize_edges(out, op.rows, ws.edges)
     out[0, 0] = 0.0
     return out
 
@@ -819,9 +738,9 @@ def full_spectrum(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     """Hermitian extension of a half spectrum to the full ``(n, n)`` lattice.
 
     Fills ``c(m1, m2) = conj(c(-m1, -m2))`` for ``m2 < 0``.  Exactly
-    conjugate-symmetric when ``half`` is edge-symmetrized, as the output of
-    :func:`transport` is.  For the boundaries that hand back a
-    :class:`SpectralField`; the solver state itself stays half.
+    conjugate-symmetric when columns 0 and n/2 of ``half`` are, as every
+    :class:`SpectralField` the package builds has them.  For the ``.sqgf``
+    boundary and for oracles that sum over the full lattice.
     """
     n = grid.n
     m = n // 2 + 1
@@ -876,7 +795,7 @@ def lp_norm(samples: np.ndarray, p: float, cell_volume: float = 1.0) -> float:
 
 def field_lp_norm(field: SpectralField, p: float) -> float:
     """L^p norm of the real field represented by ``field``."""
-    return lp_norm(inverse_transform(field), p, field.grid.cell_area)
+    return lp_norm(field.to_samples(), p, field.grid.cell_area)
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +808,11 @@ _HEADER = struct.Struct("<4sIIdd12s")
 
 
 def field_to_bytes(field: SpectralField) -> bytes:
-    """Binary container form: fixed header followed by the raw coefficients."""
+    """Binary container form: fixed header followed by the coefficients of
+    the full ``(n, n)`` lattice, extended from the half spectrum."""
     g = field.grid
     header = _HEADER.pack(_MAGIC, 1, g.n, g.period, g.dealias_fraction, _LAYOUT)
-    payload = np.ascontiguousarray(field.coeffs).view(np.float64).tobytes()
+    payload = full_spectrum(g, field.coeffs).view(np.float64).tobytes()
     return header + payload
 
 
@@ -910,8 +830,23 @@ def field_from_bytes(blob: bytes, origin: str = "<bytes>") -> SpectralField:
     data = np.frombuffer(blob[_HEADER.size :], dtype=np.float64)
     if data.size != 2 * n * n:
         raise UsageError(f"{origin}: payload size mismatch for n={n}")
-    coeffs = data.view(np.complex128).reshape(n, n)
-    return SpectralField(GridSpec(n, period, frac), coeffs)
+    grid = GridSpec(n, period, frac)
+    full = data.view(np.complex128).reshape(n, n)
+    # Foreign data enter here: they must describe a real field, so each
+    # mode's partner c(-k) must hold its conjugate, up to round-off.
+    negated = _grid_arrays(grid).negated
+    partner = np.conjugate(full[np.ix_(negated, negated)])
+    scale = float(np.max(np.abs(full)))
+    gap = float(np.max(np.abs(full - partner)))
+    if gap > SYMMETRY_TOLERANCE * scale:
+        raise SymmetryError(
+            f"{origin}: coefficients are not conjugate-symmetric (a mode differs "
+            f"from its partner's conjugate by {gap / scale:.3e} relative); "
+            "no real field exists"
+        )
+    half = full[:, : n // 2 + 1].copy()
+    half.flags.writeable = False
+    return SpectralField(grid, half)
 
 
 def save_field(field: SpectralField, path: str) -> None:

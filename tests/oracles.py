@@ -1,28 +1,91 @@
-"""Reference formulas the fast norm paths are tested against.
+"""Reference formulas the fast paths are tested against.
 
-Each one evaluates its norm the direct way: Sobolev sums over the full
-n x n lattice, Besov block norms from the samples of each projected block
-(one complex inverse FFT per block), Gevrey weights from ``|k|^gamma``
-computed in place.  None of them reads the half-spectrum weight tables.
+Each one evaluates its quantity the direct way, on the full n x n lattice
+with frequency tables built here: Sobolev sums over every mode, Besov block
+norms from the samples of each projected block (one complex inverse FFT per
+block), Gevrey weights from ``|k|^gamma`` computed in place, products with
+complex FFTs.  Package fields hold half spectra; they enter through
+:func:`full`, their Hermitian extension.  None of these reads the package's
+frequency or weight tables, except :func:`scipy_transport`, which replays
+the package's transport with whole-array transforms.
 """
 
 import math
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
-from sqglab.dyadic import default_partition, project_block, project_low
+from sqglab.dyadic import default_partition
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
     SpectralField,
-    grid_arrays,
+    full_spectrum,
     lp_norm,
-    real_samples_unchecked,
+    radial_profile,
 )
+
+
+@lru_cache(maxsize=16)
+def full_lattice(grid):
+    """Frequency arrays of the full lattice in FFT order, by the formulas
+    the package applies on the half spectrum."""
+    n = grid.n
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    m1 = m[:, None] * np.ones((1, n))
+    m2 = np.ones((n, 1)) * m[None, :]
+    k1 = grid.freq_scale * m1
+    k2 = grid.freq_scale * m2
+    k_sq = k1 * k1 + k2 * k2
+    k_abs = np.sqrt(k_sq)
+    dealias_mask = k_abs <= grid.dealias_radius + 1e-12 * grid.freq_scale
+    nyquist = (m1 == -n // 2) | (m2 == -n // 2)
+    with np.errstate(divide="ignore"):
+        inv_k_abs = np.where((k_abs > 0.0) & ~nyquist, 1.0 / k_abs, 0.0)
+    return SimpleNamespace(
+        m1=m1, m2=m2, k1=k1, k2=k2, k_sq=k_sq, k_abs=k_abs, inv_k_abs=inv_k_abs,
+        dealias_mask=dealias_mask, nyquist=nyquist,
+    )
+
+
+def full(field):
+    """The full-lattice coefficients of a package field."""
+    return full_spectrum(field.grid, field.coeffs)
+
+
+def half(grid, coeffs):
+    """Columns ``0..n/2`` of a full-lattice array, as a fresh array."""
+    return np.ascontiguousarray(coeffs[:, : grid.n // 2 + 1])
+
+
+def conjugate_flip(coeffs):
+    """``c~(k) = conj(c(-k))`` on the full lattice, in FFT index order."""
+    return np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
+
+
+def full_profile(grid, kind, j):
+    """The ``low_pass`` or ``block`` profile at scale ``2^j`` on the full lattice."""
+    k_abs = full_lattice(grid).k_abs
+    low = radial_profile(k_abs / 2.0**j)
+    if kind == "low_pass":
+        return low
+    return low - radial_profile(k_abs / 2.0 ** (j - 1))
+
+
+def full_k_power(grid, gamma):
+    """``|k|^gamma`` on the full lattice."""
+    return full_lattice(grid).k_abs ** gamma
+
+
+def complex_samples(coeffs):
+    """Real part of the complex inverse FFT of full-lattice coefficients."""
+    n = coeffs.shape[-1]
+    return np.ascontiguousarray(np.fft.ifft2(coeffs).real) * (n * n)
 
 
 def full_sobolev_norm(field, r, homogeneous=False):
     """Sobolev norm as a sum over the full coefficient lattice."""
-    ga = grid_arrays(field.grid)
+    ga = full_lattice(field.grid)
     if homogeneous and r != 0.0:
         with np.errstate(divide="ignore"):
             weights = np.where(ga.k_abs > 0.0, ga.k_abs ** (2.0 * r), 0.0)
@@ -30,21 +93,24 @@ def full_sobolev_norm(field, r, homogeneous=False):
         weights = np.ones_like(ga.k_abs)
     else:
         weights = (1.0 + ga.k_sq) ** r
-    mag2 = np.abs(field.coeffs) ** 2
+    mag2 = np.abs(full(field)) ** 2
     return math.sqrt(field.grid.period**2 * float(np.sum(weights * mag2)))
 
 
 def besov_sample_oracle(field, s, p, q, homogeneous=False, partition=None):
     """Besov norm from full-spectrum block samples, one inverse FFT per block."""
-    part = partition or default_partition(field.grid)
-    area = field.grid.cell_area
+    grid = field.grid
+    part = partition or default_partition(grid)
+    area = grid.cell_area
+    coeffs = full(field)
     low = 0.0
     j_lo = part.j_min
     if not homogeneous:
         j_lo = 1
-        low = lp_norm(real_samples_unchecked(project_low(field, 0)), p, area)
+        low = lp_norm(complex_samples(coeffs * full_profile(grid, "low_pass", 0)), p, area)
     terms = [
-        2.0 ** (j * s) * lp_norm(real_samples_unchecked(project_block(field, j)), p, area)
+        2.0 ** (j * s)
+        * lp_norm(complex_samples(coeffs * full_profile(grid, "block", j)), p, area)
         for j in range(j_lo, part.j_max + 1)
     ]
     if math.isinf(q):
@@ -53,10 +119,69 @@ def besov_sample_oracle(field, s, p, q, homogeneous=False, partition=None):
 
 
 def gevrey_warm(field, lam, t, gamma, cap=GEVREY_EXPONENT_CAP):
-    """``e^{lam t |k|^gamma} field`` on the full lattice (no guard)."""
-    expo = lam * t * grid_arrays(field.grid).k_abs ** gamma
+    """``e^{lam t |k|^gamma} field``, weighted on the full lattice (no guard)."""
+    expo = lam * t * full_k_power(field.grid, gamma)
     weight = np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
-    return SpectralField(field.grid, field.coeffs * weight)
+    return SpectralField(field.grid, half(field.grid, full(field) * weight))
+
+
+def complex_fft_transport(grid, source, target):
+    """dealias(R_perp source . grad target) with full complex FFTs.
+
+    ``source`` and ``target`` are half spectra; the result is on the full
+    lattice.
+    """
+    ga = full_lattice(grid)
+    k1 = np.where(ga.nyquist, 0.0, ga.k1)
+    k2 = np.where(ga.nyquist, 0.0, ga.k2)
+    source, target = full_spectrum(grid, source), full_spectrum(grid, target)
+    u1 = complex_samples((-1j) * k2 * ga.inv_k_abs * source)
+    u2 = complex_samples((+1j) * k1 * ga.inv_k_abs * source)
+    prod = u1 * complex_samples(1j * k1 * target)
+    prod += u2 * complex_samples(1j * k2 * target)
+    n = grid.n
+    out = np.fft.fft2(prod) / (n * n) * ga.dealias_mask
+    out[0, 0] = 0.0
+    return out
+
+
+def nonlinear_term_divergence(theta, projection=None):
+    """-dealias(div(u theta)) with complex FFTs on the full spectrum.
+
+    An oracle independent of the solver's transport code: conservative
+    instead of advective form, built from ``numpy.fft`` directly.  Returns
+    the full-lattice coefficients.
+    """
+    grid = theta.grid
+    n = grid.n
+    ga = full_lattice(grid)
+    coeffs = full(theta)
+    if projection is not None:
+        coeffs = coeffs * full_profile(grid, "low_pass", projection)
+    th = complex_samples(coeffs)
+    u1 = complex_samples((-1j) * ga.k2 * ga.inv_k_abs * coeffs)
+    u2 = complex_samples((+1j) * ga.k1 * ga.inv_k_abs * coeffs)
+    f1 = np.fft.fft2(u1 * th) / (n * n) * ga.dealias_mask
+    f2 = np.fft.fft2(u2 * th) / (n * n) * ga.dealias_mask
+    out = -(1j * ga.k1 * f1 + 1j * ga.k2 * f2)
+    if projection is not None:
+        out = out * full_profile(grid, "low_pass", projection)
+    out[0, 0] = 0.0
+    return out
+
+
+def parent_sampler_coeffs(grid, rng, profile):
+    """The full-lattice coefficients the samplers drew before they kept the
+    half spectrum: ``hermitian_symmetrize(noise * profile)`` with the mean
+    zeroed, ``profile`` on the full lattice."""
+    n = grid.n
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    coeffs = noise * profile
+    out = conjugate_flip(coeffs)
+    out += coeffs
+    out *= 0.5
+    out[0, 0] = 0.0
+    return out
 
 
 def scipy_transport(grid, source, target):
@@ -69,9 +194,7 @@ def scipy_transport(grid, source, target):
     from sqglab.spectral import _transport_operator
 
     n = grid.n
-    m = n // 2 + 1
     op = _transport_operator(grid)
-    source, target = source[:, :m], target[:, :m]
 
     def samples(spec):
         return scipy.fft.irfft2(spec, s=(n, n), norm="forward")
@@ -80,8 +203,8 @@ def scipy_transport(grid, source, target):
     umax = math.sqrt(float((u1 * u1 + u2 * u2).max()))
     product = samples(op.stack[2] * target) * u1
     product += samples(op.stack[3] * target) * u2
-    half = scipy.fft.rfft2(product, norm="forward") * op.mask
-    edge = half[:, :: n // 2]
-    half[:, :: n // 2] = 0.5 * (edge + np.conj(edge[op.rows]))
-    half[0, 0] = 0.0
-    return half, umax
+    out = scipy.fft.rfft2(product, norm="forward") * op.mask
+    edge = out[:, :: n // 2]
+    out[:, :: n // 2] = 0.5 * (edge + np.conj(edge[op.rows]))
+    out[0, 0] = 0.0
+    return out, umax

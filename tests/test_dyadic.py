@@ -25,12 +25,12 @@ from sqglab.spectral import (
     MultiplierSpec,
     SpectralField,
     forward_transform,
+    grid_arrays,
     half_power,
-    inverse_transform,
     sobolev_norm,
 )
 
-from oracles import besov_sample_oracle
+from oracles import besov_sample_oracle, complex_samples, full, full_lattice
 
 GRID = GridSpec(64)
 
@@ -156,11 +156,10 @@ def test_block_power_weights_read_only_and_square_the_profiles():
     stack = block_power_weights(part)
     assert not stack.flags.writeable
     assert len(stack) == len(part.block_indices()) + 1
-    m = grid.n // 2 + 1
     j = part.j_max - 1
-    block = MultiplierSpec.block(j).symbol_on(grid)[:, :m]
+    block = MultiplierSpec.block(j).symbol_on(grid)
     assert np.array_equal(stack[j - part.j_min], block**2)
-    low = MultiplierSpec.low_pass(0).symbol_on(grid)[:, :m]
+    low = MultiplierSpec.low_pass(0).symbol_on(grid)
     assert np.array_equal(stack[-1], low**2)
 
 
@@ -173,11 +172,9 @@ def test_paraproduct_reconstructs_product(rng):
     f = random_field(GRID, rng)
     g = random_field(GRID, rng)
     parts = paraproduct_decompose(f, g)
-    prod = inverse_transform(f) * inverse_transform(g)
-    expected = forward_transform(prod, GRID).coeffs
+    prod = complex_samples(full(f)) * complex_samples(full(g))
+    expected = np.fft.fft2(prod)[:, : GRID.n // 2 + 1] / GRID.n**2
     mask = MultiplierSpec.low_pass(100).symbol_on(GRID)  # identity; no clipping
-    from sqglab.spectral import grid_arrays
-
     expected = expected * grid_arrays(GRID).dealias_mask
     got = parts.total().coeffs
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
@@ -191,9 +188,7 @@ def test_paraproduct_separated_supports(rng):
     parts = paraproduct_decompose(f, g)
     assert np.max(np.abs(parts.low_high.coeffs)) < 1e-14
     total = parts.total().coeffs
-    prod = inverse_transform(f) * inverse_transform(g)
-    from sqglab.spectral import grid_arrays
-
+    prod = complex_samples(full(f)) * complex_samples(full(g))
     expected = forward_transform(prod, GRID).coeffs * grid_arrays(GRID).dealias_mask
     assert np.max(np.abs(total - expected)) < 1e-12 * max(np.max(np.abs(expected)), 1e-30)
 
@@ -209,10 +204,26 @@ def test_bilinear_identity_symbol_is_convolution(rng):
     f = SpectralField(GRID, random_field(GRID, rng).coeffs * mask8)
     g = SpectralField(GRID, random_field(GRID, rng).coeffs * mask8)
     direct = apply_bilinear_symbol(BilinearSymbol.one(), f, g)
-    fft_prod = forward_transform(
-        inverse_transform(f) * inverse_transform(g), GRID
-    ).coeffs
-    assert np.max(np.abs(direct.coeffs - fft_prod)) < 1e-12
+    fft_prod = np.fft.fft2(complex_samples(full(f)) * complex_samples(full(g))) / GRID.n**2
+    assert np.max(np.abs(direct.coeffs - fft_prod[:, : GRID.n // 2 + 1])) < 1e-12
+
+
+def test_bilinear_sum_must_be_a_real_field(rng):
+    # An odd real symbol turns two real fields into an imaginary one, which
+    # no half spectrum holds: refused instead of half kept.
+    mask = MultiplierSpec.low_pass(3).symbol_on(GRID)
+    f = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)
+    g = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)
+    odd = BilinearSymbol(lambda xi, eta: xi[..., 0] + 0.5 * eta[..., 1])
+    with pytest.raises(UsageError, match="conjugate-symmetric"):
+        apply_bilinear_symbol(odd, f, g)
+    # i times an odd symbol is a real-field product: i k . the gradient
+    grad = BilinearSymbol(lambda xi, eta: 1j * eta[..., 0])
+    got = apply_bilinear_symbol(grad, f, g)
+    ga = full_lattice(GRID)
+    want = np.fft.fft2(complex_samples(full(f)) * complex_samples(1j * ga.k1 * full(g)))
+    want = want[:, : GRID.n // 2 + 1] / GRID.n**2
+    assert np.max(np.abs(got.coeffs - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_bilinear_band_restriction(rng):
@@ -227,8 +238,6 @@ def test_bilinear_band_restriction(rng):
 
 
 def _kabs(grid):
-    from sqglab.spectral import grid_arrays
-
     return grid_arrays(grid).k_abs
 
 
@@ -276,7 +285,7 @@ def test_commutator_weight_guard(rng):
 
 
 def test_trilinear_zero_for_constant_first_slot(rng):
-    g = SpectralField(GRID, np.zeros((64, 64), dtype=complex))
+    g = SpectralField(GRID, np.zeros((64, 33), dtype=complex))
     c = g.coeffs.copy()
     c[0, 0] = 2.5
     g = g.with_coeffs(c)
@@ -288,8 +297,6 @@ def test_trilinear_antisymmetry_unweighted(rng):
     # integral (u . grad f) f dx = 0 for divergence-free u, s = 0, t = 0.
     # Inputs must sit inside the dealias radius so the projected product is
     # the exact one (2/3 rule); otherwise aliasing spoils the cancellation.
-    from sqglab.spectral import grid_arrays
-
     mask = grid_arrays(GRID).dealias_mask
     g = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)
     f = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)

@@ -38,10 +38,12 @@ from sqglab.spectral import (
     MultiplierSpec,
     apply_multiplier,
     field_lp_norm,
+    SpectralField,
     forward_transform,
-    inverse_transform,
     sobolev_norm,
 )
+
+from oracles import full_k_power, half
 
 GRID = GridSpec(64)
 
@@ -68,7 +70,8 @@ def per_time_decay_rate(field, gamma, q, t_values, scale):
     base = field_lp_norm(field, q)
     worst = math.inf
     for t in t_values:
-        cooled = apply_multiplier(field, MultiplierSpec.heat(1.0, float(t), gamma))
+        heat = np.exp(-float(t) * half(field.grid, full_k_power(field.grid, gamma)))
+        cooled = field.with_coeffs(field.coeffs * heat)
         ratio = field_lp_norm(cooled, q) / base
         if ratio > 0.0:
             worst = min(worst, -math.log(ratio) / (float(t) * scale))
@@ -191,10 +194,8 @@ def test_sign_sweep_witness_reproduces_measured_constant(check, name):
     assert report.witness[name] == report.measured_constant
     field = field_from_witness(report.witness)
     j, gamma = report.parameters["j"], report.parameters["gamma"]
-    f = inverse_transform(field)
-    dgf = inverse_transform(
-        apply_multiplier(field, MultiplierSpec.fractional_laplacian(gamma))
-    )
+    f = field.to_samples()
+    dgf = apply_multiplier(field, MultiplierSpec.fractional_laplacian(gamma)).to_samples()
     scale = 2.0 ** (j * gamma)
     if name == "c2":
         l1 = np.sum(np.abs(f)) * field.grid.cell_area
@@ -307,6 +308,37 @@ def test_contraction_split_field_crossover():
     assert report.verdict  # holds on the conservative grid
     assert report.details["crossover_found"]  # but fails eventually
     assert report.measured_constant > report.details["grid_max_t"]
+
+
+def test_contraction_high_fraction_counts_conjugate_partners():
+    # Two single modes with set amplitudes: a cos(x) at |k| = 1 < N0, whose
+    # two coefficients sit in column 0 of the half spectrum, and
+    # b cos(5x + 7y) at |k| = sqrt(74) > N0, whose one half-spectrum
+    # coefficient stands for its partner too.  The high fraction is
+    # b^2 / (a^2 + b^2) = 0.9; an unweighted half-spectrum sum reads
+    # b^2 / (2 a^2 + b^2) = 9/11, below eps0.
+    a, b, eps0 = 1.0, 3.0, 0.9
+    coeffs = np.zeros((GRID.n, GRID.n // 2 + 1), dtype=complex)
+    coeffs[1, 0] = coeffs[-1, 0] = 0.5 * a
+    coeffs[5, 7] = 0.5 * b
+    g = SpectralField(GRID, coeffs)
+    assert sobolev_norm(g, 0.0) ** 2 == pytest.approx(
+        GRID.period**2 * 0.5 * (a * a + b * b), rel=1e-15)
+    report = check_spectral_mass_contraction(g, 8.0, eps0, 0.5)
+    assert abs(report.details["high_fraction"] - b * b / (a * a + b * b)) <= 1e-14
+    # The decay test weighs the modes the same way: the claimed rate
+    # eps0 N0^gamma / 2 beats the |k| = 1 mode's rate 1, so the bound fails
+    # from the time the closed form gives.
+    rate = 0.5 * eps0 * 8.0**0.5
+
+    def holds(t):
+        decayed = a * a * math.exp(-2.0 * t) + b * b * math.exp(-2.0 * t * 74.0**0.25)
+        return math.sqrt(decayed / (a * a + b * b)) <= math.exp(-rate * t)
+
+    assert report.verdict and report.details["crossover_found"]
+    assert holds(report.measured_constant)
+    step = report.details["conservative_horizon"] * 20.0 / 399
+    assert not holds(report.measured_constant + step)
 
 
 def test_contraction_rejects_low_mass():

@@ -32,7 +32,14 @@ from sqglab.spectral import (
     sobolev_norm,
 )
 
-from oracles import besov_sample_oracle, full_sobolev_norm, gevrey_warm
+from oracles import (
+    besov_sample_oracle,
+    full_k_power,
+    full_lattice,
+    full_sobolev_norm,
+    gevrey_warm,
+    half,
+)
 
 GRID = GridSpec(64)
 
@@ -108,11 +115,12 @@ def test_picard_first_iterate_is_linear_flow():
     times = [k * CFG.dt for k in range(0, 11)]
     sup_l2 = 0.0
     sup_gevrey = 0.0
+    k_gamma = half(GRID, full_k_power(GRID, CFG.gamma))
     for t in times:
-        heat = MultiplierSpec.heat(CFG.nu, t, CFG.gamma).symbol_on(GRID)
+        heat = np.exp(-CFG.nu * t * k_gamma)
         state = SpectralField(GRID, data0 * heat)
         sup_l2 = max(sup_l2, sobolev_norm(state, 0.0))
-        warm = MultiplierSpec.gevrey(CFG.gevrey_epsilon0, t, CFG.gamma).symbol_on(GRID)
+        warm = np.exp(CFG.gevrey_epsilon0 * t * k_gamma)
         sup_gevrey = max(sup_gevrey, sobolev_norm(SpectralField(GRID, state.coeffs * warm), 0.0))
     assert trace.norms["l2"][0] == pytest.approx(sup_l2, rel=1e-12)
     assert trace.norms["gevrey_l2"][0] == pytest.approx(sup_gevrey, rel=1e-12)
@@ -183,7 +191,7 @@ def test_norm_rows_keep_the_overflow_guard():
     with pytest.raises(OverflowGuardError, match="exceeds cap"):
         _norm_row(theta0.coeffs, 20.0, cfg, 0.05)
     # the same exponent where no data lives gives weight 0, not an error
-    low = np.zeros((GRID.n, GRID.n), dtype=np.complex128)
+    low = np.zeros((GRID.n, GRID.n // 2 + 1), dtype=np.complex128)
     low[1, 0] = low[-1, 0] = 0.5  # cos(x), with exact zeros elsewhere
     row = _norm_row(low, 20.0, SolverConfig(grid=GRID, gamma=2.0), 0.05)
     assert row["gevrey_l2"] == pytest.approx(
@@ -247,7 +255,6 @@ def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
     grid = config.grid
     n_steps = int(round(config.t_final / config.dt))
     ka = grid_arrays(grid)
-    half = grid.n // 2 + 1
     trace = IterateTrace(
         scheme="galerkin",
         indices=list(n_values),
@@ -262,7 +269,7 @@ def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
     for n in n_values:
         low = MultiplierSpec.low_pass(n - 1).symbol_on(grid)
         stepper = Stepper(config, projection=n - 1)
-        coeffs = (theta0.coeffs * ka.dealias_mask * low)[:, :half]
+        coeffs = theta0.coeffs * ka.dealias_mask * low
         stored = [(0.0, coeffs)]
         t = 0.0
         for k in range(1, n_steps + 1):
@@ -270,7 +277,7 @@ def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
             t += config.dt
             if k % config.output_stride == 0 or k == n_steps:
                 stored.append((t, coeffs))
-        outside = ka.k_abs > PROFILE_OUTER * 2.0 ** (n - 1)
+        outside = full_lattice(grid).k_abs > PROFILE_OUTER * 2.0 ** (n - 1)
         for _, c in stored:
             c = full_spectrum(grid, c)  # the leak as a full-lattice sum
             total = float(np.sum(np.abs(c) ** 2))
@@ -288,7 +295,6 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
     grid = config.grid
     n_steps = int(round(config.t_final / config.dt))
     ka = grid_arrays(grid)
-    half = grid.n // 2 + 1
     run_config = replace(config, besov_p=p, besov_q=q)
     trace = IterateTrace(
         scheme="picard",
@@ -301,13 +307,12 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
                     "spatial_cutoff": "identically 1 on the torus"},
     )
     data_fields = [
-        (theta0.coeffs * ka.dealias_mask
-         * MultiplierSpec.low_pass(n + 2).symbol_on(grid))[:, :half]
+        theta0.coeffs * ka.dealias_mask * MultiplierSpec.low_pass(n + 2).symbol_on(grid)
         for n in n_values
     ]
     partition = default_partition(grid)
     data_diffs = [
-        besov_norm(SpectralField(grid, full_spectrum(grid, b - a)), s0, p, math.inf,
+        besov_norm(SpectralField(grid, b - a), s0, p, math.inf,
                    partition=partition)
         for a, b in zip(data_fields, data_fields[1:])
     ]
@@ -316,7 +321,7 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
         trace.fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
     # Spectra only: the stepper synthesizes every ramp velocity afresh, so
     # the bitwise match checks the lockstep engine's velocity handover.
-    zero = np.zeros((grid.n, half), dtype=np.complex128)
+    zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
     previous_traj = previous_stored = None
     for idx in range(len(n_values)):
         stepper = Stepper(run_config)

@@ -16,11 +16,12 @@ from sqglab.sampling import (
 )
 from sqglab.spectral import (
     GridSpec,
-    MultiplierSpec,
     PROFILE_OUTER,
+    full_spectrum,
     grid_arrays,
-    inverse_transform,
 )
+
+from oracles import conjugate_flip, full_lattice, full_profile, parent_sampler_coeffs
 
 GRID = GridSpec(64)
 
@@ -38,8 +39,10 @@ def test_fields_are_real_and_mean_free(maker, kwargs):
     rng = np.random.default_rng(7)
     field = maker(GRID, rng=rng, **kwargs)
     assert field.coeffs[0, 0] == 0.0
-    samples = inverse_transform(field)  # raises if not conjugate-symmetric
-    assert np.all(np.isfinite(samples))
+    assert field.coeffs.shape == (64, 33)
+    full = full_spectrum(GRID, field.coeffs)
+    assert np.array_equal(full, conjugate_flip(full))
+    assert np.all(np.isfinite(field.to_samples()))
 
 
 def test_block_field_support():
@@ -129,7 +132,43 @@ def test_block_field_is_byte_identical_to_roll_symmetrization(n):
     field = gaussian_block_field(grid, 3, np.random.default_rng(77))
     rng = np.random.default_rng(77)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    c = noise * MultiplierSpec.block(3).symbol_on(grid)
+    c = noise * full_profile(grid, "block", 3)
     want = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1))))
     want[0, 0] = 0.0
-    assert np.array_equal(field.coeffs, want)
+    assert np.array_equal(full_spectrum(grid, field.coeffs), want)
+
+
+def full_shape(grid, kind):
+    """The full-lattice profile each sampler shapes its noise with."""
+    k_abs = full_lattice(grid).k_abs
+    if kind.startswith("block"):
+        return full_profile(grid, "block", int(kind[-1]))
+    if kind == "band_limited":
+        return (k_abs > 0.0) & (k_abs <= 5.0)
+    with np.errstate(divide="ignore"):
+        return np.where((k_abs > 0.0) & (k_abs <= grid.dealias_radius), k_abs**-2.7, 0.0)
+
+
+SAMPLER_CASES = {
+    "block2": lambda grid, rng: gaussian_block_field(grid, 2, rng),
+    "block3": lambda grid, rng: gaussian_block_field(grid, 3, rng),
+    "block5": lambda grid, rng: gaussian_block_field(grid, 5, rng),
+    "band_limited": lambda grid, rng: band_limited_field(grid, 5.0, rng),
+    "power_law": lambda grid, rng: power_law_field(grid, 2.7, rng),
+}
+
+
+@pytest.mark.parametrize("n", [16, 128, 256])
+@pytest.mark.parametrize("kind", list(SAMPLER_CASES))
+def test_samplers_are_byte_identical_to_the_full_lattice_formula(kind, n):
+    # The samplers finish on the half spectrum; extended to the full lattice
+    # their fields are the bytes the full-lattice symmetrization of the same
+    # noise gave, signed zeros included.
+    grid = GridSpec(n)
+    if kind == "block5" and n == 16:
+        with pytest.raises(UsageError):  # block 5 lies past the 16^2 lattice
+            SAMPLER_CASES[kind](grid, np.random.default_rng(n))
+        return
+    field = SAMPLER_CASES[kind](grid, np.random.default_rng(n))
+    want = parent_sampler_coeffs(grid, np.random.default_rng(n), full_shape(grid, kind))
+    assert full_spectrum(grid, field.coeffs).tobytes() == want.tobytes()

@@ -31,48 +31,30 @@ from sqglab.spectral import (
     SpectralField,
     field_to_bytes,
     forward_transform,
+    full_spectrum,
     _symbol_cached,
     grid_arrays,
-    k_power,
     lp_norm,
-    real_samples_unchecked,
-    riesz_perp,
     sobolev_norm,
     transport,
     velocity,
 )
 
-from oracles import besov_sample_oracle, full_sobolev_norm, gevrey_warm
+from oracles import (
+    besov_sample_oracle,
+    complex_samples,
+    full,
+    full_k_power,
+    full_lattice,
+    full_profile,
+    full_sobolev_norm,
+    gevrey_warm,
+    half,
+    nonlinear_term_divergence,
+)
 
 GRID = GridSpec(64)
 HALF = GRID.n // 2 + 1  # columns of the rfft half spectrum
-
-
-def nonlinear_term_divergence(theta, projection=None):
-    """-dealias(div(u theta)) with complex FFTs on the full spectrum.
-
-    An oracle independent of the solver's transport code: conservative
-    instead of advective form, built from ``numpy.fft`` directly.
-    """
-    grid = theta.grid
-    n = grid.n
-    ka = grid_arrays(grid)
-    coeffs = theta.coeffs
-    if projection is not None:
-        coeffs = coeffs * MultiplierSpec.low_pass(projection).symbol_on(grid)
-    u1c, u2c = (u.coeffs for u in riesz_perp(SpectralField(grid, coeffs)))
-
-    def samples(c):
-        return np.fft.ifft2(c).real * (n * n)
-
-    th, u1, u2 = samples(coeffs), samples(u1c), samples(u2c)
-    f1 = np.fft.fft2(u1 * th) / (n * n) * ka.dealias_mask
-    f2 = np.fft.fft2(u2 * th) / (n * n) * ka.dealias_mask
-    out = -(1j * ka.k1 * f1 + 1j * ka.k2 * f2)
-    if projection is not None:
-        out = out * MultiplierSpec.low_pass(projection).symbol_on(grid)
-    out[0, 0] = 0.0
-    return SpectralField(grid, out)
 
 
 def single_mode(grid, k1, k2, amp=1.0):
@@ -114,8 +96,8 @@ def test_nonlinear_term_single_mode_vanishes():
 def test_nonlinear_forms_agree(rng):
     theta = small_random(GRID, amp=1.0)
     for projection in (None, 3):
-        a = nonlinear_term(theta, projection).coeffs
-        b = nonlinear_term_divergence(theta, projection).coeffs
+        a = full(nonlinear_term(theta, projection))
+        b = nonlinear_term_divergence(theta, projection)
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) < 1e-10 * scale
 
@@ -250,7 +232,7 @@ def test_stepper_rejects_direct_cfl_breach():
     cfg = SolverConfig(grid=GRID, nu=0.001, gamma=0.5, dt=5e-3, t_final=0.05)
     stepper = Stepper(cfg)
     with pytest.raises(CflGuardError):
-        coeffs = (blowup.coeffs * grid_arrays(GRID).dealias_mask)[:, :HALF]
+        coeffs = blowup.coeffs * grid_arrays(GRID).dealias_mask
         for _ in range(10):
             coeffs = stepper.step(coeffs)
 
@@ -259,9 +241,9 @@ def test_stepper_rejects_direct_cfl_breach():
 def test_cfl_guard_checks_every_stage(integrator):
     # Frozen advection ramping from zero: the first stage's velocity is 0,
     # so only the later stages see the breach.
-    mask = grid_arrays(GRID).dealias_mask[:, :HALF]
-    theta = small_random(GRID, amp=0.3).coeffs[:, :HALF] * mask
-    fast = small_random(GRID, seed=8, amp=40.0).coeffs[:, :HALF] * mask
+    mask = grid_arrays(GRID).dealias_mask
+    theta = small_random(GRID, amp=0.3).coeffs * mask
+    fast = small_random(GRID, seed=8, amp=40.0).coeffs * mask
     cfg = SolverConfig(grid=GRID, nu=0.001, gamma=0.5, dt=5e-3, t_final=0.05,
                        integrator=integrator)
     stepper = Stepper(cfg)
@@ -277,15 +259,15 @@ def test_zero_ramp_step_is_the_heat_flow_and_keeps_the_nan_guard(
     # The iterate-0 Picard step: frozen advection by the zero field.  Its
     # tendencies are exactly zero and cost no transform, but a NaN in the
     # state must still stop the step.
-    mask = grid_arrays(GRID).dealias_mask[:, :HALF]
-    coeffs = small_random(GRID, amp=0.3).coeffs[:, :HALF] * mask
+    mask = grid_arrays(GRID).dealias_mask
+    coeffs = small_random(GRID, amp=0.3).coeffs * mask
     zero = np.zeros_like(coeffs)
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, integrator=integrator)
     stepper = Stepper(cfg)
     out, calls = count_transforms(stepper.step, coeffs, advect_coeffs=zero,
                                   advect_coeffs_end=zero)
     assert calls == 0
-    heat = MultiplierSpec.heat(cfg.nu, cfg.dt, cfg.gamma).symbol_on(GRID)[:, :HALF]
+    heat = half(GRID, np.exp(-cfg.nu * cfg.dt * full_k_power(GRID, cfg.gamma)))
     np.testing.assert_allclose(out, heat * coeffs, rtol=1e-14, atol=0.0)
     assert stepper.cfl_max == 0.0
     coeffs[3, 2] = np.nan
@@ -297,8 +279,8 @@ def test_zero_ramp_step_is_the_heat_flow_and_keeps_the_nan_guard(
 def test_autonomous_step_transform_budget(integrator, transforms, count_transforms):
     # Five transforms per stage: two for the velocity, two for the gradient
     # and one back; no step may add more unnoticed.
-    mask = grid_arrays(GRID).dealias_mask[:, :HALF]
-    coeffs = small_random(GRID, amp=0.3).coeffs[:, :HALF] * mask
+    mask = grid_arrays(GRID).dealias_mask
+    coeffs = small_random(GRID, amp=0.3).coeffs * mask
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, integrator=integrator)
     for projection in (None, 3):
         stepper = Stepper(cfg, projection=projection)
@@ -313,10 +295,9 @@ def test_warm_step_allocates_little_beyond_its_result(integrator):
     # is its returned state plus small temporaries.  Fresh stage arrays read
     # 9.9x the state's bytes (IF-RK4) and 7.9x (ETD-RK2) here.
     grid = GridSpec(128)
-    m = grid.n // 2 + 1
     field = power_law_field(grid, 2.7, np.random.default_rng(3))
-    mask = grid_arrays(grid).dealias_mask[:, :m]
-    coeffs = field.coeffs[:, :m] / sobolev_norm(field, 0.0) * mask
+    mask = grid_arrays(grid).dealias_mask
+    coeffs = field.coeffs / sobolev_norm(field, 0.0) * mask
     stepper = Stepper(SolverConfig(grid=grid, dt=2e-4, integrator=integrator))
     coeffs = stepper.step(coeffs)
     tracemalloc.start()
@@ -430,7 +411,7 @@ def old_emit_columns(config, states):
         cols.setdefault(name, []).append(value)
 
     for t, f in states:
-        samples = real_samples_unchecked(f)
+        samples = complex_samples(full(f))
         put("t", t)
         for p, name in ((1.0, "l1"), (2.0, "l2"), (4.0, "l4"), (math.inf, "linf")):
             put(name, lp_norm(samples, p, grid.cell_area))
@@ -450,12 +431,12 @@ def old_emit_columns(config, states):
         last_t, last_sq = t, warm_mid
         put("gevrey_dissipation_integral", integral)
         for j in partition.block_indices():
-            block = f.coeffs * MultiplierSpec.block(j).symbol_on(grid)
-            put(f"block_{j}_l2", full_sobolev_norm(SpectralField(grid, block), 0.0))
+            block = full(f) * full_profile(grid, "block", j)
+            put(f"block_{j}_l2", full_sobolev_norm(SpectralField(grid, half(grid, block)), 0.0))
         if config.j0 is not None:
-            split = MultiplierSpec.low_pass(config.j0).symbol_on(grid)
-            low = SpectralField(grid, f.coeffs * split)
-            high = SpectralField(grid, f.coeffs * (1.0 - split))
+            split = full_profile(grid, "low_pass", config.j0)
+            low = SpectralField(grid, half(grid, full(f) * split))
+            high = SpectralField(grid, half(grid, full(f) * (1.0 - split)))
             put("split_low_l2", full_sobolev_norm(low, 0.0))
             put("split_high_l2", full_sobolev_norm(high, 0.0))
     return cols
@@ -501,8 +482,8 @@ def test_step_neither_mutates_nor_aliases_input(integrator):
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=0.01,
                        integrator=integrator)
     stepper = Stepper(cfg)
-    coeffs = small_random(GRID, amp=0.3).coeffs[:, :HALF].copy()
-    advect = small_random(GRID, seed=6, amp=0.3).coeffs[:, :HALF].copy()
+    coeffs = small_random(GRID, amp=0.3).coeffs.copy()
+    advect = small_random(GRID, seed=6, amp=0.3).coeffs.copy()
     before, advect_before = coeffs.copy(), advect.copy()
     for kwargs in ({}, {"advect_coeffs": advect},
                    {"advect_coeffs": advect, "advect_coeffs_end": advect}):
@@ -536,10 +517,11 @@ class FullLatticeStepper:
     def __init__(self, config, projection=None):
         self.config = config
         self.grid = config.grid
+        self.half = self.grid.n // 2 + 1
         self.low = None
         if projection is not None:
-            self.low = MultiplierSpec.low_pass(projection).symbol_on(self.grid)
-        self.symbol = config.nu * k_power(self.grid, config.gamma)
+            self.low = full_profile(self.grid, "low_pass", projection)
+        self.symbol = config.nu * full_k_power(self.grid, config.gamma)
 
     def factors(self, dt):
         z = -self.symbol * dt
@@ -548,14 +530,19 @@ class FullLatticeStepper:
             return e_half, e_half * e_half
         return np.exp(z), _phi1(z), _phi2(z)
 
+    def product(self, source, target):
+        """The transport product of two full arrays, extended."""
+        m = self.half
+        return hermitian_extension(self.grid, transport(self.grid, source[:, :m],
+                                                        target[:, :m])[0])
+
     def rhs(self, coeffs, advect):
-        grid = self.grid
         if advect is not None:
-            return -hermitian_extension(grid, transport(grid, advect, coeffs)[0])
+            return -self.product(advect, coeffs)
         if self.low is None:
-            return -hermitian_extension(grid, transport(grid, coeffs, coeffs)[0])
+            return -self.product(coeffs, coeffs)
         coeffs = coeffs * self.low
-        out = hermitian_extension(grid, transport(grid, coeffs, coeffs)[0])
+        out = self.product(coeffs, coeffs)
         out *= -self.low
         return out
 
@@ -593,14 +580,14 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
     cfg = SolverConfig(grid=GRID, nu=0.1, gamma=0.5, dt=2e-3, t_final=0.02,
                        integrator=integrator)
     projection = 3 if mode == "galerkin" else None
-    mask = grid_arrays(GRID).dealias_mask
+    mask = full_lattice(GRID).dealias_mask
     # Dealiased, not projected: under the projection the state has modes
     # outside its support and outside the step grid.
-    full = small_random(GRID, amp=0.5).coeffs * mask
+    wide_state = full(small_random(GRID, amp=0.5)) * mask
     adv0 = adv1 = None
     if mode == "picard_ramp":
-        adv0 = small_random(GRID, seed=6, amp=0.5).coeffs * mask
-        adv1 = small_random(GRID, seed=7, amp=0.5).coeffs * mask
+        adv0 = full(small_random(GRID, seed=6, amp=0.5)) * mask
+        adv1 = full(small_random(GRID, seed=7, amp=0.5)) * mask
     stepper = Stepper(cfg, projection)
     sub = stepper.step_grid
     assert sub.n == (32 if projection is not None else GRID.n)
@@ -609,7 +596,7 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
     # exactly.
     rows = lattice_rows(GRID.n, sub.n)
     width = sub.n // 2 + 1
-    half = full[:, :HALF]
+    half = wide_state[:, :HALF]
     state = hermitian_extension(sub, half[rows, :width])
     oracle = FullLatticeStepper(replace(cfg, grid=sub), projection)
     wide = FullLatticeStepper(cfg, projection)
@@ -621,11 +608,11 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
     assert np.any(half[outside]) == (projection is not None)
     for _ in range(6):
         state = oracle.step(state, adv0, adv1)
-        full = wide.step(full, adv0, adv1)
+        wide_state = wide.step(wide_state, adv0, adv1)
         half = stepper.step(half, **kwargs)
         assert half.shape == (GRID.n, HALF)
         assert np.array_equal(half[rows, :width], state[:, :width])
-        assert np.array_equal(half[outside], full[:, :HALF][outside])
+        assert np.array_equal(half[outside], wide_state[:, :HALF][outside])
     # the data are exactly Hermitian, so the full state is the half's extension
     assert np.array_equal(hermitian_extension(sub, half[rows, :width]), state)
 
@@ -650,23 +637,23 @@ def test_reduced_grid_steps_agree_with_full_grid_steps(integrator, case):
     field = power_law_field(grid, 2.0, np.random.default_rng(3))
     field = field.with_coeffs(field.coeffs * 2.0 / sobolev_norm(field, 0.0))
     cfg = SolverConfig(grid=grid, nu=0.1, gamma=0.5, dt=2e-3, integrator=integrator)
-    dealiased = field.coeffs * grid_arrays(grid).dealias_mask
+    dealiased = full(field) * full_lattice(grid).dealias_mask
+    heat = np.exp(-cfg.nu * (4 * cfg.dt) * full_k_power(grid, cfg.gamma))
     for projection, size in sizes.items():
         stepper = Stepper(cfg, projection)
         assert stepper.step_grid.n == size
         assert (stepper.step_grid is grid) == (size == grid.n)
-        low = MultiplierSpec.low_pass(projection).symbol_on(grid)
+        low = full_profile(grid, "low_pass", projection)
         # Projected data, and data with modes outside the support (which
         # reach past the step grid whenever it is smaller than the grid).
-        for full in (dealiased * low, dealiased):
+        for state in (dealiased * low, dealiased):
             oracle = FullLatticeStepper(cfg, projection)
-            heat = MultiplierSpec.heat(cfg.nu, 4 * cfg.dt, cfg.gamma).symbol_on(grid)
-            linear = (heat * full)[:, :width]
-            half = full[:, :width]
+            linear = (heat * state)[:, :width]
+            half = state[:, :width]
             for _ in range(4):
-                full = oracle.step(full)
+                state = oracle.step(state)
                 half = stepper.step(half)
-            want = full[:, :width]
+            want = state[:, :width]
             scale = np.max(np.abs(want))
             if scale == 0.0:  # no mode inside the support (period 3, projection 0)
                 assert not np.any(half)
@@ -692,17 +679,17 @@ def test_step_grid_samples_the_peak_speed_at_most_15_percent_low():
     # p = 1 on 8^2, alpha 1).
     grid = GridSpec(128)
     width = grid.n // 2 + 1
-    mask = grid_arrays(grid).dealias_mask[:, :width]
+    mask = grid_arrays(grid).dealias_mask
     cfg = SolverConfig(grid=grid, dt=1e-3)
     ratios = []
     for projection in range(5):
         stepper = Stepper(cfg, projection)
         assert stepper.step_grid.n == max(8, 2 ** (projection + 2))
-        low = MultiplierSpec.low_pass(projection).symbol_on(grid)[:, :width]
+        low = MultiplierSpec.low_pass(projection).symbol_on(grid)
         for alpha in (1.0, 2.7):
             for seed in range(40):
                 half = power_law_field(grid, alpha, np.random.default_rng(seed)).coeffs
-                half = half[:, :width] * mask
+                half = half * mask
                 stepper.cfl_max = 0.0
                 stepper._rhs(stepper._restrict(half), None, cfg.dt)
                 full_grid = cfg.dt * grid.dealias_radius * velocity(grid, half * low).umax
@@ -712,7 +699,7 @@ def test_step_grid_samples_the_peak_speed_at_most_15_percent_low():
 
 def test_frozen_advection_rejects_a_projection():
     stepper = Stepper(SolverConfig(grid=GRID), projection=3)
-    half = small_random(GRID, amp=0.3).coeffs[:, :HALF]
+    half = small_random(GRID, amp=0.3).coeffs
     with pytest.raises(UsageError, match="projection"):
         stepper.step(half, advect_coeffs=half)
 
@@ -727,21 +714,21 @@ def test_saved_final_state_is_byte_identical_to_full_lattice_run():
     cfg = SolverConfig(grid=grid, nu=1.0, gamma=0.5, dt=2e-4, t_final=40 * 2e-4,
                        output_stride=40)
     oracle = FullLatticeStepper(cfg)
-    mask = grid_arrays(grid).dealias_mask
+    mask = full_lattice(grid).dealias_mask
     saved = []
     for data in (theta0, field.with_coeffs(field.coeffs * 0.1)):
         series = run_simulation(data, cfg)
         assert len(series.column("t")) == 2
-        coeffs = data.coeffs * mask
+        coeffs = full(data) * mask
         for _ in range(40):
             coeffs = oracle.step(coeffs)
-        assert np.array_equal(series.final_state.coeffs, coeffs)
-        saved.append((field_to_bytes(series.final_state),
-                      field_to_bytes(SpectralField(grid, coeffs))))
-    # The normalised data agree bytewise.  A product with 0.0 (the second
-    # data) can leave -0.0 on empty modes, whose sign the full-lattice
-    # arithmetic carries and the half state does not: there only the values
-    # agree.
+        assert np.array_equal(full(series.final_state), coeffs)
+        saved.append((field_to_bytes(series.final_state)[-coeffs.nbytes :],
+                      coeffs.tobytes()))
+    # The normalised data agree bytewise: the saved payload is the
+    # full-lattice run's state.  A product with 0.0 (the second data) can
+    # leave -0.0 on empty modes, whose sign the full-lattice arithmetic
+    # carries and the half state does not: there only the values agree.
     assert saved[0][0] == saved[0][1]
 
 
@@ -766,9 +753,10 @@ def test_steppers_share_read_only_factor_tables(integrator):
 @pytest.mark.parametrize("which", ["coeffs", "advect_coeffs", "advect_coeffs_end"])
 def test_step_rejects_arrays_that_are_not_half_spectra(which):
     stepper = Stepper(SolverConfig(grid=GRID))
-    full = small_random(GRID, amp=0.3).coeffs * grid_arrays(GRID).dealias_mask
-    half = full[:, :HALF]
-    for bad in (full, full[:, : HALF + 1], full[: GRID.n - 1, :HALF], half[0]):
+    full_state = full_spectrum(GRID, small_random(GRID, amp=0.3).coeffs)
+    half = full_state[:, :HALF]
+    for bad in (full_state, full_state[:, : HALF + 1], full_state[: GRID.n - 1, :HALF],
+                half[0]):
         kwargs = {"coeffs": half, "advect_coeffs": half, "advect_coeffs_end": half}
         kwargs[which] = bad
         with pytest.raises(UsageError, match="half spectra"):

@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
-from sqglab.dyadic import BilinearSymbol, apply_bilinear_symbol
+from sqglab.dyadic import (
+    BilinearSymbol,
+    apply_bilinear_symbol,
+    block_commutator,
+    trilinear_form,
+)
 from sqglab.errors import OverflowGuardError, SymmetryError, UsageError
 from sqglab.sampling import band_limited_field, gaussian_block_field, power_law_field
+from sqglab.solver import SolverConfig, mild_residual, nonlinear_term, run_simulation
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
@@ -19,7 +26,6 @@ from sqglab.spectral import (
     advect,
     analyze,
     apply_multiplier,
-    conjugate_flip,
     field_from_bytes,
     field_lp_norm,
     field_to_bytes,
@@ -28,8 +34,6 @@ from sqglab.spectral import (
     gevrey_half_weight,
     grid_arrays,
     half_power,
-    hermitian_symmetrize,
-    inverse_transform,
     k_power,
     load_field,
     lp_norm,
@@ -48,7 +52,16 @@ from sqglab.spectral import (
     weighted_norm,
 )
 
-from oracles import full_sobolev_norm, scipy_transport
+from oracles import (
+    complex_fft_transport,
+    complex_samples,
+    conjugate_flip,
+    full,
+    full_lattice,
+    full_sobolev_norm,
+    half,
+    scipy_transport,
+)
 
 GRID = GridSpec(64)
 
@@ -85,7 +98,8 @@ def test_grid_derived_quantities():
 def test_transform_roundtrip(rng):
     samples = rng.standard_normal((64, 64))
     field = forward_transform(samples, GRID)
-    back = inverse_transform(field)
+    assert field.coeffs.shape == (64, 33)
+    back = field.to_samples()
     assert np.max(np.abs(back - samples)) < 1e-13
 
 
@@ -96,18 +110,41 @@ def test_forward_rejects_bad_input(rng):
         forward_transform(np.zeros((64, 64), dtype=complex), GRID)
 
 
-def test_inverse_rejects_asymmetric_coeffs():
+def test_field_holds_the_half_spectrum_only(rng):
+    with pytest.raises(UsageError, match="half spectrum"):
+        SpectralField(GRID, np.zeros((64, 64), dtype=complex))
+    field = SpectralField(GRID, np.zeros((64, 33)))
+    assert field.coeffs.dtype == np.complex128 and not field.coeffs.flags.writeable
+
+
+def payload(blob, n):
+    """The full-lattice coefficients a ``.sqgf`` blob holds."""
+    return np.frombuffer(blob[-16 * n * n :], dtype=np.complex128).reshape(n, n)
+
+
+def test_field_from_bytes_rejects_unpartnered_mode():
+    # Foreign data enter only through field_from_bytes: a mode whose partner
+    # c(-k) does not hold its conjugate describes no real field.
+    blob = field_to_bytes(SpectralField(GRID, np.zeros((64, 33))))
     coeffs = np.zeros((64, 64), dtype=complex)
-    coeffs[1, 2] = 1.0  # no conjugate partner
+    coeffs[1, 2] = 1.0  # no conjugate partner at (-1, -2)
+    header = blob[: len(blob) - coeffs.nbytes]
     with pytest.raises(SymmetryError):
-        inverse_transform(SpectralField(GRID, coeffs))
+        field_from_bytes(header + coeffs.tobytes())
+    # a partner off by more than round-off is no partner either
+    coeffs[-1, -2] = 1.0 + 1e-6
+    with pytest.raises(SymmetryError):
+        field_from_bytes(header + coeffs.tobytes())
+    coeffs[-1, -2] = 1.0
+    back = field_from_bytes(header + coeffs.tobytes())
+    assert back.coeffs[1, 2] == 1.0 and np.count_nonzero(back.coeffs) == 1
 
 
 def test_parseval(rng):
     samples = rng.standard_normal((64, 64))
     field = forward_transform(samples, GRID)
     physical = lp_norm(samples, 2.0, GRID.cell_area)
-    spectral = GRID.period * math.sqrt(np.sum(np.abs(field.coeffs) ** 2))
+    spectral = GRID.period * math.sqrt(np.sum(np.abs(full(field)) ** 2))
     assert physical == pytest.approx(spectral, rel=1e-12)
 
 
@@ -129,30 +166,38 @@ def test_fractional_laplacian_composes():
 
 
 def test_heat_multiplier_matches_scalar_decay():
+    # The heat factor the callers build from k_power: one mode decays by
+    # the scalar factor.
     field = single_mode(GRID, 3, 4)
-    out = apply_multiplier(field, MultiplierSpec.heat(0.7, 0.9, 0.5))
+    out = field.coeffs * np.exp(-0.7 * 0.9 * k_power(GRID, 0.5))
     factor = math.exp(-0.7 * 0.9 * 5.0**0.5)
-    assert np.max(np.abs(out.coeffs - factor * field.coeffs)) < 1e-14
+    assert np.max(np.abs(out - factor * field.coeffs)) < 1e-14
 
 
-def test_heat_rejects_negative_time():
-    with pytest.raises(UsageError):
-        MultiplierSpec.heat(1.0, -0.1, 0.5)
+def test_heat_rejects_negative_time(rng):
+    # The operators that apply a heat factor refuse a backward time.
+    field = random_field(GRID, rng)
+    with pytest.raises(UsageError, match="t >= 0"):
+        block_commutator(field, field, 2, -0.1, 0.5)
+    with pytest.raises(UsageError, match="t >= 0"):
+        trilinear_form(field, field, field, -0.1, 0.5)
 
 
 def test_gevrey_inverts_heat():
     field = single_mode(GRID, 5, 1)
-    cooled = apply_multiplier(field, MultiplierSpec.heat(1.0, 0.2, 1.0))
-    warmed = apply_multiplier(cooled, MultiplierSpec.gevrey(1.0, 0.2, 1.0))
-    assert np.max(np.abs(warmed.coeffs - field.coeffs)) < 1e-12
+    cooled = field.coeffs * np.exp(-0.2 * k_power(GRID, 1.0))
+    warmed = cooled * gevrey_half_weight(GRID, 1.0, 0.2, 1.0, cooled)
+    assert np.max(np.abs(warmed - field.coeffs)) < 1e-12
 
 
 def test_gevrey_overflow_guard(rng):
     field = random_field(GRID, rng)
     # weight * t * kmax^gamma far beyond the cap on occupied modes
     t_bad = 2.0 * GEVREY_EXPONENT_CAP / GRID.dealias_radius
-    with pytest.raises(OverflowGuardError):
-        apply_multiplier(field, MultiplierSpec.gevrey(1.0, t_bad, 1.0))
+    with pytest.raises(OverflowGuardError, match="exceeds cap"):
+        trilinear_form(field, field, field, t_bad, 1.0)
+    with pytest.raises(OverflowGuardError, match="exceeds cap"):
+        gevrey_half_weight(GRID, 1.0, t_bad, 1.0, field.coeffs)
 
 
 def test_gevrey_guard_is_support_aware():
@@ -160,8 +205,8 @@ def test_gevrey_guard_is_support_aware():
     # not the grid's maximum frequency.
     field = single_mode(GRID, 1, 0)
     t = 0.9 * GEVREY_EXPONENT_CAP  # exponent 0.9*cap at |k|=1
-    out = apply_multiplier(field, MultiplierSpec.gevrey(1.0, t, 1.0))
-    assert np.all(np.isfinite(out.coeffs))
+    value = trilinear_form(field, field, field, t, 1.0)
+    assert math.isfinite(value)
 
 
 def test_riesz_perp_is_divergence_free(rng):
@@ -180,8 +225,8 @@ def test_riesz_perp_on_single_mode():
     x = GRID.axis_points()
     xx, yy = np.meshgrid(x, x, indexing="ij")
     s = np.sin(3.0 * xx + 4.0 * yy)
-    assert np.max(np.abs(inverse_transform(u1) - (4.0 / 5.0) * s)) < 1e-12
-    assert np.max(np.abs(inverse_transform(u2) - (-3.0 / 5.0) * s)) < 1e-12
+    assert np.max(np.abs(u1.to_samples() - (4.0 / 5.0) * s)) < 1e-12
+    assert np.max(np.abs(u2.to_samples() - (-3.0 / 5.0) * s)) < 1e-12
 
 
 def test_riesz_zeroes_mean_and_nyquist(rng):
@@ -199,25 +244,6 @@ def band_limited(grid: GridSpec, rng, radius: float) -> np.ndarray:
     return field.coeffs * (grid_arrays(grid).k_abs <= radius)
 
 
-def complex_fft_transport(grid: GridSpec, source: np.ndarray,
-                          target: np.ndarray) -> np.ndarray:
-    """dealias(R_perp source . grad target) with full complex FFTs."""
-    n = grid.n
-    ka = grid_arrays(grid)
-    k1 = np.where(ka.nyquist, 0.0, ka.k1)
-    k2 = np.where(ka.nyquist, 0.0, ka.k2)
-    u1, u2 = riesz_perp(SpectralField(grid, source))
-
-    def samples(c):
-        return np.fft.ifft2(c).real * (n * n)
-
-    prod = samples(u1.coeffs) * samples(1j * k1 * target)
-    prod += samples(u2.coeffs) * samples(1j * k2 * target)
-    out = np.fft.fft2(prod) / (n * n) * ka.dealias_mask
-    out[0, 0] = 0.0
-    return out
-
-
 def test_transport_matches_direct_bilinear_sum(rng):
     def sigma(xi, eta):
         mag = np.sqrt(np.sum(xi * xi, axis=-1))
@@ -233,10 +259,9 @@ def test_transport_matches_direct_bilinear_sum(rng):
         BilinearSymbol(sigma), SpectralField(GRID, f), SpectralField(GRID, g)
     ).coeffs * grid_arrays(GRID).dealias_mask
     assert out.shape == (GRID.n, GRID.n // 2 + 1)
-    direct = direct[:, : GRID.n // 2 + 1]
     assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
     u1, u2 = riesz_perp(SpectralField(GRID, f))
-    speed = np.hypot(inverse_transform(u1), inverse_transform(u2))
+    speed = np.hypot(u1.to_samples(), u2.to_samples())
     assert umax == pytest.approx(float(np.max(speed)), rel=1e-12)
 
 
@@ -259,9 +284,6 @@ def test_transport_matches_complex_fft_formula(n, rng):
     out, _ = transport(grid, f, g)
     ref = complex_fft_transport(grid, f, g)[:, : n // 2 + 1]
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # half spectra in, the same half spectrum out
-    half = slice(0, n // 2 + 1)
-    assert np.array_equal(transport(grid, f[:, half], g[:, half])[0], out)
 
 
 def test_transport_is_advect_by_velocity(rng, count_transforms):
@@ -354,8 +376,8 @@ def test_transport_equals_whole_array_transport(grid, rng, monkeypatch):
     from sqglab import spectral
 
     n, m = grid.n, grid.n // 2 + 1
-    mask = grid_arrays(grid).dealias_mask[:, :m]
-    raw = [random_field(grid, rng).coeffs[:, :m] for _ in range(2)]
+    mask = grid_arrays(grid).dealias_mask
+    raw = [random_field(grid, rng).coeffs for _ in range(2)]
     band = _transport_operator(grid).band
     widths = []
 
@@ -390,12 +412,11 @@ SAMPLERS = {
 @pytest.mark.parametrize("n", [128, 256])
 @pytest.mark.parametrize("kind", sorted(SAMPLERS))
 def test_synthesize_matches_inverse_transform(kind, n, rng):
-    # Sampler output is exactly Hermitian, so the half spectrum loses
-    # nothing the guarded full inverse transform would have checked.
+    # Against the complex inverse FFT of the full lattice.
     grid = GridSpec(n)
     field = SAMPLERS[kind](grid, rng)
-    half = field.coeffs[:, : n // 2 + 1]
-    ref = inverse_transform(field)
+    half = field.coeffs
+    ref = complex_samples(full(field))
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(synthesize(grid, half) - ref)) <= 1e-13 * scale
     stacked = synthesize(grid, np.stack([half, -2.0 * half]))
@@ -409,8 +430,13 @@ def test_analyze_is_half_of_forward_transform(rng):
     half = analyze(GRID, samples)
     assert half.shape == (3, GRID.n, GRID.n // 2 + 1)
     for got, s in zip(half, samples):
-        ref = forward_transform(s, GRID).coeffs[:, : GRID.n // 2 + 1]
+        ref = np.fft.fft2(s)[:, : GRID.n // 2 + 1] / GRID.n**2
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # forward_transform is analyze, with columns 0 and n/2 made exactly
+        # conjugate-symmetric
+        field = forward_transform(s, GRID)
+        assert np.max(np.abs(field.coeffs - got)) <= 1e-15 * np.max(np.abs(got))
+        assert np.array_equal(field.coeffs[:, 1:-1], got[:, 1:-1])
 
 
 @pytest.mark.parametrize("grid", [GridSpec(128), GridSpec(64, period=3.0)])
@@ -418,14 +444,13 @@ def test_analyze_is_half_of_forward_transform(rng):
 def test_half_spectrum_parseval_matches_sobolev_norm(grid, r, rng):
     # w = sgn f |f|^2 and |f|^2 are not band-limited: every column, the
     # Nyquist ones included, carries data.
-    f = inverse_transform(gaussian_block_field(grid, 3, rng))
-    m = grid.n // 2 + 1
-    weight = grid_arrays(grid).k_abs[:, :m] ** (2.0 * r)
+    f = gaussian_block_field(grid, 3, rng).to_samples()
+    weight = grid_arrays(grid).k_abs ** (2.0 * r)
     for w in (np.sign(f) * np.abs(f) ** 2, np.abs(f) ** 2):
         half = analyze(grid, w)
         mass = parseval_columns(grid) * weight * np.abs(half) ** 2
         total = grid.period**2 * np.sum(mass)
-        ref = sobolev_norm(forward_transform(w, grid), r, homogeneous=True) ** 2
+        ref = full_sobolev_norm(forward_transform(w, grid), r, homogeneous=True) ** 2
         assert total == pytest.approx(ref, rel=1e-12)
 
 
@@ -462,7 +487,7 @@ def test_lp_norms(rng):
 
 def test_field_lp_matches_sample_lp(rng):
     field = random_field(GRID, rng)
-    samples = inverse_transform(field)
+    samples = complex_samples(full(field))
     for p in (1.0, 2.0, 4.0, math.inf):
         assert field_lp_norm(field, p) == pytest.approx(
             lp_norm(samples, p, GRID.cell_area), rel=1e-12
@@ -516,40 +541,58 @@ def test_apply_multiplier_does_not_mutate_input(rng):
     assert np.array_equal(field.coeffs, before)
 
 
-# -- symbols, flips and weight tables against the formulas they replaced ----
+# -- weight tables and time-dependent factors against the old formulas ------
 
 
-def old_conjugate_flip(coeffs):
-    return np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
+def old_heat(grid, nu, t, gamma):
+    """The heat symbol ``exp(-nu t |k|^gamma)`` as the multiplier built it,
+    on the half spectrum."""
+    return np.exp(-nu * t * half(grid, full_lattice(grid).k_abs) ** gamma)
 
 
-@pytest.mark.parametrize("n", [64, 128])
-def test_conjugate_flip_matches_roll_formula_bitwise(n, rng):
-    coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    assert np.array_equal(conjugate_flip(coeffs), old_conjugate_flip(coeffs))
-    assert np.array_equal(
-        hermitian_symmetrize(coeffs), 0.5 * (coeffs + old_conjugate_flip(coeffs))
-    )
-    assert not np.shares_memory(conjugate_flip(coeffs), coeffs)
+def old_gevrey(grid, lam, t, gamma):
+    expo = lam * t * half(grid, full_lattice(grid).k_abs) ** gamma
+    return np.where(expo <= GEVREY_EXPONENT_CAP,
+                    np.exp(np.minimum(expo, GEVREY_EXPONENT_CAP)), 0.0)
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0])
 def test_heat_and_gevrey_symbols_match_old_formula_bitwise(gamma):
-    grid = GridSpec(128, period=3.0)
-    k_abs = grid_arrays(grid).k_abs
-    for nu, t in ((1.0, 0.013), (0.7, 0.9)):
-        old = np.exp(-nu * t * k_abs ** gamma)
-        assert np.array_equal(MultiplierSpec.heat(nu, t, gamma).symbol_on(grid), old)
-    # the last (lam, t) pushes the exponent past the cap on part of the grid
-    t_over = 1.5 * GEVREY_EXPONENT_CAP / float(k_abs.max()) ** gamma
-    for lam, t in ((0.5, 0.013), (1.0, 0.9), (1.0, t_over)):
-        expo = lam * t * k_abs ** gamma
-        assert t != t_over or np.any(expo > GEVREY_EXPONENT_CAP)
-        old = np.where(expo <= GEVREY_EXPONENT_CAP,
-                       np.exp(np.minimum(expo, GEVREY_EXPONENT_CAP)), 0.0)
-        sym = MultiplierSpec.gevrey(lam, t, gamma).symbol_on(grid)
-        assert np.array_equal(sym, old)
-        assert not sym.flags.writeable
+    # The three operators that scale k_power by t give bitwise what the heat
+    # and Gevrey multipliers they used to apply gave.
+    grid = GridSpec(64, period=3.0)
+    rng = np.random.default_rng(11)
+    f, g = (power_law_field(grid, 2.0, rng) for _ in range(2))
+    for t in (0.013, 0.2):
+        j = 3
+        block = MultiplierSpec.block(j).symbol_on(grid)
+        heat = old_heat(grid, 1.0, t, gamma)
+        prod, _ = transport(grid, f.coeffs * heat, g.coeffs * heat)
+        grow = np.where(block != 0.0, old_gevrey(grid, 1.0, t, gamma), 0.0)
+        want = block * grow * prod - transport(grid, f.coeffs * heat, block * g.coeffs)[0]
+        assert np.array_equal(block_commutator(f, g, j, t, gamma).coeffs, want)
+
+        decay = old_heat(grid, 0.7, t, gamma)
+        prod, _ = transport(grid, f.coeffs * decay, g.coeffs * decay)
+        pair = prod * np.conj(g.coeffs * old_gevrey(grid, 0.7, t, gamma))
+        w2s = sobolev_weights(grid, 2.0 - gamma, homogeneous=True) * parseval_columns(grid)
+        want = grid.period**2 * float(np.vdot(w2s, pair.real))
+        assert trilinear_form(f, g, g, t, gamma, weight=0.7) == want
+
+    # mild_residual: heat-propagated data plus the cooled Duhamel integrand
+    cfg = SolverConfig(grid=grid, nu=0.8, gamma=gamma, dt=1e-3, t_final=4e-3,
+                       snapshot_stride=2)
+    data = f.with_coeffs(f.coeffs * 0.3 / sobolev_norm(f, 0.0))
+    series = run_simulation(data, cfg)
+    times = np.array([ts for ts, _ in series.snapshots])
+    rebuilt = series.snapshots[0][1].coeffs * old_heat(grid, 0.8, 4e-3, gamma)
+    integrand = np.stack([nonlinear_term(state).coeffs * old_heat(grid, 0.8, 4e-3 - ts, gamma)
+                          for ts, state in series.snapshots])
+    rebuilt = rebuilt + simpson(integrand, x=times, axis=0)
+    target = series.snapshots[-1][1]
+    gap = SpectralField(grid, target.coeffs - rebuilt)
+    want = field_lp_norm(gap, 2.0) / field_lp_norm(target, 2.0)
+    assert mild_residual(series, 0.0, 4e-3) == want
 
 
 def test_weight_tables_are_read_only():
@@ -583,21 +626,53 @@ def test_sobolev_norm_matches_full_lattice_sum(grid, r, homogeneous, rng):
 
 def test_gevrey_half_weight_matches_symbol_and_guard(rng):
     grid = GridSpec(64)
-    m = grid.n // 2 + 1
     field = power_law_field(grid, 2.0, rng)  # data up to the dealias radius
     t = 0.3
     weight = gevrey_half_weight(grid, 0.5, t, 0.5, field.coeffs)
-    sym = MultiplierSpec.gevrey(0.5, t, 0.5).symbol_on(grid)
-    assert np.array_equal(weight, sym[:, :m])
-    # exponent past the cap on populated modes: the same error as applying it
+    assert np.array_equal(weight, old_gevrey(grid, 0.5, t, 0.5))
+    # exponent past the cap on populated modes: the same error the Gevrey
+    # weight of the trilinear form raises
     t_bad = 2.0 * GEVREY_EXPONENT_CAP / grid.dealias_radius
     with pytest.raises(OverflowGuardError):
-        apply_multiplier(field, MultiplierSpec.gevrey(1.0, t_bad, 1.0))
+        trilinear_form(field, field, field, t_bad, 1.0)
     with pytest.raises(OverflowGuardError):
         gevrey_half_weight(grid, 1.0, t_bad, 1.0, field.coeffs)
     # past the cap only where no data lives: weight 0 there, no error
     low = single_mode(grid, 1, 0)
     weight = gevrey_half_weight(grid, 1.0, t_bad, 1.0, low.coeffs)
-    expo = t_bad * grid_arrays(grid).k_abs[:, :m]
+    expo = t_bad * grid_arrays(grid).k_abs
     assert np.all(weight[expo > GEVREY_EXPONENT_CAP] == 0.0)
     assert np.all(weight[expo <= GEVREY_EXPONENT_CAP] > 0.0)
+
+
+# -- the .sqgf boundary: full lattice on disk, half spectrum in memory ------
+
+
+@pytest.mark.parametrize("grid", [GridSpec(16), GridSpec(32, period=3.7), GridSpec(96)],
+                         ids=lambda g: f"{g.n}")
+def test_save_load_save_is_byte_identical(grid, tmp_path, rng):
+    for field in (random_field(grid, rng), power_law_field(grid, 1.5, rng)):
+        first = field_to_bytes(field)
+        assert np.array_equal(payload(first, grid.n), full(field))
+        path = tmp_path / "f.sqgf"
+        save_field(field, str(path))
+        back = load_field(str(path))
+        assert np.array_equal(back.coeffs, field.coeffs)
+        assert field_to_bytes(back) == first == path.read_bytes()
+
+
+def test_state_saved_in_the_full_layout_loads_to_the_same_half_spectrum():
+    # power_law_16.sqgf was written by the package while it still held full
+    # (n, n) arrays in memory: save_field(power_law_field(GridSpec(16,
+    # period=3.0), 2.5, default_rng(3)), path).
+    import pathlib
+
+    blob = (pathlib.Path(__file__).parent / "data" / "power_law_16.sqgf").read_bytes()
+    loaded = field_from_bytes(blob)
+    grid = GridSpec(16, period=3.0)
+    assert loaded.grid == grid
+    assert np.array_equal(loaded.coeffs, payload(blob, 16)[:, :9])
+    assert field_to_bytes(loaded) == blob
+    # the sampler draws the same field today
+    again = power_law_field(grid, 2.5, np.random.default_rng(3))
+    assert np.array_equal(again.coeffs, loaded.coeffs)
