@@ -38,8 +38,8 @@ from .solver import SolverConfig, _factor_tables, run_simulation, stepping_grid
 from .spectral import (
     GridSpec,
     SpectralField,
+    _dealias_block,
     _grid_arrays,
-    _transport_operator,
     _workspace,
     field_lp_norm,
     forward_transform,
@@ -63,7 +63,7 @@ _SOLVER_KEYS = tuple(
 _COUNTED_CACHES = {
     fn.__name__: fn
     for fn in (_factor_tables, _grid_arrays, k_power, sobolev_weights,
-               _transport_operator, _workspace, block_power_weights)
+               _dealias_block, _workspace, block_power_weights)
 }
 
 

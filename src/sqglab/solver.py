@@ -27,8 +27,10 @@ from .spectral import (
     MultiplierSpec,
     SpectralField,
     Velocity,
+    _block_advect,
+    _block_velocity,
+    _dealias_block,
     _workspace,
-    advect,
     field_lp_norm,
     gevrey_half_weight,
     grid_arrays,
@@ -112,26 +114,14 @@ def nonlinear_term(
     """
     _require_mean_free(theta.coeffs)
     grid = theta.grid
-    low = None if projection is None else MultiplierSpec.low_pass(projection).symbol_on(grid)
-    rhs, _ = _advective_rhs(grid, theta.coeffs, low)
-    return SpectralField(grid, rhs)
-
-
-def _advective_rhs(grid: GridSpec, half: np.ndarray, low: np.ndarray | None,
-                   out: np.ndarray | None = None, projected: np.ndarray | None = None):
-    """Core tendency on the half spectrum; returns (rhs, max |u|).
-
-    ``low`` is the Galerkin low-pass symbol, or None for no projection.
-    The tendency is fresh or written into ``out`` (which may be ``half``),
-    the projected state fresh or into ``projected``.  ``-(x low)`` equals
-    ``x (-low)`` up to the sign of zeros, so no negated table is needed.
-    """
-    if low is not None:
-        half = np.multiply(half, low, out=projected)
-    out, umax = transport(grid, half, half, out)
-    if low is not None:
-        out *= low
-    return np.negative(out, out=out), umax
+    half = theta.coeffs
+    if projection is not None:
+        low = MultiplierSpec.low_pass(projection).symbol_on(grid)
+        half = half * low
+    rhs, _ = transport(grid, half, half)
+    if projection is not None:
+        rhs *= low
+    return SpectralField(grid, np.negative(rhs, out=rhs))
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -152,19 +142,24 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _factor_tables(grid: GridSpec, nu: float, gamma: float, dt: float,
-                   integrator: str) -> tuple:
-    """Read-only exponential factors of ``-nu |k|^gamma dt`` on the half spectrum.
+                   integrator: str, wide: bool) -> tuple:
+    """Read-only exponential factors of ``-nu |k|^gamma dt`` on the dealias
+    block of ``grid``, or on its wide block (``spectral._Block``).
 
-    ``(e^{z/2}, e^z)`` for IF-RK4, ``(e^z, phi1(z), phi2(z))`` for ETD-RK2.
-    Shared by every stepper with the same key, so sweeps that hold several
-    steppers hold one copy.
+    ``(e^{z/2}, e^z)`` for IF-RK4, ``(e^z, phi1(z), phi2(z))`` for ETD-RK2,
+    evaluated in real arithmetic and stored complex with a zero imaginary
+    part: a product with them is then the product with the real table, with
+    no cast buffer.  Shared by every stepper with the same key, so sweeps
+    that hold several steppers hold one copy.
     """
-    z = -(nu * k_power(grid, gamma)) * dt
+    block = _dealias_block(grid, wide)
+    z = -(nu * k_power(grid, gamma)[block.rows, : block.width]) * dt
     if integrator == "if_rk4":
         e_half = np.exp(0.5 * z)
         tables = (e_half, e_half * e_half)
     else:
         tables = (np.exp(z), _phi1(z), _phi2(z))
+    tables = tuple(table.astype(np.complex128) for table in tables)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -205,12 +200,20 @@ class Stepper:
     override is treated as frozen within the step, and its velocity is
     synthesized once per stage time, not once per stage.
 
-    With a ``projection`` the step runs on :func:`stepping_grid`: the state
-    is restricted to that grid's half spectrum, stepped there and embedded
-    back; the modes outside it carry no tendency and get the heat flow.  The
-    CFL guard keeps the full grid's dealias radius as its ``kmax`` but reads
-    the peak speed from the step grid's samples, which can fall below the
-    full grid's.
+    The stages run on the step grid's dealias block (``spectral._Block``),
+    the ``(2K + 1, K + 1)`` modes a dealiased tendency can occupy: the state
+    is restricted to it, stepped there, and embedded back, the modes
+    outside it getting the heat flow, exactly the full step's value there.
+    A state with a nonzero mode outside the block, data that were never
+    dealiased, steps the same way on the wide block, the whole half
+    spectrum.
+
+    With a ``projection`` the step grid is :func:`stepping_grid`'s, and the
+    block is taken straight from the full grid's state; the modes outside
+    it carry no tendency, since the projection vanishes there.  The CFL
+    guard keeps the full grid's dealias radius as its ``kmax`` but reads the
+    peak speed from the step grid's samples, which can fall below the full
+    grid's.
     """
 
     def __init__(self, config: SolverConfig, projection: int | None = None):
@@ -221,31 +224,58 @@ class Stepper:
         self._shape = (self.grid.n, self.grid.n // 2 + 1)
         self._low = (None if projection is None
                      else MultiplierSpec.low_pass(projection).symbol_on(self.step_grid))
+        # A projection steps on the wide block only when its support leaves
+        # the dealias block (a step grid that fell back to the full grid).
+        self._wide = (self._low is not None
+                      and _dealias_block(self.step_grid, False).outside(self._low))
+        self._low_block = (None if self._low is None
+                           else _dealias_block(self.step_grid, self._wide).gather(self._low))
         self._kmax = self.grid.dealias_radius
         self.cfl_max = 0.0
         self._warned = False
 
-    def _factor_set(self, dt: float, grid: GridSpec | None = None) -> tuple:
+    def _factor_set(self, dt: float, block=None) -> tuple:
+        """The factor tables on ``block``, by default the step grid's."""
         cfg = self.config
-        grid = self.step_grid if grid is None else grid
-        return _factor_tables(grid, cfg.nu, cfg.gamma, dt, cfg.integrator)
+        if block is None:
+            block = _dealias_block(self.step_grid, self._wide)
+        return _factor_tables(block.grid, cfg.nu, cfg.gamma, dt, cfg.integrator,
+                              block.wide)
 
-    def _rhs(self, coeffs: np.ndarray, vel: Velocity | None, dt: float,
+    def _block(self, coeffs: np.ndarray) -> tuple:
+        """``(block, outside)``: the block a step of ``coeffs`` runs on, and
+        whether ``coeffs`` has a nonzero mode outside it."""
+        block = _dealias_block(self.step_grid, self._wide)
+        outside = block.outside(coeffs)
+        if outside and self._low is None:
+            return _dealias_block(self.step_grid, True), False
+        return block, outside
+
+    def _rhs(self, block, state: np.ndarray, vel: Velocity | None, dt: float,
              out: np.ndarray | None = None) -> np.ndarray:
-        """Stage tendency, fresh or into ``out`` (which may be ``coeffs``);
-        every stage's velocity goes through the CFL guard.
+        """Stage tendency of ``state``, an array on ``block``, fresh or into
+        ``out`` (which may be ``state``); every stage's velocity goes through
+        the CFL guard.
 
         ``vel`` is the frozen advecting velocity, or None to advect the
-        state by its own velocity.
+        state by its own velocity.  ``-(x low)`` equals ``x (-low)`` up to
+        the sign of zeros, so no negated table is needed.
         """
+        if out is None:
+            out = np.empty(block.shape, dtype=np.complex128)
         if vel is None:
-            # A projected state goes to the stage buffer no stage uses.
-            out, umax = _advective_rhs(self.step_grid, coeffs, self._low, out,
-                                       _workspace(self.step_grid).halves[3])
-        else:
-            out, umax = advect(self.grid, vel, coeffs, out), vel.umax
-            np.negative(out, out=out)
-        self._check_cfl(dt, umax)
+            if self._low_block is not None:
+                # The projected state goes to the stage buffer no stage uses.
+                state = np.multiply(state, self._low_block, out=block.halves[3])
+            vel = _block_velocity(block, state, _workspace(block.grid).samples[:2])
+        _block_advect(block, vel, state, out)
+        if self._low_block is not None:
+            out *= self._low_block
+        self._check_cfl(dt, vel.umax)
+        # Negated as real pairs: the bits of a complex negation, at a fifth
+        # of its cost.
+        pairs = out.view(np.float64)
+        np.negative(pairs, out=pairs)
         return out
 
     def _check_cfl(self, dt: float, umax: float) -> None:
@@ -280,10 +310,9 @@ class Stepper:
         to a caller that already holds them, such as the end velocity of the
         previous step.
 
-        The stages run in the step grid's workspace (``halves``: 0-2 the
-        stages, 3 the projected state, 4 and 5 the restricted state and its
-        step on a smaller grid), so the returned state is the one array a
-        step allocates.
+        The stages run in the block's buffers (``halves``: 0-2 the stages,
+        3 the projected state, 4 the restricted state, 5 its step), so the
+        returned state is the one array a step allocates.
         """
         for name, arr in (("coeffs", coeffs), ("advect_coeffs", advect_coeffs),
                           ("advect_coeffs_end", advect_coeffs_end)):
@@ -299,54 +328,39 @@ class Stepper:
             )
         dt = self.config.dt if dt is None else dt
         rk4 = self.config.integrator == "if_rk4"
-        halves = _workspace(self.step_grid).halves
-        ramp = self._ramp(advect_coeffs, advect_coeffs_end, advect_velocities, rk4,
-                          halves[0])
-        if self.step_grid is self.grid:
-            state, out = coeffs, np.empty(self._shape, dtype=np.complex128)
-        else:
-            state, out = self._restrict(coeffs, halves[4]), halves[5]
+        block, outside = self._block(coeffs)
+        ramp = self._ramp(advect_coeffs, advect_coeffs_end, advect_velocities, rk4)
+        state, out = block.restrict(coeffs, block.halves[4]), block.halves[5]
         if rk4:
-            self._step_if_rk4(state, dt, ramp, halves, out)
+            self._step_if_rk4(block, state, dt, ramp, out)
         else:
-            self._step_etd_rk2(state, dt, ramp, halves, out)
-        out = self._embed(coeffs, out, dt)
-        if not np.isfinite(out, out=_workspace(self.grid).finite).all():
+            self._step_etd_rk2(block, state, dt, ramp, out)
+        out = self._embed(coeffs, block, out, outside, dt)
+        if not np.isfinite(out.view(np.float64), out=_workspace(self.grid).finite).all():
             raise GuardError("non-finite state after step (NaN guard)")
         return out
 
-    def _restrict(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The step grid's half spectrum, fresh or into ``out``: rows ``m1``
-        in ``[-N/2, N/2)`` and columns ``0..N/2`` of ``coeffs``."""
-        n, h = self.grid.n, self.step_grid.n // 2
-        if out is None:
-            out = np.empty((2 * h, h + 1), dtype=np.complex128)
-        out[:h] = coeffs[:h, : h + 1]
-        out[h:] = coeffs[n - h :, : h + 1]
-        return out
+    def _embed(self, coeffs: np.ndarray, block, stepped: np.ndarray,
+               outside: bool, dt: float) -> np.ndarray:
+        """The full half spectrum after a step: ``stepped`` on the block, the
+        heat flow ``e^z coeffs`` on the rest, whose tendency is zero.  With
+        nothing ``outside`` the block, that flow is ``coeffs`` itself."""
+        if outside:
+            # e^z over the whole step: IF-RK4's second table, ETD-RK2's first.
+            tables = self._factor_set(dt, _dealias_block(self.grid, True))
+            out = tables[1 if self.config.integrator == "if_rk4" else 0] * coeffs
+        else:
+            out = coeffs.copy()
+        return block.embed(stepped, out)
 
-    def _embed(self, coeffs: np.ndarray, stepped: np.ndarray, dt: float) -> np.ndarray:
-        """The full half spectrum after a step: ``stepped`` on the step grid's
-        modes, the heat flow of ``coeffs`` on the rest (their tendency is
-        zero: the projection vanishes there)."""
-        if self.step_grid is self.grid:
-            return stepped
-        n, h = self.grid.n, self.step_grid.n // 2
-        # e^z over the whole step: IF-RK4's second table, ETD-RK2's first.
-        tables = self._factor_set(dt, self.grid)
-        out = tables[1 if self.config.integrator == "if_rk4" else 0] * coeffs
-        out[:h, : h + 1] = stepped[:h]
-        out[n - h :, : h + 1] = stepped[h:]
-        return out
-
-    def _ramp(self, start, end, given, mid: bool, scratch: np.ndarray) -> tuple:
+    def _ramp(self, start, end, given, mid: bool) -> tuple:
         """Velocities at the stage times of a step: start, mid (if ``mid``)
         and end; all None without an override, all the start's without an
         end.
 
         The stage field is interpolated on the spectrum, so each velocity is
         synthesized from the field the stage would advect with; the mid
-        field is built in ``scratch``.
+        field is built in the workspace.
         """
         times = 3 if mid else 2
         if start is None:
@@ -361,7 +375,7 @@ class Stepper:
         if not mid:
             return v0, v1
         # Halving the sum is exact, so this equals 0.5*start + 0.5*end.
-        middle = np.add(start, end, out=scratch)
+        middle = np.add(start, end, out=_workspace(self.grid).middle)
         middle *= 0.5
         return v0, velocity(self.grid, middle), v1
 
@@ -370,29 +384,29 @@ class Stepper:
     # the one the formula gives.  ``out`` serves as scratch until the last
     # line writes the result into it.
 
-    def _step_if_rk4(self, coeffs, dt, ramp, halves, out):
+    def _step_if_rk4(self, block, coeffs, dt, ramp, out):
         """``m1 = N(c)``, ``m2 = N(e1 (c + dt/2 m1))``,
         ``m3 = N(e1 c + dt/2 m2)``, ``m4 = N(e2 c + dt e1 m3)``;
         ``e2 c + dt/6 (e2 m1 + 2 e1 (m2 + m3) + m4)``."""
-        e1, e2 = self._factor_set(dt)
+        e1, e2 = self._factor_set(dt, block)
         v0, vh, v1 = ramp
-        a, b, s = halves[:3]
-        self._rhs(coeffs, v0, dt, a)                 # a = m1
+        a, b, s = block.halves[:3]
+        self._rhs(block, coeffs, v0, dt, a)          # a = m1
         np.multiply(a, 0.5 * dt, out=b)
         b += coeffs
         b *= e1
-        self._rhs(b, vh, dt, b)                      # b = m2
+        self._rhs(block, b, vh, dt, b)               # b = m2
         a *= e2                                      # a = e2 m1
         np.multiply(e1, coeffs, out=s)
         np.multiply(b, 0.5 * dt, out=out)
         s += out
-        self._rhs(s, vh, dt, s)                      # s = m3
+        self._rhs(block, s, vh, dt, s)               # s = m3
         np.multiply(e1, dt, out=out)
         out *= s                                     # out = dt e1 m3
         b += s                                       # b = m2 + m3
         np.multiply(e2, coeffs, out=s)
         s += out
-        self._rhs(s, v1, dt, s)                      # s = m4
+        self._rhs(block, s, v1, dt, s)               # s = m4
         np.multiply(e1, 2.0, out=out)
         out *= b
         a += out
@@ -402,18 +416,18 @@ class Stepper:
         out += a
         return out
 
-    def _step_etd_rk2(self, coeffs, dt, ramp, halves, out):
+    def _step_etd_rk2(self, block, coeffs, dt, ramp, out):
         """``n0 = N(c)``, ``p = ez c + dt p1 n0``, ``n1 = N(p)``;
         ``p + dt p2 (n1 - n0)``."""
-        ez, p1, p2 = self._factor_set(dt)
+        ez, p1, p2 = self._factor_set(dt, block)
         v0, v1 = ramp
-        a, p = halves[:2]
-        self._rhs(coeffs, v0, dt, a)                 # a = n0
+        a, p = block.halves[:2]
+        self._rhs(block, coeffs, v0, dt, a)          # a = n0
         np.multiply(ez, coeffs, out=p)
         np.multiply(p1, dt, out=out)
         out *= a
         p += out                                     # p = predictor
-        self._rhs(p, v1, dt, out)                    # out = n1
+        self._rhs(block, p, v1, dt, out)             # out = n1
         out -= a
         np.multiply(p2, dt, out=a)
         a *= out

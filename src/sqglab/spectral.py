@@ -213,20 +213,20 @@ def forward_transform(samples: np.ndarray, grid: GridSpec) -> SpectralField:
     if np.iscomplexobj(s):
         raise UsageError("forward_transform expects a real sample array")
     half = analyze(grid, s)
-    _symmetrize_edges(half, _grid_arrays(grid).negated)
+    _symmetrize_edges(half[:, :: grid.n // 2], _grid_arrays(grid).negated)
     return SpectralField(grid, half)
 
 
-def _symmetrize_edges(half: np.ndarray, rows: np.ndarray,
+def _symmetrize_edges(edge: np.ndarray, rows: np.ndarray,
                       scratch: np.ndarray | None = None) -> None:
-    """Make columns 0 and n/2 of ``half`` exactly conjugate-symmetric, in place.
+    """Make the columns ``edge`` of a half spectrum exactly
+    conjugate-symmetric, in place.
 
-    Those columns are their own conjugate partners, ``c(-m1) = conj(c(m1))``
-    with ``rows`` the permutation ``m1 -> -m1``; a transform leaves them
-    symmetric only to round-off.  ``scratch``, ``(n, 2)``, holds the
-    flipped columns.
+    Columns 0 and n/2 are their own conjugate partners,
+    ``c(-m1) = conj(c(m1))`` with ``rows`` the permutation ``m1 -> -m1``; a
+    transform leaves them symmetric only to round-off.  ``scratch``, shaped
+    like ``edge``, holds the flipped columns.
     """
-    edge = half[:, :: (half.shape[1] - 1)]
     flip = np.take(edge, rows, axis=0, out=scratch, mode="wrap")
     np.conjugate(flip, out=flip)
     flip += edge
@@ -541,61 +541,131 @@ def _weighted_amplitude_limit(grid: GridSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _transport_operator(grid: GridSpec) -> SimpleNamespace:
-    """Stacked ``[R_perp_1, R_perp_2, i k1, i k2]`` on the rfft half spectrum.
+class _Block:
+    """The modes a dealiased product can occupy, held as one contiguous array.
 
-    The odd symbols are zeroed on the unpaired Nyquist lines, so every
-    operator maps real fields to real fields exactly.  Also holds the half
-    dealias mask, the row permutation ``m1 -> -m1`` and ``band``, the last
-    column the mask keeps plus one: a dealiased half spectrum is zero from
-    column ``band`` on (``n/3 + 1`` of the ``n/2 + 1`` under the 2/3 rule).
+    The radial dealias mask keeps ``|m1| <= K`` and ``m2 <= K`` at most
+    (``K = n/3`` under the 2/3 rule), so every dealiased product vanishes
+    outside rows ``0..K`` and ``n-K..n-1`` and columns ``0..K`` of the half
+    spectrum.  The dealias block stacks those rows, top then bottom, into a
+    ``(2K + 1, K + 1)`` array.  Its rows are the FFT order of ``2K + 1``
+    points, so ``m1 -> -m1`` is ``i -> -i mod 2K + 1`` there.  The wide block
+    is the whole ``(n, n/2 + 1)`` half spectrum, for a field with a nonzero
+    mode outside the dealias block; the dealias block is the whole too when
+    the mask keeps every row (``2K + 1 > n``).
+
+    Holds the transport tables on the block, and the buffers its passes and
+    the solver's stages write (single-threaded use; each is dead once the
+    call that wrote it returns):
+
+    * ``stack``, ``(4, *shape)``: ``[R_perp_1, R_perp_2, i k1, i k2]``,
+      the odd symbols zeroed on the unpaired Nyquist lines, so every
+      operator maps real fields to real fields exactly; and ``mask``, the
+      dealias mask.  Both are complex and contiguous, so no product with
+      them runs on a column slice or through a cast buffer;
+    * ``spectrum``, ``(n, width)``: one symbol times a field, the input of
+      an inverse pass; its gap rows ``top..n-bottom-1`` stay zero;
+    * ``columns``, ``(n, n/2 + 1)``: that pass's output, zero from column
+      ``width`` on;
+    * ``forward``, ``(n, width)``: the forward pass's output, whose block
+      rows are gathered back;
+    * ``flip``: the flipped self-conjugate columns of a product;
+    * ``operand``: a field restricted by the public transport;
+    * ``halves``, ``(6, *shape)``: the stepper's stage buffers.
+
+    Buffers are allocated empty or zeroed; the pages of one that is never
+    written never become resident.
     """
-    ga = _grid_arrays(grid)
-    k1 = np.where(ga.nyquist, 0.0, ga.k1)
-    k2 = np.where(ga.nyquist, 0.0, ga.k2)
-    inv = ga.inv_k_abs
-    stack = np.stack([(-1j) * k2 * inv, (+1j) * k1 * inv, 1j * k1, 1j * k2])
-    mask = ga.dealias_mask.astype(np.float64)
-    for arr in (stack, mask):
-        arr.flags.writeable = False
-    band = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
-    return SimpleNamespace(stack=stack, mask=mask, rows=ga.negated, band=band)
+
+    def __init__(self, grid: GridSpec, wide: bool):
+        n = grid.n
+        ga = _grid_arrays(grid)
+        k = int(np.flatnonzero(ga.dealias_mask.any(axis=0))[-1])
+        if wide or 2 * k + 1 > n:
+            self.top, self.bottom, self.width = n // 2, n // 2, n // 2 + 1
+        else:
+            self.top, self.bottom, self.width = k + 1, k, k + 1
+        self.grid, self.wide = grid, wide
+        self.rows = np.r_[0 : self.top, n - self.bottom : n]
+        self.shape = (self.rows.size, self.width)
+        rows, cols = self.rows, slice(0, self.width)
+        nyquist, inv = ga.nyquist[rows, cols], ga.inv_k_abs[rows, cols]
+        k1 = np.where(nyquist, 0.0, ga.k1[rows, cols])
+        k2 = np.where(nyquist, 0.0, ga.k2[rows, cols])
+        self.stack = np.stack([(-1j) * k2 * inv, (+1j) * k1 * inv, 1j * k1, 1j * k2])
+        self.stack.flags.writeable = False
+        self.mask = self.gather(ga.dealias_mask)
+        self.negated = (-np.arange(self.shape[0])) % self.shape[0]
+        # Columns 0 and n/2 are their own conjugate partners.
+        has_nyquist = self.width > n // 2
+        self.edges = slice(0, None, n // 2) if has_nyquist else slice(0, 1)
+        self.spectrum = np.zeros((n, self.width), np.complex128)
+        self.columns = np.zeros((n, n // 2 + 1), np.complex128)
+        self.forward = np.empty((n, self.width), np.complex128)
+        self.flip = np.empty((self.shape[0], 2 if has_nyquist else 1), np.complex128)
+        self.operand = np.empty(self.shape, np.complex128)
+        self.halves = np.empty((6,) + self.shape, np.complex128)
+
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """A read-only complex copy of a half-spectrum table on the block."""
+        out = table[self.rows, : self.width].astype(np.complex128)
+        out.flags.writeable = False
+        return out
+
+    def outside(self, coeffs: np.ndarray) -> bool:
+        """Whether ``coeffs``, a half spectrum of this grid or a larger one,
+        has a nonzero mode outside the block."""
+        gap = slice(self.top, coeffs.shape[0] - self.bottom)
+        return bool(coeffs[:, self.width :].any() or coeffs[gap].any())
+
+    def restrict(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The block of ``coeffs`` (as :meth:`outside`), fresh or into ``out``."""
+        if out is None:
+            out = np.empty(self.shape, np.complex128)
+        out[: self.top] = coeffs[: self.top, : self.width]
+        out[self.top :] = coeffs[coeffs.shape[0] - self.bottom :, : self.width]
+        return out
+
+    def embed(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``block`` back into its modes of the half spectrum ``out``."""
+        out[: self.top, : self.width] = block[: self.top]
+        out[out.shape[0] - self.bottom :, : self.width] = block[self.top :]
+        return out
+
+
+@lru_cache(maxsize=16)
+def _dealias_block(grid: GridSpec, wide: bool) -> _Block:
+    """The dealias block of ``grid``, or its wide block, built once (two per
+    grid, so twice as many entries as :func:`_workspace`)."""
+    return _Block(grid, wide)
+
+
+def _block_of(grid: GridSpec, coeffs: np.ndarray) -> _Block:
+    """The dealias block of ``grid``, widened when ``coeffs`` leaves it."""
+    block = _dealias_block(grid, False)
+    return _dealias_block(grid, True) if block.outside(coeffs) else block
 
 
 class _Workspace:
-    """The writable buffers of one grid, so stepping allocates nothing.
+    """The writable buffers of one grid that no block owns (single-threaded
+    use, like :class:`_Block`'s).  Fresh arrays there cost a warm 256^2
+    IF-RK4 step about 800 minor page faults (glibc trims and regrows its
+    heap).
 
-    Every :func:`transport` on the grid, and every solver ``Stepper`` that
-    steps on it, writes its intermediates here; each buffer is dead once the
-    call that wrote it returns (single-threaded use).  Fresh arrays there
-    cost a warm 256^2 IF-RK4 step about 800 minor page faults (glibc trims
-    and regrows its heap).
-
-    * ``spectrum``, ``(n, band)``: one symbol times a field, the input of a
-      transform's column pass;
-    * ``columns``, ``(n, n/2 + 1)``: that pass's output, zero from column
-      ``band`` on;
     * ``samples``, ``(3, n, n)``: a velocity, then the advective product;
     * ``rows``, ``(n, n/2 + 1)``: the row pass of the forward transform;
-    * ``edges``, ``(n, 2)``: the flipped edge columns of a product;
-    * ``halves``, ``(6, n, n/2 + 1)``: the stepper's stage buffers;
-    * ``finite``, ``(n, n/2 + 1)`` booleans: the stepper's NaN guard.
-
-    Buffers are allocated empty; the pages of one that is never written
-    never become resident.
+    * ``middle``, ``(n, n/2 + 1)``: the stepper's mid-step advecting field;
+    * ``finite``, ``(n, n + 2)`` booleans: the stepper's NaN guard, over
+      the real and imaginary parts of a half spectrum.
     """
 
     def __init__(self, grid: GridSpec):
         n = grid.n
         shape = (n, n // 2 + 1)
-        self.spectrum = np.empty((n, _transport_operator(grid).band), np.complex128)
-        self.columns = np.zeros(shape, np.complex128)
         self.samples = np.empty((3, n, n))
         self.rows = np.empty(shape, np.complex128)
-        self.edges = np.empty((n, 2), np.complex128)
-        self.halves = np.empty((6,) + shape, np.complex128)
-        self.finite = np.empty(shape, dtype=bool)
+        self.middle = np.empty(shape, np.complex128)
+        self.finite = np.empty((n, n + 2), dtype=bool)
 
 
 @lru_cache(maxsize=8)
@@ -604,24 +674,13 @@ def _workspace(grid: GridSpec) -> _Workspace:
     return _Workspace(grid)
 
 
-def _band_width(op: SimpleNamespace, coeffs: np.ndarray) -> int:
-    """Columns an inverse transform of ``coeffs`` (a half spectrum) must read:
-    ``op.band`` when every later column is zero, all of them otherwise."""
-    return coeffs.shape[1] if coeffs[:, op.band :].any() else op.band
-
-
-def _synthesize_product(ws: _Workspace, symbol: np.ndarray, coeffs: np.ndarray,
-                        width: int, out: np.ndarray) -> np.ndarray:
-    """Samples of ``symbol * coeffs`` into ``out``, reading columns ``< width``.
-
-    At the band width the transform runs in the workspace; past it (modes
-    outside the dealias band), on fresh full-width buffers.
-    """
-    if width == ws.spectrum.shape[1]:
-        spec = np.multiply(symbol[:, :width], coeffs[:, :width], out=ws.spectrum)
-        return _inverse_pass(spec, ws.columns, out)
-    spec = symbol * coeffs
-    return _inverse_pass(spec, np.empty_like(spec), out)
+def _synthesize_product(block: _Block, symbol: np.ndarray, coeffs: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Samples of ``symbol * coeffs``, two arrays on ``block``, into ``out``."""
+    spec, top = block.spectrum, block.top
+    np.multiply(symbol[:top], coeffs[:top], out=spec[:top])
+    np.multiply(symbol[top:], coeffs[top:], out=spec[spec.shape[0] - block.bottom :])
+    return _inverse_pass(spec, block.columns, out)
 
 
 def _peak_speed(u1: np.ndarray, u2: np.ndarray, scratch: np.ndarray) -> float:
@@ -649,31 +708,57 @@ class Velocity(NamedTuple):
     umax: float
 
 
+def _block_velocity(block: _Block, source: np.ndarray, out: np.ndarray) -> Velocity:
+    """:func:`velocity` of ``source``, an array on ``block``, into ``out``."""
+    if not source.any():
+        out.fill(0.0)
+        return Velocity(out[0], out[1], 0.0)
+    _synthesize_product(block, block.stack[0], source, out[0])
+    _synthesize_product(block, block.stack[1], source, out[1])
+    return Velocity(out[0], out[1],
+                    _peak_speed(out[0], out[1], _workspace(block.grid).samples[2]))
+
+
+def _block_advect(block: _Block, vel: Velocity, target: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """:func:`advect` of ``target``, an array on ``block``, into ``out`` on
+    the block (which may be ``target``).
+
+    The forward pass's block rows are gathered back times the mask; the
+    second gradient is synthesized over ``samples[0]``.
+    """
+    if vel.umax == 0.0:
+        out.fill(0.0)
+        return out
+    ws = _workspace(block.grid)
+    product, gy = ws.samples[2], ws.samples[0]
+    _synthesize_product(block, block.stack[2], target, product)
+    product *= vel.u1
+    _synthesize_product(block, block.stack[3], target, gy)
+    gy *= vel.u2
+    product += gy
+    forward, top = _forward_pass(product, ws.rows, block.forward), block.top
+    np.multiply(forward[:top], block.mask[:top], out=out[:top])
+    np.multiply(forward[forward.shape[0] - block.bottom :], block.mask[top:],
+                out=out[top:])
+    _symmetrize_edges(out[:, block.edges], block.negated, block.flip)
+    out[0, 0] = 0.0
+    return out
+
+
 def velocity(grid: GridSpec, source: np.ndarray, out: np.ndarray | None = None) -> Velocity:
     """Samples of ``R_perp source`` and ``max |R_perp source|``.
 
-    ``source`` is the half spectrum of a real field; only its columns below
-    the dealias band are read when the rest are zero.  Two transforms per call, none when ``source``
-    has no nonzero entry (then the samples are zero).  The samples are
-    fresh and read-only, so one velocity can serve many :func:`advect`
-    calls; with ``out``, a ``(2, n, n)`` array, they are written there
-    instead.
+    ``source`` is the half spectrum of a real field; only its dealias block
+    is read when it is zero outside it (:class:`_Block`).  Two transforms
+    per call, none when ``source`` has no nonzero entry (then the samples
+    are zero).  The samples are fresh and read-only, so one velocity can
+    serve many :func:`advect` calls; with ``out``, a ``(2, n, n)`` array,
+    they are written there instead.
     """
-    op = _transport_operator(grid)
-    n = grid.n
-    if not source.any():
-        if out is None:
-            out = np.zeros((2, n, n))
-            out.flags.writeable = False
-        else:
-            out.fill(0.0)
-        return Velocity(out[0], out[1], 0.0)
-    ws = _workspace(grid)
-    u = np.empty((2, n, n)) if out is None else out
-    width = _band_width(op, source)
-    _synthesize_product(ws, op.stack[0], source, width, u[0])
-    _synthesize_product(ws, op.stack[1], source, width, u[1])
-    umax = _peak_speed(u[0], u[1], ws.samples[2])
+    u = np.empty((2, grid.n, grid.n)) if out is None else out
+    block = _block_of(grid, source)
+    umax = _block_velocity(block, block.restrict(source, block.operand), u).umax
     if out is None:
         u.flags.writeable = False
     return Velocity(u[0], u[1], umax)
@@ -689,8 +774,7 @@ def advect(grid: GridSpec, vel: Velocity, target: np.ndarray,
     mean).  ``target`` is read like :func:`velocity`'s source.  Three
     transforms per call; none when ``vel.umax`` is 0, where every product is
     zero and the result is an exact zero half spectrum.  The forward
-    transform computes only the columns below the dealias band: the mask
-    zeroes the rest.
+    transform computes only the block's columns: the mask zeroes the rest.
 
     The result is fresh, or written into ``out``, an ``(n, n/2 + 1)`` array
     that may be ``target`` itself.  The second gradient is synthesized into
@@ -702,21 +786,11 @@ def advect(grid: GridSpec, vel: Velocity, target: np.ndarray,
     if vel.umax == 0.0:
         out.fill(0.0)
         return out
-    op, ws = _transport_operator(grid), _workspace(grid)
-    width = _band_width(op, target)
-    product, gy = ws.samples[2], ws.samples[0]
-    _synthesize_product(ws, op.stack[2], target, width, product)
-    product *= vel.u1
-    _synthesize_product(ws, op.stack[3], target, width, gy)
-    gy *= vel.u2
-    product += gy
-    band = op.band
-    _forward_pass(product, ws.rows, out[:, :band])
-    out[:, band:] = 0.0
-    out[:, :band] *= op.mask[:, :band]
-    _symmetrize_edges(out, op.rows, ws.edges)
-    out[0, 0] = 0.0
-    return out
+    block = _block_of(grid, target)
+    product = _block_advect(block, vel, block.restrict(target, block.operand),
+                            block.operand)
+    out.fill(0.0)
+    return block.embed(product, out)
 
 
 def transport(grid: GridSpec, source: np.ndarray, target: np.ndarray,

@@ -7,7 +7,8 @@ block), Gevrey weights from ``|k|^gamma`` computed in place, products with
 complex FFTs.  Package fields hold half spectra; they enter through
 :func:`full`, their Hermitian extension.  None of these reads the package's
 frequency or weight tables, except :func:`scipy_transport`, which replays
-the package's transport with whole-array transforms.
+the package's transport with whole-array transforms on the package's
+``grid_arrays``.
 """
 
 import math
@@ -191,20 +192,24 @@ def scipy_transport(grid, source, target):
     operation."""
     import scipy.fft
 
-    from sqglab.spectral import _transport_operator
+    from sqglab.spectral import grid_arrays
 
     n = grid.n
-    op = _transport_operator(grid)
+    ga = grid_arrays(grid)
+    # R_perp and the gradient, the odd symbols zeroed on the Nyquist lines.
+    k1 = np.where(ga.nyquist, 0.0, ga.k1)
+    k2 = np.where(ga.nyquist, 0.0, ga.k2)
+    stack = [(-1j) * k2 * ga.inv_k_abs, (+1j) * k1 * ga.inv_k_abs, 1j * k1, 1j * k2]
 
     def samples(spec):
         return scipy.fft.irfft2(spec, s=(n, n), norm="forward")
 
-    u1, u2 = samples(op.stack[0] * source), samples(op.stack[1] * source)
+    u1, u2 = samples(stack[0] * source), samples(stack[1] * source)
     umax = math.sqrt(float((u1 * u1 + u2 * u2).max()))
-    product = samples(op.stack[2] * target) * u1
-    product += samples(op.stack[3] * target) * u2
-    out = scipy.fft.rfft2(product, norm="forward") * op.mask
+    product = samples(stack[2] * target) * u1
+    product += samples(stack[3] * target) * u2
+    out = scipy.fft.rfft2(product, norm="forward") * ga.dealias_mask.astype(np.float64)
     edge = out[:, :: n // 2]
-    out[:, :: n // 2] = 0.5 * (edge + np.conj(edge[op.rows]))
+    out[:, :: n // 2] = 0.5 * (edge + np.conj(edge[ga.negated]))
     out[0, 0] = 0.0
     return out, umax

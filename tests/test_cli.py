@@ -9,7 +9,7 @@ import pytest
 from sqglab.cli import VERIFY_CHECKS, main
 from sqglab.reports import LEMMA_IDS, manifest_from_json, sha256_of_file
 from sqglab.solver import _factor_tables
-from sqglab.spectral import _workspace
+from sqglab.spectral import _dealias_block, _workspace
 
 
 def write_config(path, **overrides):
@@ -285,7 +285,7 @@ def test_module_entrypoint_help():
 
 
 COUNTED_CACHES = {"_factor_tables", "_grid_arrays", "k_power", "sobolev_weights",
-                  "_transport_operator", "_workspace", "block_power_weights"}
+                  "_dealias_block", "_workspace", "block_power_weights"}
 
 
 def test_manifests_record_cache_counts(tmp_path):
@@ -294,18 +294,24 @@ def test_manifests_record_cache_counts(tmp_path):
     cfg = write_config(tmp_path / "sim.json",
                        solver={"dt": 1e-3, "t_final": 0.1, "output_stride": 50})
     _factor_tables.cache_clear()
+    _dealias_block.cache_clear()
     _workspace.cache_clear()
     assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 0
     caches = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]["caches"]
     assert set(caches) == COUNTED_CACHES
     assert caches["_factor_tables"] == {"hits": 99, "misses": 1}
+    # The dealiased run steps on the grid's dealias block alone.
+    assert caches["_dealias_block"]["misses"] == 1
+    assert caches["_dealias_block"]["hits"] >= 100
     assert caches["_workspace"]["misses"] == 1 and caches["_workspace"]["hits"] >= 100
     cfg = write_config(tmp_path / "it.json", iterate={"n_min": 0, "n_max": 1},
                        output={"prefix": "sweep"})
+    _dealias_block.cache_clear()
     _workspace.cache_clear()
     assert main(["iterate", "picard", str(cfg), "--output-dir", str(tmp_path)]) == 0
     caches = json.loads((tmp_path / "sweep_manifest.json").read_text())["timings"]["caches"]
     assert set(caches) == COUNTED_CACHES
     assert all(c["hits"] >= 0 and c["misses"] >= 0 for c in caches.values())
     assert caches["_factor_tables"]["hits"] + caches["_factor_tables"]["misses"] > 0
+    assert caches["_dealias_block"]["misses"] == 1 and caches["_dealias_block"]["hits"] > 0
     assert caches["_workspace"]["misses"] == 1 and caches["_workspace"]["hits"] > 0

@@ -46,9 +46,9 @@ from sqglab.spectral import (
     synthesize,
     transport,
     velocity,
+    _dealias_block,
     _forward_pass,
     _inverse_pass,
-    _transport_operator,
     weighted_norm,
 )
 
@@ -331,7 +331,7 @@ def test_band_passes_equal_scipy_2d_transforms(grid):
     import scipy.fft
 
     n, m = grid.n, grid.n // 2 + 1
-    band = _transport_operator(grid).band
+    band = _dealias_block(grid, False).width
     radius = grid.n * grid.dealias_fraction / 2
     assert band == (m if grid.dealias_fraction == 1.0 else int(radius) + 1)
     rng = np.random.default_rng(n)
@@ -353,7 +353,7 @@ def test_band_passes_at_a_grid_that_is_not_a_power_of_two():
 
     grid = GridSpec(96)
     n, m = grid.n, grid.n // 2 + 1
-    band = _transport_operator(grid).band
+    band = _dealias_block(grid, False).width
     rng = np.random.default_rng(96)
     half = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     half[:, band:] = 0.0
@@ -378,7 +378,7 @@ def test_transport_equals_whole_array_transport(grid, rng, monkeypatch):
     n, m = grid.n, grid.n // 2 + 1
     mask = grid_arrays(grid).dealias_mask
     raw = [random_field(grid, rng).coeffs for _ in range(2)]
-    band = _transport_operator(grid).band
+    band = _dealias_block(grid, False).width
     widths = []
 
     def spy(spec, columns, out):
