@@ -39,10 +39,10 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _dealias_block,
-    _grid_arrays,
     _workspace,
     field_lp_norm,
     forward_transform,
+    grid_arrays,
     k_power,
     load_field,
     save_field,
@@ -57,12 +57,23 @@ _SOLVER_KEYS = tuple(
     f.name for f in dataclasses.fields(SolverConfig) if f.name != "grid"
 )
 
+#: The keys each config section knows (``initial_data``: the union over its
+#: kinds).  Any other key, there or at the top level, is a usage error.
+_SECTION_KEYS = {
+    "grid": ("n", "period", "dealias_fraction"),
+    "solver": _SOLVER_KEYS,
+    "initial_data": ("kind", "seed", "normalize", "amplitude", "alpha", "k_cut",
+                     "k_max", "j", "mode"),
+    "iterate": ("n_min", "n_max", "s0", "p", "q"),
+    "output": ("prefix", "save_final_state", "save_snapshots"),
+}
+
 
 #: The per-grid caches whose hits and misses a run's manifest records.  Bound
 #: once here, so rebinding the module attributes later cannot hide them.
 _COUNTED_CACHES = {
     fn.__name__: fn
-    for fn in (_factor_tables, _grid_arrays, k_power, sobolev_weights,
+    for fn in (_factor_tables, grid_arrays, k_power, sobolev_weights,
                _dealias_block, _workspace, block_power_weights)
 }
 
@@ -87,6 +98,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _reject_unknown(where: str, keys, known) -> None:
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise UsageError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -102,6 +119,11 @@ def _load_config(path: str) -> dict:
         raise UsageError(
             f"config schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}"
         )
+    _reject_unknown("config", data, ("schema_version", *_SECTION_KEYS))
+    for name, known in _SECTION_KEYS.items():
+        if not isinstance(data.get(name, {}), dict):
+            raise UsageError(f"config section {name!r} must be a JSON object")
+        _reject_unknown(name, data.get(name, {}), known)
     return data
 
 
@@ -109,20 +131,15 @@ def _grid_from_config(config: dict, args) -> GridSpec:
     section = dict(config.get("grid", {}))
     if getattr(args, "grid", None) is not None:
         section["n"] = args.grid
-    return GridSpec(
-        n=int(section.get("n", 128)),
-        period=float(section.get("period", 2.0 * math.pi)),
-        dealias_fraction=float(section.get("dealias_fraction", 2.0 / 3.0)),
-    )
+    n = int(section.pop("n", 128))
+    # period and dealias_fraction, when given; GridSpec holds their defaults.
+    return GridSpec(n, **{key: float(value) for key, value in section.items()})
 
 
 def _solver_from_config(config: dict, args) -> SolverConfig:
     section = dict(config.get("solver", {}))
     if getattr(args, "gamma", None) is not None:
         section["gamma"] = args.gamma
-    unknown = set(section) - set(_SOLVER_KEYS)
-    if unknown:
-        raise UsageError(f"unknown solver keys: {sorted(unknown)}")
     return SolverConfig(grid=_grid_from_config(config, args), **section)
 
 

@@ -28,7 +28,6 @@ from .spectral import (
     MultiplierSpec,
     SpectralField,
     GEVREY_EXPONENT_CAP,
-    PROFILE_ORDER,
     PROFILE_OUTER,
     _check_exponents,
     forward_transform,
@@ -77,7 +76,6 @@ class DyadicPartition:
     grid: GridSpec
     j_min: int
     j_max: int
-    order: int = PROFILE_ORDER
 
     @staticmethod
     def for_grid(grid: GridSpec) -> "DyadicPartition":
@@ -231,8 +229,7 @@ def _dealias(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     return coeffs * grid_arrays(grid).dealias_mask
 
 
-def paraproduct_decompose(f: SpectralField, g: SpectralField,
-                          partition: Optional[DyadicPartition] = None) -> ParaproductParts:
+def paraproduct_decompose(f: SpectralField, g: SpectralField) -> ParaproductParts:
     """Split the (dealiased) pointwise product of two fields Bony-style.
 
     The mean is treated as the block below ``j_min`` so the three parts sum
@@ -241,7 +238,7 @@ def paraproduct_decompose(f: SpectralField, g: SpectralField,
     if f.grid != g.grid:
         raise UsageError("paraproduct needs both fields on the same grid")
     grid = f.grid
-    part = partition or default_partition(grid)
+    part = default_partition(grid)
     base = part.j_min - 1  # index of the low-pass "block" that holds the mean
     top = part.j_max
     idx = range(base, top + 1)
@@ -291,18 +288,16 @@ def paraproduct_decompose(f: SpectralField, g: SpectralField,
 
 @dataclass(frozen=True)
 class BilinearSymbol:
-    """A two-frequency symbol ``sigma(xi, eta)`` with optional support bands.
+    """A two-frequency symbol ``sigma(xi, eta)`` with an optional ``xi`` band.
 
     ``fn`` is vectorized: it receives ``xi`` and ``eta`` arrays of shape
     ``(..., 2)`` (physical frequencies) and returns values of shape ``(...)``.
-    Bands are closed magnitude intervals restricting which mode pairs are
-    summed at all; ``None`` means unrestricted.
+    ``xi_band`` is a closed magnitude interval restricting which modes of the
+    first factor are summed at all; ``None`` means unrestricted.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     xi_band: Optional[tuple[float, float]] = None
-    eta_band: Optional[tuple[float, float]] = None
-    sum_band: Optional[tuple[float, float]] = None
 
     @staticmethod
     def one() -> "BilinearSymbol":
@@ -324,8 +319,8 @@ def _mag(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(v * v, axis=-1))
 
 
-def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralField,
-                          chunk_pairs: int = 2_000_000) -> SpectralField:
+def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField,
+                          g: SpectralField) -> SpectralField:
     """Evaluate ``sum_{xi+eta=k} sigma(xi,eta) f^(xi) g^(eta)`` directly.
 
     A literal double sum over populated mode pairs of the full lattice, in
@@ -361,7 +356,7 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
         return coords, coeffs[rows, cols]
 
     fm, cf = populated(f, sym.xi_band)
-    gm, cg = populated(g, sym.eta_band)
+    gm, cg = populated(g, None)
 
     pairs = fm.shape[0] * gm.shape[0]
     if pairs > 10 * PAIR_WARN_LIMIT:
@@ -375,7 +370,7 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
 
     out = np.zeros((n, n), dtype=np.complex128)
     magnitude = 0.0  # sum of |term| over the kept pairs, the round-off scale
-    rows_per_chunk = max(1, chunk_pairs // max(1, gm.shape[0]))
+    rows_per_chunk = max(1, 2_000_000 // max(1, gm.shape[0]))  # pairs per chunk
     reach = n // 2 - 1
     for start in range(0, fm.shape[0], rows_per_chunk):
         stop = min(start + rows_per_chunk, fm.shape[0])
@@ -385,9 +380,6 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
                       scale * gm[None, :, :].astype(float))
         vals = vals * cf[start:stop, None] * cg[None, :]
         keep = np.all(np.abs(sums) <= reach, axis=-1)
-        if sym.sum_band is not None:
-            smag = scale * np.sqrt(np.sum(sums.astype(float) ** 2, axis=-1))
-            keep &= (smag >= sym.sum_band[0]) & (smag <= sym.sum_band[1])
         if not np.any(keep):
             continue
         tgt = sums[keep]
@@ -411,14 +403,15 @@ def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField, g: SpectralFiel
 
 
 def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
-                     gamma: float, cap: float = GEVREY_EXPONENT_CAP) -> SpectralField:
+                     gamma: float) -> SpectralField:
     """Commutator of the weighted block projection with weighted advection.
 
     Computes ``P_j e^{tD^g} (e^{-tD^g} R_perp f . grad e^{-tD^g} g)
     - e^{-tD^g} R_perp f . grad P_j g`` pseudospectrally (products
     dealiased).  The growing weight ``e^{t|k|^gamma}`` is only ever
     evaluated on block-j frequencies, so its exponent is bounded by
-    ``t * ((7/6) 2^j)^gamma``; that bound is checked against ``cap``.
+    ``t * ((7/6) 2^j)^gamma``; that bound is checked against
+    ``GEVREY_EXPONENT_CAP``.
     """
     if f.grid != g.grid:
         raise UsageError("block commutator needs both fields on the same grid")
@@ -426,6 +419,7 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
         raise UsageError("block commutator needs t >= 0")
     grid = f.grid
     ga = grid_arrays(grid)
+    cap = GEVREY_EXPONENT_CAP
 
     block_sym = MultiplierSpec.block(j).symbol_on(grid)
     on_block = block_sym != 0.0
@@ -448,7 +442,7 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
 
 def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
                    t: float, gamma: float, s: Optional[float] = None,
-                   weight: float = 1.0, cap: float = GEVREY_EXPONENT_CAP) -> float:
+                   weight: float = 1.0) -> float:
     """Weighted trilinear pairing of three fields.
 
     Evaluates ``integral D^s(R_perp e^{-tA} g1 . grad e^{-tA} g2)
@@ -470,6 +464,7 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     prod, _ = transport(grid, g1.coeffs * decay, g2.coeffs * decay)
 
     expo = weight * t * k_power(grid, gamma)
+    cap = GEVREY_EXPONENT_CAP
     _check_exponents(expo, g3.coeffs, cap)
     grown = g3.coeffs * np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
     # Real fields: each column 0 < m2 < n/2 stands for its conjugate partner

@@ -98,10 +98,10 @@ def fitted_decay_rate(
     return _stacked_decay_rate(field, stack, q, t_values, scale)
 
 
-def _decay_sweep(grid, j, gamma, q, tau_grid, n_samples, rng):
-    """Min fitted decay constant over block-j samples."""
+def _decay_sweep(grid, j, gamma, q, n_samples, rng):
+    """Min fitted decay constant over block-j samples, at ``DECAY_TAU_GRID``."""
     scale = 2.0 ** (j * gamma)
-    t_values = [tau / scale for tau in tau_grid]
+    t_values = [tau / scale for tau in DECAY_TAU_GRID]
     stack = _heat_stack(grid, gamma, t_values)
     worst = math.inf
     worst_field = None
@@ -119,15 +119,14 @@ def check_heat_decay(
     j: int = 3,
     gamma: float = 0.5,
     q: float = math.inf,
-    t_grid=DECAY_TAU_GRID,
     n_samples: int = 200,
     seed: int = 101,
 ) -> InequalityReport:
     """Block heat decay ||e^{-tD^gamma}P_j f||_q <= e^{-c t 2^{j gamma}}||P_j f||_q.
 
-    ``t_grid`` is dimensionless: each entry tau is evaluated at t = tau *
-    2^{-j*gamma}, so the same grid probes the same decay fractions at every
-    block.  Pass requires min fitted c > 0 and agreement within +-50% of the
+    ``DECAY_TAU_GRID`` is dimensionless: each entry tau is evaluated at
+    t = tau * 2^{-j*gamma}, so the same grid probes the same decay fractions
+    at every block.  Pass requires min fitted c > 0 and agreement within +-50% of the
     median across blocks {j, j+1, j+2}.
     """
     grid = grid or DEFAULT_GRID
@@ -138,7 +137,7 @@ def check_heat_decay(
     c_by_j = {}
     witness_field = None
     for jj in (j, j + 1, j + 2):
-        c_min, f_min = _decay_sweep(grid, jj, gamma, q, t_grid, n_samples, rng)
+        c_min, f_min = _decay_sweep(grid, jj, gamma, q, n_samples, rng)
         c_by_j[jj] = c_min
         if jj == j:
             witness_field = f_min
@@ -151,7 +150,7 @@ def check_heat_decay(
     verdict = measured > 0.0 and stable
     return InequalityReport(
         lemma_id="heat_decay",
-        parameters={"gamma": gamma, "q": q, "j": j, "tau_grid": list(t_grid)},
+        parameters={"gamma": gamma, "q": q, "j": j, "tau_grid": list(DECAY_TAU_GRID)},
         n_samples=n_samples,
         measured_constant=measured,
         theoretical_bound="unknown",
@@ -178,7 +177,6 @@ def check_coercivity(
     q: float = 4.0,
     n_samples: int = 500,
     seed: int = 202,
-    slack: float = 1e-6,
 ) -> InequalityReport:
     """Pointwise-power coercivity of the fractional dissipation term.
 
@@ -193,6 +191,7 @@ def check_coercivity(
         raise UsageError(f"q must lie in (1, inf), got {q}")
     rng = np.random.default_rng(seed)
     const = 4.0 * (q - 1.0) / (q * q)
+    slack = 1e-6
     ops = _dissipation_stack(grid, gamma)
     # ||D^{gamma/2} w||_2^2 = period^2 sum |k|^gamma |w^|^2 over the full lattice.
     energy = grid.period ** 2 * parseval_columns(grid) * ops[1]
@@ -325,9 +324,6 @@ def check_max_point(
 def counterexample_gamma2_q1(
     grid: OneDGrid | None = None,
     envelope_amplitude: float = 0.5,
-    envelope_mode: int = 1,
-    zero_tol: float = 1e-6,
-    positive_threshold: float = 0.01,
 ) -> InequalityReport:
     """The gamma=2, q=1 failure: smooth f with int f'' sgn(f) dx = 0.
 
@@ -337,6 +333,7 @@ def counterexample_gamma2_q1(
     the gamma=1.5 half-power analogue stays uniformly positive.
     """
     grid = grid or OneDGrid(2**14, 4.0 * math.pi)
+    envelope_mode = 1
     k_env = envelope_mode * 2.0 * math.pi / grid.period
     envelope = 1.0 + envelope_amplitude * np.cos(k_env * grid.x)
     if np.min(envelope) <= 0.0:
@@ -359,6 +356,7 @@ def counterexample_gamma2_q1(
 
     cancel_ratio = abs(i_laplace) / l1
     frac_ratio = i_frac / l1
+    zero_tol, positive_threshold = 1e-6, 0.01
     verdict = cancel_ratio < zero_tol and frac_ratio > positive_threshold
     return InequalityReport(
         lemma_id="counterexample_gamma2",
@@ -384,17 +382,14 @@ def counterexample_gamma2_q1(
     )
 
 
-def fractional_seminorm_sq(
-    grid: OneDGrid, samples: np.ndarray, s: float, core_target: float = 1e-3
-):
+def fractional_seminorm_sq(grid: OneDGrid, samples: np.ndarray, s: float):
     """Difference-quotient seminorm int int |g(x)-g(y)|^2 / |x-y|^{1+2s} dx dy.
 
     Reduces the double integral over the periodic box to a single integral of
     h(u) = int |g(x+u)-g(x)|^2 dx = 4 L sum |c_k|^2 sin^2(k u / 2) against
     u^{-1-2s} du on (0, L/2], doubled for the sign of u.  The |u| < delta
     core is replaced by its first-order Taylor bound 2 delta^{2-2s}/(2-2s) *
-    ||g'||_2^2; delta shrinks until that bound is below ``core_target`` of
-    the total.  Returns (seminorm_sq, delta, core_fraction).
+    ||g'||_2^2; delta shrinks until that bound is below 1e-3 of the total.  Returns (seminorm_sq, delta, core_fraction).
     """
     if not 0.0 < s < 1.0:
         raise UsageError(f"s must lie in (0, 1), got {s}")
@@ -426,6 +421,7 @@ def fractional_seminorm_sq(
             raise UsageError("quadrature for the difference seminorm did not converge")
         return 2.0 * (near + far)
 
+    core_target = 1e-3
     delta = 1e-4
     for _ in range(4):
         tail = tail_from(delta)
@@ -445,19 +441,18 @@ def _support_width(grid: OneDGrid, samples: np.ndarray) -> float:
 
 
 def check_gagliardo_equivalence(
-    grid: OneDGrid | None = None,
     s_values=(0.1, 0.3, 0.5, 0.7, 0.9),
     n_samples: int = 3,
     seed: int = 404,
-    window: float = GAGLIARDO_WINDOW,
 ) -> InequalityReport:
     """Difference-quotient vs spectral fractional norm, s(1-s)-normalized.
 
     For concentrated bumps on a large box, R(s) = seminorm^2 * s(1-s) /
-    ||D^s g||_2^2 must land in [1/window, window] for every sample and every
-    s; the s(1-s) factor absorbs the blow-up at both endpoints.
+    ||D^s g||_2^2 must land in [1/window, window], with window
+    ``GAGLIARDO_WINDOW``, for every sample and every s; the s(1-s) factor
+    absorbs the blow-up at both endpoints.
     """
-    grid = grid or OneDGrid(2**12, 64.0 * math.pi)
+    grid = OneDGrid(2**12, 64.0 * math.pi)
     rng = np.random.default_rng(seed)
     ratios = {}
     worst_factor = 0.0
@@ -483,22 +478,22 @@ def check_gagliardo_equivalence(
                     "delta": delta,
                     "core_fraction": core_frac,
                 }
-    verdict = worst_factor <= window
+    verdict = worst_factor <= GAGLIARDO_WINDOW
     return InequalityReport(
         lemma_id="gagliardo_equiv",
         parameters={"s_values": list(s_values), "n": grid.n, "period": grid.period},
         n_samples=n_samples,
         measured_constant=worst_factor,
-        theoretical_bound=window,
+        theoretical_bound=GAGLIARDO_WINDOW,
         verdict=verdict,
         seed=seed,
-        details={"ratios_by_s": ratios, "window": window},
+        details={"ratios_by_s": ratios, "window": GAGLIARDO_WINDOW},
         witness=worst,
     )
 
 
 def check_ab_inequality(
-    q: float = 4.0, sample_count: int = 1_000_000, seed: int = 505, slack: float = 1e-12
+    q: float = 4.0, sample_count: int = 1_000_000, seed: int = 505
 ) -> InequalityReport:
     """Scalar convexity bound behind the coercivity estimate.
 
@@ -529,6 +524,7 @@ def check_ab_inequality(
     live = rhs > 0.0
     min_ratio = float(np.min(lhs[live] / rhs[live])) if np.any(live) else math.inf
     worst_idx = int(np.argmin(rel_slack))
+    slack = 1e-12
     verdict = min_slack >= -slack
     return InequalityReport(
         lemma_id="ab_pointwise",
@@ -572,8 +568,6 @@ def check_spectral_mass_contraction(
     n0: float,
     eps0: float,
     gamma: float,
-    t_grid=None,
-    scan_factor: float = 20.0,
 ) -> InequalityReport:
     """Heat contraction for fields with high-frequency mass fraction >= eps0.
 
@@ -582,33 +576,32 @@ def check_spectral_mass_contraction(
     time; the largest verified t is the measured constant.
     """
     _check_gamma_range(gamma)
-    ka = grid_arrays(g.grid)
     # Parseval masses of the half spectrum: columns 0 < m2 < n/2 also stand
     # for their conjugate partners.
     mass = half_power(g.grid, g.coeffs)
     total = float(np.sum(mass))
     if total <= 0.0:
         raise UsageError("zero field")
-    high = float(np.sum(mass[ka.k_abs >= n0]))
+    high = float(np.sum(mass[grid_arrays(g.grid).k_abs >= n0]))
     high_fraction = high / total
     if high_fraction < eps0:
         raise UsageError(
             f"high-frequency mass fraction {high_fraction:.3g} below eps0={eps0}"
         )
     horizon = spectral_mass_horizon(eps0, n0, gamma)
-    if t_grid is None:
-        top = 0.9 * horizon if math.isfinite(horizon) else 1.0 / n0**gamma
-        t_grid = np.linspace(0.0, top, 25)[1:]
+    top = 0.9 * horizon if math.isfinite(horizon) else 1.0 / n0**gamma
+    t_grid = np.linspace(0.0, top, 25)[1:]
     rate = 0.5 * eps0 * n0**gamma
+    kg = k_power(g.grid, gamma)
 
     def holds(t: float) -> bool:
-        decayed = float(np.sum(np.exp(-2.0 * t * ka.k_abs**gamma) * mass))
+        decayed = float(np.sum(np.exp(-2.0 * t * kg) * mass))
         return math.sqrt(decayed / total) <= math.exp(-rate * t)
 
     grid_ok = all(holds(float(t)) for t in t_grid)
 
     t_max = float(np.max(t_grid))
-    scan_top = scan_factor * (horizon if math.isfinite(horizon) else t_max)
+    scan_top = 20.0 * (horizon if math.isfinite(horizon) else t_max)
     scan = np.linspace(0.0, scan_top, 400)[1:]
     largest = 0.0
     crossed = False
@@ -640,7 +633,6 @@ def check_lq_semigroup_decay(
     j: int = 3,
     gamma: float = 0.5,
     q_values=(1.5, 2.0, 3.0, 6.0),
-    t_grid=DECAY_TAU_GRID,
     n_samples: int = 100,
     seed: int = 606,
 ) -> InequalityReport:
@@ -657,7 +649,7 @@ def check_lq_semigroup_decay(
     rng = np.random.default_rng(seed)
     c_by_q = {}
     for q in q_values:
-        c_min, _ = _decay_sweep(grid, j, gamma, q, t_grid, n_samples, rng)
+        c_min, _ = _decay_sweep(grid, j, gamma, q, n_samples, rng)
         c_by_q[q] = c_min
     values = np.array(list(c_by_q.values()))
     med = float(np.median(values))
@@ -689,13 +681,13 @@ def dissipation_phase(xi: np.ndarray, eta: np.ndarray, gamma: float) -> np.ndarr
     return nx**gamma + ne**gamma - ns**gamma
 
 
-def collinear_phase_infimum(gamma: float, lo: float = 1e-6, hi: float = 1e3) -> float:
+def collinear_phase_infimum(gamma: float) -> float:
     """Infimum of (1 + x^gamma - (1+x)^gamma) / min(1, x^gamma) on a dense scan.
 
     The 2-d normalized phase ratio is minimized by aligned frequencies, so
     this 1-d reduction is the sharp reference value.
     """
-    x = np.geomspace(lo, hi, 200001)
+    x = np.geomspace(1e-6, 1e3, 200001)
     ratio = (1.0 + x**gamma - (1.0 + x) ** gamma) / np.minimum(1.0, x**gamma)
     return float(np.min(ratio))
 
@@ -772,14 +764,7 @@ def _phase_fd_constants(gamma: float) -> dict:
     return constants
 
 
-def check_phase_bounds(
-    gamma: float = 0.5,
-    xi_radii=None,
-    eta_radii=None,
-    n_angles: int = 48,
-    cone_tol: float = 1e-3,
-    infimum_floor: float = 0.01,
-) -> InequalityReport:
+def check_phase_bounds(gamma: float = 0.5) -> InequalityReport:
     """Lower bound sigma(xi, eta) >= c * min(|xi|^gamma, |eta|^gamma) for gamma < 1.
 
     Sweeps |xi| log-spaced in [1e-3, 1], |eta| in [0.5, 2], all relative
@@ -788,11 +773,10 @@ def check_phase_bounds(
     aligned cone xi = lambda eta, and the check certifies that instead.
     """
     _check_gamma_range(gamma, upper=1.0)
-    if xi_radii is None:
-        xi_radii = np.geomspace(1e-3, 1.0, 40)
-    if eta_radii is None:
-        eta_radii = np.linspace(0.5, 2.0, 12)
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    xi_radii = np.geomspace(1e-3, 1.0, 40)
+    eta_radii = np.linspace(0.5, 2.0, 12)
+    angles = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    cone_tol, infimum_floor = 1e-3, 0.01
 
     rr, ss, tt = np.meshgrid(xi_radii, eta_radii, angles, indexing="ij")
     xi = np.stack([rr, np.zeros_like(rr)], axis=-1)
@@ -875,19 +859,17 @@ def check_trilinear_bounds(
     regime: str = "random",
     j_values=(2, 3, 4, 5),
     n_samples: int = 8,
-    t: float = 0.0,
     seed: int = 707,
-    spread: float = TRILINEAR_SPREAD,
 ) -> InequalityReport:
     """Ratio stability for the weighted transport trilinear form.
 
     For s = 2 - gamma measures |N(g, f, f)| / (||g||_{H^s} ||f||_{H^{s+g/2}}^2)
-    (homogeneous norms) across frequency regimes and block scales j.  The
-    estimate is an upper bound, so regimes with extra cancellation (the
-    diagonal one in particular) legitimately produce ratios that shrink with
-    j; the admissibility gate is therefore growth-only: ratios at higher
-    blocks may not exceed ``spread`` times the coarsest-block level.  The
-    "localized" regime instead measures
+    (homogeneous norms, the form taken at t = 0) across frequency regimes and
+    block scales j.  The estimate is an upper bound, so regimes with extra
+    cancellation (the diagonal one in particular) legitimately produce ratios
+    that shrink with j; the admissibility gate is therefore growth-only:
+    ratios at higher blocks may not exceed ``TRILINEAR_SPREAD`` times the
+    coarsest-block level.  The "localized" regime instead measures
     |N(g, g, f)| against N0^{2s+2} ||g||_2^2 ||f||_2 for spectra confined to
     B(0, N0) and B(0, 2 N0).
     """
@@ -897,6 +879,7 @@ def check_trilinear_bounds(
     if regime not in TRILINEAR_REGIMES:
         raise UsageError(f"regime must be one of {TRILINEAR_REGIMES}")
     s = 2.0 - gamma
+    t = 0.0
     rng = np.random.default_rng(seed)
     ratios = []
     by_j = {}
@@ -931,7 +914,7 @@ def check_trilinear_bounds(
     baseline = peak_by_j[0]
     growth = max(peak_by_j) / baseline if baseline > 0.0 else math.inf
     finite = bool(np.all(np.isfinite(ratios)))
-    verdict = finite and growth <= spread
+    verdict = finite and growth <= TRILINEAR_SPREAD
     return InequalityReport(
         lemma_id="bilinear_ratio",
         parameters={"gamma": gamma, "regime": regime, "j_values": list(j_values), "t": t},
@@ -940,6 +923,6 @@ def check_trilinear_bounds(
         theoretical_bound="unknown",
         verdict=verdict,
         seed=seed,
-        details={"growth": growth, "growth_limit": spread, "by_j": by_j},
+        details={"growth": growth, "growth_limit": TRILINEAR_SPREAD, "by_j": by_j},
         witness=worst,
     )

@@ -145,15 +145,14 @@ class OneDGrid:
         return float(np.sum(samples * samples)) * self.dx
 
 
-def bump_field_1d(grid: OneDGrid, rng: np.random.Generator,
-                  width_scale: float = 1.0) -> np.ndarray:
+def bump_field_1d(grid: OneDGrid, rng: np.random.Generator) -> np.ndarray:
     """Concentrated, effectively band-limited bump on a wide 1D box.
 
     Built from a Gaussian coefficient envelope (random width and a mild
     random spectral modulation) with phases aligned to the box center, so
     the field decays like a Gaussian away from it.  Returned as samples.
     """
-    sigma = width_scale * (2.0 + 2.0 * rng.random())   # spectral width
+    sigma = 2.0 + 2.0 * rng.random()   # spectral width
     mod = 0.5 * rng.random()
     k0 = rng.random() * sigma
     k = grid.k

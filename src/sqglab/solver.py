@@ -49,6 +49,10 @@ INTEGRATORS = ("if_rk4", "etd_rk2")
 CFL_WARN = 1.0
 CFL_ERROR = 2.0
 
+#: Weight w of the Gevrey factor e^{w t D^gamma} in front of the critical
+#: Besov norm of the diagnostics rows.
+BESOV_GEVREY_WEIGHT = 0.5
+
 # Below this |z| the phi functions switch to series; expm1 alone is exact
 # enough, but the z^2 division amplifies noise.
 _PHI_SERIES_CUTOFF = 1e-5
@@ -454,13 +458,11 @@ class TimeSeries:
         return np.asarray(self.columns[name], dtype=np.float64)
 
 
-def gevrey_safe_horizon(
-    grid: GridSpec, gamma: float, weight: float, cap: float = GEVREY_EXPONENT_CAP
-) -> float:
-    """Largest t with weight * t * k^gamma <= cap on every retained mode."""
+def gevrey_safe_horizon(grid: GridSpec, gamma: float, weight: float) -> float:
+    """Largest t with weight * t * k^gamma <= GEVREY_EXPONENT_CAP on retained modes."""
     if weight <= 0.0:
         return math.inf
-    return cap / (weight * grid.dealias_radius**gamma)
+    return GEVREY_EXPONENT_CAP / (weight * grid.dealias_radius**gamma)
 
 
 def _series_columns(partition: DyadicPartition, j0: int | None) -> list:
@@ -501,7 +503,7 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     if theta0.grid != grid:
         raise UsageError("initial data grid does not match config grid")
     _require_mean_free(theta0.coeffs)
-    weight = max(config.gevrey_epsilon0, 0.5)
+    weight = max(config.gevrey_epsilon0, BESOV_GEVREY_WEIGHT)
     horizon = gevrey_safe_horizon(grid, config.gamma, weight)
     if config.t_final > horizon:
         raise OverflowGuardError(
@@ -543,10 +545,10 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
         warm_power = power * warm
         warm_power *= warm
         cols["gevrey_h_crit"].append(weighted_norm(grid, w_crit, warm_power))
-        if config.gevrey_epsilon0 == 0.5:
+        if config.gevrey_epsilon0 == BESOV_GEVREY_WEIGHT:
             half_warm, half_warm_power = warm, warm_power
         else:
-            half_warm = gevrey_half_weight(grid, 0.5, t, config.gamma, half)
+            half_warm = gevrey_half_weight(grid, BESOV_GEVREY_WEIGHT, t, config.gamma, half)
             half_warm_power = power * half_warm
             half_warm_power *= half_warm
         cols["besov_weighted"].append(
@@ -611,7 +613,7 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     return series
 
 
-def conservation_report(series: TimeSeries, slack: float = 1e-6) -> dict:
+def conservation_report(series: TimeSeries) -> dict:
     """Monotonicity and energy-balance audit of a finished run.
 
     Checks per-output-row nonincrease (relative slack per row) of the L2,
@@ -620,6 +622,7 @@ def conservation_report(series: TimeSeries, slack: float = 1e-6) -> dict:
     with the integral taken by Simpson's rule over the output grid.
     """
     t = series.column("t")
+    slack = 1e-6
     report = {"nu": series.config.nu, "slack": slack}
     for name in ("l2", "linf", "h_neg_half"):
         vals = series.column(name)
@@ -637,12 +640,12 @@ def conservation_report(series: TimeSeries, slack: float = 1e-6) -> dict:
     return report
 
 
-def mild_residual(series: TimeSeries, t0: float, t1: float, p: float = 2.0) -> float:
+def mild_residual(series: TimeSeries, t0: float, t1: float) -> float:
     """Integral-form defect over stored snapshots in [t0, t1].
 
     Rebuilds theta(t1) from theta(t0) by propagating with the heat flow and
     adding the Duhamel integral of the transport term (Simpson over the
-    snapshot grid), then returns the relative L^p gap against the stored
+    snapshot grid), then returns the relative L^2 gap against the stored
     theta(t1).
     """
     grid = series.config.grid
@@ -666,5 +669,5 @@ def mild_residual(series: TimeSeries, t0: float, t1: float, p: float = 2.0) -> f
     rebuilt = propagated + duhamel
     target = nodes[-1][1]
     gap = SpectralField(grid, target.coeffs - rebuilt)
-    scale = field_lp_norm(target, p)
-    return field_lp_norm(gap, p) / max(scale, 1e-300)
+    scale = field_lp_norm(target, 2.0)
+    return field_lp_norm(gap, 2.0) / max(scale, 1e-300)

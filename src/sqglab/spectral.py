@@ -118,8 +118,8 @@ class GridSpec:
 
 
 @lru_cache(maxsize=32)
-def _grid_arrays(grid: GridSpec) -> SimpleNamespace:
-    """Frequency arrays on the grid's half spectrum (cached per GridSpec).
+def grid_arrays(grid: GridSpec) -> SimpleNamespace:
+    """Read-only frequency arrays on the grid's half spectrum, cached per grid.
 
     Rows run over ``m1`` in FFT order, columns over ``m2 = 0..n/2 - 1`` and
     then the Nyquist column, which FFT order labels ``-n/2``.  ``negated``
@@ -151,11 +151,6 @@ def _grid_arrays(grid: GridSpec) -> SimpleNamespace:
     )
 
 
-def grid_arrays(grid: GridSpec) -> SimpleNamespace:
-    """Public accessor for the cached frequency arrays of ``grid``."""
-    return _grid_arrays(grid)
-
-
 @lru_cache(maxsize=32)
 def k_power(grid: GridSpec, gamma: float) -> np.ndarray:
     """Read-only ``|k|^gamma`` on the half spectrum, cached per (grid, gamma).
@@ -164,7 +159,7 @@ def k_power(grid: GridSpec, gamma: float) -> np.ndarray:
     the overflow guard and the diagnostics rows scale it by ``t`` on the
     fly, so no cache entry is keyed on a time value.
     """
-    table = _grid_arrays(grid).k_abs ** gamma
+    table = grid_arrays(grid).k_abs ** gamma
     table.flags.writeable = False
     return table
 
@@ -213,7 +208,7 @@ def forward_transform(samples: np.ndarray, grid: GridSpec) -> SpectralField:
     if np.iscomplexobj(s):
         raise UsageError("forward_transform expects a real sample array")
     half = analyze(grid, s)
-    _symmetrize_edges(half[:, :: grid.n // 2], _grid_arrays(grid).negated)
+    _symmetrize_edges(half[:, :: grid.n // 2], grid_arrays(grid).negated)
     return SpectralField(grid, half)
 
 
@@ -248,24 +243,25 @@ PROFILE_OUTER = 7.0 / 6.0
 PROFILE_ORDER = 8
 
 
-def smoothstep(x: np.ndarray, order: int = PROFILE_ORDER) -> np.ndarray:
-    """Polynomial smoothstep of the given order on [0, 1].
+def smoothstep(x: np.ndarray) -> np.ndarray:
+    """Polynomial smoothstep of order ``PROFILE_ORDER`` on [0, 1].
 
-    Rises from 0 to 1 with the first ``order`` derivatives vanishing at
-    both endpoints.
+    Rises from 0 to 1 with the first ``PROFILE_ORDER`` derivatives vanishing
+    at both endpoints.
     """
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     acc = np.zeros_like(x)
-    for k in range(order + 1):
-        coeff = math.comb(order + k, k) * math.comb(2 * order + 1, order - k)
+    for k in range(PROFILE_ORDER + 1):
+        coeff = math.comb(PROFILE_ORDER + k, k) * math.comb(
+            2 * PROFILE_ORDER + 1, PROFILE_ORDER - k)
         acc = acc + coeff * (-x) ** k
     # The alternating sum cancels to ~1e-10 noise near x = 1; clip so the
     # profile (and every dyadic block built from differences of it) stays
     # inside [0, 1].
-    return np.clip(x ** (order + 1) * acc, 0.0, 1.0)
+    return np.clip(x ** (PROFILE_ORDER + 1) * acc, 0.0, 1.0)
 
 
-def radial_profile(r: np.ndarray, order: int = PROFILE_ORDER) -> np.ndarray:
+def radial_profile(r: np.ndarray) -> np.ndarray:
     """Low-pass profile: 1 for r <= 1, 0 for r >= 7/6, smooth in between."""
     r = np.asarray(r, dtype=float)
     t = (r - PROFILE_INNER) / (PROFILE_OUTER - PROFILE_INNER)
@@ -319,7 +315,7 @@ class MultiplierSpec:
 
 @lru_cache(maxsize=64)
 def _symbol_cached(mult: MultiplierSpec, grid: GridSpec) -> np.ndarray:
-    ga = _grid_arrays(grid)
+    ga = grid_arrays(grid)
     kind, p = mult.kind, mult.params
     if kind == "fractional_laplacian":
         (s,) = p
@@ -366,7 +362,7 @@ def riesz_perp(field: SpectralField) -> tuple[SpectralField, SpectralField]:
 
     In symbols: ``u^(k) = i k_perp / |k| * f^(k)`` with ``k_perp = (-k2, k1)``.
     """
-    ga = _grid_arrays(field.grid)
+    ga = grid_arrays(field.grid)
     c = field.coeffs
     u1 = SpectralField(field.grid, (-1j) * ga.k2 * ga.inv_k_abs * c)
     u2 = SpectralField(field.grid, (+1j) * ga.k1 * ga.inv_k_abs * c)
@@ -468,7 +464,7 @@ def sobolev_weights(grid: GridSpec, r: float, homogeneous: bool = False) -> np.n
     Homogeneous: ``|k|^(2r)`` with 0 at the origin (1 everywhere for
     ``r = 0``); inhomogeneous: ``(1 + |k|^2)^r``.
     """
-    ga = _grid_arrays(grid)
+    ga = grid_arrays(grid)
     if homogeneous:
         if r == 0.0:
             weights = np.ones_like(ga.k_abs)
@@ -526,7 +522,7 @@ def _weighted_amplitude_limit(grid: GridSpec) -> float:
     times Sobolev weights up to ``(1 + |k|^2)^2`` (order 2, the highest the
     diagnostics use).
     """
-    k_max_sq = float(_grid_arrays(grid).k_sq.max())
+    k_max_sq = float(grid_arrays(grid).k_sq.max())
     log_factor = (
         math.log(2.0)
         + 2.0 * math.log(grid.period)
@@ -579,7 +575,7 @@ class _Block:
 
     def __init__(self, grid: GridSpec, wide: bool):
         n = grid.n
-        ga = _grid_arrays(grid)
+        ga = grid_arrays(grid)
         k = int(np.flatnonzero(ga.dealias_mask.any(axis=0))[-1])
         if wide or 2 * k + 1 > n:
             self.top, self.bottom, self.width = n // 2, n // 2, n // 2 + 1
@@ -908,7 +904,7 @@ def field_from_bytes(blob: bytes, origin: str = "<bytes>") -> SpectralField:
     full = data.view(np.complex128).reshape(n, n)
     # Foreign data enter here: they must describe a real field, so each
     # mode's partner c(-k) must hold its conjugate, up to round-off.
-    negated = _grid_arrays(grid).negated
+    negated = grid_arrays(grid).negated
     partner = np.conjugate(full[np.ix_(negated, negated)])
     scale = float(np.max(np.abs(full)))
     gap = float(np.max(np.abs(full - partner)))

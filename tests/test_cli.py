@@ -1,12 +1,13 @@
 """Command-line harness: exit codes, artifacts, determinism, precedence."""
 
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from sqglab.cli import VERIFY_CHECKS, main
+from sqglab.cli import VERIFY_CHECKS, build_parser, main
 from sqglab.reports import LEMMA_IDS, manifest_from_json, sha256_of_file
 from sqglab.solver import _factor_tables
 from sqglab.spectral import _dealias_block, _workspace
@@ -149,7 +150,23 @@ def test_config_file_errors_exit_one(tmp_path, capsys):
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"schema_version": 99}))
     assert main(["simulate", str(wrong)]) == 1
-    capsys.readouterr()
+    wrong.write_text(json.dumps({"schema_version": 1, "grid": 5}))
+    assert main(["simulate", str(wrong)]) == 1
+    assert "'grid' must be a JSON object" in capsys.readouterr().err
+
+
+# One misspelt key per section; "config" is the top level.
+@pytest.mark.parametrize("section, key", [
+    ("config", "sovler"), ("grid", "dealias"), ("solver", "t_finl"),
+    ("initial_data", "amplitdue"), ("iterate", "n_maximum"), ("output", "save_snapshot"),
+])
+def test_unknown_config_keys_exit_one(tmp_path, capsys, section, key):
+    override = {key: {}} if section == "config" else {section: {key: 0.5}}
+    cfg = write_config(tmp_path / "cfg.json", **override)
+    for command in (["simulate", str(cfg)], ["iterate", "galerkin", str(cfg)]):
+        assert main([*command, "--output-dir", str(tmp_path)]) == 1
+        assert f"unknown {section} keys: ['{key}']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
 
 
 def test_verify_passing_lemmas(tmp_path):
@@ -186,6 +203,16 @@ def test_verify_j_flag_reaches_coercivity(tmp_path):
 
 def test_every_lemma_id_has_a_verify_route():
     assert set(VERIFY_CHECKS) == set(LEMMA_IDS)
+
+
+def test_every_verify_flag_names_a_parameter_of_its_check():
+    for lemma_id, (check, flags) in VERIFY_CHECKS.items():
+        args = build_parser().parse_args(["verify", lemma_id])
+        params = inspect.signature(check).parameters
+        for entry in flags.split():
+            flag, _, param = entry.partition(":")
+            assert hasattr(args, flag), (lemma_id, flag)
+            assert (param or flag) in params, (lemma_id, entry)
 
 
 # The ids the benchmark times; its warm-up runs each with one sample.  The
@@ -284,7 +311,7 @@ def test_module_entrypoint_help():
     assert "simulate" in proc.stdout and "verify" in proc.stdout
 
 
-COUNTED_CACHES = {"_factor_tables", "_grid_arrays", "k_power", "sobolev_weights",
+COUNTED_CACHES = {"_factor_tables", "grid_arrays", "k_power", "sobolev_weights",
                   "_dealias_block", "_workspace", "block_power_weights"}
 
 

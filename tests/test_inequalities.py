@@ -286,6 +286,7 @@ def test_contraction_all_high_field():
     g = gaussian_block_field(GRID, 4, rng)
     report = check_spectral_mass_contraction(g, 8.0, 1.0, 0.5)
     assert report.verdict
+    assert report.n_samples == 24  # the checked time grid
     assert report.details["high_fraction"] == pytest.approx(1.0)
     assert report.details["conservative_horizon"] == "inf"
     assert not report.details["crossover_found"]
@@ -426,3 +427,57 @@ def test_block_sweeps_reproduce_pinned_defaults(lemma_id):
     assert report.parameters["j"] == (2 if lemma_id == "coercivity_q" else 3)
     assert report.verdict
     assert report.measured_constant == pytest.approx(pinned, rel=1e-12)
+
+
+# measured_constant of the other sound checks at their CLI defaults
+# (phase_lower_bound at gamma 0.5), as read while their tolerances, grids
+# and windows were still keyword settings.
+PINNED_OTHER_DEFAULTS = {
+    "gagliardo_equiv": (check_gagliardo_equivalence, 1.747897906352354),
+    "phase_lower_bound": (check_phase_bounds, 0.5880312055098539),
+    "counterexample_gamma2": (counterexample_gamma2_q1, 4.412058705568059e-07),
+    "bilinear_ratio": (check_trilinear_bounds, 0.00020248226473274512),
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(PINNED_OTHER_DEFAULTS))
+def test_other_checks_reproduce_pinned_defaults(lemma_id):
+    check, pinned = PINNED_OTHER_DEFAULTS[lemma_id]
+    report = check()
+    assert report.lemma_id == lemma_id
+    assert report.verdict
+    assert report.measured_constant == pytest.approx(pinned, rel=1e-12)
+
+
+# The report fields that each check's fixed settings feed, with keyword
+# arguments that keep the call short; the sample count does not move them.
+PINNED_FIELDS = {
+    "heat_decay": (check_heat_decay, {"n_samples": 1},
+                   {"parameters.tau_grid": [0.25, 0.5, 1.0, 2.0]}),
+    "coercivity_q": (check_coercivity, {"n_samples": 1}, {"details.slack": 1e-6}),
+    "ab_pointwise": (check_ab_inequality, {"sample_count": 4000},
+                     {"details.slack": 1e-12}),
+    "gagliardo_equiv": (check_gagliardo_equivalence, {"n_samples": 1},
+                        {"details.window": 10.0, "theoretical_bound": 10.0,
+                         "parameters.n": 4096, "parameters.period": 64.0 * math.pi}),
+    "phase_lower_bound": (check_phase_bounds, {},
+                          {"details.infimum_floor": 0.01, "details.cone_tol": 1e-3,
+                           "n_samples": 40 * 12 * 48}),
+    "counterexample_gamma2": (counterexample_gamma2_q1, {},
+                              {"parameters.envelope_mode": 1,
+                               "details.zero_tol": 1e-6,
+                               "details.positive_threshold": 0.01}),
+    "bilinear_ratio": (check_trilinear_bounds, {"n_samples": 1},
+                       {"parameters.t": 0.0, "details.growth_limit": 20.0}),
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(PINNED_FIELDS))
+def test_reports_record_pinned_settings(lemma_id):
+    check, kwargs, pinned = PINNED_FIELDS[lemma_id]
+    report = check(**kwargs).to_dict()
+    for path, value in pinned.items():
+        found = report
+        for key in path.split("."):
+            found = found[key]
+        assert found == value, path
