@@ -66,13 +66,13 @@ from .solver import (
 )
 from .spectral import (
     GridSpec,
-    MultiplierSpec,
     SpectralField,
-    apply_multiplier,
+    block_symbol,
     field_lp_norm,
     forward_transform,
     full_spectrum,
     load_field,
+    low_pass_symbol,
     lp_norm,
     riesz_perp,
     save_field,
@@ -88,7 +88,6 @@ __all__ = [
     "GuardError",
     "InequalityReport",
     "IterateTrace",
-    "MultiplierSpec",
     "OneDGrid",
     "OverflowGuardError",
     "RateFit",
@@ -98,9 +97,9 @@ __all__ = [
     "Stepper",
     "TimeSeries",
     "UsageError",
-    "apply_multiplier",
     "band_limited_field",
     "besov_norm",
+    "block_symbol",
     "block_commutator",
     "bump_field_1d",
     "check_ab_inequality",
@@ -124,6 +123,7 @@ __all__ = [
     "gaussian_block_field",
     "load_field",
     "low_pass_field",
+    "low_pass_symbol",
     "lp_norm",
     "mild_residual",
     "nonlinear_term",

@@ -52,16 +52,19 @@ from .spectral import (
 
 CONFIG_SCHEMA_VERSION = 1
 
-#: Keys of the config's "solver" section: every SolverConfig field but the grid.
-_SOLVER_KEYS = tuple(
-    f.name for f in dataclasses.fields(SolverConfig) if f.name != "grid"
-)
+#: Keys of the config's "solver" section, every SolverConfig field but the
+#: grid, with the type each is read as and whether it may be null.
+_SOLVER_TYPES = {
+    f.name: ({"float": float, "int": int, "str": str}[f.type.split(" | ")[0]],
+             f.type.endswith("| None"))
+    for f in dataclasses.fields(SolverConfig) if f.name != "grid"
+}
 
 #: The keys each config section knows (``initial_data``: the union over its
 #: kinds).  Any other key, there or at the top level, is a usage error.
 _SECTION_KEYS = {
     "grid": ("n", "period", "dealias_fraction"),
-    "solver": _SOLVER_KEYS,
+    "solver": tuple(_SOLVER_TYPES),
     "initial_data": ("kind", "seed", "normalize", "amplitude", "alpha", "k_cut",
                      "k_max", "j", "mode"),
     "iterate": ("n_min", "n_max", "s0", "p", "q"),
@@ -127,17 +130,32 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _read(where: str, key: str, value, kind: type, nullable: bool = False):
+    """The config value ``where.key`` as a ``kind`` (None stays None when
+    ``nullable``); a usage error naming the key when it is not one."""
+    if nullable and value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(
+            f"config {where}.{key} must be {kind.__name__}, got {value!r}"
+        ) from None
+
+
 def _grid_from_config(config: dict, args) -> GridSpec:
     section = dict(config.get("grid", {}))
     if getattr(args, "grid", None) is not None:
         section["n"] = args.grid
-    n = int(section.pop("n", 128))
+    n = _read("grid", "n", section.pop("n", 128), int)
     # period and dealias_fraction, when given; GridSpec holds their defaults.
-    return GridSpec(n, **{key: float(value) for key, value in section.items()})
+    return GridSpec(n, **{key: _read("grid", key, value, float)
+                          for key, value in section.items()})
 
 
 def _solver_from_config(config: dict, args) -> SolverConfig:
-    section = dict(config.get("solver", {}))
+    section = {key: _read("solver", key, value, *_SOLVER_TYPES[key])
+               for key, value in config.get("solver", {}).items()}
     if getattr(args, "gamma", None) is not None:
         section["gamma"] = args.gamma
     return SolverConfig(grid=_grid_from_config(config, args), **section)
@@ -146,7 +164,11 @@ def _solver_from_config(config: dict, args) -> SolverConfig:
 def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralField, int]:
     grid = solver.grid
     section = dict(config.get("initial_data", {}))
-    seed = int(section.get("seed", 0))
+
+    def read(key, default, kind, nullable=False):
+        return _read("initial_data", key, section.get(key, default), kind, nullable)
+
+    seed = read("seed", 0, int)
     if getattr(args, "seed", None) is not None:
         seed = args.seed
     rng = np.random.default_rng(seed)
@@ -154,22 +176,24 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
     if kind == "power_law":
         field = power_law_field(
             grid,
-            float(section.get("alpha", 2.7)),
+            read("alpha", 2.7, float),
             rng,
-            k_cut=section.get("k_cut"),
+            k_cut=read("k_cut", None, float, nullable=True),
         )
     elif kind == "band_limited":
-        field = band_limited_field(grid, float(section.get("k_max", 20.0)), rng)
+        field = band_limited_field(grid, read("k_max", 20.0, float), rng)
     elif kind == "block":
-        field = gaussian_block_field(grid, int(section.get("j", 3)), rng)
+        field = gaussian_block_field(grid, read("j", 3, int), rng)
     elif kind == "low_pass":
-        field = low_pass_field(grid, int(section.get("j", 3)), rng)
+        field = low_pass_field(grid, read("j", 3, int), rng)
     elif kind == "single_mode":
         mode = section.get("mode", [3, 2])
+        if not isinstance(mode, list) or len(mode) != 2:
+            raise UsageError(f"config initial_data.mode must be a pair, got {mode!r}")
         x = grid.axis_points()
         xx, yy = np.meshgrid(x, x, indexing="ij")
-        k1 = mode[0] * grid.freq_scale
-        k2 = mode[1] * grid.freq_scale
+        k1, k2 = (_read("initial_data", "mode", m, float) * grid.freq_scale
+                  for m in mode)
         field = forward_transform(np.cos(k1 * xx + k2 * yy), grid)
     else:
         raise UsageError(f"unknown initial_data kind {kind!r}")
@@ -182,7 +206,7 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
         )
     elif normalize not in (None, "none"):
         raise UsageError(f"unknown normalize mode {normalize!r}")
-    amplitude = float(section.get("amplitude", 1.0))
+    amplitude = read("amplitude", 1.0, float)
     if amplitude != 1.0:
         field = field.with_coeffs(field.coeffs * amplitude)
     return field, seed
@@ -206,7 +230,7 @@ def _resolved(solver: SolverConfig, seed: int, **sections) -> dict:
     return {
         "grid": {"n": grid.n, "period": grid.period,
                  "dealias_fraction": grid.dealias_fraction},
-        "solver": {k: getattr(solver, k) for k in _SOLVER_KEYS},
+        "solver": {k: getattr(solver, k) for k in _SOLVER_TYPES},
         "seed": seed,
         **sections,
     }
@@ -343,13 +367,14 @@ def cmd_iterate(args, argv: list) -> int:
     solver = _solver_from_config(config, args)
     theta0, seed = _initial_field(config, solver, args)
     section = dict(config.get("iterate", {}))
-    iterate = {
-        "n_min": int(section.get("n_min", 3)),
-        "n_max": int(section.get("n_max", 6)),
-        "s0": float(section.get("s0", DEFAULT_S0)),
-        "p": float(section.get("p", 2.0)),
-        "q": float(section.get("q", 2.0)),
-    }
+    defaults = {"n_min": (3, int), "n_max": (6, int), "s0": (DEFAULT_S0, float)}
+    if args.scheme == "picard":
+        defaults.update(p=(2.0, float), q=(2.0, float))
+    elif {"p", "q"} & set(section):
+        raise UsageError("config iterate.p and iterate.q apply to picard only; "
+                         "galerkin uses solver.besov_p and solver.besov_q")
+    iterate = {key: _read("iterate", key, section.get(key, default), kind)
+               for key, (default, kind) in defaults.items()}
     n_range = range(iterate["n_min"], iterate["n_max"] + 1)
     out = _output_dir(args)
     prefix = config.get("output", {}).get("prefix", args.scheme)

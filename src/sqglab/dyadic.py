@@ -25,16 +25,17 @@ import numpy as np
 from .errors import OverflowGuardError, UsageError
 from .spectral import (
     GridSpec,
-    MultiplierSpec,
     SpectralField,
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
     _check_exponents,
+    block_symbol,
     forward_transform,
     full_spectrum,
     grid_arrays,
     half_power,
     k_power,
+    low_pass_symbol,
     lp_norm,
     parseval_columns,
     sobolev_weights,
@@ -69,28 +70,13 @@ class DyadicPartition:
 
     ``j_min`` is the lowest block index that touches the frequency lattice,
     ``j_max`` the cutoff index whose low-pass already equals 1 on the whole
-    lattice, so ``low_pass(j_min - 1) + sum(block(j) for j_min <= j <= j_max)``
-    is the identity.
+    lattice, so ``S_(j_min - 1) + sum(P_j for j_min <= j <= j_max)`` is the
+    identity (:func:`low_pass_symbol`, :func:`block_symbol`).
     """
 
     grid: GridSpec
     j_min: int
     j_max: int
-
-    @staticmethod
-    def for_grid(grid: GridSpec) -> "DyadicPartition":
-        kmin = grid.freq_scale
-        corner = grid.freq_scale * (grid.n / 2) * math.sqrt(2.0)
-        j_max = math.ceil(math.log2(corner))
-        # lowest j whose annulus (2^(j-1), (7/6) 2^j) contains |k| = kmin
-        j_min = j_max
-        j = math.floor(math.log2(kmin)) - 1
-        while j <= j_max:
-            if 2.0 ** (j - 1) < kmin < PROFILE_OUTER * 2.0 ** j:
-                j_min = j
-                break
-            j += 1
-        return DyadicPartition(grid, j_min, j_max)
 
     @property
     def j_max_verified(self) -> int:
@@ -106,21 +92,29 @@ class DyadicPartition:
 
 
 def default_partition(grid: GridSpec) -> DyadicPartition:
-    return DyadicPartition.for_grid(grid)
+    """The dyadic partition of ``grid``'s frequency lattice."""
+    kmin = grid.freq_scale
+    corner = grid.freq_scale * (grid.n / 2) * math.sqrt(2.0)
+    j_max = math.ceil(math.log2(corner))
+    # lowest j whose annulus (2^(j-1), (7/6) 2^j) contains |k| = kmin
+    j_min = j_max
+    j = math.floor(math.log2(kmin)) - 1
+    while j <= j_max:
+        if 2.0 ** (j - 1) < kmin < PROFILE_OUTER * 2.0 ** j:
+            j_min = j
+            break
+        j += 1
+    return DyadicPartition(grid, j_min, j_max)
 
 
 def project_block(field: SpectralField, j: int) -> SpectralField:
     """Dyadic block ``P_j``: multiply by the band profile at scale ``2^j``."""
-    return SpectralField(
-        field.grid, field.coeffs * MultiplierSpec.block(j).symbol_on(field.grid)
-    )
+    return SpectralField(field.grid, field.coeffs * block_symbol(field.grid, j))
 
 
 def project_low(field: SpectralField, j: int) -> SpectralField:
     """Low-pass ``P_{<=j}``: multiply by the profile at scale ``2^j``."""
-    return SpectralField(
-        field.grid, field.coeffs * MultiplierSpec.low_pass(j).symbol_on(field.grid)
-    )
+    return SpectralField(field.grid, field.coeffs * low_pass_symbol(field.grid, j))
 
 
 @lru_cache(maxsize=16)
@@ -132,8 +126,8 @@ def block_power_weights(partition: DyadicPartition) -> np.ndarray:
     ``P``, ``period^2 * (stack @ P)`` is every block's squared L^2 norm.
     """
     grid = partition.grid
-    syms = [MultiplierSpec.block(j).symbol_on(grid) for j in partition.block_indices()]
-    syms.append(MultiplierSpec.low_pass(0).symbol_on(grid))
+    syms = [block_symbol(grid, j) for j in partition.block_indices()]
+    syms.append(low_pass_symbol(grid, 0))
     stack = np.stack([sym ** 2 for sym in syms])
     stack.flags.writeable = False
     return stack
@@ -183,9 +177,9 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
         norms = np.sqrt(grid.period ** 2 * sq)
         block_norms = norms[j_lo - partition.j_min : -1]
     else:
-        syms = [MultiplierSpec.block(j).symbol_on(grid) for j in blocks]
+        syms = [block_symbol(grid, j) for j in blocks]
         if not homogeneous:
-            syms.append(MultiplierSpec.low_pass(0).symbol_on(grid))
+            syms.append(low_pass_symbol(grid, 0))
         pieces = synthesize(grid, np.stack([sym * coeffs for sym in syms]))
         norms = [lp_norm(piece, p, grid.cell_area) for piece in pieces]
         block_norms = norms[: len(blocks)]
@@ -421,7 +415,7 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
     ga = grid_arrays(grid)
     cap = GEVREY_EXPONENT_CAP
 
-    block_sym = MultiplierSpec.block(j).symbol_on(grid)
+    block_sym = block_symbol(grid, j)
     on_block = block_sym != 0.0
     if np.any(on_block):
         max_expo = t * float(np.max(ga.k_abs[on_block]) ** gamma)

@@ -23,12 +23,12 @@ from .errors import UsageError
 from .reports import IterateTrace, fit_log2
 from .solver import SolverConfig, Stepper
 from .spectral import (
-    MultiplierSpec,
     PROFILE_OUTER,
     SpectralField,
     gevrey_half_weight,
     grid_arrays,
     half_power,
+    low_pass_symbol,
     sobolev_weights,
     velocity,
     weighted_norm,
@@ -102,7 +102,7 @@ def _validated(theta0: SpectralField, n_range, config: SolverConfig,
 def _cut_data(theta0: SpectralField, cutoff: int) -> np.ndarray:
     """Half spectrum of the dealiased data restricted to blocks <= cutoff."""
     grid = theta0.grid
-    low = MultiplierSpec.low_pass(cutoff).symbol_on(grid)
+    low = low_pass_symbol(grid, cutoff)
     return theta0.coeffs * grid_arrays(grid).dealias_mask * low
 
 

@@ -17,9 +17,10 @@ import numpy as np
 from .errors import UsageError
 from .spectral import (
     GridSpec,
-    MultiplierSpec,
     SpectralField,
+    block_symbol,
     grid_arrays,
+    low_pass_symbol,
 )
 
 __all__ = [
@@ -67,7 +68,7 @@ def gaussian_block_field(grid: GridSpec, j: int,
     profile, so the result is exactly the block projection of a random
     field.  Errors if the block misses the lattice entirely.
     """
-    sym = MultiplierSpec.block(j).symbol_on(grid)
+    sym = block_symbol(grid, j)
     if not np.any(sym != 0.0):
         raise UsageError(f"block {j} does not intersect the frequency lattice")
     return _finish(grid, _complex_noise(grid, rng), sym)
@@ -86,7 +87,7 @@ def band_limited_field(grid: GridSpec, k_max: float,
 def low_pass_field(grid: GridSpec, j: int,
                    rng: np.random.Generator) -> SpectralField:
     """Random field shaped by the low-pass profile at scale ``2^j``."""
-    sym = MultiplierSpec.low_pass(j).symbol_on(grid)
+    sym = low_pass_symbol(grid, j)
     return _finish(grid, _complex_noise(grid, rng), sym)
 
 

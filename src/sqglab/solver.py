@@ -24,7 +24,6 @@ from .spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
     GridSpec,
-    MultiplierSpec,
     SpectralField,
     Velocity,
     _block_advect,
@@ -36,6 +35,7 @@ from .spectral import (
     grid_arrays,
     half_power,
     k_power,
+    low_pass_symbol,
     lp_norm,
     sobolev_weights,
     synthesize,
@@ -120,7 +120,7 @@ def nonlinear_term(
     grid = theta.grid
     half = theta.coeffs
     if projection is not None:
-        low = MultiplierSpec.low_pass(projection).symbol_on(grid)
+        low = low_pass_symbol(grid, projection)
         half = half * low
     rhs, _ = transport(grid, half, half)
     if projection is not None:
@@ -227,7 +227,7 @@ class Stepper:
         self.step_grid = stepping_grid(self.grid, projection)
         self._shape = (self.grid.n, self.grid.n // 2 + 1)
         self._low = (None if projection is None
-                     else MultiplierSpec.low_pass(projection).symbol_on(self.step_grid))
+                     else low_pass_symbol(self.step_grid, projection))
         # A projection steps on the wide block only when its support leaves
         # the dealias block (a step grid that fell back to the full grid).
         self._wide = (self._low is not None
@@ -527,7 +527,7 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     block_rows = block_power_weights(partition)[:-1].reshape(len(block_names), -1)
     split_rows = None
     if config.j0 is not None:
-        split_sym = MultiplierSpec.low_pass(config.j0).symbol_on(grid)
+        split_sym = low_pass_symbol(grid, config.j0)
         split_rows = np.stack([split_sym**2, (1.0 - split_sym) ** 2]).reshape(2, -1)
 
     integral_state = {"value": 0.0, "last_t": None, "last_sq": None}
@@ -581,7 +581,7 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     # snapshots and the final state wrap it read-only without a copy.
     coeffs = theta0.coeffs * ka.dealias_mask
     if projection is not None:
-        coeffs = coeffs * MultiplierSpec.low_pass(projection).symbol_on(grid)
+        coeffs = coeffs * low_pass_symbol(grid, projection)
     coeffs.flags.writeable = False
     n_steps = int(math.ceil(config.t_final / config.dt - 1e-12))
     emit(0.0, coeffs)

@@ -39,9 +39,7 @@ from .errors import OverflowGuardError, SymmetryError, UsageError
 __all__ = [
     "GridSpec",
     "SpectralField",
-    "MultiplierSpec",
     "forward_transform",
-    "apply_multiplier",
     "riesz_perp",
     "synthesize",
     "analyze",
@@ -60,6 +58,8 @@ __all__ = [
     "field_lp_norm",
     "smoothstep",
     "radial_profile",
+    "low_pass_symbol",
+    "block_symbol",
     "save_field",
     "load_field",
 ]
@@ -230,12 +230,13 @@ def _symmetrize_edges(edge: np.ndarray, rows: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Dyadic cutoff profile.
+# Dyadic cutoff profile and its symbols.
 #
 # The radial profile used by every projection in the package: identically 1
 # for r <= 1, identically 0 for r >= 7/6, a polynomial smoothstep between.
 # It is frozen here (order-8 smoothstep) so that all modules agree on the
-# same partition of unity.
+# same partition of unity.  The Littlewood-Paley low-pass S_j and block P_j
+# are this profile at scale 2^j, one cached function each.
 # ---------------------------------------------------------------------------
 
 PROFILE_INNER = 1.0
@@ -268,75 +269,29 @@ def radial_profile(r: np.ndarray) -> np.ndarray:
     return 1.0 - smoothstep(t)
 
 
+@lru_cache(maxsize=32)
+def low_pass_symbol(grid: GridSpec, j: int) -> np.ndarray:
+    """Read-only low-pass ``S_j`` symbol ``profile(|k| / 2^j)`` on the half
+    spectrum, cached per (grid, j)."""
+    table = radial_profile(grid_arrays(grid).k_abs / 2.0 ** j)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def block_symbol(grid: GridSpec, j: int) -> np.ndarray:
+    """Read-only dyadic block ``P_j`` symbol
+    ``profile(|k| / 2^j) - profile(|k| / 2^(j-1))`` on the half spectrum,
+    cached per (grid, j)."""
+    k_abs = grid_arrays(grid).k_abs
+    table = radial_profile(k_abs / 2.0 ** j) - radial_profile(k_abs / 2.0 ** (j - 1))
+    table.flags.writeable = False
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Fourier multipliers.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """A radial Fourier multiplier with validated parameters.
-
-    Kinds and their symbols:
-
-    * ``fractional_laplacian(s)``:      |k|^s        (zero mode -> 0)
-    * ``low_pass(j)``:                  profile(|k| / 2^j)
-    * ``block(j)``:                     profile(|k|/2^j) - profile(|k|/2^(j-1))
-
-    Time-dependent factors (heat ``exp(-nu t |k|^gamma)``, Gevrey
-    ``exp(lam t |k|^gamma)``) are not kinds: their callers scale
-    :func:`k_power` by ``t``, so no symbol is keyed on a time value.
-    """
-
-    kind: str
-    params: tuple = ()
-
-    # -- factories ---------------------------------------------------------
-
-    @staticmethod
-    def fractional_laplacian(s: float) -> "MultiplierSpec":
-        return MultiplierSpec("fractional_laplacian", (float(s),))
-
-    @staticmethod
-    def low_pass(j: int) -> "MultiplierSpec":
-        return MultiplierSpec("low_pass", (int(j),))
-
-    @staticmethod
-    def block(j: int) -> "MultiplierSpec":
-        return MultiplierSpec("block", (int(j),))
-
-    # -- evaluation --------------------------------------------------------
-
-    def symbol_on(self, grid: GridSpec) -> np.ndarray:
-        """Read-only symbol values on the grid's half spectrum, cached per
-        (spec, grid)."""
-        return _symbol_cached(self, grid)
-
-
-@lru_cache(maxsize=64)
-def _symbol_cached(mult: MultiplierSpec, grid: GridSpec) -> np.ndarray:
-    ga = grid_arrays(grid)
-    kind, p = mult.kind, mult.params
-    if kind == "fractional_laplacian":
-        (s,) = p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sym = np.where(ga.k_abs > 0.0, ga.k_abs ** s, 0.0)
-    elif kind == "low_pass":
-        (j,) = p
-        sym = radial_profile(ga.k_abs / 2.0 ** j)
-    elif kind == "block":
-        (j,) = p
-        sym = radial_profile(ga.k_abs / 2.0 ** j) - radial_profile(ga.k_abs / 2.0 ** (j - 1))
-    else:
-        raise UsageError(f"unknown multiplier kind {kind!r}")
-    sym = np.asarray(sym)
-    sym.flags.writeable = False
-    return sym
-
-
-def apply_multiplier(field: SpectralField, mult: MultiplierSpec) -> SpectralField:
-    """Multiply coefficients by the symbol."""
-    return SpectralField(field.grid, field.coeffs * mult.symbol_on(field.grid))
 
 
 def _check_exponents(expo: np.ndarray, coeffs: np.ndarray, cap: float) -> None:

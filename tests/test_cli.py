@@ -169,6 +169,33 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys, section, key):
     assert not list(tmp_path.glob("*_manifest.json"))
 
 
+# One value of the wrong type per section.
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "n", "abc"), ("solver", "nu", "x"), ("initial_data", "alpha", "x"),
+    ("iterate", "n_min", "x"),
+])
+def test_wrong_config_value_types_exit_one(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+    command = ["iterate", "galerkin"] if section == "iterate" else ["simulate"]
+    assert main([*command, str(cfg), "--output-dir", str(tmp_path)]) == 1
+    assert f"config {section}.{key} must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_iterate_p_and_q_apply_to_picard_only(tmp_path, capsys, key):
+    # Galerkin rows take their Besov indices from the solver section, so a
+    # set iterate.p or iterate.q would be recorded but never used.
+    cfg = write_config(tmp_path / "it.json", iterate={"n_min": 0, "n_max": 1, key: 1.0})
+    out = tmp_path / "out"
+    assert main(["iterate", "galerkin", str(cfg), "--output-dir", str(out)]) == 1
+    assert "apply to picard only" in capsys.readouterr().err
+    assert not list(out.glob("*_manifest.json"))
+    assert main(["iterate", "picard", str(cfg), "--output-dir", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["resolved"]["iterate"][key] == 1.0
+
+
 def test_verify_passing_lemmas(tmp_path):
     out = str(tmp_path)
     assert main(["verify", "coercivity_q", "--q", "4", "--gamma", "1",
@@ -261,8 +288,7 @@ def test_iterate_writes_trace(tmp_path):
     assert resolved["grid"]["n"] == 32
     assert resolved["solver"]["dt"] == 2e-3 and resolved["solver"]["j0"] is None
     assert resolved["seed"] == 11
-    assert resolved["iterate"] == {"n_min": 1, "n_max": 3, "s0": 0.05,
-                                   "p": 2.0, "q": 2.0}
+    assert resolved["iterate"] == {"n_min": 1, "n_max": 3, "s0": 0.05}
     assert manifest["config"]["input"]["iterate"] == {"n_min": 1, "n_max": 3}
 
 

@@ -22,11 +22,12 @@ from sqglab.dyadic import (
 from sqglab.errors import OverflowGuardError, UsageError
 from sqglab.spectral import (
     GridSpec,
-    MultiplierSpec,
     SpectralField,
+    block_symbol,
     forward_transform,
     grid_arrays,
     half_power,
+    low_pass_symbol,
     sobolev_norm,
 )
 
@@ -47,16 +48,16 @@ def single_mode(grid, k1, k2):
 
 
 def test_partition_indices_unit_period_scale():
-    part = DyadicPartition.for_grid(GridSpec(128))
+    part = default_partition(GridSpec(128))
     assert part.j_min == 0
     assert part.j_max == 7  # corner at 64 sqrt(2) ~ 90.5
     assert part.j_max_verified == 5
-    assert DyadicPartition.for_grid(GridSpec(256)).j_max_verified == 6
+    assert default_partition(GridSpec(256)).j_max_verified == 6
 
 
 def test_partition_scales_with_period():
     # period 2pi/32 multiplies every physical frequency by 32
-    part = DyadicPartition.for_grid(GridSpec(256, period=2.0 * math.pi / 32.0))
+    part = default_partition(GridSpec(256, period=2.0 * math.pi / 32.0))
     assert part.j_min == 5  # lowest frequency is 32
     assert part.j_max_verified == 11
 
@@ -64,9 +65,9 @@ def test_partition_scales_with_period():
 def test_telescoping_partition_of_unity():
     for grid in (GRID, GridSpec(128), GridSpec(96, period=0.7)):
         part = default_partition(grid)
-        total = MultiplierSpec.low_pass(part.j_min - 1).symbol_on(grid).copy()
+        total = low_pass_symbol(grid, part.j_min - 1).copy()
         for j in part.block_indices():
-            total = total + MultiplierSpec.block(j).symbol_on(grid)
+            total = total + block_symbol(grid, j)
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -157,9 +158,9 @@ def test_block_power_weights_read_only_and_square_the_profiles():
     assert not stack.flags.writeable
     assert len(stack) == len(part.block_indices()) + 1
     j = part.j_max - 1
-    block = MultiplierSpec.block(j).symbol_on(grid)
+    block = block_symbol(grid, j)
     assert np.array_equal(stack[j - part.j_min], block**2)
-    low = MultiplierSpec.low_pass(0).symbol_on(grid)
+    low = low_pass_symbol(grid, 0)
     assert np.array_equal(stack[-1], low**2)
 
 
@@ -174,7 +175,7 @@ def test_paraproduct_reconstructs_product(rng):
     parts = paraproduct_decompose(f, g)
     prod = complex_samples(full(f)) * complex_samples(full(g))
     expected = np.fft.fft2(prod)[:, : GRID.n // 2 + 1] / GRID.n**2
-    mask = MultiplierSpec.low_pass(100).symbol_on(GRID)  # identity; no clipping
+    mask = low_pass_symbol(GRID, 100)  # identity; no clipping
     expected = expected * grid_arrays(GRID).dealias_mask
     got = parts.total().coeffs
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
@@ -200,7 +201,7 @@ def test_paraproduct_needs_matching_grids(rng):
 
 def test_bilinear_identity_symbol_is_convolution(rng):
     # band-limited inputs: direct double sum == FFT product, no aliasing
-    mask8 = MultiplierSpec.low_pass(3).symbol_on(GRID)
+    mask8 = low_pass_symbol(GRID, 3)
     f = SpectralField(GRID, random_field(GRID, rng).coeffs * mask8)
     g = SpectralField(GRID, random_field(GRID, rng).coeffs * mask8)
     direct = apply_bilinear_symbol(BilinearSymbol.one(), f, g)
@@ -211,7 +212,7 @@ def test_bilinear_identity_symbol_is_convolution(rng):
 def test_bilinear_sum_must_be_a_real_field(rng):
     # An odd real symbol turns two real fields into an imaginary one, which
     # no half spectrum holds: refused instead of half kept.
-    mask = MultiplierSpec.low_pass(3).symbol_on(GRID)
+    mask = low_pass_symbol(GRID, 3)
     f = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)
     g = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)
     odd = BilinearSymbol(lambda xi, eta: xi[..., 0] + 0.5 * eta[..., 1])
@@ -227,7 +228,7 @@ def test_bilinear_sum_must_be_a_real_field(rng):
 
 
 def test_bilinear_band_restriction(rng):
-    mask = MultiplierSpec.low_pass(3).symbol_on(GRID)
+    mask = low_pass_symbol(GRID, 3)
     f = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)
     g = SpectralField(GRID, random_field(GRID, rng).coeffs * mask)
     sym = BilinearSymbol(lambda xi, eta: np.ones(xi.shape[:-1]), xi_band=(0.0, 2.0))

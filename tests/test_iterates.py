@@ -24,11 +24,11 @@ from sqglab.solver import SolverConfig, Stepper
 from sqglab.spectral import (
     PROFILE_OUTER,
     GridSpec,
-    MultiplierSpec,
     SpectralField,
     forward_transform,
     full_spectrum,
     grid_arrays,
+    low_pass_symbol,
     sobolev_norm,
 )
 
@@ -111,7 +111,7 @@ def test_picard_first_iterate_is_linear_flow():
     theta0 = data_field()
     trace = picard_besov_sequence(theta0, range(0, 2), 2.0, 2.0, CFG)
     ka = grid_arrays(GRID)
-    data0 = theta0.coeffs * ka.dealias_mask * MultiplierSpec.low_pass(2).symbol_on(GRID)
+    data0 = theta0.coeffs * ka.dealias_mask * low_pass_symbol(GRID, 2)
     times = [k * CFG.dt for k in range(0, 11)]
     sup_l2 = 0.0
     sup_gevrey = 0.0
@@ -267,7 +267,7 @@ def sequential_galerkin(theta0, n_values, config, s0=DEFAULT_S0):
     previous = None
     worst_leak = 0.0
     for n in n_values:
-        low = MultiplierSpec.low_pass(n - 1).symbol_on(grid)
+        low = low_pass_symbol(grid, n - 1)
         stepper = Stepper(config, projection=n - 1)
         coeffs = theta0.coeffs * ka.dealias_mask * low
         stored = [(0.0, coeffs)]
@@ -307,7 +307,7 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
                     "spatial_cutoff": "identically 1 on the torus"},
     )
     data_fields = [
-        theta0.coeffs * ka.dealias_mask * MultiplierSpec.low_pass(n + 2).symbol_on(grid)
+        theta0.coeffs * ka.dealias_mask * low_pass_symbol(grid, n + 2)
         for n in n_values
     ]
     partition = default_partition(grid)

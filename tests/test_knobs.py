@@ -11,6 +11,12 @@ counts as set when a call passes it by keyword or by position, or passes
 that code assigns (``obj.field = ...``) or grows in place
 (``obj.field.append(...)``) is run state filled in after construction, so
 it counts as set too.
+
+Caller lint: every public top-level function and class of ``src/sqglab`` is
+referenced in code by some module in ``src/`` or ``perfbench/``.  Strings,
+``__all__`` and the ``__init__`` re-exports are not references; the entries
+of ``cli.VERIFY_CHECKS`` are.  The names that have no such caller are pinned,
+and the pinned set may only shrink.
 """
 
 import ast
@@ -21,6 +27,21 @@ from sqglab.cli import VERIFY_CHECKS
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sqglab"
 CALLER_DIRS = ("src", "tests", "perfbench")
+
+#: Public names that no module in ``src/`` or ``perfbench/`` references:
+#: entry points that only tests and users call.
+WITHOUT_A_CALLER = {
+    "fitted_decay_rate",
+    "riesz_perp",
+    "conservation_report",
+    "mild_residual",
+    "paraproduct_decompose",
+    "apply_bilinear_symbol",
+    "block_commutator",
+    "field_from_witness",
+    "report_from_json",
+    "manifest_from_json",
+}
 
 
 def _name(node):
@@ -116,4 +137,40 @@ def test_every_optional_setting_has_a_caller_that_sets_it():
     assert not offenders, (
         f"{len(offenders)} optional settings that no caller sets; make each "
         f"a constant: {offenders}"
+    )
+
+
+def public_names() -> set:
+    """Names of the public top-level functions and classes of the package."""
+    return {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def referenced_names() -> set:
+    """Every name a module in ``src/`` or ``perfbench/`` loads in code."""
+    found = set()
+    for directory in ("src", "perfbench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    found.add(node.attr)
+    return found
+
+
+def test_public_functions_without_a_caller_only_shrink():
+    defined = public_names()
+    uncalled = defined - referenced_names()
+    assert uncalled <= WITHOUT_A_CALLER, (
+        "public names that nothing in src/ or perfbench/ calls; call them or "
+        f"remove them: {sorted(uncalled - WITHOUT_A_CALLER)}"
+    )
+    assert WITHOUT_A_CALLER <= defined, (
+        f"pinned names that are gone; unpin them: {sorted(WITHOUT_A_CALLER - defined)}"
     )

@@ -23,8 +23,6 @@ from sqglab.sampling import (
 from sqglab.solver import SolverConfig, nonlinear_term, run_simulation
 from sqglab.spectral import (
     GridSpec,
-    MultiplierSpec,
-    apply_multiplier,
     forward_transform,
     full_spectrum,
     load_field,
@@ -67,8 +65,6 @@ PRODUCERS = {
         rng.standard_normal((g.n, g.n)), g),
     "project_block": lambda g, rng, _: project_block(data(g, rng), 3),
     "project_low": lambda g, rng, _: project_low(data(g, rng), 2),
-    "apply_multiplier": lambda g, rng, _: apply_multiplier(
-        data(g, rng), MultiplierSpec.fractional_laplacian(0.5)),
     "riesz_perp_1": lambda g, rng, _: riesz_perp(data(g, rng))[0],
     "riesz_perp_2": lambda g, rng, _: riesz_perp(data(g, rng))[1],
     "nonlinear_term": lambda g, rng, _: nonlinear_term(data(g, rng)),

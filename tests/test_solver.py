@@ -27,13 +27,13 @@ from sqglab.solver import (
 )
 from sqglab.spectral import (
     GridSpec,
-    MultiplierSpec,
     SpectralField,
+    block_symbol,
     field_to_bytes,
     forward_transform,
     full_spectrum,
-    _symbol_cached,
     grid_arrays,
+    low_pass_symbol,
     lp_norm,
     sobolev_norm,
     transport,
@@ -469,14 +469,17 @@ def test_run_simulation_adds_no_symbol_cache_entries():
     theta = small_random(GRID, amp=0.3)
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=0.02,
                        output_stride=1, j0=3)
-    _symbol_cached.cache_clear()
+    caches = (low_pass_symbol, block_symbol)
+    for cache in caches:
+        cache.cache_clear()
     run_simulation(theta, replace(cfg, t_final=1e-3))  # fills the t-free symbols
-    before = _symbol_cached.cache_info()
+    infos = [cache.cache_info() for cache in caches]
     series = run_simulation(theta, cfg)
-    after = _symbol_cached.cache_info()
     assert len(series.column("t")) == 21
-    assert after.currsize == before.currsize
-    assert after.misses == before.misses
+    for cache, before in zip(caches, infos):
+        after = cache.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses
 
 
 @pytest.mark.parametrize("integrator", INTEGRATORS)
@@ -727,7 +730,7 @@ def test_step_grid_samples_the_peak_speed_at_most_15_percent_low():
     for projection in range(5):
         stepper = Stepper(cfg, projection)
         assert stepper.step_grid.n == max(8, 2 ** (projection + 2))
-        low = MultiplierSpec.low_pass(projection).symbol_on(grid)
+        low = low_pass_symbol(grid, projection)
         for alpha in (1.0, 2.7):
             for seed in range(40):
                 half = power_law_field(grid, alpha, np.random.default_rng(seed)).coeffs
