@@ -132,15 +132,34 @@ def _load_config(path: str) -> dict:
 
 def _read(where: str, key: str, value, kind: type, nullable: bool = False):
     """The config value ``where.key`` as a ``kind`` (None stays None when
-    ``nullable``); a usage error naming the key when it is not one."""
+    ``nullable``); a usage error naming the key when it is not one.  An
+    ``int`` key takes no bool and no number with a fractional part."""
     if nullable and value is None:
         return None
     try:
+        if kind is int and (isinstance(value, bool) or
+                            isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(
             f"config {where}.{key} must be {kind.__name__}, got {value!r}"
         ) from None
+
+
+def _output_options(config: dict, default_prefix: str) -> tuple[str, bool, bool]:
+    """The ``output`` section's prefix, save_final_state and save_snapshots;
+    a usage error naming the key when one has the wrong type."""
+    section = config.get("output", {})
+    prefix = section.get("prefix", default_prefix)
+    if not isinstance(prefix, str) or not prefix:
+        raise UsageError(f"config output.prefix must be a non-empty string, got {prefix!r}")
+    flags = {"save_final_state": section.get("save_final_state", True),
+             "save_snapshots": section.get("save_snapshots", False)}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise UsageError(f"config output.{key} must be true or false, got {value!r}")
+    return prefix, flags["save_final_state"], flags["save_snapshots"]
 
 
 def _grid_from_config(config: dict, args) -> GridSpec:
@@ -238,10 +257,10 @@ def _resolved(solver: SolverConfig, seed: int, **sections) -> dict:
 
 def cmd_simulate(args, argv: list) -> int:
     config = _load_config(args.config)
+    prefix, save_final_state, save_snapshots = _output_options(config, "run")
     solver = _solver_from_config(config, args)
     theta0, seed = _initial_field(config, solver, args)
     out = _output_dir(args)
-    prefix = config.get("output", {}).get("prefix", "run")
     started = _now()
     t0 = time.perf_counter()
 
@@ -260,12 +279,11 @@ def cmd_simulate(args, argv: list) -> int:
     series_path = os.path.join(out, f"{prefix}_series.csv")
     series.write_csv(series_path)
     manifest.add_output(series_path)
-    out_section = config.get("output", {})
-    if out_section.get("save_final_state", True) and series.final_state is not None:
+    if save_final_state and series.final_state is not None:
         final_path = os.path.join(out, f"{prefix}_final.sqgf")
         save_field(series.final_state, final_path)
         manifest.add_output(final_path)
-    if out_section.get("save_snapshots", False):
+    if save_snapshots:
         for idx, (ts, snap) in enumerate(series.snapshots):
             snap_path = os.path.join(out, f"{prefix}_snap_{idx:04d}.sqgf")
             save_field(snap, snap_path)
@@ -364,6 +382,7 @@ def cmd_verify(args, argv: list) -> int:
 
 def cmd_iterate(args, argv: list) -> int:
     config = _load_config(args.config)
+    prefix = _output_options(config, args.scheme)[0]
     solver = _solver_from_config(config, args)
     theta0, seed = _initial_field(config, solver, args)
     section = dict(config.get("iterate", {}))
@@ -377,7 +396,6 @@ def cmd_iterate(args, argv: list) -> int:
                for key, (default, kind) in defaults.items()}
     n_range = range(iterate["n_min"], iterate["n_max"] + 1)
     out = _output_dir(args)
-    prefix = config.get("output", {}).get("prefix", args.scheme)
     started = _now()
     t0 = time.perf_counter()
     before = _cache_counts()

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .dyadic import trilinear_form
 from .errors import UsageError
@@ -391,6 +389,8 @@ def fractional_seminorm_sq(grid: OneDGrid, samples: np.ndarray, s: float):
     core is replaced by its first-order Taylor bound 2 delta^{2-2s}/(2-2s) *
     ||g'||_2^2; delta shrinks until that bound is below 1e-3 of the total.  Returns (seminorm_sq, delta, core_fraction).
     """
+    from scipy.integrate import quad
+
     if not 0.0 < s < 1.0:
         raise UsageError(f"s must lie in (0, 1), got {s}")
     c = grid.coeffs(samples)
@@ -559,6 +559,8 @@ def spectral_mass_horizon(eps0: float, n0: float, gamma: float) -> float:
         hi *= 2.0
     if gap(hi) < 0.0:
         return math.inf
+    from scipy.optimize import brentq
+
     tau_star = brentq(gap, 1e-12, hi)
     return tau_star / n0**gamma
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .dyadic import DyadicPartition, block_power_weights, default_partition, half_besov_norm
 from .errors import CflGuardError, GuardError, OverflowGuardError, UsageError
@@ -621,6 +620,8 @@ def conservation_report(series: TimeSeries) -> dict:
     ||theta(T)||^2 - ||theta(0)||^2 = -2 nu int ||D^{gamma/2} theta||^2 dt
     with the integral taken by Simpson's rule over the output grid.
     """
+    from scipy.integrate import simpson
+
     t = series.column("t")
     slack = 1e-6
     report = {"nu": series.config.nu, "slack": slack}
@@ -648,6 +649,8 @@ def mild_residual(series: TimeSeries, t0: float, t1: float) -> float:
     snapshot grid), then returns the relative L^2 gap against the stored
     theta(t1).
     """
+    from scipy.integrate import simpson
+
     grid = series.config.grid
     nu = series.config.nu
     gamma = series.config.gamma

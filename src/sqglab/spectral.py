@@ -266,7 +266,14 @@ def radial_profile(r: np.ndarray) -> np.ndarray:
     """Low-pass profile: 1 for r <= 1, 0 for r >= 7/6, smooth in between."""
     r = np.asarray(r, dtype=float)
     t = (r - PROFILE_INNER) / (PROFILE_OUTER - PROFILE_INNER)
-    return 1.0 - smoothstep(t)
+    # smoothstep is exactly 0 for t <= 0 and exactly 1 for t >= 1 (there its
+    # alternating sum adds exact integers), so only the transition band
+    # needs the polynomial; the table is bitwise 1 - smoothstep(t).
+    below, above = t <= 0.0, t >= 1.0
+    out = np.where(below, 1.0, 0.0)
+    band = ~(below | above)
+    out[band] = 1.0 - smoothstep(t[band])
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -20,10 +20,12 @@ import numpy as np
 from sqglab.dyadic import default_partition
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
+    PROFILE_INNER,
+    PROFILE_OUTER,
     SpectralField,
     full_spectrum,
     lp_norm,
-    radial_profile,
+    smoothstep,
 )
 
 
@@ -64,13 +66,20 @@ def conjugate_flip(coeffs):
     return np.conj(np.roll(coeffs[::-1, ::-1], (1, 1), axis=(0, 1)))
 
 
+def whole_array_profile(r):
+    """The low-pass profile as ``1 - smoothstep(t)``, the polynomial taken at
+    every point, inside the transition band and outside it."""
+    t = (np.asarray(r, dtype=float) - PROFILE_INNER) / (PROFILE_OUTER - PROFILE_INNER)
+    return 1.0 - smoothstep(t)
+
+
 def full_profile(grid, kind, j):
     """The ``low_pass`` or ``block`` profile at scale ``2^j`` on the full lattice."""
     k_abs = full_lattice(grid).k_abs
-    low = radial_profile(k_abs / 2.0**j)
+    low = whole_array_profile(k_abs / 2.0**j)
     if kind == "low_pass":
         return low
-    return low - radial_profile(k_abs / 2.0 ** (j - 1))
+    return low - whole_array_profile(k_abs / 2.0 ** (j - 1))
 
 
 def full_k_power(grid, gamma):

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -182,6 +183,46 @@ def test_wrong_config_value_types_exit_one(tmp_path, capsys, section, key, value
     assert not list(tmp_path.glob("*_manifest.json"))
 
 
+# An int key takes no bool and no number with a fractional part.
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "n", 16.9), ("solver", "output_stride", 1.7), ("grid", "n", True),
+    ("initial_data", "seed", False),
+])
+def test_int_config_keys_reject_fractions_and_bools(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 1
+    assert f"config {section}.{key} must be int, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_int_config_keys_accept_integral_floats(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 16.0},
+                       solver={"output_stride": 2.0})
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 0
+    resolved = json.loads((out / "run_manifest.json").read_text())["config"]["resolved"]
+    assert resolved["grid"]["n"] == 16 and isinstance(resolved["grid"]["n"], int)
+    assert resolved["solver"]["output_stride"] == 2
+    assert isinstance(resolved["solver"]["output_stride"], int)
+
+
+# prefix must be a non-empty string, the save flags JSON booleans; each
+# command checks them before it writes anything.
+@pytest.mark.parametrize("key, value", [
+    ("prefix", None), ("prefix", ""), ("prefix", 3), ("save_final_state", "no"),
+    ("save_snapshots", 1),
+])
+def test_wrong_output_value_types_exit_one(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "cfg.json", output={key: value},
+                       iterate={"n_min": 0, "n_max": 1})
+    out = tmp_path / "out"
+    for command in (["simulate"], ["iterate", "galerkin"], ["iterate", "picard"]):
+        assert main([*command, str(cfg), "--output-dir", str(out)]) == 1
+        assert f"config output.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["p", "q"])
 def test_iterate_p_and_q_apply_to_picard_only(tmp_path, capsys, key):
     # Galerkin rows take their Besov indices from the solver section, so a
@@ -335,6 +376,46 @@ def test_module_entrypoint_help():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "verify" in proc.stdout
+
+
+_COLD_START = """
+import json, sys
+from sqglab import cli
+
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+config, out = sys.argv[1:]
+seen = {"import": (0, [m for m in heavy if m in sys.modules])}
+for name, argv in (("simulate", ["simulate", config]),
+                   ("iterate", ["iterate", "galerkin", config]),
+                   ("verify", ["verify", "gagliardo_equiv", "--n-samples", "1"])):
+    rc = cli.main([*argv, "--output-dir", out])
+    seen[name] = (rc, [m for m in heavy if m in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_simulate_and_iterate_load_no_scipy_integrate(tmp_path):
+    # A fresh interpreter, since this test session has scipy loaded already:
+    # scipy.integrate and scipy.optimize are imported inside the functions
+    # that call them, so simulate and iterate never load them (nor the
+    # scipy.special they pull in); gagliardo_equiv calls quad and does.
+    import sqglab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqglab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 16},
+                       iterate={"n_min": 0, "n_max": 1})
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("import", "simulate", "iterate"):
+        assert seen[name] == [0, []], name
+    rc, loaded = seen["verify"]
+    assert rc == 0 and "scipy.integrate" in loaded
 
 
 COUNTED_CACHES = {"_factor_tables", "grid_arrays", "k_power", "sobolev_weights",

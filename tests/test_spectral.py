@@ -19,6 +19,7 @@ from sqglab.sampling import band_limited_field, gaussian_block_field, power_law_
 from sqglab.solver import SolverConfig, mild_residual, nonlinear_term, run_simulation
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
+    PROFILE_INNER,
     PROFILE_OUTER,
     GridSpec,
     SpectralField,
@@ -61,6 +62,7 @@ from oracles import (
     full_sobolev_norm,
     half,
     scipy_transport,
+    whole_array_profile,
 )
 
 GRID = GridSpec(64)
@@ -505,14 +507,34 @@ def test_mode_l2_independent_of_wavevector(k1, k2):
 
 
 def test_radial_profile_shape():
-    r = np.array([0.0, 0.5, 1.0, 1.05, PROFILE_OUTER, 2.0])
+    r = np.array([0.0, 0.5, PROFILE_INNER, 1.05, PROFILE_OUTER, 2.0])
     vals = radial_profile(r)
     assert vals[0] == 1.0 and vals[2] == 1.0
     assert 0.0 < vals[3] < 1.0
     assert vals[4] == 0.0 and vals[5] == 0.0
+    # t is exactly 0 at PROFILE_INNER and exactly 1 at PROFILE_OUTER, where
+    # the polynomial gives exactly the 1.0 and 0.0 written outside the band.
+    t = (r - PROFILE_INNER) / (PROFILE_OUTER - PROFILE_INNER)
+    assert t[2] == 0.0 and t[4] == 1.0
+    assert vals.tobytes() == whole_array_profile(r).tobytes()
     # smooth join: profile stays within [0, 1]
     fine = radial_profile(np.linspace(0.0, 1.5, 2000))
     assert np.all((fine >= 0.0) & (fine <= 1.0))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+def test_symbol_tables_equal_whole_array_profile(n):
+    # radial_profile runs the smoothstep on the transition band only and
+    # writes exact 1.0 and 0.0 outside it; the tables are bitwise the ones
+    # the polynomial gives on the whole half spectrum.
+    grid = GridSpec(n)
+    k_abs = grid_arrays(grid).k_abs
+    for j in range(-2, 12):
+        low = whole_array_profile(k_abs / 2.0**j)
+        assert radial_profile(k_abs / 2.0**j).tobytes() == low.tobytes()
+        assert low_pass_symbol(grid, j).tobytes() == low.tobytes()
+        block = low - whole_array_profile(k_abs / 2.0 ** (j - 1))
+        assert block_symbol(grid, j).tobytes() == block.tobytes()
 
 
 def test_field_container_roundtrip(tmp_path, rng):
