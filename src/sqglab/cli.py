@@ -133,14 +133,19 @@ def _load_config(path: str) -> dict:
 def _read(where: str, key: str, value, kind: type, nullable: bool = False):
     """The config value ``where.key`` as a ``kind`` (None stays None when
     ``nullable``); a usage error naming the key when it is not one.  An
-    ``int`` key takes no bool and no number with a fractional part."""
+    ``int`` key takes no bool and no number with a fractional part, a
+    ``float`` key no bool and no NaN (an infinity, as ``"inf"``, it takes)."""
     if nullable and value is None:
         return None
     try:
-        if kind is int and (isinstance(value, bool) or
-                            isinstance(value, float) and not value.is_integer()):
+        if kind in (int, float) and isinstance(value, bool):
             raise ValueError
-        return kind(value)
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        result = kind(value)
+        if kind is float and math.isnan(result):
+            raise ValueError
+        return result
     except (TypeError, ValueError, OverflowError):
         raise UsageError(
             f"config {where}.{key} must be {kind.__name__}, got {value!r}"

@@ -54,15 +54,23 @@ def _check_gamma_range(gamma: float, upper: float = 2.0) -> None:
 
 
 def _heat_stack(grid: GridSpec, gamma: float, t_values) -> np.ndarray:
-    """``[1, e^{-t_1 |k|^gamma}, ...]`` on the rfft half spectrum."""
+    """``[1, e^{-t_1 |k|^gamma}, ...]`` on the rfft half spectrum.
+
+    Complex, so the product with each sample's coefficients casts nothing;
+    the values are those of the real table, with zero imaginary parts.
+    """
     kg = k_power(grid, gamma)
-    return np.stack([np.ones_like(kg)] + [np.exp(-float(t) * kg) for t in t_values])
+    rows = [np.ones_like(kg)] + [np.exp(-float(t) * kg) for t in t_values]
+    return np.stack(rows, dtype=np.complex128)
 
 
 def _dissipation_stack(grid: GridSpec, gamma: float) -> np.ndarray:
-    """``[1, |k|^gamma]`` on the rfft half spectrum: f and D^gamma f at once."""
+    """``[1, |k|^gamma]`` on the rfft half spectrum: f and D^gamma f at once.
+
+    Complex, as :func:`_heat_stack`.
+    """
     kg = k_power(grid, gamma)
-    return np.stack([np.ones_like(kg), kg])
+    return np.stack([np.ones_like(kg), kg], dtype=np.complex128)
 
 
 def _stacked_decay_rate(field, stack, q, t_values, scale) -> float:
@@ -192,7 +200,7 @@ def check_coercivity(
     slack = 1e-6
     ops = _dissipation_stack(grid, gamma)
     # ||D^{gamma/2} w||_2^2 = period^2 sum |k|^gamma |w^|^2 over the full lattice.
-    energy = grid.period ** 2 * parseval_columns(grid) * ops[1]
+    energy = grid.period ** 2 * parseval_columns(grid) * k_power(grid, gamma)
     min_ratio_signed = math.inf
     min_ratio_plain = math.inf
     min_c2 = math.inf

@@ -2,9 +2,11 @@
 
 All samplers take a ``numpy.random.Generator`` so every sweep is
 reproducible from a single integer seed.  Each sampler draws complex
-Gaussian noise on the full lattice, shapes it by a radial profile and keeps
-the real part of the resulting field, as a half spectrum; fields are
-mean-free unless stated otherwise.
+Gaussian noise on the full lattice, as one ``(2, n, n)`` array of its real
+and imaginary planes, shapes it by a radial profile and keeps the real part
+of the resulting field, as a half spectrum built from the planes with
+slices: no full-lattice complex array is formed.  Fields are mean-free
+unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -36,18 +38,29 @@ __all__ = [
 def _finish(grid: GridSpec, noise: np.ndarray, profile: np.ndarray) -> SpectralField:
     """The mean-free real part of ``noise * profile``, as a half spectrum.
 
-    ``noise`` covers the full lattice and ``profile``, an even table, the
-    half spectrum.  Each half-spectrum mode k gets
+    ``noise`` holds the real and imaginary planes of complex noise on the
+    full ``(n, n)`` lattice, as one ``(2, n, n)`` array, and ``profile``, an
+    even table, covers the half spectrum.  Each half-spectrum mode k gets
     ``0.5 * (conj(noise(-k) profile(k)) + noise(k) profile(k))``.
     """
-    m = grid.n // 2 + 1
-    negated = grid_arrays(grid).negated
-    c = noise[np.ix_(negated, negated[:m])]
+    n = grid.n
+    m = n // 2 + 1
+    # c = noise(-k) and ahead = noise(k), filled plane by plane with slices:
+    # on either axis the index of -i is 0 for i = 0 and n - i otherwise.
+    c = np.empty((n, m), np.complex128)
+    ahead = np.empty((n, m), np.complex128)
+    for plane, flipped, kept in zip(noise, (c.real, c.imag), (ahead.real, ahead.imag)):
+        flipped[0, 0] = plane[0, 0]
+        flipped[0, 1:] = plane[0, : n - m : -1]
+        flipped[1:, 0] = plane[:0:-1, 0]
+        flipped[1:, 1:] = plane[:0:-1, : n - m : -1]
+        kept[...] = plane[:, :m]
     # Multiply, then conjugate: the other order gives equal values with other
     # zero signs, so the saved bytes of a field would change.
     c *= profile
     np.conjugate(c, out=c)
-    c += noise[:, :m] * profile
+    ahead *= profile
+    c += ahead
     c *= 0.5
     c[0, 0] = 0.0
     # c is a fresh array: hand it over read-only so the field keeps it as is.
@@ -55,9 +68,10 @@ def _finish(grid: GridSpec, noise: np.ndarray, profile: np.ndarray) -> SpectralF
     return SpectralField(grid, c)
 
 
-def _complex_noise(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
-    n = grid.n
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _noise(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
+    """The real and imaginary planes of one complex Gaussian draw, as one
+    ``(2, n, n)`` array: the same bytes as two ``(n, n)`` draws in turn."""
+    return rng.standard_normal((2, grid.n, grid.n))
 
 
 def gaussian_block_field(grid: GridSpec, j: int,
@@ -71,7 +85,7 @@ def gaussian_block_field(grid: GridSpec, j: int,
     sym = block_symbol(grid, j)
     if not np.any(sym != 0.0):
         raise UsageError(f"block {j} does not intersect the frequency lattice")
-    return _finish(grid, _complex_noise(grid, rng), sym)
+    return _finish(grid, _noise(grid, rng), sym)
 
 
 def band_limited_field(grid: GridSpec, k_max: float,
@@ -81,14 +95,14 @@ def band_limited_field(grid: GridSpec, k_max: float,
     mask = (ga.k_abs > 0.0) & (ga.k_abs <= k_max)
     if not np.any(mask):
         raise UsageError(f"no lattice frequencies below k_max={k_max}")
-    return _finish(grid, _complex_noise(grid, rng), mask)
+    return _finish(grid, _noise(grid, rng), mask)
 
 
 def low_pass_field(grid: GridSpec, j: int,
                    rng: np.random.Generator) -> SpectralField:
     """Random field shaped by the low-pass profile at scale ``2^j``."""
     sym = low_pass_symbol(grid, j)
-    return _finish(grid, _complex_noise(grid, rng), sym)
+    return _finish(grid, _noise(grid, rng), sym)
 
 
 def power_law_field(grid: GridSpec, alpha: float, rng: np.random.Generator,
@@ -104,7 +118,7 @@ def power_law_field(grid: GridSpec, alpha: float, rng: np.random.Generator,
     mask = (ga.k_abs > 0.0) & (ga.k_abs <= cut)
     with np.errstate(divide="ignore"):
         shape = np.where(mask, ga.k_abs ** (-alpha), 0.0)
-    return _finish(grid, _complex_noise(grid, rng), shape)
+    return _finish(grid, _noise(grid, rng), shape)
 
 
 # ---------------------------------------------------------------------------

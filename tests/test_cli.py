@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,31 @@ def test_int_config_keys_reject_fractions_and_bools(tmp_path, capsys, section, k
     assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 1
     assert f"config {section}.{key} must be int, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# A float key takes no bool and no NaN, as the JSON literal or as a string.
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "nu", True), ("grid", "period", True), ("initial_data", "alpha", False),
+    ("solver", "nu", math.nan), ("solver", "dt", "nan"), ("grid", "period", "NaN"),
+    ("iterate", "s0", math.nan), ("iterate", "s0", True),
+])
+def test_float_config_keys_reject_bools_and_nan(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path / "cfg.json", **{section: {key: value}})
+    command = ["iterate", "galerkin"] if section == "iterate" else ["simulate"]
+    out = tmp_path / "out"
+    assert main([*command, str(cfg), "--output-dir", str(out)]) == 1
+    assert f"config {section}.{key} must be float, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "Infinity", math.inf])
+def test_float_config_keys_take_infinity(tmp_path, value):
+    # Picard's q = inf is the sup-norm row the benchmark's config asks for.
+    cfg = write_config(tmp_path / "cfg.json", iterate={"n_min": 0, "n_max": 1, "q": value})
+    out = tmp_path / "out"
+    assert main(["iterate", "picard", str(cfg), "--output-dir", str(out)]) == 0
+    resolved = json.loads((out / "run_manifest.json").read_text())["config"]["resolved"]
+    assert resolved["iterate"]["q"] == "inf"
 
 
 def test_int_config_keys_accept_integral_floats(tmp_path):

@@ -172,3 +172,16 @@ def test_samplers_are_byte_identical_to_the_full_lattice_formula(kind, n):
     field = SAMPLER_CASES[kind](grid, np.random.default_rng(n))
     want = parent_sampler_coeffs(grid, np.random.default_rng(n), full_shape(grid, kind))
     assert full_spectrum(grid, field.coeffs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_one_plane_pair_draw_is_two_square_draws(n):
+    # The samplers draw their noise as one (2, n, n) array; the pinned stream
+    # was two (n, n) draws in turn.  Same bytes, and the generator ends in the
+    # same state.
+    one, two = np.random.default_rng(n), np.random.default_rng(n)
+    planes = one.standard_normal((2, n, n))
+    first, second = two.standard_normal((n, n)), two.standard_normal((n, n))
+    assert planes[0].tobytes() == first.tobytes()
+    assert planes[1].tobytes() == second.tobytes()
+    assert one.bit_generator.state == two.bit_generator.state

@@ -427,6 +427,46 @@ def test_synthesize_matches_inverse_transform(kind, n, rng):
     assert np.max(np.abs(stacked[1] + 2.0 * ref)) <= 2e-13 * scale
 
 
+def _column_cases(n, rng):
+    """Half spectra whose last occupied column varies: none, column 0, a band
+    with signed zeros past it (as the samplers leave them), the Nyquist
+    column, every column."""
+    m = n // 2 + 1
+
+    def noise():
+        return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+    zero = np.zeros((n, m), np.complex128)
+    column0 = zero.copy()
+    column0[:, 0] = noise()[:, 0]
+    band = noise()
+    band[:, m // 3:] = -0.0
+    band[1::2, m // 3:] = 0.0
+    nyquist = zero.copy()
+    nyquist[:, [1, m - 1]] = noise()[:, :2]
+    return {"zero": zero, "column0": column0, "band": band, "nyquist": nyquist,
+            "full": noise()}
+
+
+@pytest.mark.parametrize("n", [8, 16, 96, 128])
+def test_synthesize_is_irfft2_bit_for_bit(n, rng):
+    # The column pass of each field stops at its last occupied column; the
+    # samples are still bitwise those of the whole-array inverse transform,
+    # field by field and for a stack whose fields end at different columns.
+    grid = GridSpec(n)
+    cases = _column_cases(n, rng)
+    for name, half in cases.items():
+        want = np.fft.irfft2(half, s=(n, n), norm="forward")
+        assert synthesize(grid, half).tobytes() == want.tobytes(), name
+    stack = np.stack(list(cases.values()))
+    want = np.fft.irfft2(stack, s=(n, n), norm="forward")
+    got = synthesize(grid, stack)
+    assert got.shape == (len(cases), n, n)
+    assert got.tobytes() == want.tobytes()
+    nested = synthesize(grid, stack.reshape(1, len(cases), n, n // 2 + 1))
+    assert nested.tobytes() == want.tobytes()
+
+
 def test_analyze_is_half_of_forward_transform(rng):
     samples = rng.standard_normal((3, GRID.n, GRID.n))
     half = analyze(GRID, samples)
@@ -484,6 +524,30 @@ def test_lp_norms(rng):
     assert lp_norm(samples, 1.0, vol) == pytest.approx(np.sum(np.abs(samples)) * vol)
     with pytest.raises(UsageError):
         lp_norm(samples, 0.5)
+
+
+SUP_CASES = {
+    "random": lambda rng: rng.standard_normal((16, 16)),
+    "all_negative": lambda rng: -np.abs(rng.standard_normal((16, 16))) - 1.0,
+    "all_negative_zero": lambda rng: np.full((8, 8), -0.0),
+    "nan": lambda rng: np.where(np.arange(64).reshape(8, 8) == 37, np.nan,
+                                rng.standard_normal((8, 8))),
+    "negative_nan": lambda rng: np.where(np.arange(64).reshape(8, 8) == 5, -np.nan,
+                                         rng.standard_normal((8, 8))),
+    "empty": lambda rng: np.empty((0, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUP_CASES))
+def test_sup_norm_is_max_abs_bit_for_bit(case, rng):
+    # The sup norm is read from the two extremes, without an |x| copy; it must
+    # be max |x| to the bit: +0.0 for -0.0 samples, a NaN with its sign
+    # cleared when one is present, 0.0 for no samples.
+    x = SUP_CASES[case](rng)
+    want = float(np.abs(x).max()) if x.size else 0.0
+    got = lp_norm(x, math.inf, GRID.cell_area)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 
