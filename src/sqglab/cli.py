@@ -333,8 +333,7 @@ def _spectral_mass_contraction(
 
 #: Lemma id -> (check, the verify flags it takes).  Only flags the user set
 #: are passed, so each check's signature supplies its defaults; flags a
-#: check does not take are ignored.  ``flag:param`` passes a flag under
-#: another keyword.
+#: check does not take are ignored.
 VERIFY_CHECKS = {
     "heat_decay": (lab.check_heat_decay, "grid j gamma q n_samples seed"),
     "coercivity_q": (lab.check_coercivity, "grid j gamma q n_samples seed"),
@@ -347,7 +346,7 @@ VERIFY_CHECKS = {
         lab.check_trilinear_bounds, "grid gamma regime n_samples seed"
     ),
     "gagliardo_equiv": (lab.check_gagliardo_equivalence, "n_samples seed"),
-    "ab_pointwise": (lab.check_ab_inequality, "q n_samples:sample_count seed"),
+    "ab_pointwise": (lab.check_ab_inequality, "q n_samples seed"),
     "spectral_mass_contraction": (
         _spectral_mass_contraction, "grid eps0 n0 gamma seed"
     ),
@@ -360,10 +359,9 @@ def _set_flags(args, flags: str) -> dict:
     """Keyword arguments for the flags in ``flags`` that the user set."""
     kwargs = {}
     for flag in flags.split():
-        flag, _, param = flag.partition(":")
         value = getattr(args, flag)
         if value is not None:
-            kwargs[param or flag] = GridSpec(value) if flag == "grid" else value
+            kwargs[flag] = GridSpec(value) if flag == "grid" else value
     return kwargs
 
 

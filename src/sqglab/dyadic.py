@@ -28,7 +28,7 @@ from .spectral import (
     SpectralField,
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
-    _check_exponents,
+    _capped_gevrey_weight,
     block_symbol,
     forward_transform,
     full_spectrum,
@@ -444,7 +444,8 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     ``s = 2 - gamma``.  The advective product is pseudospectral and
     dealiased; the pairing is spectral (Parseval, on the half spectrum with
     :func:`~sqglab.spectral.parseval_columns`).  The growing weight on
-    ``g3`` is guarded against the exponent cap.
+    ``g3`` is guarded against the exponent cap, as in
+    :func:`~sqglab.spectral.gevrey_half_weight`.
     """
     if not (g1.grid == g2.grid == g3.grid):
         raise UsageError("trilinear form needs all fields on the same grid")
@@ -457,10 +458,7 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     decay = np.exp(-weight * t * k_power(grid, gamma))
     prod, _ = transport(grid, g1.coeffs * decay, g2.coeffs * decay)
 
-    expo = weight * t * k_power(grid, gamma)
-    cap = GEVREY_EXPONENT_CAP
-    _check_exponents(expo, g3.coeffs, cap)
-    grown = g3.coeffs * np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
+    grown = g3.coeffs * _capped_gevrey_weight(grid, weight, t, gamma, g3.coeffs)[0]
     # Real fields: each column 0 < m2 < n/2 stands for its conjugate partner
     # too, and the partner's term is the conjugate of this one.
     pair = prod * np.conj(grown)

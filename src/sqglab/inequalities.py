@@ -53,34 +53,42 @@ def _check_gamma_range(gamma: float, upper: float = 2.0) -> None:
         raise UsageError(f"gamma must lie in (0, {upper}], got {gamma}")
 
 
-def _heat_stack(grid: GridSpec, gamma: float, t_values) -> np.ndarray:
-    """``[1, e^{-t_1 |k|^gamma}, ...]`` on the rfft half spectrum.
+def _check_sample_count(n_samples: int) -> None:
+    """A sampled check measures nothing, and so proves nothing, on no sample."""
+    if n_samples < 1:
+        raise UsageError(f"n_samples must be at least 1, got {n_samples}")
 
-    Complex, so the product with each sample's coefficients casts nothing;
-    the values are those of the real table, with zero imaginary parts.
+
+def _operator_stack(rows) -> np.ndarray:
+    """``[1, *rows]`` as one complex table on the rfft half spectrum.
+
+    ``synthesize(grid, stack * f.coeffs)`` then gives f and each row applied
+    to it at once; complex, so the product with a sample casts nothing.
     """
-    kg = k_power(grid, gamma)
-    rows = [np.ones_like(kg)] + [np.exp(-float(t) * kg) for t in t_values]
-    return np.stack(rows, dtype=np.complex128)
+    return np.stack([np.ones_like(rows[0]), *rows], dtype=np.complex128)
 
 
-def _dissipation_stack(grid: GridSpec, gamma: float) -> np.ndarray:
-    """``[1, |k|^gamma]`` on the rfft half spectrum: f and D^gamma f at once.
+def _block_sweep(grid, j, ops, statistic, n_samples, rng) -> dict:
+    """Minimum of each value ``statistic`` names, over block-j samples.
 
-    Complex, as :func:`_heat_stack`.
+    Each sample f is drawn once and synthesized once, as the stack
+    ``ops * f.coeffs``; ``statistic`` maps that stack to a dict of named
+    values.  Returns ``{name: (minimum, field attaining it)}``, the first
+    such field on ties; a value never below inf reads ``(inf, None)``.
     """
-    kg = k_power(grid, gamma)
-    return np.stack([np.ones_like(kg), kg], dtype=np.complex128)
+    _check_sample_count(n_samples)
+    worst = {}
+    for _ in range(n_samples):
+        f = gaussian_block_field(grid, j, rng)
+        for name, value in statistic(synthesize(grid, ops * f.coeffs)).items():
+            if value < worst.setdefault(name, (math.inf, None))[0]:
+                worst[name] = (value, f)
+    return worst
 
 
-def _stacked_decay_rate(field, stack, q, t_values, scale) -> float:
-    """Min fitted c over ``t_values``, with ``stack`` from :func:`_heat_stack`.
-
-    One stacked inverse transform gives f and every e^{-tD^gamma} f at once.
-    """
-    grid = field.grid
-    cooled = synthesize(grid, stack * field.coeffs)
-    base, *norms = (lp_norm(samples, q, grid.cell_area) for samples in cooled)
+def _decay_rate(cooled, q, t_values, scale, cell_area) -> float:
+    """Min fitted c over ``t_values``; ``cooled`` is f, then e^{-tD^gamma} f per t."""
+    base, *norms = (lp_norm(samples, q, cell_area) for samples in cooled)
     if base <= 0.0:
         raise UsageError("degenerate sample: zero field")
     worst = math.inf
@@ -100,24 +108,33 @@ def fitted_decay_rate(
     Returns the minimum fitted c over the time grid, the conservative choice:
     the decay bound then holds with that c at every sampled time.
     """
-    stack = _heat_stack(field.grid, gamma, t_values)
-    return _stacked_decay_rate(field, stack, q, t_values, scale)
+    grid = field.grid
+    kg = k_power(grid, gamma)
+    ops = _operator_stack([np.exp(-float(t) * kg) for t in t_values])
+    cooled = synthesize(grid, ops * field.coeffs)
+    return _decay_rate(cooled, q, t_values, scale, grid.cell_area)
 
 
 def _decay_sweep(grid, j, gamma, q, n_samples, rng):
-    """Min fitted decay constant over block-j samples, at ``DECAY_TAU_GRID``."""
+    """(Min fitted decay constant, field attaining it) at ``DECAY_TAU_GRID``."""
     scale = 2.0 ** (j * gamma)
     t_values = [tau / scale for tau in DECAY_TAU_GRID]
-    stack = _heat_stack(grid, gamma, t_values)
-    worst = math.inf
-    worst_field = None
-    for _ in range(n_samples):
-        f = gaussian_block_field(grid, j, rng)
-        c = _stacked_decay_rate(f, stack, q, t_values, scale)
-        if c < worst:
-            worst = c
-            worst_field = f
-    return worst, worst_field
+    kg = k_power(grid, gamma)
+    ops = _operator_stack([np.exp(-float(t) * kg) for t in t_values])
+
+    def statistic(cooled):
+        return {"c": _decay_rate(cooled, q, t_values, scale, grid.cell_area)}
+
+    return _block_sweep(grid, j, ops, statistic, n_samples, rng)["c"]
+
+
+def _within_decay_spread(values) -> bool:
+    """Positive median, every value within ``STABILITY_FACTOR_DECAY`` of it."""
+    values = np.array(values)
+    med = float(np.median(values))
+    return med > 0.0 and bool(
+        np.all(np.abs(values - med) <= STABILITY_FACTOR_DECAY * med)
+    )
 
 
 def check_heat_decay(
@@ -140,19 +157,11 @@ def check_heat_decay(
     if q < 1.0:
         raise UsageError(f"q must be >= 1, got {q}")
     rng = np.random.default_rng(seed)
-    c_by_j = {}
-    witness_field = None
-    for jj in (j, j + 1, j + 2):
-        c_min, f_min = _decay_sweep(grid, jj, gamma, q, n_samples, rng)
-        c_by_j[jj] = c_min
-        if jj == j:
-            witness_field = f_min
-    values = np.array(sorted(c_by_j.values()))
-    med = float(np.median(values))
-    stable = med > 0.0 and bool(
-        np.all(np.abs(values - med) <= STABILITY_FACTOR_DECAY * med)
-    )
-    measured = c_by_j[j]
+    sweeps = {jj: _decay_sweep(grid, jj, gamma, q, n_samples, rng)
+              for jj in (j, j + 1, j + 2)}
+    c_by_j = {jj: c_min for jj, (c_min, _) in sweeps.items()}
+    stable = _within_decay_spread(list(c_by_j.values()))
+    measured, witness_field = sweeps[j]
     verdict = measured > 0.0 and stable
     return InequalityReport(
         lemma_id="heat_decay",
@@ -198,36 +207,29 @@ def check_coercivity(
     rng = np.random.default_rng(seed)
     const = 4.0 * (q - 1.0) / (q * q)
     slack = 1e-6
-    ops = _dissipation_stack(grid, gamma)
+    kg = k_power(grid, gamma)
     # ||D^{gamma/2} w||_2^2 = period^2 sum |k|^gamma |w^|^2 over the full lattice.
-    energy = grid.period ** 2 * parseval_columns(grid) * k_power(grid, gamma)
-    min_ratio_signed = math.inf
-    min_ratio_plain = math.inf
-    min_c2 = math.inf
-    variant_ordered = True
-    worst = None
-    for _ in range(n_samples):
-        f = gaussian_block_field(grid, j, rng)
-        samples, dgf = synthesize(grid, ops * f.coeffs)
+    energy = grid.period ** 2 * parseval_columns(grid) * kg
+
+    def statistic(stack):
+        samples, dgf = stack
         lhs = float(np.sum(dgf * _signed_power(samples, q - 1.0))) * grid.cell_area
         plain = np.abs(samples) ** (q / 2.0)
         w_hat = analyze(grid, np.stack([np.sign(samples) * plain, plain]))
         mag2 = w_hat.real * w_hat.real + w_hat.imag * w_hat.imag
         rhs_signed, rhs_plain = np.sum(energy * mag2, axis=(-2, -1)).tolist()
-        # At gamma=2 the variants agree analytically; allow the same slack.
-        if rhs_plain > rhs_signed * (1.0 + slack):
-            variant_ordered = False
-        ratio_signed = lhs / (const * rhs_signed)
-        ratio_plain = lhs / (const * rhs_plain)
-        c2 = lhs / (2.0 ** (j * gamma) * lp_norm(samples, q, grid.cell_area) ** q)
-        min_c2 = min(min_c2, c2)
-        min_ratio_plain = min(min_ratio_plain, ratio_plain)
-        if ratio_signed < min_ratio_signed:
-            min_ratio_signed = ratio_signed
-            worst = f
-    witness = None
-    if worst is not None:
-        witness = witness_from_field(worst, ratio=min_ratio_signed)
+        return {
+            "ratio_signed": lhs / (const * rhs_signed),
+            "ratio_plain": lhs / (const * rhs_plain),
+            "c2": lhs / (2.0 ** (j * gamma) * lp_norm(samples, q, grid.cell_area) ** q),
+            # At gamma=2 the variants agree analytically; allow the same slack.
+            "order": rhs_signed * (1.0 + slack) - rhs_plain,
+        }
+
+    worst = _block_sweep(grid, j, _operator_stack([kg]), statistic, n_samples, rng)
+    min_ratio_signed, witness_field = worst["ratio_signed"]
+    min_ratio_plain = worst["ratio_plain"][0]
+    variant_ordered = worst["order"][0] >= 0.0
     verdict = (
         min_ratio_signed >= 1.0 - slack
         and min_ratio_plain >= 1.0 - slack
@@ -245,42 +247,36 @@ def check_coercivity(
             "min_ratio_signed": min_ratio_signed,
             "min_ratio_plain": min_ratio_plain,
             "variant_ordered": variant_ordered,
-            "measured_c2": min_c2,
+            "measured_c2": worst["c2"][0],
             "slack": slack,
         },
-        witness=witness,
+        witness=(None if witness_field is None
+                 else witness_from_field(witness_field, ratio=min_ratio_signed)),
     )
 
 
-def _sign_integral_sweep(grid, j, gamma, n_samples, rng):
-    """Minimum of c2 and of c3 over the samples, each with the field attaining it."""
-    ops = _dissipation_stack(grid, gamma)
-    scale = 2.0 ** (j * gamma)
-    worst = {"c2": (math.inf, None), "c3": (math.inf, None)}
-    for _ in range(n_samples):
-        f = gaussian_block_field(grid, j, rng)
-        samples, dgf = synthesize(grid, ops * f.coeffs)
-        l1 = lp_norm(samples, 1.0, grid.cell_area)
-        c2 = float(np.sum(dgf * np.sign(samples))) * grid.cell_area / (scale * l1)
-        flat = np.argmax(np.abs(samples))
-        idx = np.unravel_index(flat, samples.shape)
-        c3 = float(np.sign(samples[idx]) * dgf[idx]) / (scale * float(np.abs(samples[idx])))
-        for name, value in (("c2", c2), ("c3", c3)):
-            if value < worst[name][0]:
-                worst[name] = (value, f)
-    return worst
-
-
 def _sign_sweep_report(lemma_id, measured, required, grid, j, gamma, n_samples, seed):
-    """Report the minimum of ``measured`` ("c2" or "c3") from the shared sweep.
+    """Report the minimum of ``measured`` ("c2" or "c3") over block-j samples.
 
-    The verdict needs every constant named in ``required`` to stay positive;
-    the witness is the field attaining the measured minimum.
+    c2 is the L^1 sign integral, c3 the max-point value, each over 2^{j gamma}.
+    The verdict needs every constant named in ``required`` positive; the
+    witness is the field attaining the measured minimum.
     """
     grid = grid or DEFAULT_GRID
     _check_gamma_range(gamma, upper=2.0)
     rng = np.random.default_rng(seed)
-    worst = _sign_integral_sweep(grid, j, gamma, n_samples, rng)
+    kg = k_power(grid, gamma)
+    scale = 2.0 ** (j * gamma)
+
+    def statistic(stack):
+        samples, dgf = stack
+        l1 = lp_norm(samples, 1.0, grid.cell_area)
+        c2 = float(np.sum(dgf * np.sign(samples))) * grid.cell_area / (scale * l1)
+        idx = np.unravel_index(np.argmax(np.abs(samples)), samples.shape)
+        c3 = float(np.sign(samples[idx]) * dgf[idx]) / (scale * float(np.abs(samples[idx])))
+        return {"c2": c2, "c3": c3}
+
+    worst = _block_sweep(grid, j, _operator_stack([kg]), statistic, n_samples, rng)
     other = "c3" if measured == "c2" else "c2"
     value, field = worst[measured]
     return InequalityReport(
@@ -460,6 +456,7 @@ def check_gagliardo_equivalence(
     ``GAGLIARDO_WINDOW``, for every sample and every s; the s(1-s) factor
     absorbs the blow-up at both endpoints.
     """
+    _check_sample_count(n_samples)
     grid = OneDGrid(2**12, 64.0 * math.pi)
     rng = np.random.default_rng(seed)
     ratios = {}
@@ -501,7 +498,7 @@ def check_gagliardo_equivalence(
 
 
 def check_ab_inequality(
-    q: float = 4.0, sample_count: int = 1_000_000, seed: int = 505
+    q: float = 4.0, n_samples: int = 1_000_000, seed: int = 505
 ) -> InequalityReport:
     """Scalar convexity bound behind the coercivity estimate.
 
@@ -515,7 +512,7 @@ def check_ab_inequality(
     aa, bb = np.meshgrid(lattice, lattice, indexing="ij")
     det_a = aa.ravel()
     det_b = bb.ravel()
-    n_random = max(sample_count - det_a.size, 0)
+    n_random = max(n_samples - det_a.size, 0)
     scales = 10.0 ** rng.uniform(-3.0, 3.0, size=n_random)
     rand_a = rng.standard_normal(n_random) * scales
     rand_b = rng.standard_normal(n_random) * scales
@@ -657,15 +654,9 @@ def check_lq_semigroup_decay(
         if not 1.0 < q < math.inf:
             raise UsageError(f"q must lie in (1, inf), got {q}")
     rng = np.random.default_rng(seed)
-    c_by_q = {}
-    for q in q_values:
-        c_min, _ = _decay_sweep(grid, j, gamma, q, n_samples, rng)
-        c_by_q[q] = c_min
-    values = np.array(list(c_by_q.values()))
-    med = float(np.median(values))
-    uniform = med > 0.0 and bool(
-        np.all(np.abs(values - med) <= STABILITY_FACTOR_DECAY * med)
-    )
+    c_by_q = {q: _decay_sweep(grid, j, gamma, q, n_samples, rng)[0] for q in q_values}
+    values = list(c_by_q.values())
+    uniform = _within_decay_spread(values)
     measured = float(np.min(values))
     return InequalityReport(
         lemma_id="lq_semigroup_decay",
@@ -888,6 +879,7 @@ def check_trilinear_bounds(
         raise UsageError(f"gamma must lie in (0, 1), got {gamma}")
     if regime not in TRILINEAR_REGIMES:
         raise UsageError(f"regime must be one of {TRILINEAR_REGIMES}")
+    _check_sample_count(n_samples)
     s = 2.0 - gamma
     t = 0.0
     rng = np.random.default_rng(seed)

@@ -301,22 +301,26 @@ def block_symbol(grid: GridSpec, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_exponents(expo: np.ndarray, coeffs: np.ndarray, cap: float) -> None:
-    """Raise if a mode whose weight exponent exceeds ``cap`` carries data.
+def _capped_gevrey_weight(grid: GridSpec, lam: float, t: float, gamma: float,
+                          coeffs: np.ndarray) -> tuple:
+    """``(exp(lam t |k|^gamma), lam t |k|^gamma)`` on the half spectrum.
 
-    ``expo`` and ``coeffs`` cover the same half-spectrum modes.
+    A mode whose exponent exceeds ``GEVREY_EXPONENT_CAP`` gets weight 0 if
+    it carries no data in the half spectrum ``coeffs``; if it does, raise.
     """
+    cap = GEVREY_EXPONENT_CAP
+    expo = lam * t * k_power(grid, gamma)
     over = expo > cap
-    if not np.any(over):
-        return
-    mag = np.abs(coeffs)
-    floor = SUPPORT_THRESHOLD * float(mag.max())
-    if np.any(over & (mag > floor)):
-        worst = float(np.max(expo[mag > floor]))
-        raise OverflowGuardError(
-            f"analyticity weight exponent {worst:.1f} exceeds cap {cap:.0f} "
-            "on populated modes; shorten the time horizon or reduce the weight"
-        )
+    if np.any(over):
+        mag = np.abs(coeffs)
+        floor = SUPPORT_THRESHOLD * float(mag.max())
+        if np.any(over & (mag > floor)):
+            worst = float(np.max(expo[mag > floor]))
+            raise OverflowGuardError(
+                f"analyticity weight exponent {worst:.1f} exceeds cap {cap:.0f} "
+                "on populated modes; shorten the time horizon or reduce the weight"
+            )
+    return np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0), expo
 
 
 def riesz_perp(field: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -460,10 +464,7 @@ def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
     Parseval sums taken of it (``_weighted_amplitude_limit``), so the norms
     built from it raise instead of overflowing into ``inf``.
     """
-    cap = GEVREY_EXPONENT_CAP
-    expo = lam * t * k_power(grid, gamma)
-    _check_exponents(expo, coeffs, cap)
-    weight = np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0)
+    weight, expo = _capped_gevrey_weight(grid, lam, t, gamma, coeffs)
     mag = np.abs(coeffs)
     populated = mag > SUPPORT_THRESHOLD * float(mag.max())
     with np.errstate(over="ignore"):

@@ -113,7 +113,7 @@ def test_pointwise_power_difference_inequality(acceptance):
     worst = np.inf
     verdicts = True
     for i, q in enumerate(q_values):
-        report = check_ab_inequality(q, sample_count=125_000, seed=505 + i)
+        report = check_ab_inequality(q, n_samples=125_000, seed=505 + i)
         worst = min(worst, report.details["min_lhs_over_rhs"])
         verdicts = verdicts and bool(report.verdict)
     ok = verdicts and worst >= 1.0 - 1e-12

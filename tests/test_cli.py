@@ -303,10 +303,9 @@ def test_every_verify_flag_names_a_parameter_of_its_check():
     for lemma_id, (check, flags) in VERIFY_CHECKS.items():
         args = build_parser().parse_args(["verify", lemma_id])
         params = inspect.signature(check).parameters
-        for entry in flags.split():
-            flag, _, param = entry.partition(":")
+        for flag in flags.split():
             assert hasattr(args, flag), (lemma_id, flag)
-            assert (param or flag) in params, (lemma_id, entry)
+            assert flag in params, (lemma_id, flag)
 
 
 # The ids the benchmark times; its warm-up runs each with one sample.  The

@@ -15,6 +15,7 @@ from sqglab.errors import UsageError
 from sqglab.reports import field_from_witness
 from sqglab.inequalities import (
     DECAY_TAU_GRID,
+    _within_decay_spread,
     check_ab_inequality,
     check_coercivity,
     check_gagliardo_equivalence,
@@ -117,6 +118,21 @@ def test_lq_semigroup_rejects_endpoint_q():
         check_lq_semigroup_decay(grid=GRID, q_values=(1.0,))
 
 
+@pytest.mark.parametrize("values, within", [
+    ([0.8, 1.0, 1.4], True),
+    ([0.6, 0.9, 1.0, 1.2], True),
+    ([1.0, 1.0, 1.6], False),  # one value 60 % above the median
+    ([0.4, 1.0, 1.0, 1.0], False),  # one 60 % below it, among a q sweep's four
+    ([0.0, 0.0, 0.0], False),  # zero median, every value on it
+    ([-0.2, 0.0, 0.3], False),  # zero median
+    ([-1.0, -0.9, -0.8], False),  # negative median, every value within 50 % of it
+])
+def test_decay_spread_gate(values, within):
+    # The gate behind heat_decay's "stable" and lq_semigroup_decay's
+    # "q_uniform": both can read False.
+    assert _within_decay_spread(values) is within
+
+
 # -- coercivity and scalar inequality ----------------------------------------
 
 
@@ -153,14 +169,14 @@ def test_ab_pointwise_closed_form_p4():
     lhs = (a - b) * (abs(a) ** (q - 2) * a - abs(b) ** (q - 2) * b)
     rhs = 4.0 * (q - 1.0) / q**2 * (a - b) ** 2
     assert lhs == 4.0 and rhs == 3.0
-    report = check_ab_inequality(q=4.0, sample_count=10_000)
+    report = check_ab_inequality(q=4.0, n_samples=10_000)
     assert report.verdict
     assert report.measured_constant >= -1e-12
 
 
 @given(st.floats(min_value=1.1, max_value=12.0))
 def test_ab_pointwise_many_q(q):
-    report = check_ab_inequality(q=q, sample_count=5_000)
+    report = check_ab_inequality(q=q, n_samples=5_000)
     assert report.verdict
 
 
@@ -186,23 +202,40 @@ def test_max_point_sweep():
 
 
 @pytest.mark.parametrize("check, name", [(check_sign_integral, "c2"),
-                                         (check_max_point, "c3")])
+                                         (check_max_point, "c3"),
+                                         (check_heat_decay, "fitted_c"),
+                                         (check_coercivity, "ratio")])
 def test_sign_sweep_witness_reproduces_measured_constant(check, name):
     # CLI defaults, where the c2 and c3 minima come from different samples.
+    # Coercivity's witness carries the signed ratio, the measured constant
+    # over 4(q-1)/q^2.
     report = check()
-    assert report.witness[name] == report.measured_constant
+    measured = report.measured_constant
+    if name == "ratio":
+        measured = report.details["min_ratio_signed"]
+    assert report.witness[name] == measured
     field = field_from_witness(report.witness)
+    grid = field.grid
     j, gamma = report.parameters["j"], report.parameters["gamma"]
     f = field.to_samples()
-    dgf = field.with_coeffs(field.coeffs * k_power(field.grid, gamma)).to_samples()
+    dgf = field.with_coeffs(field.coeffs * k_power(grid, gamma)).to_samples()
     scale = 2.0 ** (j * gamma)
     if name == "c2":
-        l1 = np.sum(np.abs(f)) * field.grid.cell_area
-        value = np.sum(dgf * np.sign(f)) * field.grid.cell_area / (scale * l1)
-    else:
+        l1 = np.sum(np.abs(f)) * grid.cell_area
+        value = np.sum(dgf * np.sign(f)) * grid.cell_area / (scale * l1)
+    elif name == "c3":
         idx = np.unravel_index(np.argmax(np.abs(f)), f.shape)
         value = np.sign(f[idx]) * dgf[idx] / (scale * np.abs(f[idx]))
-    assert value == pytest.approx(report.measured_constant, rel=1e-12)
+    elif name == "fitted_c":
+        t_values = [tau / scale for tau in DECAY_TAU_GRID]
+        value = fitted_decay_rate(field, gamma, report.parameters["q"], t_values, scale)
+    else:
+        q = report.parameters["q"]
+        lhs = np.sum(dgf * np.sign(f) * np.abs(f) ** (q - 1.0)) * grid.cell_area
+        w = forward_transform(np.sign(f) * np.abs(f) ** (q / 2.0), grid)
+        rhs = sobolev_norm(w, gamma / 2.0, homogeneous=True) ** 2
+        value = lhs / (report.theoretical_bound * rhs)
+    assert value == pytest.approx(measured, rel=1e-12)
 
 
 def test_counterexample_gamma2():
@@ -405,6 +438,20 @@ def test_trilinear_rejects_unknown_regime():
         check_trilinear_bounds(grid=GRID, regime="sideways")
 
 
+# -- sample counts -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("check", [
+    check_heat_decay, check_lq_semigroup_decay, check_coercivity,
+    check_sign_integral, check_max_point, check_gagliardo_equivalence,
+    check_trilinear_bounds,
+])
+def test_sampled_checks_reject_zero_samples(check):
+    # A sweep over no sample measures nothing; it must not pass vacuously.
+    with pytest.raises(UsageError, match="n_samples"):
+        check(n_samples=0)
+
+
 # -- regression pin ------------------------------------------------------------
 
 # measured_constant of each block sweep at its CLI defaults (128^2 grid,
@@ -457,7 +504,7 @@ PINNED_FIELDS = {
     "heat_decay": (check_heat_decay, {"n_samples": 1},
                    {"parameters.tau_grid": [0.25, 0.5, 1.0, 2.0]}),
     "coercivity_q": (check_coercivity, {"n_samples": 1}, {"details.slack": 1e-6}),
-    "ab_pointwise": (check_ab_inequality, {"sample_count": 4000},
+    "ab_pointwise": (check_ab_inequality, {"n_samples": 4000},
                      {"details.slack": 1e-12}),
     "gagliardo_equiv": (check_gagliardo_equivalence, {"n_samples": 1},
                         {"details.window": 10.0, "theoretical_bound": 10.0,

@@ -116,8 +116,7 @@ def caller_usage() -> tuple:
                 keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
                 positions[name] = max(positions.get(name, 0), len(node.args))
     for check, flags in VERIFY_CHECKS.values():
-        keywords.setdefault(check.__name__, set()).update(
-            flag.partition(":")[2] or flag for flag in flags.split())
+        keywords.setdefault(check.__name__, set()).update(flags.split())
     return keywords, positions, wildcard, written
 
 
