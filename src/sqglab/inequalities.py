@@ -11,6 +11,7 @@ only, and the measured value is recorded for the record, not gated.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -384,59 +385,135 @@ def counterexample_gamma2_q1(
     )
 
 
-def fractional_seminorm_sq(grid: OneDGrid, samples: np.ndarray, s: float):
+# Nodes per panel of the composite Gauss-Legendre rules of
+# ``fractional_seminorm_sq``, on the far range in u and on the near range in
+# v = log u.  An n-node panel of width w integrates cos(k u) to 1e-13 or
+# better while k w <= 1.5 n (measured for n = 20 and 32), so the panels are
+# that wide at the integrand's rate: the field's band edge.
+SEMINORM_FAR_NODES = 32
+SEMINORM_NEAR_NODES = 20
+# Relative tolerance of the quadrature's convergence guard.
+SEMINORM_RTOL = 1e-10
+# Nodes per block of the sin^2 product: a block x modes array, under 0.5 MB
+# at 4096 points.  Freeing a block above 1 MB raised glibc's dynamic mmap
+# threshold for the rest of the process, which moved the page faults of
+# every later verify call (measured: about 3700 per call to 3).
+_NODE_BLOCK = 64
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point rule on [-1, 1], and the rows
+    j >= 3n/4 of its Legendre transform a_j = (j + 1/2) sum_i w_i P_j(x_i) f_i."""
+    from numpy.polynomial import legendre
+
+    x, w = legendre.leggauss(n)
+    top = np.arange(n - n // 4, n)
+    return x, w, (legendre.legvander(x, n - 1)[:, top] * w[:, None] * (top + 0.5)).T
+
+
+def _panel_rule(edges: np.ndarray, n: int):
+    """Nodes and weights, shape (panels, n), of the composite n-point rule."""
+    x, w, _ = _gauss_legendre(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x, half * w
+
+
+def _even_edges(a: float, b: float, n: int, rate: float) -> np.ndarray:
+    """Edges of equal n-node panels on [a, b] for an integrand of ``rate``."""
+    return np.linspace(a, b, math.ceil((b - a) * rate / (1.5 * n)) + 1)
+
+
+def _panel_sum(values, weights):
+    """The composite rule's integral of ``values`` (panels, n, s) and a guard
+    term, a bound on the integral of the top quarter of degrees of each
+    panel's Legendre interpolant: small only where the panels resolve
+    ``values``."""
+    tail = _gauss_legendre(weights.shape[1])[2]
+    top = np.abs(np.einsum("tn,pns->pts", tail, values)).sum(axis=1)
+    return np.einsum("pn,pns->s", weights, values), weights.sum(axis=1) @ top
+
+
+def fractional_seminorm_sq(grid: OneDGrid, samples: np.ndarray, s):
     """Difference-quotient seminorm int int |g(x)-g(y)|^2 / |x-y|^{1+2s} dx dy.
 
     Reduces the double integral over the periodic box to a single integral of
     h(u) = int |g(x+u)-g(x)|^2 dx = 4 L sum |c_k|^2 sin^2(k u / 2) against
     u^{-1-2s} du on (0, L/2], doubled for the sign of u.  The |u| < delta
     core is replaced by its first-order Taylor bound 2 delta^{2-2s}/(2-2s) *
-    ||g'||_2^2; delta shrinks until that bound is below 1e-3 of the total.  Returns (seminorm_sq, delta, core_fraction).
+    ||g'||_2^2; delta shrinks until that bound is below 1e-3 of the total.
+    The integral is a composite Gauss-Legendre rule in v = log u on
+    [delta, split] and in u on [split, L/2]; h is one sin^2 product over the
+    folded modes +-k, shared by every s.  ``s`` is a number or a sequence;
+    returns (seminorm_sq, delta, core_fraction), arrays for a sequence.
     """
-    from scipy.integrate import quad
-
-    if not 0.0 < s < 1.0:
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all((s_arr > 0.0) & (s_arr < 1.0)):
         raise UsageError(f"s must lie in (0, 1), got {s}")
     c = grid.coeffs(samples)
     keep = np.abs(c) > 1e-16 * float(np.max(np.abs(c)))
-    mag2 = np.abs(c[keep]) ** 2
-    k = grid.k[keep]
+    keep[0] = False  # the mean drops out of every difference
+    k_fold, where = np.unique(np.abs(grid.k[keep]), return_inverse=True)
+    power = np.bincount(where, weights=np.abs(c[keep]) ** 2)
+    # The band edge: modes past it carry under 1e-20 of the peak power, too
+    # little for the rule to need to resolve them.
+    band = float(k_fold[power > 1e-20 * power.max()][-1])
     length = grid.period
 
-    def h_sq(u: float) -> float:
-        return 4.0 * length * float(np.sum(mag2 * np.sin(0.5 * k * u) ** 2))
+    def h_sq(u: np.ndarray) -> np.ndarray:
+        flat = u.ravel()
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _NODE_BLOCK):
+            arg = np.multiply.outer(0.5 * flat[lo : lo + _NODE_BLOCK], k_fold)
+            np.sin(arg, out=arg)
+            out[lo : lo + _NODE_BLOCK] = np.square(arg, out=arg) @ power
+        return 4.0 * length * out.reshape(u.shape)
 
     grad_sq = grid.l2_sq(grid.derivative(samples, 1))
     split = min(0.1, length / 100.0)
 
-    def tail_from(delta: float) -> float:
-        # Log substitution tames the u^{-1-2s} weight near the core.
-        near, near_err = quad(
-            lambda v: h_sq(math.exp(v)) * math.exp(-2.0 * s * v),
-            math.log(delta),
-            math.log(split),
-            limit=400,
-        )
-        far, far_err = quad(
-            lambda u: h_sq(u) * u ** (-1.0 - 2.0 * s), split, length / 2.0, limit=400
-        )
-        total = near + far
-        if total > 0.0 and (near_err + far_err) > 1e-6 * total:
-            raise UsageError("quadrature for the difference seminorm did not converge")
-        return 2.0 * (near + far)
+    def near(lo: float, hi: float, s_near: np.ndarray):
+        # Log substitution tames the u^{-1-2s} weight near the core.  In v
+        # the integrand oscillates at rate <= band * hi; panels are at most
+        # 1 wide, across which e^v grows at most e-fold.
+        rate = max(band * hi, 1.5 * SEMINORM_NEAR_NODES)
+        edges = _even_edges(math.log(lo), math.log(hi), SEMINORM_NEAR_NODES, rate)
+        v, w = _panel_rule(edges, SEMINORM_NEAR_NODES)
+        return _panel_sum(h_sq(np.exp(v))[..., None] * np.exp(-2.0 * v[..., None] * s_near), w)
+
+    # The far integrand behaves like u^{1-2s} near u = 0: from split, panels
+    # double in width, each as far from 0 as it is wide, until they are as
+    # wide as the even panels.
+    edges = [split]
+    while edges[-1] < min(1.5 * SEMINORM_FAR_NODES / band, length / 4.0):
+        edges.append(2.0 * edges[-1])
+    edges[-1:] = _even_edges(edges[-1], length / 2.0, SEMINORM_FAR_NODES, band)
+    u, w = _panel_rule(np.array(edges), SEMINORM_FAR_NODES)
+    far, far_err = _panel_sum(h_sq(u)[..., None] * u[..., None] ** (-1.0 - 2.0 * s_arr), w)
+    delta0 = 1e-4
+    near0, near0_err = near(delta0, split, s_arr)
 
     core_target = 1e-3
-    delta = 1e-4
-    for _ in range(4):
-        tail = tail_from(delta)
-        core = 2.0 * delta ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) * grad_sq
-        total = tail + core
-        if core <= core_target * total:
-            break
-        delta = (0.5 * core_target * total * (2.0 - 2.0 * s) / (2.0 * grad_sq)) ** (
-            1.0 / (2.0 - 2.0 * s)
-        )
-    return tail + core, delta, core / (tail + core)
+    out = np.empty((3, s_arr.size))
+    for i, s_i in enumerate(s_arr):
+        half_tail, err, delta = near0[i] + far[i], near0_err[i] + far_err[i], delta0
+        for attempt in range(4):
+            if attempt:
+                piece, piece_err = near(delta, previous, s_arr[i : i + 1])
+                half_tail, err = half_tail + piece[0], err + piece_err[0]
+            if half_tail > 0.0 and err > SEMINORM_RTOL * half_tail:
+                raise UsageError("quadrature for the difference seminorm did not converge")
+            tail = 2.0 * half_tail
+            core = 2.0 * delta ** (2.0 - 2.0 * s_i) / (2.0 - 2.0 * s_i) * grad_sq
+            total = tail + core
+            if core <= core_target * total:
+                break
+            previous = delta
+            delta = (0.5 * core_target * total * (2.0 - 2.0 * s_i) / (2.0 * grad_sq)) ** (
+                1.0 / (2.0 - 2.0 * s_i)
+            )
+        out[:, i] = tail + core, delta, core / (tail + core)
+    return tuple(map(float, out[:, 0])) if np.ndim(s) == 0 else tuple(out)
 
 
 def _support_width(grid: OneDGrid, samples: np.ndarray) -> float:
@@ -467,8 +544,8 @@ def check_gagliardo_equivalence(
         if grid.period < 16.0 * _support_width(grid, g):
             raise UsageError("box must be >= 16x the sample support")
         c = grid.coeffs(g)
-        for s in s_values:
-            semi2, delta, core_frac = fractional_seminorm_sq(grid, g, s)
+        seminorms = fractional_seminorm_sq(grid, g, s_values)
+        for s, semi2, delta, core_frac in zip(s_values, *seminorms):
             spectral = float(np.sum(np.abs(grid.k) ** (2.0 * s) * np.abs(c) ** 2))
             spectral *= grid.period
             ratio = semi2 * s * (1.0 - s) / spectral

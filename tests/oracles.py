@@ -8,7 +8,8 @@ complex FFTs.  Package fields hold half spectra; they enter through
 :func:`full`, their Hermitian extension.  None of these reads the package's
 frequency or weight tables, except :func:`scipy_transport`, which replays
 the package's transport with whole-array transforms on the package's
-``grid_arrays``.
+``grid_arrays``, and :func:`quad_seminorm_sq`, which integrates on a
+package ``OneDGrid``.
 """
 
 import math
@@ -222,3 +223,46 @@ def scipy_transport(grid, source, target):
     out[:, :: n // 2] = 0.5 * (edge + np.conj(edge[ga.negated]))
     out[0, 0] = 0.0
     return out, umax
+
+
+def quad_seminorm_sq(grid, samples, s):
+    """``fractional_seminorm_sq`` at one s with adaptive ``scipy.integrate.quad``
+    at ``epsabs=0, epsrel=1e-13``, one integrand call per node, every kept
+    mode of ``+-k`` summed separately: the same log-substituted near range,
+    linear far range, Taylor core and delta loop.  Returns
+    ``(seminorm_sq, delta, core_fraction)``."""
+    from scipy.integrate import quad
+
+    c = grid.coeffs(samples)
+    keep = np.abs(c) > 1e-16 * float(np.max(np.abs(c)))
+    mag2 = np.abs(c[keep]) ** 2
+    k = grid.k[keep]
+    length = grid.period
+
+    def h_sq(u):
+        return 4.0 * length * float(np.sum(mag2 * np.sin(0.5 * k * u) ** 2))
+
+    def integral(f, a, b):
+        return quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+    grad_sq = grid.l2_sq(grid.derivative(samples, 1))
+    split = min(0.1, length / 100.0)
+
+    def tail_from(delta):
+        near = integral(lambda v: h_sq(math.exp(v)) * math.exp(-2.0 * s * v),
+                        math.log(delta), math.log(split))
+        far = integral(lambda u: h_sq(u) * u ** (-1.0 - 2.0 * s), split, length / 2.0)
+        return 2.0 * (near + far)
+
+    core_target = 1e-3
+    delta = 1e-4
+    for _ in range(4):
+        tail = tail_from(delta)
+        core = 2.0 * delta ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s) * grad_sq
+        total = tail + core
+        if core <= core_target * total:
+            break
+        delta = (0.5 * core_target * total * (2.0 - 2.0 * s) / (2.0 * grad_sq)) ** (
+            1.0 / (2.0 - 2.0 * s)
+        )
+    return tail + core, delta, core / (tail + core)

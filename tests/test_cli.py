@@ -408,22 +408,31 @@ import json, sys
 from sqglab import cli
 
 heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+
+
+def loaded():
+    return [m for m in sys.modules if ".".join(m.split(".")[:2]) in heavy]
+
+
 config, out = sys.argv[1:]
-seen = {"import": (0, [m for m in heavy if m in sys.modules])}
-for name, argv in (("simulate", ["simulate", config]),
-                   ("iterate", ["iterate", "galerkin", config]),
-                   ("verify", ["verify", "gagliardo_equiv", "--n-samples", "1"])):
-    rc = cli.main([*argv, "--output-dir", out])
-    seen[name] = (rc, [m for m in heavy if m in sys.modules])
+runs = [("simulate", ["simulate", config]), ("iterate", ["iterate", "galerkin", config])]
+for lemma_id, (_, flags) in cli.VERIFY_CHECKS.items():
+    if lemma_id != "spectral_mass_contraction":
+        fewer = ["--n-samples", "1"] if "n_samples" in flags.split() else []
+        runs.append((lemma_id, ["verify", lemma_id, *fewer]))
+seen = {"import": (0, loaded())}
+for name, argv in runs:
+    seen[name] = (cli.main([*argv, "--output-dir", out]), loaded())
 print(json.dumps(seen))
 """
 
 
-def test_simulate_and_iterate_load_no_scipy_integrate(tmp_path):
+def test_commands_load_no_scipy_integrate_optimize_or_special(tmp_path):
     # A fresh interpreter, since this test session has scipy loaded already:
     # scipy.integrate and scipy.optimize are imported inside the functions
-    # that call them, so simulate and iterate never load them (nor the
-    # scipy.special they pull in); gagliardo_equiv calls quad and does.
+    # that call them, which no command reaches here, so neither they nor the
+    # scipy.special they pull in may load.  Only spectral_mass_contraction
+    # can reach brentq; the verify ids run one sample where they take a count.
     import sqglab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(sqglab.__file__)))
@@ -437,10 +446,10 @@ def test_simulate_and_iterate_load_no_scipy_integrate(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    for name in ("import", "simulate", "iterate"):
-        assert seen[name] == [0, []], name
-    rc, loaded = seen["verify"]
-    assert rc == 0 and "scipy.integrate" in loaded
+    assert set(seen) == {"import", "simulate", "iterate"} | (
+        set(VERIFY_CHECKS) - {"spectral_mass_contraction"})
+    for name, (rc, modules) in seen.items():
+        assert (rc, modules) == (0, []), name
 
 
 COUNTED_CACHES = {"_factor_tables", "grid_arrays", "k_power", "sobolev_weights",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqglab import inequalities
 from sqglab.errors import UsageError
 from sqglab.reports import field_from_witness
 from sqglab.inequalities import (
@@ -43,7 +44,7 @@ from sqglab.spectral import (
     sobolev_norm,
 )
 
-from oracles import full_k_power, half
+from oracles import full_k_power, half, quad_seminorm_sq
 
 GRID = GridSpec(64)
 
@@ -298,6 +299,54 @@ def test_gagliardo_equivalence_sweep():
     assert report.verdict
     assert report.measured_constant < 2.0  # worst window factor, frozen ~1.75
     assert report.witness["core_fraction"] < 1e-3
+
+
+S_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+@pytest.mark.parametrize("n", [2**12, 2**11])
+def test_seminorm_rule_matches_adaptive_quad(n):
+    # The Gauss-Legendre rule against adaptive quad at epsrel 1e-13, for the
+    # bumps of check_gagliardo_equivalence on its box and at half its grid.
+    grid = OneDGrid(n, 64.0 * math.pi)
+    for seed in range(8):
+        g = bump_field_1d(grid, np.random.default_rng(seed))
+        semi, delta, core = fractional_seminorm_sq(grid, g, S_VALUES)
+        for i, s in enumerate(S_VALUES):
+            want = quad_seminorm_sq(grid, g, s)
+            assert semi[i] == pytest.approx(want[0], rel=1e-12), (seed, s)
+            assert delta[i] == pytest.approx(want[1], rel=1e-9), (seed, s)
+            assert core[i] == pytest.approx(want[2], rel=1e-9), (seed, s)
+        one = fractional_seminorm_sq(grid, g, 0.3)
+        assert all(isinstance(v, float) for v in one)
+        assert one[0] == pytest.approx(semi[1], rel=1e-14)
+
+
+def test_seminorm_guard_fires_on_a_coarse_rule(monkeypatch):
+    # One panel per range leaves the far range's oscillation unresolved.
+    grid = OneDGrid(2**11, 64.0 * math.pi)
+    g = bump_field_1d(grid, np.random.default_rng(0))
+    monkeypatch.setattr(inequalities, "_even_edges", lambda a, b, n, rate: np.array([a, b]))
+    with pytest.raises(UsageError, match="did not converge"):
+        fractional_seminorm_sq(grid, g, 0.5)
+
+
+# details.ratios_by_s of check_gagliardo_equivalence at its defaults, as
+# adaptive quad (default tolerances) computed them.
+PINNED_GAGLIARDO_RATIOS = {
+    "0.1": [1.2526003180835699, 1.2854200816624233, 1.205758949011367],
+    "0.3": [1.7365276612631269, 1.747897906352354, 1.718350821253678],
+    "0.5": [1.5618688665871945, 1.563693605648439, 1.5586026444854924],
+    "0.7": [1.312282021881212, 1.3124752016656673, 1.3118950280073116],
+    "0.9": [1.0915084873603529, 1.0915184059335716, 1.0914862553352398],
+}
+
+
+def test_gagliardo_equivalence_reproduces_pinned_ratios():
+    ratios = check_gagliardo_equivalence().details["ratios_by_s"]
+    assert list(ratios) == list(PINNED_GAGLIARDO_RATIOS)
+    for s, pinned in PINNED_GAGLIARDO_RATIOS.items():
+        assert ratios[s] == pytest.approx(pinned, rel=1e-12), s
 
 
 # -- spectral mass contraction -------------------------------------------------

@@ -102,6 +102,20 @@ def test_nonlinear_forms_agree(rng):
         assert np.max(np.abs(a - b)) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("n", [32, 96, 128, 256])
+def test_nonlinear_term_keeps_both_quadratic_invariants(n):
+    # On dealiased data the truncated product is exact, so N = nonlinear_term
+    # is orthogonal to theta (energy) and to Lambda^{-1} theta (SQG's
+    # Hamiltonian, the H^{-1/2} norm).
+    grid = GridSpec(n)
+    for seed in range(3):
+        theta = power_law_field(grid, 2.5, np.random.default_rng(seed))
+        th, nl = full(theta), full(nonlinear_term(theta))
+        scale = np.linalg.norm(th) * np.linalg.norm(nl)
+        assert abs(np.vdot(th, nl).real) <= 1e-14 * scale, seed
+        assert abs(np.vdot(th * full_lattice(grid).inv_k_abs, nl).real) <= 1e-14 * scale, seed
+
+
 def test_nonlinear_term_pins_mean():
     theta = small_random(GRID, amp=1.0)
     out = nonlinear_term(theta)
