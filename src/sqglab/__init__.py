@@ -15,9 +15,6 @@ from .dyadic import (
     besov_norm,
     block_commutator,
     default_partition,
-    paraproduct_decompose,
-    project_block,
-    project_low,
     trilinear_form,
 )
 from .errors import (
@@ -127,11 +124,8 @@ __all__ = [
     "lp_norm",
     "mild_residual",
     "nonlinear_term",
-    "paraproduct_decompose",
     "picard_besov_sequence",
     "power_law_field",
-    "project_block",
-    "project_low",
     "riesz_perp",
     "run_simulation",
     "save_field",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import inequalities as lab
-from .dyadic import besov_norm, block_power_weights, default_partition
+from .dyadic import besov_norm, block_power_weights
 from .errors import GuardError, UsageError
 from .iterates import DEFAULT_S0, galerkin_sequence, picard_besov_sequence
 from .reports import RunManifest
@@ -60,15 +60,23 @@ _SOLVER_TYPES = {
     for f in dataclasses.fields(SolverConfig) if f.name != "grid"
 }
 
-#: The keys each config section knows (``initial_data``: the union over its
-#: kinds).  Any other key, there or at the top level, is a usage error.
+#: The keys each config section knows (``initial_data``: the keys every kind
+#: reads).  Any other key, there or at the top level, is a usage error.
 _SECTION_KEYS = {
     "grid": ("n", "period", "dealias_fraction"),
     "solver": tuple(_SOLVER_TYPES),
-    "initial_data": ("kind", "seed", "normalize", "amplitude", "alpha", "k_cut",
-                     "k_max", "j", "mode"),
+    "initial_data": ("kind", "seed", "normalize", "amplitude"),
     "iterate": ("n_min", "n_max", "s0", "p", "q"),
     "output": ("prefix", "save_final_state", "save_snapshots"),
+}
+
+#: The ``initial_data`` keys each kind reads besides those every kind reads.
+_KIND_KEYS = {
+    "power_law": ("alpha", "k_cut"),
+    "band_limited": ("k_max",),
+    "block": ("j",),
+    "low_pass": ("j",),
+    "single_mode": ("mode",),
 }
 
 
@@ -124,9 +132,15 @@ def _load_config(path: str) -> dict:
         )
     _reject_unknown("config", data, ("schema_version", *_SECTION_KEYS))
     for name, known in _SECTION_KEYS.items():
-        if not isinstance(data.get(name, {}), dict):
+        section = data.get(name, {})
+        if not isinstance(section, dict):
             raise UsageError(f"config section {name!r} must be a JSON object")
-        _reject_unknown(name, data.get(name, {}), known)
+        if name == "initial_data":
+            kind = section.get("kind", "power_law")
+            if not isinstance(kind, str) or kind not in _KIND_KEYS:
+                raise UsageError(f"unknown initial_data kind {kind!r}")
+            known += _KIND_KEYS[kind]
+        _reject_unknown(name, section, known)
     return data
 
 
@@ -210,7 +224,7 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
         field = gaussian_block_field(grid, read("j", 3, int), rng)
     elif kind == "low_pass":
         field = low_pass_field(grid, read("j", 3, int), rng)
-    elif kind == "single_mode":
+    else:  # single_mode, the last kind _load_config lets through
         mode = section.get("mode", [3, 2])
         if not isinstance(mode, list) or len(mode) != 2:
             raise UsageError(f"config initial_data.mode must be a pair, got {mode!r}")
@@ -219,8 +233,6 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
         k1, k2 = (_read("initial_data", "mode", m, float) * grid.freq_scale
                   for m in mode)
         field = forward_transform(np.cos(k1 * xx + k2 * yy), grid)
-    else:
-        raise UsageError(f"unknown initial_data kind {kind!r}")
     normalize = section.get("normalize")
     if normalize == "l2":
         field = field.with_coeffs(field.coeffs / sobolev_norm(field, 0.0))
@@ -436,8 +448,7 @@ def cmd_iterate(args, argv: list) -> int:
 
 def cmd_norms(args, argv: list) -> int:
     field = load_field(args.field)
-    gamma = args.gamma if args.gamma is not None else 0.5
-    partition = default_partition(field.grid)
+    gamma = args.gamma
     table = {
         "grid_n": field.grid.n,
         "period": field.grid.period,
@@ -447,9 +458,7 @@ def cmd_norms(args, argv: list) -> int:
         "linf": field_lp_norm(field, math.inf),
         "h_crit": sobolev_norm(field, 2.0 - gamma),
         "h_neg_half": sobolev_norm(field, -0.5, homogeneous=True),
-        "besov_crit": besov_norm(
-            field, 1.0 - gamma + 2.0 / 2.0, 2.0, 2.0, partition=partition
-        ),
+        "besov_crit": besov_norm(field, 1.0 - gamma + 2.0 / 2.0, 2.0, 2.0),
         "gamma": gamma,
     }
     text = json.dumps(table, indent=2, sort_keys=True)
@@ -503,7 +512,8 @@ def build_parser() -> _Parser:
     p_no = sub.add_parser("norms", help="norm table of a stored field")
     p_no.add_argument("field", help="binary field container path")
     p_no.add_argument("--json", default=None, help="also write the table here")
-    common(p_no)
+    p_no.add_argument("--gamma", type=float, default=0.5,
+                      help="gamma of the critical norms (default 0.5)")
 
     return parser
 

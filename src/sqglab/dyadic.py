@@ -1,10 +1,10 @@
 """Dyadic frequency calculus on the torus.
 
-Littlewood-Paley projections built from the frozen radial profile in
-:mod:`sqglab.spectral`, Besov norms, the Bony product splitting, a direct
-(double-sum) bilinear symbol evaluator used as an FFT-free oracle, and the
-two composite operators the analysis side of the package revolves around:
-a heat-weighted block commutator and a weighted trilinear pairing.
+Dyadic partitions of the frequency lattice, whose Littlewood-Paley symbols
+are built from the frozen radial profile in :mod:`sqglab.spectral`, Besov
+norms, and the two composite operators the analysis side of the package
+revolves around: a heat-weighted block commutator and a weighted trilinear
+pairing.
 
 Block ``j`` lives on the annulus ``2^(j-1) <= |k| <= (7/6) 2^j`` in
 physical frequency, so blocks two or more indices apart are exactly
@@ -15,10 +15,9 @@ reconstructs the identity to round-off.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .spectral import (
     PROFILE_OUTER,
     _capped_gevrey_weight,
     block_symbol,
-    forward_transform,
-    full_spectrum,
     grid_arrays,
     half_power,
     k_power,
@@ -46,22 +43,12 @@ from .spectral import (
 __all__ = [
     "DyadicPartition",
     "default_partition",
-    "project_block",
-    "project_low",
     "besov_norm",
     "block_power_weights",
     "half_besov_norm",
-    "ParaproductParts",
-    "paraproduct_decompose",
-    "BilinearSymbol",
-    "apply_bilinear_symbol",
     "block_commutator",
     "trilinear_form",
 ]
-
-#: Above this many (mode, mode) pairs the direct double sum emits a warning;
-#: ten times more is a hard error.  Direct summation is a desk-scale oracle.
-PAIR_WARN_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -107,16 +94,6 @@ def default_partition(grid: GridSpec) -> DyadicPartition:
     return DyadicPartition(grid, j_min, j_max)
 
 
-def project_block(field: SpectralField, j: int) -> SpectralField:
-    """Dyadic block ``P_j``: multiply by the band profile at scale ``2^j``."""
-    return SpectralField(field.grid, field.coeffs * block_symbol(field.grid, j))
-
-
-def project_low(field: SpectralField, j: int) -> SpectralField:
-    """Low-pass ``P_{<=j}``: multiply by the profile at scale ``2^j``."""
-    return SpectralField(field.grid, field.coeffs * low_pass_symbol(field.grid, j))
-
-
 @lru_cache(maxsize=16)
 def block_power_weights(partition: DyadicPartition) -> np.ndarray:
     """Read-only ``|phi_j|^2`` stack on the half spectrum, cached per partition.
@@ -133,22 +110,18 @@ def block_power_weights(partition: DyadicPartition) -> np.ndarray:
     return stack
 
 
-def besov_norm(field: SpectralField, s: float, p: float, q: float,
-               homogeneous: bool = False,
-               partition: Optional[DyadicPartition] = None) -> float:
-    """Besov norm from block L^p norms.
+def besov_norm(field: SpectralField, s: float, p: float, q: float) -> float:
+    """Inhomogeneous Besov norm from block L^p norms.
 
-    Inhomogeneous: ``|P_{<=0} f|_p + (sum_{j>=1} (2^{js} |P_j f|_p)^q)^(1/q)``.
-    Homogeneous: the block sum over every nonempty block, no low-pass term
-    (the mean is invisible to it).  ``q = inf`` takes the sup over blocks.
-    See :func:`half_besov_norm` for how the block norms are evaluated.
+    ``|P_{<=0} f|_p + (sum_{j>=1} (2^{js} |P_j f|_p)^q)^(1/q)``, the sup over
+    blocks for ``q = inf``.  See :func:`half_besov_norm` for how the block
+    norms are evaluated.
     """
-    part = partition or default_partition(field.grid)
-    return half_besov_norm(part, field.coeffs, s, p, q, homogeneous)
+    return half_besov_norm(default_partition(field.grid), field.coeffs, s, p, q)
 
 
 def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
-                    p: float, q: float, homogeneous: bool = False,
+                    p: float, q: float,
                     power: Optional[np.ndarray] = None) -> float:
     """Besov norm of the real field with half spectrum ``coeffs``.
 
@@ -161,7 +134,7 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
         raise UsageError(f"Besov norm needs q >= 1, got {q}")
     grid = partition.grid
     # Blocks below j_min are empty: their zero terms change no sum or sup.
-    j_lo = partition.j_min if homogeneous else max(1, partition.j_min)
+    j_lo = max(1, partition.j_min)
     blocks = range(j_lo, partition.j_max + 1)
     if p == 2.0:
         if power is None:
@@ -178,12 +151,10 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
         block_norms = norms[j_lo - partition.j_min : -1]
     else:
         syms = [block_symbol(grid, j) for j in blocks]
-        if not homogeneous:
-            syms.append(low_pass_symbol(grid, 0))
+        syms.append(low_pass_symbol(grid, 0))
         pieces = synthesize(grid, np.stack([sym * coeffs for sym in syms]))
         norms = [lp_norm(piece, p, grid.cell_area) for piece in pieces]
         block_norms = norms[: len(blocks)]
-    low_term = 0.0 if homogeneous else float(norms[-1])
     terms = [2.0 ** (j * s) * float(b) for j, b in zip(blocks, block_norms)]
     if not terms:
         tail = 0.0
@@ -191,204 +162,7 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
         tail = max(terms)
     else:
         tail = float(np.sum(np.asarray(terms) ** q)) ** (1.0 / q)
-    return low_term + tail
-
-
-# ---------------------------------------------------------------------------
-# Bony product splitting.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParaproductParts:
-    """The three dealiased pieces of a product: f*g = high_low + low_high + diagonal.
-
-    ``high_low`` pairs each block of ``f`` with strictly lower frequencies
-    of ``g`` (two indices down), ``low_high`` the reverse, ``diagonal`` the
-    comparable-frequency interactions (block index distance <= 1).
-    """
-
-    high_low: SpectralField
-    low_high: SpectralField
-    diagonal: SpectralField
-
-    def total(self) -> SpectralField:
-        return SpectralField(
-            self.high_low.grid,
-            self.high_low.coeffs + self.low_high.coeffs + self.diagonal.coeffs,
-        )
-
-
-def _dealias(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return coeffs * grid_arrays(grid).dealias_mask
-
-
-def paraproduct_decompose(f: SpectralField, g: SpectralField) -> ParaproductParts:
-    """Split the (dealiased) pointwise product of two fields Bony-style.
-
-    The mean is treated as the block below ``j_min`` so the three parts sum
-    exactly to the dealiased product.
-    """
-    if f.grid != g.grid:
-        raise UsageError("paraproduct needs both fields on the same grid")
-    grid = f.grid
-    part = default_partition(grid)
-    base = part.j_min - 1  # index of the low-pass "block" that holds the mean
-    top = part.j_max
-    idx = range(base, top + 1)
-
-    def blocks_of(field: SpectralField) -> dict[int, np.ndarray]:
-        out = {}
-        for i in idx:
-            if i == base:
-                piece = project_low(field, base)
-            else:
-                piece = project_block(field, i)
-            out[i] = piece.to_samples()
-        return out
-
-    def lows_of(field: SpectralField) -> dict[int, np.ndarray]:
-        return {
-            i: project_low(field, i).to_samples()
-            for i in range(base, top - 1)  # only S_{i-2} with i <= top is needed
-        }
-
-    fb, gb = blocks_of(f), blocks_of(g)
-    fl, gl = lows_of(f), lows_of(g)
-
-    n = grid.n
-    hi_lo = np.zeros((n, n))
-    lo_hi = np.zeros((n, n))
-    diag = np.zeros((n, n))
-    for i in idx:
-        if i - 2 >= base:
-            hi_lo += fb[i] * gl[i - 2]
-            lo_hi += gb[i] * fl[i - 2]
-        for i2 in (i - 1, i, i + 1):
-            if base <= i2 <= top:
-                diag += fb[i] * gb[i2]
-
-    def pack(samples: np.ndarray) -> SpectralField:
-        c = forward_transform(samples, grid).coeffs
-        return SpectralField(grid, _dealias(c, grid))
-
-    return ParaproductParts(pack(hi_lo), pack(lo_hi), pack(diag))
-
-
-# ---------------------------------------------------------------------------
-# Direct bilinear symbol evaluation (the FFT-free oracle).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BilinearSymbol:
-    """A two-frequency symbol ``sigma(xi, eta)`` with an optional ``xi`` band.
-
-    ``fn`` is vectorized: it receives ``xi`` and ``eta`` arrays of shape
-    ``(..., 2)`` (physical frequencies) and returns values of shape ``(...)``.
-    ``xi_band`` is a closed magnitude interval restricting which modes of the
-    first factor are summed at all; ``None`` means unrestricted.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    xi_band: Optional[tuple[float, float]] = None
-
-    @staticmethod
-    def one() -> "BilinearSymbol":
-        return BilinearSymbol(lambda xi, eta: np.ones(xi.shape[:-1]))
-
-    @staticmethod
-    def dissipation_phase(gamma: float) -> "BilinearSymbol":
-        """sigma(xi, eta) = |xi|^gamma + |eta|^gamma - |xi + eta|^gamma."""
-
-        def fn(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-            return (
-                _mag(xi) ** gamma + _mag(eta) ** gamma - _mag(xi + eta) ** gamma
-            )
-
-        return BilinearSymbol(fn)
-
-
-def _mag(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
-
-
-def apply_bilinear_symbol(sym: BilinearSymbol, f: SpectralField,
-                          g: SpectralField) -> SpectralField:
-    """Evaluate ``sum_{xi+eta=k} sigma(xi,eta) f^(xi) g^(eta)`` directly.
-
-    A literal double sum over populated mode pairs of the full lattice, in
-    coordinates built here: no FFT, no aliasing, no package table, exact up
-    to round-off, with a fixed (hence deterministic) accumulation order.
-    Output modes on or beyond the Nyquist lines are dropped, since their
-    partners are not on the lattice.  The sum must be a real field: a
-    symbol that breaks conjugate symmetry, such as an odd real one, raises
-    ``UsageError``.  Intended for band-limited inputs; the pair count is
-    guarded.
-    """
-    if f.grid != g.grid:
-        raise UsageError("bilinear symbol needs both fields on the same grid")
-    grid = f.grid
-    n = grid.n
-    lattice = np.fft.fftfreq(n, d=1.0 / n)
-    scale = grid.freq_scale
-
-    def populated(field: SpectralField, band) -> tuple[np.ndarray, np.ndarray]:
-        """Integer coordinates and coefficients of the modes that carry data."""
-        coeffs = full_spectrum(grid, field.coeffs)
-        mag = np.abs(coeffs)
-        top = float(mag.max())
-        if top == 0.0:
-            return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.complex128)
-        rows, cols = np.nonzero(mag > 1e-16 * top)
-        if band is not None:
-            k1, k2 = scale * lattice[rows], scale * lattice[cols]
-            k_abs = np.sqrt(k1 * k1 + k2 * k2)
-            keep = (k_abs >= band[0]) & (k_abs <= band[1])
-            rows, cols = rows[keep], cols[keep]
-        coords = np.stack([lattice[rows], lattice[cols]], axis=1).astype(np.int64)
-        return coords, coeffs[rows, cols]
-
-    fm, cf = populated(f, sym.xi_band)
-    gm, cg = populated(g, None)
-
-    pairs = fm.shape[0] * gm.shape[0]
-    if pairs > 10 * PAIR_WARN_LIMIT:
-        raise UsageError(
-            f"direct bilinear sum over {pairs} pairs refused; band-limit the inputs"
-        )
-    if pairs > PAIR_WARN_LIMIT:
-        warnings.warn(
-            f"direct bilinear sum over {pairs} pairs will be slow", stacklevel=2
-        )
-
-    out = np.zeros((n, n), dtype=np.complex128)
-    magnitude = 0.0  # sum of |term| over the kept pairs, the round-off scale
-    rows_per_chunk = max(1, 2_000_000 // max(1, gm.shape[0]))  # pairs per chunk
-    reach = n // 2 - 1
-    for start in range(0, fm.shape[0], rows_per_chunk):
-        stop = min(start + rows_per_chunk, fm.shape[0])
-        xi_int = fm[start:stop]                       # (a, 2)
-        sums = xi_int[:, None, :] + gm[None, :, :]     # (a, b, 2) integer lattice
-        vals = sym.fn(scale * xi_int[:, None, :].astype(float),
-                      scale * gm[None, :, :].astype(float))
-        vals = vals * cf[start:stop, None] * cg[None, :]
-        keep = np.all(np.abs(sums) <= reach, axis=-1)
-        if not np.any(keep):
-            continue
-        tgt = sums[keep]
-        np.add.at(out, (tgt[:, 0] % n, tgt[:, 1] % n), vals[keep])
-        magnitude += float(np.sum(np.abs(vals[keep])))
-    flip = (-np.arange(n)) % n
-    partner = np.conjugate(out[np.ix_(flip, flip)])
-    if float(np.max(np.abs(out - partner))) > 1e-10 * magnitude:
-        raise UsageError(
-            "direct bilinear sum is not conjugate-symmetric, so it is not a real "
-            "field; the symbol must satisfy sigma(-xi, -eta) = conj(sigma(xi, eta))"
-        )
-    out += partner
-    out *= 0.5
-    return SpectralField(grid, out[:, : n // 2 + 1])
+    return float(norms[-1]) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +209,14 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
 
 
 def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
-                   t: float, gamma: float, s: Optional[float] = None,
-                   weight: float = 1.0) -> float:
+                   t: float, gamma: float) -> float:
     """Weighted trilinear pairing of three fields.
 
-    Evaluates ``integral D^s(R_perp e^{-tA} g1 . grad e^{-tA} g2)
-    * D^s e^{tA} g3 dx`` with ``A = weight * D^gamma`` and default
-    ``s = 2 - gamma``.  The advective product is pseudospectral and
-    dealiased; the pairing is spectral (Parseval, on the half spectrum with
-    :func:`~sqglab.spectral.parseval_columns`).  The growing weight on
-    ``g3`` is guarded against the exponent cap, as in
+    Evaluates ``integral D^s(R_perp e^{-tD^gamma} g1 . grad e^{-tD^gamma} g2)
+    * D^s e^{tD^gamma} g3 dx`` with ``s = 2 - gamma``.  The advective product
+    is pseudospectral and dealiased; the pairing is spectral (Parseval, on
+    the half spectrum with :func:`~sqglab.spectral.parseval_columns`).  The
+    growing weight on ``g3`` is guarded against the exponent cap, as in
     :func:`~sqglab.spectral.gevrey_half_weight`.
     """
     if not (g1.grid == g2.grid == g3.grid):
@@ -452,13 +224,12 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     if t < 0.0:
         raise UsageError("trilinear form needs t >= 0")
     grid = g1.grid
-    if s is None:
-        s = 2.0 - gamma
+    s = 2.0 - gamma
 
-    decay = np.exp(-weight * t * k_power(grid, gamma))
+    decay = np.exp(-t * k_power(grid, gamma))
     prod, _ = transport(grid, g1.coeffs * decay, g2.coeffs * decay)
 
-    grown = g3.coeffs * _capped_gevrey_weight(grid, weight, t, gamma, g3.coeffs)[0]
+    grown = g3.coeffs * _capped_gevrey_weight(grid, 1.0, t, gamma, g3.coeffs)[0]
     # Real fields: each column 0 < m2 < n/2 stands for its conjugate partner
     # too, and the partner's term is the conjugate of this one.
     pair = prod * np.conj(grown)

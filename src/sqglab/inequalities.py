@@ -43,6 +43,12 @@ DEFAULT_GRID = GridSpec(128)
 # Dimensionless times for decay fits, in units of 2^{-j*gamma}.
 DECAY_TAU_GRID = (0.25, 0.5, 1.0, 2.0)
 
+# The swept values of the Gagliardo, L^q-semigroup and trilinear checks;
+# each report records its sweep under ``parameters``.
+GAGLIARDO_S_VALUES = (0.1, 0.3, 0.5, 0.7, 0.9)
+LQ_DECAY_Q_VALUES = (1.5, 2.0, 3.0, 6.0)
+TRILINEAR_J_VALUES = (2, 3, 4, 5)
+
 # Engineering stability windows; recorded in every report that uses one.
 STABILITY_FACTOR_DECAY = 0.5
 GAGLIARDO_WINDOW = 10.0
@@ -324,10 +330,7 @@ def check_max_point(
     )
 
 
-def counterexample_gamma2_q1(
-    grid: OneDGrid | None = None,
-    envelope_amplitude: float = 0.5,
-) -> InequalityReport:
+def counterexample_gamma2_q1() -> InequalityReport:
     """The gamma=2, q=1 failure: smooth f with int f'' sgn(f) dx = 0.
 
     Builds f = (3 sin x - sin 3x)/4 modulated by a positive long-wave
@@ -335,12 +338,10 @@ def counterexample_gamma2_q1(
     integration-by-parts gain vanishes identically for the Laplacian while
     the gamma=1.5 half-power analogue stays uniformly positive.
     """
-    grid = grid or OneDGrid(2**14, 4.0 * math.pi)
-    envelope_mode = 1
+    grid = OneDGrid(2**14, 4.0 * math.pi)
+    envelope_amplitude, envelope_mode = 0.5, 1
     k_env = envelope_mode * 2.0 * math.pi / grid.period
     envelope = 1.0 + envelope_amplitude * np.cos(k_env * grid.x)
-    if np.min(envelope) <= 0.0:
-        raise UsageError("envelope must stay positive")
     base = 0.25 * (3.0 * np.sin(grid.x) - np.sin(3.0 * grid.x))
     f = base * envelope
 
@@ -522,7 +523,6 @@ def _support_width(grid: OneDGrid, samples: np.ndarray) -> float:
 
 
 def check_gagliardo_equivalence(
-    s_values=(0.1, 0.3, 0.5, 0.7, 0.9),
     n_samples: int = 3,
     seed: int = 404,
 ) -> InequalityReport:
@@ -544,8 +544,8 @@ def check_gagliardo_equivalence(
         if grid.period < 16.0 * _support_width(grid, g):
             raise UsageError("box must be >= 16x the sample support")
         c = grid.coeffs(g)
-        seminorms = fractional_seminorm_sq(grid, g, s_values)
-        for s, semi2, delta, core_frac in zip(s_values, *seminorms):
+        seminorms = fractional_seminorm_sq(grid, g, GAGLIARDO_S_VALUES)
+        for s, semi2, delta, core_frac in zip(GAGLIARDO_S_VALUES, *seminorms):
             spectral = float(np.sum(np.abs(grid.k) ** (2.0 * s) * np.abs(c) ** 2))
             spectral *= grid.period
             ratio = semi2 * s * (1.0 - s) / spectral
@@ -563,7 +563,8 @@ def check_gagliardo_equivalence(
     verdict = worst_factor <= GAGLIARDO_WINDOW
     return InequalityReport(
         lemma_id="gagliardo_equiv",
-        parameters={"s_values": list(s_values), "n": grid.n, "period": grid.period},
+        parameters={"s_values": list(GAGLIARDO_S_VALUES), "n": grid.n,
+                    "period": grid.period},
         n_samples=n_samples,
         measured_constant=worst_factor,
         theoretical_bound=GAGLIARDO_WINDOW,
@@ -716,7 +717,6 @@ def check_lq_semigroup_decay(
     grid: GridSpec | None = None,
     j: int = 3,
     gamma: float = 0.5,
-    q_values=(1.5, 2.0, 3.0, 6.0),
     n_samples: int = 100,
     seed: int = 606,
 ) -> InequalityReport:
@@ -727,17 +727,15 @@ def check_lq_semigroup_decay(
     """
     grid = grid or DEFAULT_GRID
     _check_gamma_range(gamma)
-    for q in q_values:
-        if not 1.0 < q < math.inf:
-            raise UsageError(f"q must lie in (1, inf), got {q}")
     rng = np.random.default_rng(seed)
-    c_by_q = {q: _decay_sweep(grid, j, gamma, q, n_samples, rng)[0] for q in q_values}
+    c_by_q = {q: _decay_sweep(grid, j, gamma, q, n_samples, rng)[0]
+              for q in LQ_DECAY_Q_VALUES}
     values = list(c_by_q.values())
     uniform = _within_decay_spread(values)
     measured = float(np.min(values))
     return InequalityReport(
         lemma_id="lq_semigroup_decay",
-        parameters={"gamma": gamma, "j": j, "q_values": list(q_values)},
+        parameters={"gamma": gamma, "j": j, "q_values": list(LQ_DECAY_Q_VALUES)},
         n_samples=n_samples,
         measured_constant=measured,
         theoretical_bound="unknown",
@@ -777,7 +775,6 @@ def _phase_fd_constants(gamma: float) -> dict:
     |xi|^{|a|-gamma} over sample points; finite values confirm the symbol
     derivative bounds without symbolic differentiation.
     """
-    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     points = []
     for r in (1e-3, 1e-2, 1e-1):
         for phi in (0.0, 0.7, 2.1):
@@ -786,46 +783,33 @@ def _phase_fd_constants(gamma: float) -> dict:
                 eta = np.array([rho * math.cos(psi), rho * math.sin(psi)])
                 points.append((xi, eta))
 
+    def f(x_pt, e_pt):
+        return float(
+            dissipation_phase(x_pt[np.newaxis, :], e_pt[np.newaxis, :], gamma)[0]
+        )
+
+    def central(fun, slot, step, h):
+        """Central difference of ``fun`` along ``step`` (length ``h``) in its
+        argument ``slot``: 0 for xi, 1 for eta."""
+
+        def diff(*pt):
+            plus, minus = list(pt), list(pt)
+            plus[slot], minus[slot] = pt[slot] + step, pt[slot] - step
+            return (fun(*plus) - fun(*minus)) / (2 * h)
+
+        return diff
+
     def deriv(xi, eta, a, b) -> float:
-        # Nested central differences; steps scale with |xi| to stay in-regime.
-        hx = 1e-3 * float(np.linalg.norm(xi))
-        he = 1e-3
-
-        def f(x_pt, e_pt):
-            return float(
-                dissipation_phase(x_pt[np.newaxis, :], e_pt[np.newaxis, :], gamma)[0]
-            )
-
-        # Build the xi-derivative of requested multi-index, then eta.
-        def dx(fun, order):
+        # Nested central differences, the xi-derivative of multi-index a
+        # inside the eta-derivative of b; steps scale with |xi| to stay
+        # in-regime.
+        fun = f
+        for slot, order, h in ((0, a, 1e-3 * float(np.linalg.norm(xi))), (1, b, 1e-3)):
             for axis, count in enumerate(order):
+                step = np.zeros(2)
+                step[axis] = h
                 for _ in range(count):
-                    inner = fun
-                    ei = np.zeros(2)
-                    ei[axis] = hx
-                    fun = (
-                        lambda x_pt, e_pt, inner=inner, ei=ei: (
-                            inner(x_pt + ei, e_pt) - inner(x_pt - ei, e_pt)
-                        )
-                        / (2 * hx)
-                    )
-            return fun
-
-        def de(fun, order):
-            for axis, count in enumerate(order):
-                for _ in range(count):
-                    inner = fun
-                    ei = np.zeros(2)
-                    ei[axis] = he
-                    fun = (
-                        lambda x_pt, e_pt, inner=inner, ei=ei: (
-                            inner(x_pt, e_pt + ei) - inner(x_pt, e_pt - ei)
-                        )
-                        / (2 * he)
-                    )
-            return fun
-
-        fun = de(dx(f, a), b)
+                    fun = central(fun, slot, step, h)
         return fun(xi, eta)
 
     constants = {}
@@ -935,7 +919,6 @@ def check_trilinear_bounds(
     grid: GridSpec | None = None,
     gamma: float = 0.5,
     regime: str = "random",
-    j_values=(2, 3, 4, 5),
     n_samples: int = 8,
     seed: int = 707,
 ) -> InequalityReport:
@@ -964,20 +947,20 @@ def check_trilinear_bounds(
     by_j = {}
     peak_by_j = []
     worst = None
-    for j in j_values:
+    for j in TRILINEAR_J_VALUES:
         local = []
         for i in range(n_samples):
             if regime == "localized":
                 n0 = float(2**j)
                 g = band_limited_field(grid, n0, rng)
                 f = band_limited_field(grid, 2.0 * n0, rng)
-                value = abs(trilinear_form(g, g, f, t, gamma, s=s))
+                value = abs(trilinear_form(g, g, f, t, gamma))
                 l2_g = sobolev_norm(g, 0.0)
                 l2_f = sobolev_norm(f, 0.0)
                 bound = n0 ** (2.0 * s + 2.0) * l2_g**2 * l2_f
             else:
                 g, f = _trilinear_pair(grid, regime, j, rng)
-                value = abs(trilinear_form(g, f, f, t, gamma, s=s))
+                value = abs(trilinear_form(g, f, f, t, gamma))
                 bound = (
                     sobolev_norm(g, s, homogeneous=True)
                     * sobolev_norm(f, s + gamma / 2.0, homogeneous=True) ** 2
@@ -996,8 +979,9 @@ def check_trilinear_bounds(
     verdict = finite and growth <= TRILINEAR_SPREAD
     return InequalityReport(
         lemma_id="bilinear_ratio",
-        parameters={"gamma": gamma, "regime": regime, "j_values": list(j_values), "t": t},
-        n_samples=n_samples * len(j_values),
+        parameters={"gamma": gamma, "regime": regime,
+                    "j_values": list(TRILINEAR_J_VALUES), "t": t},
+        n_samples=n_samples * len(TRILINEAR_J_VALUES),
         measured_constant=float(np.max(ratios)),
         theoretical_bound="unknown",
         verdict=verdict,

@@ -106,25 +106,11 @@ def _require_mean_free(coeffs: np.ndarray) -> None:
         raise UsageError("field must be mean-free")
 
 
-def nonlinear_term(
-    theta: SpectralField, projection: int | None = None
-) -> SpectralField:
-    """-dealias(u . grad(theta)), the advective right-hand side.
-
-    With ``projection`` set, computes the frequency-truncated tendency
-    -P_{<=proj}(R_perp(P_{<=proj} theta) . grad(P_{<=proj} theta)) used by the
-    Galerkin scheme.
-    """
+def nonlinear_term(theta: SpectralField) -> SpectralField:
+    """-dealias(u . grad(theta)), the advective right-hand side."""
     _require_mean_free(theta.coeffs)
-    grid = theta.grid
-    half = theta.coeffs
-    if projection is not None:
-        low = low_pass_symbol(grid, projection)
-        half = half * low
-    rhs, _ = transport(grid, half, half)
-    if projection is not None:
-        rhs *= low
-    return SpectralField(grid, np.negative(rhs, out=rhs))
+    rhs, _ = transport(theta.grid, theta.coeffs, theta.coeffs)
+    return SpectralField(theta.grid, np.negative(rhs, out=rhs))
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ __all__ = [
     "gevrey_half_weight",
     "weighted_norm",
     "velocity",
-    "advect",
     "transport",
     "full_spectrum",
     "sobolev_norm",
@@ -685,8 +684,8 @@ def _block_velocity(block: _Block, source: np.ndarray, out: np.ndarray) -> Veloc
 
 def _block_advect(block: _Block, vel: Velocity, target: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
-    """:func:`advect` of ``target``, an array on ``block``, into ``out`` on
-    the block (which may be ``target``).
+    """Dealiased ``vel . grad target``, with ``target`` an array on
+    ``block``, into ``out`` on the block (which may be ``target``).
 
     The forward pass's block rows are gathered back times the mask; the
     second gradient is synthesized over ``samples[0]``.
@@ -710,66 +709,46 @@ def _block_advect(block: _Block, vel: Velocity, target: np.ndarray,
     return out
 
 
-def velocity(grid: GridSpec, source: np.ndarray, out: np.ndarray | None = None) -> Velocity:
+def velocity(grid: GridSpec, source: np.ndarray) -> Velocity:
     """Samples of ``R_perp source`` and ``max |R_perp source|``.
 
     ``source`` is the half spectrum of a real field; only its dealias block
     is read when it is zero outside it (:class:`_Block`).  Two transforms
     per call, none when ``source`` has no nonzero entry (then the samples
-    are zero).  The samples are fresh and read-only, so one velocity can
-    serve many :func:`advect` calls; with ``out``, a ``(2, n, n)`` array,
-    they are written there instead.
+    are zero).  The samples are fresh and read-only, so the solver can
+    advect several stages by one velocity.
     """
-    u = np.empty((2, grid.n, grid.n)) if out is None else out
+    u = np.empty((2, grid.n, grid.n))
     block = _block_of(grid, source)
     umax = _block_velocity(block, block.restrict(source, block.operand), u).umax
-    if out is None:
-        u.flags.writeable = False
+    u.flags.writeable = False
     return Velocity(u[0], u[1], umax)
 
 
-def advect(grid: GridSpec, vel: Velocity, target: np.ndarray,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased ``u . grad target`` for a :func:`velocity` ``u``.
+def transport(grid: GridSpec, source: np.ndarray,
+              target: np.ndarray) -> tuple[np.ndarray, float]:
+    """Dealiased advection of ``target`` by the velocity of ``source``.
 
-    Returns the rfft half spectrum (columns ``0..n/2``) of the product, with
-    columns 0 and n/2 exactly conjugate-symmetric and the mean mode pinned
-    to 0 (the product of a divergence-free velocity with a gradient has zero
-    mean).  ``target`` is read like :func:`velocity`'s source.  Three
-    transforms per call; none when ``vel.umax`` is 0, where every product is
-    zero and the result is an exact zero half spectrum.  The forward
-    transform computes only the block's columns: the mask zeroes the rest.
-
-    The result is fresh, or written into ``out``, an ``(n, n/2 + 1)`` array
-    that may be ``target`` itself.  The second gradient is synthesized into
-    the workspace samples that hold the velocity of :func:`transport`, so
-    such a velocity serves one call only.
+    Returns ``(dealias(R_perp source . grad target), max |R_perp source|)``
+    as a fresh rfft half spectrum (columns ``0..n/2``), with columns 0 and
+    n/2 exactly conjugate-symmetric and the mean mode pinned to 0 (the
+    product of a divergence-free velocity with a gradient has zero mean).
+    ``source`` and ``target`` are read like :func:`velocity`'s source.  Five
+    transforms per call, the velocity held in the workspace samples; none
+    past the velocity's when it is zero, where the result is an exact zero
+    half spectrum.  The forward transform computes only the block's
+    columns: the mask zeroes the rest.
     """
-    if out is None:
-        out = np.empty(target.shape, dtype=np.complex128)
+    block = _block_of(grid, source)
+    vel = _block_velocity(block, block.restrict(source, block.operand),
+                          _workspace(grid).samples[:2])
+    out = np.zeros(target.shape, dtype=np.complex128)
     if vel.umax == 0.0:
-        out.fill(0.0)
-        return out
+        return out, vel.umax
     block = _block_of(grid, target)
     product = _block_advect(block, vel, block.restrict(target, block.operand),
                             block.operand)
-    out.fill(0.0)
-    return block.embed(product, out)
-
-
-def transport(grid: GridSpec, source: np.ndarray, target: np.ndarray,
-              out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Dealiased advection of ``target`` by the velocity of ``source``.
-
-    Returns ``(dealias(R_perp source . grad target), max |R_perp source|)``:
-    :func:`advect` by the :func:`velocity` of ``source``, so five transforms
-    per call, the velocity held in the workspace.  The result is fresh, or
-    written into ``out`` (which may be ``source`` or ``target``).  Callers
-    that advect several targets by one frozen field call the two halves
-    themselves and synthesize its velocity once.
-    """
-    vel = velocity(grid, source, out=_workspace(grid).samples[:2])
-    return advect(grid, vel, target, out), vel.umax
+    return block.embed(product, out), vel.umax
 
 
 def full_spectrum(grid: GridSpec, half: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Each one evaluates its quantity the direct way, on the full n x n lattice
 with frequency tables built here: Sobolev sums over every mode, Besov block
 norms from the samples of each projected block (one complex inverse FFT per
 block), Gevrey weights from ``|k|^gamma`` computed in place, products with
-complex FFTs.  Package fields hold half spectra; they enter through
+complex FFTs or, in :func:`apply_bilinear_symbol`, as a literal double sum
+over mode pairs.  Package fields hold half spectra; they enter through
 :func:`full`, their Hermitian extension.  None of these reads the package's
 frequency or weight tables, except :func:`scipy_transport`, which replays
 the package's transport with whole-array transforms on the package's
@@ -13,12 +14,16 @@ package ``OneDGrid``.
 """
 
 import math
+import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from sqglab.dyadic import default_partition
+from sqglab.errors import UsageError
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_INNER,
@@ -28,6 +33,10 @@ from sqglab.spectral import (
     lp_norm,
     smoothstep,
 )
+
+#: Above this many (mode, mode) pairs the direct double sum emits a warning;
+#: ten times more is a hard error.  Direct summation is a desk-scale oracle.
+PAIR_WARN_LIMIT = 10_000_000
 
 
 @lru_cache(maxsize=16)
@@ -108,21 +117,18 @@ def full_sobolev_norm(field, r, homogeneous=False):
     return math.sqrt(field.grid.period**2 * float(np.sum(weights * mag2)))
 
 
-def besov_sample_oracle(field, s, p, q, homogeneous=False, partition=None):
-    """Besov norm from full-spectrum block samples, one inverse FFT per block."""
+def besov_sample_oracle(field, s, p, q, partition=None):
+    """Inhomogeneous Besov norm from full-spectrum block samples, one inverse
+    FFT per block, over the blocks ``1..j_max`` of ``partition``."""
     grid = field.grid
     part = partition or default_partition(grid)
     area = grid.cell_area
     coeffs = full(field)
-    low = 0.0
-    j_lo = part.j_min
-    if not homogeneous:
-        j_lo = 1
-        low = lp_norm(complex_samples(coeffs * full_profile(grid, "low_pass", 0)), p, area)
+    low = lp_norm(complex_samples(coeffs * full_profile(grid, "low_pass", 0)), p, area)
     terms = [
         2.0 ** (j * s)
         * lp_norm(complex_samples(coeffs * full_profile(grid, "block", j)), p, area)
-        for j in range(j_lo, part.j_max + 1)
+        for j in range(1, part.j_max + 1)
     ]
     if math.isinf(q):
         return low + max(terms)
@@ -156,7 +162,7 @@ def complex_fft_transport(grid, source, target):
     return out
 
 
-def nonlinear_term_divergence(theta, projection=None):
+def nonlinear_term_divergence(theta):
     """-dealias(div(u theta)) with complex FFTs on the full spectrum.
 
     An oracle independent of the solver's transport code: conservative
@@ -167,18 +173,101 @@ def nonlinear_term_divergence(theta, projection=None):
     n = grid.n
     ga = full_lattice(grid)
     coeffs = full(theta)
-    if projection is not None:
-        coeffs = coeffs * full_profile(grid, "low_pass", projection)
     th = complex_samples(coeffs)
     u1 = complex_samples((-1j) * ga.k2 * ga.inv_k_abs * coeffs)
     u2 = complex_samples((+1j) * ga.k1 * ga.inv_k_abs * coeffs)
     f1 = np.fft.fft2(u1 * th) / (n * n) * ga.dealias_mask
     f2 = np.fft.fft2(u2 * th) / (n * n) * ga.dealias_mask
     out = -(1j * ga.k1 * f1 + 1j * ga.k2 * f2)
-    if projection is not None:
-        out = out * full_profile(grid, "low_pass", projection)
     out[0, 0] = 0.0
     return out
+
+
+@dataclass(frozen=True)
+class BilinearSymbol:
+    """A two-frequency symbol ``sigma(xi, eta)``.
+
+    ``fn`` is vectorized: it receives ``xi`` and ``eta`` arrays of shape
+    ``(..., 2)`` (physical frequencies) and returns values of shape ``(...)``.
+    """
+
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    @staticmethod
+    def one() -> "BilinearSymbol":
+        return BilinearSymbol(lambda xi, eta: np.ones(xi.shape[:-1]))
+
+
+def apply_bilinear_symbol(sym, f, g):
+    """Evaluate ``sum_{xi+eta=k} sigma(xi,eta) f^(xi) g^(eta)`` directly.
+
+    A literal double sum over populated mode pairs of the full lattice, in
+    coordinates built here: no FFT, no aliasing, no package table, exact up
+    to round-off, with a fixed (hence deterministic) accumulation order.
+    Output modes on or beyond the Nyquist lines are dropped, since their
+    partners are not on the lattice.  The sum must be a real field: a
+    symbol that breaks conjugate symmetry, such as an odd real one, raises
+    ``UsageError``.  Intended for band-limited inputs; the pair count is
+    guarded.
+    """
+    if f.grid != g.grid:
+        raise UsageError("bilinear symbol needs both fields on the same grid")
+    grid = f.grid
+    n = grid.n
+    lattice = np.fft.fftfreq(n, d=1.0 / n)
+    scale = grid.freq_scale
+
+    def populated(field):
+        """Integer coordinates and coefficients of the modes that carry data."""
+        coeffs = full_spectrum(grid, field.coeffs)
+        mag = np.abs(coeffs)
+        top = float(mag.max())
+        if top == 0.0:
+            return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.complex128)
+        rows, cols = np.nonzero(mag > 1e-16 * top)
+        coords = np.stack([lattice[rows], lattice[cols]], axis=1).astype(np.int64)
+        return coords, coeffs[rows, cols]
+
+    fm, cf = populated(f)
+    gm, cg = populated(g)
+
+    pairs = fm.shape[0] * gm.shape[0]
+    if pairs > 10 * PAIR_WARN_LIMIT:
+        raise UsageError(
+            f"direct bilinear sum over {pairs} pairs refused; band-limit the inputs"
+        )
+    if pairs > PAIR_WARN_LIMIT:
+        warnings.warn(
+            f"direct bilinear sum over {pairs} pairs will be slow", stacklevel=2
+        )
+
+    out = np.zeros((n, n), dtype=np.complex128)
+    magnitude = 0.0  # sum of |term| over the kept pairs, the round-off scale
+    rows_per_chunk = max(1, 2_000_000 // max(1, gm.shape[0]))  # pairs per chunk
+    reach = n // 2 - 1
+    for start in range(0, fm.shape[0], rows_per_chunk):
+        stop = min(start + rows_per_chunk, fm.shape[0])
+        xi_int = fm[start:stop]                       # (a, 2)
+        sums = xi_int[:, None, :] + gm[None, :, :]     # (a, b, 2) integer lattice
+        vals = sym.fn(scale * xi_int[:, None, :].astype(float),
+                      scale * gm[None, :, :].astype(float))
+        vals = vals * cf[start:stop, None] * cg[None, :]
+        keep = np.all(np.abs(sums) <= reach, axis=-1)
+        if not np.any(keep):
+            continue
+        tgt = sums[keep]
+        np.add.at(out, (tgt[:, 0] % n, tgt[:, 1] % n), vals[keep])
+        magnitude += float(np.sum(np.abs(vals[keep])))
+    flip = (-np.arange(n)) % n
+    partner = np.conjugate(out[np.ix_(flip, flip)])
+    if float(np.max(np.abs(out - partner))) > 1e-10 * magnitude:
+        raise UsageError(
+            "direct bilinear sum is not conjugate-symmetric, so it is not a real "
+            "field; the symbol must satisfy sigma(-xi, -eta) = conj(sigma(xi, eta))"
+        )
+    out += partner
+    out *= 0.5
+    return SpectralField(grid, out[:, : n // 2 + 1])
 
 
 def parent_sampler_coeffs(grid, rng, profile):

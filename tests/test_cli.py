@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -169,6 +170,33 @@ def test_unknown_config_keys_exit_one(tmp_path, capsys, section, key):
         assert main([*command, "--output-dir", str(tmp_path)]) == 1
         assert f"unknown {section} keys: ['{key}']" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_manifest.json"))
+
+
+# Per kind, a key that only other kinds read: it would be ignored.
+@pytest.mark.parametrize("kind, key, value", [
+    ("power_law", "k_max", 5.0), ("band_limited", "alpha", 2.7), ("block", "mode", [1, 1]),
+    ("low_pass", "k_cut", 4.0), ("single_mode", "j", 3),
+])
+def test_initial_data_keys_the_kind_does_not_read_exit_one(tmp_path, capsys, kind, key,
+                                                            value):
+    cfg = write_config(tmp_path / "cfg.json")
+    config = json.loads(cfg.read_text())
+    config["initial_data"] = {"kind": kind, "seed": 3, "normalize": "l2", "amplitude": 0.5}
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 0
+    config["initial_data"][key] = value
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "stray"
+    assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 1
+    assert f"unknown initial_data keys: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_initial_data_kind_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", initial_data={"kind": "spiral"})
+    assert main(["simulate", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "unknown initial_data kind 'spiral'" in capsys.readouterr().err
 
 
 # One value of the wrong type per section.
@@ -386,6 +414,15 @@ def test_norms_reads_field(tmp_path, capsys):
     assert table["grid_n"] == 32
     assert table["l2"] > 0.0
     assert table["h_crit"] > table["l2"]
+
+
+@pytest.mark.parametrize("flag", [["--grid", "64"], ["--seed", "3"], ["--output-dir", "zzz"]])
+def test_norms_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    field = str(pathlib.Path(__file__).parent / "data" / "power_law_16.sqgf")
+    assert main(["norms", field, *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "zzz").exists()
 
 
 def test_bad_subcommand_exits_one(capsys):

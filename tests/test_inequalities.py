@@ -114,11 +114,6 @@ def test_lq_semigroup_decay_sweep():
     assert max(values) / min(values) < 2.0
 
 
-def test_lq_semigroup_rejects_endpoint_q():
-    with pytest.raises(UsageError):
-        check_lq_semigroup_decay(grid=GRID, q_values=(1.0,))
-
-
 @pytest.mark.parametrize("values, within", [
     ([0.8, 1.0, 1.4], True),
     ([0.6, 0.9, 1.0, 1.2], True),
@@ -247,11 +242,6 @@ def test_counterexample_gamma2():
     assert report.details["mass_in_window"] >= 0.999
 
 
-def test_counterexample_rejects_signed_envelope():
-    with pytest.raises(UsageError):
-        counterexample_gamma2_q1(envelope_amplitude=1.5)
-
-
 # -- Gagliardo seminorm -------------------------------------------------------
 
 
@@ -295,7 +285,7 @@ def test_seminorm_matches_spectral_at_half():
 
 
 def test_gagliardo_equivalence_sweep():
-    report = check_gagliardo_equivalence(n_samples=2, s_values=(0.3, 0.5, 0.7))
+    report = check_gagliardo_equivalence(n_samples=2)
     assert report.verdict
     assert report.measured_constant < 2.0  # worst window factor, frozen ~1.75
     assert report.witness["core_fraction"] < 1e-3
@@ -470,9 +460,7 @@ def test_phase_bounds_rejects_supercritical():
     "regime", ["random", "low_g_high_f", "high_g_low_f", "diagonal", "localized"]
 )
 def test_trilinear_regimes(regime):
-    report = check_trilinear_bounds(
-        grid=GRID, regime=regime, j_values=(2, 3), n_samples=3
-    )
+    report = check_trilinear_bounds(grid=GRID, regime=regime, n_samples=3)
     assert report.verdict, report.details
     assert report.details["growth"] <= report.details["growth_limit"]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sqglab.iterates as iterates_module
-from sqglab.dyadic import besov_norm, default_partition
+from sqglab.dyadic import besov_norm
 from sqglab.errors import CflGuardError, OverflowGuardError, UsageError
 from sqglab.iterates import (
     DEFAULT_S0,
@@ -310,10 +310,8 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
         theta0.coeffs * ka.dealias_mask * low_pass_symbol(grid, n + 2)
         for n in n_values
     ]
-    partition = default_partition(grid)
     data_diffs = [
-        besov_norm(SpectralField(grid, b - a), s0, p, math.inf,
-                   partition=partition)
+        besov_norm(SpectralField(grid, b - a), s0, p, math.inf)
         for a, b in zip(data_fields, data_fields[1:])
     ]
     trace.parameters["data_diffs_besov_s0"] = data_diffs

@@ -1,7 +1,8 @@
 """Knob lint: every optional parameter and defaulted dataclass field in
-``src/sqglab`` is set by at least one call in ``src/``, ``tests/`` or
-``perfbench/``.  A setting that no caller sets has one value in use and
-should be a constant.
+``src/sqglab`` is set by at least one call in ``src/`` or ``perfbench/``.
+A setting that no caller there sets has one value in use and should be a
+constant; a test that sets it does not count, since nothing a user runs
+reaches that value.
 
 Calls are matched by the callee's name (``f(...)`` or ``obj.f(...)``; a
 class name calls its ``__init__`` or its dataclass fields).  A parameter
@@ -13,10 +14,11 @@ that code assigns (``obj.field = ...``) or grows in place
 it counts as set too.
 
 Caller lint: every public top-level function and class of ``src/sqglab`` is
-referenced in code by some module in ``src/`` or ``perfbench/``.  Strings,
-``__all__`` and the ``__init__`` re-exports are not references; the entries
-of ``cli.VERIFY_CHECKS`` are.  The names that have no such caller are pinned,
-and the pinned set may only shrink.
+referenced in code by some module in ``src/`` or ``perfbench/``, the same
+callers as the knob lint's.  Strings, ``__all__`` and the ``__init__``
+re-exports are not references; the entries of ``cli.VERIFY_CHECKS`` are.
+The names that have no such caller are pinned, and the pinned set may only
+shrink.
 """
 
 import ast
@@ -26,17 +28,16 @@ from sqglab.cli import VERIFY_CHECKS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sqglab"
-CALLER_DIRS = ("src", "tests", "perfbench")
+#: The directories whose code counts as a caller, for both lints.
+CALLER_DIRS = ("src", "perfbench")
 
-#: Public names that no module in ``src/`` or ``perfbench/`` references:
-#: entry points that only tests and users call.
+#: Public names that no module in ``CALLER_DIRS`` references: entry points
+#: that only tests and users call.
 WITHOUT_A_CALLER = {
     "fitted_decay_rate",
     "riesz_perp",
     "conservation_report",
     "mild_residual",
-    "paraproduct_decompose",
-    "apply_bilinear_symbol",
     "block_commutator",
     "field_from_witness",
     "report_from_json",
@@ -151,9 +152,9 @@ def public_names() -> set:
 
 
 def referenced_names() -> set:
-    """Every name a module in ``src/`` or ``perfbench/`` loads in code."""
+    """Every name a module in ``CALLER_DIRS`` loads in code."""
     found = set()
-    for directory in ("src", "perfbench"):
+    for directory in CALLER_DIRS:
         for path in (ROOT / directory).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -167,7 +168,7 @@ def test_public_functions_without_a_caller_only_shrink():
     defined = public_names()
     uncalled = defined - referenced_names()
     assert uncalled <= WITHOUT_A_CALLER, (
-        "public names that nothing in src/ or perfbench/ calls; call them or "
+        f"public names that nothing in {CALLER_DIRS} calls; call them or "
         f"remove them: {sorted(uncalled - WITHOUT_A_CALLER)}"
     )
     assert WITHOUT_A_CALLER <= defined, (

@@ -6,14 +6,7 @@ left on the self-paired columns 0 and n/2)."""
 import numpy as np
 import pytest
 
-from sqglab.dyadic import (
-    BilinearSymbol,
-    apply_bilinear_symbol,
-    block_commutator,
-    paraproduct_decompose,
-    project_block,
-    project_low,
-)
+from sqglab.dyadic import block_commutator
 from sqglab.sampling import (
     band_limited_field,
     gaussian_block_field,
@@ -40,10 +33,6 @@ def data(grid, rng):
     return field.with_coeffs(field.coeffs * 0.3)
 
 
-def band_limited(grid, rng):
-    return project_low(forward_transform(rng.standard_normal((grid.n, grid.n)), grid), 2)
-
-
 def loaded(grid, rng, tmp_path):
     path = str(tmp_path / "field.sqgf")
     save_field(forward_transform(rng.standard_normal((grid.n, grid.n)), grid), path)
@@ -63,20 +52,9 @@ PRODUCERS = {
     "power_law_field": lambda g, rng, _: power_law_field(g, 2.0, rng),
     "forward_transform": lambda g, rng, _: forward_transform(
         rng.standard_normal((g.n, g.n)), g),
-    "project_block": lambda g, rng, _: project_block(data(g, rng), 3),
-    "project_low": lambda g, rng, _: project_low(data(g, rng), 2),
     "riesz_perp_1": lambda g, rng, _: riesz_perp(data(g, rng))[0],
     "riesz_perp_2": lambda g, rng, _: riesz_perp(data(g, rng))[1],
     "nonlinear_term": lambda g, rng, _: nonlinear_term(data(g, rng)),
-    "nonlinear_term_projected": lambda g, rng, _: nonlinear_term(data(g, rng), 2),
-    "paraproduct_high_low": lambda g, rng, _: paraproduct_decompose(
-        data(g, rng), data(g, rng)).high_low,
-    "paraproduct_low_high": lambda g, rng, _: paraproduct_decompose(
-        data(g, rng), data(g, rng)).low_high,
-    "paraproduct_diagonal": lambda g, rng, _: paraproduct_decompose(
-        data(g, rng), data(g, rng)).diagonal,
-    "apply_bilinear_symbol": lambda g, rng, _: apply_bilinear_symbol(
-        BilinearSymbol.dissipation_phase(0.5), band_limited(g, rng), band_limited(g, rng)),
     "block_commutator": lambda g, rng, _: block_commutator(
         data(g, rng), data(g, rng), 3, 0.05, 0.5),
     "load_field": loaded,

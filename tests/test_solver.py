@@ -95,11 +95,10 @@ def test_nonlinear_term_single_mode_vanishes():
 
 def test_nonlinear_forms_agree(rng):
     theta = small_random(GRID, amp=1.0)
-    for projection in (None, 3):
-        a = full(nonlinear_term(theta, projection))
-        b = nonlinear_term_divergence(theta, projection)
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) < 1e-10 * scale
+    a = full(nonlinear_term(theta))
+    b = nonlinear_term_divergence(theta)
+    scale = np.max(np.abs(a))
+    assert np.max(np.abs(a - b)) < 1e-10 * scale
 
 
 @pytest.mark.parametrize("n", [32, 96, 128, 256])
@@ -127,14 +126,6 @@ def test_nonlinear_term_requires_mean_free():
     c[0, 0] = 1.0
     with pytest.raises(UsageError):
         nonlinear_term(SpectralField(GRID, c))
-
-
-def test_nonlinear_projection_confines_support():
-    theta = small_random(GRID, amp=1.0)
-    out = nonlinear_term(theta, projection=2)
-    ka = grid_arrays(GRID)
-    outer = np.abs(out.coeffs)[ka.k_abs > 7.0 / 6.0 * 4.0]
-    assert np.max(outer) == 0.0
 
 
 def test_linear_flow_is_exact_per_mode():
