@@ -230,7 +230,7 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
             raise UsageError(f"config initial_data.mode must be a pair, got {mode!r}")
         x = grid.axis_points()
         xx, yy = np.meshgrid(x, x, indexing="ij")
-        k1, k2 = (_read("initial_data", "mode", m, float) * grid.freq_scale
+        k1, k2 = (_read("initial_data", "mode", m, int) * grid.freq_scale
                   for m in mode)
         field = forward_transform(np.cos(k1 * xx + k2 * yy), grid)
     normalize = section.get("normalize")
@@ -476,6 +476,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _gamma(text: str) -> float:
+    # The (0, 2] that SolverConfig enforces; NaN fails the comparison too.
+    value = float(text)
+    if not 0.0 < value <= 2.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 2], got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqglab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -512,7 +520,7 @@ def build_parser() -> _Parser:
     p_no = sub.add_parser("norms", help="norm table of a stored field")
     p_no.add_argument("field", help="binary field container path")
     p_no.add_argument("--json", default=None, help="also write the table here")
-    p_no.add_argument("--gamma", type=float, default=0.5,
+    p_no.add_argument("--gamma", type=_gamma, default=0.5,
                       help="gamma of the critical norms (default 0.5)")
 
     return parser

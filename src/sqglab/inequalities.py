@@ -135,10 +135,20 @@ def _decay_sweep(grid, j, gamma, q, n_samples, rng):
     return _block_sweep(grid, j, ops, statistic, n_samples, rng)["c"]
 
 
+def _median(values) -> float:
+    """What ``np.median`` gives, without the ``numpy.ma`` import it costs:
+    the middle value, or ``(a + b) / 2`` of the middle two."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _within_decay_spread(values) -> bool:
     """Positive median, every value within ``STABILITY_FACTOR_DECAY`` of it."""
+    med = _median(values)
     values = np.array(values)
-    med = float(np.median(values))
     return med > 0.0 and bool(
         np.all(np.abs(values - med) <= STABILITY_FACTOR_DECAY * med)
     )
@@ -773,20 +783,22 @@ def _phase_fd_constants(gamma: float) -> dict:
 
     For multi-indices |a|, |b| <= 2 measures max |d^a_xi d^b_eta sigma| *
     |xi|^{|a|-gamma} over sample points; finite values confirm the symbol
-    derivative bounds without symbolic differentiation.
+    derivative bounds without symbolic differentiation.  Every stencil
+    evaluation takes all sample points at once, as ``(points, 2)`` arrays:
+    289 calls of :func:`dissipation_phase` for the nine constants.
     """
-    points = []
+    xi_pts, eta_pts = [], []
     for r in (1e-3, 1e-2, 1e-1):
         for phi in (0.0, 0.7, 2.1):
-            xi = np.array([r * math.cos(phi), r * math.sin(phi)])
             for rho, psi in ((1.0, 0.3), (1.3, 1.9)):
-                eta = np.array([rho * math.cos(psi), rho * math.sin(psi)])
-                points.append((xi, eta))
+                xi_pts.append((r * math.cos(phi), r * math.sin(phi)))
+                eta_pts.append((rho * math.cos(psi), rho * math.sin(psi)))
+    xi, eta = np.array(xi_pts), np.array(eta_pts)
+    # |xi| of each point as the 1-d norm (a dot product) rounds it.
+    xi_abs = [float(np.linalg.norm(x)) for x in xi]
 
-    def f(x_pt, e_pt):
-        return float(
-            dissipation_phase(x_pt[np.newaxis, :], e_pt[np.newaxis, :], gamma)[0]
-        )
+    def f(x, e):
+        return dissipation_phase(x, e, gamma)
 
     def central(fun, slot, step, h):
         """Central difference of ``fun`` along ``step`` (length ``h``) in its
@@ -799,29 +811,28 @@ def _phase_fd_constants(gamma: float) -> dict:
 
         return diff
 
-    def deriv(xi, eta, a, b) -> float:
+    def deriv(a, b) -> list:
         # Nested central differences, the xi-derivative of multi-index a
-        # inside the eta-derivative of b; steps scale with |xi| to stay
-        # in-regime.
+        # inside the eta-derivative of b; xi-steps scale with each point's
+        # |xi| to stay in-regime.
         fun = f
-        for slot, order, h in ((0, a, 1e-3 * float(np.linalg.norm(xi))), (1, b, 1e-3)):
+        for slot, order, h in ((0, a, 1e-3 * np.array(xi_abs)), (1, b, 1e-3)):
             for axis, count in enumerate(order):
-                step = np.zeros(2)
-                step[axis] = h
+                step = np.zeros_like(xi)
+                step[:, axis] = h
                 for _ in range(count):
                     fun = central(fun, slot, step, h)
-        return fun(xi, eta)
+        return np.abs(fun(xi, eta)).tolist()
 
     constants = {}
     for a_total in range(3):
         for b_total in range(3):
+            weights = [x ** (a_total - gamma) for x in xi_abs]
             worst = 0.0
             for a in [(i, a_total - i) for i in range(a_total + 1)]:
                 for b in [(i, b_total - i) for i in range(b_total + 1)]:
-                    for xi, eta in points:
-                        val = abs(deriv(xi, eta, a, b))
-                        norm = float(np.linalg.norm(xi)) ** (a_total - gamma)
-                        worst = max(worst, val * norm)
+                    for val, weight in zip(deriv(a, b), weights):
+                        worst = max(worst, val * weight)
             constants[f"|a|={a_total},|b|={b_total}"] = worst
     return constants
 

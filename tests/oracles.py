@@ -10,7 +10,8 @@ over mode pairs.  Package fields hold half spectra; they enter through
 frequency or weight tables, except :func:`scipy_transport`, which replays
 the package's transport with whole-array transforms on the package's
 ``grid_arrays``, and :func:`quad_seminorm_sq`, which integrates on a
-package ``OneDGrid``.
+package ``OneDGrid``.  :func:`pointwise_phase_fd_constants` replays the
+phase-bound derivative stencil one sample point at a time.
 """
 
 import math
@@ -24,6 +25,7 @@ import numpy as np
 
 from sqglab.dyadic import default_partition
 from sqglab.errors import UsageError
+from sqglab.inequalities import dissipation_phase
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_INNER,
@@ -355,3 +357,59 @@ def quad_seminorm_sq(grid, samples, s):
             1.0 / (2.0 - 2.0 * s)
         )
     return tail + core, delta, core / (tail + core)
+
+
+def pointwise_phase_fd_constants(gamma):
+    """``inequalities._phase_fd_constants`` one sample point at a time: the
+    same points, steps and nested central differences, each stencil value a
+    ``dissipation_phase`` call on ``(1, 2)`` arrays (5 202 calls in all)."""
+    points = []
+    for r in (1e-3, 1e-2, 1e-1):
+        for phi in (0.0, 0.7, 2.1):
+            xi = np.array([r * math.cos(phi), r * math.sin(phi)])
+            for rho, psi in ((1.0, 0.3), (1.3, 1.9)):
+                eta = np.array([rho * math.cos(psi), rho * math.sin(psi)])
+                points.append((xi, eta))
+
+    def f(x_pt, e_pt):
+        return float(
+            dissipation_phase(x_pt[np.newaxis, :], e_pt[np.newaxis, :], gamma)[0]
+        )
+
+    def central(fun, slot, step, h):
+        """Central difference of ``fun`` along ``step`` (length ``h``) in its
+        argument ``slot``: 0 for xi, 1 for eta."""
+
+        def diff(*pt):
+            plus, minus = list(pt), list(pt)
+            plus[slot], minus[slot] = pt[slot] + step, pt[slot] - step
+            return (fun(*plus) - fun(*minus)) / (2 * h)
+
+        return diff
+
+    def deriv(xi, eta, a, b) -> float:
+        # Nested central differences, the xi-derivative of multi-index a
+        # inside the eta-derivative of b; steps scale with |xi| to stay
+        # in-regime.
+        fun = f
+        for slot, order, h in ((0, a, 1e-3 * float(np.linalg.norm(xi))), (1, b, 1e-3)):
+            for axis, count in enumerate(order):
+                step = np.zeros(2)
+                step[axis] = h
+                for _ in range(count):
+                    fun = central(fun, slot, step, h)
+        return fun(xi, eta)
+
+    constants = {}
+    for a_total in range(3):
+        for b_total in range(3):
+            worst = 0.0
+            for a in [(i, a_total - i) for i in range(a_total + 1)]:
+                for b in [(i, b_total - i) for i in range(b_total + 1)]:
+                    for xi, eta in points:
+                        val = abs(deriv(xi, eta, a, b))
+                        norm = float(np.linalg.norm(xi)) ** (a_total - gamma)
+                        worst = max(worst, val * norm)
+            constants[f"|a|={a_total},|b|={b_total}"] = worst
+    return constants
+

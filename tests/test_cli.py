@@ -416,13 +416,72 @@ def test_norms_reads_field(tmp_path, capsys):
     assert table["h_crit"] > table["l2"]
 
 
+NORMS_FIELD = str(pathlib.Path(__file__).parent / "data" / "power_law_16.sqgf")
+
+
 @pytest.mark.parametrize("flag", [["--grid", "64"], ["--seed", "3"], ["--output-dir", "zzz"]])
 def test_norms_rejects_flags_it_would_ignore(tmp_path, capsys, monkeypatch, flag):
     monkeypatch.chdir(tmp_path)
-    field = str(pathlib.Path(__file__).parent / "data" / "power_law_16.sqgf")
-    assert main(["norms", field, *flag]) == 1
+    assert main(["norms", NORMS_FIELD, *flag]) == 1
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "zzz").exists()
+
+
+# gamma outside the (0, 2] that simulate enforces: 5 printed an order -3
+# "h_crit", nan printed NaN, which is not JSON.
+@pytest.mark.parametrize("gamma", ["5", "nan", "0"])
+def test_norms_rejects_gamma_outside_solver_range(capsys, gamma):
+    assert main(["norms", NORMS_FIELD, "--gamma", gamma]) == 1
+    err = capsys.readouterr().err
+    assert "argument --gamma: must lie in (0, 2]" in err
+
+
+# The gamma-dependent entries as the table printed them before gamma was
+# range-checked; at gamma = 2 h_crit is the L2 norm.
+@pytest.mark.parametrize("gamma, h_crit, besov_crit", [
+    ("0.5", 5.419998828127361, 6.867932670486005),
+    ("2", 1.1312828837774427, 1.1019023354445034),
+])
+def test_norms_table_at_gamma_in_range(capsys, gamma, h_crit, besov_crit):
+    assert main(["norms", NORMS_FIELD, "--gamma", gamma]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["gamma"] == float(gamma)
+    assert table["h_crit"] == pytest.approx(h_crit, rel=1e-12)
+    assert table["besov_crit"] == pytest.approx(besov_crit, rel=1e-12)
+    assert table["l2"] == pytest.approx(1.1312828837774427, rel=1e-12)
+
+
+def single_mode_config(path, **initial_data):
+    cfg = write_config(path, grid={"n": 16})
+    config = json.loads(cfg.read_text())
+    config["initial_data"] = {"kind": "single_mode", **initial_data}
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+# A fractional wave number samples a cos(k.x) that is not periodic on the
+# torus: [1.5, 1] ran with the Gibbs overshoot linf 1.146 at t = 0, and
+# [1.5, 0] failed as "field must be mean-free".
+@pytest.mark.parametrize("mode", [[1.5, 1], [1.5, 0], [2, True]])
+def test_single_mode_rejects_non_integer_wave_numbers(tmp_path, capsys, mode):
+    cfg = single_mode_config(tmp_path / "cfg.json", mode=mode)
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 1
+    assert "config initial_data.mode must be int, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Integral wave numbers, as ints or as integral floats, and the default mode
+# [3, 2] run the same wave as before.
+@pytest.mark.parametrize("mode, same", [([2, 1], [2.0, 1.0]), (None, [3, 2])])
+def test_single_mode_integral_wave_numbers(tmp_path, mode, same):
+    series = []
+    for name, pair in (("a", mode), ("b", same)):
+        initial = {} if pair is None else {"mode": pair}
+        cfg = single_mode_config(tmp_path / f"{name}.json", **initial)
+        assert main(["simulate", str(cfg), "--output-dir", str(tmp_path / name)]) == 0
+        series.append((tmp_path / name / "run_series.csv").read_bytes())
+    assert series[0] == series[1]
 
 
 def test_bad_subcommand_exits_one(capsys):
@@ -444,7 +503,7 @@ _COLD_START = """
 import json, sys
 from sqglab import cli
 
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.special")
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "numpy.ma")
 
 
 def loaded():
@@ -464,11 +523,12 @@ print(json.dumps(seen))
 """
 
 
-def test_commands_load_no_scipy_integrate_optimize_or_special(tmp_path):
+def test_commands_load_no_scipy_integrate_optimize_special_or_numpy_ma(tmp_path):
     # A fresh interpreter, since this test session has scipy loaded already:
     # scipy.integrate and scipy.optimize are imported inside the functions
     # that call them, which no command reaches here, so neither they nor the
-    # scipy.special they pull in may load.  Only spectral_mass_contraction
+    # scipy.special they pull in may load.  No command takes a median with
+    # np.median, which would import numpy.ma.  Only spectral_mass_contraction
     # can reach brentq; the verify ids run one sample where they take a count.
     import sqglab
 

@@ -16,6 +16,8 @@ from sqglab.errors import UsageError
 from sqglab.reports import field_from_witness
 from sqglab.inequalities import (
     DECAY_TAU_GRID,
+    _median,
+    _phase_fd_constants,
     _within_decay_spread,
     check_ab_inequality,
     check_coercivity,
@@ -44,7 +46,7 @@ from sqglab.spectral import (
     sobolev_norm,
 )
 
-from oracles import full_k_power, half, quad_seminorm_sq
+from oracles import full_k_power, half, pointwise_phase_fd_constants, quad_seminorm_sq
 
 GRID = GridSpec(64)
 
@@ -127,6 +129,17 @@ def test_decay_spread_gate(values, within):
     # The gate behind heat_decay's "stable" and lq_semigroup_decay's
     # "q_uniform": both can read False.
     assert _within_decay_spread(values) is within
+
+
+@pytest.mark.parametrize("values", [
+    [0.3, 1.2, 0.7], [1 / 3, 2 / 3, 0.1 + 0.2], [0.6, 1.2, 0.9, 1.0],
+    [1 / 3, 0.1 + 0.2, 7 / 9, 2 / 3],
+    [0.0, 0.008215500510444285, 2.4475606623645962, 3.0],
+])
+def test_median_is_numpy_median(values):
+    # The lengths heat_decay (three j) and lq_semigroup_decay (four q) pass.
+    # In the last, a + (b - a) / 2 would round differently from (a + b) / 2.
+    assert _median(values) == float(np.median(values))
 
 
 # -- coercivity and scalar inequality ----------------------------------------
@@ -451,6 +464,29 @@ def test_phase_bounds_gamma_one_degenerates():
 def test_phase_bounds_rejects_supercritical():
     with pytest.raises(UsageError):
         check_phase_bounds(1.5)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9, 1.0])
+def test_phase_fd_constants_match_pointwise_stencil(gamma):
+    # All sample points per stencil evaluation, bit for bit what one point
+    # at a time gives.
+    assert _phase_fd_constants(gamma) == pointwise_phase_fd_constants(gamma)
+
+
+@pytest.mark.parametrize("gamma, calls", [(0.5, 290), (1.0, 291)])
+def test_phase_bounds_phase_budget(monkeypatch, gamma, calls):
+    # One call for the lower-bound sweep, 289 for the nine derivative
+    # constants (17 x 17 stencil evaluations over all points at once) and,
+    # at gamma = 1, one for the aligned cone.  One point at a time made 5 203.
+    counted = [0]
+
+    def phase(xi, eta, g):
+        counted[0] += 1
+        return dissipation_phase(xi, eta, g)
+
+    monkeypatch.setattr(inequalities, "dissipation_phase", phase)
+    check_phase_bounds(gamma)
+    assert counted[0] == calls
 
 
 # -- trilinear estimates ---------------------------------------------------------
