@@ -207,6 +207,9 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
         return _read("initial_data", key, section.get(key, default), kind, nullable)
 
     seed = read("seed", 0, int)
+    if seed < 0:
+        raise UsageError(f"config initial_data.seed must be a non-negative integer, "
+                         f"got {seed}")
     if getattr(args, "seed", None) is not None:
         seed = args.seed
     rng = np.random.default_rng(seed)
@@ -476,6 +479,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # numpy.random.default_rng takes no negative seed.
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text}")
+    return value
+
+
 def _gamma(text: str) -> float:
     # The (0, 2] that SolverConfig enforces; NaN fails the comparison too.
     value = float(text)
@@ -489,7 +504,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override RNG seed")
         p.add_argument("--grid", type=int, default=None, help="override grid size n")
         p.add_argument("--gamma", type=float, default=None, help="override gamma")
         p.add_argument(

@@ -20,14 +20,17 @@ from .errors import UsageError
 from .reports import InequalityReport, witness_from_field
 from .sampling import (
     OneDGrid,
+    _block_buffers,
     band_limited_field,
     bump_field_1d,
+    draw_coeffs,
     gaussian_block_field,
     low_pass_field,
 )
 from .spectral import (
     GridSpec,
     SpectralField,
+    _SupportSynthesis,
     analyze,
     grid_arrays,
     half_power,
@@ -82,14 +85,24 @@ def _block_sweep(grid, j, ops, statistic, n_samples, rng) -> dict:
     ``ops * f.coeffs``; ``statistic`` maps that stack to a dict of named
     values.  Returns ``{name: (minimum, field attaining it)}``, the first
     such field on ties; a value never below inf reads ``(inf, None)``.
+
+    The draw, the product and the samples go to buffers allocated once per
+    sweep, the product only on the support box of the block: a sample
+    becomes a field, a read-only copy, only when it sets a new minimum.
+    ``statistic`` must not keep the stack it is passed.
     """
     _check_sample_count(n_samples)
+    buffers = _block_buffers(grid, j)
+    stack_of = _SupportSynthesis(grid, ops, buffers.profile)
     worst = {}
     for _ in range(n_samples):
-        f = gaussian_block_field(grid, j, rng)
-        for name, value in statistic(synthesize(grid, ops * f.coeffs)).items():
+        coeffs = draw_coeffs(buffers, rng)
+        field = None
+        for name, value in statistic(stack_of(coeffs)).items():
             if value < worst.setdefault(name, (math.inf, None))[0]:
-                worst[name] = (value, f)
+                if field is None:
+                    field = SpectralField(grid, coeffs)
+                worst[name] = (value, field)
     return worst
 
 

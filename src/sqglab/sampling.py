@@ -5,7 +5,9 @@ reproducible from a single integer seed.  Each sampler draws complex
 Gaussian noise on the full lattice, as one ``(2, n, n)`` array of its real
 and imaginary planes, shapes it by a radial profile and keeps the real part
 of the resulting field, as a half spectrum built from the planes with
-slices: no full-lattice complex array is formed.  Fields are mean-free
+slices: no full-lattice complex array is formed.  All of them go through
+one draw, :func:`draw_coeffs`, into a :class:`SampleBuffers`; a block sweep
+reuses one set of buffers for all its samples.  Fields are mean-free
 unless stated otherwise.
 """
 
@@ -26,6 +28,8 @@ from .spectral import (
 )
 
 __all__ = [
+    "SampleBuffers",
+    "draw_coeffs",
     "gaussian_block_field",
     "band_limited_field",
     "low_pass_field",
@@ -35,21 +39,41 @@ __all__ = [
 ]
 
 
-def _finish(grid: GridSpec, noise: np.ndarray, profile: np.ndarray) -> SpectralField:
-    """The mean-free real part of ``noise * profile``, as a half spectrum.
+class SampleBuffers:
+    """What one draw of a field shaped by ``profile`` fills, allocated once:
+    each draw overwrites them (single-threaded use).
+
+    * ``noise``, ``(2, n, n)``: the real and imaginary planes of the
+      complex Gaussian draw;
+    * ``coeffs``, ``(n, n/2 + 1)``: the field's half spectrum;
+    * ``ahead``, ``(n, n/2 + 1)``: :func:`_finish`'s scratch.
+    """
+
+    def __init__(self, grid: GridSpec, profile: np.ndarray):
+        n = grid.n
+        shape = (n, n // 2 + 1)
+        self.grid, self.profile = grid, profile
+        self.noise = np.empty((2, n, n))
+        self.coeffs = np.empty(shape, np.complex128)
+        self.ahead = np.empty(shape, np.complex128)
+
+
+def _finish(buffers: SampleBuffers) -> np.ndarray:
+    """The mean-free real part of ``noise * profile``, as a half spectrum,
+    written into ``buffers.coeffs`` and returned.
 
     ``noise`` holds the real and imaginary planes of complex noise on the
-    full ``(n, n)`` lattice, as one ``(2, n, n)`` array, and ``profile``, an
-    even table, covers the half spectrum.  Each half-spectrum mode k gets
+    full ``(n, n)`` lattice, and ``profile``, an even table, covers the half
+    spectrum.  Each half-spectrum mode k gets
     ``0.5 * (conj(noise(-k) profile(k)) + noise(k) profile(k))``.
     """
-    n = grid.n
+    n = buffers.grid.n
     m = n // 2 + 1
     # c = noise(-k) and ahead = noise(k), filled plane by plane with slices:
     # on either axis the index of -i is 0 for i = 0 and n - i otherwise.
-    c = np.empty((n, m), np.complex128)
-    ahead = np.empty((n, m), np.complex128)
-    for plane, flipped, kept in zip(noise, (c.real, c.imag), (ahead.real, ahead.imag)):
+    c, ahead = buffers.coeffs, buffers.ahead
+    for plane, flipped, kept in zip(buffers.noise, (c.real, c.imag),
+                                    (ahead.real, ahead.imag)):
         flipped[0, 0] = plane[0, 0]
         flipped[0, 1:] = plane[0, : n - m : -1]
         flipped[1:, 0] = plane[:0:-1, 0]
@@ -57,21 +81,42 @@ def _finish(grid: GridSpec, noise: np.ndarray, profile: np.ndarray) -> SpectralF
         kept[...] = plane[:, :m]
     # Multiply, then conjugate: the other order gives equal values with other
     # zero signs, so the saved bytes of a field would change.
-    c *= profile
+    c *= buffers.profile
     np.conjugate(c, out=c)
-    ahead *= profile
+    ahead *= buffers.profile
     c += ahead
     c *= 0.5
     c[0, 0] = 0.0
-    # c is a fresh array: hand it over read-only so the field keeps it as is.
-    c.flags.writeable = False
-    return SpectralField(grid, c)
+    return c
 
 
-def _noise(grid: GridSpec, rng: np.random.Generator) -> np.ndarray:
-    """The real and imaginary planes of one complex Gaussian draw, as one
-    ``(2, n, n)`` array: the same bytes as two ``(n, n)`` draws in turn."""
-    return rng.standard_normal((2, grid.n, grid.n))
+def draw_coeffs(buffers: SampleBuffers, rng: np.random.Generator) -> np.ndarray:
+    """One draw into ``buffers``: its half spectrum, ``buffers.coeffs``,
+    which the next draw overwrites.
+
+    The noise is one ``(2, n, n)`` fill, the same bytes as two ``(n, n)``
+    draws in turn.
+    """
+    rng.standard_normal(out=buffers.noise)
+    return _finish(buffers)
+
+
+def _field(buffers: SampleBuffers, rng: np.random.Generator) -> SpectralField:
+    """One draw as a field; ``buffers`` must be fresh, as the field keeps
+    their half spectrum, read-only, as it is."""
+    coeffs = draw_coeffs(buffers, rng)
+    coeffs.flags.writeable = False
+    return SpectralField(buffers.grid, coeffs)
+
+
+def _block_buffers(grid: GridSpec, j: int) -> SampleBuffers:
+    """The :class:`SampleBuffers` of block-``j`` draws on ``grid``; errors
+    if the block misses the lattice entirely.  Private, so that a traced run
+    counts only the draws as ``sampling`` calls."""
+    sym = block_symbol(grid, j)
+    if not np.any(sym != 0.0):
+        raise UsageError(f"block {j} does not intersect the frequency lattice")
+    return SampleBuffers(grid, sym)
 
 
 def gaussian_block_field(grid: GridSpec, j: int,
@@ -82,10 +127,7 @@ def gaussian_block_field(grid: GridSpec, j: int,
     profile, so the result is exactly the block projection of a random
     field.  Errors if the block misses the lattice entirely.
     """
-    sym = block_symbol(grid, j)
-    if not np.any(sym != 0.0):
-        raise UsageError(f"block {j} does not intersect the frequency lattice")
-    return _finish(grid, _noise(grid, rng), sym)
+    return _field(_block_buffers(grid, j), rng)
 
 
 def band_limited_field(grid: GridSpec, k_max: float,
@@ -95,14 +137,14 @@ def band_limited_field(grid: GridSpec, k_max: float,
     mask = (ga.k_abs > 0.0) & (ga.k_abs <= k_max)
     if not np.any(mask):
         raise UsageError(f"no lattice frequencies below k_max={k_max}")
-    return _finish(grid, _noise(grid, rng), mask)
+    return _field(SampleBuffers(grid, mask), rng)
 
 
 def low_pass_field(grid: GridSpec, j: int,
                    rng: np.random.Generator) -> SpectralField:
     """Random field shaped by the low-pass profile at scale ``2^j``."""
     sym = low_pass_symbol(grid, j)
-    return _finish(grid, _noise(grid, rng), sym)
+    return _field(SampleBuffers(grid, sym), rng)
 
 
 def power_law_field(grid: GridSpec, alpha: float, rng: np.random.Generator,
@@ -118,7 +160,7 @@ def power_law_field(grid: GridSpec, alpha: float, rng: np.random.Generator,
     mask = (ga.k_abs > 0.0) & (ga.k_abs <= cut)
     with np.errstate(divide="ignore"):
         shape = np.where(mask, ga.k_abs ** (-alpha), 0.0)
-    return _finish(grid, _noise(grid, rng), shape)
+    return _field(SampleBuffers(grid, shape), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ frequency or weight tables, except :func:`scipy_transport`, which replays
 the package's transport with whole-array transforms on the package's
 ``grid_arrays``, and :func:`quad_seminorm_sq`, which integrates on a
 package ``OneDGrid``.  :func:`pointwise_phase_fd_constants` replays the
-phase-bound derivative stencil one sample point at a time.
+phase-bound derivative stencil one sample point at a time, and
+:func:`block_sweep_oracle` the block sweep one fresh field and one scanned
+full-spectrum product at a time, with the package's sampler and
+``synthesize``.
 """
 
 import math
@@ -26,6 +29,7 @@ import numpy as np
 from sqglab.dyadic import default_partition
 from sqglab.errors import UsageError
 from sqglab.inequalities import dissipation_phase
+from sqglab.sampling import gaussian_block_field
 from sqglab.spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_INNER,
@@ -34,6 +38,7 @@ from sqglab.spectral import (
     full_spectrum,
     lp_norm,
     smoothstep,
+    synthesize,
 )
 
 #: Above this many (mode, mode) pairs the direct double sum emits a warning;
@@ -413,3 +418,17 @@ def pointwise_phase_fd_constants(gamma):
             constants[f"|a|={a_total},|b|={b_total}"] = worst
     return constants
 
+
+
+def block_sweep_oracle(grid, j, ops, statistic, n_samples, rng):
+    """``inequalities._block_sweep`` with nothing reused between samples:
+    each sample a fresh ``gaussian_block_field`` f, its stack
+    ``synthesize(grid, ops * f.coeffs)`` over the whole half spectrum, and
+    the first field attaining each minimum kept."""
+    worst = {}
+    for _ in range(n_samples):
+        f = gaussian_block_field(grid, j, rng)
+        for name, value in statistic(synthesize(grid, ops * f.coeffs)).items():
+            if value < worst.setdefault(name, (math.inf, None))[0]:
+                worst[name] = (value, f)
+    return worst

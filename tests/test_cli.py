@@ -357,6 +357,62 @@ def test_verify_rejects_zero_samples(tmp_path, capsys):
     assert not (tmp_path / "verify_heat_decay.json").exists()
 
 
+# numpy.random.default_rng takes no negative seed; each way in rejects one as
+# a usage error before any output is written.
+@pytest.mark.parametrize("command, seed", [("verify", "-1"), ("simulate", "-2"),
+                                           ("verify", "x")])
+def test_bad_seed_flag_exits_one(tmp_path, capsys, command, seed):
+    argv = (["verify", "heat_decay"] if command == "verify"
+            else ["simulate", str(write_config(tmp_path / "cfg.json"))])
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", seed, "--output-dir", str(out)]) == 1
+    assert f"seed must be a non-negative integer, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["iterate", "galerkin"]])
+def test_negative_config_seed_exits_one(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", initial_data={"seed": -3})
+    out = tmp_path / "out"
+    assert main([*command, str(cfg), "--output-dir", str(out)]) == 1
+    assert ("config initial_data.seed must be a non-negative integer, got -3"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+# The sha256 of each block sweep's verify report at 8 samples and the default
+# seed, with its measured_constant: the report bytes, witness field included,
+# as the per-sample sweep wrote them.
+REPORT_DIGESTS = {
+    "heat_decay": (
+        "145b419be9c6985411fafbd02d1f5b9ebc5d7eb02c3dd7a455ec48e9fabb53e3",
+        0.860959421261619),
+    "lq_semigroup_decay": (
+        "2422ceda442dc57a31977730949c7e7ab0b6b53aef7d786a563d67adfb3d9fc7",
+        0.8839388000304279),
+    "coercivity_q": (
+        "c2fbb3282f56dd9d4557f4eb2da040465ff6c91fbfc09d8208114bf5e4561148",
+        0.9103940403557507),
+    "sign_integral_q1": (
+        "478918ea4530e0dec861096abf1bdfa17921cd4f1539ca1799d6dfe1ce0202d9",
+        0.9076264217411553),
+    "max_point_bound": (
+        "53bec808d5b14b303cb3a2612474da08a477416228904a4ccdfb007f7920e72c",
+        0.7748492035372837),
+}
+
+
+@pytest.mark.parametrize("lemma_id", sorted(REPORT_DIGESTS))
+def test_block_sweep_reports_keep_their_bytes(tmp_path, lemma_id):
+    digest, pinned = REPORT_DIGESTS[lemma_id]
+    assert main(["verify", lemma_id, "--n-samples", "8",
+                 "--output-dir", str(tmp_path)]) == 0
+    path = tmp_path / f"verify_{lemma_id}.json"
+    measured = json.loads(path.read_text())["measured_constant"]
+    assert sha256_of_file(str(path)) == digest, (
+        f"report bytes changed: measured_constant {measured!r}, pinned {pinned!r}")
+
+
 def test_verify_unknown_lemma_exits_one(capsys):
     assert main(["verify", "definitely_not_a_lemma"]) == 1
     assert "unknown lemma id" in capsys.readouterr().err

@@ -4,7 +4,9 @@ Each checker gets at least one input with a hand-computable answer and one
 frozen-seed sweep whose verdict (and rough constant) is pinned.
 """
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,10 @@ from sqglab.errors import UsageError
 from sqglab.reports import field_from_witness
 from sqglab.inequalities import (
     DECAY_TAU_GRID,
+    _block_sweep,
+    _decay_sweep,
     _median,
+    _operator_stack,
     _phase_fd_constants,
     _within_decay_spread,
     check_ab_inequality,
@@ -40,13 +45,22 @@ from sqglab.sampling import OneDGrid, bump_field_1d, gaussian_block_field
 from sqglab.spectral import (
     GridSpec,
     SpectralField,
+    _support_box,
+    block_symbol,
     field_lp_norm,
+    field_to_bytes,
     forward_transform,
     k_power,
     sobolev_norm,
 )
 
-from oracles import full_k_power, half, pointwise_phase_fd_constants, quad_seminorm_sq
+from oracles import (
+    block_sweep_oracle,
+    full_k_power,
+    half,
+    pointwise_phase_fd_constants,
+    quad_seminorm_sq,
+)
 
 GRID = GridSpec(64)
 
@@ -603,3 +617,102 @@ def test_reports_record_pinned_settings(lemma_id):
         for key in path.split("."):
             found = found[key]
         assert found == value, path
+
+
+# -- the block-sweep engine ----------------------------------------------------
+
+# At 128^2: block 3's box is 19 rows by 10 columns, block 5's 75 by 38, and
+# blocks 6 and 7 fill the half spectrum; block 7 has no mode on row 0, which
+# the box keeps.  At 16^2 block 3 fills it too.
+@pytest.mark.parametrize("n, j, rows, width", [
+    (128, 0, 3, 2), (128, 3, 19, 10), (128, 5, 75, 38), (128, 6, 128, 65),
+    (128, 7, 128, 65), (16, 3, 16, 9),
+])
+def test_support_box_holds_the_block(n, j, rows, width):
+    table = block_symbol(GridSpec(n), j)
+    top, bottom, w = _support_box(table)
+    assert (top + bottom, w) == (rows, width)
+    outside = np.ones(table.shape, bool)
+    outside[:top, :w] = outside[n - bottom :, :w] = False
+    assert not table[outside].any()
+
+
+#: The five checks whose statistics run through ``_block_sweep``.
+SWEEP_CHECKS = {
+    "heat_decay": check_heat_decay,
+    "lq_semigroup_decay": check_lq_semigroup_decay,
+    "coercivity_q": check_coercivity,
+    "sign_integral_q1": check_sign_integral,
+    "max_point_bound": check_max_point,
+}
+
+#: (grid n, j): the default block, blocks 5-7 at 128^2, block 3 at 16^2,
+#: whose box is the whole half spectrum, and j_min = 0 at 128^2.  heat_decay
+#: sweeps j, j + 1 and j + 2, so it takes j = 5 for blocks 5-7 and j = 1 for
+#: block 3 at 16^2.
+SWEEP_CASES = [(128, None), (128, 5), (128, 6), (128, 7), (16, 3), (128, 0)]
+
+
+def _sweep_cases():
+    for lemma_id in sorted(SWEEP_CHECKS):
+        for n, j in SWEEP_CASES:
+            if lemma_id == "heat_decay":
+                if j in (6, 7):
+                    continue
+                j = 1 if n == 16 else j
+            yield lemma_id, n, j
+
+
+@pytest.mark.parametrize("lemma_id, n, j", list(_sweep_cases()))
+def test_block_sweep_matches_the_oracle(monkeypatch, lemma_id, n, j):
+    # Every _block_sweep call also runs the oracle, on a copy of its
+    # generator: the same minima, and witnesses with the same bytes.
+    pairs = []
+
+    def both(grid, block, ops, statistic, n_samples, rng):
+        want = block_sweep_oracle(grid, block, ops, statistic, n_samples,
+                                  copy.deepcopy(rng))
+        got = _block_sweep(grid, block, ops, statistic, n_samples, rng)
+        pairs.append((got, want))
+        return got
+
+    monkeypatch.setattr(inequalities, "_block_sweep", both)
+    kwargs = {"grid": GridSpec(n), "n_samples": 5}
+    if j is not None:
+        kwargs["j"] = j
+    SWEEP_CHECKS[lemma_id](**kwargs)
+    assert pairs
+    for got, want in pairs:
+        assert got.keys() == want.keys()
+        for name, (value, field) in got.items():
+            assert value == want[name][0], name
+            assert field_to_bytes(field) == field_to_bytes(want[name][1]), name
+
+
+def test_block_sweep_transform_budget(count_transforms):
+    # One inverse transform per row of the operator stack and sample; the
+    # coercivity sweep adds one analyze call, two transforms, per sample.
+    grid = GridSpec(128)
+    kg = k_power(grid, 0.5)
+    ops = _operator_stack([np.exp(-t * kg) for t in (0.1, 0.2, 0.4)])
+    _, transforms = count_transforms(
+        _block_sweep, grid, 3, ops, lambda stack: {"x": float(stack[0, 0, 0])}, 7,
+        np.random.default_rng(0))
+    assert transforms == 4 * 7
+    _, transforms = count_transforms(check_coercivity, n_samples=6)
+    assert transforms == 2 * 6 + 2 * 6
+
+
+def test_block_sweep_memory_does_not_grow_with_samples():
+    def peak(n_samples):
+        tracemalloc.start()
+        try:
+            _decay_sweep(GridSpec(128), 3, 0.5, math.inf, n_samples,
+                         np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # builds the per-grid caches outside the measured runs
+    short, long = peak(20), peak(200)
+    assert long <= 1.2 * short, (short / 2**20, long / 2**20)

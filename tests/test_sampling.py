@@ -8,8 +8,10 @@ import pytest
 from sqglab.errors import UsageError
 from sqglab.sampling import (
     OneDGrid,
+    SampleBuffers,
     band_limited_field,
     bump_field_1d,
+    draw_coeffs,
     gaussian_block_field,
     low_pass_field,
     power_law_field,
@@ -176,11 +178,14 @@ def test_samplers_are_byte_identical_to_the_full_lattice_formula(kind, n):
 
 @pytest.mark.parametrize("n", [8, 64, 128])
 def test_one_plane_pair_draw_is_two_square_draws(n):
-    # The samplers draw their noise as one (2, n, n) array; the pinned stream
+    # The samplers fill their noise as one (2, n, n) buffer; the pinned stream
     # was two (n, n) draws in turn.  Same bytes, and the generator ends in the
     # same state.
     one, two = np.random.default_rng(n), np.random.default_rng(n)
-    planes = one.standard_normal((2, n, n))
+    grid = GridSpec(n)
+    buffers = SampleBuffers(grid, np.ones((n, n // 2 + 1)))
+    draw_coeffs(buffers, one)
+    planes = buffers.noise
     first, second = two.standard_normal((n, n)), two.standard_normal((n, n))
     assert planes[0].tobytes() == first.tobytes()
     assert planes[1].tobytes() == second.tobytes()
