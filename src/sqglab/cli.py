@@ -473,9 +473,12 @@ def cmd_norms(args, argv: list) -> int:
 
 
 def _count(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text}")
     return value
 
 
@@ -493,9 +496,12 @@ def _seed(text: str) -> int:
 
 def _gamma(text: str) -> float:
     # The (0, 2] that SolverConfig enforces; NaN fails the comparison too.
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 < value <= 2.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 2], got {value}")
+        raise argparse.ArgumentTypeError(f"must lie in (0, 2], got {text}")
     return value
 
 

@@ -27,8 +27,11 @@ from .spectral import (
     SpectralField,
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
+    _block_of,
     _capped_gevrey_weight,
+    _dealias_block,
     block_symbol,
+    gevrey_half_weight,
     grid_arrays,
     half_power,
     k_power,
@@ -120,15 +123,38 @@ def besov_norm(field: SpectralField, s: float, p: float, q: float) -> float:
     return half_besov_norm(default_partition(field.grid), field.coeffs, s, p, q)
 
 
+def _block_l2_norms(partition: DyadicPartition, power: np.ndarray) -> np.ndarray:
+    """``|P_j f|_2`` for every block ``j_min..j_max``, then ``|S_0 f|_2``.
+
+    Parseval sums of the :func:`block_power_weights` stack with ``power``,
+    a :func:`~sqglab.spectral.half_power` array on the half spectrum, or on
+    the dealias block when it has fewer than ``n`` rows.
+    """
+    grid = partition.grid
+    stack = block_power_weights(partition)
+    if power.shape[0] < grid.n:
+        stack = _dealias_block(grid, False).table(block_power_weights, partition)
+    flat = power.ravel()
+    stack = stack.reshape(len(stack), flat.size)
+    if np.all(np.isfinite(flat)):
+        sq = stack @ flat
+    else:
+        # A Gevrey-weighted power past double range: sum only where the
+        # block profile is nonzero, so 0 * inf adds nothing.
+        sq = np.array([np.sum(row[row > 0.0] * flat[row > 0.0]) for row in stack])
+    return np.sqrt(grid.period ** 2 * sq)
+
+
 def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
                     p: float, q: float,
                     power: Optional[np.ndarray] = None) -> float:
     """Besov norm of the real field with half spectrum ``coeffs``.
 
-    With ``p == 2`` every block norm comes from Parseval: one product of the
-    :func:`block_power_weights` stack with the field's half-spectrum power
-    (``power``, computed from ``coeffs`` when not given).  Otherwise the
-    block half spectra are synthesized as one stack and measured in L^p.
+    With ``p == 2`` every block norm comes from Parseval
+    (:func:`_block_l2_norms`) of the field's power: ``power`` when given,
+    on the half spectrum or on the dealias block, and ``coeffs`` is then
+    not read; else the power of ``coeffs``.  Otherwise the block half
+    spectra are synthesized as one stack and measured in L^p.
     """
     if q < 1.0:
         raise UsageError(f"Besov norm needs q >= 1, got {q}")
@@ -139,15 +165,7 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
     if p == 2.0:
         if power is None:
             power = half_power(grid, coeffs)
-        flat = power.ravel()
-        stack = block_power_weights(partition).reshape(-1, flat.size)
-        if np.all(np.isfinite(flat)):
-            sq = stack @ flat
-        else:
-            # A Gevrey-weighted power past double range: sum only where the
-            # block profile is nonzero, so 0 * inf adds nothing.
-            sq = np.array([np.sum(row[row > 0.0] * flat[row > 0.0]) for row in stack])
-        norms = np.sqrt(grid.period ** 2 * sq)
+        norms = _block_l2_norms(partition, power)
         block_norms = norms[j_lo - partition.j_min : -1]
     else:
         syms = [block_symbol(grid, j) for j in blocks]
@@ -163,6 +181,55 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
     else:
         tail = float(np.sum(np.asarray(terms) ** q)) ** (1.0 / q)
     return float(norms[-1]) + tail
+
+
+class _BlockRow:
+    """One state's diagnostics core: the norms of a row, taken on the modes
+    of its block (:func:`~sqglab.spectral._block_of`).
+
+    That is the dealias block for dealiased data and the whole half
+    spectrum for data with a mode outside it.  ``power`` is the state's
+    :func:`~sqglab.spectral.half_power` there; every weight table is
+    gathered onto the block once per grid and order (or per grid and
+    ``gamma``) by :meth:`~sqglab.spectral._Block.table`, none per ``t``.
+    """
+
+    def __init__(self, grid: GridSpec, gamma: float, half: np.ndarray):
+        self.grid, self.gamma, self.half = grid, gamma, half
+        self.partition = default_partition(grid)
+        self.block = _block_of(grid, half)
+        self.coeffs = self.block.restrict(half)
+        self.power = half_power(grid, self.coeffs)
+
+    def gevrey(self, lam: float, t: float) -> tuple:
+        """``(w, w^2 power)`` for the Gevrey weight ``w = exp(lam t |k|^gamma)``
+        on the block, with both guards of
+        :func:`~sqglab.spectral.gevrey_half_weight`."""
+        weight = gevrey_half_weight(self.grid, lam, t, self.gamma, self.coeffs)
+        power = self.power * weight
+        power *= weight
+        return weight, power
+
+    def sum(self, power: np.ndarray, r: float, homogeneous: bool = False) -> float:
+        """``period^2 sum(w power)``, ``w`` the Sobolev weights of order ``r``."""
+        weights = self.block.table(sobolev_weights, self.grid, r, homogeneous)
+        return self.grid.period ** 2 * float(np.vdot(weights, power))
+
+    def norm(self, power: np.ndarray, r: float, homogeneous: bool = False) -> float:
+        """The Sobolev norm of order ``r`` of the field with ``power``."""
+        return math.sqrt(self.sum(power, r, homogeneous))
+
+    def besov(self, s: float, p: float, q: float, power: np.ndarray,
+              weight: Optional[np.ndarray] = None) -> float:
+        """Besov norm of the state times ``weight`` (a :meth:`gevrey` weight,
+        or 1), whose power is ``power``: its block sums at ``p == 2``, else
+        the synthesized blocks of the weighted half spectrum."""
+        if p == 2.0:
+            return half_besov_norm(self.partition, self.coeffs, s, p, q, power=power)
+        coeffs = self.half
+        if weight is not None:
+            coeffs = self.block.embed(self.coeffs * weight, np.zeros_like(self.half))
+        return half_besov_norm(self.partition, coeffs, s, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +296,7 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     decay = np.exp(-t * k_power(grid, gamma))
     prod, _ = transport(grid, g1.coeffs * decay, g2.coeffs * decay)
 
-    grown = g3.coeffs * _capped_gevrey_weight(grid, 1.0, t, gamma, g3.coeffs)[0]
+    grown = g3.coeffs * _capped_gevrey_weight(k_power(grid, gamma), 1.0, t, g3.coeffs)[0]
     # Real fields: each column 0 < m2 < n/2 stands for its conjugate partner
     # too, and the partner's term is the conjugate of this one.
     pair = prod * np.conj(grown)

@@ -18,20 +18,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dyadic import default_partition, half_besov_norm
+from .dyadic import _BlockRow, default_partition, half_besov_norm
 from .errors import UsageError
 from .reports import IterateTrace, fit_log2
 from .solver import SolverConfig, Stepper
 from .spectral import (
     PROFILE_OUTER,
     SpectralField,
-    gevrey_half_weight,
     grid_arrays,
     half_power,
     low_pass_symbol,
-    sobolev_weights,
     velocity,
-    weighted_norm,
 )
 
 DEFAULT_S0 = 0.05
@@ -47,25 +44,19 @@ NORM_LABELS = (
 
 
 def _norm_row(half: np.ndarray, t: float, config: SolverConfig, s0: float) -> dict:
-    """Every norm of one half-spectrum state from its power and Gevrey weight."""
-    grid = config.grid
-    partition = default_partition(grid)
-    power = half_power(grid, half)
-    warm = gevrey_half_weight(grid, config.gevrey_epsilon0, t, config.gamma, half)
-    warm_power = power * warm
-    warm_power *= warm
-    w_l2 = sobolev_weights(grid, 0.0, False)
-    w_crit = sobolev_weights(grid, 2.0 - config.gamma, False)
+    """Every norm of one half-spectrum state, from its power and Gevrey
+    weight on its block (:class:`~sqglab.dyadic._BlockRow`)."""
+    row = _BlockRow(config.grid, config.gamma, half)
+    warm, warm_power = row.gevrey(config.gevrey_epsilon0, t)
+    crit = 2.0 - config.gamma
     p = config.besov_p
     return {
-        "l2": weighted_norm(grid, w_l2, power),
-        "h_crit": weighted_norm(grid, w_crit, power),
-        "besov_s0": half_besov_norm(partition, half, s0, p, math.inf, power=power),
-        "gevrey_l2": weighted_norm(grid, w_l2, warm_power),
-        "gevrey_h_crit": weighted_norm(grid, w_crit, warm_power),
-        "gevrey_besov_s0": half_besov_norm(
-            partition, half * warm, s0, p, math.inf, power=warm_power
-        ),
+        "l2": row.norm(row.power, 0.0),
+        "h_crit": row.norm(row.power, crit),
+        "besov_s0": row.besov(s0, p, math.inf, row.power),
+        "gevrey_l2": row.norm(warm_power, 0.0),
+        "gevrey_h_crit": row.norm(warm_power, crit),
+        "gevrey_besov_s0": row.besov(s0, p, math.inf, warm_power, warm),
     }
 
 

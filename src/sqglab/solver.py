@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicPartition, block_power_weights, default_partition, half_besov_norm
+from .dyadic import DyadicPartition, _BlockRow, _block_l2_norms, default_partition
 from .errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from .reports import write_timeseries_csv
 from .spectral import (
@@ -28,19 +28,16 @@ from .spectral import (
     _block_advect,
     _block_velocity,
     _dealias_block,
+    _peak_speed,
     _workspace,
     field_lp_norm,
-    gevrey_half_weight,
     grid_arrays,
-    half_power,
     k_power,
     low_pass_symbol,
     lp_norm,
-    sobolev_weights,
     synthesize,
     transport,
     velocity,
-    weighted_norm,
 )
 
 INTEGRATORS = ("if_rk4", "etd_rk2")
@@ -186,8 +183,10 @@ class Stepper:
     of a real field's coefficients.  The advecting field may be overridden
     per step (``advect_coeffs``, also a half spectrum), which turns the update
     into the linear advection-diffusion flow used by the Picard scheme; the
-    override is treated as frozen within the step, and its velocity is
-    synthesized once per stage time, not once per stage.
+    override is treated as frozen within the step.  The velocities of its
+    two ends are synthesized once each, and IF-RK4's mid-step velocity is
+    their mean in samples (:meth:`_ramp`), so a ramped IF-RK4 step makes
+    two transforms fewer than the autonomous one.
 
     The stages run on the step grid's dealias block (``spectral._Block``),
     the ``(2K + 1, K + 1)`` modes a dealiased tendency can occupy: the state
@@ -347,9 +346,11 @@ class Stepper:
         and end; all None without an override, all the start's without an
         end.
 
-        The stage field is interpolated on the spectrum, so each velocity is
-        synthesized from the field the stage would advect with; the mid
-        field is built in the workspace.
+        The end velocities are synthesized from the end fields.  R_perp and
+        the synthesis are linear, so the velocity of the mid field
+        ``(start + end) / 2`` is the mean of the end velocities: it is
+        formed in samples, in the workspace, with no transform, and its
+        peak speed is read for the CFL guard like any other.
         """
         times = 3 if mid else 2
         if start is None:
@@ -363,10 +364,12 @@ class Stepper:
             v1 = velocity(self.grid, end)
         if not mid:
             return v0, v1
-        # Halving the sum is exact, so this equals 0.5*start + 0.5*end.
-        middle = np.add(start, end, out=_workspace(self.grid).middle)
-        middle *= 0.5
-        return v0, velocity(self.grid, middle), v1
+        ws = _workspace(self.grid)
+        u = ws.mid_velocity
+        np.add(v0.u1, v1.u1, out=u[0])
+        np.add(v0.u2, v1.u2, out=u[1])
+        u *= 0.5
+        return v0, Velocity(u[0], u[1], _peak_speed(u[0], u[1], ws.samples[2])), v1
 
     # The stages below run in place, each operation in the order and with
     # the operands of the formula in its docstring, so the state is bitwise
@@ -504,49 +507,31 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     s_crit = 2.0 - config.gamma
     s_besov = 1.0 - config.gamma + 2.0 / config.besov_p
     area = grid.period**2
-    w_neg_half = sobolev_weights(grid, -0.5, True)
-    w_crit = sobolev_weights(grid, s_crit, False)
-    w_diss = sobolev_weights(grid, config.gamma / 2.0, True)
-    w_mid = sobolev_weights(grid, 2.0 - config.gamma / 2.0, False)
     block_names = [f"block_{j}_l2" for j in partition.block_indices()]
-    block_rows = block_power_weights(partition)[:-1].reshape(len(block_names), -1)
-    split_rows = None
-    if config.j0 is not None:
-        split_sym = low_pass_symbol(grid, config.j0)
-        split_rows = np.stack([split_sym**2, (1.0 - split_sym) ** 2]).reshape(2, -1)
 
     integral_state = {"value": 0.0, "last_t": None, "last_sq": None}
-    # Every emitted state is dealiased, so it vanishes past the dealias
-    # block's columns and its synthesis needs no column scan.
-    width = _dealias_block(grid, False).width
 
     def emit(t: float, half: np.ndarray) -> None:
-        """One diagnostics row: every column from one half-spectrum power."""
-        power = half_power(grid, half)
-        samples = synthesize(grid, half, width)
+        """One diagnostics row: every column from the state's power on its
+        block, and the samples, which vanish past the block's columns."""
+        row = _BlockRow(grid, config.gamma, half)
+        power = row.power
+        samples = synthesize(grid, half, row.block.width)
         cols["t"].append(t)
         for p, name in ((1.0, "l1"), (2.0, "l2"), (4.0, "l4"), (math.inf, "linf")):
             cols[name].append(lp_norm(samples, p, grid.cell_area))
-        cols["h_neg_half"].append(weighted_norm(grid, w_neg_half, power))
-        cols["h_crit"].append(weighted_norm(grid, w_crit, power))
-        warm = gevrey_half_weight(grid, config.gevrey_epsilon0, t, config.gamma, half)
-        warm_power = power * warm
-        warm_power *= warm
-        cols["gevrey_h_crit"].append(weighted_norm(grid, w_crit, warm_power))
+        cols["h_neg_half"].append(row.norm(power, -0.5, homogeneous=True))
+        cols["h_crit"].append(row.norm(power, s_crit))
+        warm, warm_power = row.gevrey(config.gevrey_epsilon0, t)
+        cols["gevrey_h_crit"].append(row.norm(warm_power, s_crit))
         if config.gevrey_epsilon0 == BESOV_GEVREY_WEIGHT:
             half_warm, half_warm_power = warm, warm_power
         else:
-            half_warm = gevrey_half_weight(grid, BESOV_GEVREY_WEIGHT, t, config.gamma, half)
-            half_warm_power = power * half_warm
-            half_warm_power *= half_warm
-        cols["besov_weighted"].append(
-            half_besov_norm(
-                partition, half * half_warm, s_besov, config.besov_p,
-                config.besov_q, power=half_warm_power,
-            )
-        )
-        cols["dissipation"].append(area * float(np.vdot(w_diss, power)))
-        warm_mid = area * float(np.vdot(w_mid, warm_power))
+            half_warm, half_warm_power = row.gevrey(BESOV_GEVREY_WEIGHT, t)
+        cols["besov_weighted"].append(row.besov(
+            s_besov, config.besov_p, config.besov_q, half_warm_power, half_warm))
+        cols["dissipation"].append(row.sum(power, config.gamma / 2.0, homogeneous=True))
+        warm_mid = row.sum(warm_power, 2.0 - config.gamma / 2.0)
         if integral_state["last_t"] is not None:
             dt_out = t - integral_state["last_t"]
             integral_state["value"] += (
@@ -555,13 +540,14 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
         integral_state["last_t"] = t
         integral_state["last_sq"] = warm_mid
         cols["gevrey_dissipation_integral"].append(integral_state["value"])
-        flat = power.ravel()
-        for name, sq in zip(block_names, block_rows @ flat):
-            cols[name].append(math.sqrt(area * sq))
-        if split_rows is not None:
-            low_sq, high_sq = split_rows @ flat
-            cols["split_low_l2"].append(math.sqrt(area * low_sq))
-            cols["split_high_l2"].append(math.sqrt(area * high_sq))
+        # The last norm, of the low-pass part, has no column.
+        for name, norm in zip(block_names, _block_l2_norms(partition, power)):
+            cols[name].append(float(norm))
+        if config.j0 is not None:
+            low = row.block.table(low_pass_symbol, grid, config.j0)
+            high = 1.0 - low
+            for name, part in (("split_low_l2", low), ("split_high_l2", high)):
+                cols[name].append(math.sqrt(area * float(np.vdot(part * part, power))))
 
     projection = None if config.galerkin_n is None else config.galerkin_n - 1
     stepper = Stepper(config, projection=projection)

@@ -300,15 +300,16 @@ def block_symbol(grid: GridSpec, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _capped_gevrey_weight(grid: GridSpec, lam: float, t: float, gamma: float,
+def _capped_gevrey_weight(kpow: np.ndarray, lam: float, t: float,
                           coeffs: np.ndarray) -> tuple:
-    """``(exp(lam t |k|^gamma), lam t |k|^gamma)`` on the half spectrum.
+    """``(exp(lam t |k|^gamma), lam t |k|^gamma)`` with ``kpow`` the table of
+    ``|k|^gamma`` on the modes of ``coeffs``.
 
     A mode whose exponent exceeds ``GEVREY_EXPONENT_CAP`` gets weight 0 if
-    it carries no data in the half spectrum ``coeffs``; if it does, raise.
+    it carries no data in ``coeffs``; if it does, raise.
     """
     cap = GEVREY_EXPONENT_CAP
-    expo = lam * t * k_power(grid, gamma)
+    expo = lam * t * kpow
     over = expo > cap
     if np.any(over):
         mag = np.abs(coeffs)
@@ -482,11 +483,13 @@ def half_power(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 
     ``parseval_columns * |c|^2`` over the half spectrum ``coeffs``, so that
     for any even weight g, ``period^2 * sum(g * P)`` is the full-lattice sum
-    ``period^2 * sum_k g |c(k)|^2``.
+    ``period^2 * sum_k g |c(k)|^2``.  ``coeffs`` may also be a field
+    restricted to a block (:class:`_Block`), whose columns are the first
+    ones of the half spectrum; the sums then run over the block.
     """
     power = coeffs.real * coeffs.real
     power += coeffs.imag * coeffs.imag
-    power *= parseval_columns(grid)
+    power *= parseval_columns(grid)[: coeffs.shape[-1]]
     return power
 
 
@@ -517,16 +520,22 @@ def weighted_norm(grid: GridSpec, weights: np.ndarray, power: np.ndarray) -> flo
 
 def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
                        coeffs: np.ndarray) -> np.ndarray:
-    """Gevrey weight ``exp(lam t |k|^gamma)`` on the half spectrum.
+    """Gevrey weight ``exp(lam t |k|^gamma)`` on the half spectrum, or on
+    the dealias block (:class:`_Block`) when ``coeffs`` has fewer than ``n``
+    rows.
 
-    Guarded for the real field with half spectrum ``coeffs``: modes past
-    the exponent cap get weight 0 if they carry no data, and raise
-    ``OverflowGuardError`` if they do.  A second guard keeps the weighted
-    power of the populated modes inside double range, with room for the
-    Parseval sums taken of it (``_weighted_amplitude_limit``), so the norms
-    built from it raise instead of overflowing into ``inf``.
+    Guarded for the real field with half spectrum ``coeffs`` (or with that
+    block, zero outside it): modes past the exponent cap get weight 0 if
+    they carry no data, and raise ``OverflowGuardError`` if they do.  A
+    second guard keeps the weighted power of the populated modes inside
+    double range, with room for the Parseval sums taken of it
+    (``_weighted_amplitude_limit``), so the norms built from it raise
+    instead of overflowing into ``inf``.
     """
-    weight, expo = _capped_gevrey_weight(grid, lam, t, gamma, coeffs)
+    kpow = k_power(grid, gamma)
+    if coeffs.shape[0] < grid.n:
+        kpow = _dealias_block(grid, False).table(k_power, grid, gamma)
+    weight, expo = _capped_gevrey_weight(kpow, lam, t, coeffs)
     mag = np.abs(coeffs)
     populated = mag > SUPPORT_THRESHOLD * float(mag.max())
     with np.errstate(over="ignore"):
@@ -600,7 +609,8 @@ class _Block:
     * ``halves``, ``(6, *shape)``: the stepper's stage buffers.
 
     Buffers are allocated empty or zeroed; the pages of one that is never
-    written never become resident.
+    written never become resident.  The real weight tables of the
+    diagnostics rows are gathered onto the block by :meth:`table`.
     """
 
     def __init__(self, grid: GridSpec, wide: bool):
@@ -631,6 +641,24 @@ class _Block:
         self.flip = np.empty((self.shape[0], 2 if has_nyquist else 1), np.complex128)
         self.operand = np.empty(self.shape, np.complex128)
         self.halves = np.empty((6,) + self.shape, np.complex128)
+        self._tables = {}
+
+    def table(self, build, *args) -> np.ndarray:
+        """The read-only half-spectrum table ``build(*args)`` (or stack of
+        them) on the block, gathered on the first call for those arguments.
+
+        ``build`` is one of the cached table functions, such as
+        :func:`sobolev_weights`; the whole half spectrum is its own block.
+        """
+        key = (build, *args)
+        out = self._tables.get(key)
+        if out is None:
+            out = build(*args)
+            if out.shape[-2:] != self.shape:
+                out = self.restrict(out, np.empty(out.shape[:-2] + self.shape))
+                out.flags.writeable = False
+            self._tables[key] = out
+        return out
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """A read-only complex copy of a half-spectrum table on the block."""
@@ -645,11 +673,12 @@ class _Block:
         return bool(coeffs[:, self.width :].any() or coeffs[gap].any())
 
     def restrict(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The block of ``coeffs`` (as :meth:`outside`), fresh or into ``out``."""
+        """The block of ``coeffs`` (as :meth:`outside`, over the last two
+        axes), fresh or into ``out``."""
         if out is None:
             out = np.empty(self.shape, np.complex128)
-        out[: self.top] = coeffs[: self.top, : self.width]
-        out[self.top :] = coeffs[coeffs.shape[0] - self.bottom :, : self.width]
+        out[..., : self.top, :] = coeffs[..., : self.top, : self.width]
+        out[..., self.top :, :] = coeffs[..., coeffs.shape[-2] - self.bottom :, : self.width]
         return out
 
     def embed(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -680,7 +709,8 @@ class _Workspace:
 
     * ``samples``, ``(3, n, n)``: a velocity, then the advective product;
     * ``rows``, ``(n, n/2 + 1)``: the row pass of the forward transform;
-    * ``middle``, ``(n, n/2 + 1)``: the stepper's mid-step advecting field;
+    * ``mid_velocity``, ``(2, n, n)``: the mid-step velocity of a Picard
+      step, the mean of its two end velocities;
     * ``finite``, ``(n, n + 2)`` booleans: the stepper's NaN guard, over
       the real and imaginary parts of a half spectrum.
     """
@@ -690,7 +720,7 @@ class _Workspace:
         shape = (n, n // 2 + 1)
         self.samples = np.empty((3, n, n))
         self.rows = np.empty(shape, np.complex128)
-        self.middle = np.empty(shape, np.complex128)
+        self.mid_velocity = np.empty((2, n, n))
         self.finite = np.empty((n, n + 2), dtype=bool)
 
 

@@ -492,6 +492,22 @@ def test_norms_rejects_gamma_outside_solver_range(capsys, gamma):
     assert "argument --gamma: must lie in (0, 2]" in err
 
 
+# A value that is no number at all: argparse named the private type
+# function ("invalid _count value: 'x'").
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "heat_decay", "--n-samples", "x"],
+     "argument --n-samples: must be an integer of at least 1, got x"),
+    (["verify", "heat_decay", "--n-samples", "2.5"],
+     "argument --n-samples: must be an integer of at least 1, got 2.5"),
+    (["norms", NORMS_FIELD, "--gamma", "x"], "argument --gamma: must lie in (0, 2], got x"),
+])
+def test_malformed_flag_values_name_the_flag(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid" not in err and "_count" not in err and "_gamma" not in err
+
+
 # The gamma-dependent entries as the table printed them before gamma was
 # range-checked; at gamma = 2 h_crit is the L2 norm.
 @pytest.mark.parametrize("gamma, h_crit, besov_crit", [

@@ -24,6 +24,7 @@ from sqglab.solver import SolverConfig, Stepper
 from sqglab.spectral import (
     PROFILE_OUTER,
     GridSpec,
+    _block_of,
     SpectralField,
     forward_transform,
     full_spectrum,
@@ -154,12 +155,10 @@ def test_grid_mismatch_rejected():
         picard_besov_sequence(wrong, range(0, 2), 2.0, 2.0, CFG)
 
 
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_norm_row_matches_oracle(p):
-    grid = GridSpec(64, period=3.0)
+def assert_norm_row_matches_oracle(field, p):
+    grid = field.grid
     cfg = SolverConfig(grid=grid, nu=1.0, gamma=0.5, dt=2e-3, t_final=0.02,
                        gevrey_epsilon0=0.3, besov_p=p)
-    field = power_law_field(grid, 2.2, np.random.default_rng(4))
     t, s0 = 0.7, 0.05
     warm = gevrey_warm(field, 0.3, t, 0.5)
     want = {
@@ -174,6 +173,24 @@ def test_norm_row_matches_oracle(p):
     assert set(got) == set(want)
     for label, value in want.items():
         assert got[label] == pytest.approx(value, rel=1e-12), label
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_norm_row_matches_oracle(p):
+    grid = GridSpec(64, period=3.0)
+    field = power_law_field(grid, 2.2, np.random.default_rng(4))
+    assert not _block_of(grid, field.coeffs).wide
+    assert_norm_row_matches_oracle(field, p)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_norm_row_of_undealiased_data_matches_oracle(p):
+    # Modes up to the Nyquist lines, outside the dealias block: the row
+    # must take the whole half spectrum, not drop them.
+    grid = GridSpec(64, period=3.0)
+    field = power_law_field(grid, 2.2, np.random.default_rng(4), k_cut=grid.n)
+    assert _block_of(grid, field.coeffs).wide
+    assert_norm_row_matches_oracle(field, p)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -388,13 +405,13 @@ def test_lockstep_picard_cfl_max_matches_sequential_steppers(monkeypatch):
     assert lockstep.cfl_max == max(s.cfl_max for s in made)
 
 
-@pytest.mark.parametrize("integrator, per_step", [("if_rk4", 16), ("etd_rk2", 8)])
+@pytest.mark.parametrize("integrator, per_step", [("if_rk4", 14), ("etd_rk2", 8)])
 def test_picard_transform_budget(integrator, per_step, count_transforms):
     # Iterate 0 advects with the zero field: no transform.  Every later
     # iterate synthesizes its first start velocity, then per step its end
-    # velocity (handed over as the next start), its mid velocity (IF-RK4
-    # only) and three transforms per stage.  With p = 2 the norm rows make
-    # none.
+    # velocity (handed over as the next start) and three transforms per
+    # stage; IF-RK4's mid velocity is the mean of the two end velocities,
+    # formed in samples.  With p = 2 the norm rows make none.
     cfg = replace(CFG, integrator=integrator)
     steps = int(round(cfg.t_final / cfg.dt))
     iterates = 3  # cutoffs 0..2, the most a 64^2 grid resolves

@@ -25,9 +25,11 @@ from sqglab.solver import (
     run_simulation,
     stepping_grid,
 )
+from sqglab import spectral
 from sqglab.spectral import (
     GridSpec,
     SpectralField,
+    Velocity,
     block_symbol,
     field_to_bytes,
     forward_transform,
@@ -280,6 +282,34 @@ def test_zero_ramp_step_is_the_heat_flow_and_keeps_the_nan_guard(
         stepper.step(coeffs, advect_coeffs=zero, advect_coeffs_end=zero)
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_ramp_mid_velocity_is_the_velocity_of_the_mid_field(wide):
+    # R_perp and the synthesis are linear, so the mean of the end velocities
+    # is the velocity of the mean field up to rounding, in every sample and
+    # in the peak speed the CFL guard reads.  With ``wide`` the end field
+    # has modes outside the dealias block, so its velocity is synthesized
+    # on the whole half spectrum.
+    mask = grid_arrays(GRID).dealias_mask
+    start = small_random(GRID, seed=6, amp=0.5).coeffs * mask
+    if wide:
+        end = power_law_field(GRID, 2.7, np.random.default_rng(7), k_cut=GRID.n).coeffs
+    else:
+        end = small_random(GRID, seed=7, amp=0.5).coeffs * mask
+    stepper = Stepper(SolverConfig(grid=GRID))
+    v0, mid, v1 = stepper._ramp(start, end, None, True)
+    want = velocity(GRID, 0.5 * (start + end))
+    assert want.umax > 0.0
+    for got, ref in ((mid.u1, want.u1), (mid.u2, want.u2)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * want.umax
+    assert mid.umax == pytest.approx(want.umax, rel=1e-14, abs=0.0)
+    # The end velocities are those of the end fields, and ETD-RK2's ramp
+    # has no mid stage.
+    for got, field in ((v0, start), (v1, end)):
+        ref = velocity(GRID, field)
+        assert np.array_equal(got.u1, ref.u1) and np.array_equal(got.u2, ref.u2)
+    assert len(stepper._ramp(start, end, None, False)) == 2
+
+
 @pytest.mark.parametrize("integrator, transforms", [("if_rk4", 20), ("etd_rk2", 10)])
 def test_autonomous_step_transform_budget(integrator, transforms, count_transforms):
     # Five transforms per stage: two for the velocity, two for the gradient
@@ -470,6 +500,30 @@ def test_emit_rows_match_old_emit(grid, besov_p, besov_q, eps0):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("besov_p", [2.0, 4.0])
+def test_emit_rows_of_undealiased_states_match_old_emit(besov_p, monkeypatch):
+    # run_simulation steps dealiased states only, so the stepper is replaced
+    # by one whose states gain modes up to the Nyquist lines, outside the
+    # dealias block: their rows must take the whole half spectrum.
+    grid = GridSpec(64, period=3.0)
+    theta = power_law_field(grid, 2.2, np.random.default_rng(8))
+    theta = theta.with_coeffs(theta.coeffs * 0.5 / sobolev_norm(theta, 0.0))
+    rough = power_law_field(grid, 2.2, np.random.default_rng(9), k_cut=grid.n).coeffs
+    rough = rough * (0.1 / np.max(np.abs(rough)))
+    assert spectral._block_of(grid, rough).wide
+    monkeypatch.setattr(Stepper, "step", lambda self, coeffs, dt=None: 0.9 * coeffs + rough)
+    cfg = SolverConfig(grid=grid, nu=0.5, gamma=0.5, dt=2e-3, t_final=0.01,
+                       gevrey_epsilon0=0.3, besov_p=besov_p, besov_q=math.inf, j0=3,
+                       output_stride=1, snapshot_stride=1)
+    series = run_simulation(theta, cfg)
+    assert not series.aborted and len(series.snapshots) == 6
+    want = old_emit_columns(cfg, series.snapshots)
+    assert set(want) == set(series.columns)
+    for name, values in want.items():
+        np.testing.assert_allclose(series.column(name), values, rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+
+
 def test_run_simulation_adds_no_symbol_cache_entries():
     theta = small_random(GRID, amp=0.3)
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=0.02,
@@ -522,7 +576,9 @@ def hermitian_extension(grid, half):
 class FullLatticeStepper:
     """The stepper as it was before the half-spectrum state: full (n, n)
     arrays, every transport product extended to the full lattice, every RK
-    stage done on all n^2 modes.  Guards left out."""
+    stage done on all n^2 modes.  Guards left out.  A frozen advecting
+    field ramps as the stepper's does: its end velocities are synthesized,
+    and its mid velocity is their mean in samples."""
 
     def __init__(self, config, projection=None):
         self.config = config
@@ -546,9 +602,25 @@ class FullLatticeStepper:
         return hermitian_extension(self.grid, transport(self.grid, source[:, :m],
                                                         target[:, :m])[0])
 
-    def rhs(self, coeffs, advect):
-        if advect is not None:
-            return -self.product(advect, coeffs)
+    def advect(self, vel, target):
+        """The transport product of a full array by a sampled velocity,
+        extended."""
+        half = target[:, : self.half]
+        block = spectral._block_of(self.grid, half)
+        product = spectral._block_advect(block, vel, block.restrict(half), block.operand)
+        return hermitian_extension(self.grid, block.embed(product, np.zeros_like(half)))
+
+    def ramp(self, adv0, adv1):
+        """Velocities at times 0, 1/2 and 1 of the step."""
+        if adv0 is None:
+            return None, None, None
+        v0, v1 = (velocity(self.grid, adv[:, : self.half]) for adv in (adv0, adv1))
+        u = 0.5 * (np.stack([v0.u1, v0.u2]) + np.stack([v1.u1, v1.u2]))
+        return v0, Velocity(u[0], u[1], float(np.hypot(u[0], u[1]).max())), v1
+
+    def rhs(self, coeffs, vel):
+        if vel is not None:
+            return -self.advect(vel, coeffs)
         if self.low is None:
             return -self.product(coeffs, coeffs)
         coeffs = coeffs * self.low
@@ -558,23 +630,18 @@ class FullLatticeStepper:
 
     def step(self, coeffs, adv0=None, adv1=None):
         dt = self.config.dt
-
-        def at(frac):
-            if adv0 is None:
-                return None
-            return (1.0 - frac) * adv0 + frac * adv1
-
+        v0, vh, v1 = self.ramp(adv0, adv1)
         if self.config.integrator == "if_rk4":
             e1, e2 = self.factors(dt)
-            m1 = self.rhs(coeffs, at(0.0))
-            m2 = self.rhs(e1 * (coeffs + 0.5 * dt * m1), at(0.5))
-            m3 = self.rhs(e1 * coeffs + 0.5 * dt * m2, at(0.5))
-            m4 = self.rhs(e2 * coeffs + dt * e1 * m3, at(1.0))
+            m1 = self.rhs(coeffs, v0)
+            m2 = self.rhs(e1 * (coeffs + 0.5 * dt * m1), vh)
+            m3 = self.rhs(e1 * coeffs + 0.5 * dt * m2, vh)
+            m4 = self.rhs(e2 * coeffs + dt * e1 * m3, v1)
             return e2 * coeffs + (dt / 6.0) * (e2 * m1 + 2.0 * e1 * (m2 + m3) + m4)
         ez, p1, p2 = self.factors(dt)
-        n0 = self.rhs(coeffs, at(0.0))
+        n0 = self.rhs(coeffs, v0)
         predictor = ez * coeffs + dt * p1 * n0
-        n1 = self.rhs(predictor, at(1.0))
+        n1 = self.rhs(predictor, v1)
         return predictor + dt * p2 * (n1 - n0)
 
 
@@ -641,8 +708,6 @@ def test_dealiased_steps_run_on_the_dealias_block(integrator, monkeypatch):
     # inverse pass of a dealiased step reads K + 1 columns of a spectrum
     # whose gap rows K+1..n-K-1 are zero; one mode a row or a column past
     # the block widens the step to the whole half spectrum.
-    from sqglab import spectral
-
     n, k = GRID.n, 21
     assert spectral._dealias_block(GRID, False).shape == (2 * k + 1, k + 1)
     assert spectral._dealias_block(GridSpec(256), False).shape == (171, 86)
