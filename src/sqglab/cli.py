@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import inequalities as lab
-from .dyadic import besov_norm, block_power_weights
+from .dyadic import block_power_weights, default_partition, half_besov_norm
 from .errors import GuardError, UsageError
 from .iterates import DEFAULT_S0, galerkin_sequence, picard_besov_sequence
 from .reports import RunManifest
@@ -43,11 +43,13 @@ from .spectral import (
     field_lp_norm,
     forward_transform,
     grid_arrays,
+    half_power,
     k_power,
     load_field,
     save_field,
     sobolev_norm,
     sobolev_weights,
+    weighted_norm,
 )
 
 CONFIG_SCHEMA_VERSION = 1
@@ -451,7 +453,8 @@ def cmd_iterate(args, argv: list) -> int:
 
 def cmd_norms(args, argv: list) -> int:
     field = load_field(args.field)
-    gamma = args.gamma
+    grid, gamma = field.grid, args.gamma
+    power = half_power(grid, field.coeffs)
     table = {
         "grid_n": field.grid.n,
         "period": field.grid.period,
@@ -459,9 +462,10 @@ def cmd_norms(args, argv: list) -> int:
         "l2": field_lp_norm(field, 2.0),
         "l4": field_lp_norm(field, 4.0),
         "linf": field_lp_norm(field, math.inf),
-        "h_crit": sobolev_norm(field, 2.0 - gamma),
+        "h_crit": weighted_norm(grid, sobolev_weights(grid, 2.0 - gamma), power),
         "h_neg_half": sobolev_norm(field, -0.5, homogeneous=True),
-        "besov_crit": besov_norm(field, 1.0 - gamma + 2.0 / 2.0, 2.0, 2.0),
+        "besov_crit": half_besov_norm(default_partition(grid), field.coeffs,
+                                      1.0 - gamma + 2.0 / 2.0, 2.0, 2.0, power=power),
         "gamma": gamma,
     }
     text = json.dumps(table, indent=2, sort_keys=True)

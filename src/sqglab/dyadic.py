@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -28,8 +29,11 @@ from .spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
     _block_of,
+    _block_samples,
     _capped_gevrey_weight,
     _dealias_block,
+    _weighted_amplitude_limit,
+    _workspace,
     block_symbol,
     gevrey_half_weight,
     grid_arrays,
@@ -123,57 +127,45 @@ def besov_norm(field: SpectralField, s: float, p: float, q: float) -> float:
     return half_besov_norm(default_partition(field.grid), field.coeffs, s, p, q)
 
 
+def _parseval_sums(stack: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``stack @ columns.T``: the sum of each weight row of ``stack``
+    (``(rows, modes)``) against each power row of ``columns`` (``(modes,)``
+    or ``(k, modes)``).
+
+    A Gevrey-weighted power past double range makes a column's sums
+    non-finite; that column is summed again only where each weight row is
+    nonzero, so 0 * inf adds nothing.
+    """
+    with np.errstate(invalid="ignore"):
+        sums = stack @ columns.T
+    if not np.isfinite(sums).all():
+        table, cols = sums.reshape(len(stack), -1), columns.reshape(-1, stack.shape[1])
+        for c in np.flatnonzero(~np.isfinite(table).all(axis=0)):
+            table[:, c] = [np.sum(row[row > 0.0] * cols[c][row > 0.0]) for row in stack]
+    return sums
+
+
 def _block_l2_norms(partition: DyadicPartition, power: np.ndarray) -> np.ndarray:
     """``|P_j f|_2`` for every block ``j_min..j_max``, then ``|S_0 f|_2``.
 
     Parseval sums of the :func:`block_power_weights` stack with ``power``,
-    a :func:`~sqglab.spectral.half_power` array on the half spectrum, or on
-    the dealias block when it has fewer than ``n`` rows.
+    a :func:`~sqglab.spectral.half_power` array on the half spectrum.
     """
     grid = partition.grid
-    stack = block_power_weights(partition)
-    if power.shape[0] < grid.n:
-        stack = _dealias_block(grid, False).table(block_power_weights, partition)
     flat = power.ravel()
-    stack = stack.reshape(len(stack), flat.size)
-    if np.all(np.isfinite(flat)):
-        sq = stack @ flat
-    else:
-        # A Gevrey-weighted power past double range: sum only where the
-        # block profile is nonzero, so 0 * inf adds nothing.
-        sq = np.array([np.sum(row[row > 0.0] * flat[row > 0.0]) for row in stack])
-    return np.sqrt(grid.period ** 2 * sq)
+    stack = block_power_weights(partition).reshape(-1, flat.size)
+    return np.sqrt(grid.period ** 2 * _parseval_sums(stack, flat))
 
 
-def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
-                    p: float, q: float,
-                    power: Optional[np.ndarray] = None) -> float:
-    """Besov norm of the real field with half spectrum ``coeffs``.
+def _besov_sum(partition: DyadicPartition, norms, s: float, q: float) -> float:
+    """The Besov norm from ``norms``: the L^p norm of each block
+    ``max(1, j_min)..j_max``, then of the low-pass(0) part.
 
-    With ``p == 2`` every block norm comes from Parseval
-    (:func:`_block_l2_norms`) of the field's power: ``power`` when given,
-    on the half spectrum or on the dealias block, and ``coeffs`` is then
-    not read; else the power of ``coeffs``.  Otherwise the block half
-    spectra are synthesized as one stack and measured in L^p.
+    Blocks below ``j_min`` are empty and blocks below 1 lie under the
+    low-pass term, so neither has a term.
     """
-    if q < 1.0:
-        raise UsageError(f"Besov norm needs q >= 1, got {q}")
-    grid = partition.grid
-    # Blocks below j_min are empty: their zero terms change no sum or sup.
-    j_lo = max(1, partition.j_min)
-    blocks = range(j_lo, partition.j_max + 1)
-    if p == 2.0:
-        if power is None:
-            power = half_power(grid, coeffs)
-        norms = _block_l2_norms(partition, power)
-        block_norms = norms[j_lo - partition.j_min : -1]
-    else:
-        syms = [block_symbol(grid, j) for j in blocks]
-        syms.append(low_pass_symbol(grid, 0))
-        pieces = synthesize(grid, np.stack([sym * coeffs for sym in syms]))
-        norms = [lp_norm(piece, p, grid.cell_area) for piece in pieces]
-        block_norms = norms[: len(blocks)]
-    terms = [2.0 ** (j * s) * float(b) for j, b in zip(blocks, block_norms)]
+    blocks = range(max(1, partition.j_min), partition.j_max + 1)
+    terms = [2.0 ** (j * s) * float(b) for j, b in zip(blocks, norms[:-1])]
     if not terms:
         tail = 0.0
     elif math.isinf(q):
@@ -183,53 +175,164 @@ def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
     return float(norms[-1]) + tail
 
 
-class _BlockRow:
-    """One state's diagnostics core: the norms of a row, taken on the modes
-    of its block (:func:`~sqglab.spectral._block_of`).
+def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
+                    p: float, q: float,
+                    power: Optional[np.ndarray] = None) -> float:
+    """Besov norm of the real field with half spectrum ``coeffs``.
 
-    That is the dealias block for dealiased data and the whole half
-    spectrum for data with a mode outside it.  ``power`` is the state's
-    :func:`~sqglab.spectral.half_power` there; every weight table is
-    gathered onto the block once per grid and order (or per grid and
-    ``gamma``) by :meth:`~sqglab.spectral._Block.table`, none per ``t``.
+    With ``p == 2`` every block norm comes from Parseval
+    (:func:`_block_l2_norms`) of the field's power: ``power`` when given,
+    and ``coeffs`` is then not read; else the power of ``coeffs``.
+    Otherwise the block half spectra are synthesized as one stack and
+    measured in L^p.
+    """
+    if q < 1.0:
+        raise UsageError(f"Besov norm needs q >= 1, got {q}")
+    grid = partition.grid
+    j_lo = max(1, partition.j_min)
+    if p == 2.0:
+        if power is None:
+            power = half_power(grid, coeffs)
+        norms = _block_l2_norms(partition, power)[j_lo - partition.j_min :]
+    else:
+        syms = [block_symbol(grid, j) for j in range(j_lo, partition.j_max + 1)]
+        syms.append(low_pass_symbol(grid, 0))
+        pieces = synthesize(grid, np.stack([sym * coeffs for sym in syms]))
+        norms = [lp_norm(piece, p, grid.cell_area) for piece in pieces]
+    return _besov_sum(partition, norms, s, q)
+
+
+class _RowCore:
+    """The diagnostics rows of one run: every norm column of a state from
+    one product of a table stack with its powers, on its block.
+
+    Built once per run (``simulate``'s, or an iterate sweep's) for its
+    grid, ``gamma``, the Sobolev ``orders`` (``(r, homogeneous)`` pairs) of
+    its columns, the Gevrey rates ``lams`` it weighs with and the split
+    block ``j0`` (or None).  A state runs on its block
+    (:func:`~sqglab.spectral._block_of`): the dealias block for dealiased
+    data, the whole half spectrum for data with a mode outside it.  Per
+    block, built when a state first needs it, the core holds the read-only
+    stack ``T``, one weight table per row:
+
+    * the Sobolev weights of each order, in the order given;
+    * the :func:`block_power_weights` rows: block ``j_min..j_max``, then the
+      squared low-pass(0) profile (``blocks`` slices them out);
+    * with ``j0``, ``low^2`` and ``(1 - low)^2`` for the low-pass ``low``
+      of ``j0``, last;
+
+    with the ``|k|^gamma`` table there and the buffers a row writes.  Nothing
+    is keyed on ``t``.  Single-threaded, like the block buffers it uses.
     """
 
-    def __init__(self, grid: GridSpec, gamma: float, half: np.ndarray):
-        self.grid, self.gamma, self.half = grid, gamma, half
+    def __init__(self, grid: GridSpec, gamma: float, orders, lams, j0=None):
+        self.grid, self.gamma, self.orders, self.lams, self.j0 = grid, gamma, orders, lams, j0
         self.partition = default_partition(grid)
-        self.block = _block_of(grid, half)
-        self.coeffs = self.block.restrict(half)
-        self.power = half_power(grid, self.coeffs)
+        first = len(orders)
+        self.blocks = slice(first, first + len(block_power_weights(self.partition)))
+        self.limit = _weighted_amplitude_limit(grid)
+        self._packs, self._loaded = {}, None
 
-    def gevrey(self, lam: float, t: float) -> tuple:
-        """``(w, w^2 power)`` for the Gevrey weight ``w = exp(lam t |k|^gamma)``
-        on the block, with both guards of
-        :func:`~sqglab.spectral.gevrey_half_weight`."""
-        weight = gevrey_half_weight(self.grid, lam, t, self.gamma, self.coeffs)
-        power = self.power * weight
-        power *= weight
-        return weight, power
+    def _pack(self, wide: bool) -> SimpleNamespace:
+        pack = self._packs.get(wide)
+        if pack is None:
+            grid = self.grid
+            block = _dealias_block(grid, wide)
+            tables = [sobolev_weights(grid, r, homogeneous) for r, homogeneous in self.orders]
+            tables += list(block_power_weights(self.partition))
+            if self.j0 is not None:
+                low = low_pass_symbol(grid, self.j0)
+                high = 1.0 - low
+                tables += [low * low, high * high]
+            stack = np.empty((len(tables),) + block.shape)
+            for table, row in zip(tables, stack):
+                block.restrict(table, row)
+            kpow = block.restrict(k_power(grid, self.gamma), np.empty(block.shape))
+            for table in (stack, kpow):
+                table.flags.writeable = False
+            size = kpow.size
+            pack = SimpleNamespace(
+                block=block, stack=stack.reshape(len(tables), size), kpow=kpow,
+                kpow_max=float(kpow.max()),
+                coeffs=np.empty(block.shape, np.complex128),
+                # [P, W for each rate], flat, and each rate's weight.
+                powers=np.empty((1 + len(self.lams), size)),
+                weights=np.empty((len(self.lams),) + block.shape),
+            )
+            self._packs[wide] = pack
+        return pack
 
-    def sum(self, power: np.ndarray, r: float, homogeneous: bool = False) -> float:
-        """``period^2 sum(w power)``, ``w`` the Sobolev weights of order ``r``."""
-        weights = self.block.table(sobolev_weights, self.grid, r, homogeneous)
-        return self.grid.period ** 2 * float(np.vdot(weights, power))
+    def row(self, half: np.ndarray, t: float, minus: Optional[np.ndarray] = None) -> np.ndarray:
+        """``period^2 T @ [P, W_lam...]``, ``(rows of T, 1 + len(lams))``.
 
-    def norm(self, power: np.ndarray, r: float, homogeneous: bool = False) -> float:
-        """The Sobolev norm of order ``r`` of the field with ``power``."""
-        return math.sqrt(self.sum(power, r, homogeneous))
+        ``P`` is the :func:`~sqglab.spectral.half_power` of the state
+        ``half`` (minus the state ``minus``, on the wide block if either
+        leaves the dealias block) on its block, and ``W_lam = w^2 P`` for
+        the Gevrey weight ``w = exp(lam t |k|^gamma)`` of each rate, guarded
+        as :func:`~sqglab.spectral.gevrey_half_weight` guards it before any
+        product that could overflow.  The state stays loaded for
+        :meth:`lp_norms` and :meth:`besov`.
+        """
+        grid = self.grid
+        wide = _block_of(grid, half).wide or (minus is not None and _block_of(grid, minus).wide)
+        self._loaded = pack = self._pack(wide)
+        block, coeffs = pack.block, pack.coeffs
+        block.restrict(half, coeffs)
+        if minus is not None:
+            coeffs -= block.restrict(minus, block.operand)
+        shape = block.shape
+        power, scratch = pack.powers[0].reshape(shape), pack.weights[0]
+        np.multiply(coeffs.real, coeffs.real, out=power)
+        power += np.multiply(coeffs.imag, coeffs.imag, out=scratch)
+        power *= parseval_columns(grid)[: shape[1]]
+        # |c| <= sqrt(P) on every mode (the margin covers the rounding of
+        # both), so a weight whose peak times this bound stays under the
+        # limit passes the second guard.
+        bound = math.sqrt(float(power.max())) * (1.0 + 1e-12)
+        for lam, weight, warm in zip(self.lams, pack.weights, pack.powers[1:]):
+            lt = lam * t
+            # The largest exponent is lt times the largest |k|^gamma, bit
+            # for bit, so at or below the cap the first guard cannot fire
+            # and the weight is exp of the exponents.  The full guards run
+            # only when these bounds cannot rule them out.
+            safe = lt * pack.kpow_max <= GEVREY_EXPONENT_CAP
+            if safe:
+                np.exp(np.multiply(pack.kpow, lt, out=weight), out=weight)
+                safe = bound * float(weight.max()) <= self.limit
+            if not safe:
+                weight[...] = gevrey_half_weight(grid, lam, t, self.gamma, coeffs)
+            warm = warm.reshape(shape)
+            np.multiply(power, weight, out=warm)
+            warm *= weight
+        return grid.period ** 2 * _parseval_sums(pack.stack, pack.powers)
 
-    def besov(self, s: float, p: float, q: float, power: np.ndarray,
-              weight: Optional[np.ndarray] = None) -> float:
-        """Besov norm of the state times ``weight`` (a :meth:`gevrey` weight,
-        or 1), whose power is ``power``: its block sums at ``p == 2``, else
-        the synthesized blocks of the weighted half spectrum."""
+    def lp_norms(self) -> tuple:
+        """``(L^1, L^2, L^4, L^inf)`` of the loaded state: one inverse
+        transform into the workspace, one ``|s|`` pass and one square pass."""
+        grid, pack = self.grid, self._loaded
+        samples, scratch = _workspace(grid).samples[:2]
+        _block_samples(pack.block, pack.coeffs, samples)
+        cell = grid.cell_area
+        mag = np.abs(samples, out=scratch)
+        l1, linf = float(mag.sum()) * cell, float(mag.max())
+        square = np.multiply(samples, samples, out=scratch).reshape(-1)
+        l2 = math.sqrt(float(square.sum()) * cell)
+        l4 = float(np.dot(square, square) * cell) ** (1.0 / 4.0)
+        return l1, l2, l4, linf
+
+    def besov(self, sums: np.ndarray, col: int, s: float, p: float, q: float) -> float:
+        """Besov norm of the loaded state times the weight of power column
+        ``col`` of :meth:`row`'s ``sums`` (0: unweighted): from its block
+        sums at ``p == 2``, else from its synthesized blocks."""
         if p == 2.0:
-            return half_besov_norm(self.partition, self.coeffs, s, p, q, power=power)
-        coeffs = self.half
-        if weight is not None:
-            coeffs = self.block.embed(self.coeffs * weight, np.zeros_like(self.half))
-        return half_besov_norm(self.partition, coeffs, s, p, q)
+            j_min = self.partition.j_min
+            norms = np.sqrt(sums[self.blocks, col])[max(1, j_min) - j_min :]
+            return _besov_sum(self.partition, norms, s, q)
+        grid, pack = self.grid, self._loaded
+        coeffs = pack.coeffs if col == 0 else pack.coeffs * pack.weights[col - 1]
+        half = pack.block.embed(coeffs, np.zeros((grid.n, grid.n // 2 + 1), np.complex128))
+        half.flags.writeable = False
+        return besov_norm(SpectralField(grid, half), s, p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dyadic import _BlockRow, default_partition, half_besov_norm
+from .dyadic import _RowCore, default_partition, half_besov_norm
 from .errors import UsageError
 from .reports import IterateTrace, fit_log2
 from .solver import SolverConfig, Stepper
@@ -43,20 +43,30 @@ NORM_LABELS = (
 )
 
 
-def _norm_row(half: np.ndarray, t: float, config: SolverConfig, s0: float) -> dict:
-    """Every norm of one half-spectrum state, from its power and Gevrey
-    weight on its block (:class:`~sqglab.dyadic._BlockRow`)."""
-    row = _BlockRow(config.grid, config.gamma, half)
-    warm, warm_power = row.gevrey(config.gevrey_epsilon0, t)
-    crit = 2.0 - config.gamma
+def _norm_core(config: SolverConfig) -> _RowCore:
+    """The row core of a sweep's norm rows: orders 0 and critical, one
+    Gevrey rate."""
+    orders = ((0.0, False), (2.0 - config.gamma, False))
+    return _RowCore(config.grid, config.gamma, orders, (config.gevrey_epsilon0,))
+
+
+def _norm_row(half: np.ndarray, t: float, config: SolverConfig, s0: float,
+              core: _RowCore | None = None, minus: np.ndarray | None = None) -> dict:
+    """Every norm of one half-spectrum state, or of ``half - minus``, from
+    one table product of its power and Gevrey-weighted power on its block
+    (:class:`~sqglab.dyadic._RowCore`; ``core`` is the sweep's, else one is
+    built)."""
+    core = core or _norm_core(config)
+    sums = core.row(half, t, minus)
+    norms = np.sqrt(sums[:2])
     p = config.besov_p
     return {
-        "l2": row.norm(row.power, 0.0),
-        "h_crit": row.norm(row.power, crit),
-        "besov_s0": row.besov(s0, p, math.inf, row.power),
-        "gevrey_l2": row.norm(warm_power, 0.0),
-        "gevrey_h_crit": row.norm(warm_power, crit),
-        "gevrey_besov_s0": row.besov(s0, p, math.inf, warm_power, warm),
+        "l2": float(norms[0, 0]),
+        "h_crit": float(norms[1, 0]),
+        "besov_s0": core.besov(sums, 0, s0, p, math.inf),
+        "gevrey_l2": float(norms[0, 1]),
+        "gevrey_h_crit": float(norms[1, 1]),
+        "gevrey_besov_s0": core.besov(sums, 1, s0, p, math.inf),
     }
 
 
@@ -121,6 +131,7 @@ def _lockstep(
     Differences are fitted geometrically against 2^n.
     """
     states = list(starts)
+    core = _norm_core(config)
     norms = [None] * len(states)
     diffs = [None] * (len(states) - 1)
     final_norms = [None] * len(states)
@@ -130,10 +141,10 @@ def _lockstep(
         for i, coeffs in enumerate(states):
             if audit is not None:
                 audit(i, coeffs)
-            final_norms[i] = _norm_row(coeffs, t, config, s0)
+            final_norms[i] = _norm_row(coeffs, t, config, s0, core)
             norms[i] = _fold_sup(norms[i], final_norms[i])
             if i:
-                final_diffs[i - 1] = _norm_row(coeffs - states[i - 1], t, config, s0)
+                final_diffs[i - 1] = _norm_row(coeffs, t, config, s0, core, states[i - 1])
                 diffs[i - 1] = _fold_sup(diffs[i - 1], final_diffs[i - 1])
 
     t = 0.0

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicPartition, _BlockRow, _block_l2_norms, default_partition
+from .dyadic import DyadicPartition, _RowCore, default_partition
 from .errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from .reports import write_timeseries_csv
 from .spectral import (
@@ -34,8 +34,6 @@ from .spectral import (
     grid_arrays,
     k_power,
     low_pass_symbol,
-    lp_norm,
-    synthesize,
     transport,
     velocity,
 )
@@ -369,7 +367,7 @@ class Stepper:
         np.add(v0.u1, v1.u1, out=u[0])
         np.add(v0.u2, v1.u2, out=u[1])
         u *= 0.5
-        return v0, Velocity(u[0], u[1], _peak_speed(u[0], u[1], ws.samples[2])), v1
+        return v0, Velocity(u[0], u[1], _peak_speed(u, ws.samples[2])), v1
 
     # The stages below run in place, each operation in the order and with
     # the operands of the formula in its docstring, so the state is bitwise
@@ -504,34 +502,37 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     names = _series_columns(partition, config.j0)
     series = TimeSeries(config, columns={name: [] for name in names})
     cols = series.columns
-    s_crit = 2.0 - config.gamma
-    s_besov = 1.0 - config.gamma + 2.0 / config.besov_p
-    area = grid.period**2
+    gamma, s_crit = config.gamma, 2.0 - config.gamma
+    s_besov = 1.0 - gamma + 2.0 / config.besov_p
+    # The Sobolev orders of the columns, and the Gevrey rates: eps0, then
+    # the Besov column's when it differs.
+    orders = ((-0.5, True), (s_crit, False), (gamma / 2.0, True), (2.0 - gamma / 2.0, False))
+    lams = tuple(dict.fromkeys((config.gevrey_epsilon0, BESOV_GEVREY_WEIGHT)))
+    core = _RowCore(grid, gamma, orders, lams, config.j0)
     block_names = [f"block_{j}_l2" for j in partition.block_indices()]
+    split_names = [] if config.j0 is None else ["split_low_l2", "split_high_l2"]
 
     integral_state = {"value": 0.0, "last_t": None, "last_sq": None}
 
     def emit(t: float, half: np.ndarray) -> None:
-        """One diagnostics row: every column from the state's power on its
-        block, and the samples, which vanish past the block's columns."""
-        row = _BlockRow(grid, config.gamma, half)
-        power = row.power
-        samples = synthesize(grid, half, row.block.width)
-        cols["t"].append(t)
-        for p, name in ((1.0, "l1"), (2.0, "l2"), (4.0, "l4"), (math.inf, "linf")):
-            cols[name].append(lp_norm(samples, p, grid.cell_area))
-        cols["h_neg_half"].append(row.norm(power, -0.5, homogeneous=True))
-        cols["h_crit"].append(row.norm(power, s_crit))
-        warm, warm_power = row.gevrey(config.gevrey_epsilon0, t)
-        cols["gevrey_h_crit"].append(row.norm(warm_power, s_crit))
-        if config.gevrey_epsilon0 == BESOV_GEVREY_WEIGHT:
-            half_warm, half_warm_power = warm, warm_power
-        else:
-            half_warm, half_warm_power = row.gevrey(BESOV_GEVREY_WEIGHT, t)
-        cols["besov_weighted"].append(row.besov(
-            s_besov, config.besov_p, config.besov_q, half_warm_power, half_warm))
-        cols["dissipation"].append(row.sum(power, config.gamma / 2.0, homogeneous=True))
-        warm_mid = row.sum(warm_power, 2.0 - config.gamma / 2.0)
+        """One diagnostics row, appended once every column is computed; the
+        rows of ``sums`` follow ``orders``, then the block and split rows."""
+        sums = core.row(half, t)
+        norms = np.sqrt(sums)
+        row = dict(zip(("l1", "l2", "l4", "linf"), core.lp_norms()))
+        row.update(
+            t=t,
+            h_neg_half=norms[0, 0],
+            h_crit=norms[1, 0],
+            gevrey_h_crit=norms[1, 1],
+            dissipation=sums[2, 0],
+            besov_weighted=core.besov(sums, len(lams), s_besov, config.besov_p,
+                                      config.besov_q),
+        )
+        # The last block row, the low-pass part, has no column.
+        row.update(zip(block_names, norms[core.blocks, 0]))
+        row.update(zip(split_names, norms[core.blocks.stop :, 0]))
+        warm_mid = float(sums[3, 1])
         if integral_state["last_t"] is not None:
             dt_out = t - integral_state["last_t"]
             integral_state["value"] += (
@@ -539,15 +540,9 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
             )
         integral_state["last_t"] = t
         integral_state["last_sq"] = warm_mid
-        cols["gevrey_dissipation_integral"].append(integral_state["value"])
-        # The last norm, of the low-pass part, has no column.
-        for name, norm in zip(block_names, _block_l2_norms(partition, power)):
-            cols[name].append(float(norm))
-        if config.j0 is not None:
-            low = row.block.table(low_pass_symbol, grid, config.j0)
-            high = 1.0 - low
-            for name, part in (("split_low_l2", low), ("split_high_l2", high)):
-                cols[name].append(math.sqrt(area * float(np.vdot(part * part, power))))
+        row["gevrey_dissipation_integral"] = integral_state["value"]
+        for name, value in row.items():
+            cols[name].append(float(value))
 
     projection = None if config.galerkin_n is None else config.galerkin_n - 1
     stepper = Stepper(config, projection=projection)

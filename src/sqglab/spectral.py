@@ -369,15 +369,14 @@ def _forward_pass(samples: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.
     return np.fft.fft(rows[..., : out.shape[-1]], axis=-2, norm="forward", out=out)
 
 
-def synthesize(grid: GridSpec, half: np.ndarray, width: int | None = None) -> np.ndarray:
+def synthesize(grid: GridSpec, half: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients -> real samples, over the last two axes.
 
     ``half`` holds the ``(n, n/2 + 1)`` half spectra of real fields (any
     leading stack axes); the missing columns are implied by conjugate
     symmetry, so the samples are real by construction.  The column pass of
-    each field stops at ``width``, for a caller that knows its fields vanish
-    from that column on, or else at the field's last column holding a
-    nonzero value: past it, the pass would only write zeros.
+    each field stops at its last column holding a nonzero value: past it,
+    the pass would only write zeros.
     """
     n = grid.n
     out = np.empty(half.shape[:-1] + (n,))
@@ -388,10 +387,8 @@ def synthesize(grid: GridSpec, half: np.ndarray, width: int | None = None) -> np
     # one thread), with bitwise-equal samples; _SupportSynthesis makes that
     # one call.
     for spec, samples in zip(half.reshape((-1,) + half.shape[-2:]), out.reshape(-1, n, n)):
-        w = width
-        if w is None:
-            occupied = spec.any(axis=0).nonzero()[0]
-            w = occupied[-1] + 1 if occupied.size else 0
+        occupied = spec.any(axis=0).nonzero()[0]
+        w = occupied[-1] + 1 if occupied.size else 0
         _inverse_pass(spec[:, :w], np.zeros(spec.shape, np.complex128), samples)
     return out
 
@@ -534,7 +531,7 @@ def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
     """
     kpow = k_power(grid, gamma)
     if coeffs.shape[0] < grid.n:
-        kpow = _dealias_block(grid, False).table(k_power, grid, gamma)
+        kpow = _dealias_block(grid, False).restrict(kpow, np.empty(coeffs.shape))
     weight, expo = _capped_gevrey_weight(kpow, lam, t, coeffs)
     mag = np.abs(coeffs)
     populated = mag > SUPPORT_THRESHOLD * float(mag.max())
@@ -598,19 +595,20 @@ class _Block:
       operator maps real fields to real fields exactly; and ``mask``, the
       dealias mask.  Both are complex and contiguous, so no product with
       them runs on a column slice or through a cast buffer;
-    * ``spectrum``, ``(n, width)``: one symbol times a field, the input of
-      an inverse pass; its gap rows ``top..n-bottom-1`` stay zero;
+    * ``spectrum``, ``(n, width)``: one symbol times a field, or a
+      diagnostics row's state, the input of an inverse pass; its gap rows
+      ``top..n-bottom-1`` stay zero;
     * ``columns``, ``(n, n/2 + 1)``: that pass's output, zero from column
       ``width`` on;
     * ``forward``, ``(n, width)``: the forward pass's output, whose block
       rows are gathered back;
     * ``flip``: the flipped self-conjugate columns of a product;
-    * ``operand``: a field restricted by the public transport;
+    * ``operand``: a field restricted by the public transport, or the
+      state a diagnostics row subtracts (``dyadic._RowCore``);
     * ``halves``, ``(6, *shape)``: the stepper's stage buffers.
 
     Buffers are allocated empty or zeroed; the pages of one that is never
-    written never become resident.  The real weight tables of the
-    diagnostics rows are gathered onto the block by :meth:`table`.
+    written never become resident.
     """
 
     def __init__(self, grid: GridSpec, wide: bool):
@@ -641,24 +639,6 @@ class _Block:
         self.flip = np.empty((self.shape[0], 2 if has_nyquist else 1), np.complex128)
         self.operand = np.empty(self.shape, np.complex128)
         self.halves = np.empty((6,) + self.shape, np.complex128)
-        self._tables = {}
-
-    def table(self, build, *args) -> np.ndarray:
-        """The read-only half-spectrum table ``build(*args)`` (or stack of
-        them) on the block, gathered on the first call for those arguments.
-
-        ``build`` is one of the cached table functions, such as
-        :func:`sobolev_weights`; the whole half spectrum is its own block.
-        """
-        key = (build, *args)
-        out = self._tables.get(key)
-        if out is None:
-            out = build(*args)
-            if out.shape[-2:] != self.shape:
-                out = self.restrict(out, np.empty(out.shape[:-2] + self.shape))
-                out.flags.writeable = False
-            self._tables[key] = out
-        return out
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """A read-only complex copy of a half-spectrum table on the block."""
@@ -708,6 +688,7 @@ class _Workspace:
     heap).
 
     * ``samples``, ``(3, n, n)``: a velocity, then the advective product;
+      between steps, a diagnostics row's samples and their scratch;
     * ``rows``, ``(n, n/2 + 1)``: the row pass of the forward transform;
     * ``mid_velocity``, ``(2, n, n)``: the mid-step velocity of a Picard
       step, the mean of its two end velocities;
@@ -739,21 +720,19 @@ def _synthesize_product(block: _Block, symbol: np.ndarray, coeffs: np.ndarray,
     return _inverse_pass(spec, block.columns, out)
 
 
-def _peak_speed(u1: np.ndarray, u2: np.ndarray, scratch: np.ndarray) -> float:
-    """``max sqrt(u1^2 + u2^2)``, NaN if any sample is NaN.
+def _block_samples(block: _Block, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Samples of ``coeffs``, an array on ``block``, into ``out``."""
+    return _inverse_pass(block.embed(coeffs, block.spectrum), block.columns, out)
 
-    Taken over the two row halves in turn, so that one ``(n, n)`` scratch
-    holds both squares.
+
+def _peak_speed(u: np.ndarray, scratch: np.ndarray) -> float:
+    """``max sqrt(u1^2 + u2^2)`` over the ``(2, n, n)`` velocity stack ``u``,
+    NaN if any sample is NaN; ``scratch``, ``(n, n)``, holds the squares.
+
+    The sum over the stack starts from zero, so each square sum has the bits
+    of ``u1 * u1 + u2 * u2``.
     """
-    h = u1.shape[0] // 2
-    top, bottom = scratch[:h], scratch[h:]
-    peak = np.float64(0.0)
-    for rows in (slice(0, h), slice(h, None)):
-        np.multiply(u1[rows], u1[rows], out=top)
-        np.multiply(u2[rows], u2[rows], out=bottom)
-        top += bottom
-        peak = np.maximum(peak, top.max())
-    return math.sqrt(float(peak))
+    return math.sqrt(float(np.einsum("kij,kij->ij", u, u, out=scratch).max()))
 
 
 class Velocity(NamedTuple):
@@ -771,8 +750,7 @@ def _block_velocity(block: _Block, source: np.ndarray, out: np.ndarray) -> Veloc
         return Velocity(out[0], out[1], 0.0)
     _synthesize_product(block, block.stack[0], source, out[0])
     _synthesize_product(block, block.stack[1], source, out[1])
-    return Velocity(out[0], out[1],
-                    _peak_speed(out[0], out[1], _workspace(block.grid).samples[2]))
+    return Velocity(out[0], out[1], _peak_speed(out, _workspace(block.grid).samples[2]))
 
 
 def _block_advect(block: _Block, vel: Velocity, target: np.ndarray,
@@ -898,12 +876,17 @@ def lp_norm(samples: np.ndarray, p: float, cell_volume: float = 1.0) -> float:
         # max |x| from the two extremes, without an |x| copy; abs() turns
         # -0.0 into +0.0 and keeps a NaN either extreme carries.
         return max(abs(float(a.max())), abs(float(a.min()))) if a.size else 0.0
-    a = np.abs(a)
+    return _magnitude_lp_norm(np.abs(a), p, cell_volume)
+
+
+def _magnitude_lp_norm(mag: np.ndarray, p: float, cell_volume: float) -> float:
+    """:func:`lp_norm` for finite ``p`` of samples whose magnitudes ``|x|``
+    are ``mag``."""
     if p == 1.0:
-        return float(a.sum()) * cell_volume
+        return float(mag.sum()) * cell_volume
     if p == 2.0:
-        return math.sqrt(float(np.sum(a * a)) * cell_volume)
-    return float(np.sum(a ** p) * cell_volume) ** (1.0 / p)
+        return math.sqrt(float(np.sum(mag * mag)) * cell_volume)
+    return float(np.sum(mag ** p) * cell_volume) ** (1.0 / p)
 
 
 def field_lp_norm(field: SpectralField, p: float) -> float:

@@ -231,6 +231,70 @@ def test_weighted_power_overflow_raises_before_any_warning():
             galerkin_sequence(theta0, range(1, 5), cfg)
 
 
+def test_a_norm_row_makes_no_transform(count_transforms):
+    # At p = 2 every column, the Besov ones too, is a Parseval sum.
+    cfg = replace(CFG, gevrey_epsilon0=0.3)
+    a, b = data_field().coeffs, data_field(seed=22).coeffs
+    core = iterates_module._norm_core(cfg)
+    for minus in (None, b):
+        _, calls = count_transforms(_norm_row, a, 0.5, cfg, DEFAULT_S0, core, minus)
+        assert calls == 0
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("rough", [None, "half", "minus"])
+def test_difference_rows_subtract_on_the_block(p, rough):
+    # The row of a - b subtracts the restricted blocks: the row of the
+    # difference to the bit when both stay on the dealias block, and on the
+    # whole half spectrum when either leaves it.
+    grid = GridSpec(64, period=3.0)
+    cfg = SolverConfig(grid=grid, gamma=0.5, gevrey_epsilon0=0.3, besov_p=p)
+    mask = grid_arrays(grid).dealias_mask
+    a = power_law_field(grid, 2.2, np.random.default_rng(4)).coeffs * mask
+    b = 0.5 * power_law_field(grid, 2.2, np.random.default_rng(5)).coeffs * mask
+    wide = power_law_field(grid, 2.2, np.random.default_rng(6), k_cut=grid.n).coeffs
+    if rough == "half":
+        a = a + 0.1 * wide
+    elif rough == "minus":
+        b = b + 0.1 * wide
+    core = iterates_module._norm_core(cfg)
+    got = _norm_row(a, 0.7, cfg, DEFAULT_S0, core, b)
+    assert core._loaded.block.wide == (rough is not None)
+    want = _norm_row(a - b, 0.7, cfg, DEFAULT_S0)
+    if rough is None:
+        assert got == want
+    else:
+        for label in NORM_LABELS:
+            assert got[label] == pytest.approx(want[label], rel=1e-14, abs=0.0), label
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_round_off_mode_past_double_range_reads_inf_not_nan():
+    # A mode far below the support threshold escapes both guards, yet its
+    # Gevrey-weighted power w^2 P passes double range (e^800 here).  Its
+    # weighted columns read inf through the sums masked to each table row's
+    # support; none reads NaN, and the unweighted columns keep their values.
+    grid = GridSpec(32)
+    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    coeffs[1, 0] = coeffs[-1, 0] = 0.5    # cos(x)
+    coeffs[8, 6] = 1e-16                 # |k|^2 = 100: exponent 0.5 * 8 * 100
+    cfg = SolverConfig(grid=grid, nu=0.0, gamma=2.0, gevrey_epsilon0=0.5)
+    row = _norm_row(coeffs, 8.0, cfg, DEFAULT_S0)
+    field = SpectralField(grid, coeffs)
+    for label in ("gevrey_l2", "gevrey_h_crit", "gevrey_besov_s0"):
+        assert row[label] == math.inf, label
+    assert row["l2"] == pytest.approx(full_sobolev_norm(field, 0.0), rel=1e-12)
+    assert row["h_crit"] == pytest.approx(full_sobolev_norm(field, 0.0), rel=1e-12)
+    assert row["besov_s0"] == pytest.approx(
+        besov_sample_oracle(field, DEFAULT_S0, 2.0, math.inf), rel=1e-12)
+    # The block rows that miss the mode stay finite.
+    core = iterates_module._norm_core(cfg)
+    sums = core.row(coeffs, 8.0)
+    assert not np.isnan(sums).any()
+    blocks = sums[core.blocks, 1]
+    assert np.isinf(blocks).any() and np.isfinite(blocks).any()
+
+
 # -- sequential oracle ---------------------------------------------------------
 
 # The sweeps as they were before the lockstep engine: each iterate runs to

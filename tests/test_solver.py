@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqglab.dyadic import default_partition
+from sqglab.dyadic import _RowCore, default_partition
 from sqglab.errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from sqglab.sampling import power_law_field
 from sqglab.solver import (
@@ -894,3 +894,102 @@ def test_gevrey_overflow_aborts_a_run_before_any_warning():
     assert series.aborted
     assert series.abort_reason.startswith("OverflowGuardError")
     assert np.all(np.isfinite(series.column("gevrey_h_crit")))
+
+
+def test_a_guard_abort_keeps_whole_rows(tmp_path):
+    # The row guard fires before any column of its row is appended, so the
+    # aborted series keeps columns of one length and can be written.  A row
+    # appended column by column left "t" one entry ahead of
+    # "gevrey_h_crit", and `simulate` then failed to write its series.
+    grid = GridSpec(32)
+    theta0 = single_mode(grid, 10, 0, amp=1e-2)
+    cfg = SolverConfig(grid=grid, nu=0.0, gamma=2.0, dt=0.5, t_final=8.5)
+    series = run_simulation(theta0, cfg)
+    assert series.aborted and series.abort_reason.startswith("OverflowGuardError")
+    assert {len(values) for values in series.columns.values()} == {14}
+    series.write_csv(str(tmp_path / "series.csv"))
+
+
+def test_nan_velocity_reaches_the_cfl_guard_and_stops_the_step(monkeypatch):
+    mask = grid_arrays(GRID).dealias_mask
+    coeffs = small_random(GRID, amp=0.3).coeffs * mask
+    coeffs[2, 3] = np.nan
+    seen = []
+    check = Stepper._check_cfl
+    monkeypatch.setattr(Stepper, "_check_cfl",
+                        lambda self, dt, umax: seen.append(umax) or check(self, dt, umax))
+    stepper = Stepper(SolverConfig(grid=GRID))
+    with pytest.raises(GuardError, match="NaN guard"):
+        stepper.step(coeffs)
+    assert seen and all(math.isnan(umax) for umax in seen)
+
+
+@pytest.mark.parametrize("integrator, per_step", [("if_rk4", 20), ("etd_rk2", 10)])
+def test_a_simulate_row_makes_one_transform(integrator, per_step, count_transforms):
+    # Every column but the L^p ones is a Parseval sum of the row's table
+    # product; the L^p columns share one inverse transform.
+    theta = small_random(GRID, amp=0.3)
+    cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=5e-3,
+                       integrator=integrator, gevrey_epsilon0=0.3, j0=3)
+    series, calls = count_transforms(run_simulation, theta, cfg)
+    rows = len(series.column("t"))
+    assert rows == 6
+    assert calls == 5 * per_step + rows
+
+
+def emit_core(grid, cfg):
+    """The row core run_simulation builds for ``cfg``."""
+    gamma = cfg.gamma
+    orders = ((-0.5, True), (2.0 - gamma, False), (gamma / 2.0, True),
+              (2.0 - gamma / 2.0, False))
+    return _RowCore(grid, gamma, orders, (cfg.gevrey_epsilon0, 0.5), cfg.j0)
+
+
+def test_warm_row_allocates_less_than_the_state():
+    # The row restricts the state, forms its powers and weights, and
+    # synthesizes its samples in buffers built with the core; before them
+    # a row's fresh samples, |s| copies and zeroed columns read several
+    # times the state's bytes.
+    grid = GridSpec(128)
+    field = power_law_field(grid, 2.7, np.random.default_rng(3))
+    coeffs = field.coeffs / sobolev_norm(field, 0.0) * grid_arrays(grid).dealias_mask
+    cfg = SolverConfig(grid=grid, gevrey_epsilon0=0.3, j0=4)
+    core = emit_core(grid, cfg)
+
+    def row(t):
+        sums = core.row(coeffs, t)
+        core.lp_norms()
+        return core.besov(sums, 2, 1.5, 2.0, 2.0)
+
+    row(0.01)
+    tracemalloc.start()
+    try:
+        row(0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < coeffs.nbytes, peak / coeffs.nbytes
+
+
+def test_row_weights_pass_the_guards_as_gevrey_half_weight_does():
+    # Where the bounds rule both guards out the row forms the weight itself;
+    # its weighted power must be the guarded weight's, to the bit, on both
+    # sides of the cap of the block's corner modes.  Data up to |k| = 8 keep
+    # the weighted amplitude in range past that cap.
+    grid = GridSpec(64)
+    coeffs = power_law_field(grid, 2.7, np.random.default_rng(5), k_cut=8.0).coeffs
+    cfg = SolverConfig(grid=grid, gamma=1.0, gevrey_epsilon0=0.3, j0=3)
+    core = emit_core(grid, cfg)
+    block = spectral._dealias_block(grid, False)
+    restricted = block.restrict(coeffs)
+    power = spectral.half_power(grid, restricted)
+    corner = float(spectral.k_power(grid, 1.0)[block.rows, : block.width].max())
+    for t in (0.0, 0.5, 0.9 * 500.0 / (0.5 * corner), 1.1 * 500.0 / (0.5 * corner)):
+        sums = core.row(coeffs, t)
+        for col, lam in enumerate((0.3, 0.5), start=1):
+            weight = spectral.gevrey_half_weight(grid, lam, t, 1.0, restricted)
+            warm = power * weight
+            warm *= weight
+            stack = core._loaded.stack
+            want = grid.period ** 2 * (stack @ np.stack([power.ravel(), warm.ravel()]).T)
+            assert np.array_equal(sums[:, col], want[:, 1]), (t, lam)

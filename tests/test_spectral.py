@@ -44,6 +44,7 @@ from sqglab.spectral import (
     _dealias_block,
     _forward_pass,
     _inverse_pass,
+    _peak_speed,
     weighted_norm,
 )
 
@@ -314,6 +315,34 @@ def test_zero_velocity_costs_no_transform(rng, count_transforms):
     bad = zero.copy()
     bad[1, 2] = np.nan
     assert math.isnan(velocity(grid, bad).umax)
+
+
+def two_half_peak_speed(u1, u2, scratch):
+    """The peak speed as taken before the stack formula: over the two row
+    halves in turn, one ``(n, n)`` scratch holding both squares."""
+    h = u1.shape[0] // 2
+    top, bottom = scratch[:h], scratch[h:]
+    peak = np.float64(0.0)
+    for rows in (slice(0, h), slice(h, None)):
+        np.multiply(u1[rows], u1[rows], out=top)
+        np.multiply(u2[rows], u2[rows], out=bottom)
+        top += bottom
+        peak = np.maximum(peak, top.max())
+    return math.sqrt(float(peak))
+
+
+@pytest.mark.parametrize("n", [8, 64, 128, 256])
+def test_peak_speed_of_the_stack_is_the_two_half_formula_bit_for_bit(n, rng):
+    # The sum over the stack starts from zero, so each square sum is
+    # u1 * u1 + u2 * u2 to the bit, and so is the peak.
+    scratch = np.empty((n, n))
+    for scale in (1e-3, 1.0, 1e3):
+        u = scale * rng.standard_normal((2, n, n))
+        want = two_half_peak_speed(u[0], u[1], scratch)
+        assert _peak_speed(u, scratch) == want
+        assert np.array_equal(scratch, u[0] * u[0] + u[1] * u[1])
+    u[1, n - 1, 0] = np.nan
+    assert math.isnan(_peak_speed(u, scratch))
 
 
 BAND_GRIDS = [GridSpec(n, dealias_fraction=frac)
