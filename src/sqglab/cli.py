@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import inequalities as lab
-from .dyadic import block_power_weights, default_partition, half_besov_norm
+from .dyadic import besov_norm, block_power_weights
 from .errors import GuardError, UsageError
 from .iterates import DEFAULT_S0, galerkin_sequence, picard_besov_sequence
 from .reports import RunManifest
@@ -43,13 +43,11 @@ from .spectral import (
     field_lp_norm,
     forward_transform,
     grid_arrays,
-    half_power,
     k_power,
     load_field,
     save_field,
     sobolev_norm,
     sobolev_weights,
-    weighted_norm,
 )
 
 CONFIG_SCHEMA_VERSION = 1
@@ -453,8 +451,7 @@ def cmd_iterate(args, argv: list) -> int:
 
 def cmd_norms(args, argv: list) -> int:
     field = load_field(args.field)
-    grid, gamma = field.grid, args.gamma
-    power = half_power(grid, field.coeffs)
+    gamma = args.gamma
     table = {
         "grid_n": field.grid.n,
         "period": field.grid.period,
@@ -462,10 +459,9 @@ def cmd_norms(args, argv: list) -> int:
         "l2": field_lp_norm(field, 2.0),
         "l4": field_lp_norm(field, 4.0),
         "linf": field_lp_norm(field, math.inf),
-        "h_crit": weighted_norm(grid, sobolev_weights(grid, 2.0 - gamma), power),
+        "h_crit": sobolev_norm(field, 2.0 - gamma),
         "h_neg_half": sobolev_norm(field, -0.5, homogeneous=True),
-        "besov_crit": half_besov_norm(default_partition(grid), field.coeffs,
-                                      1.0 - gamma + 2.0 / 2.0, 2.0, 2.0, power=power),
+        "besov_crit": besov_norm(field, 1.0 - gamma + 2.0 / 2.0, 2.0, 2.0),
         "gamma": gamma,
     }
     text = json.dumps(table, indent=2, sort_keys=True)

@@ -32,7 +32,6 @@ from .spectral import (
     _block_samples,
     _capped_gevrey_weight,
     _dealias_block,
-    _weighted_amplitude_limit,
     _workspace,
     block_symbol,
     gevrey_half_weight,
@@ -176,24 +175,19 @@ def _besov_sum(partition: DyadicPartition, norms, s: float, q: float) -> float:
 
 
 def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
-                    p: float, q: float,
-                    power: Optional[np.ndarray] = None) -> float:
+                    p: float, q: float) -> float:
     """Besov norm of the real field with half spectrum ``coeffs``.
 
     With ``p == 2`` every block norm comes from Parseval
-    (:func:`_block_l2_norms`) of the field's power: ``power`` when given,
-    and ``coeffs`` is then not read; else the power of ``coeffs``.
-    Otherwise the block half spectra are synthesized as one stack and
-    measured in L^p.
+    (:func:`_block_l2_norms`) of the field's power.  Otherwise the block
+    half spectra are synthesized as one stack and measured in L^p.
     """
     if q < 1.0:
         raise UsageError(f"Besov norm needs q >= 1, got {q}")
     grid = partition.grid
     j_lo = max(1, partition.j_min)
     if p == 2.0:
-        if power is None:
-            power = half_power(grid, coeffs)
-        norms = _block_l2_norms(partition, power)[j_lo - partition.j_min :]
+        norms = _block_l2_norms(partition, half_power(grid, coeffs))[j_lo - partition.j_min :]
     else:
         syms = [block_symbol(grid, j) for j in range(j_lo, partition.j_max + 1)]
         syms.append(low_pass_symbol(grid, 0))
@@ -230,7 +224,6 @@ class _RowCore:
         self.partition = default_partition(grid)
         first = len(orders)
         self.blocks = slice(first, first + len(block_power_weights(self.partition)))
-        self.limit = _weighted_amplitude_limit(grid)
         self._packs, self._loaded = {}, None
 
     def _pack(self, wide: bool) -> SimpleNamespace:
@@ -253,7 +246,6 @@ class _RowCore:
             size = kpow.size
             pack = SimpleNamespace(
                 block=block, stack=stack.reshape(len(tables), size), kpow=kpow,
-                kpow_max=float(kpow.max()),
                 coeffs=np.empty(block.shape, np.complex128),
                 # [P, W for each rate], flat, and each rate's weight.
                 powers=np.empty((1 + len(self.lams), size)),
@@ -268,10 +260,10 @@ class _RowCore:
         ``P`` is the :func:`~sqglab.spectral.half_power` of the state
         ``half`` (minus the state ``minus``, on the wide block if either
         leaves the dealias block) on its block, and ``W_lam = w^2 P`` for
-        the Gevrey weight ``w = exp(lam t |k|^gamma)`` of each rate, guarded
-        as :func:`~sqglab.spectral.gevrey_half_weight` guards it before any
-        product that could overflow.  The state stays loaded for
-        :meth:`lp_norms` and :meth:`besov`.
+        the Gevrey weight ``w = exp(lam t |k|^gamma)`` of each rate, from
+        :func:`~sqglab.spectral.gevrey_half_weight` and its two guards, which
+        raise before any product that could overflow.  The state stays
+        loaded for :meth:`lp_norms` and :meth:`besov`.
         """
         grid = self.grid
         wide = _block_of(grid, half).wide or (minus is not None and _block_of(grid, minus).wide)
@@ -285,22 +277,8 @@ class _RowCore:
         np.multiply(coeffs.real, coeffs.real, out=power)
         power += np.multiply(coeffs.imag, coeffs.imag, out=scratch)
         power *= parseval_columns(grid)[: shape[1]]
-        # |c| <= sqrt(P) on every mode (the margin covers the rounding of
-        # both), so a weight whose peak times this bound stays under the
-        # limit passes the second guard.
-        bound = math.sqrt(float(power.max())) * (1.0 + 1e-12)
         for lam, weight, warm in zip(self.lams, pack.weights, pack.powers[1:]):
-            lt = lam * t
-            # The largest exponent is lt times the largest |k|^gamma, bit
-            # for bit, so at or below the cap the first guard cannot fire
-            # and the weight is exp of the exponents.  The full guards run
-            # only when these bounds cannot rule them out.
-            safe = lt * pack.kpow_max <= GEVREY_EXPONENT_CAP
-            if safe:
-                np.exp(np.multiply(pack.kpow, lt, out=weight), out=weight)
-                safe = bound * float(weight.max()) <= self.limit
-            if not safe:
-                weight[...] = gevrey_half_weight(grid, lam, t, self.gamma, coeffs)
+            gevrey_half_weight(grid, lam, t, self.gamma, coeffs, pack.kpow, weight)
             warm = warm.reshape(shape)
             np.multiply(power, weight, out=warm)
             warm *= weight

@@ -471,6 +471,26 @@ def _series_columns(partition: DyadicPartition, j0: int | None) -> list:
     return names
 
 
+#: Rows of a simulate row's table stack, one per Sobolev order of
+#: :func:`_emit_core`: the ``h_neg_half`` and ``h_crit`` columns, the
+#: dissipation and the Gevrey-weighted dissipation rate ``warm_mid``.
+_H_NEG_HALF, _H_CRIT, _DISSIPATION, _WARM_MID = range(4)
+#: Power columns of a row's sums: the state's power, then its power weighted
+#: at ``gevrey_epsilon0``.  The Besov column's rate comes last.
+_POWER, _EPS0_WEIGHTED = 0, 1
+
+
+def _emit_core(config: SolverConfig) -> _RowCore:
+    """The row core of :func:`run_simulation`'s diagnostics rows: the
+    Sobolev orders of the rows ``_H_NEG_HALF``..``_WARM_MID``, and the
+    Gevrey rates eps0, then the Besov column's when it differs."""
+    gamma = config.gamma
+    orders = ((-0.5, True), (2.0 - gamma, False), (gamma / 2.0, True),
+              (2.0 - gamma / 2.0, False))
+    lams = tuple(dict.fromkeys((config.gevrey_epsilon0, BESOV_GEVREY_WEIGHT)))
+    return _RowCore(config.grid, gamma, orders, lams, config.j0)
+
+
 def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     """Integrate to t_final, emitting diagnostics every ``output_stride`` steps.
 
@@ -502,13 +522,9 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
     names = _series_columns(partition, config.j0)
     series = TimeSeries(config, columns={name: [] for name in names})
     cols = series.columns
-    gamma, s_crit = config.gamma, 2.0 - config.gamma
-    s_besov = 1.0 - gamma + 2.0 / config.besov_p
-    # The Sobolev orders of the columns, and the Gevrey rates: eps0, then
-    # the Besov column's when it differs.
-    orders = ((-0.5, True), (s_crit, False), (gamma / 2.0, True), (2.0 - gamma / 2.0, False))
-    lams = tuple(dict.fromkeys((config.gevrey_epsilon0, BESOV_GEVREY_WEIGHT)))
-    core = _RowCore(grid, gamma, orders, lams, config.j0)
+    s_besov = 1.0 - config.gamma + 2.0 / config.besov_p
+    core = _emit_core(config)
+    besov_col = len(core.lams)
     block_names = [f"block_{j}_l2" for j in partition.block_indices()]
     split_names = [] if config.j0 is None else ["split_low_l2", "split_high_l2"]
 
@@ -516,23 +532,24 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
 
     def emit(t: float, half: np.ndarray) -> None:
         """One diagnostics row, appended once every column is computed; the
-        rows of ``sums`` follow ``orders``, then the block and split rows."""
+        rows of ``sums`` are the Sobolev orders, then the block and split
+        rows."""
         sums = core.row(half, t)
         norms = np.sqrt(sums)
         row = dict(zip(("l1", "l2", "l4", "linf"), core.lp_norms()))
         row.update(
             t=t,
-            h_neg_half=norms[0, 0],
-            h_crit=norms[1, 0],
-            gevrey_h_crit=norms[1, 1],
-            dissipation=sums[2, 0],
-            besov_weighted=core.besov(sums, len(lams), s_besov, config.besov_p,
+            h_neg_half=norms[_H_NEG_HALF, _POWER],
+            h_crit=norms[_H_CRIT, _POWER],
+            gevrey_h_crit=norms[_H_CRIT, _EPS0_WEIGHTED],
+            dissipation=sums[_DISSIPATION, _POWER],
+            besov_weighted=core.besov(sums, besov_col, s_besov, config.besov_p,
                                       config.besov_q),
         )
         # The last block row, the low-pass part, has no column.
-        row.update(zip(block_names, norms[core.blocks, 0]))
-        row.update(zip(split_names, norms[core.blocks.stop :, 0]))
-        warm_mid = float(sums[3, 1])
+        row.update(zip(block_names, norms[core.blocks, _POWER]))
+        row.update(zip(split_names, norms[core.blocks.stop :, _POWER]))
+        warm_mid = float(sums[_WARM_MID, _EPS0_WEIGHTED])
         if integral_state["last_t"] is not None:
             dt_out = t - integral_state["last_t"]
             integral_state["value"] += (

@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -516,28 +516,44 @@ def weighted_norm(grid: GridSpec, weights: np.ndarray, power: np.ndarray) -> flo
 
 
 def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
-                       coeffs: np.ndarray) -> np.ndarray:
-    """Gevrey weight ``exp(lam t |k|^gamma)`` on the half spectrum, or on
-    the dealias block (:class:`_Block`) when ``coeffs`` has fewer than ``n``
-    rows.
+                       coeffs: np.ndarray, kpow: Optional[np.ndarray] = None,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gevrey weight ``exp(lam t |k|^gamma)`` on the modes of ``coeffs``,
+    into ``out`` when given.
 
-    Guarded for the real field with half spectrum ``coeffs`` (or with that
-    block, zero outside it): modes past the exponent cap get weight 0 if
-    they carry no data, and raise ``OverflowGuardError`` if they do.  A
-    second guard keeps the weighted power of the populated modes inside
-    double range, with room for the Parseval sums taken of it
-    (``_weighted_amplitude_limit``), so the norms built from it raise
-    instead of overflowing into ``inf``.
+    ``kpow`` is the ``|k|^gamma`` table on those modes: the half spectrum's
+    (:func:`k_power`) when not given, or a block's (:class:`_Block`) for
+    ``coeffs`` restricted to it.  Guarded for the real field with half
+    spectrum ``coeffs`` (or with that block, zero outside it): modes past
+    the exponent cap get weight 0 if they carry no data, and raise
+    ``OverflowGuardError`` if they do.  A second guard keeps the weighted
+    power of the populated modes inside double range, with room for the
+    Parseval sums taken of it (``_weighted_amplitude_limit``), so the norms
+    built from it raise instead of overflowing into ``inf``.
     """
-    kpow = k_power(grid, gamma)
-    if coeffs.shape[0] < grid.n:
-        kpow = _dealias_block(grid, False).restrict(kpow, np.empty(coeffs.shape))
+    if kpow is None:
+        kpow = k_power(grid, gamma)
+    if out is None:
+        out = np.empty(kpow.shape)
+    limit = _weighted_amplitude_limit(grid)
+    lt = lam * t
+    # Neither guard can fire when the largest exponent, lt max|k|^gamma to
+    # the bit, is at or below the cap and a bound on the amplitudes times
+    # the largest weight stays under the limit: the weight is then exp of
+    # the exponents, with no copy and no mask.  |c| <= sqrt(2) times the
+    # largest |Re c| or |Im c|, read off the extremes of the parts; 1.5
+    # covers sqrt(2) and the rounding of |c|.
+    if lt * float(kpow.max()) <= GEVREY_EXPONENT_CAP:
+        parts = np.ascontiguousarray(coeffs).view(np.float64)
+        amplitude = 1.5 * max(float(parts.max()), -float(parts.min()))
+        np.exp(np.multiply(kpow, lt, out=out), out=out)
+        if amplitude * float(out.max()) <= limit:
+            return out
     weight, expo = _capped_gevrey_weight(kpow, lam, t, coeffs)
     mag = np.abs(coeffs)
     populated = mag > SUPPORT_THRESHOLD * float(mag.max())
     with np.errstate(over="ignore"):
         peak = float(np.max(mag * weight, where=populated, initial=0.0))
-    limit = _weighted_amplitude_limit(grid)
     if peak > limit:
         worst = float(np.max(expo[populated]))
         raise OverflowGuardError(
@@ -545,7 +561,8 @@ def gevrey_half_weight(grid: GridSpec, lam: float, t: float, gamma: float,
             f"of double range on populated modes (weight exponent up to "
             f"{worst:.1f}); shorten the time horizon or reduce the weight"
         )
-    return weight
+    out[...] = weight
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -729,10 +746,21 @@ def _peak_speed(u: np.ndarray, scratch: np.ndarray) -> float:
     """``max sqrt(u1^2 + u2^2)`` over the ``(2, n, n)`` velocity stack ``u``,
     NaN if any sample is NaN; ``scratch``, ``(n, n)``, holds the squares.
 
-    The sum over the stack starts from zero, so each square sum has the bits
-    of ``u1 * u1 + u2 * u2``.
+    Taken over the two row halves in turn, so that one scratch holds both
+    squares.  Each square and their sum are rounded apart, the bits of
+    ``u1 * u1 + u2 * u2`` on every build: an ``einsum`` over the stack
+    would accumulate with a fused multiply-add wherever numpy's SIMD
+    baseline has one.
     """
-    return math.sqrt(float(np.einsum("kij,kij->ij", u, u, out=scratch).max()))
+    h = u.shape[1] // 2
+    top, bottom = scratch[:h], scratch[h:]
+    peak = np.float64(0.0)
+    for rows in (slice(0, h), slice(h, None)):
+        np.multiply(u[0, rows], u[0, rows], out=top)
+        np.multiply(u[1, rows], u[1, rows], out=bottom)
+        top += bottom
+        peak = np.maximum(peak, top.max())
+    return math.sqrt(float(peak))
 
 
 class Velocity(NamedTuple):

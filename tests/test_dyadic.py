@@ -8,10 +8,12 @@ import pytest
 
 from sqglab.dyadic import (
     DyadicPartition,
+    _besov_sum,
+    _block_l2_norms,
+    _RowCore,
     besov_norm,
     block_commutator,
     block_power_weights,
-    half_besov_norm,
     default_partition,
     trilinear_form,
 )
@@ -122,22 +124,29 @@ def test_besov_matches_sobolev_at_p2(rng):
 ])
 @pytest.mark.parametrize("p", [2.0, 1.0, 4.0, math.inf])
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
-@pytest.mark.parametrize("given_power", [False, True])
-def test_besov_norm_matches_sample_oracle(n, period, p, q, given_power, rng):
+@pytest.mark.parametrize("from_row", [False, True])
+def test_besov_norm_matches_sample_oracle(n, period, p, q, from_row, rng):
     grid = GridSpec(n, period=period)
     # white noise: every block and the mean carry data
     field = random_field(grid, rng)
-    # The solver's diagnostics and the iterate sweeps hand half_besov_norm
-    # the power they already hold; it enters only at p = 2.
-    part = default_partition(grid)
-    power = half_power(grid, field.coeffs)
+    # A diagnostics row takes its Besov columns from its row core: at p = 2
+    # from the block sums of its table product (here of the unweighted
+    # power, column 0), else from the synthesized blocks of its state.
+    core = _RowCore(grid, 1.0, (), (1.0,))
+    sums = core.row(field.coeffs, 0.0)
     for s in (-0.5, 0.05, 1.5):
         want = besov_sample_oracle(field, s, p, q)
-        if given_power:
-            got = half_besov_norm(part, field.coeffs, s, p, q, power=power)
+        if from_row:
+            got = core.besov(sums, 0, s, p, q)
         else:
             got = besov_norm(field, s, p, q)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def besov_of_power(part, power, s, q):
+    """The p = 2 Besov norm from a power array, through the block sums."""
+    norms = _block_l2_norms(part, power)[max(1, part.j_min) - part.j_min :]
+    return _besov_sum(part, norms, s, q)
 
 
 def test_besov_p2_skips_empty_blocks_of_an_overflowed_power(rng):
@@ -150,12 +159,12 @@ def test_besov_p2_skips_empty_blocks_of_an_overflowed_power(rng):
     power = half_power(grid, field.coeffs)
     power[32, 32] = np.inf  # the corner, |k| = 32 sqrt(2): block 6 only
     assert part.j_max == 6
-    assert half_besov_norm(part, field.coeffs, 0.5, 2.0, 2.0, power=power) == math.inf
-    sup_all = half_besov_norm(part, field.coeffs, 0.5, 2.0, math.inf, power=power)
+    assert besov_of_power(part, power, 0.5, 2.0) == math.inf
+    sup_all = besov_of_power(part, power, 0.5, math.inf)
     assert sup_all == math.inf
     # the norm over the blocks below |k| = 32 sqrt(2) is finite
     part_lo = DyadicPartition(grid, part.j_min, 5)
-    low = half_besov_norm(part_lo, field.coeffs, 0.5, 2.0, math.inf, power=power)
+    low = besov_of_power(part_lo, power, 0.5, math.inf)
     assert math.isfinite(low)
     assert low == pytest.approx(
         besov_sample_oracle(field, 0.5, 2.0, math.inf, part_lo), rel=1e-12

@@ -8,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqglab.dyadic import _RowCore, default_partition
+from sqglab.dyadic import default_partition
 from sqglab.errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from sqglab.sampling import power_law_field
 from sqglab.solver import (
     INTEGRATORS,
+    _emit_core,
     _factor_tables,
     _phi1,
     _phi2,
@@ -937,14 +938,6 @@ def test_a_simulate_row_makes_one_transform(integrator, per_step, count_transfor
     assert calls == 5 * per_step + rows
 
 
-def emit_core(grid, cfg):
-    """The row core run_simulation builds for ``cfg``."""
-    gamma = cfg.gamma
-    orders = ((-0.5, True), (2.0 - gamma, False), (gamma / 2.0, True),
-              (2.0 - gamma / 2.0, False))
-    return _RowCore(grid, gamma, orders, (cfg.gevrey_epsilon0, 0.5), cfg.j0)
-
-
 def test_warm_row_allocates_less_than_the_state():
     # The row restricts the state, forms its powers and weights, and
     # synthesizes its samples in buffers built with the core; before them
@@ -954,7 +947,7 @@ def test_warm_row_allocates_less_than_the_state():
     field = power_law_field(grid, 2.7, np.random.default_rng(3))
     coeffs = field.coeffs / sobolev_norm(field, 0.0) * grid_arrays(grid).dealias_mask
     cfg = SolverConfig(grid=grid, gevrey_epsilon0=0.3, j0=4)
-    core = emit_core(grid, cfg)
+    core = _emit_core(cfg)
 
     def row(t):
         sums = core.row(coeffs, t)
@@ -972,22 +965,26 @@ def test_warm_row_allocates_less_than_the_state():
 
 
 def test_row_weights_pass_the_guards_as_gevrey_half_weight_does():
-    # Where the bounds rule both guards out the row forms the weight itself;
-    # its weighted power must be the guarded weight's, to the bit, on both
-    # sides of the cap of the block's corner modes.  Data up to |k| = 8 keep
-    # the weighted amplitude in range past that cap.
+    # The row takes each weight from gevrey_half_weight on the block, whose
+    # fast exit skips the guards where bounds rule both out.  On both sides
+    # of the cap of the block's corner modes the weight must be the guarded
+    # one, and the row's weighted power its product, to the bit.  Data up
+    # to |k| = 8 keep the weighted amplitude in range past that cap.
     grid = GridSpec(64)
     coeffs = power_law_field(grid, 2.7, np.random.default_rng(5), k_cut=8.0).coeffs
     cfg = SolverConfig(grid=grid, gamma=1.0, gevrey_epsilon0=0.3, j0=3)
-    core = emit_core(grid, cfg)
+    core = _emit_core(cfg)
     block = spectral._dealias_block(grid, False)
     restricted = block.restrict(coeffs)
     power = spectral.half_power(grid, restricted)
-    corner = float(spectral.k_power(grid, 1.0)[block.rows, : block.width].max())
+    kpow = block.restrict(spectral.k_power(grid, 1.0), np.empty(block.shape))
+    corner = float(kpow.max())
     for t in (0.0, 0.5, 0.9 * 500.0 / (0.5 * corner), 1.1 * 500.0 / (0.5 * corner)):
         sums = core.row(coeffs, t)
-        for col, lam in enumerate((0.3, 0.5), start=1):
-            weight = spectral.gevrey_half_weight(grid, lam, t, 1.0, restricted)
+        for col, lam in enumerate(core.lams, start=1):
+            weight = spectral.gevrey_half_weight(grid, lam, t, 1.0, restricted, kpow)
+            guarded, _ = spectral._capped_gevrey_weight(kpow, lam, t, restricted)
+            assert np.array_equal(weight, guarded), (t, lam)
             warm = power * weight
             warm *= weight
             stack = core._loaded.stack

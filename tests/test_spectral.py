@@ -1,6 +1,7 @@
 """Transform layer: grids, multipliers, norms, field containers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from sqglab.spectral import (
     _forward_pass,
     _inverse_pass,
     _peak_speed,
+    _weighted_amplitude_limit,
     weighted_norm,
 )
 
@@ -189,6 +191,26 @@ def test_gevrey_inverts_heat():
     assert np.max(np.abs(warmed - field.coeffs)) < 1e-12
 
 
+def test_gevrey_amplitude_guard_fires_below_the_exponent_cap(rng):
+    # Huge data under a modest exponent: the fast exit's exponent bound
+    # holds, so only its amplitude bound keeps the weighted power in range,
+    # on the half spectrum and on the block alike.
+    field = random_field(GRID, rng)
+    coeffs = field.coeffs * (1e-3 * _weighted_amplitude_limit(GRID) / np.abs(field.coeffs).max())
+    kpow = k_power(GRID, 1.0)
+    assert np.array_equal(gevrey_half_weight(GRID, 1.0, 0.0, 1.0, coeffs), np.ones(kpow.shape))
+    block = _dealias_block(GRID, False)
+    t = 20.0 / float(kpow.max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowGuardError, match="double range"):
+            gevrey_half_weight(GRID, 1.0, t, 1.0, coeffs)
+        with pytest.raises(OverflowGuardError, match="double range"):
+            gevrey_half_weight(GRID, 1.0, t, 1.0, block.restrict(coeffs),
+                               block.restrict(kpow, np.empty(block.shape)),
+                               np.empty(block.shape))
+
+
 def test_gevrey_overflow_guard(rng):
     field = random_field(GRID, rng)
     # weight * t * kmax^gamma far beyond the cap on occupied modes
@@ -317,30 +339,14 @@ def test_zero_velocity_costs_no_transform(rng, count_transforms):
     assert math.isnan(velocity(grid, bad).umax)
 
 
-def two_half_peak_speed(u1, u2, scratch):
-    """The peak speed as taken before the stack formula: over the two row
-    halves in turn, one ``(n, n)`` scratch holding both squares."""
-    h = u1.shape[0] // 2
-    top, bottom = scratch[:h], scratch[h:]
-    peak = np.float64(0.0)
-    for rows in (slice(0, h), slice(h, None)):
-        np.multiply(u1[rows], u1[rows], out=top)
-        np.multiply(u2[rows], u2[rows], out=bottom)
-        top += bottom
-        peak = np.maximum(peak, top.max())
-    return math.sqrt(float(peak))
-
-
 @pytest.mark.parametrize("n", [8, 64, 128, 256])
-def test_peak_speed_of_the_stack_is_the_two_half_formula_bit_for_bit(n, rng):
-    # The sum over the stack starts from zero, so each square sum is
-    # u1 * u1 + u2 * u2 to the bit, and so is the peak.
+def test_peak_speed_rounds_each_square_and_their_sum(n, rng):
+    # u1 * u1 + u2 * u2 to the bit, with no fused multiply-add on any build.
     scratch = np.empty((n, n))
     for scale in (1e-3, 1.0, 1e3):
         u = scale * rng.standard_normal((2, n, n))
-        want = two_half_peak_speed(u[0], u[1], scratch)
+        want = math.sqrt(float((u[0] * u[0] + u[1] * u[1]).max()))
         assert _peak_speed(u, scratch) == want
-        assert np.array_equal(scratch, u[0] * u[0] + u[1] * u[1])
     u[1, n - 1, 0] = np.nan
     assert math.isnan(_peak_speed(u, scratch))
 
