@@ -51,7 +51,6 @@ __all__ = [
     "default_partition",
     "besov_norm",
     "block_power_weights",
-    "half_besov_norm",
     "block_commutator",
     "trilinear_form",
 ]
@@ -116,16 +115,6 @@ def block_power_weights(partition: DyadicPartition) -> np.ndarray:
     return stack
 
 
-def besov_norm(field: SpectralField, s: float, p: float, q: float) -> float:
-    """Inhomogeneous Besov norm from block L^p norms.
-
-    ``|P_{<=0} f|_p + (sum_{j>=1} (2^{js} |P_j f|_p)^q)^(1/q)``, the sup over
-    blocks for ``q = inf``.  See :func:`half_besov_norm` for how the block
-    norms are evaluated.
-    """
-    return half_besov_norm(default_partition(field.grid), field.coeffs, s, p, q)
-
-
 def _parseval_sums(stack: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """``stack @ columns.T``: the sum of each weight row of ``stack``
     (``(rows, modes)``) against each power row of ``columns`` (``(modes,)``
@@ -174,17 +163,18 @@ def _besov_sum(partition: DyadicPartition, norms, s: float, q: float) -> float:
     return float(norms[-1]) + tail
 
 
-def half_besov_norm(partition: DyadicPartition, coeffs: np.ndarray, s: float,
-                    p: float, q: float) -> float:
-    """Besov norm of the real field with half spectrum ``coeffs``.
+def besov_norm(field: SpectralField, s: float, p: float, q: float) -> float:
+    """Inhomogeneous Besov norm from block L^p norms.
 
-    With ``p == 2`` every block norm comes from Parseval
-    (:func:`_block_l2_norms`) of the field's power.  Otherwise the block
-    half spectra are synthesized as one stack and measured in L^p.
+    ``|P_{<=0} f|_p + (sum_{j>=1} (2^{js} |P_j f|_p)^q)^(1/q)``, the sup over
+    blocks for ``q = inf``.  With ``p == 2`` every block norm comes from
+    Parseval (:func:`_block_l2_norms`) of the field's power.  Otherwise the
+    block half spectra are synthesized as one stack and measured in L^p.
     """
     if q < 1.0:
         raise UsageError(f"Besov norm needs q >= 1, got {q}")
-    grid = partition.grid
+    grid, coeffs = field.grid, field.coeffs
+    partition = default_partition(grid)
     j_lo = max(1, partition.j_min)
     if p == 2.0:
         norms = _block_l2_norms(partition, half_power(grid, coeffs))[j_lo - partition.j_min :]

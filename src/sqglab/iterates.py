@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dyadic import _RowCore, default_partition, half_besov_norm
+from .dyadic import _RowCore, besov_norm, default_partition
 from .errors import UsageError
 from .reports import IterateTrace, fit_log2
 from .solver import SolverConfig, Stepper
@@ -253,9 +253,8 @@ def picard_besov_sequence(
         run_config = replace(config, besov_p=p, besov_q=q)
 
     data_fields = [_cut_data(theta0, n + 2) for n in n_values]
-    partition = default_partition(grid)
     data_diffs = [
-        half_besov_norm(partition, newer - older, s0, p, math.inf)
+        besov_norm(SpectralField(grid, newer - older), s0, p, math.inf)
         for older, newer in zip(data_fields, data_fields[1:])
     ]
     fits = {}
@@ -263,21 +262,19 @@ def picard_besov_sequence(
         fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
 
     # Every iterate has the same config and no projection, so one stepper
-    # serves them all.  The first iterate advects with a zero field; iterate
-    # i ramps linearly from iterate i-1's state at step k-1 to that at step k.
-    # The velocity of the ramp's end is the next step's start velocity, so
+    # serves them all.  The first iterate advects with the zero field, whose
+    # velocity is built once and costs no transform; iterate i's velocity
+    # ramps linearly from that of iterate i-1's state at step k-1 to that at
+    # step k.  The ramp's end velocity is the next step's start velocity, so
     # it is handed over instead of synthesized again: one velocity per
-    # iterate is held between steps.  The zero field's velocity costs no
-    # transform.
+    # iterate is held between steps.
     stepper = Stepper(run_config)
-    zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
-    starts = [velocity(grid, zero)] + [velocity(grid, d) for d in data_fields[:-1]]
+    zero = velocity(grid, np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128))
+    starts = [zero] + [velocity(grid, d) for d in data_fields[:-1]]
 
     def advance(i, old, new):
-        adv0, adv1 = (old[i - 1], new[i - 1]) if i else (zero, zero)
-        end = velocity(grid, adv1)
-        out = stepper.step(old[i], advect_coeffs=adv0, advect_coeffs_end=adv1,
-                           advect_velocities=(starts[i], end))
+        end = velocity(grid, new[i - 1]) if i else zero
+        out = stepper.step(old[i], advect=(starts[i], end))
         starts[i] = end
         return out
 

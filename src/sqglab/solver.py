@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicPartition, _RowCore, default_partition
+from .dyadic import _RowCore, default_partition
 from .errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from .reports import write_timeseries_csv
 from .spectral import (
@@ -35,7 +35,6 @@ from .spectral import (
     k_power,
     low_pass_symbol,
     transport,
-    velocity,
 )
 
 INTEGRATORS = ("if_rk4", "etd_rk2")
@@ -178,13 +177,13 @@ class Stepper:
     """Advances a half spectrum by dt with the configured scheme.
 
     States are rfft half spectra, ``(n, n/2 + 1)`` arrays: columns ``0..n/2``
-    of a real field's coefficients.  The advecting field may be overridden
-    per step (``advect_coeffs``, also a half spectrum), which turns the update
-    into the linear advection-diffusion flow used by the Picard scheme; the
-    override is treated as frozen within the step.  The velocities of its
-    two ends are synthesized once each, and IF-RK4's mid-step velocity is
-    their mean in samples (:meth:`_ramp`), so a ramped IF-RK4 step makes
-    two transforms fewer than the autonomous one.
+    of a real field's coefficients.  A step may be handed the advecting
+    velocity (``advect``, the :func:`spectral.velocity` of the advecting
+    field at the step's start and end), which turns the update into the
+    linear advection-diffusion flow used by the Picard scheme; the velocity
+    is frozen within the step.  IF-RK4's mid-step velocity is the mean of
+    the pair in samples (:meth:`_ramp`), so a ramped IF-RK4 step makes
+    three transforms a stage, none for its velocities.
 
     The stages run on the step grid's dealias block (``spectral._Block``),
     the ``(2K + 1, K + 1)`` modes a dealiased tendency can occupy: the state
@@ -220,11 +219,9 @@ class Stepper:
         self.cfl_max = 0.0
         self._warned = False
 
-    def _factor_set(self, dt: float, block=None) -> tuple:
-        """The factor tables on ``block``, by default the step grid's."""
+    def _factor_set(self, dt: float, block) -> tuple:
+        """The factor tables on ``block``."""
         cfg = self.config
-        if block is None:
-            block = _dealias_block(self.step_grid, self._wide)
         return _factor_tables(block.grid, cfg.nu, cfg.gamma, dt, cfg.integrator,
                               block.wide)
 
@@ -238,17 +235,15 @@ class Stepper:
         return block, outside
 
     def _rhs(self, block, state: np.ndarray, vel: Velocity | None, dt: float,
-             out: np.ndarray | None = None) -> np.ndarray:
-        """Stage tendency of ``state``, an array on ``block``, fresh or into
-        ``out`` (which may be ``state``); every stage's velocity goes through
-        the CFL guard.
+             out: np.ndarray) -> np.ndarray:
+        """Stage tendency of ``state``, an array on ``block``, into ``out``
+        (which may be ``state``); every stage's velocity goes through the
+        CFL guard.
 
         ``vel`` is the frozen advecting velocity, or None to advect the
         state by its own velocity.  ``-(x low)`` equals ``x (-low)`` up to
         the sign of zeros, so no negated table is needed.
         """
-        if out is None:
-            out = np.empty(block.shape, dtype=np.complex128)
         if vel is None:
             if self._low_block is not None:
                 # The projected state goes to the stage buffer no stage uses.
@@ -279,43 +274,41 @@ class Stepper:
                 stacklevel=4,
             )
 
-    def step(
-        self,
-        coeffs: np.ndarray,
-        dt: float | None = None,
-        advect_coeffs: np.ndarray | None = None,
-        advect_coeffs_end: np.ndarray | None = None,
-        advect_velocities: tuple | None = None,
-    ) -> np.ndarray:
-        """One step of a half spectrum; with an override, stage fields
-        interpolate linearly in t.
+    def step(self, coeffs: np.ndarray, dt: float | None = None,
+             advect: tuple | None = None) -> np.ndarray:
+        """One step of a half spectrum, advected by its own velocity or,
+        with ``advect``, by a frozen one.
 
-        ``advect_velocities``, a ``(start, end)`` pair of
-        :func:`spectral.velocity` results of ``advect_coeffs`` and
-        ``advect_coeffs_end`` (either may be None), spares their synthesis
-        to a caller that already holds them, such as the end velocity of the
-        previous step.
+        ``advect`` is a ``(start, end)`` pair of :func:`spectral.velocity`
+        results on the stepper's grid, the advecting field's velocities at
+        the two ends of the step (the same velocity twice for a constant
+        field); the stage velocities interpolate linearly in t between them.
 
         The stages run in the block's buffers (``halves``: 0-2 the stages,
         3 the projected state, 4 the restricted state, 5 its step), so the
         returned state is the one array a step allocates.
         """
-        for name, arr in (("coeffs", coeffs), ("advect_coeffs", advect_coeffs),
-                          ("advect_coeffs_end", advect_coeffs_end)):
-            if arr is not None and np.shape(arr) != self._shape:
-                raise UsageError(
-                    f"{name} has shape {np.shape(arr)}; the stepper takes half "
-                    f"spectra of shape {self._shape}"
-                )
-        if advect_coeffs is not None and self.projection is not None:
+        if np.shape(coeffs) != self._shape:
             raise UsageError(
-                "a frozen advecting field does not combine with a projection: "
-                "its tendency would not be truncated"
+                f"coeffs has shape {np.shape(coeffs)}; the stepper takes half "
+                f"spectra of shape {self._shape}"
             )
+        if advect is not None:
+            samples = (self.grid.n, self.grid.n)
+            if any(np.shape(u) != samples for vel in advect for u in (vel.u1, vel.u2)):
+                raise UsageError(
+                    f"advect takes velocities sampled on the stepper's grid, "
+                    f"of shape {samples}"
+                )
+            if self.projection is not None:
+                raise UsageError(
+                    "a frozen advecting field does not combine with a projection: "
+                    "its tendency would not be truncated"
+                )
         dt = self.config.dt if dt is None else dt
         rk4 = self.config.integrator == "if_rk4"
         block, outside = self._block(coeffs)
-        ramp = self._ramp(advect_coeffs, advect_coeffs_end, advect_velocities, rk4)
+        ramp = self._ramp(advect, rk4)
         state, out = block.restrict(coeffs, block.halves[4]), block.halves[5]
         if rk4:
             self._step_if_rk4(block, state, dt, ramp, out)
@@ -339,27 +332,18 @@ class Stepper:
             out = coeffs.copy()
         return block.embed(stepped, out)
 
-    def _ramp(self, start, end, given, mid: bool) -> tuple:
+    def _ramp(self, advect, mid: bool) -> tuple:
         """Velocities at the stage times of a step: start, mid (if ``mid``)
-        and end; all None without an override, all the start's without an
-        end.
+        and end; all None without ``advect``, else its pair's.
 
-        The end velocities are synthesized from the end fields.  R_perp and
-        the synthesis are linear, so the velocity of the mid field
+        R_perp and the synthesis are linear, so the velocity of the mid field
         ``(start + end) / 2`` is the mean of the end velocities: it is
         formed in samples, in the workspace, with no transform, and its
         peak speed is read for the CFL guard like any other.
         """
-        times = 3 if mid else 2
-        if start is None:
-            return (None,) * times
-        v0, v1 = given if given is not None else (None, None)
-        if v0 is None:
-            v0 = velocity(self.grid, start)
-        if end is None:
-            return (v0,) * times
-        if v1 is None:
-            v1 = velocity(self.grid, end)
+        if advect is None:
+            return (None,) * (3 if mid else 2)
+        v0, v1 = advect
         if not mid:
             return v0, v1
         ws = _workspace(self.grid)
@@ -451,26 +435,6 @@ def gevrey_safe_horizon(grid: GridSpec, gamma: float, weight: float) -> float:
     return GEVREY_EXPONENT_CAP / (weight * grid.dealias_radius**gamma)
 
 
-def _series_columns(partition: DyadicPartition, j0: int | None) -> list:
-    names = [
-        "t",
-        "l1",
-        "l2",
-        "l4",
-        "linf",
-        "h_neg_half",
-        "h_crit",
-        "gevrey_h_crit",
-        "gevrey_dissipation_integral",
-        "dissipation",
-        "besov_weighted",
-    ]
-    names += [f"block_{j}_l2" for j in partition.block_indices()]
-    if j0 is not None:
-        names += ["split_low_l2", "split_high_l2"]
-    return names
-
-
 #: Rows of a simulate row's table stack, one per Sobolev order of
 #: :func:`_emit_core`: the ``h_neg_half`` and ``h_crit`` columns, the
 #: dissipation and the Gevrey-weighted dissipation rate ``warm_mid``.
@@ -518,15 +482,16 @@ def run_simulation(theta0: SpectralField, config: SolverConfig) -> TimeSeries:
         )
 
     ka = grid_arrays(grid)
-    partition = default_partition(grid)
-    names = _series_columns(partition, config.j0)
+    block_names = [f"block_{j}_l2" for j in default_partition(grid).block_indices()]
+    split_names = [] if config.j0 is None else ["split_low_l2", "split_high_l2"]
+    names = ["t", "l1", "l2", "l4", "linf", "h_neg_half", "h_crit", "gevrey_h_crit",
+             "gevrey_dissipation_integral", "dissipation", "besov_weighted",
+             *block_names, *split_names]
     series = TimeSeries(config, columns={name: [] for name in names})
     cols = series.columns
     s_besov = 1.0 - config.gamma + 2.0 / config.besov_p
     core = _emit_core(config)
     besov_col = len(core.lams)
-    block_names = [f"block_{j}_l2" for j in partition.block_indices()]
-    split_names = [] if config.j0 is None else ["split_low_l2", "split_high_l2"]
 
     integral_state = {"value": 0.0, "last_t": None, "last_sq": None}
 

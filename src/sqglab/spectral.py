@@ -669,11 +669,9 @@ class _Block:
         gap = slice(self.top, coeffs.shape[0] - self.bottom)
         return bool(coeffs[:, self.width :].any() or coeffs[gap].any())
 
-    def restrict(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def restrict(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The block of ``coeffs`` (as :meth:`outside`, over the last two
-        axes), fresh or into ``out``."""
-        if out is None:
-            out = np.empty(self.shape, np.complex128)
+        axes), into ``out``."""
         out[..., : self.top, :] = coeffs[..., : self.top, : self.width]
         out[..., self.top :, :] = coeffs[..., coeffs.shape[-2] - self.bottom :, : self.width]
         return out

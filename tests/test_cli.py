@@ -413,6 +413,44 @@ def test_block_sweep_reports_keep_their_bytes(tmp_path, lemma_id):
         f"report bytes changed: measured_constant {measured!r}, pinned {pinned!r}")
 
 
+# The sha256 of the trace JSON and CSV of small seed-0 iterate sweeps at 64^2,
+# four steps with a stored state every two, under each integrator: the trace
+# bytes as the lockstep sweeps wrote them.  ``perfbench/reference.json`` pins
+# the 256^2 sweeps' values only to a relative 1e-8.
+ITERATE_DIGESTS = {
+    ("galerkin", "if_rk4"): (
+        "4666f7924657cf54e1d2882947cbb85f149620cf199ce55bce49dc9a162cd92e",
+        "3c404f0e539b8de7d3288f83c107d00d90fe8ddb8df89361ec239a0aef3e7586"),
+    ("galerkin", "etd_rk2"): (
+        "71012fc6845c0920f294b6ade2e4a63adcf1f8228fc576d1d8906a59d98b3132",
+        "6ca78e675e02e0c75d44167e91dc9a73ab1962fdf386fac3f2a629986f7c0ab3"),
+    ("picard", "if_rk4"): (
+        "2cc5e1969f4de8996e1d3b259d0348693c0449c0d27e424d59863c634052fdf4",
+        "b61cbeadad6c14fc2b24e6c01160ba73cf0a640fc9a94df55aa193d8389a7201"),
+    ("picard", "etd_rk2"): (
+        "7079ce512d2ee15c89fff109640ddb3837ae16622f4f2c51f9c211f4171463e9",
+        "bff073d0a6e7aa9d3076390ec679ccb6cd2dd10f9df2fddccda415e95ab8797d"),
+}
+
+
+@pytest.mark.parametrize("scheme, integrator", sorted(ITERATE_DIGESTS))
+def test_iterate_traces_keep_their_bytes(tmp_path, scheme, integrator):
+    iterate = ({"n_min": 1, "n_max": 3} if scheme == "galerkin"
+               else {"n_min": 0, "n_max": 2, "p": 2.0, "q": "inf"})
+    cfg = write_config(
+        tmp_path / "it.json",
+        grid={"n": 64},
+        solver={"t_final": 0.008, "output_stride": 2, "integrator": integrator},
+        initial_data={"seed": 0},
+        iterate=iterate,
+        output={"prefix": "pin"},
+    )
+    assert main(["iterate", scheme, str(cfg), "--output-dir", str(tmp_path)]) == 0
+    got = tuple(sha256_of_file(str(tmp_path / f"pin_trace.{ext}"))
+                for ext in ("json", "csv"))
+    assert got == ITERATE_DIGESTS[scheme, integrator]
+
+
 def test_verify_unknown_lemma_exits_one(capsys):
     assert main(["verify", "definitely_not_a_lemma"]) == 1
     assert "unknown lemma id" in capsys.readouterr().err

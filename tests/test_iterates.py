@@ -31,6 +31,7 @@ from sqglab.spectral import (
     grid_arrays,
     low_pass_symbol,
     sobolev_norm,
+    velocity,
 )
 
 from oracles import (
@@ -398,8 +399,8 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
     trace.parameters["data_diffs_besov_s0"] = data_diffs
     if len(data_diffs) >= 2 and all(v > 0.0 for v in data_diffs):
         trace.fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
-    # Spectra only: the stepper synthesizes every ramp velocity afresh, so
-    # the bitwise match checks the lockstep engine's velocity handover.
+    # Every ramp velocity is synthesized afresh from the spectra, so the
+    # bitwise match checks the lockstep engine's velocity handover.
     zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
     previous_traj = previous_stored = None
     for idx in range(len(n_values)):
@@ -413,7 +414,8 @@ def sequential_picard(theta0, n_values, p, q, config, s0=DEFAULT_S0):
                 adv0 = adv1 = zero
             else:
                 adv0, adv1 = previous_traj[k - 1], previous_traj[k]
-            coeffs = stepper.step(coeffs, advect_coeffs=adv0, advect_coeffs_end=adv1)
+            advect = (velocity(grid, adv0), velocity(grid, adv1))
+            coeffs = stepper.step(coeffs, advect=advect)
             t += config.dt
             traj.append(coeffs)
             if k % config.output_stride == 0 or k == n_steps:
@@ -541,9 +543,8 @@ def test_final_rows_see_the_picard_ramp(monkeypatch):
     good = picard_besov_sequence(theta0, range(0, 3), 2.0, 2.0, CFG)
     step = Stepper.step
 
-    def frozen(self, coeffs, dt=None, advect_coeffs=None, advect_coeffs_end=None,
-               advect_velocities=None):
-        return step(self, coeffs, dt, advect_coeffs, advect_coeffs)
+    def frozen(self, coeffs, dt=None, advect=None):
+        return step(self, coeffs, dt, None if advect is None else (advect[0],) * 2)
 
     monkeypatch.setattr(Stepper, "step", frozen)
     bad = picard_besov_sequence(theta0, range(0, 3), 2.0, 2.0, CFG)

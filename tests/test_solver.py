@@ -255,9 +255,9 @@ def test_cfl_guard_checks_every_stage(integrator):
     cfg = SolverConfig(grid=GRID, nu=0.001, gamma=0.5, dt=5e-3, t_final=0.05,
                        integrator=integrator)
     stepper = Stepper(cfg)
+    advect = (velocity(GRID, np.zeros_like(theta)), velocity(GRID, fast))
     with pytest.raises(CflGuardError):
-        stepper.step(theta, advect_coeffs=np.zeros_like(theta),
-                     advect_coeffs_end=fast)
+        stepper.step(theta, advect=advect)
     assert stepper.cfl_max > 2.0
 
 
@@ -269,18 +269,17 @@ def test_zero_ramp_step_is_the_heat_flow_and_keeps_the_nan_guard(
     # state must still stop the step.
     mask = grid_arrays(GRID).dealias_mask
     coeffs = small_random(GRID, amp=0.3).coeffs * mask
-    zero = np.zeros_like(coeffs)
+    zero = velocity(GRID, np.zeros_like(coeffs))
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, integrator=integrator)
     stepper = Stepper(cfg)
-    out, calls = count_transforms(stepper.step, coeffs, advect_coeffs=zero,
-                                  advect_coeffs_end=zero)
+    out, calls = count_transforms(stepper.step, coeffs, advect=(zero, zero))
     assert calls == 0
     heat = half(GRID, np.exp(-cfg.nu * cfg.dt * full_k_power(GRID, cfg.gamma)))
     np.testing.assert_allclose(out, heat * coeffs, rtol=1e-14, atol=0.0)
     assert stepper.cfl_max == 0.0
     coeffs[3, 2] = np.nan
     with pytest.raises(GuardError, match="NaN guard"):
-        stepper.step(coeffs, advect_coeffs=zero, advect_coeffs_end=zero)
+        stepper.step(coeffs, advect=(zero, zero))
 
 
 @pytest.mark.parametrize("wide", [False, True])
@@ -297,18 +296,17 @@ def test_ramp_mid_velocity_is_the_velocity_of_the_mid_field(wide):
     else:
         end = small_random(GRID, seed=7, amp=0.5).coeffs * mask
     stepper = Stepper(SolverConfig(grid=GRID))
-    v0, mid, v1 = stepper._ramp(start, end, None, True)
+    ends = (velocity(GRID, start), velocity(GRID, end))
+    v0, mid, v1 = stepper._ramp(ends, True)
     want = velocity(GRID, 0.5 * (start + end))
     assert want.umax > 0.0
     for got, ref in ((mid.u1, want.u1), (mid.u2, want.u2)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * want.umax
     assert mid.umax == pytest.approx(want.umax, rel=1e-14, abs=0.0)
-    # The end velocities are those of the end fields, and ETD-RK2's ramp
-    # has no mid stage.
-    for got, field in ((v0, start), (v1, end)):
-        ref = velocity(GRID, field)
-        assert np.array_equal(got.u1, ref.u1) and np.array_equal(got.u2, ref.u2)
-    assert len(stepper._ramp(start, end, None, False)) == 2
+    # The end velocities are the pair's, and ETD-RK2's ramp has no mid
+    # stage.
+    assert (v0, v1) == ends
+    assert stepper._ramp(ends, False) == ends
 
 
 @pytest.mark.parametrize("integrator, transforms", [("if_rk4", 20), ("etd_rk2", 10)])
@@ -550,8 +548,8 @@ def test_step_neither_mutates_nor_aliases_input(integrator):
     coeffs = small_random(GRID, amp=0.3).coeffs.copy()
     advect = small_random(GRID, seed=6, amp=0.3).coeffs.copy()
     before, advect_before = coeffs.copy(), advect.copy()
-    for kwargs in ({}, {"advect_coeffs": advect},
-                   {"advect_coeffs": advect, "advect_coeffs_end": advect}):
+    vel = velocity(GRID, advect)
+    for kwargs in ({}, {"advect": (vel, vel)}):
         out = stepper.step(coeffs, **kwargs)
         assert np.array_equal(coeffs, before)
         assert np.array_equal(advect, advect_before)
@@ -608,7 +606,8 @@ class FullLatticeStepper:
         extended."""
         half = target[:, : self.half]
         block = spectral._block_of(self.grid, half)
-        product = spectral._block_advect(block, vel, block.restrict(half), block.operand)
+        target = block.restrict(half, block.operand)
+        product = spectral._block_advect(block, vel, target, block.operand)
         return hermitian_extension(self.grid, block.embed(product, np.zeros_like(half)))
 
     def ramp(self, adv0, adv1):
@@ -687,7 +686,7 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
     wide = FullLatticeStepper(cfg, projection)
     kwargs = {}
     if adv0 is not None:
-        kwargs = {"advect_coeffs": adv0[:, :HALF], "advect_coeffs_end": adv1[:, :HALF]}
+        kwargs = {"advect": (velocity(GRID, adv0[:, :HALF]), velocity(GRID, adv1[:, :HALF]))}
     outside = np.ones((GRID.n, HALF), dtype=bool)
     outside[np.ix_(rows, np.arange(width))] = False
     assert np.any(half[outside]) == (projection is not None)
@@ -808,7 +807,8 @@ def test_step_grid_samples_the_peak_speed_at_most_15_percent_low():
                 half = half * mask
                 stepper.cfl_max = 0.0
                 block, _ = stepper._block(half)
-                stepper._rhs(block, block.restrict(half), None, cfg.dt)
+                state = block.restrict(half, np.empty(block.shape, np.complex128))
+                stepper._rhs(block, state, None, cfg.dt, state)
                 full_grid = cfg.dt * grid.dealias_radius * velocity(grid, half * low).umax
                 ratios.append(stepper.cfl_max / full_grid)
     assert min(ratios) >= 0.85, min(ratios)
@@ -817,8 +817,9 @@ def test_step_grid_samples_the_peak_speed_at_most_15_percent_low():
 def test_frozen_advection_rejects_a_projection():
     stepper = Stepper(SolverConfig(grid=GRID), projection=3)
     half = small_random(GRID, amp=0.3).coeffs
+    vel = velocity(GRID, half)
     with pytest.raises(UsageError, match="projection"):
-        stepper.step(half, advect_coeffs=half)
+        stepper.step(half, advect=(vel, vel))
 
 
 def test_saved_final_state_is_byte_identical_to_full_lattice_run():
@@ -854,7 +855,8 @@ def test_steppers_share_read_only_factor_tables(integrator):
     cfg = SolverConfig(grid=GRID, nu=0.3, gamma=0.5, dt=1e-3, integrator=integrator)
     a = Stepper(cfg, projection=3)
     b = Stepper(replace(cfg, t_final=0.5), projection=3)
-    tables_a, tables_b = a._factor_set(cfg.dt), b._factor_set(cfg.dt)
+    block = spectral._dealias_block(GridSpec(32), False)
+    tables_a, tables_b = a._factor_set(cfg.dt, block), b._factor_set(cfg.dt, block)
     assert len(tables_a) == (2 if integrator == "if_rk4" else 3)
     # Projection 3 steps on 32^2, so the tables are that grid's dealias
     # block: 2K + 1 rows and K + 1 columns, K = 10.
@@ -864,21 +866,33 @@ def test_steppers_share_read_only_factor_tables(integrator):
         assert ta.shape == (21, 11)
         assert not ta.flags.writeable
     assert a._low is b._low and not a._low.flags.writeable
-    other = Stepper(replace(cfg, nu=0.2))._factor_set(cfg.dt)
+    other = Stepper(replace(cfg, nu=0.2))._factor_set(cfg.dt, block)
     assert all(x is not y for x, y in zip(other, tables_a))
 
 
-@pytest.mark.parametrize("which", ["coeffs", "advect_coeffs", "advect_coeffs_end"])
+@pytest.mark.parametrize("which", ["coeffs"])
 def test_step_rejects_arrays_that_are_not_half_spectra(which):
     stepper = Stepper(SolverConfig(grid=GRID))
     full_state = full_spectrum(GRID, small_random(GRID, amp=0.3).coeffs)
     half = full_state[:, :HALF]
+    vel = velocity(GRID, half)
     for bad in (full_state, full_state[:, : HALF + 1], full_state[: GRID.n - 1, :HALF],
                 half[0]):
-        kwargs = {"coeffs": half, "advect_coeffs": half, "advect_coeffs_end": half}
-        kwargs[which] = bad
-        with pytest.raises(UsageError, match="half spectra"):
-            stepper.step(**kwargs)
+        for advect in (None, (vel, vel)):
+            with pytest.raises(UsageError, match="half spectra"):
+                stepper.step(**{which: bad}, advect=advect)
+
+
+def test_step_rejects_velocities_sampled_on_another_grid():
+    # Either end of the pair sampled on 32^2 instead of the stepper's 64^2.
+    stepper = Stepper(SolverConfig(grid=GRID))
+    half = small_random(GRID, amp=0.3).coeffs * grid_arrays(GRID).dealias_mask
+    coarse_grid = GridSpec(GRID.n // 2)
+    coarse = velocity(coarse_grid, small_random(coarse_grid, amp=0.3).coeffs)
+    fine = velocity(GRID, half)
+    for advect in ((coarse, coarse), (fine, coarse), (coarse, fine)):
+        with pytest.raises(UsageError, match="sampled on the stepper's grid"):
+            stepper.step(half, advect=advect)
 
 
 def test_gevrey_overflow_aborts_a_run_before_any_warning():
@@ -975,7 +989,7 @@ def test_row_weights_pass_the_guards_as_gevrey_half_weight_does():
     cfg = SolverConfig(grid=grid, gamma=1.0, gevrey_epsilon0=0.3, j0=3)
     core = _emit_core(cfg)
     block = spectral._dealias_block(grid, False)
-    restricted = block.restrict(coeffs)
+    restricted = block.restrict(coeffs, np.empty(block.shape, np.complex128))
     power = spectral.half_power(grid, restricted)
     kpow = block.restrict(spectral.k_power(grid, 1.0), np.empty(block.shape))
     corner = float(kpow.max())

@@ -206,7 +206,8 @@ def test_gevrey_amplitude_guard_fires_below_the_exponent_cap(rng):
         with pytest.raises(OverflowGuardError, match="double range"):
             gevrey_half_weight(GRID, 1.0, t, 1.0, coeffs)
         with pytest.raises(OverflowGuardError, match="double range"):
-            gevrey_half_weight(GRID, 1.0, t, 1.0, block.restrict(coeffs),
+            gevrey_half_weight(GRID, 1.0, t, 1.0,
+                               block.restrict(coeffs, np.empty(block.shape, complex)),
                                block.restrict(kpow, np.empty(block.shape)),
                                np.empty(block.shape))
 
