@@ -71,7 +71,6 @@ from .spectral import (
     load_field,
     low_pass_symbol,
     lp_norm,
-    riesz_perp,
     save_field,
     sobolev_norm,
     transport,
@@ -126,7 +125,6 @@ __all__ = [
     "nonlinear_term",
     "picard_besov_sequence",
     "power_law_field",
-    "riesz_perp",
     "run_simulation",
     "save_field",
     "sobolev_norm",

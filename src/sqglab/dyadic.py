@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,6 @@ from .spectral import (
     SpectralField,
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
-    _block_of,
     _block_samples,
     _capped_gevrey_weight,
     _dealias_block,
@@ -188,16 +186,16 @@ def besov_norm(field: SpectralField, s: float, p: float, q: float) -> float:
 
 class _RowCore:
     """The diagnostics rows of one run: every norm column of a state from
-    one product of a table stack with its powers, on its block.
+    one product of a table stack with its powers, on the dealias block.
 
     Built once per run (``simulate``'s, or an iterate sweep's) for its
     grid, ``gamma``, the Sobolev ``orders`` (``(r, homogeneous)`` pairs) of
     its columns, the Gevrey rates ``lams`` it weighs with and the split
-    block ``j0`` (or None).  A state runs on its block
-    (:func:`~sqglab.spectral._block_of`): the dealias block for dealiased
-    data, the whole half spectrum for data with a mode outside it.  Per
-    block, built when a state first needs it, the core holds the read-only
-    stack ``T``, one weight table per row:
+    block ``j0`` (or None).  A state runs on the grid's dealias block
+    (``block``, :class:`~sqglab.spectral._Block`), where dealiased data
+    and their steps live; :meth:`row` raises ``UsageError`` on a state with
+    a nonzero mode outside it.  The core holds the read-only stack ``T``
+    there, one weight table per row:
 
     * the Sobolev weights of each order, in the order given;
     * the :func:`block_power_weights` rows: block ``j_min..j_max``, then the
@@ -205,81 +203,72 @@ class _RowCore:
     * with ``j0``, ``low^2`` and ``(1 - low)^2`` for the low-pass ``low``
       of ``j0``, last;
 
-    with the ``|k|^gamma`` table there and the buffers a row writes.  Nothing
-    is keyed on ``t``.  Single-threaded, like the block buffers it uses.
+    with the ``|k|^gamma`` table there and the buffers a row writes:
+    ``coeffs``, the restricted state, ``powers``, ``[P, W_lam...]`` flat,
+    and ``weights``, each rate's weight.  Nothing is keyed on ``t``.
+    Single-threaded, like the block buffers it uses.
     """
 
     def __init__(self, grid: GridSpec, gamma: float, orders, lams, j0=None):
-        self.grid, self.gamma, self.orders, self.lams, self.j0 = grid, gamma, orders, lams, j0
+        self.grid, self.gamma, self.lams = grid, gamma, lams
         self.partition = default_partition(grid)
-        first = len(orders)
-        self.blocks = slice(first, first + len(block_power_weights(self.partition)))
-        self._packs, self._loaded = {}, None
-
-    def _pack(self, wide: bool) -> SimpleNamespace:
-        pack = self._packs.get(wide)
-        if pack is None:
-            grid = self.grid
-            block = _dealias_block(grid, wide)
-            tables = [sobolev_weights(grid, r, homogeneous) for r, homogeneous in self.orders]
-            tables += list(block_power_weights(self.partition))
-            if self.j0 is not None:
-                low = low_pass_symbol(grid, self.j0)
-                high = 1.0 - low
-                tables += [low * low, high * high]
-            stack = np.empty((len(tables),) + block.shape)
-            for table, row in zip(tables, stack):
-                block.restrict(table, row)
-            kpow = block.restrict(k_power(grid, self.gamma), np.empty(block.shape))
-            for table in (stack, kpow):
-                table.flags.writeable = False
-            size = kpow.size
-            pack = SimpleNamespace(
-                block=block, stack=stack.reshape(len(tables), size), kpow=kpow,
-                coeffs=np.empty(block.shape, np.complex128),
-                # [P, W for each rate], flat, and each rate's weight.
-                powers=np.empty((1 + len(self.lams), size)),
-                weights=np.empty((len(self.lams),) + block.shape),
-            )
-            self._packs[wide] = pack
-        return pack
+        self.block = block = _dealias_block(grid, False)
+        tables = [sobolev_weights(grid, r, homogeneous) for r, homogeneous in orders]
+        tables += list(block_power_weights(self.partition))
+        self.blocks = slice(len(orders), len(tables))
+        if j0 is not None:
+            low = low_pass_symbol(grid, j0)
+            high = 1.0 - low
+            tables += [low * low, high * high]
+        stack = np.empty((len(tables),) + block.shape)
+        for table, row in zip(tables, stack):
+            block.restrict(table, row)
+        self.kpow = block.restrict(k_power(grid, gamma), np.empty(block.shape))
+        for table in (stack, self.kpow):
+            table.flags.writeable = False
+        size = self.kpow.size
+        self.stack = stack.reshape(len(tables), size)
+        self.coeffs = np.empty(block.shape, np.complex128)
+        self.powers = np.empty((1 + len(lams), size))
+        self.weights = np.empty((len(lams),) + block.shape)
 
     def row(self, half: np.ndarray, t: float, minus: Optional[np.ndarray] = None) -> np.ndarray:
         """``period^2 T @ [P, W_lam...]``, ``(rows of T, 1 + len(lams))``.
 
         ``P`` is the :func:`~sqglab.spectral.half_power` of the state
-        ``half`` (minus the state ``minus``, on the wide block if either
-        leaves the dealias block) on its block, and ``W_lam = w^2 P`` for
-        the Gevrey weight ``w = exp(lam t |k|^gamma)`` of each rate, from
-        :func:`~sqglab.spectral.gevrey_half_weight` and its two guards, which
-        raise before any product that could overflow.  The state stays
-        loaded for :meth:`lp_norms` and :meth:`besov`.
+        ``half`` (minus the state ``minus``) on the block, and
+        ``W_lam = w^2 P`` for the Gevrey weight ``w = exp(lam t |k|^gamma)``
+        of each rate, from :func:`~sqglab.spectral.gevrey_half_weight` and
+        its two guards, which raise before any product that could overflow.
+        The state stays loaded for :meth:`lp_norms` and :meth:`besov`.
         """
-        grid = self.grid
-        wide = _block_of(grid, half).wide or (minus is not None and _block_of(grid, minus).wide)
-        self._loaded = pack = self._pack(wide)
-        block, coeffs = pack.block, pack.coeffs
+        grid, block, coeffs = self.grid, self.block, self.coeffs
+        if block.outside(half) or (minus is not None and block.outside(minus)):
+            raise UsageError(
+                f"a diagnostics row takes states on the {block.shape} dealias "
+                f"block of the {grid.n}^2 grid; this one has a nonzero mode outside it"
+            )
         block.restrict(half, coeffs)
         if minus is not None:
             coeffs -= block.restrict(minus, block.operand)
         shape = block.shape
-        power, scratch = pack.powers[0].reshape(shape), pack.weights[0]
+        power, scratch = self.powers[0].reshape(shape), self.weights[0]
         np.multiply(coeffs.real, coeffs.real, out=power)
         power += np.multiply(coeffs.imag, coeffs.imag, out=scratch)
         power *= parseval_columns(grid)[: shape[1]]
-        for lam, weight, warm in zip(self.lams, pack.weights, pack.powers[1:]):
-            gevrey_half_weight(grid, lam, t, self.gamma, coeffs, pack.kpow, weight)
+        for lam, weight, warm in zip(self.lams, self.weights, self.powers[1:]):
+            gevrey_half_weight(grid, lam, t, self.gamma, coeffs, self.kpow, weight)
             warm = warm.reshape(shape)
             np.multiply(power, weight, out=warm)
             warm *= weight
-        return grid.period ** 2 * _parseval_sums(pack.stack, pack.powers)
+        return grid.period ** 2 * _parseval_sums(self.stack, self.powers)
 
     def lp_norms(self) -> tuple:
         """``(L^1, L^2, L^4, L^inf)`` of the loaded state: one inverse
         transform into the workspace, one ``|s|`` pass and one square pass."""
-        grid, pack = self.grid, self._loaded
+        grid = self.grid
         samples, scratch = _workspace(grid).samples[:2]
-        _block_samples(pack.block, pack.coeffs, samples)
+        _block_samples(self.block, self.coeffs, samples)
         cell = grid.cell_area
         mag = np.abs(samples, out=scratch)
         l1, linf = float(mag.sum()) * cell, float(mag.max())
@@ -296,9 +285,9 @@ class _RowCore:
             j_min = self.partition.j_min
             norms = np.sqrt(sums[self.blocks, col])[max(1, j_min) - j_min :]
             return _besov_sum(self.partition, norms, s, q)
-        grid, pack = self.grid, self._loaded
-        coeffs = pack.coeffs if col == 0 else pack.coeffs * pack.weights[col - 1]
-        half = pack.block.embed(coeffs, np.zeros((grid.n, grid.n // 2 + 1), np.complex128))
+        grid = self.grid
+        coeffs = self.coeffs if col == 0 else self.coeffs * self.weights[col - 1]
+        half = self.block.embed(coeffs, np.zeros((grid.n, grid.n // 2 + 1), np.complex128))
         half.flags.writeable = False
         return besov_norm(SpectralField(grid, half), s, p, q)
 

@@ -25,8 +25,8 @@ from .solver import SolverConfig, Stepper
 from .spectral import (
     PROFILE_OUTER,
     SpectralField,
+    _dealias_block,
     grid_arrays,
-    half_power,
     low_pass_symbol,
     velocity,
 )
@@ -51,12 +51,10 @@ def _norm_core(config: SolverConfig) -> _RowCore:
 
 
 def _norm_row(half: np.ndarray, t: float, config: SolverConfig, s0: float,
-              core: _RowCore | None = None, minus: np.ndarray | None = None) -> dict:
+              core: _RowCore, minus: np.ndarray | None = None) -> dict:
     """Every norm of one half-spectrum state, or of ``half - minus``, from
-    one table product of its power and Gevrey-weighted power on its block
-    (:class:`~sqglab.dyadic._RowCore`; ``core`` is the sweep's, else one is
-    built)."""
-    core = core or _norm_core(config)
+    one table product of its power and Gevrey-weighted power on the dealias
+    block (:class:`~sqglab.dyadic._RowCore`, the sweep's ``core``)."""
     sums = core.row(half, t, minus)
     norms = np.sqrt(sums[:2])
     p = config.besov_p
@@ -125,8 +123,9 @@ def _lockstep(
     step-(k-1) states ``old`` and the step-k states ``new`` of the iterates
     before i, so iterates are updated in increasing i.  At every stored time
     each state's norm row, and the row of its difference from the previous
-    iterate, is folded into running sups, and ``audit(i, state)`` sees the
-    state; memory therefore grows with the number of iterates, not of steps.
+    iterate, is folded into running sups, and ``audit(i, power)`` sees the
+    state's power on the dealias block, flat, as its row formed it; memory
+    therefore grows with the number of iterates, not of steps.
     The rows of the last stored time, t_final, are kept as the final rows.
     Differences are fitted geometrically against 2^n.
     """
@@ -139,9 +138,9 @@ def _lockstep(
 
     def record(t, states):
         for i, coeffs in enumerate(states):
-            if audit is not None:
-                audit(i, coeffs)
             final_norms[i] = _norm_row(coeffs, t, config, s0, core)
+            if audit is not None:
+                audit(i, core.powers[0])
             norms[i] = _fold_sup(norms[i], final_norms[i])
             if i:
                 final_diffs[i - 1] = _norm_row(coeffs, t, config, s0, core, states[i - 1])
@@ -192,14 +191,14 @@ def galerkin_sequence(
     """
     n_values, n_steps = _validated(theta0, n_range, config, -1, "cutoff")
     grid = config.grid
-    k_abs = grid_arrays(grid).k_abs
+    block = _dealias_block(grid, False)
+    k_abs = block.restrict(grid_arrays(grid).k_abs, np.empty(block.shape)).ravel()
     outside = [k_abs > PROFILE_OUTER * 2.0 ** (n - 1) for n in n_values]
     steppers = [Stepper(config, projection=n - 1) for n in n_values]
     worst_leak = 0.0
 
-    def audit(i, coeffs):
+    def audit(i, power):
         nonlocal worst_leak
-        power = half_power(grid, coeffs)
         total = float(np.sum(power))
         if total > 0.0:
             leak = float(np.sum(power[outside[i]])) / total

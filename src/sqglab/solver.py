@@ -1,7 +1,7 @@
 """Pseudospectral time integration of dissipative SQG transport.
 
 The equation is theta_t + u . grad(theta) + nu D^gamma theta = 0 with
-u = riesz_perp(theta) on the periodic box.  The stiff dissipation is applied
+u = R_perp theta on the periodic box.  The stiff dissipation is applied
 exactly through heat factors (integrating factor); only the transport
 term is stepped explicitly, so the linear flow is reproduced to round-off
 regardless of dt.
@@ -88,6 +88,15 @@ class SolverConfig:
             raise UsageError("besov_p and besov_q must be >= 1")
         if self.galerkin_n is not None and self.galerkin_n < 1:
             raise UsageError("galerkin_n must be >= 1 when set")
+        # Past these bounds the projection and the split are the identity on
+        # every mode, and 2.0 ** j overflows for j of about 1025 or more.
+        j_max = default_partition(self.grid).j_max
+        if self.galerkin_n is not None and self.galerkin_n > j_max + 1:
+            raise UsageError(
+                f"galerkin_n must be <= {j_max + 1} on this grid, got {self.galerkin_n}"
+            )
+        if self.j0 is not None and self.j0 > j_max:
+            raise UsageError(f"j0 must be <= {j_max} on this grid, got {self.j0}")
         if self.output_stride < 1:
             raise UsageError("output_stride must be >= 1")
         if self.snapshot_stride < 0:
@@ -125,9 +134,9 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _factor_tables(grid: GridSpec, nu: float, gamma: float, dt: float,
-                   integrator: str, wide: bool) -> tuple:
+                   integrator: str) -> tuple:
     """Read-only exponential factors of ``-nu |k|^gamma dt`` on the dealias
-    block of ``grid``, or on its wide block (``spectral._Block``).
+    block of ``grid`` (``spectral._Block``).
 
     ``(e^{z/2}, e^z)`` for IF-RK4, ``(e^z, phi1(z), phi2(z))`` for ETD-RK2,
     evaluated in real arithmetic and stored complex with a zero imaginary
@@ -135,7 +144,7 @@ def _factor_tables(grid: GridSpec, nu: float, gamma: float, dt: float,
     no cast buffer.  Shared by every stepper with the same key, so sweeps
     that hold several steppers hold one copy.
     """
-    block = _dealias_block(grid, wide)
+    block = _dealias_block(grid, False)
     z = -(nu * k_power(grid, gamma)[block.rows, : block.width]) * dt
     if integrator == "if_rk4":
         e_half = np.exp(0.5 * z)
@@ -185,20 +194,21 @@ class Stepper:
     the pair in samples (:meth:`_ramp`), so a ramped IF-RK4 step makes
     three transforms a stage, none for its velocities.
 
-    The stages run on the step grid's dealias block (``spectral._Block``),
-    the ``(2K + 1, K + 1)`` modes a dealiased tendency can occupy: the state
-    is restricted to it, stepped there, and embedded back, the modes
-    outside it getting the heat flow, exactly the full step's value there.
-    A state with a nonzero mode outside the block, data that were never
-    dealiased, steps the same way on the wide block, the whole half
-    spectrum.
+    The stages run on the step grid's dealias block (``spectral._Block``,
+    ``block``), the ``(2K + 1, K + 1)`` modes a dealiased tendency can
+    occupy: the state is restricted to it, stepped there, and embedded back
+    into a copy of itself.  A state must lie in the block, and
+    :meth:`step` raises ``UsageError`` on one with a nonzero mode outside
+    it.  Dealiased data stay there, since every tendency is masked.
 
     With a ``projection`` the step grid is :func:`stepping_grid`'s, and the
-    block is taken straight from the full grid's state; the modes outside
-    it carry no tendency, since the projection vanishes there.  The CFL
-    guard keeps the full grid's dealias radius as its ``kmax`` but reads the
-    peak speed from the step grid's samples, which can fall below the full
-    grid's.
+    block is taken straight from the full grid's state, which must be
+    projected (a projected tendency keeps it so).  The projection is
+    gathered on the block once; where its support reaches past the block
+    (a step grid that fell back to the full grid), the masked tendency
+    vanishes anyway.  The CFL guard keeps the full grid's dealias radius as
+    its ``kmax`` but reads the peak speed from the step grid's samples,
+    which can fall below the full grid's.
     """
 
     def __init__(self, config: SolverConfig, projection: int | None = None):
@@ -206,37 +216,22 @@ class Stepper:
         self.projection = projection
         self.grid = config.grid
         self.step_grid = stepping_grid(self.grid, projection)
+        self.block = _dealias_block(self.step_grid, False)
         self._shape = (self.grid.n, self.grid.n // 2 + 1)
-        self._low = (None if projection is None
-                     else low_pass_symbol(self.step_grid, projection))
-        # A projection steps on the wide block only when its support leaves
-        # the dealias block (a step grid that fell back to the full grid).
-        self._wide = (self._low is not None
-                      and _dealias_block(self.step_grid, False).outside(self._low))
-        self._low_block = (None if self._low is None
-                           else _dealias_block(self.step_grid, self._wide).gather(self._low))
+        self._low_block = (None if projection is None
+                           else self.block.gather(low_pass_symbol(self.step_grid, projection)))
         self._kmax = self.grid.dealias_radius
         self.cfl_max = 0.0
         self._warned = False
 
-    def _factor_set(self, dt: float, block) -> tuple:
-        """The factor tables on ``block``."""
+    def _factor_set(self, dt: float) -> tuple:
+        """The factor tables on the block."""
         cfg = self.config
-        return _factor_tables(block.grid, cfg.nu, cfg.gamma, dt, cfg.integrator,
-                              block.wide)
+        return _factor_tables(self.step_grid, cfg.nu, cfg.gamma, dt, cfg.integrator)
 
-    def _block(self, coeffs: np.ndarray) -> tuple:
-        """``(block, outside)``: the block a step of ``coeffs`` runs on, and
-        whether ``coeffs`` has a nonzero mode outside it."""
-        block = _dealias_block(self.step_grid, self._wide)
-        outside = block.outside(coeffs)
-        if outside and self._low is None:
-            return _dealias_block(self.step_grid, True), False
-        return block, outside
-
-    def _rhs(self, block, state: np.ndarray, vel: Velocity | None, dt: float,
+    def _rhs(self, state: np.ndarray, vel: Velocity | None, dt: float,
              out: np.ndarray) -> np.ndarray:
-        """Stage tendency of ``state``, an array on ``block``, into ``out``
+        """Stage tendency of ``state``, an array on the block, into ``out``
         (which may be ``state``); every stage's velocity goes through the
         CFL guard.
 
@@ -244,6 +239,7 @@ class Stepper:
         state by its own velocity.  ``-(x low)`` equals ``x (-low)`` up to
         the sign of zeros, so no negated table is needed.
         """
+        block = self.block
         if vel is None:
             if self._low_block is not None:
                 # The projected state goes to the stage buffer no stage uses.
@@ -305,32 +301,27 @@ class Stepper:
                     "a frozen advecting field does not combine with a projection: "
                     "its tendency would not be truncated"
                 )
+        block = self.block
+        if block.outside(coeffs):
+            raise UsageError(
+                f"coeffs has a nonzero mode outside the {block.shape} dealias "
+                f"block of the {self.step_grid.n}^2 step grid; the stepper takes "
+                f"dealiased states, cut to the support of its projection if any"
+            )
         dt = self.config.dt if dt is None else dt
         rk4 = self.config.integrator == "if_rk4"
-        block, outside = self._block(coeffs)
         ramp = self._ramp(advect, rk4)
         state, out = block.restrict(coeffs, block.halves[4]), block.halves[5]
         if rk4:
-            self._step_if_rk4(block, state, dt, ramp, out)
+            self._step_if_rk4(state, dt, ramp, out)
         else:
-            self._step_etd_rk2(block, state, dt, ramp, out)
-        out = self._embed(coeffs, block, out, outside, dt)
+            self._step_etd_rk2(state, dt, ramp, out)
+        # Outside the block the state is zero, its own heat flow; the copy
+        # keeps the signs of those zeros.
+        out = block.embed(out, coeffs.copy())
         if not np.isfinite(out.view(np.float64), out=_workspace(self.grid).finite).all():
             raise GuardError("non-finite state after step (NaN guard)")
         return out
-
-    def _embed(self, coeffs: np.ndarray, block, stepped: np.ndarray,
-               outside: bool, dt: float) -> np.ndarray:
-        """The full half spectrum after a step: ``stepped`` on the block, the
-        heat flow ``e^z coeffs`` on the rest, whose tendency is zero.  With
-        nothing ``outside`` the block, that flow is ``coeffs`` itself."""
-        if outside:
-            # e^z over the whole step: IF-RK4's second table, ETD-RK2's first.
-            tables = self._factor_set(dt, _dealias_block(self.grid, True))
-            out = tables[1 if self.config.integrator == "if_rk4" else 0] * coeffs
-        else:
-            out = coeffs.copy()
-        return block.embed(stepped, out)
 
     def _ramp(self, advect, mid: bool) -> tuple:
         """Velocities at the stage times of a step: start, mid (if ``mid``)
@@ -358,29 +349,29 @@ class Stepper:
     # the one the formula gives.  ``out`` serves as scratch until the last
     # line writes the result into it.
 
-    def _step_if_rk4(self, block, coeffs, dt, ramp, out):
+    def _step_if_rk4(self, coeffs, dt, ramp, out):
         """``m1 = N(c)``, ``m2 = N(e1 (c + dt/2 m1))``,
         ``m3 = N(e1 c + dt/2 m2)``, ``m4 = N(e2 c + dt e1 m3)``;
         ``e2 c + dt/6 (e2 m1 + 2 e1 (m2 + m3) + m4)``."""
-        e1, e2 = self._factor_set(dt, block)
+        e1, e2 = self._factor_set(dt)
         v0, vh, v1 = ramp
-        a, b, s = block.halves[:3]
-        self._rhs(block, coeffs, v0, dt, a)          # a = m1
+        a, b, s = self.block.halves[:3]
+        self._rhs(coeffs, v0, dt, a)                 # a = m1
         np.multiply(a, 0.5 * dt, out=b)
         b += coeffs
         b *= e1
-        self._rhs(block, b, vh, dt, b)               # b = m2
+        self._rhs(b, vh, dt, b)                      # b = m2
         a *= e2                                      # a = e2 m1
         np.multiply(e1, coeffs, out=s)
         np.multiply(b, 0.5 * dt, out=out)
         s += out
-        self._rhs(block, s, vh, dt, s)               # s = m3
+        self._rhs(s, vh, dt, s)                      # s = m3
         np.multiply(e1, dt, out=out)
         out *= s                                     # out = dt e1 m3
         b += s                                       # b = m2 + m3
         np.multiply(e2, coeffs, out=s)
         s += out
-        self._rhs(block, s, v1, dt, s)               # s = m4
+        self._rhs(s, v1, dt, s)                      # s = m4
         np.multiply(e1, 2.0, out=out)
         out *= b
         a += out
@@ -390,18 +381,18 @@ class Stepper:
         out += a
         return out
 
-    def _step_etd_rk2(self, block, coeffs, dt, ramp, out):
+    def _step_etd_rk2(self, coeffs, dt, ramp, out):
         """``n0 = N(c)``, ``p = ez c + dt p1 n0``, ``n1 = N(p)``;
         ``p + dt p2 (n1 - n0)``."""
-        ez, p1, p2 = self._factor_set(dt, block)
+        ez, p1, p2 = self._factor_set(dt)
         v0, v1 = ramp
-        a, p = block.halves[:2]
-        self._rhs(block, coeffs, v0, dt, a)          # a = n0
+        a, p = self.block.halves[:2]
+        self._rhs(coeffs, v0, dt, a)                 # a = n0
         np.multiply(ez, coeffs, out=p)
         np.multiply(p1, dt, out=out)
         out *= a
         p += out                                     # p = predictor
-        self._rhs(block, p, v1, dt, out)             # out = n1
+        self._rhs(p, v1, dt, out)                    # out = n1
         out -= a
         np.multiply(p2, dt, out=a)
         a *= out

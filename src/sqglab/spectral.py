@@ -40,7 +40,6 @@ __all__ = [
     "GridSpec",
     "SpectralField",
     "forward_transform",
-    "riesz_perp",
     "synthesize",
     "analyze",
     "parseval_columns",
@@ -323,18 +322,6 @@ def _capped_gevrey_weight(kpow: np.ndarray, lam: float, t: float,
     return np.where(expo <= cap, np.exp(np.minimum(expo, cap)), 0.0), expo
 
 
-def riesz_perp(field: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """Divergence-free velocity from a scalar: u = (-R2 f, R1 f).
-
-    In symbols: ``u^(k) = i k_perp / |k| * f^(k)`` with ``k_perp = (-k2, k1)``.
-    """
-    ga = grid_arrays(field.grid)
-    c = field.coeffs
-    u1 = SpectralField(field.grid, (-1j) * ga.k2 * ga.inv_k_abs * c)
-    u2 = SpectralField(field.grid, (+1j) * ga.k1 * ga.inv_k_abs * c)
-    return u1, u2
-
-
 # ---------------------------------------------------------------------------
 # The rfft half spectrum: columns 0..n/2 of a real field's coefficients.
 # ---------------------------------------------------------------------------
@@ -598,10 +585,12 @@ class _Block:
     outside rows ``0..K`` and ``n-K..n-1`` and columns ``0..K`` of the half
     spectrum.  The dealias block stacks those rows, top then bottom, into a
     ``(2K + 1, K + 1)`` array.  Its rows are the FFT order of ``2K + 1``
-    points, so ``m1 -> -m1`` is ``i -> -i mod 2K + 1`` there.  The wide block
-    is the whole ``(n, n/2 + 1)`` half spectrum, for a field with a nonzero
-    mode outside the dealias block; the dealias block is the whole too when
-    the mask keeps every row (``2K + 1 > n``).
+    points, so ``m1 -> -m1`` is ``i -> -i mod 2K + 1`` there.  The dealias
+    block is the whole ``(n, n/2 + 1)`` half spectrum when the mask keeps
+    every row (``2K + 1 > n``).  The wide block is always the whole, for a
+    field with a nonzero mode outside the dealias block; only the public
+    :func:`velocity` and :func:`transport` take one (:func:`_block_of`),
+    since the solver's stepper and diagnostics rows refuse such a field.
 
     Holds the transport tables on the block, and the buffers its passes and
     the solver's stages write (single-threaded use; each is dead once the
@@ -622,7 +611,8 @@ class _Block:
     * ``flip``: the flipped self-conjugate columns of a product;
     * ``operand``: a field restricted by the public transport, or the
       state a diagnostics row subtracts (``dyadic._RowCore``);
-    * ``halves``, ``(6, *shape)``: the stepper's stage buffers.
+    * ``halves``, ``(6, *shape)``: the stepper's stage buffers, written on
+      dealias blocks only.
 
     Buffers are allocated empty or zeroed; the pages of one that is never
     written never become resident.
@@ -636,7 +626,7 @@ class _Block:
             self.top, self.bottom, self.width = n // 2, n // 2, n // 2 + 1
         else:
             self.top, self.bottom, self.width = k + 1, k, k + 1
-        self.grid, self.wide = grid, wide
+        self.grid = grid
         self.rows = np.r_[0 : self.top, n - self.bottom : n]
         self.shape = (self.rows.size, self.width)
         rows, cols = self.rows, slice(0, self.width)

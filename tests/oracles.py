@@ -9,7 +9,8 @@ over mode pairs.  Package fields hold half spectra; they enter through
 :func:`full`, their Hermitian extension.  None of these reads the package's
 frequency or weight tables, except :func:`scipy_transport`, which replays
 the package's transport with whole-array transforms on the package's
-``grid_arrays``, and :func:`quad_seminorm_sq`, which integrates on a
+``grid_arrays``, :func:`riesz_perp`, which applies the velocity symbol to
+the whole half spectrum on those tables, and :func:`quad_seminorm_sq`, which integrates on a
 package ``OneDGrid``.  :func:`pointwise_phase_fd_constants` replays the
 phase-bound derivative stencil one sample point at a time, and
 :func:`block_sweep_oracle` the block sweep one fresh field and one scanned
@@ -36,6 +37,7 @@ from sqglab.spectral import (
     PROFILE_OUTER,
     SpectralField,
     full_spectrum,
+    grid_arrays,
     lp_norm,
     smoothstep,
     synthesize,
@@ -66,6 +68,20 @@ def full_lattice(grid):
         m1=m1, m2=m2, k1=k1, k2=k2, k_sq=k_sq, k_abs=k_abs, inv_k_abs=inv_k_abs,
         dealias_mask=dealias_mask, nyquist=nyquist,
     )
+
+
+def riesz_perp(field):
+    """Divergence-free velocity from a scalar: u = (-R2 f, R1 f).
+
+    In symbols: ``u^(k) = i k_perp / |k| * f^(k)`` with ``k_perp = (-k2, k1)``,
+    on the whole half spectrum, where ``spectral.velocity`` applies the
+    symbol on a block.
+    """
+    ga = grid_arrays(field.grid)
+    c = field.coeffs
+    u1 = SpectralField(field.grid, (-1j) * ga.k2 * ga.inv_k_abs * c)
+    u2 = SpectralField(field.grid, (+1j) * ga.k1 * ga.inv_k_abs * c)
+    return u1, u2
 
 
 def full(field):
@@ -297,8 +313,6 @@ def scipy_transport(grid, source, target):
     column: the transport before the dealias-band passes, operation for
     operation."""
     import scipy.fft
-
-    from sqglab.spectral import grid_arrays
 
     n = grid.n
     ga = grid_arrays(grid)

@@ -27,7 +27,6 @@ from sqglab import (
     lp_norm,
     picard_besov_sequence,
     power_law_field,
-    riesz_perp,
     run_simulation,
     sobolev_norm,
 )
@@ -35,6 +34,8 @@ from sqglab.cli import main as cli_main
 from sqglab.dyadic import block_commutator
 from sqglab.solver import conservation_report, gevrey_safe_horizon
 from sqglab.spectral import gevrey_half_weight, grid_arrays, k_power
+
+from oracles import riesz_perp
 
 
 def unit_l2(field, target=1.0):

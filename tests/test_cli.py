@@ -121,6 +121,13 @@ def test_gamma_out_of_range_exits_one(tmp_path, capsys):
     assert "(0, 2]" in err
 
 
+@pytest.mark.parametrize("key", ["galerkin_n", "j0"])
+def test_a_block_index_past_the_partition_exits_one(tmp_path, capsys, key):
+    cfg = write_config(tmp_path / "sim.json", grid={"n": 16}, solver={key: 2000})
+    assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    assert f"{key} must be <=" in capsys.readouterr().err
+
+
 def test_overflow_guard_exits_two(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "sim.json",
@@ -451,6 +458,55 @@ def test_iterate_traces_keep_their_bytes(tmp_path, scheme, integrator):
     assert got == ITERATE_DIGESTS[scheme, integrator]
 
 
+#: sha256 of the series CSV and the final ``.sqgf`` of seed-0 ``simulate``
+#: runs at 64^2, 4 steps: plain, with ``j0``, with ``galerkin_n`` 3 (a 16^2
+#: step grid) and with ``galerkin_n`` 6, whose projection reaches past the
+#: dealias block but is 1 on it, so it steps as the plain run does.
+SIMULATE_DIGESTS = {
+    ("plain", "if_rk4"): (
+        "78863eea2fe06d54d6424438a2fb25dffdff1f19e779161c2a597487967d53bd",
+        "d19a9804d197211e476c529fc963cd4bbdd9fb584b29020428c4dda9778505a4"),
+    ("plain", "etd_rk2"): (
+        "8219b71a54f50312572e80b3902b96f39d674f09e834c6d8d8ba6aaa8b43ea92",
+        "38f6539d5cb1b1442b6c42257d72ba6061795a43de52c9a940d3fbf4fd27b371"),
+    ("j0", "if_rk4"): (
+        "d463320e664cdd056b938e3af69f7aa05e9fd2a5f65d95883bad4bd63606fdc5",
+        "d19a9804d197211e476c529fc963cd4bbdd9fb584b29020428c4dda9778505a4"),
+    ("j0", "etd_rk2"): (
+        "43f0905fdb1576ded1d5becc57ccb6b29051faea5739aef5d17e6252d702a81e",
+        "38f6539d5cb1b1442b6c42257d72ba6061795a43de52c9a940d3fbf4fd27b371"),
+    ("galerkin3", "if_rk4"): (
+        "f78553bf86fba981c2587b8b103134a0df316c394129ba09779805e3acb820c1",
+        "b4702f64e5879679fb295acd6b1e5ac1f1a741714e1d2801f668d671bdb1cfc2"),
+    ("galerkin3", "etd_rk2"): (
+        "37b178d6d5a73fe2c83bacc16226fc83649404544ff948f3d759c106ae9ad905",
+        "a23c8d8866d627433c2b44c1c998ece5b8a85693feebe4ae458b56ae79177483"),
+    ("galerkin6", "if_rk4"): (
+        "78863eea2fe06d54d6424438a2fb25dffdff1f19e779161c2a597487967d53bd",
+        "d19a9804d197211e476c529fc963cd4bbdd9fb584b29020428c4dda9778505a4"),
+    ("galerkin6", "etd_rk2"): (
+        "8219b71a54f50312572e80b3902b96f39d674f09e834c6d8d8ba6aaa8b43ea92",
+        "38f6539d5cb1b1442b6c42257d72ba6061795a43de52c9a940d3fbf4fd27b371"),
+}
+SIMULATE_KEYS = {"plain": {}, "j0": {"j0": 3}, "galerkin3": {"galerkin_n": 3},
+                 "galerkin6": {"galerkin_n": 6}}
+
+
+@pytest.mark.parametrize("run, integrator", sorted(SIMULATE_DIGESTS))
+def test_simulate_outputs_keep_their_bytes(tmp_path, run, integrator):
+    cfg = write_config(
+        tmp_path / "sim.json",
+        grid={"n": 64},
+        solver={"t_final": 0.008, "integrator": integrator, **SIMULATE_KEYS[run]},
+        initial_data={"seed": 0},
+        output={"prefix": "pin"},
+    )
+    assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 0
+    got = tuple(sha256_of_file(str(tmp_path / f"pin_{name}"))
+                for name in ("series.csv", "final.sqgf"))
+    assert got == SIMULATE_DIGESTS[run, integrator]
+
+
 def test_verify_unknown_lemma_exits_one(capsys):
     assert main(["verify", "definitely_not_a_lemma"]) == 1
     assert "unknown lemma id" in capsys.readouterr().err
@@ -675,9 +731,9 @@ def test_manifests_record_cache_counts(tmp_path):
     caches = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]["caches"]
     assert set(caches) == COUNTED_CACHES
     assert caches["_factor_tables"] == {"hits": 99, "misses": 1}
-    # The dealiased run steps on the grid's dealias block alone.
-    assert caches["_dealias_block"]["misses"] == 1
-    assert caches["_dealias_block"]["hits"] >= 100
+    # The dealiased run steps on the grid's dealias block alone, which the
+    # row core, the stepper and the factor tables each take once.
+    assert caches["_dealias_block"] == {"hits": 2, "misses": 1}
     assert caches["_workspace"]["misses"] == 1 and caches["_workspace"]["hits"] >= 100
     cfg = write_config(tmp_path / "it.json", iterate={"n_min": 0, "n_max": 1},
                        output={"prefix": "sweep"})

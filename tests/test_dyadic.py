@@ -129,11 +129,15 @@ def test_besov_norm_matches_sample_oracle(n, period, p, q, from_row, rng):
     grid = GridSpec(n, period=period)
     # white noise: every block and the mean carry data
     field = random_field(grid, rng)
-    # A diagnostics row takes its Besov columns from its row core: at p = 2
-    # from the block sums of its table product (here of the unweighted
-    # power, column 0), else from the synthesized blocks of its state.
-    core = _RowCore(grid, 1.0, (), (1.0,))
-    sums = core.row(field.coeffs, 0.0)
+    if from_row:
+        # A diagnostics row takes its Besov columns from its row core: at
+        # p = 2 from the block sums of its table product (here of the
+        # unweighted power, column 0), else from the synthesized blocks of
+        # its state.  The core takes dealiased states: the noise up to the
+        # dealias radius.
+        field = field.with_coeffs(field.coeffs * grid_arrays(grid).dealias_mask)
+        core = _RowCore(grid, 1.0, (), (1.0,))
+        sums = core.row(field.coeffs, 0.0)
     for s in (-0.5, 0.05, 1.5):
         want = besov_sample_oracle(field, s, p, q)
         if from_row:

@@ -14,6 +14,7 @@ from sqglab.errors import CflGuardError, OverflowGuardError, UsageError
 from sqglab.iterates import (
     DEFAULT_S0,
     NORM_LABELS,
+    _norm_core,
     _norm_row,
     galerkin_sequence,
     picard_besov_sequence,
@@ -24,7 +25,6 @@ from sqglab.solver import SolverConfig, Stepper
 from sqglab.spectral import (
     PROFILE_OUTER,
     GridSpec,
-    _block_of,
     SpectralField,
     forward_transform,
     full_spectrum,
@@ -76,6 +76,16 @@ def test_galerkin_single_mode_all_diffs_zero():
 def test_galerkin_support_confinement():
     trace = galerkin_sequence(data_field(), range(2, 5), CFG)
     assert trace.parameters["max_support_leak"] <= 1e-11
+
+
+def test_galerkin_support_audit_reads_the_leak_of_a_wide_projection(monkeypatch):
+    # A mutant whose steppers project one block too wide: its states fill
+    # block n past cutoff n - 1, and the audit must read that leak above
+    # the 1e-20 the benchmark's gate allows.
+    monkeypatch.setattr(iterates_module, "Stepper",
+                        lambda config, projection: Stepper(config, projection + 1))
+    trace = galerkin_sequence(data_field(), range(2, 5), CFG)
+    assert trace.parameters["max_support_leak"] > 1e-20
 
 
 def test_galerkin_differences_shrink():
@@ -170,7 +180,7 @@ def assert_norm_row_matches_oracle(field, p):
         "gevrey_h_crit": full_sobolev_norm(warm, 1.5),
         "gevrey_besov_s0": besov_sample_oracle(warm, s0, p, math.inf),
     }
-    got = _norm_row(field.coeffs, t, cfg, s0)
+    got = _norm_row(field.coeffs, t, cfg, s0, _norm_core(cfg))
     assert set(got) == set(want)
     for label, value in want.items():
         assert got[label] == pytest.approx(value, rel=1e-12), label
@@ -180,17 +190,6 @@ def assert_norm_row_matches_oracle(field, p):
 def test_norm_row_matches_oracle(p):
     grid = GridSpec(64, period=3.0)
     field = power_law_field(grid, 2.2, np.random.default_rng(4))
-    assert not _block_of(grid, field.coeffs).wide
-    assert_norm_row_matches_oracle(field, p)
-
-
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_norm_row_of_undealiased_data_matches_oracle(p):
-    # Modes up to the Nyquist lines, outside the dealias block: the row
-    # must take the whole half spectrum, not drop them.
-    grid = GridSpec(64, period=3.0)
-    field = power_law_field(grid, 2.2, np.random.default_rng(4), k_cut=grid.n)
-    assert _block_of(grid, field.coeffs).wide
     assert_norm_row_matches_oracle(field, p)
 
 
@@ -207,11 +206,12 @@ def test_norm_rows_keep_the_overflow_guard():
     with pytest.raises(OverflowGuardError, match="exceeds cap"):
         picard_besov_sequence(theta0, [0, 1], 2.0, 2.0, cfg)
     with pytest.raises(OverflowGuardError, match="exceeds cap"):
-        _norm_row(theta0.coeffs, 20.0, cfg, 0.05)
+        _norm_row(theta0.coeffs, 20.0, cfg, 0.05, _norm_core(cfg))
     # the same exponent where no data lives gives weight 0, not an error
     low = np.zeros((GRID.n, GRID.n // 2 + 1), dtype=np.complex128)
     low[1, 0] = low[-1, 0] = 0.5  # cos(x), with exact zeros elsewhere
-    row = _norm_row(low, 20.0, SolverConfig(grid=GRID, gamma=2.0), 0.05)
+    cfg = SolverConfig(grid=GRID, gamma=2.0)
+    row = _norm_row(low, 20.0, cfg, 0.05, _norm_core(cfg))
     assert row["gevrey_l2"] == pytest.approx(
         math.exp(0.5 * 20.0) * row["l2"], rel=1e-12
     )
@@ -236,7 +236,7 @@ def test_a_norm_row_makes_no_transform(count_transforms):
     # At p = 2 every column, the Besov ones too, is a Parseval sum.
     cfg = replace(CFG, gevrey_epsilon0=0.3)
     a, b = data_field().coeffs, data_field(seed=22).coeffs
-    core = iterates_module._norm_core(cfg)
+    core = _norm_core(cfg)
     for minus in (None, b):
         _, calls = count_transforms(_norm_row, a, 0.5, cfg, DEFAULT_S0, core, minus)
         assert calls == 0
@@ -246,27 +246,25 @@ def test_a_norm_row_makes_no_transform(count_transforms):
 @pytest.mark.parametrize("rough", [None, "half", "minus"])
 def test_difference_rows_subtract_on_the_block(p, rough):
     # The row of a - b subtracts the restricted blocks: the row of the
-    # difference to the bit when both stay on the dealias block, and on the
-    # whole half spectrum when either leaves it.
+    # difference to the bit.  A row refuses a state, either one, with a
+    # mode a row or a column past the dealias block (K = 21 at 64^2).
     grid = GridSpec(64, period=3.0)
     cfg = SolverConfig(grid=grid, gamma=0.5, gevrey_epsilon0=0.3, besov_p=p)
     mask = grid_arrays(grid).dealias_mask
     a = power_law_field(grid, 2.2, np.random.default_rng(4)).coeffs * mask
     b = 0.5 * power_law_field(grid, 2.2, np.random.default_rng(5)).coeffs * mask
-    wide = power_law_field(grid, 2.2, np.random.default_rng(6), k_cut=grid.n).coeffs
-    if rough == "half":
-        a = a + 0.1 * wide
-    elif rough == "minus":
-        b = b + 0.1 * wide
-    core = iterates_module._norm_core(cfg)
-    got = _norm_row(a, 0.7, cfg, DEFAULT_S0, core, b)
-    assert core._loaded.block.wide == (rough is not None)
-    want = _norm_row(a - b, 0.7, cfg, DEFAULT_S0)
+    core = _norm_core(cfg)
     if rough is None:
-        assert got == want
-    else:
-        for label in NORM_LABELS:
-            assert got[label] == pytest.approx(want[label], rel=1e-14, abs=0.0), label
+        got = _norm_row(a, 0.7, cfg, DEFAULT_S0, core, b)
+        assert got == _norm_row(a - b, 0.7, cfg, DEFAULT_S0, core)
+        return
+    n, k = grid.n, core.block.width - 1
+    for rows, col in (([k + 1, n - k - 1], 0), ([0], k + 1), ([n - k - 1], 5)):
+        wide = (a if rough == "half" else b).copy()
+        wide[rows, col] = 1e-3
+        half, minus = (wide, b) if rough == "half" else (a, wide)
+        with pytest.raises(UsageError, match="outside"):
+            core.row(half, 0.7, minus)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -280,7 +278,7 @@ def test_a_round_off_mode_past_double_range_reads_inf_not_nan():
     coeffs[1, 0] = coeffs[-1, 0] = 0.5    # cos(x)
     coeffs[8, 6] = 1e-16                 # |k|^2 = 100: exponent 0.5 * 8 * 100
     cfg = SolverConfig(grid=grid, nu=0.0, gamma=2.0, gevrey_epsilon0=0.5)
-    row = _norm_row(coeffs, 8.0, cfg, DEFAULT_S0)
+    row = _norm_row(coeffs, 8.0, cfg, DEFAULT_S0, _norm_core(cfg))
     field = SpectralField(grid, coeffs)
     for label in ("gevrey_l2", "gevrey_h_crit", "gevrey_besov_s0"):
         assert row[label] == math.inf, label
@@ -289,7 +287,7 @@ def test_a_round_off_mode_past_double_range_reads_inf_not_nan():
     assert row["besov_s0"] == pytest.approx(
         besov_sample_oracle(field, DEFAULT_S0, 2.0, math.inf), rel=1e-12)
     # The block rows that miss the mode stay finite.
-    core = iterates_module._norm_core(cfg)
+    core = _norm_core(cfg)
     sums = core.row(coeffs, 8.0)
     assert not np.isnan(sums).any()
     blocks = sums[core.blocks, 1]
@@ -317,14 +315,15 @@ def _fit_diffs(trace, n_values):
 
 def _fold_stored(trace, stored, previous, config, s0):
     # Sups over the stored times, and the rows of the last one (t_final).
-    rows = [_norm_row(c, ts, config, s0) for ts, c in stored]
+    core = _norm_core(config)
+    rows = [_norm_row(c, ts, config, s0, core) for ts, c in stored]
     sups = _sup_rows(rows)
     for label in NORM_LABELS:
         trace.norms[label].append(sups[label])
         trace.final_norms.setdefault(label, []).append(rows[-1][label])
     if previous is not None:
         diff_rows = [
-            _norm_row(c_new - c_old, ts, config, s0)
+            _norm_row(c_new - c_old, ts, config, s0, core)
             for (ts, c_new), (_, c_old) in zip(stored, previous)
         ]
         dsup = _sup_rows(diff_rows)

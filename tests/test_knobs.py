@@ -35,7 +35,6 @@ CALLER_DIRS = ("src", "perfbench")
 #: that only tests and users call.
 WITHOUT_A_CALLER = {
     "fitted_decay_rate",
-    "riesz_perp",
     "conservation_report",
     "mild_residual",
     "block_commutator",

@@ -1,7 +1,9 @@
 """One layout: every public producer of a SpectralField hands back a
 read-only complex128 half spectrum, ``(n, n/2 + 1)``, whose Hermitian
 extension is exactly conjugate-symmetric (a real field, with no round-off
-left on the self-paired columns 0 and n/2)."""
+left on the self-paired columns 0 and n/2).  The ``riesz_perp`` oracle's
+fields feed the velocity and commutator checks, so they are held to the
+same layout."""
 
 import numpy as np
 import pytest
@@ -19,11 +21,10 @@ from sqglab.spectral import (
     forward_transform,
     full_spectrum,
     load_field,
-    riesz_perp,
     save_field,
 )
 
-from oracles import conjugate_flip
+from oracles import conjugate_flip, riesz_perp
 
 GRIDS = [GridSpec(32), GridSpec(48, period=3.0)]
 

@@ -72,6 +72,20 @@ def small_random(grid, seed=5, amp=0.05):
     return field.with_coeffs(field.coeffs * amp)
 
 
+def test_config_bounds_galerkin_n_and_j0_by_the_partition():
+    # Past these bounds the projection and the split are the identity on
+    # every mode; from about 1025 on, 2.0 ** j overflowed inside the run.
+    grid = GridSpec(16)
+    j_max = default_partition(grid).j_max
+    theta = small_random(grid, amp=0.3)
+    for key, bound in (("galerkin_n", j_max + 1), ("j0", j_max)):
+        series = run_simulation(theta, SolverConfig(grid=grid, t_final=2e-3, **{key: bound}))
+        assert not series.aborted
+        for bad in (bound + 1, 2000):
+            with pytest.raises(UsageError, match=f"{key} must be <= {bound}"):
+                SolverConfig(grid=grid, **{key: bad})
+
+
 def test_config_validation_messages():
     with pytest.raises(UsageError, match=r"\(0, 2\]"):
         SolverConfig(grid=GRID, gamma=3.0)
@@ -318,7 +332,8 @@ def test_autonomous_step_transform_budget(integrator, transforms, count_transfor
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, integrator=integrator)
     for projection in (None, 3):
         stepper = Stepper(cfg, projection=projection)
-        _, calls = count_transforms(stepper.step, coeffs)
+        state = coeffs if projection is None else coeffs * low_pass_symbol(GRID, projection)
+        _, calls = count_transforms(stepper.step, state)
         assert calls == transforms
 
 
@@ -499,30 +514,6 @@ def test_emit_rows_match_old_emit(grid, besov_p, besov_q, eps0):
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("besov_p", [2.0, 4.0])
-def test_emit_rows_of_undealiased_states_match_old_emit(besov_p, monkeypatch):
-    # run_simulation steps dealiased states only, so the stepper is replaced
-    # by one whose states gain modes up to the Nyquist lines, outside the
-    # dealias block: their rows must take the whole half spectrum.
-    grid = GridSpec(64, period=3.0)
-    theta = power_law_field(grid, 2.2, np.random.default_rng(8))
-    theta = theta.with_coeffs(theta.coeffs * 0.5 / sobolev_norm(theta, 0.0))
-    rough = power_law_field(grid, 2.2, np.random.default_rng(9), k_cut=grid.n).coeffs
-    rough = rough * (0.1 / np.max(np.abs(rough)))
-    assert spectral._block_of(grid, rough).wide
-    monkeypatch.setattr(Stepper, "step", lambda self, coeffs, dt=None: 0.9 * coeffs + rough)
-    cfg = SolverConfig(grid=grid, nu=0.5, gamma=0.5, dt=2e-3, t_final=0.01,
-                       gevrey_epsilon0=0.3, besov_p=besov_p, besov_q=math.inf, j0=3,
-                       output_stride=1, snapshot_stride=1)
-    series = run_simulation(theta, cfg)
-    assert not series.aborted and len(series.snapshots) == 6
-    want = old_emit_columns(cfg, series.snapshots)
-    assert set(want) == set(series.columns)
-    for name, values in want.items():
-        np.testing.assert_allclose(series.column(name), values, rtol=1e-12, atol=0.0,
-                                   err_msg=name)
-
-
 def test_run_simulation_adds_no_symbol_cache_entries():
     theta = small_random(GRID, amp=0.3)
     cfg = SolverConfig(grid=GRID, nu=1.0, gamma=0.5, dt=1e-3, t_final=0.02,
@@ -651,23 +642,18 @@ def lattice_rows(n, size):
     return np.r_[0 : size // 2, n - size // 2 : n]
 
 
-@pytest.mark.parametrize("mode", ["plain", "galerkin", "picard_ramp", "undealiased"])
+@pytest.mark.parametrize("mode", ["plain", "galerkin", "picard_ramp"])
 @pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
     cfg = SolverConfig(grid=GRID, nu=0.1, gamma=0.5, dt=2e-3, t_final=0.02,
                        integrator=integrator)
     projection = 3 if mode == "galerkin" else None
     mask = full_lattice(GRID).dealias_mask
-    # Dealiased, not projected: under the projection the state has modes
-    # outside its support and outside the step grid.  Undealiased data have
-    # modes up to the Nyquist lines, outside the dealias block, so their
-    # steps run on the whole half spectrum.
-    if mode == "undealiased":
-        field = power_law_field(GRID, 2.7, np.random.default_rng(5), k_cut=GRID.n)
-        wide_state = 0.5 * full(field)
-        assert np.any(wide_state[~mask])
-    else:
-        wide_state = full(small_random(GRID, amp=0.5)) * mask
+    # Dealiased, and under the projection projected: the state lies in the
+    # step grid's dealias block.
+    wide_state = full(small_random(GRID, amp=0.5)) * mask
+    if projection is not None:
+        wide_state = wide_state * full_profile(GRID, "low_pass", projection)
     adv0 = adv1 = None
     if mode == "picard_ramp":
         adv0 = full(small_random(GRID, seed=6, amp=0.5)) * mask
@@ -676,8 +662,7 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
     sub = stepper.step_grid
     assert sub.n == (32 if projection is not None else GRID.n)
     # The step grid's modes follow the oracle on that grid; every other mode
-    # carries no tendency, so there the full-grid oracle's e^z coeffs holds
-    # exactly.
+    # is empty and carries no tendency, as in the full-grid oracle.
     rows = lattice_rows(GRID.n, sub.n)
     width = sub.n // 2 + 1
     half = wide_state[:, :HALF]
@@ -689,7 +674,7 @@ def test_half_state_steps_match_full_lattice_stepper(integrator, mode):
         kwargs = {"advect": (velocity(GRID, adv0[:, :HALF]), velocity(GRID, adv1[:, :HALF]))}
     outside = np.ones((GRID.n, HALF), dtype=bool)
     outside[np.ix_(rows, np.arange(width))] = False
-    assert np.any(half[outside]) == (projection is not None)
+    assert not np.any(half[outside])
     for _ in range(6):
         state = oracle.step(state, adv0, adv1)
         wide_state = wide.step(wide_state, adv0, adv1)
@@ -706,8 +691,7 @@ def test_dealiased_steps_run_on_the_dealias_block(integrator, monkeypatch):
     # Under the 2/3 rule a 64^2 tendency lives on |m1| <= K, m2 <= K, K = 21:
     # a (43, 22) block, 171 x 86 = 14,706 of 33,024 modes at 256^2.  Every
     # inverse pass of a dealiased step reads K + 1 columns of a spectrum
-    # whose gap rows K+1..n-K-1 are zero; one mode a row or a column past
-    # the block widens the step to the whole half spectrum.
+    # whose gap rows K+1..n-K-1 are zero.
     n, k = GRID.n, 21
     assert spectral._dealias_block(GRID, False).shape == (2 * k + 1, k + 1)
     assert spectral._dealias_block(GridSpec(256), False).shape == (171, 86)
@@ -723,13 +707,24 @@ def test_dealiased_steps_run_on_the_dealias_block(integrator, monkeypatch):
     assert np.any(coeffs[k]) and np.any(coeffs[:, k])
     stepper.step(coeffs)
     assert passes and passes == [(k + 1, True)] * len(passes)
-    # (row, column) pairs just past the block; column 0 takes its partner too.
+
+
+@pytest.mark.parametrize("projection", [None, 3])
+def test_step_rejects_a_state_outside_the_dealias_block(projection):
+    # One mode a row or a column past the step grid's dealias block (the
+    # 64^2 grid's K = 21, or K = 10 on projection 3's 32^2 step grid);
+    # column 0 takes its partner too.
+    stepper = Stepper(SolverConfig(grid=GRID, nu=0.1, dt=2e-3), projection)
+    n, k = GRID.n, stepper.block.width - 1
+    coeffs = small_random(GRID, amp=0.5).coeffs * grid_arrays(GRID).dealias_mask
+    if projection is not None:
+        coeffs = coeffs * low_pass_symbol(GRID, projection)
+    stepper.step(coeffs)
     for rows, col in (([k + 1, n - k - 1], 0), ([0], k + 1), ([n - k - 1], 5)):
         wide = coeffs.copy()
         wide[rows, col] = 1e-3
-        passes.clear()
-        stepper.step(wide)
-        assert passes and all(width == HALF for width, _ in passes)
+        with pytest.raises(UsageError, match="outside the .* dealias block"):
+            stepper.step(wide)
 
 
 # (grid, {projection: step grid size}) for the reduced-grid agreement tests.
@@ -758,24 +753,21 @@ def test_reduced_grid_steps_agree_with_full_grid_steps(integrator, case):
         stepper = Stepper(cfg, projection)
         assert stepper.step_grid.n == size
         assert (stepper.step_grid is grid) == (size == grid.n)
-        low = full_profile(grid, "low_pass", projection)
-        # Projected data, and data with modes outside the support (which
-        # reach past the step grid whenever it is smaller than the grid).
-        for state in (dealiased * low, dealiased):
-            oracle = FullLatticeStepper(cfg, projection)
-            linear = (heat * state)[:, :width]
-            half = state[:, :width]
-            for _ in range(4):
-                state = oracle.step(state)
-                half = stepper.step(half)
-            want = state[:, :width]
-            scale = np.max(np.abs(want))
-            if scale == 0.0:  # no mode inside the support (period 3, projection 0)
-                assert not np.any(half)
-                continue
-            assert np.max(np.abs(half - want)) <= 1e-14 * scale, (projection, size)
-            if size >= 16:  # the transport term moved the state well past round-off
-                assert np.max(np.abs(want - linear)) > 1e-6 * scale
+        state = dealiased * full_profile(grid, "low_pass", projection)
+        oracle = FullLatticeStepper(cfg, projection)
+        linear = (heat * state)[:, :width]
+        half = state[:, :width]
+        for _ in range(4):
+            state = oracle.step(state)
+            half = stepper.step(half)
+        want = state[:, :width]
+        scale = np.max(np.abs(want))
+        if scale == 0.0:  # no mode inside the support (period 3, projection 0)
+            assert not np.any(half)
+            continue
+        assert np.max(np.abs(half - want)) <= 1e-14 * scale, (projection, size)
+        if size >= 16:  # the transport term moved the state well past round-off
+            assert np.max(np.abs(want - linear)) > 1e-6 * scale
 
 
 def test_stepping_grid_edge_cases():
@@ -806,9 +798,9 @@ def test_step_grid_samples_the_peak_speed_at_most_15_percent_low():
                 half = power_law_field(grid, alpha, np.random.default_rng(seed)).coeffs
                 half = half * mask
                 stepper.cfl_max = 0.0
-                block, _ = stepper._block(half)
+                block = stepper.block
                 state = block.restrict(half, np.empty(block.shape, np.complex128))
-                stepper._rhs(block, state, None, cfg.dt, state)
+                stepper._rhs(state, None, cfg.dt, state)
                 full_grid = cfg.dt * grid.dealias_radius * velocity(grid, half * low).umax
                 ratios.append(stepper.cfl_max / full_grid)
     assert min(ratios) >= 0.85, min(ratios)
@@ -855,8 +847,7 @@ def test_steppers_share_read_only_factor_tables(integrator):
     cfg = SolverConfig(grid=GRID, nu=0.3, gamma=0.5, dt=1e-3, integrator=integrator)
     a = Stepper(cfg, projection=3)
     b = Stepper(replace(cfg, t_final=0.5), projection=3)
-    block = spectral._dealias_block(GridSpec(32), False)
-    tables_a, tables_b = a._factor_set(cfg.dt, block), b._factor_set(cfg.dt, block)
+    tables_a, tables_b = a._factor_set(cfg.dt), b._factor_set(cfg.dt)
     assert len(tables_a) == (2 if integrator == "if_rk4" else 3)
     # Projection 3 steps on 32^2, so the tables are that grid's dealias
     # block: 2K + 1 rows and K + 1 columns, K = 10.
@@ -865,8 +856,9 @@ def test_steppers_share_read_only_factor_tables(integrator):
         assert ta is tb
         assert ta.shape == (21, 11)
         assert not ta.flags.writeable
-    assert a._low is b._low and not a._low.flags.writeable
-    other = Stepper(replace(cfg, nu=0.2))._factor_set(cfg.dt, block)
+    assert a.block is b.block
+    assert np.array_equal(a._low_block, b._low_block) and not a._low_block.flags.writeable
+    other = Stepper(replace(cfg, nu=0.2), projection=3)._factor_set(cfg.dt)
     assert all(x is not y for x, y in zip(other, tables_a))
 
 
@@ -1001,6 +993,6 @@ def test_row_weights_pass_the_guards_as_gevrey_half_weight_does():
             assert np.array_equal(weight, guarded), (t, lam)
             warm = power * weight
             warm *= weight
-            stack = core._loaded.stack
+            stack = core.stack
             want = grid.period ** 2 * (stack @ np.stack([power.ravel(), warm.ravel()]).T)
             assert np.array_equal(sums[:, col], want[:, 1]), (t, lam)

@@ -35,7 +35,6 @@ from sqglab.spectral import (
     lp_norm,
     parseval_columns,
     radial_profile,
-    riesz_perp,
     save_field,
     sobolev_norm,
     sobolev_weights,
@@ -60,6 +59,7 @@ from oracles import (
     full_lattice,
     full_sobolev_norm,
     half,
+    riesz_perp,
     scipy_transport,
     whole_array_profile,
 )

@@ -14,7 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from sqglab.iterates import DEFAULT_S0, NORM_LABELS, _cut_data, _norm_row, picard_besov_sequence
+from sqglab.iterates import (
+    DEFAULT_S0,
+    NORM_LABELS,
+    _cut_data,
+    _norm_core,
+    _norm_row,
+    picard_besov_sequence,
+)
 from sqglab.solver import BESOV_GEVREY_WEIGHT, INTEGRATORS, SolverConfig, run_simulation
 from sqglab.spectral import GridSpec, SpectralField, grid_arrays, velocity
 
@@ -105,8 +112,10 @@ def test_picard_iterates_of_shell_data_are_the_heat_flow(integrator):
     # cutoff 2 misses the shell, cutoff 3 cuts it (profile 0.99...), cutoff 4
     # keeps it whole
     assert not states[0].any() and states[1].any() and states[2].any()
-    rows = [_norm_row(state, cfg.t_final, cfg, DEFAULT_S0) for state in states]
-    diffs = [_norm_row(b - a, cfg.t_final, cfg, DEFAULT_S0) for a, b in zip(states, states[1:])]
+    core = _norm_core(cfg)
+    rows = [_norm_row(state, cfg.t_final, cfg, DEFAULT_S0, core) for state in states]
+    diffs = [_norm_row(b - a, cfg.t_final, cfg, DEFAULT_S0, core)
+             for a, b in zip(states, states[1:])]
     for label in NORM_LABELS:
         scale = rows[-1][label]
         np.testing.assert_allclose(trace.final_norms[label], [r[label] for r in rows],
