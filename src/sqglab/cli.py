@@ -39,7 +39,6 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _dealias_block,
-    _workspace,
     field_lp_norm,
     forward_transform,
     grid_arrays,
@@ -85,7 +84,7 @@ _KIND_KEYS = {
 _COUNTED_CACHES = {
     fn.__name__: fn
     for fn in (_factor_tables, grid_arrays, k_power, sobolev_weights,
-               _dealias_block, _workspace, block_power_weights)
+               _dealias_block, block_power_weights)
 }
 
 
@@ -148,7 +147,8 @@ def _read(where: str, key: str, value, kind: type, nullable: bool = False):
     """The config value ``where.key`` as a ``kind`` (None stays None when
     ``nullable``); a usage error naming the key when it is not one.  An
     ``int`` key takes no bool and no number with a fractional part, a
-    ``float`` key no bool and no NaN (an infinity, as ``"inf"``, it takes)."""
+    ``float`` key no bool and no NaN (an infinity, as ``"inf"``, it takes;
+    the fields that need a finite value refuse one where they are built)."""
     if nullable and value is None:
         return None
     try:

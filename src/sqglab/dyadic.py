@@ -30,7 +30,6 @@ from .spectral import (
     _block_samples,
     _capped_gevrey_weight,
     _dealias_block,
-    _workspace,
     block_symbol,
     gevrey_half_weight,
     grid_arrays,
@@ -265,9 +264,10 @@ class _RowCore:
 
     def lp_norms(self) -> tuple:
         """``(L^1, L^2, L^4, L^inf)`` of the loaded state: one inverse
-        transform into the workspace, one ``|s|`` pass and one square pass."""
+        transform into the block's samples, one ``|s|`` pass and one square
+        pass."""
         grid = self.grid
-        samples, scratch = _workspace(grid).samples[:2]
+        samples, scratch = self.block.samples[:2]
         _block_samples(self.block, self.coeffs, samples)
         cell = grid.cell_area
         mag = np.abs(samples, out=scratch)

@@ -75,12 +75,14 @@ def _fold_sup(sup: dict | None, row: dict) -> dict:
     return {label: max(sup[label], row[label]) for label in NORM_LABELS}
 
 
-def _validated(theta0: SpectralField, n_range, config: SolverConfig,
+def _validated(theta0: SpectralField, n_range, config: SolverConfig, s0: float,
                offset: int, what: str) -> tuple[list, int]:
     """Shared checks; ``n + offset`` is the highest block iterate n touches."""
     grid = config.grid
     if theta0.grid != grid:
         raise UsageError("initial data grid does not match config grid")
+    if not math.isfinite(s0):
+        raise UsageError(f"s0 must be finite, got {s0}")
     n_values = list(n_range)
     if len(n_values) < 2 or any(
         b - a != 1 for a, b in zip(n_values, n_values[1:])
@@ -189,7 +191,7 @@ def galerkin_sequence(
     Differences between consecutive iterates are sups over the output
     cadence, and the geometric rate is fitted against 2^n.
     """
-    n_values, n_steps = _validated(theta0, n_range, config, -1, "cutoff")
+    n_values, n_steps = _validated(theta0, n_range, config, s0, -1, "cutoff")
     grid = config.grid
     block = _dealias_block(grid, False)
     k_abs = block.restrict(grid_arrays(grid).k_abs, np.empty(block.shape)).ravel()
@@ -245,7 +247,7 @@ def picard_besov_sequence(
     cutoff-increment norms ||data_{k+1} - data_k||_{B^{s0}_{p,inf}} against
     2^{n}.
     """
-    n_values, n_steps = _validated(theta0, n_range, config, 2, "data cutoff")
+    n_values, n_steps = _validated(theta0, n_range, config, s0, 2, "data cutoff")
     grid = config.grid
     run_config = config
     if config.besov_p != p or config.besov_q != q:

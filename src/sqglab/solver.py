@@ -29,7 +29,6 @@ from .spectral import (
     _block_velocity,
     _dealias_block,
     _peak_speed,
-    _workspace,
     field_lp_norm,
     grid_arrays,
     k_power,
@@ -70,6 +69,10 @@ class SolverConfig:
     snapshot_stride: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("nu", "dt", "t_final"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
         if self.nu < 0.0:
             raise UsageError(f"nu must be nonnegative, got {self.nu}")
         if not 0.0 < self.gamma <= 2.0:
@@ -84,19 +87,24 @@ class SolverConfig:
             raise UsageError(
                 f"gevrey_epsilon0 must lie in (0, 1), got {self.gevrey_epsilon0}"
             )
-        if self.besov_p < 1.0 or self.besov_q < 1.0:
+        if not (self.besov_p >= 1.0 and self.besov_q >= 1.0):
             raise UsageError("besov_p and besov_q must be >= 1")
         if self.galerkin_n is not None and self.galerkin_n < 1:
             raise UsageError("galerkin_n must be >= 1 when set")
         # Past these bounds the projection and the split are the identity on
         # every mode, and 2.0 ** j overflows for j of about 1025 or more.
-        j_max = default_partition(self.grid).j_max
+        # Below j_min - 1 the low part of a mean-free field is already 0,
+        # and 2.0 ** j underflows in the low-pass symbol.
+        partition = default_partition(self.grid)
+        j_min, j_max = partition.j_min, partition.j_max
         if self.galerkin_n is not None and self.galerkin_n > j_max + 1:
             raise UsageError(
                 f"galerkin_n must be <= {j_max + 1} on this grid, got {self.galerkin_n}"
             )
         if self.j0 is not None and self.j0 > j_max:
             raise UsageError(f"j0 must be <= {j_max} on this grid, got {self.j0}")
+        if self.j0 is not None and self.j0 < j_min - 1:
+            raise UsageError(f"j0 must be >= {j_min - 1} on this grid, got {self.j0}")
         if self.output_stride < 1:
             raise UsageError("output_stride must be >= 1")
         if self.snapshot_stride < 0:
@@ -244,7 +252,7 @@ class Stepper:
             if self._low_block is not None:
                 # The projected state goes to the stage buffer no stage uses.
                 state = np.multiply(state, self._low_block, out=block.halves[3])
-            vel = _block_velocity(block, state, _workspace(block.grid).samples[:2])
+            vel = _block_velocity(block, state, block.samples[:2])
         _block_advect(block, vel, state, out)
         if self._low_block is not None:
             out *= self._low_block
@@ -316,12 +324,11 @@ class Stepper:
             self._step_if_rk4(state, dt, ramp, out)
         else:
             self._step_etd_rk2(state, dt, ramp, out)
+        if not np.isfinite(out.view(np.float64), out=block.finite).all():
+            raise GuardError("non-finite state after step (NaN guard)")
         # Outside the block the state is zero, its own heat flow; the copy
         # keeps the signs of those zeros.
-        out = block.embed(out, coeffs.copy())
-        if not np.isfinite(out.view(np.float64), out=_workspace(self.grid).finite).all():
-            raise GuardError("non-finite state after step (NaN guard)")
-        return out
+        return block.embed(out, coeffs.copy())
 
     def _ramp(self, advect, mid: bool) -> tuple:
         """Velocities at the stage times of a step: start, mid (if ``mid``)
@@ -329,20 +336,22 @@ class Stepper:
 
         R_perp and the synthesis are linear, so the velocity of the mid field
         ``(start + end) / 2`` is the mean of the end velocities: it is
-        formed in samples, in the workspace, with no transform, and its
-        peak speed is read for the CFL guard like any other.
+        formed in samples, in the block's ``mid_velocity``, with no
+        transform, and its peak speed is read for the CFL guard like any
+        other.  That block is on the full grid, since :meth:`step` refuses
+        ``advect`` under a projection before it gets here.
         """
         if advect is None:
             return (None,) * (3 if mid else 2)
         v0, v1 = advect
         if not mid:
             return v0, v1
-        ws = _workspace(self.grid)
-        u = ws.mid_velocity
+        block = self.block
+        u = block.mid_velocity
         np.add(v0.u1, v1.u1, out=u[0])
         np.add(v0.u2, v1.u2, out=u[1])
         u *= 0.5
-        return v0, Velocity(u[0], u[1], _peak_speed(u, ws.samples[2])), v1
+        return v0, Velocity(u[0], u[1], _peak_speed(u, block.samples[2])), v1
 
     # The stages below run in place, each operation in the order and with
     # the operands of the formula in its docstring, so the state is bitwise

@@ -90,8 +90,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 8 or self.n % 2 != 0:
             raise UsageError(f"grid size must be even and >= 8, got {self.n}")
-        if not (self.period > 0.0):
-            raise UsageError(f"period must be positive, got {self.period}")
+        if not 0.0 < self.period < math.inf:
+            raise UsageError(f"period must be positive and finite, got {self.period}")
         if not (0.0 < self.dealias_fraction <= 1.0):
             raise UsageError(
                 f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
@@ -386,15 +386,18 @@ def _support_box(table: np.ndarray) -> tuple[int, int, int]:
     hold all its nonzero entries.
 
     ``top`` ends after the last nonzero row of the upper half (rows
-    ``0..n/2``), ``bottom`` starts at the first nonzero row of the lower
-    half, and ``width`` ends after the last nonzero column.  So the box
+    ``0..n/2 - 1``, ``m1 >= 0``), ``bottom`` starts at the first nonzero
+    row of the lower half (``m1 < 0``, from the Nyquist row ``m1 = -n/2``
+    on), and ``width`` ends after the last nonzero column.  So the box
     keeps the rows near ``m1 = 0`` where an outer annulus, such as block 7
-    at 128^2, has no support: the first zero row does not end it.
+    at 128^2, has no support: the first zero row does not end it.  Split by
+    the sign of ``m1``, the box's rows keep their frequencies when a block
+    restricts the half spectrum of a larger grid (:meth:`_Block.restrict`).
     """
     n = table.shape[0]
     rows = np.flatnonzero(table.any(axis=1))
     cols = np.flatnonzero(table.any(axis=0))
-    upper, lower = rows[rows <= n // 2], rows[rows > n // 2]
+    upper, lower = rows[rows < n // 2], rows[rows >= n // 2]
     top = int(upper[-1]) + 1 if upper.size else 0
     bottom = n - int(lower[0]) if lower.size else 0
     width = int(cols[-1]) + 1 if cols.size else 0
@@ -585,16 +588,19 @@ class _Block:
     outside rows ``0..K`` and ``n-K..n-1`` and columns ``0..K`` of the half
     spectrum.  The dealias block stacks those rows, top then bottom, into a
     ``(2K + 1, K + 1)`` array.  Its rows are the FFT order of ``2K + 1``
-    points, so ``m1 -> -m1`` is ``i -> -i mod 2K + 1`` there.  The dealias
-    block is the whole ``(n, n/2 + 1)`` half spectrum when the mask keeps
-    every row (``2K + 1 > n``).  The wide block is always the whole, for a
-    field with a nonzero mode outside the dealias block; only the public
-    :func:`velocity` and :func:`transport` take one (:func:`_block_of`),
-    since the solver's stepper and diagnostics rows refuse such a field.
+    points, so ``m1 -> -m1`` is ``i -> -i mod 2K + 1`` there.  The box is
+    :func:`_support_box`'s, of the dealias mask: the whole ``(n, n/2 + 1)``
+    half spectrum when the mask keeps every row.  The wide block is the box
+    of an all-true table, always the whole, for a field with a nonzero mode
+    outside the dealias block; only the public :func:`velocity` and
+    :func:`transport` take one (:func:`_block_of`), since the solver's
+    stepper and diagnostics rows refuse such a field.
 
-    Holds the transport tables on the block, and the buffers its passes and
-    the solver's stages write (single-threaded use; each is dead once the
-    call that wrote it returns):
+    Holds the transport tables on the block, and the buffers its passes, the
+    solver's steps and the diagnostics rows write (single-threaded use; each
+    is dead once the call that wrote it returns).  Fresh arrays there would
+    cost a warm 256^2 IF-RK4 step about 800 minor page faults (glibc trims
+    and regrows its heap).
 
     * ``stack``, ``(4, *shape)``: ``[R_perp_1, R_perp_2, i k1, i k2]``,
       the odd symbols zeroed on the unpaired Nyquist lines, so every
@@ -612,7 +618,14 @@ class _Block:
     * ``operand``: a field restricted by the public transport, or the
       state a diagnostics row subtracts (``dyadic._RowCore``);
     * ``halves``, ``(6, *shape)``: the stepper's stage buffers, written on
-      dealias blocks only.
+      dealias blocks only;
+    * ``samples``, ``(3, n, n)``: a velocity, then the advective product;
+      between steps, a diagnostics row's samples and their scratch;
+    * ``row_pass``, ``(n, n/2 + 1)``: the row pass of the forward transform;
+    * ``mid_velocity``, ``(2, n, n)``: the mid-step velocity of a Picard
+      step, the mean of its two end velocities;
+    * ``finite``, ``(2K + 1, 2K + 2)`` booleans: the stepper's NaN guard,
+      over the real and imaginary parts of a stepped block.
 
     Buffers are allocated empty or zeroed; the pages of one that is never
     written never become resident.
@@ -621,11 +634,8 @@ class _Block:
     def __init__(self, grid: GridSpec, wide: bool):
         n = grid.n
         ga = grid_arrays(grid)
-        k = int(np.flatnonzero(ga.dealias_mask.any(axis=0))[-1])
-        if wide or 2 * k + 1 > n:
-            self.top, self.bottom, self.width = n // 2, n // 2, n // 2 + 1
-        else:
-            self.top, self.bottom, self.width = k + 1, k, k + 1
+        support = np.ones_like(ga.dealias_mask) if wide else ga.dealias_mask
+        self.top, self.bottom, self.width = _support_box(support)
         self.grid = grid
         self.rows = np.r_[0 : self.top, n - self.bottom : n]
         self.shape = (self.rows.size, self.width)
@@ -646,6 +656,10 @@ class _Block:
         self.flip = np.empty((self.shape[0], 2 if has_nyquist else 1), np.complex128)
         self.operand = np.empty(self.shape, np.complex128)
         self.halves = np.empty((6,) + self.shape, np.complex128)
+        self.samples = np.empty((3, n, n))
+        self.row_pass = np.empty((n, n // 2 + 1), np.complex128)
+        self.mid_velocity = np.empty((2, n, n))
+        self.finite = np.empty((self.shape[0], 2 * self.width), dtype=bool)
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """A read-only complex copy of a half-spectrum table on the block."""
@@ -675,8 +689,7 @@ class _Block:
 
 @lru_cache(maxsize=16)
 def _dealias_block(grid: GridSpec, wide: bool) -> _Block:
-    """The dealias block of ``grid``, or its wide block, built once (two per
-    grid, so twice as many entries as :func:`_workspace`)."""
+    """The dealias block of ``grid``, or its wide block, built once."""
     return _Block(grid, wide)
 
 
@@ -684,36 +697,6 @@ def _block_of(grid: GridSpec, coeffs: np.ndarray) -> _Block:
     """The dealias block of ``grid``, widened when ``coeffs`` leaves it."""
     block = _dealias_block(grid, False)
     return _dealias_block(grid, True) if block.outside(coeffs) else block
-
-
-class _Workspace:
-    """The writable buffers of one grid that no block owns (single-threaded
-    use, like :class:`_Block`'s).  Fresh arrays there cost a warm 256^2
-    IF-RK4 step about 800 minor page faults (glibc trims and regrows its
-    heap).
-
-    * ``samples``, ``(3, n, n)``: a velocity, then the advective product;
-      between steps, a diagnostics row's samples and their scratch;
-    * ``rows``, ``(n, n/2 + 1)``: the row pass of the forward transform;
-    * ``mid_velocity``, ``(2, n, n)``: the mid-step velocity of a Picard
-      step, the mean of its two end velocities;
-    * ``finite``, ``(n, n + 2)`` booleans: the stepper's NaN guard, over
-      the real and imaginary parts of a half spectrum.
-    """
-
-    def __init__(self, grid: GridSpec):
-        n = grid.n
-        shape = (n, n // 2 + 1)
-        self.samples = np.empty((3, n, n))
-        self.rows = np.empty(shape, np.complex128)
-        self.mid_velocity = np.empty((2, n, n))
-        self.finite = np.empty((n, n + 2), dtype=bool)
-
-
-@lru_cache(maxsize=8)
-def _workspace(grid: GridSpec) -> _Workspace:
-    """The :class:`_Workspace` of ``grid``, built once."""
-    return _Workspace(grid)
 
 
 def _synthesize_product(block: _Block, symbol: np.ndarray, coeffs: np.ndarray,
@@ -766,7 +749,7 @@ def _block_velocity(block: _Block, source: np.ndarray, out: np.ndarray) -> Veloc
         return Velocity(out[0], out[1], 0.0)
     _synthesize_product(block, block.stack[0], source, out[0])
     _synthesize_product(block, block.stack[1], source, out[1])
-    return Velocity(out[0], out[1], _peak_speed(out, _workspace(block.grid).samples[2]))
+    return Velocity(out[0], out[1], _peak_speed(out, block.samples[2]))
 
 
 def _block_advect(block: _Block, vel: Velocity, target: np.ndarray,
@@ -780,14 +763,13 @@ def _block_advect(block: _Block, vel: Velocity, target: np.ndarray,
     if vel.umax == 0.0:
         out.fill(0.0)
         return out
-    ws = _workspace(block.grid)
-    product, gy = ws.samples[2], ws.samples[0]
+    product, gy = block.samples[2], block.samples[0]
     _synthesize_product(block, block.stack[2], target, product)
     product *= vel.u1
     _synthesize_product(block, block.stack[3], target, gy)
     gy *= vel.u2
     product += gy
-    forward, top = _forward_pass(product, ws.rows, block.forward), block.top
+    forward, top = _forward_pass(product, block.row_pass, block.forward), block.top
     np.multiply(forward[:top], block.mask[:top], out=out[:top])
     np.multiply(forward[forward.shape[0] - block.bottom :], block.mask[top:],
                 out=out[top:])
@@ -821,14 +803,13 @@ def transport(grid: GridSpec, source: np.ndarray,
     n/2 exactly conjugate-symmetric and the mean mode pinned to 0 (the
     product of a divergence-free velocity with a gradient has zero mean).
     ``source`` and ``target`` are read like :func:`velocity`'s source.  Five
-    transforms per call, the velocity held in the workspace samples; none
-    past the velocity's when it is zero, where the result is an exact zero
-    half spectrum.  The forward transform computes only the block's
-    columns: the mask zeroes the rest.
+    transforms per call, the velocity held in the samples of the source's
+    block; none past the velocity's when it is zero, where the result is an
+    exact zero half spectrum.  The forward transform computes only the
+    block's columns: the mask zeroes the rest.
     """
     block = _block_of(grid, source)
-    vel = _block_velocity(block, block.restrict(source, block.operand),
-                          _workspace(grid).samples[:2])
+    vel = _block_velocity(block, block.restrict(source, block.operand), block.samples[:2])
     out = np.zeros(target.shape, dtype=np.complex128)
     if vel.umax == 0.0:
         return out, vel.umax

@@ -13,7 +13,7 @@ import pytest
 from sqglab.cli import VERIFY_CHECKS, build_parser, main
 from sqglab.reports import LEMMA_IDS, manifest_from_json, sha256_of_file
 from sqglab.solver import _factor_tables
-from sqglab.spectral import _dealias_block, _workspace
+from sqglab.spectral import _dealias_block
 
 
 def write_config(path, **overrides):
@@ -123,9 +123,10 @@ def test_gamma_out_of_range_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["galerkin_n", "j0"])
 def test_a_block_index_past_the_partition_exits_one(tmp_path, capsys, key):
-    cfg = write_config(tmp_path / "sim.json", grid={"n": 16}, solver={key: 2000})
-    assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 1
-    assert f"{key} must be <=" in capsys.readouterr().err
+    for value, relation in ((2000, "<="), (-2000, ">=")):
+        cfg = write_config(tmp_path / "sim.json", grid={"n": 16}, solver={key: value})
+        assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 1
+        assert f"{key} must be {relation}" in capsys.readouterr().err
 
 
 def test_overflow_guard_exits_two(tmp_path, capsys):
@@ -250,11 +251,30 @@ def test_float_config_keys_reject_bools_and_nan(tmp_path, capsys, section, key, 
 @pytest.mark.parametrize("value", ["inf", "Infinity", math.inf])
 def test_float_config_keys_take_infinity(tmp_path, value):
     # Picard's q = inf is the sup-norm row the benchmark's config asks for.
-    cfg = write_config(tmp_path / "cfg.json", iterate={"n_min": 0, "n_max": 1, "q": value})
+    cfg = write_config(tmp_path / "cfg.json",
+                       iterate={"n_min": 0, "n_max": 1, "p": value, "q": value})
     out = tmp_path / "out"
     assert main(["iterate", "picard", str(cfg), "--output-dir", str(out)]) == 0
     resolved = json.loads((out / "run_manifest.json").read_text())["config"]["resolved"]
-    assert resolved["iterate"]["q"] == "inf"
+    assert resolved["iterate"]["p"] == resolved["iterate"]["q"] == "inf"
+
+
+# Keys that only mean something finite refuse an infinity where their
+# object is built, with a usage error naming the key: an infinite dt would
+# run no step, t_final and s0 would end in a traceback or an inf column.
+@pytest.mark.parametrize("command, section, key", [
+    ("simulate", "solver", "dt"), ("simulate", "solver", "t_final"),
+    ("iterate", "solver", "t_final"), ("simulate", "solver", "nu"),
+    ("simulate", "grid", "period"), ("iterate", "iterate", "s0"),
+])
+def test_keys_that_need_a_finite_value_exit_one_on_infinity(tmp_path, capsys, command,
+                                                           section, key):
+    sections = {"grid": {"n": 16}, "iterate": {"n_min": 0, "n_max": 1}}
+    sections.setdefault(section, {})[key] = "inf"
+    cfg = write_config(tmp_path / "cfg.json", **sections)
+    argv = ["simulate"] if command == "simulate" else ["iterate", "galerkin"]
+    assert main([*argv, str(cfg), "--output-dir", str(tmp_path)]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
 
 
 def test_int_config_keys_accept_integral_floats(tmp_path):
@@ -507,6 +527,25 @@ def test_simulate_outputs_keep_their_bytes(tmp_path, run, integrator):
     assert got == SIMULATE_DIGESTS[run, integrator]
 
 
+#: The lemma ids whose verdict fails at their CLI defaults (perfbench/README.md,
+#: "Known defects").  The marks are strict, so a fix shows here as a failure too.
+FAILING_AT_DEFAULTS = {
+    "ab_pointwise": "1e-12 slack is below the round-off of heavy-tailed samples; "
+                    "the default seed's verdict fails",
+    "spectral_mass_contraction": "the CLI builds data whose mass above n0 is below "
+                                 "eps0, which the check rejects as a usage error",
+}
+
+
+@pytest.mark.parametrize("lemma_id", [
+    pytest.param(lemma_id, marks=pytest.mark.xfail(strict=True, reason=reason))
+    if (reason := FAILING_AT_DEFAULTS.get(lemma_id)) else lemma_id
+    for lemma_id in VERIFY_CHECKS
+])
+def test_every_lemma_id_passes_at_its_cli_defaults(tmp_path, lemma_id):
+    assert main(["verify", lemma_id, "--output-dir", str(tmp_path)]) == 0
+
+
 def test_verify_unknown_lemma_exits_one(capsys):
     assert main(["verify", "definitely_not_a_lemma"]) == 1
     assert "unknown lemma id" in capsys.readouterr().err
@@ -716,17 +755,15 @@ def test_commands_load_no_scipy_integrate_optimize_special_or_numpy_ma(tmp_path)
 
 
 COUNTED_CACHES = {"_factor_tables", "grid_arrays", "k_power", "sobolev_weights",
-                  "_dealias_block", "_workspace", "block_power_weights"}
+                  "_dealias_block", "block_power_weights"}
 
 
 def test_manifests_record_cache_counts(tmp_path):
-    # 100 steps of dt: the last step reuses the run's factor tables, and
-    # every step runs in the grid's one workspace.
+    # 100 steps of dt: the last step reuses the run's factor tables.
     cfg = write_config(tmp_path / "sim.json",
                        solver={"dt": 1e-3, "t_final": 0.1, "output_stride": 50})
     _factor_tables.cache_clear()
     _dealias_block.cache_clear()
-    _workspace.cache_clear()
     assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 0
     caches = json.loads((tmp_path / "run_manifest.json").read_text())["timings"]["caches"]
     assert set(caches) == COUNTED_CACHES
@@ -734,15 +771,12 @@ def test_manifests_record_cache_counts(tmp_path):
     # The dealiased run steps on the grid's dealias block alone, which the
     # row core, the stepper and the factor tables each take once.
     assert caches["_dealias_block"] == {"hits": 2, "misses": 1}
-    assert caches["_workspace"]["misses"] == 1 and caches["_workspace"]["hits"] >= 100
     cfg = write_config(tmp_path / "it.json", iterate={"n_min": 0, "n_max": 1},
                        output={"prefix": "sweep"})
     _dealias_block.cache_clear()
-    _workspace.cache_clear()
     assert main(["iterate", "picard", str(cfg), "--output-dir", str(tmp_path)]) == 0
     caches = json.loads((tmp_path / "sweep_manifest.json").read_text())["timings"]["caches"]
     assert set(caches) == COUNTED_CACHES
     assert all(c["hits"] >= 0 and c["misses"] >= 0 for c in caches.values())
     assert caches["_factor_tables"]["hits"] + caches["_factor_tables"]["misses"] > 0
     assert caches["_dealias_block"]["misses"] == 1 and caches["_dealias_block"]["hits"] > 0
-    assert caches["_workspace"]["misses"] == 1 and caches["_workspace"]["hits"] > 0

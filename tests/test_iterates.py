@@ -166,6 +166,15 @@ def test_grid_mismatch_rejected():
         picard_besov_sequence(wrong, range(0, 2), 2.0, 2.0, CFG)
 
 
+def test_sweeps_reject_a_non_finite_s0():
+    # An infinite s0 would fill every Besov column of the trace with inf.
+    for s0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(UsageError, match="s0 must be finite"):
+            galerkin_sequence(data_field(), range(2, 4), CFG, s0)
+        with pytest.raises(UsageError, match="s0 must be finite"):
+            picard_besov_sequence(data_field(), range(0, 2), 2.0, 2.0, CFG, s0)
+
+
 def assert_norm_row_matches_oracle(field, p):
     grid = field.grid
     cfg = SolverConfig(grid=grid, nu=1.0, gamma=0.5, dt=2e-3, t_final=0.02,

@@ -84,6 +84,14 @@ def test_config_bounds_galerkin_n_and_j0_by_the_partition():
         for bad in (bound + 1, 2000):
             with pytest.raises(UsageError, match=f"{key} must be <= {bound}"):
                 SolverConfig(grid=grid, **{key: bad})
+    # At j_min - 1 the low part of the mean-free state is already exactly 0;
+    # far below it 2.0 ** j underflows into 0 / 0 in the low-pass symbol.
+    floor = default_partition(grid).j_min - 1
+    series = run_simulation(theta, SolverConfig(grid=grid, t_final=2e-3, j0=floor))
+    assert not series.aborted and not np.any(series.columns["split_low_l2"])
+    for bad in (floor - 1, -2000):
+        with pytest.raises(UsageError, match=f"j0 must be >= {floor}"):
+            SolverConfig(grid=grid, j0=bad)
 
 
 def test_config_validation_messages():
@@ -101,6 +109,13 @@ def test_config_validation_messages():
         SolverConfig(grid=GRID, output_stride=0)
     with pytest.raises(UsageError):
         SolverConfig(grid=GRID, galerkin_n=0)
+    for key in ("nu", "dt", "t_final"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(UsageError, match=f"{key} must be finite"):
+                SolverConfig(grid=GRID, **{key: value})
+    with pytest.raises(UsageError, match="besov_p and besov_q"):
+        SolverConfig(grid=GRID, besov_p=math.nan)
+    assert SolverConfig(grid=GRID, besov_p=math.inf, besov_q=math.inf).besov_q == math.inf
 
 
 def test_nonlinear_term_single_mode_vanishes():
@@ -725,6 +740,14 @@ def test_step_rejects_a_state_outside_the_dealias_block(projection):
         wide[rows, col] = 1e-3
         with pytest.raises(UsageError, match="outside the .* dealias block"):
             stepper.step(wide)
+    # A NaN counts as nonzero there, so the NaN guard, which reads only the
+    # stepped block, never meets one outside it; one inside trips it.
+    for (row, col), error, message in (((0, k + 1), UsageError, "outside the .* dealias block"),
+                                       ((1, 1), GuardError, "NaN guard")):
+        bad = coeffs.copy()
+        bad[row, col] = np.nan
+        with pytest.raises(error, match=message):
+            stepper.step(bad)
 
 
 # (grid, {projection: step grid size}) for the reduced-grid agreement tests.

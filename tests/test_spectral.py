@@ -83,6 +83,9 @@ def test_grid_validation():
         GridSpec(7)
     with pytest.raises(UsageError):
         GridSpec(64, period=-1.0)
+    for period in (math.inf, math.nan):
+        with pytest.raises(UsageError, match="period must be positive and finite"):
+            GridSpec(64, period=period)
     with pytest.raises(UsageError):
         GridSpec(64, dealias_fraction=1.5)
 
