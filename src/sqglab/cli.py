@@ -246,6 +246,8 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
     elif normalize not in (None, "none"):
         raise UsageError(f"unknown normalize mode {normalize!r}")
     amplitude = read("amplitude", 1.0, float)
+    if not math.isfinite(amplitude):
+        raise UsageError(f"config initial_data.amplitude must be finite, got {amplitude}")
     if amplitude != 1.0:
         field = field.with_coeffs(field.coeffs * amplitude)
     return field, seed

@@ -189,12 +189,13 @@ class _RowCore:
 
     Built once per run (``simulate``'s, or an iterate sweep's) for its
     grid, ``gamma``, the Sobolev ``orders`` (``(r, homogeneous)`` pairs) of
-    its columns, the Gevrey rates ``lams`` it weighs with and the split
-    block ``j0`` (or None).  A state runs on the grid's dealias block
-    (``block``, :class:`~sqglab.spectral._Block`), where dealiased data
-    and their steps live; :meth:`row` raises ``UsageError`` on a state with
-    a nonzero mode outside it.  The core holds the read-only stack ``T``
-    there, one weight table per row:
+    its columns, the Gevrey rates ``lams`` it weighs with (one at least;
+    their guards run first in a row) and the split block ``j0`` (or None).
+    A state runs on the grid's dealias block (``block``,
+    :class:`~sqglab.spectral._Block`), where dealiased data and their steps
+    live; :meth:`row` raises ``UsageError`` on a state with a nonzero mode
+    outside it.  The core holds the read-only stack ``T`` there, one weight
+    table per row:
 
     * the Sobolev weights of each order, in the order given;
     * the :func:`block_power_weights` rows: block ``j_min..j_max``, then the
@@ -251,12 +252,15 @@ class _RowCore:
         if minus is not None:
             coeffs -= block.restrict(minus, block.operand)
         shape = block.shape
-        power, scratch = self.powers[0].reshape(shape), self.weights[0]
+        # The weights first: their guards read the state's amplitudes, so
+        # they raise before its squares could overflow.
+        for lam, weight in zip(self.lams, self.weights):
+            gevrey_half_weight(grid, lam, t, self.gamma, coeffs, self.kpow, weight)
+        power, scratch = (row.reshape(shape) for row in self.powers[:2])
         np.multiply(coeffs.real, coeffs.real, out=power)
         power += np.multiply(coeffs.imag, coeffs.imag, out=scratch)
         power *= parseval_columns(grid)[: shape[1]]
-        for lam, weight, warm in zip(self.lams, self.weights, self.powers[1:]):
-            gevrey_half_weight(grid, lam, t, self.gamma, coeffs, self.kpow, weight)
+        for weight, warm in zip(self.weights, self.powers[1:]):
             warm = warm.reshape(shape)
             np.multiply(power, weight, out=warm)
             warm *= weight

@@ -21,9 +21,9 @@ from .reports import InequalityReport, witness_from_field
 from .sampling import (
     OneDGrid,
     _block_buffers,
+    _DrawAhead,
     band_limited_field,
     bump_field_1d,
-    draw_coeffs,
     gaussian_block_field,
     low_pass_field,
 )
@@ -31,8 +31,8 @@ from .spectral import (
     GridSpec,
     SpectralField,
     _SupportSynthesis,
+    _forward_pass,
     _magnitude_lp_norm,
-    analyze,
     grid_arrays,
     half_power,
     k_power,
@@ -91,19 +91,26 @@ def _block_sweep(grid, j, ops, statistic, n_samples, rng) -> dict:
     sweep, the product only on the support box of the block: a sample
     becomes a field, a read-only copy, only when it sets a new minimum.
     ``statistic`` must not keep the stack it is passed.
+
+    The draws run one sample ahead on a helper thread (:class:`_DrawAhead`),
+    into the other of two sample lanes, while this thread synthesizes and
+    scores the current one; each lane has one owner at a time.  ``rng``
+    makes the draws of ``n_samples`` calls of ``draw_coeffs`` in turn, so
+    the minima and their fields are those of a sequential sweep.  The helper
+    is joined before this returns or raises.
     """
     _check_sample_count(n_samples)
     buffers = _block_buffers(grid, j)
     stack_of = _SupportSynthesis(grid, ops, buffers.profile)
     worst = {}
-    for _ in range(n_samples):
-        coeffs = draw_coeffs(buffers, rng)
-        field = None
-        for name, value in statistic(stack_of(coeffs)).items():
-            if value < worst.setdefault(name, (math.inf, None))[0]:
-                if field is None:
-                    field = SpectralField(grid, coeffs)
-                worst[name] = (value, field)
+    with _DrawAhead(buffers, rng, n_samples) as samples:
+        for coeffs in samples:
+            field = None
+            for name, value in statistic(stack_of(coeffs)).items():
+                if value < worst.setdefault(name, (math.inf, None))[0]:
+                    if field is None:
+                        field = SpectralField(grid, coeffs)
+                    worst[name] = (value, field)
     return worst
 
 
@@ -243,9 +250,12 @@ def check_coercivity(
     energy = grid.period ** 2 * parseval_columns(grid) * kg
 
     # |f|, sign(f), a product, and the two fields [sign(f)|f|^{q/2}, |f|^{q/2}]
-    # whose dissipation is the right-hand side: buffers of the sweep.
+    # whose dissipation is the right-hand side; their transform (rows, then
+    # w_hat), |w_hat|^2 and its energy terms: buffers of the sweep.
     mag, sign, work = np.empty((3, grid.n, grid.n))
     fields = np.empty((2, grid.n, grid.n))
+    rows, w_hat = np.empty((2, 2, grid.n, grid.n // 2 + 1), np.complex128)
+    mag2, terms = np.empty((2,) + w_hat.shape)
 
     def statistic(stack):
         samples, dgf = stack
@@ -262,9 +272,11 @@ def check_coercivity(
         np.copyto(fields[1], mag)
         fields[1] **= q / 2.0
         np.multiply(sign, fields[1], out=fields[0])
-        w_hat = analyze(grid, fields)
-        mag2 = w_hat.real * w_hat.real + w_hat.imag * w_hat.imag
-        rhs_signed, rhs_plain = np.sum(energy * mag2, axis=(-2, -1)).tolist()
+        _forward_pass(fields, rows, w_hat)
+        np.multiply(w_hat.real, w_hat.real, out=mag2)
+        np.add(mag2, np.multiply(w_hat.imag, w_hat.imag, out=terms), out=mag2)
+        np.multiply(energy, mag2, out=terms)
+        rhs_signed, rhs_plain = np.sum(terms, axis=(-2, -1)).tolist()
         return {
             "ratio_signed": lhs / (const * rhs_signed),
             "ratio_plain": lhs / (const * rhs_plain),

@@ -6,14 +6,16 @@ Gaussian noise on the full lattice, as one ``(2, n, n)`` array of its real
 and imaginary planes, shapes it by a radial profile and keeps the real part
 of the resulting field, as a half spectrum built from the planes with
 slices: no full-lattice complex array is formed.  All of them go through
-one draw, :func:`draw_coeffs`, into a :class:`SampleBuffers`; a block sweep
-reuses one set of buffers for all its samples.  Fields are mean-free
-unless stated otherwise.
+one draw, :func:`draw_coeffs`, into a :class:`SampleBuffers`.  A block
+sweep draws through :class:`_DrawAhead` instead: the same draws, each after
+the first made on a helper thread while the previous sample is in use.
+Fields are mean-free unless stated otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Optional
 
 import numpy as np
@@ -41,7 +43,8 @@ __all__ = [
 
 class SampleBuffers:
     """What one draw of a field shaped by ``profile`` fills, allocated once:
-    each draw overwrites them (single-threaded use).
+    each draw overwrites them.  One thread at a time owns a set of buffers
+    (:class:`_DrawAhead` hands its two sets between two threads).
 
     * ``noise``, ``(2, n, n)``: the real and imaginary planes of the
       complex Gaussian draw;
@@ -99,6 +102,83 @@ def draw_coeffs(buffers: SampleBuffers, rng: np.random.Generator) -> np.ndarray:
     """
     rng.standard_normal(out=buffers.noise)
     return _finish(buffers)
+
+
+class _DrawAhead:
+    """``n_samples`` draws shaped like ``buffers``, each made while the
+    previous sample is in use: a context manager whose iteration yields
+    each sample's half spectrum in turn.
+
+    Sample ``i`` is lane ``i % 2``'s ``coeffs`` (lane 0 is ``buffers``),
+    owned by the iterating thread until it asks for sample ``i + 1``.
+    ``__enter__`` draws sample 0 on the calling thread; with more samples
+    it adds lane 1 and starts one helper thread, which draws sample
+    ``i + 1`` into the other lane while sample ``i`` is in use.  The draws
+    are those of :func:`draw_coeffs`, in the same order, and never more
+    than ``n_samples``, so ``rng`` ends where sequential draws leave it;
+    nothing else may use it until ``__exit__``, which stops and joins the
+    helper, also when the iterating code raises.  A draw that raises on
+    the helper is raised by the iteration.
+
+    A draw is ``rng.standard_normal`` into the lane's noise, then
+    :func:`_finish`: private calls only, so a recorder that wraps the
+    public ones sees no call from the helper.  Both release the GIL, so a
+    draw overlaps the work done on the previous sample.
+    """
+
+    def __init__(self, buffers: SampleBuffers, rng: np.random.Generator, n_samples: int):
+        self.lanes = [buffers]
+        self.rng, self.n_samples = rng, n_samples
+        # free[k]: lane k may be drawn into; ready[k]: lane k holds a sample.
+        # Lane 0 starts out holding sample 0.
+        self.free = [threading.Semaphore(0), threading.Semaphore(1)]
+        self.ready = [threading.Semaphore(1), threading.Semaphore(0)]
+        self.stopped = False
+        self.error: Optional[Exception] = None
+        self.helper = threading.Thread(target=self._draw, name="sqglab-draw-ahead",
+                                       daemon=True)
+
+    def _fill(self, lane: int) -> None:
+        buffers = self.lanes[lane]
+        self.rng.standard_normal(out=buffers.noise)
+        _finish(buffers)
+
+    def _draw(self) -> None:
+        lane = 1
+        try:
+            for i in range(1, self.n_samples):
+                lane = i % 2
+                self.free[lane].acquire()
+                if self.stopped:
+                    return
+                self._fill(lane)
+                self.ready[lane].release()
+        except Exception as exc:  # raised again by the iterating thread
+            self.error = exc
+            self.ready[lane].release()
+
+    def __enter__(self) -> "_DrawAhead":
+        self._fill(0)
+        if self.n_samples > 1:
+            self.lanes.append(SampleBuffers(self.lanes[0].grid, self.lanes[0].profile))
+            self.helper.start()
+        return self
+
+    def __iter__(self):
+        for i in range(self.n_samples):
+            lane = i % 2
+            self.ready[lane].acquire()
+            if self.error is not None:
+                raise self.error
+            yield self.lanes[lane].coeffs
+            self.free[lane].release()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stopped = True
+        for free in self.free:
+            free.release()
+        if self.helper.ident is not None:
+            self.helper.join()
 
 
 def _field(buffers: SampleBuffers, rng: np.random.Generator) -> SpectralField:

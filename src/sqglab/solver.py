@@ -41,6 +41,12 @@ INTEGRATORS = ("if_rk4", "etd_rk2")
 CFL_WARN = 1.0
 CFL_ERROR = 2.0
 
+#: Most steps one run may take, ``ceil(t_final / dt)``: three to six
+#: minutes at 16^2 (0.18 ms an ETD-RK2 step, 0.37 ms an IF-RK4 step, on a
+#: 2-vCPU host), and ten times the 10^5 of the longest config the tests
+#: build.  A config past it is refused before anything is allocated.
+MAX_STEPS = 1_000_000
+
 #: Weight w of the Gevrey factor e^{w t D^gamma} in front of the critical
 #: Besov norm of the diagnostics rows.
 BESOV_GEVREY_WEIGHT = 0.5
@@ -81,6 +87,14 @@ class SolverConfig:
             raise UsageError(f"dt must be positive, got {self.dt}")
         if self.t_final <= 0.0:
             raise UsageError(f"t_final must be positive, got {self.t_final}")
+        # ceil(x) > MAX_STEPS exactly when x > MAX_STEPS; an inf quotient too.
+        steps = self.t_final / self.dt - 1e-12
+        if steps > MAX_STEPS:
+            raise UsageError(
+                f"dt {self.dt:g} with t_final {self.t_final:g} asks for more than "
+                f"the {MAX_STEPS} steps a run may take ({steps:.3g}); raise "
+                "solver.dt or shorten solver.t_final"
+            )
         if self.integrator not in INTEGRATORS:
             raise UsageError(f"integrator must be one of {INTEGRATORS}")
         if not 0.0 < self.gevrey_epsilon0 < 1.0:

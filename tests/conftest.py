@@ -5,6 +5,8 @@ the terminal summary prints them together so a run ends with a compact
 pass/fail table for the headline checks.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -60,9 +62,14 @@ def count_transforms(monkeypatch):
         return counted
 
     # The real samples are the inverse pass's output and the forward pass's
-    # input.
-    monkeypatch.setattr(spectral, "_inverse_pass", counting(spectral._inverse_pass, 2))
-    monkeypatch.setattr(spectral, "_forward_pass", counting(spectral._forward_pass, 0))
+    # input.  Each module that imports a pass by name gets the counted one.
+    for name, samples_arg in (("_inverse_pass", 2), ("_forward_pass", 0)):
+        original = getattr(spectral, name)
+        counted = counting(original, samples_arg)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("sqglab")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
 
     def count(fn, *args, **kwargs):
         start, start_points = calls[0], points[0]

@@ -261,11 +261,14 @@ def test_float_config_keys_take_infinity(tmp_path, value):
 
 # Keys that only mean something finite refuse an infinity where their
 # object is built, with a usage error naming the key: an infinite dt would
-# run no step, t_final and s0 would end in a traceback or an inf column.
+# run no step, t_final and s0 would end in a traceback or an inf column, and
+# amplitude would multiply the data into NaN, with numpy warnings.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, section, key", [
     ("simulate", "solver", "dt"), ("simulate", "solver", "t_final"),
     ("iterate", "solver", "t_final"), ("simulate", "solver", "nu"),
     ("simulate", "grid", "period"), ("iterate", "iterate", "s0"),
+    ("simulate", "initial_data", "amplitude"), ("iterate", "initial_data", "amplitude"),
 ])
 def test_keys_that_need_a_finite_value_exit_one_on_infinity(tmp_path, capsys, command,
                                                            section, key):
@@ -275,6 +278,21 @@ def test_keys_that_need_a_finite_value_exit_one_on_infinity(tmp_path, capsys, co
     argv = ["simulate"] if command == "simulate" else ["iterate", "galerkin"]
     assert main([*argv, str(cfg), "--output-dir", str(tmp_path)]) == 1
     assert f"{key} must be" in capsys.readouterr().err
+
+
+# An amplitude of 1e300 would overflow where a diagnostics row squares the
+# state; the row's amplitude guard aborts the run first, with no numpy
+# warning on the way.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "iterate"])
+def test_a_huge_amplitude_aborts_at_the_guard_before_any_overflow(tmp_path, capsys,
+                                                                  command):
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 16},
+                       initial_data={"amplitude": 1e300},
+                       iterate={"n_min": 0, "n_max": 1})
+    argv = ["simulate"] if command == "simulate" else ["iterate", "galerkin"]
+    assert main([*argv, str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert "OverflowGuardError" in capsys.readouterr().err
 
 
 def test_int_config_keys_accept_integral_floats(tmp_path):
@@ -705,10 +723,11 @@ def test_module_entrypoint_help():
 
 
 _COLD_START = """
-import json, sys
+import json, sys, threading
 from sqglab import cli
 
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "numpy.ma")
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "numpy.ma",
+         "concurrent.futures")
 
 
 def loaded():
@@ -721,22 +740,22 @@ for lemma_id, (_, flags) in cli.VERIFY_CHECKS.items():
     if lemma_id != "spectral_mass_contraction":
         fewer = ["--n-samples", "1"] if "n_samples" in flags.split() else []
         runs.append((lemma_id, ["verify", lemma_id, *fewer]))
-seen = {"import": (0, loaded())}
+seen = {"import": (0, loaded(), threading.active_count())}
 for name, argv in runs:
-    seen[name] = (cli.main([*argv, "--output-dir", out]), loaded())
+    rc = cli.main([*argv, "--output-dir", out])
+    seen[name] = (rc, loaded(), threading.active_count())
 print(json.dumps(seen))
 """
 
 
-def test_commands_load_no_scipy_integrate_optimize_special_or_numpy_ma(tmp_path):
-    # A fresh interpreter, since this test session has scipy loaded already:
-    # scipy.integrate and scipy.optimize are imported inside the functions
-    # that call them, which no command reaches here, so neither they nor the
-    # scipy.special they pull in may load.  No command takes a median with
-    # np.median, which would import numpy.ma.  Only spectral_mass_contraction
-    # can reach brentq; the verify ids run one sample where they take a count.
+@pytest.fixture(scope="module")
+def cold_start(tmp_path_factory):
+    """``{command: (exit code, heavy modules loaded, live threads)}`` after
+    the import and after each command, in one fresh interpreter (this test
+    session has scipy loaded already)."""
     import sqglab
 
+    tmp_path = tmp_path_factory.mktemp("cold")
     src = os.path.dirname(os.path.dirname(os.path.abspath(sqglab.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -750,8 +769,25 @@ def test_commands_load_no_scipy_integrate_optimize_special_or_numpy_ma(tmp_path)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert set(seen) == {"import", "simulate", "iterate"} | (
         set(VERIFY_CHECKS) - {"spectral_mass_contraction"})
-    for name, (rc, modules) in seen.items():
+    return seen
+
+
+def test_commands_load_no_scipy_integrate_optimize_special_or_numpy_ma(cold_start):
+    # scipy.integrate and scipy.optimize are imported inside the functions
+    # that call them, which no command reaches here, so neither they nor the
+    # scipy.special they pull in may load.  No command takes a median with
+    # np.median, which would import numpy.ma.  Only spectral_mass_contraction
+    # can reach brentq; the verify ids run one sample where they take a count.
+    # The block sweeps' draw-ahead thread comes from threading alone:
+    # concurrent.futures cost about 7 ms of every command's start.
+    for name, (rc, modules, _) in cold_start.items():
         assert (rc, modules) == (0, []), name
+
+
+def test_no_thread_outlives_a_command(cold_start):
+    # The block sweeps join their draw-ahead helper before they return.
+    for name, (_, _, threads) in cold_start.items():
+        assert threads == 1, name
 
 
 COUNTED_CACHES = {"_factor_tables", "grid_arrays", "k_power", "sobolev_weights",

@@ -6,6 +6,7 @@ frozen-seed sweep whose verdict (and rough constant) is pinned.
 
 import copy
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from sqglab.reports import field_from_witness
 from sqglab.inequalities import (
     DECAY_TAU_GRID,
     _block_sweep,
+    _decay_rate,
     _decay_sweep,
     _median,
     _operator_stack,
@@ -41,7 +43,13 @@ from sqglab.inequalities import (
     fractional_seminorm_sq,
     spectral_mass_horizon,
 )
-from sqglab.sampling import OneDGrid, bump_field_1d, gaussian_block_field
+from sqglab.sampling import (
+    OneDGrid,
+    _block_buffers,
+    bump_field_1d,
+    draw_coeffs,
+    gaussian_block_field,
+)
 from sqglab.spectral import (
     GridSpec,
     SpectralField,
@@ -716,3 +724,35 @@ def test_block_sweep_memory_does_not_grow_with_samples():
     peak(2)  # builds the per-grid caches outside the measured runs
     short, long = peak(20), peak(200)
     assert long <= 1.2 * short, (short / 2**20, long / 2**20)
+
+
+@pytest.mark.parametrize("n_samples", [1, 6])
+def test_block_sweep_leaves_the_generator_where_sequential_draws_do(n_samples):
+    # heat_decay runs three sweeps on one generator: a draw made ahead past
+    # the last sample would move every later sweep.
+    grid = GridSpec(32)
+    rng = np.random.default_rng(11)
+    twin = copy.deepcopy(rng)
+    ops = _operator_stack([k_power(grid, 0.5)])
+    _block_sweep(grid, 2, ops, lambda stack: {"x": float(stack[1, 0, 0])}, n_samples, rng)
+    buffers = _block_buffers(grid, 2)
+    for _ in range(n_samples):
+        draw_coeffs(buffers, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_a_statistic_that_raises_mid_sweep_joins_the_draw_helper():
+    grid = GridSpec(32)
+    ops = _operator_stack([np.exp(-0.1 * k_power(grid, 0.5))])
+    calls = []
+
+    def statistic(stack):
+        calls.append(None)
+        cooled = np.zeros_like(stack) if len(calls) == 3 else stack
+        return {"c": _decay_rate(cooled, 2.0, [0.1], 1.0, grid.cell_area)}
+
+    before = threading.active_count()
+    with pytest.raises(UsageError, match="degenerate sample"):
+        _block_sweep(grid, 2, ops, statistic, 10, np.random.default_rng(0))
+    assert len(calls) == 3
+    assert threading.active_count() == before

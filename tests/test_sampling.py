@@ -1,14 +1,20 @@
 """Samplers: support, symmetry, reproducibility."""
 
+import copy
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from sqglab import sampling
 from sqglab.errors import UsageError
 from sqglab.sampling import (
     OneDGrid,
     SampleBuffers,
+    _block_buffers,
+    _DrawAhead,
     band_limited_field,
     bump_field_1d,
     draw_coeffs,
@@ -190,3 +196,83 @@ def test_one_plane_pair_draw_is_two_square_draws(n):
     assert planes[0].tobytes() == first.tobytes()
     assert planes[1].tobytes() == second.tobytes()
     assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 5])
+def test_draw_ahead_makes_the_sequential_draws_on_a_helper_thread(monkeypatch, n_samples):
+    # Sample i is the i-th draw_coeffs of a twin generator, to the byte; the
+    # generator ends where n_samples draws leave it, not one draw further;
+    # sample 0 is drawn on entry, every later one off the iterating thread.
+    grid = GridSpec(32)
+    rng = np.random.default_rng(3)
+    twin, twin_buffers = copy.deepcopy(rng), _block_buffers(grid, 2)
+    finish, threads = sampling._finish, []
+
+    def recorded(buffers):
+        threads.append(threading.current_thread())
+        return finish(buffers)
+
+    monkeypatch.setattr(sampling, "_finish", recorded)
+    before = threading.active_count()
+    with _DrawAhead(_block_buffers(grid, 2), rng, n_samples) as samples:
+        drawn = [coeffs.tobytes() for coeffs in samples]
+    assert threading.active_count() == before
+    monkeypatch.undo()
+    assert drawn == [draw_coeffs(twin_buffers, twin).tobytes() for _ in range(n_samples)]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert len(threads) == n_samples
+    me = threading.current_thread()
+    assert threads[0] is me and me not in threads[1:]
+
+
+def test_draw_ahead_under_stress_keeps_every_sample():
+    # Four iterating threads, more than the cores, each with its own helper,
+    # at a 1 us switch interval: a sample overwritten while in use, or a draw
+    # out of order, would change the bytes read after some work on it.
+    grid, n_samples, seeds = GridSpec(32), 40, range(4)
+    results = {}
+
+    def sweep(seed):
+        drawn = []
+        with _DrawAhead(_block_buffers(grid, 2), np.random.default_rng(seed),
+                        n_samples) as samples:
+            for coeffs in samples:
+                np.abs(coeffs).sum()
+                drawn.append(coeffs.tobytes())
+        results[seed] = drawn
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=sweep, args=(seed,)) for seed in seeds]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for seed in seeds:
+        rng, buffers = np.random.default_rng(seed), _block_buffers(grid, 2)
+        want = [draw_coeffs(buffers, rng).tobytes() for _ in range(n_samples)]
+        assert results[seed] == want, seed
+
+
+def test_a_draw_that_raises_is_raised_by_the_iteration(monkeypatch):
+    finish, calls = sampling._finish, []
+
+    def failing(buffers):
+        calls.append(None)
+        if len(calls) == 3:
+            raise MemoryError("third draw")
+        return finish(buffers)
+
+    monkeypatch.setattr(sampling, "_finish", failing)
+    before, seen = threading.active_count(), 0
+    with pytest.raises(MemoryError, match="third draw"):
+        with _DrawAhead(_block_buffers(GridSpec(32), 2), np.random.default_rng(0),
+                        10) as samples:
+            for _ in samples:
+                seen += 1
+    assert seen == 2
+    assert threading.active_count() == before

@@ -13,6 +13,7 @@ from sqglab.errors import CflGuardError, GuardError, OverflowGuardError, UsageEr
 from sqglab.sampling import power_law_field
 from sqglab.solver import (
     INTEGRATORS,
+    MAX_STEPS,
     _emit_core,
     _factor_tables,
     _phi1,
@@ -116,6 +117,16 @@ def test_config_validation_messages():
     with pytest.raises(UsageError, match="besov_p and besov_q"):
         SolverConfig(grid=GRID, besov_p=math.nan)
     assert SolverConfig(grid=GRID, besov_p=math.inf, besov_q=math.inf).besov_q == math.inf
+
+
+def test_a_step_count_past_max_steps_is_refused_at_construction():
+    # Refused where the config is built, so no such run is ever started
+    # here; dt 1e-300 to t_final 2e-3 would be about 2e297 steps.  The bound
+    # itself is allowed, and an infinite quotient is refused, not an error.
+    for dt, t_final in ((1e-300, 2e-3), (0.5, (MAX_STEPS + 1) * 0.5), (5e-324, 1e300)):
+        with pytest.raises(UsageError, match="solver.dt"):
+            SolverConfig(grid=GRID, dt=dt, t_final=t_final)
+    assert SolverConfig(grid=GRID, dt=0.5, t_final=MAX_STEPS * 0.5).dt == 0.5
 
 
 def test_nonlinear_term_single_mode_vanishes():
