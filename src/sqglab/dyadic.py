@@ -27,9 +27,9 @@ from .spectral import (
     SpectralField,
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
-    _block_samples,
     _capped_gevrey_weight,
     _dealias_block,
+    _inverse_pass,
     block_symbol,
     gevrey_half_weight,
     grid_arrays,
@@ -192,8 +192,7 @@ class _RowCore:
     its columns, the Gevrey rates ``lams`` it weighs with (one at least;
     their guards run first in a row) and the split block ``j0`` (or None).
     A state runs on the grid's dealias block (``block``,
-    :class:`~sqglab.spectral._Block`), where dealiased data and their steps
-    live; :meth:`row` raises ``UsageError`` on a state with a nonzero mode
+    :class:`~sqglab.spectral._Block`), which refuses one with a nonzero mode
     outside it.  The core holds the read-only stack ``T`` there, one weight
     table per row:
 
@@ -212,7 +211,7 @@ class _RowCore:
     def __init__(self, grid: GridSpec, gamma: float, orders, lams, j0=None):
         self.grid, self.gamma, self.lams = grid, gamma, lams
         self.partition = default_partition(grid)
-        self.block = block = _dealias_block(grid, False)
+        self.block = block = _dealias_block(grid)
         tables = [sobolev_weights(grid, r, homogeneous) for r, homogeneous in orders]
         tables += list(block_power_weights(self.partition))
         self.blocks = slice(len(orders), len(tables))
@@ -243,13 +242,10 @@ class _RowCore:
         The state stays loaded for :meth:`lp_norms` and :meth:`besov`.
         """
         grid, block, coeffs = self.grid, self.block, self.coeffs
-        if block.outside(half) or (minus is not None and block.outside(minus)):
-            raise UsageError(
-                f"a diagnostics row takes states on the {block.shape} dealias "
-                f"block of the {grid.n}^2 grid; this one has a nonzero mode outside it"
-            )
+        block.require(half, "a diagnostics row's state")
         block.restrict(half, coeffs)
         if minus is not None:
+            block.require(minus, "a diagnostics row's subtracted state")
             coeffs -= block.restrict(minus, block.operand)
         shape = block.shape
         # The weights first: their guards read the state's amplitudes, so
@@ -270,9 +266,9 @@ class _RowCore:
         """``(L^1, L^2, L^4, L^inf)`` of the loaded state: one inverse
         transform into the block's samples, one ``|s|`` pass and one square
         pass."""
-        grid = self.grid
-        samples, scratch = self.block.samples[:2]
-        _block_samples(self.block, self.coeffs, samples)
+        grid, block = self.grid, self.block
+        samples, scratch = block.samples[:2]
+        _inverse_pass(block.embed(self.coeffs, block.spectrum), block.columns, samples)
         cell = grid.cell_area
         mag = np.abs(samples, out=scratch)
         l1, linf = float(mag.sum()) * cell, float(mag.max())
@@ -310,7 +306,7 @@ def block_commutator(f: SpectralField, g: SpectralField, j: int, t: float,
     dealiased).  The growing weight ``e^{t|k|^gamma}`` is only ever
     evaluated on block-j frequencies, so its exponent is bounded by
     ``t * ((7/6) 2^j)^gamma``; that bound is checked against
-    ``GEVREY_EXPONENT_CAP``.
+    ``GEVREY_EXPONENT_CAP``.  ``f`` and ``g`` must be dealiased (``transport``).
     """
     if f.grid != g.grid:
         raise UsageError("block commutator needs both fields on the same grid")
@@ -348,7 +344,7 @@ def trilinear_form(g1: SpectralField, g2: SpectralField, g3: SpectralField,
     is pseudospectral and dealiased; the pairing is spectral (Parseval, on
     the half spectrum with :func:`~sqglab.spectral.parseval_columns`).  The
     growing weight on ``g3`` is guarded against the exponent cap, as in
-    :func:`~sqglab.spectral.gevrey_half_weight`.
+    :func:`~sqglab.spectral.gevrey_half_weight`.  ``g1`` and ``g2`` must be dealiased.
     """
     if not (g1.grid == g2.grid == g3.grid):
         raise UsageError("trilinear form needs all fields on the same grid")

@@ -28,6 +28,7 @@ from .sampling import (
     low_pass_field,
 )
 from .spectral import (
+    PROFILE_OUTER,
     GridSpec,
     SpectralField,
     _SupportSynthesis,
@@ -968,6 +969,20 @@ def _trilinear_pair(grid, regime, j, rng):
     raise UsageError(f"unknown regime {regime!r}")
 
 
+def _check_trilinear_grid(grid: GridSpec, regime: str) -> None:
+    """Refuse, before any draw, a grid whose dealias block (lattice indices up
+    to ``floor(dealias_fraction n / 2)``, all at fraction 1) misses a field
+    the regime transports at the top j: block-j and low-pass fields end at
+    ``PROFILE_OUTER 2^j``, the localized band at ``2^j``; random ones (K/2) fit."""
+    j = max(TRILINEAR_J_VALUES)
+    radius = {"random": 0.0, "localized": 2.0**j}.get(regime, PROFILE_OUTER * 2.0**j)
+    half_n = math.ceil((math.floor(radius / grid.freq_scale) - 1e-12) / grid.dealias_fraction)
+    if grid.n < 2 * half_n and grid.dealias_fraction < 1.0:
+        raise UsageError(f"grid {grid.n} is too small for the {regime} regime: its fields "
+                         f"reach |k| = {radius:.4g} at j = {j}, past the dealias block; "
+                         f"the smallest grid it runs on is {2 * half_n}")
+
+
 def check_trilinear_bounds(
     grid: GridSpec | None = None,
     gamma: float = 0.5,
@@ -985,13 +1000,15 @@ def check_trilinear_bounds(
     ratios at higher blocks may not exceed ``TRILINEAR_SPREAD`` times the
     coarsest-block level.  The "localized" regime instead measures
     |N(g, g, f)| against N0^{2s+2} ||g||_2^2 ||f||_2 for spectra confined to
-    B(0, N0) and B(0, 2 N0).
+    B(0, N0) and B(0, 2 N0).  A grid too small for the regime is refused
+    before any draw (:func:`_check_trilinear_grid`).
     """
     grid = grid or DEFAULT_GRID
     if not 0.0 < gamma < 1.0:
         raise UsageError(f"gamma must lie in (0, 1), got {gamma}")
     if regime not in TRILINEAR_REGIMES:
         raise UsageError(f"regime must be one of {TRILINEAR_REGIMES}")
+    _check_trilinear_grid(grid, regime)
     _check_sample_count(n_samples)
     s = 2.0 - gamma
     t = 0.0

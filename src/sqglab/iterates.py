@@ -193,7 +193,7 @@ def galerkin_sequence(
     """
     n_values, n_steps = _validated(theta0, n_range, config, s0, -1, "cutoff")
     grid = config.grid
-    block = _dealias_block(grid, False)
+    block = _dealias_block(grid)
     k_abs = block.restrict(grid_arrays(grid).k_abs, np.empty(block.shape)).ravel()
     outside = [k_abs > PROFILE_OUTER * 2.0 ** (n - 1) for n in n_values]
     steppers = [Stepper(config, projection=n - 1) for n in n_values]

@@ -132,7 +132,8 @@ def _require_mean_free(coeffs: np.ndarray) -> None:
 
 
 def nonlinear_term(theta: SpectralField) -> SpectralField:
-    """-dealias(u . grad(theta)), the advective right-hand side."""
+    """-dealias(u . grad(theta)), the advective right-hand side; ``theta``
+    must be dealiased, or :func:`spectral.transport` raises ``UsageError``."""
     _require_mean_free(theta.coeffs)
     rhs, _ = transport(theta.grid, theta.coeffs, theta.coeffs)
     return SpectralField(theta.grid, np.negative(rhs, out=rhs))
@@ -166,7 +167,7 @@ def _factor_tables(grid: GridSpec, nu: float, gamma: float, dt: float,
     no cast buffer.  Shared by every stepper with the same key, so sweeps
     that hold several steppers hold one copy.
     """
-    block = _dealias_block(grid, False)
+    block = _dealias_block(grid)
     z = -(nu * k_power(grid, gamma)[block.rows, : block.width]) * dt
     if integrator == "if_rk4":
         e_half = np.exp(0.5 * z)
@@ -219,9 +220,8 @@ class Stepper:
     The stages run on the step grid's dealias block (``spectral._Block``,
     ``block``), the ``(2K + 1, K + 1)`` modes a dealiased tendency can
     occupy: the state is restricted to it, stepped there, and embedded back
-    into a copy of itself.  A state must lie in the block, and
-    :meth:`step` raises ``UsageError`` on one with a nonzero mode outside
-    it.  Dealiased data stay there, since every tendency is masked.
+    into a copy of itself.  A state must lie in the block (``UsageError``
+    otherwise); dealiased data stay there, since every tendency is masked.
 
     With a ``projection`` the step grid is :func:`stepping_grid`'s, and the
     block is taken straight from the full grid's state, which must be
@@ -238,7 +238,7 @@ class Stepper:
         self.projection = projection
         self.grid = config.grid
         self.step_grid = stepping_grid(self.grid, projection)
-        self.block = _dealias_block(self.step_grid, False)
+        self.block = _dealias_block(self.step_grid)
         self._shape = (self.grid.n, self.grid.n // 2 + 1)
         self._low_block = (None if projection is None
                            else self.block.gather(low_pass_symbol(self.step_grid, projection)))
@@ -324,12 +324,7 @@ class Stepper:
                     "its tendency would not be truncated"
                 )
         block = self.block
-        if block.outside(coeffs):
-            raise UsageError(
-                f"coeffs has a nonzero mode outside the {block.shape} dealias "
-                f"block of the {self.step_grid.n}^2 step grid; the stepper takes "
-                f"dealiased states, cut to the support of its projection if any"
-            )
+        block.require(coeffs, "coeffs")
         dt = self.config.dt if dt is None else dt
         rk4 = self.config.integrator == "if_rk4"
         ramp = self._ramp(advect, rk4)

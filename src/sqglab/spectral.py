@@ -74,6 +74,10 @@ SUPPORT_THRESHOLD = 1e-13
 #: and the conjugate of its partner that is taken for round-off.
 SYMMETRY_TOLERANCE = 1e-10
 
+#: Largest grid size ``n``: a grid's :func:`grid_arrays` and :class:`_Block`
+#: take at most 204 bytes a point (``n >= 64``), under 256 MiB at 1024^2.
+MAX_GRID_N = 1024
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -88,8 +92,9 @@ class GridSpec:
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.n < 8 or self.n % 2 != 0:
-            raise UsageError(f"grid size must be even and >= 8, got {self.n}")
+        if not 8 <= self.n <= MAX_GRID_N or self.n % 2 != 0:
+            raise UsageError(f"grid.n must be even in 8..MAX_GRID_N = {MAX_GRID_N}, "
+                             f"got {self.n}")
         if not 0.0 < self.period < math.inf:
             raise UsageError(f"period must be positive and finite, got {self.period}")
         if not (0.0 < self.dealias_fraction <= 1.0):
@@ -590,11 +595,8 @@ class _Block:
     ``(2K + 1, K + 1)`` array.  Its rows are the FFT order of ``2K + 1``
     points, so ``m1 -> -m1`` is ``i -> -i mod 2K + 1`` there.  The box is
     :func:`_support_box`'s, of the dealias mask: the whole ``(n, n/2 + 1)``
-    half spectrum when the mask keeps every row.  The wide block is the box
-    of an all-true table, always the whole, for a field with a nonzero mode
-    outside the dealias block; only the public :func:`velocity` and
-    :func:`transport` take one (:func:`_block_of`), since the solver's
-    stepper and diagnostics rows refuse such a field.
+    half spectrum when the mask keeps every row.  It is the only block:
+    :meth:`require` refuses a field with a nonzero mode outside it.
 
     Holds the transport tables on the block, and the buffers its passes, the
     solver's steps and the diagnostics rows write (single-threaded use; each
@@ -617,8 +619,7 @@ class _Block:
     * ``flip``: the flipped self-conjugate columns of a product;
     * ``operand``: a field restricted by the public transport, or the
       state a diagnostics row subtracts (``dyadic._RowCore``);
-    * ``halves``, ``(6, *shape)``: the stepper's stage buffers, written on
-      dealias blocks only;
+    * ``halves``, ``(6, *shape)``: the stepper's stage buffers;
     * ``samples``, ``(3, n, n)``: a velocity, then the advective product;
       between steps, a diagnostics row's samples and their scratch;
     * ``row_pass``, ``(n, n/2 + 1)``: the row pass of the forward transform;
@@ -631,11 +632,10 @@ class _Block:
     written never become resident.
     """
 
-    def __init__(self, grid: GridSpec, wide: bool):
+    def __init__(self, grid: GridSpec):
         n = grid.n
         ga = grid_arrays(grid)
-        support = np.ones_like(ga.dealias_mask) if wide else ga.dealias_mask
-        self.top, self.bottom, self.width = _support_box(support)
+        self.top, self.bottom, self.width = _support_box(ga.dealias_mask)
         self.grid = grid
         self.rows = np.r_[0 : self.top, n - self.bottom : n]
         self.shape = (self.rows.size, self.width)
@@ -667,14 +667,16 @@ class _Block:
         out.flags.writeable = False
         return out
 
-    def outside(self, coeffs: np.ndarray) -> bool:
-        """Whether ``coeffs``, a half spectrum of this grid or a larger one,
-        has a nonzero mode outside the block."""
-        gap = slice(self.top, coeffs.shape[0] - self.bottom)
-        return bool(coeffs[:, self.width :].any() or coeffs[gap].any())
+    def require(self, coeffs: np.ndarray, who: str) -> None:
+        """The one refusal of undealiased data (``UsageError`` naming ``who``):
+        ``coeffs``, a half spectrum of this grid or a larger one, with a
+        nonzero mode (a NaN too) past the block's columns or in its gap rows."""
+        if coeffs[:, self.width :].any() or coeffs[self.top : len(coeffs) - self.bottom].any():
+            raise UsageError(f"{who} has a nonzero mode outside the {self.shape} dealias "
+                             f"block of the {self.grid.n}^2 grid")
 
     def restrict(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The block of ``coeffs`` (as :meth:`outside`, over the last two
+        """The block of ``coeffs`` (as :meth:`require`'s, over the last two
         axes), into ``out``."""
         out[..., : self.top, :] = coeffs[..., : self.top, : self.width]
         out[..., self.top :, :] = coeffs[..., coeffs.shape[-2] - self.bottom :, : self.width]
@@ -688,15 +690,9 @@ class _Block:
 
 
 @lru_cache(maxsize=16)
-def _dealias_block(grid: GridSpec, wide: bool) -> _Block:
-    """The dealias block of ``grid``, or its wide block, built once."""
-    return _Block(grid, wide)
-
-
-def _block_of(grid: GridSpec, coeffs: np.ndarray) -> _Block:
-    """The dealias block of ``grid``, widened when ``coeffs`` leaves it."""
-    block = _dealias_block(grid, False)
-    return _dealias_block(grid, True) if block.outside(coeffs) else block
+def _dealias_block(grid: GridSpec) -> _Block:
+    """The dealias block of ``grid``, built once."""
+    return _Block(grid)
 
 
 def _synthesize_product(block: _Block, symbol: np.ndarray, coeffs: np.ndarray,
@@ -706,11 +702,6 @@ def _synthesize_product(block: _Block, symbol: np.ndarray, coeffs: np.ndarray,
     np.multiply(symbol[:top], coeffs[:top], out=spec[:top])
     np.multiply(symbol[top:], coeffs[top:], out=spec[spec.shape[0] - block.bottom :])
     return _inverse_pass(spec, block.columns, out)
-
-
-def _block_samples(block: _Block, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Samples of ``coeffs``, an array on ``block``, into ``out``."""
-    return _inverse_pass(block.embed(coeffs, block.spectrum), block.columns, out)
 
 
 def _peak_speed(u: np.ndarray, scratch: np.ndarray) -> float:
@@ -781,14 +772,14 @@ def _block_advect(block: _Block, vel: Velocity, target: np.ndarray,
 def velocity(grid: GridSpec, source: np.ndarray) -> Velocity:
     """Samples of ``R_perp source`` and ``max |R_perp source|``.
 
-    ``source`` is the half spectrum of a real field; only its dealias block
-    is read when it is zero outside it (:class:`_Block`).  Two transforms
-    per call, none when ``source`` has no nonzero entry (then the samples
-    are zero).  The samples are fresh and read-only, so the solver can
-    advect several stages by one velocity.
+    ``source``, the half spectrum of a real field, must be dealiased, or
+    :meth:`_Block.require` raises ``UsageError``.  Two transforms per call,
+    none when ``source`` is zero (then so are the samples).  The samples are
+    fresh and read-only, so the solver can advect several stages by one.
     """
+    block = _dealias_block(grid)
+    block.require(source, "source")
     u = np.empty((2, grid.n, grid.n))
-    block = _block_of(grid, source)
     umax = _block_velocity(block, block.restrict(source, block.operand), u).umax
     u.flags.writeable = False
     return Velocity(u[0], u[1], umax)
@@ -802,18 +793,18 @@ def transport(grid: GridSpec, source: np.ndarray,
     as a fresh rfft half spectrum (columns ``0..n/2``), with columns 0 and
     n/2 exactly conjugate-symmetric and the mean mode pinned to 0 (the
     product of a divergence-free velocity with a gradient has zero mean).
-    ``source`` and ``target`` are read like :func:`velocity`'s source.  Five
-    transforms per call, the velocity held in the samples of the source's
-    block; none past the velocity's when it is zero, where the result is an
-    exact zero half spectrum.  The forward transform computes only the
-    block's columns: the mask zeroes the rest.
+    Both fields must be dealiased, as :func:`velocity`'s source; inside the
+    mask of a ``dealias_fraction`` up to 2/3 the product is alias-free.  Five
+    transforms per call, none past the velocity's when it is zero, where
+    the result is an exact zero half spectrum.
     """
-    block = _block_of(grid, source)
+    block = _dealias_block(grid)
+    block.require(source, "source")
+    block.require(target, "target")
     vel = _block_velocity(block, block.restrict(source, block.operand), block.samples[:2])
     out = np.zeros(target.shape, dtype=np.complex128)
     if vel.umax == 0.0:
         return out, vel.umax
-    block = _block_of(grid, target)
     product = _block_advect(block, vel, block.restrict(target, block.operand),
                             block.operand)
     return block.embed(product, out), vel.umax

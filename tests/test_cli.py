@@ -280,6 +280,13 @@ def test_keys_that_need_a_finite_value_exit_one_on_infinity(tmp_path, capsys, co
     assert f"{key} must be" in capsys.readouterr().err
 
 
+def test_a_grid_past_max_grid_n_exits_one_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", grid={"n": 4096})
+    assert main(["simulate", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    assert "grid.n must be even in 8..MAX_GRID_N = 1024, got 4096" in capsys.readouterr().err
+    assert not (tmp_path / "run_manifest.json").exists()
+
+
 # An amplitude of 1e300 would overflow where a diagnostics row squares the
 # state; the row's amplitude guard aborts the run first, with no numpy
 # warning on the way.
@@ -393,6 +400,22 @@ def test_verify_one_sample(tmp_path, lemma_id):
                  "--output-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / f"verify_{lemma_id}.json").read_text())
     assert report["seed"] in (3, None)
+
+
+def test_bilinear_ratio_refuses_a_grid_too_small_for_its_regime(tmp_path, capsys):
+    # The diagonal regime's block-5 fields reach |k| = 37.3, past the 64^2
+    # dealias block (K = 21): refused before any draw, naming the grid and
+    # the smallest one the regime runs on, where it passes.
+    out = str(tmp_path)
+    assert main(["verify", "bilinear_ratio", "--grid", "64", "--regime", "diagonal",
+                 "--output-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert "grid 64" in err and "smallest grid it runs on is 112" in err
+    assert not (tmp_path / "verify_bilinear_ratio.json").exists()
+    assert main(["verify", "bilinear_ratio", "--grid", "112", "--regime", "diagonal",
+                 "--output-dir", out]) == 0
+    report = json.loads((tmp_path / "verify_bilinear_ratio.json").read_text())
+    assert report["parameters"]["regime"] == "diagonal"
 
 
 def test_verify_rejects_zero_samples(tmp_path, capsys):

@@ -58,7 +58,9 @@ from sqglab.spectral import (
     field_lp_norm,
     field_to_bytes,
     forward_transform,
+    grid_arrays,
     k_power,
+    low_pass_symbol,
     sobolev_norm,
 )
 
@@ -518,9 +520,53 @@ def test_phase_bounds_phase_budget(monkeypatch, gamma, calls):
     "regime", ["random", "low_g_high_f", "high_g_low_f", "diagonal", "localized"]
 )
 def test_trilinear_regimes(regime):
-    report = check_trilinear_bounds(grid=GRID, regime=regime, n_samples=3)
+    # 128^2 holds every regime's transported fields in its dealias block.
+    report = check_trilinear_bounds(grid=GridSpec(128), regime=regime, n_samples=3)
     assert report.verdict, report.details
     assert report.details["growth"] <= report.details["growth_limit"]
+
+
+def transported_supports(grid, regime, j):
+    """The support tables of the fields ``check_trilinear_bounds`` puts
+    through the transport at block ``j``, from the samplers' profiles."""
+    k_abs = grid_arrays(grid).k_abs
+    if regime == "random":
+        return [(k_abs > 0.0) & (k_abs <= grid.dealias_radius / 2.0)]
+    if regime == "localized":
+        return [(k_abs > 0.0) & (k_abs <= 2.0 ** j)]
+    if regime == "diagonal":
+        return [block_symbol(grid, j) != 0.0]
+    return [block_symbol(grid, j) != 0.0, low_pass_symbol(grid, j - 2) != 0.0]
+
+
+@pytest.mark.parametrize("period, fraction", [(2.0 * math.pi, 2.0 / 3.0), (3.0, 0.5),
+                                              (10.0, 0.9), (2.0 * math.pi, 1.0)],
+                         ids=["2pi-2/3", "3-1/2", "10-0.9", "2pi-1"])
+def test_trilinear_grid_check_reads_the_samplers_supports(period, fraction):
+    # A grid is refused exactly when some transported support has a mode
+    # outside the dealias block's box, and the error names the smallest grid
+    # that holds them all: read off the supports, with no draw.
+    grids = range(8, 132, 2)
+    for regime in inequalities.TRILINEAR_REGIMES:
+        refused = {}
+        for n in grids:
+            grid = GridSpec(n, period, fraction)
+            top, bottom, width = _support_box(grid_arrays(grid).dealias_mask)
+            leaves = any(table[:, width:].any() or table[top : n - bottom].any()
+                         for j in inequalities.TRILINEAR_J_VALUES
+                         for table in transported_supports(grid, regime, j))
+            try:
+                inequalities._check_trilinear_grid(grid, regime)
+            except UsageError as exc:
+                refused[n] = str(exc)
+            assert leaves == (n in refused), (regime, n)
+        smallest = {int(message.rsplit(" ", 1)[1]) for message in refused.values()}
+        assert len(smallest) <= 1
+        for n, message in refused.items():
+            assert message.startswith(f"grid {n} is too small for the {regime} regime")
+        # Every grid from the smallest on holds the regime, none below it.
+        stop = min(smallest | {grids.stop}) if refused else grids.start
+        assert list(refused) == list(range(grids.start, stop, 2))
 
 
 def test_trilinear_rejects_gamma_one():

@@ -132,6 +132,7 @@ def test_a_step_count_past_max_steps_is_refused_at_construction():
 def test_nonlinear_term_single_mode_vanishes():
     # one plane-wave pair: the velocity is parallel to the level lines
     field = single_mode(GRID, 3, 2)
+    field = field.with_coeffs(field.coeffs * grid_arrays(GRID).dealias_mask)
     out = nonlinear_term(field)
     assert np.max(np.abs(out.coeffs)) < 1e-14
 
@@ -322,19 +323,13 @@ def test_zero_ramp_step_is_the_heat_flow_and_keeps_the_nan_guard(
         stepper.step(coeffs, advect=(zero, zero))
 
 
-@pytest.mark.parametrize("wide", [False, True])
-def test_ramp_mid_velocity_is_the_velocity_of_the_mid_field(wide):
+def test_ramp_mid_velocity_is_the_velocity_of_the_mid_field():
     # R_perp and the synthesis are linear, so the mean of the end velocities
     # is the velocity of the mean field up to rounding, in every sample and
-    # in the peak speed the CFL guard reads.  With ``wide`` the end field
-    # has modes outside the dealias block, so its velocity is synthesized
-    # on the whole half spectrum.
+    # in the peak speed the CFL guard reads.
     mask = grid_arrays(GRID).dealias_mask
     start = small_random(GRID, seed=6, amp=0.5).coeffs * mask
-    if wide:
-        end = power_law_field(GRID, 2.7, np.random.default_rng(7), k_cut=GRID.n).coeffs
-    else:
-        end = small_random(GRID, seed=7, amp=0.5).coeffs * mask
+    end = small_random(GRID, seed=7, amp=0.5).coeffs * mask
     stepper = Stepper(SolverConfig(grid=GRID))
     ends = (velocity(GRID, start), velocity(GRID, end))
     v0, mid, v1 = stepper._ramp(ends, True)
@@ -622,7 +617,7 @@ class FullLatticeStepper:
         """The transport product of a full array by a sampled velocity,
         extended."""
         half = target[:, : self.half]
-        block = spectral._block_of(self.grid, half)
+        block = spectral._dealias_block(self.grid)
         target = block.restrict(half, block.operand)
         product = spectral._block_advect(block, vel, target, block.operand)
         return hermitian_extension(self.grid, block.embed(product, np.zeros_like(half)))
@@ -719,8 +714,8 @@ def test_dealiased_steps_run_on_the_dealias_block(integrator, monkeypatch):
     # inverse pass of a dealiased step reads K + 1 columns of a spectrum
     # whose gap rows K+1..n-K-1 are zero.
     n, k = GRID.n, 21
-    assert spectral._dealias_block(GRID, False).shape == (2 * k + 1, k + 1)
-    assert spectral._dealias_block(GridSpec(256), False).shape == (171, 86)
+    assert spectral._dealias_block(GRID).shape == (2 * k + 1, k + 1)
+    assert spectral._dealias_block(GridSpec(256)).shape == (171, 86)
     passes, inverse_pass = [], spectral._inverse_pass
 
     def spy(spec, columns, out):
@@ -1014,7 +1009,7 @@ def test_row_weights_pass_the_guards_as_gevrey_half_weight_does():
     coeffs = power_law_field(grid, 2.7, np.random.default_rng(5), k_cut=8.0).coeffs
     cfg = SolverConfig(grid=grid, gamma=1.0, gevrey_epsilon0=0.3, j0=3)
     core = _emit_core(cfg)
-    block = spectral._dealias_block(grid, False)
+    block = spectral._dealias_block(grid)
     restricted = block.restrict(coeffs, np.empty(block.shape, np.complex128))
     power = spectral.half_power(grid, restricted)
     kpow = block.restrict(spectral.k_power(grid, 1.0), np.empty(block.shape))

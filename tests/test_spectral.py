@@ -14,6 +14,7 @@ from sqglab.errors import OverflowGuardError, SymmetryError, UsageError
 from sqglab.sampling import band_limited_field, gaussian_block_field, power_law_field
 from sqglab.solver import SolverConfig, mild_residual, nonlinear_term, run_simulation
 from sqglab.spectral import (
+    MAX_GRID_N,
     GEVREY_EXPONENT_CAP,
     PROFILE_INNER,
     PROFILE_OUTER,
@@ -88,6 +89,22 @@ def test_grid_validation():
             GridSpec(64, period=period)
     with pytest.raises(UsageError):
         GridSpec(64, dealias_fraction=1.5)
+
+
+def test_a_grid_past_max_grid_n_is_refused_at_construction():
+    # Only specs are built here, and no table: the refusal comes first.
+    # Bytes per grid point fall as n grows, so the count at 64^2 with the
+    # widest block (dealias_fraction 1) bounds every grid up to MAX_GRID_N.
+    grid = GridSpec(64, dealias_fraction=1.0)
+    tables = vars(grid_arrays(grid)).values()
+    buffers = [a for a in vars(_dealias_block(grid)).values() if isinstance(a, np.ndarray)]
+    per_point = sum(a.nbytes for a in [*tables, *buffers]) / grid.n ** 2
+    assert per_point * MAX_GRID_N ** 2 < 256 * 2 ** 20
+    assert MAX_GRID_N >= 512  # the largest grid the tests build
+    assert GridSpec(MAX_GRID_N).n == MAX_GRID_N
+    for n in (MAX_GRID_N + 2, 2 ** 40):
+        with pytest.raises(UsageError, match=f"grid.n must be even in .*, got {n}"):
+            GridSpec(n)
 
 
 def test_grid_derived_quantities():
@@ -202,7 +219,7 @@ def test_gevrey_amplitude_guard_fires_below_the_exponent_cap(rng):
     coeffs = field.coeffs * (1e-3 * _weighted_amplitude_limit(GRID) / np.abs(field.coeffs).max())
     kpow = k_power(GRID, 1.0)
     assert np.array_equal(gevrey_half_weight(GRID, 1.0, 0.0, 1.0, coeffs), np.ones(kpow.shape))
-    block = _dealias_block(GRID, False)
+    block = _dealias_block(GRID)
     t = 20.0 / float(kpow.max())
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -269,20 +286,28 @@ def band_limited(grid: GridSpec, rng, radius: float) -> np.ndarray:
     return field.coeffs * (grid_arrays(grid).k_abs <= radius)
 
 
-def test_transport_matches_direct_bilinear_sum(rng):
-    def sigma(xi, eta):
-        mag = np.sqrt(np.sum(xi * xi, axis=-1))
-        cross = xi[..., 1] * eta[..., 0] - xi[..., 0] * eta[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(mag > 0.0, cross / mag, 0.0)
+def transport_symbol(xi, eta):
+    """The symbol of ``R_perp f . grad g``: ``i xi_perp / |xi| . i eta`` with
+    ``xi_perp = (-xi2, xi1)``."""
+    mag = np.sqrt(np.sum(xi * xi, axis=-1))
+    cross = xi[..., 1] * eta[..., 0] - xi[..., 0] * eta[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mag > 0.0, cross / mag, 0.0)
 
+
+def direct_transport(grid, f, g):
+    """The alias-free transport of two half spectra, times the mask."""
+    return apply_bilinear_symbol(
+        BilinearSymbol(transport_symbol), SpectralField(grid, f), SpectralField(grid, g)
+    ).coeffs * grid_arrays(grid).dealias_mask
+
+
+def test_transport_matches_direct_bilinear_sum(rng):
     # |xi|, |eta| <= 10, so every sum lies inside the dealias radius 64/3
     f = band_limited(GRID, rng, 10.0)
     g = band_limited(GRID, rng, 10.0)
     out, umax = transport(GRID, f, g)
-    direct = apply_bilinear_symbol(
-        BilinearSymbol(sigma), SpectralField(GRID, f), SpectralField(GRID, g)
-    ).coeffs * grid_arrays(GRID).dealias_mask
+    direct = direct_transport(GRID, f, g)
     assert out.shape == (GRID.n, GRID.n // 2 + 1)
     assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
     u1, u2 = riesz_perp(SpectralField(GRID, f))
@@ -290,11 +315,34 @@ def test_transport_matches_direct_bilinear_sum(rng):
     assert umax == pytest.approx(float(np.max(speed)), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_transport_takes_exactly_the_dealias_block(n, rng):
+    # Data of the dealias radius K give the alias-free product, and their
+    # velocity is R_perp's; data of radius K + 1 leave the block and are
+    # refused, by velocity and by transport in either slot.
+    grid = GridSpec(n)
+    radius = grid.dealias_radius
+    f, g = band_limited(grid, rng, radius), band_limited(grid, rng, radius)
+    out, umax = transport(grid, f, g)
+    direct = direct_transport(grid, f, g)
+    assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(direct))
+    vel = velocity(grid, f)
+    for got, want in zip((vel.u1, vel.u2), riesz_perp(SpectralField(grid, f))):
+        want = want.to_samples()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert umax == vel.umax
+    wide = band_limited(grid, rng, radius + 1.0)
+    for call, args in ((velocity, (wide,)), (transport, (wide, g)), (transport, (f, wide))):
+        with pytest.raises(UsageError, match="outside the .* dealias block"):
+            call(grid, *args)
+
+
 def test_transport_output_exactly_hermitian(rng):
     for n in (16, 64, 96):
         grid = GridSpec(n)
-        f = random_field(grid, rng).coeffs
-        g = random_field(grid, rng).coeffs
+        mask = grid_arrays(grid).dealias_mask
+        f = random_field(grid, rng).coeffs * mask
+        g = random_field(grid, rng).coeffs * mask
         out = full_spectrum(grid, transport(grid, f, g)[0])
         assert np.array_equal(out, conjugate_flip(out))
         assert out[0, 0] == 0.0
@@ -328,7 +376,7 @@ def test_transport_is_advect_by_velocity(rng, count_transforms):
 def test_zero_velocity_costs_no_transform(rng, count_transforms):
     grid = GridSpec(64)
     zero = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
-    g = random_field(grid, rng).coeffs
+    g = random_field(grid, rng).coeffs * grid_arrays(grid).dealias_mask
     vel, calls = count_transforms(velocity, grid, zero)
     assert calls == 0 and vel.umax == 0.0
     assert vel.u1.shape == (grid.n, grid.n) and not vel.u1.any() and not vel.u2.any()
@@ -366,7 +414,7 @@ def test_band_passes_equal_scipy_2d_transforms(grid):
     import scipy.fft
 
     n, m = grid.n, grid.n // 2 + 1
-    band = _dealias_block(grid, False).width
+    band = _dealias_block(grid).width
     radius = grid.n * grid.dealias_fraction / 2
     assert band == (m if grid.dealias_fraction == 1.0 else int(radius) + 1)
     rng = np.random.default_rng(n)
@@ -388,7 +436,7 @@ def test_band_passes_at_a_grid_that_is_not_a_power_of_two():
 
     grid = GridSpec(96)
     n, m = grid.n, grid.n // 2 + 1
-    band = _dealias_block(grid, False).width
+    band = _dealias_block(grid).width
     rng = np.random.default_rng(96)
     half = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     half[:, band:] = 0.0
@@ -405,14 +453,16 @@ def test_band_passes_at_a_grid_that_is_not_a_power_of_two():
                                   GridSpec(64, dealias_fraction=1.0)],
                          ids=lambda g: f"{g.n}-{g.dealias_fraction:.3f}")
 def test_transport_equals_whole_array_transport(grid, rng, monkeypatch):
-    # Dealiased fields take the band passes, fields with modes past the band
-    # the full-width ones; both give the whole-array transport bitwise.
+    # Dealiased fields take the band passes and give the whole-array
+    # transport bitwise.  A field with modes past the band is refused in
+    # either slot, before any transform, unless the block is the whole half
+    # spectrum (dealias_fraction 1), where every field runs on it.
     from sqglab import spectral
 
     n, m = grid.n, grid.n // 2 + 1
     mask = grid_arrays(grid).dealias_mask
     raw = [random_field(grid, rng).coeffs for _ in range(2)]
-    band = _dealias_block(grid, False).width
+    band = _dealias_block(grid).width
     widths = []
 
     def spy(spec, columns, out):
@@ -420,16 +470,18 @@ def test_transport_equals_whole_array_transport(grid, rng, monkeypatch):
         return _inverse_pass(spec, columns, out)
 
     monkeypatch.setattr(spectral, "_inverse_pass", spy)
-    # (source, target, columns read by the four inverse passes)
-    cases = [(raw[0] * mask, raw[1] * mask, [band] * 4),
-             (raw[0], raw[1] * mask, [m, m, band, band]),
-             (raw[0] * mask, raw[1], [band, band, m, m]),
-             (raw[0], raw[0], [m] * 4)]
-    for source, target, read in cases:
-        ref, ref_umax = scipy_transport(grid, source, target)
+    cases = [(raw[0] * mask, raw[1] * mask), (raw[0], raw[1] * mask),
+             (raw[0] * mask, raw[1]), (raw[0], raw[0])]
+    for i, (source, target) in enumerate(cases):
         widths.clear()
+        if i and band < m:
+            with pytest.raises(UsageError, match="outside the .* dealias block"):
+                transport(grid, source, target)
+            assert widths == []
+            continue
+        ref, ref_umax = scipy_transport(grid, source, target)
         out, umax = transport(grid, source, target)
-        assert widths == read
+        assert widths == [band] * 4
         assert np.array_equal(out, ref) and umax == ref_umax
 
 
