@@ -28,6 +28,7 @@ from .spectral import (
     GEVREY_EXPONENT_CAP,
     PROFILE_OUTER,
     _capped_gevrey_weight,
+    _block_profile,
     _dealias_block,
     _inverse_pass,
     block_symbol,
@@ -103,9 +104,11 @@ def block_power_weights(partition: DyadicPartition) -> np.ndarray:
     One row per block ``j_min..j_max``, then a last row with the squared
     low-pass(0) profile.  With a :func:`~sqglab.spectral.half_power` array
     ``P``, ``period^2 * (stack @ P)`` is every block's squared L^2 norm.
+    The block profiles are squared fresh, so building the stack leaves no
+    full-lattice table in :func:`block_symbol`'s cache.
     """
     grid = partition.grid
-    syms = [block_symbol(grid, j) for j in partition.block_indices()]
+    syms = [_block_profile(grid, j) for j in partition.block_indices()]
     syms.append(low_pass_symbol(grid, 0))
     stack = np.stack([sym ** 2 for sym in syms])
     stack.flags.writeable = False

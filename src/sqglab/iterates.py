@@ -2,10 +2,11 @@
 
 Both schemes reuse the solver's steppers and run on one engine that
 advances all iterates together, one step at a time, each held as its rfft
-half spectrum.  A Galerkin iterate integrates the frequency-truncated
-tendency with truncated data; a Picard iterate solves a linear
-advection-diffusion problem whose advecting velocity is frozen from the
-previous iterate (interpolated linearly in time within each step).
+half spectrum, the later iterates on a helper thread.  A Galerkin iterate
+integrates the frequency-truncated tendency with truncated data; a Picard
+iterate solves a linear advection-diffusion problem whose advecting
+velocity is frozen from the previous iterate (interpolated linearly in time
+within each step).
 Traces record per-iterate norms and successive differences so the
 contraction rates asserted by the well-posedness argument can be fitted
 rather than assumed.
@@ -14,18 +15,22 @@ rather than assumed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .dyadic import _RowCore, besov_norm, default_partition
 from .errors import UsageError
 from .reports import IterateTrace, fit_log2
-from .solver import SolverConfig, Stepper
+from .solver import SolverConfig, Stepper, _Lane
 from .spectral import (
     PROFILE_OUTER,
     SpectralField,
+    Velocity,
     _dealias_block,
+    _velocity_on,
     grid_arrays,
     low_pass_symbol,
     velocity,
@@ -107,11 +112,69 @@ def _cut_data(theta0: SpectralField, cutoff: int) -> np.ndarray:
     return theta0.coeffs * grid_arrays(grid).dealias_mask * low
 
 
+def _split(costs) -> int:
+    """The first index ``m`` at which the iterates before ``m`` carry half
+    the total cost, clamped to ``1..N-1``."""
+    total, prefix, m = sum(costs), 0, 0
+    while 2 * prefix < total:
+        prefix += costs[m]
+        m += 1
+    return min(max(m, 1), len(costs) - 1)
+
+
+class _Behind:
+    """The helper thread of :func:`_lockstep`, which runs one job per
+    hand-off: :meth:`hand` gives it one, :meth:`take` waits for it and
+    returns ``(result, error)``, with the exception the job raised (then the
+    result is None).  A context manager, whose exit stops and joins the
+    thread, also when the calling thread raises.
+    """
+
+    def __init__(self):
+        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
+        self.job = self.result = self.error = None
+        self.thread = threading.Thread(target=self._run, name="sqglab-lockstep",
+                                       daemon=True)
+
+    def _run(self) -> None:
+        while True:
+            self.go.acquire()
+            job, self.job = self.job, None
+            if job is None:
+                return
+            try:
+                self.result = job()
+            except BaseException as exc:  # raised again by the calling thread
+                self.error = exc
+            del job  # the states it read are dead
+            self.done.release()
+
+    def hand(self, job) -> None:
+        self.job = job
+        self.go.release()
+
+    def take(self) -> tuple:
+        self.done.acquire()
+        result, error = self.result, self.error
+        self.result = self.error = None
+        return result, error
+
+    def __enter__(self) -> "_Behind":
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.job = None
+        self.go.release()
+        self.thread.join()
+
+
 def _lockstep(
     scheme: str,
     n_values: list,
-    starts,
+    states: list,
     advance,
+    costs: list,
     n_steps: int,
     config: SolverConfig,
     s0: float,
@@ -119,19 +182,37 @@ def _lockstep(
     fits: dict | None = None,
     audit=None,
 ) -> IterateTrace:
-    """Advance every iterate together, one step at a time.
+    """Advance every iterate together, one step at a time, on two threads.
 
-    ``advance(i, old, new)`` returns iterate i's state at step k from the
-    step-(k-1) states ``old`` and the step-k states ``new`` of the iterates
-    before i, so iterates are updated in increasing i.  At every stored time
-    each state's norm row, and the row of its difference from the previous
-    iterate, is folded into running sups, and ``audit(i, power)`` sees the
-    state's power on the dealias block, flat, as its row formed it; memory
-    therefore grows with the number of iterates, not of steps.
-    The rows of the last stored time, t_final, are kept as the final rows.
-    Differences are fitted geometrically against 2^n.
+    ``states`` holds each iterate's initial half spectrum; the engine
+    empties the list, so that each state lives only until it is stepped.
+    ``advance(i, state, previous, lane)`` returns iterate i's state at step
+    k from its state at step k-1 and ``previous``, iterate i-1's state at
+    step k (None for i = 0), stepping with ``lane``'s copies of its steppers
+    (``solver._Lane``, one per thread).
+
+    The iterates split into two contiguous groups of about equal cost
+    (:func:`_split` of ``costs``, one number per iterate, such as the points
+    of its step grid).  The front group, ``0..m-1``, steps on the calling
+    thread; the back group, ``m..N-1``, on one helper thread
+    (:class:`_Behind`) in scratch of its own, one step behind, since its
+    first iterate at step k reads iterate m-1 at step k.  So wave w steps
+    the front group to step w while the back group steps to w-1, with one
+    hand-off each way.  After each wave the calling thread settles the
+    back lane (its CFL peaks and advisories) and raises the back group's
+    error, records the rows of step w-1, then settles the front lane and
+    raises the front group's error: the order of a sequential run, whose
+    every output, warning and error this engine reproduces.  The helper is
+    joined before the engine returns or raises.
+
+    At every stored time each state's norm row, and the row of its
+    difference from the previous iterate, is folded into running sups, and
+    ``audit(i, power)`` sees the state's power on the dealias block, flat,
+    as its row formed it; memory therefore grows with the number of
+    iterates, not of steps.  The rows of the last stored time, t_final, are
+    kept as the final rows.  Differences are fitted geometrically against
+    2^n.
     """
-    states = list(starts)
     core = _norm_core(config)
     norms = [None] * len(states)
     diffs = [None] * (len(states) - 1)
@@ -148,16 +229,43 @@ def _lockstep(
                 final_diffs[i - 1] = _norm_row(coeffs, t, config, s0, core, states[i - 1])
                 diffs[i - 1] = _fold_sup(diffs[i - 1], final_diffs[i - 1])
 
+    def step_group(lo, group, previous, lane):
+        stepped = []
+        for i, state in enumerate(group, lo):
+            previous = advance(i, state, previous, lane)
+            stepped.append(previous)
+        return stepped
+
     t = 0.0
     record(t, states)
-    for k in range(1, n_steps + 1):
-        new = []
-        for i in range(len(states)):
-            new.append(advance(i, states, new))
-        states = new
-        t += config.dt
-        if k % config.output_stride == 0 or k == n_steps:
-            record(t, states)
+    m = _split(costs)
+    front, back = states[:m], states[m:]
+    states.clear()
+    front_lane, back_lane = _Lane(), _Lane(own_scratch=True)
+    with _Behind() as helper:
+        for wave in range(1, n_steps + 2):
+            k = wave - 1  # the back group's step
+            if k:
+                helper.hand(partial(step_group, m, back, front[-1], back_lane))
+            error = None
+            if wave <= n_steps:
+                try:
+                    stepped = step_group(0, front, None, front_lane)
+                except Exception as exc:  # raised below, in sequential order
+                    error = exc
+            if k:
+                back, back_error = helper.take()
+                back_lane.settle()
+                if back_error is not None:
+                    raise back_error
+                t += config.dt
+                if k % config.output_stride == 0 or k == n_steps:
+                    record(t, front + back)
+            front_lane.settle()
+            if error is not None:
+                raise error
+            if wave <= n_steps:
+                front = stepped
 
     def columns(rows):
         return {label: [row[label] for row in rows] for label in NORM_LABELS}
@@ -209,8 +317,9 @@ def galerkin_sequence(
     trace = _lockstep(
         "galerkin",
         n_values,
-        (_cut_data(theta0, n - 1) for n in n_values),
-        lambda i, old, new: steppers[i].step(old[i]),
+        [_cut_data(theta0, n - 1) for n in n_values],
+        lambda i, state, previous, lane: lane.stepper(steppers[i]).step(state),
+        [stepper.step_grid.n ** 2 for stepper in steppers],
         n_steps,
         config,
         s0,
@@ -263,27 +372,32 @@ def picard_besov_sequence(
         fits["data_rate"] = fit_log2([2.0**n for n in n_values[1:]], data_diffs)
 
     # Every iterate has the same config and no projection, so one stepper
-    # serves them all.  The first iterate advects with the zero field, whose
-    # velocity is built once and costs no transform; iterate i's velocity
-    # ramps linearly from that of iterate i-1's state at step k-1 to that at
-    # step k.  The ramp's end velocity is the next step's start velocity, so
-    # it is handed over instead of synthesized again: one velocity per
-    # iterate is held between steps.
+    # serves them all, on both threads of the lockstep.  The first iterate
+    # advects with the zero field, whose velocity holds no samples and costs
+    # no transform; iterate i's velocity ramps linearly from that of
+    # iterate i-1's state at step k-1 to that at step k.  The ramp's end
+    # velocity is the next step's start velocity, so it is handed over
+    # instead of synthesized again: one velocity per iterate is held between
+    # steps.
     stepper = Stepper(run_config)
-    zero = velocity(grid, np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128))
+    still = np.broadcast_to(0.0, (grid.n, grid.n))
+    zero = Velocity(still, still, 0.0)
     starts = [zero] + [velocity(grid, d) for d in data_fields[:-1]]
 
-    def advance(i, old, new):
-        end = velocity(grid, new[i - 1]) if i else zero
-        out = stepper.step(old[i], advect=(starts[i], end))
+    def advance(i, state, previous, lane):
+        own = lane.stepper(stepper)
+        end = _velocity_on(own.block, previous) if i else zero
+        out = own.step(state, advect=(starts[i], end))
         starts[i] = end
         return out
 
+    # The lockstep empties data_fields: no state of step 0 outlives its step.
     trace = _lockstep(
         "picard",
         n_values,
         data_fields,
         advance,
+        [0] + [grid.n ** 2] * (len(n_values) - 1),
         n_steps,
         run_config,
         s0,

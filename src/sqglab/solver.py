@@ -9,6 +9,7 @@ regardless of dt.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -205,6 +206,47 @@ def stepping_grid(grid: GridSpec, projection: int | None) -> GridSpec:
     return GridSpec(size, grid.period, grid.dealias_fraction)
 
 
+class _Lane:
+    """One thread's part of a sweep that steps on two threads at once.
+
+    The thread steps with the lane's copies of the sweep's steppers
+    (:meth:`stepper`).  A copy steps in its stepper's block or, with
+    ``own_scratch``, in a twin of it (``spectral._Block.twin``, one per
+    grid, built on first use), so two threads may step with one stepper.
+    A copy keeps its own ``cfl_max`` and holds back its first advisory
+    number; the hard limit still raises at once.  :meth:`settle`, on the
+    calling thread, folds both into each stepper, in the order the lane's
+    steppers were first used.  Settling the lanes in the order of a
+    sequential run gives its ``cfl_max`` and its warnings.
+    """
+
+    def __init__(self, own_scratch: bool = False):
+        self._twins = {} if own_scratch else None
+        self._copies = {}
+
+    def stepper(self, shared: "Stepper") -> "Stepper":
+        """The copy of the stepper ``shared`` that this lane steps with."""
+        copied = self._copies.get(shared)
+        if copied is None:
+            copied = self._copies[shared] = copy.copy(shared)
+            copied._original = shared
+            if self._twins is not None:
+                twin = self._twins.get(shared.step_grid)
+                if twin is None:
+                    twin = self._twins[shared.step_grid] = shared.block.twin()
+                copied.block = twin
+        return copied
+
+    def settle(self) -> None:
+        """Fold what the copies noted since the last settle into their
+        steppers."""
+        for shared, copied in self._copies.items():
+            shared.cfl_max = max(shared.cfl_max, copied.cfl_max)
+            if copied._advisory is not None:
+                shared._advise(copied._advisory, stacklevel=2)
+                copied._advisory = None
+
+
 class Stepper:
     """Advances a half spectrum by dt with the configured scheme.
 
@@ -231,6 +273,9 @@ class Stepper:
     vanishes anyway.  The CFL guard keeps the full grid's dealias radius as
     its ``kmax`` but reads the peak speed from the step grid's samples,
     which can fall below the full grid's.
+
+    A step writes the block's scratch, so one stepper serves one thread at
+    a time; :meth:`_Lane.stepper` lets two threads share one.
     """
 
     def __init__(self, config: SolverConfig, projection: int | None = None):
@@ -245,6 +290,8 @@ class Stepper:
         self._kmax = self.grid.dealias_radius
         self.cfl_max = 0.0
         self._warned = False
+        self._original = None  # a lane's copy: the stepper it copies
+        self._advisory = None  # a copy's advisory number, held for settle
 
     def _factor_set(self, dt: float) -> tuple:
         """The factor tables on the block."""
@@ -278,18 +325,29 @@ class Stepper:
         return out
 
     def _check_cfl(self, dt: float, umax: float) -> None:
+        """Raise past the hard limit, warn past the advisory one; a lane's
+        copy holds its first advisory number for :meth:`_Lane.settle`."""
         number = dt * umax * self._kmax
         self.cfl_max = max(self.cfl_max, number)
         if number > CFL_ERROR:
             raise CflGuardError(
                 f"CFL number {number:.3g} exceeds hard limit {CFL_ERROR}"
             )
-        if number > CFL_WARN and not self._warned:
+        if number > CFL_WARN:
+            if self._original is None:
+                self._advise(number, stacklevel=4)
+            elif self._advisory is None:
+                self._advisory = number
+
+    def _advise(self, number: float, stacklevel: int) -> None:
+        """The advisory warning, once per stepper; ``stacklevel`` counts
+        from the caller of this method."""
+        if not self._warned:
             self._warned = True
             warnings.warn(
                 f"CFL number {number:.3g} above advisory limit {CFL_WARN}",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=stacklevel + 1,
             )
 
     def step(self, coeffs: np.ndarray, dt: float | None = None,

@@ -25,6 +25,7 @@ lines, so every operator maps real fields to real fields exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -293,10 +294,15 @@ def block_symbol(grid: GridSpec, j: int) -> np.ndarray:
     """Read-only dyadic block ``P_j`` symbol
     ``profile(|k| / 2^j) - profile(|k| / 2^(j-1))`` on the half spectrum,
     cached per (grid, j)."""
-    k_abs = grid_arrays(grid).k_abs
-    table = radial_profile(k_abs / 2.0 ** j) - radial_profile(k_abs / 2.0 ** (j - 1))
+    table = _block_profile(grid, j)
     table.flags.writeable = False
     return table
+
+
+def _block_profile(grid: GridSpec, j: int) -> np.ndarray:
+    """:func:`block_symbol`'s table, fresh and not cached."""
+    k_abs = grid_arrays(grid).k_abs
+    return radial_profile(k_abs / 2.0 ** j) - radial_profile(k_abs / 2.0 ** (j - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +602,27 @@ class _Block:
     points, so ``m1 -> -m1`` is ``i -> -i mod 2K + 1`` there.  The box is
     :func:`_support_box`'s, of the dealias mask: the whole ``(n, n/2 + 1)``
     half spectrum when the mask keeps every row.  It is the only block:
-    :meth:`require` refuses a field with a nonzero mode outside it.
+    :meth:`require` refuses a field with a nonzero mode off the mask.
 
-    Holds the transport tables on the block, and the buffers its passes, the
-    solver's steps and the diagnostics rows write (single-threaded use; each
-    is dead once the call that wrote it returns).  Fresh arrays there would
-    cost a warm 256^2 IF-RK4 step about 800 minor page faults (glibc trims
-    and regrows its heap).
+    Holds two kinds of arrays.  The read-only tables, which every thread
+    shares:
 
     * ``stack``, ``(4, *shape)``: ``[R_perp_1, R_perp_2, i k1, i k2]``,
       the odd symbols zeroed on the unpaired Nyquist lines, so every
       operator maps real fields to real fields exactly; and ``mask``, the
       dealias mask.  Both are complex and contiguous, so no product with
       them runs on a column slice or through a cast buffer;
+    * ``rows`` and ``negated``, the box's rows and their ``m1 -> -m1``
+      permutation; ``off_mask``, the box's modes off the mask, as indices
+      into a half spectrum of this grid or a larger one.
+
+    And the scratch buffers that its passes, the solver's steps and the
+    diagnostics rows write, each dead once the call that wrote it returns.
+    They serve one thread; a second one steps in a :meth:`twin`, which
+    shares the tables and owns scratch of its own.  Fresh arrays there would
+    cost a warm 256^2 IF-RK4 step about 800 minor page faults (glibc trims
+    and regrows its heap).
+
     * ``spectrum``, ``(n, width)``: one symbol times a field, or a
       diagnostics row's state, the input of an inverse pass; its gap rows
       ``top..n-bottom-1`` stay zero;
@@ -647,19 +661,36 @@ class _Block:
         self.stack.flags.writeable = False
         self.mask = self.gather(ga.dealias_mask)
         self.negated = (-np.arange(self.shape[0])) % self.shape[0]
+        # A lower row counts from the end, so the indices hold on a larger
+        # grid's half spectrum too, as the box's rows do (restrict).
+        off_rows, off_cols = np.nonzero(~ga.dealias_mask[rows, cols])
+        self.off_mask = (np.where(off_rows < self.top, off_rows, off_rows - self.shape[0]),
+                         off_cols)
         # Columns 0 and n/2 are their own conjugate partners.
         has_nyquist = self.width > n // 2
         self.edges = slice(0, None, n // 2) if has_nyquist else slice(0, 1)
+        self._scratch()
+
+    def _scratch(self) -> None:
+        """Allocate this block's scratch buffers."""
+        n, shape = self.grid.n, self.shape
         self.spectrum = np.zeros((n, self.width), np.complex128)
         self.columns = np.zeros((n, n // 2 + 1), np.complex128)
         self.forward = np.empty((n, self.width), np.complex128)
-        self.flip = np.empty((self.shape[0], 2 if has_nyquist else 1), np.complex128)
-        self.operand = np.empty(self.shape, np.complex128)
-        self.halves = np.empty((6,) + self.shape, np.complex128)
+        self.flip = np.empty((shape[0], 2 if self.width > n // 2 else 1), np.complex128)
+        self.operand = np.empty(shape, np.complex128)
+        self.halves = np.empty((6,) + shape, np.complex128)
         self.samples = np.empty((3, n, n))
         self.row_pass = np.empty((n, n // 2 + 1), np.complex128)
         self.mid_velocity = np.empty((2, n, n))
-        self.finite = np.empty((self.shape[0], 2 * self.width), dtype=bool)
+        self.finite = np.empty((shape[0], 2 * self.width), dtype=bool)
+
+    def twin(self) -> "_Block":
+        """A block of the same grid that shares this one's tables and owns
+        scratch of its own, for a second thread to step in."""
+        twin = copy.copy(self)
+        twin._scratch()
+        return twin
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """A read-only complex copy of a half-spectrum table on the block."""
@@ -670,8 +701,12 @@ class _Block:
     def require(self, coeffs: np.ndarray, who: str) -> None:
         """The one refusal of undealiased data (``UsageError`` naming ``who``):
         ``coeffs``, a half spectrum of this grid or a larger one, with a
-        nonzero mode (a NaN too) past the block's columns or in its gap rows."""
-        if coeffs[:, self.width :].any() or coeffs[self.top : len(coeffs) - self.bottom].any():
+        nonzero mode (a NaN too) off the dealias mask: past the block's
+        columns, in its gap rows or in the box off the mask.  When ``n`` is
+        divisible by 3, two modes in the box's corners can sum to a mode that
+        the lattice folds back onto the mask."""
+        if (coeffs[:, self.width :].any() or coeffs[self.top : len(coeffs) - self.bottom].any()
+                or coeffs[self.off_mask].any()):
             raise UsageError(f"{who} has a nonzero mode outside the {self.shape} dealias "
                              f"block of the {self.grid.n}^2 grid")
 
@@ -777,9 +812,14 @@ def velocity(grid: GridSpec, source: np.ndarray) -> Velocity:
     none when ``source`` is zero (then so are the samples).  The samples are
     fresh and read-only, so the solver can advect several stages by one.
     """
-    block = _dealias_block(grid)
+    return _velocity_on(_dealias_block(grid), source)
+
+
+def _velocity_on(block: _Block, source: np.ndarray) -> Velocity:
+    """:func:`velocity` of ``source``, a half spectrum of the block's grid,
+    made in the block's scratch."""
     block.require(source, "source")
-    u = np.empty((2, grid.n, grid.n))
+    u = np.empty((2, block.grid.n, block.grid.n))
     umax = _block_velocity(block, block.restrict(source, block.operand), u).umax
     u.flags.writeable = False
     return Velocity(u[0], u[1], umax)

@@ -6,6 +6,7 @@ pass/fail table for the headline checks.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -45,18 +46,22 @@ def count_transforms(monkeypatch):
     Every transform of the package goes through ``spectral._inverse_pass``
     or ``spectral._forward_pass``, each run as two 1-D ``numpy.fft`` passes,
     so the count is taken there: one per field of the stack a call
-    transforms, whatever the 1-D passes look like underneath.
+    transforms, whatever the 1-D passes look like underneath.  The counts
+    are taken under a lock, since an iterate sweep transforms on two
+    threads.
     """
     from sqglab import spectral
 
     calls, points = [0], [0]
+    lock = threading.Lock()
 
     def counting(original, samples_arg):
         def counted(*args):
             out = original(*args)
             samples = args[samples_arg]
-            calls[0] += samples.size // samples.shape[-1] ** 2
-            points[0] += samples.size
+            with lock:
+                calls[0] += samples.size // samples.shape[-1] ** 2
+                points[0] += samples.size
             return out
 
         return counted

@@ -757,8 +757,9 @@ def loaded():
     return [m for m in sys.modules if ".".join(m.split(".")[:2]) in heavy]
 
 
-config, out = sys.argv[1:]
-runs = [("simulate", ["simulate", config]), ("iterate", ["iterate", "galerkin", config])]
+config, picard, out = sys.argv[1:]
+runs = [("simulate", ["simulate", config]), ("iterate", ["iterate", "galerkin", config]),
+        ("iterate picard", ["iterate", "picard", picard])]
 for lemma_id, (_, flags) in cli.VERIFY_CHECKS.items():
     if lemma_id != "spectral_mass_contraction":
         fewer = ["--n-samples", "1"] if "n_samples" in flags.split() else []
@@ -784,13 +785,16 @@ def cold_start(tmp_path_factory):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cfg = write_config(tmp_path / "cfg.json", grid={"n": 16},
                        iterate={"n_min": 0, "n_max": 1})
+    # Picard's data cutoffs n + 2 need a 32^2 grid for two iterates.
+    picard = write_config(tmp_path / "picard.json", grid={"n": 32},
+                          iterate={"n_min": 0, "n_max": 1})
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", _COLD_START, str(cfg), str(picard), str(tmp_path / "out")],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert set(seen) == {"import", "simulate", "iterate"} | (
+    assert set(seen) == {"import", "simulate", "iterate", "iterate picard"} | (
         set(VERIFY_CHECKS) - {"spectral_mass_contraction"})
     return seen
 
@@ -808,7 +812,8 @@ def test_commands_load_no_scipy_integrate_optimize_special_or_numpy_ma(cold_star
 
 
 def test_no_thread_outlives_a_command(cold_start):
-    # The block sweeps join their draw-ahead helper before they return.
+    # The block sweeps join their draw-ahead helper before they return, and
+    # the iterate sweeps their lockstep helper.
     for name, (_, _, threads) in cold_start.items():
         assert threads == 1, name
 

@@ -1,6 +1,11 @@
 """Approximation sweeps: truncation confinement, contraction, rate fits."""
 
+import gc
+import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -10,12 +15,13 @@ import pytest
 
 import sqglab.iterates as iterates_module
 from sqglab.dyadic import besov_norm
-from sqglab.errors import CflGuardError, OverflowGuardError, UsageError
+from sqglab.errors import CflGuardError, GuardError, OverflowGuardError, UsageError
 from sqglab.iterates import (
     DEFAULT_S0,
     NORM_LABELS,
     _norm_core,
     _norm_row,
+    _split,
     galerkin_sequence,
     picard_besov_sequence,
 )
@@ -477,6 +483,227 @@ def test_lockstep_picard_cfl_max_matches_sequential_steppers(monkeypatch):
     assert len(made) == 3
     assert lockstep.cfl_max > 0.0
     assert lockstep.cfl_max == max(s.cfl_max for s in made)
+
+
+# -- the lockstep on two threads -------------------------------------------------
+
+# Galerkin cutoffs 2..5 at 64^2 step on 8^2, 16^2, 32^2 and 64^2: the front
+# group, on the calling thread, is cutoffs 2..4 (iterates 0..2), the back
+# group, on the helper, cutoff 5 (iterate 3).  Picard -2..2 splits as
+# {0, 1, 2} and {3, 4}.
+GALERKIN_RANGES = {2: range(4, 6), 3: range(3, 6), 4: range(2, 6), 5: range(1, 6)}
+PICARD_RANGES = {2: range(1, 3), 3: range(0, 3), 4: range(-1, 3), 5: range(-2, 3)}
+
+
+def stepwise_galerkin(theta0, n_values, config):
+    """The steppers of a Galerkin sweep after stepping it without the
+    lockstep's threads: step k of every iterate, in increasing order, then
+    step k + 1, so errors and CFL warnings come in a sequential run's
+    order."""
+    mask = grid_arrays(config.grid).dealias_mask
+    steppers = [Stepper(config, projection=n - 1) for n in n_values]
+    states = [theta0.coeffs * mask * low_pass_symbol(config.grid, n - 1) for n in n_values]
+    for _ in range(int(round(config.t_final / config.dt))):
+        states = [stepper.step(c) for stepper, c in zip(steppers, states)]
+    return steppers
+
+
+def stepwise_picard(theta0, n_values, config):
+    """:func:`stepwise_galerkin` for a Picard sweep: one stepper, and every
+    velocity synthesized afresh."""
+    grid = config.grid
+    mask = grid_arrays(grid).dealias_mask
+    stepper = Stepper(config)
+    states = [theta0.coeffs * mask * low_pass_symbol(grid, n + 2) for n in n_values]
+    zero = np.zeros_like(states[0])
+    for _ in range(int(round(config.t_final / config.dt))):
+        new = []
+        for i, state in enumerate(states):
+            ends = (zero, zero) if i == 0 else (states[i - 1], new[i - 1])
+            advect = tuple(velocity(grid, end) for end in ends)
+            new.append(stepper.step(state, advect=advect))
+        states = new
+    return [stepper]
+
+
+def run_sweep(scheme, theta0, n_values, config):
+    if scheme == "galerkin":
+        return galerkin_sequence(theta0, n_values, config)
+    return picard_besov_sequence(theta0, n_values, 2.0, 2.0, config)
+
+
+def run_stepwise(scheme, theta0, n_values, config):
+    if scheme == "galerkin":
+        return stepwise_galerkin(theta0, n_values, config)
+    return stepwise_picard(theta0, n_values, config)
+
+
+def caught(fn, *args):
+    """``(result, [(category, message)...])``: every warning ``fn`` emits."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in seen]
+
+
+def lockstep_threads():
+    return [t for t in threading.enumerate() if t.name == "sqglab-lockstep"]
+
+
+def test_split_puts_half_the_cost_before_the_helper():
+    # Picard 0..4: iterate 0 advects with the zero field and costs nothing.
+    assert _split([0] + [256**2] * 4) == 3
+    # Galerkin 3..7 at 256^2: the 256^2 step grid alone outweighs the rest.
+    assert _split([16**2, 32**2, 64**2, 128**2, 256**2]) == 4
+    # Each group keeps one iterate at least.
+    assert _split([0, 1]) == _split([1, 0]) == _split([0, 0]) == 1
+    assert _split([1, 1, 1, 1]) == 2
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5])
+@pytest.mark.parametrize("scheme", ["galerkin", "picard"])
+def test_lockstep_on_two_threads_matches_sequential_loops(scheme, count):
+    cfg = replace(CFG, nu=0.1, output_stride=3)
+    theta0 = data_field(amp=3.0)
+    if scheme == "galerkin":
+        n_values = GALERKIN_RANGES[count]
+        got = galerkin_sequence(theta0, n_values, cfg)
+        want = sequential_galerkin(theta0, list(n_values), cfg)
+    else:
+        n_values = PICARD_RANGES[count]
+        got = picard_besov_sequence(theta0, n_values, 4.0, math.inf, cfg)
+        want = sequential_picard(theta0, list(n_values), 4.0, math.inf, cfg)
+    assert got.to_dict() == want.to_dict()
+
+
+def test_lockstep_trace_is_the_same_under_any_interleaving(monkeypatch):
+    # A zero sleep in every stage, and a short switch interval, hand the
+    # GIL over often, so the threads interleave differently from run to
+    # run; the trace may not move.
+    rhs = Stepper._rhs
+
+    def yielding(self, *args):
+        time.sleep(0)
+        return rhs(self, *args)
+
+    cfg = replace(CFG, nu=0.1, t_final=4 * CFG.dt, output_stride=1)
+    theta0 = data_field(amp=3.0)
+    want = json.dumps(picard_besov_sequence(theta0, PICARD_RANGES[5], 2.0, 2.0, cfg).to_dict())
+    monkeypatch.setattr(Stepper, "_rhs", yielding)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(50):
+            got = picard_besov_sequence(theta0, PICARD_RANGES[5], 2.0, 2.0, cfg)
+            assert json.dumps(got.to_dict()) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert lockstep_threads() == []
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "picard"])
+def test_lockstep_frees_its_scratch_when_it_returns(scheme):
+    # The helper's twin blocks (about 6 MB at 256^2) and the lanes' stepper
+    # copies must go with the sweep, not wait in a reference cycle for the
+    # collector while the next sweep allocates its own.
+    theta0 = data_field()
+    n_values = (GALERKIN_RANGES if scheme == "galerkin" else PICARD_RANGES)[3]
+    run_sweep(scheme, theta0, n_values, CFG)
+    gc.collect()
+    gc.disable()
+    try:
+        run_sweep(scheme, theta0, n_values, CFG)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def count_steps(monkeypatch, failures=()):
+    """Count each stepper's steps in ``stepper.calls``, and make the ``k``-th
+    step of the stepper of each ``(projection, k)`` of ``failures`` raise a
+    ``GuardError`` that names both."""
+    step = Stepper.step
+
+    def counted(self, coeffs, dt=None, advect=None):
+        self.calls = getattr(self, "calls", 0) + 1
+        if (self.projection, self.calls) in failures:
+            raise GuardError(f"step {self.calls} of projection {self.projection}")
+        return step(self, coeffs, dt, advect)
+
+    monkeypatch.setattr(Stepper, "step", counted)
+
+
+@pytest.mark.parametrize("failures, raised", [
+    ({(4, 3)}, 4),                # the helper's group
+    ({(2, 3)}, 2),                # the calling thread's group
+    ({(1, 4), (4, 3)}, 4),        # both in one wave: the helper's step 3 first
+    ({(2, 3), (4, 3)}, 2),        # both at step 3: the caller's, a wave earlier
+])
+def test_lockstep_raises_the_sequential_error_and_leaves_no_thread(monkeypatch,
+                                                                    failures, raised):
+    cfg = replace(CFG, nu=0.1)
+    theta0 = data_field(amp=3.0)
+    count_steps(monkeypatch, failures)
+    with pytest.raises(GuardError) as want:
+        stepwise_galerkin(theta0, GALERKIN_RANGES[4], cfg)
+    assert f"of projection {raised}" in str(want.value)
+    with pytest.raises(GuardError) as got:
+        galerkin_sequence(theta0, GALERKIN_RANGES[4], cfg)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert lockstep_threads() == []
+
+
+def assert_sweep_warns_as_stepwise(scheme, theta0, n_values, cfg):
+    """The sweep emits the stepwise oracle's CFL warnings, in its order,
+    and leaves each stepper with the oracle's ``cfl_max``."""
+    steppers, want = caught(run_stepwise, scheme, theta0, n_values, cfg)
+    assert want and all(category is RuntimeWarning for category, _ in want)
+    made = []
+
+    class Recording(Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iterates_module, "Stepper", Recording)
+        _, got = caught(run_sweep, scheme, theta0, n_values, cfg)
+    assert got == want
+    assert [s.cfl_max for s in made] == [s.cfl_max for s in steppers]
+    assert lockstep_threads() == []
+
+
+@pytest.mark.parametrize("scheme, amp, dt, count", [
+    ("picard", 60.0, 4e-3, 5),     # one stepper on both threads
+    ("picard", 40.0, 5e-3, 3),
+    ("galerkin", 40.0, 6e-3, 4),   # four steppers warn, in order
+])
+def test_lockstep_emits_the_sequential_cfl_warnings(scheme, amp, dt, count):
+    cfg = replace(CFG, nu=0.05 if scheme == "galerkin" else 0.1, dt=dt, t_final=10 * dt)
+    n_values = (GALERKIN_RANGES if scheme == "galerkin" else PICARD_RANGES)[count]
+    assert_sweep_warns_as_stepwise(scheme, data_field(amp=amp), n_values, cfg)
+
+
+def test_lockstep_orders_the_warnings_of_one_wave_as_a_sequential_run(monkeypatch):
+    # Set CFL numbers: the helper's iterate (projection 4) warns at its step
+    # 2, in the wave in which the caller's iterates (projections 1 and 2)
+    # warn at their step 3.  A sequential run steps the helper's iterate to
+    # step 2 first, so its warning comes first.
+    numbers = {(4, 2): 1.42, (1, 3): 1.11, (2, 3): 1.23}
+    check = Stepper._check_cfl
+
+    def set_number(self, dt, umax):
+        number = numbers.get((self.projection, self.calls))
+        return check(self, dt, umax if number is None else number / (dt * self._kmax))
+
+    count_steps(monkeypatch)
+    monkeypatch.setattr(Stepper, "_check_cfl", set_number)
+    cfg = replace(CFG, nu=0.1)
+    theta0 = data_field(amp=3.0)
+    assert_sweep_warns_as_stepwise("galerkin", theta0, GALERKIN_RANGES[4], cfg)
+    _, want = caught(run_stepwise, "galerkin", theta0, GALERKIN_RANGES[4], cfg)
+    assert [message[11:15] for _, message in want] == ["1.42", "1.11", "1.23"]
 
 
 @pytest.mark.parametrize("integrator, per_step", [("if_rk4", 14), ("etd_rk2", 8)])

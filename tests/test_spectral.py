@@ -319,7 +319,10 @@ def test_transport_matches_direct_bilinear_sum(rng):
 def test_transport_takes_exactly_the_dealias_block(n, rng):
     # Data of the dealias radius K give the alias-free product, and their
     # velocity is R_perp's; data of radius K + 1 leave the block and are
-    # refused, by velocity and by transport in either slot.
+    # refused, by velocity and by transport in either slot.  So are modes
+    # in the corners of the block's box, off the radial mask, on this grid
+    # and at 96^2 (K = 32), where the pair (32, 5) and (-32, 5) sums to
+    # (64, 0), which the lattice folds onto (-32, 0), inside the mask.
     grid = GridSpec(n)
     radius = grid.dealias_radius
     f, g = band_limited(grid, rng, radius), band_limited(grid, rng, radius)
@@ -335,6 +338,15 @@ def test_transport_takes_exactly_the_dealias_block(n, rng):
     for call, args in ((velocity, (wide,)), (transport, (wide, g)), (transport, (f, wide))):
         with pytest.raises(UsageError, match="outside the .* dealias block"):
             call(grid, *args)
+    for grid in (grid, GridSpec(96)):
+        n, top = grid.n, _dealias_block(grid).top - 1
+        corners = np.zeros((2, n, n // 2 + 1), np.complex128)
+        corners[0, top, 5] = corners[1, n - top, 5] = 0.5
+        assert not grid_arrays(grid).dealias_mask[[top, n - top], 5].any()
+        for call, args in ((velocity, (corners[0],)), (transport, tuple(corners)),
+                           (transport, (corners[0] * 0.0, corners[1]))):
+            with pytest.raises(UsageError, match="outside the .* dealias block"):
+                call(grid, *args)
 
 
 def test_transport_output_exactly_hermitian(rng):
@@ -454,12 +466,11 @@ def test_band_passes_at_a_grid_that_is_not_a_power_of_two():
                          ids=lambda g: f"{g.n}-{g.dealias_fraction:.3f}")
 def test_transport_equals_whole_array_transport(grid, rng, monkeypatch):
     # Dealiased fields take the band passes and give the whole-array
-    # transport bitwise.  A field with modes past the band is refused in
-    # either slot, before any transform, unless the block is the whole half
-    # spectrum (dealias_fraction 1), where every field runs on it.
+    # transport bitwise.  A field with modes off the mask is refused in
+    # either slot, before any transform, also where the block's box is the
+    # whole half spectrum (dealias_fraction 1): its corners lie off the mask.
     from sqglab import spectral
 
-    n, m = grid.n, grid.n // 2 + 1
     mask = grid_arrays(grid).dealias_mask
     raw = [random_field(grid, rng).coeffs for _ in range(2)]
     band = _dealias_block(grid).width
@@ -474,7 +485,7 @@ def test_transport_equals_whole_array_transport(grid, rng, monkeypatch):
              (raw[0] * mask, raw[1]), (raw[0], raw[0])]
     for i, (source, target) in enumerate(cases):
         widths.clear()
-        if i and band < m:
+        if i:
             with pytest.raises(UsageError, match="outside the .* dealias block"):
                 transport(grid, source, target)
             assert widths == []
