@@ -20,8 +20,10 @@ from .errors import UsageError
 from .reports import InequalityReport, witness_from_field
 from .sampling import (
     OneDGrid,
+    SampleBuffers,
     _block_buffers,
     _DrawAhead,
+    _finish,
     band_limited_field,
     bump_field_1d,
     gaussian_block_field,
@@ -34,6 +36,7 @@ from .spectral import (
     _SupportSynthesis,
     _forward_pass,
     _magnitude_lp_norm,
+    _support_box,
     grid_arrays,
     half_power,
     k_power,
@@ -88,36 +91,42 @@ def _block_sweep(grid, j, ops, statistic, n_samples, rng) -> dict:
     values.  Returns ``{name: (minimum, field attaining it)}``, the first
     such field on ties; a value never below inf reads ``(inf, None)``.
 
-    The draw, the product and the samples go to buffers allocated once per
-    sweep, the product only on the support box of the block: a sample
-    becomes a field, a read-only copy, only when it sets a new minimum.
-    ``statistic`` must not keep the stack it is passed.
+    The noise, the finished modes, the product and the samples go to
+    buffers allocated once per sweep.  A sample is finished and multiplied
+    only on the support box of the block (``spectral._support_box``), and
+    the box goes straight to the synthesis; its whole half spectrum is
+    finished, into a field (a read-only copy), only when it sets a new
+    minimum.  ``statistic`` must not keep the stack it is passed.
 
-    The draws run one sample ahead on a helper thread (:class:`_DrawAhead`),
-    into the other of two sample lanes, while this thread synthesizes and
-    scores the current one; each lane has one owner at a time.  ``rng``
-    makes the draws of ``n_samples`` calls of ``draw_coeffs`` in turn, so
-    the minima and their fields are those of a sequential sweep.  The helper
-    is joined before this returns or raises.
+    The noise fills run one sample ahead on a helper thread
+    (:class:`_DrawAhead`), into the other of two noise lanes, while this
+    thread finishes, synthesizes and scores the current sample; each lane
+    has one owner at a time.  ``rng`` makes the draws of ``n_samples``
+    calls of ``draw_coeffs`` in turn, and a mode is finished alike on any
+    box, so the minima and their fields are those of a sequential sweep.
+    The helper is joined before this returns or raises.
     """
     _check_sample_count(n_samples)
-    buffers = _block_buffers(grid, j)
-    stack_of = _SupportSynthesis(grid, ops, buffers.profile)
+    whole = _block_buffers(grid, j)
+    boxed = SampleBuffers(grid, whole.profile, _support_box(whole.profile))
+    stack_of = _SupportSynthesis(grid, ops, boxed.box)
     worst = {}
-    with _DrawAhead(buffers, rng, n_samples) as samples:
-        for coeffs in samples:
+    with _DrawAhead(boxed.noise, rng, n_samples) as lanes:
+        for noise in lanes:
             field = None
-            for name, value in statistic(stack_of(coeffs)).items():
+            for name, value in statistic(stack_of(_finish(boxed, noise))).items():
                 if value < worst.setdefault(name, (math.inf, None))[0]:
                     if field is None:
-                        field = SpectralField(grid, coeffs)
+                        field = SpectralField(grid, _finish(whole, noise))
                     worst[name] = (value, field)
     return worst
 
 
-def _decay_rate(cooled, q, t_values, scale, cell_area) -> float:
-    """Min fitted c over ``t_values``; ``cooled`` is f, then e^{-tD^gamma} f per t."""
-    base, *norms = (lp_norm(samples, q, cell_area) for samples in cooled)
+def _decay_rate(cooled, q, t_values, scale, cell_area, scratch=None) -> float:
+    """Min fitted c over ``t_values``; ``cooled`` is f, then e^{-tD^gamma} f
+    per t.  ``scratch``, shaped like one field, takes the finite-q norms'
+    ``|f|`` and powers instead of new arrays."""
+    base, *norms = (lp_norm(samples, q, cell_area, scratch) for samples in cooled)
     if base <= 0.0:
         raise UsageError("degenerate sample: zero field")
     worst = math.inf
@@ -150,9 +159,10 @@ def _decay_sweep(grid, j, gamma, q, n_samples, rng):
     t_values = [tau / scale for tau in DECAY_TAU_GRID]
     kg = k_power(grid, gamma)
     ops = _operator_stack([np.exp(-float(t) * kg) for t in t_values])
+    scratch = np.empty((grid.n, grid.n))
 
     def statistic(cooled):
-        return {"c": _decay_rate(cooled, q, t_values, scale, grid.cell_area)}
+        return {"c": _decay_rate(cooled, q, t_values, scale, grid.cell_area, scratch)}
 
     return _block_sweep(grid, j, ops, statistic, n_samples, rng)["c"]
 
@@ -281,7 +291,8 @@ def check_coercivity(
         return {
             "ratio_signed": lhs / (const * rhs_signed),
             "ratio_plain": lhs / (const * rhs_plain),
-            "c2": lhs / (2.0 ** (j * gamma) * _magnitude_lp_norm(mag, q, grid.cell_area) ** q),
+            "c2": lhs / (2.0 ** (j * gamma)
+                         * _magnitude_lp_norm(mag, q, grid.cell_area, work) ** q),
             # At gamma=2 the variants agree analytically; allow the same slack.
             "order": rhs_signed * (1.0 + slack) - rhs_plain,
         }
@@ -328,11 +339,16 @@ def _sign_sweep_report(lemma_id, measured, required, grid, j, gamma, n_samples, 
     kg = k_power(grid, gamma)
     scale = 2.0 ** (j * gamma)
 
+    # |f| and sign(f) D^gamma f: buffers of the sweep.
+    mag, work = np.empty((2, grid.n, grid.n))
+
     def statistic(stack):
         samples, dgf = stack
-        l1 = lp_norm(samples, 1.0, grid.cell_area)
-        c2 = float(np.sum(dgf * np.sign(samples))) * grid.cell_area / (scale * l1)
-        idx = np.unravel_index(np.argmax(np.abs(samples)), samples.shape)
+        np.abs(samples, out=mag)
+        l1 = _magnitude_lp_norm(mag, 1.0, grid.cell_area)
+        np.multiply(dgf, np.sign(samples, out=work), out=work)
+        c2 = float(np.sum(work)) * grid.cell_area / (scale * l1)
+        idx = np.unravel_index(np.argmax(mag), samples.shape)
         c3 = float(np.sign(samples[idx]) * dgf[idx]) / (scale * float(np.abs(samples[idx])))
         return {"c2": c2, "c3": c3}
 

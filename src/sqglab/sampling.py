@@ -6,10 +6,12 @@ Gaussian noise on the full lattice, as one ``(2, n, n)`` array of its real
 and imaginary planes, shapes it by a radial profile and keeps the real part
 of the resulting field, as a half spectrum built from the planes with
 slices: no full-lattice complex array is formed.  All of them go through
-one draw, :func:`draw_coeffs`, into a :class:`SampleBuffers`.  A block
-sweep draws through :class:`_DrawAhead` instead: the same draws, each after
-the first made on a helper thread while the previous sample is in use.
-Fields are mean-free unless stated otherwise.
+one draw, :func:`draw_coeffs`: the noise fill, then :func:`_finish`, into a
+:class:`SampleBuffers`.  A block sweep fills its noise through
+:class:`_DrawAhead` instead: the same fills, each after the first made on a
+helper thread while the previous sample is in use; the sweeping thread
+finishes each sample itself, on the support box of its block.  Fields are
+mean-free unless stated otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import UsageError
 from .spectral import (
     GridSpec,
     SpectralField,
+    _on_box,
     block_symbol,
     grid_arrays,
     low_pass_symbol,
@@ -43,50 +46,65 @@ __all__ = [
 
 class SampleBuffers:
     """What one draw of a field shaped by ``profile`` fills, allocated once:
-    each draw overwrites them.  One thread at a time owns a set of buffers
-    (:class:`_DrawAhead` hands its two sets between two threads).
+    each draw overwrites them.  The draw's field is finished on ``box``, a
+    support box ``(top, bottom, width)`` of the half spectrum
+    (``spectral._support_box``), by default the whole of it.  Each buffer
+    has one owner thread at a time: a block sweep lends ``noise`` to
+    :class:`_DrawAhead` as a lane and keeps the others on its own thread.
 
     * ``noise``, ``(2, n, n)``: the real and imaginary planes of the
       complex Gaussian draw;
-    * ``coeffs``, ``(n, n/2 + 1)``: the field's half spectrum;
-    * ``ahead``, ``(n, n/2 + 1)``: :func:`_finish`'s scratch.
+    * ``box_profile``, ``(top + bottom, width)``: ``profile`` on the box,
+      its upper rows, then its lower rows (``spectral._on_box``);
+    * ``coeffs``, shaped like ``box_profile``: the field's modes on the
+      box, which by default are the ``(n, n/2 + 1)`` half spectrum;
+    * ``ahead``, shaped like ``coeffs``: :func:`_finish`'s scratch.
     """
 
-    def __init__(self, grid: GridSpec, profile: np.ndarray):
+    def __init__(self, grid: GridSpec, profile: np.ndarray,
+                 box: Optional[tuple[int, int, int]] = None):
         n = grid.n
-        shape = (n, n // 2 + 1)
         self.grid, self.profile = grid, profile
+        self.box = box or (n // 2, n // 2, n // 2 + 1)
+        self.box_profile = _on_box(profile, self.box)
         self.noise = np.empty((2, n, n))
-        self.coeffs = np.empty(shape, np.complex128)
-        self.ahead = np.empty(shape, np.complex128)
+        self.coeffs = np.empty(self.box_profile.shape, np.complex128)
+        self.ahead = np.empty(self.box_profile.shape, np.complex128)
 
 
-def _finish(buffers: SampleBuffers) -> np.ndarray:
-    """The mean-free real part of ``noise * profile``, as a half spectrum,
+def _finish(buffers: SampleBuffers, noise: np.ndarray) -> np.ndarray:
+    """The mean-free real part of ``noise * profile`` on ``buffers.box``,
     written into ``buffers.coeffs`` and returned.
 
     ``noise`` holds the real and imaginary planes of complex noise on the
     full ``(n, n)`` lattice, and ``profile``, an even table, covers the half
-    spectrum.  Each half-spectrum mode k gets
-    ``0.5 * (conj(noise(-k) profile(k)) + noise(k) profile(k))``.
+    spectrum.  Each mode k of the box gets
+    ``0.5 * (conj(noise(-k) profile(k)) + noise(k) profile(k))``, and the
+    mean mode, which the box must hold (``top >= 1``, as on the support box
+    of any nonzero radial table), gets 0.  The operations are elementwise
+    and the same on every box, so a mode's bytes do not depend on the box it
+    is finished on.
     """
-    n = buffers.grid.n
-    m = n // 2 + 1
-    # c = noise(-k) and ahead = noise(k), filled plane by plane with slices:
-    # on either axis the index of -i is 0 for i = 0 and n - i otherwise.
+    n = noise.shape[-1]
+    top, bottom, width = buffers.box
     c, ahead = buffers.coeffs, buffers.ahead
-    for plane, flipped, kept in zip(buffers.noise, (c.real, c.imag),
-                                    (ahead.real, ahead.imag)):
-        flipped[0, 0] = plane[0, 0]
-        flipped[0, 1:] = plane[0, : n - m : -1]
-        flipped[1:, 0] = plane[:0:-1, 0]
-        flipped[1:, 1:] = plane[:0:-1, : n - m : -1]
-        kept[...] = plane[:, :m]
+    # c = noise(-k) and ahead = noise(k), filled plane by plane with slices.
+    # On either axis the index of -i is 0 for i = 0 and n - i otherwise, so
+    # the box's rows 0, 1..top-1 and n-bottom..n-1 flip to row 0, rows
+    # n-1..n-top+1 and rows bottom..1.
+    runs = [(slice(0, 1), slice(0, 1)), (slice(1, top), slice(n - 1, n - top, -1)),
+            (slice(top, None), slice(bottom, 0, -1))]
+    for plane, flipped, kept in zip(noise, (c.real, c.imag), (ahead.real, ahead.imag)):
+        kept[:top] = plane[:top, :width]
+        kept[top:] = plane[n - bottom :, :width]
+        for rows, negated in runs:
+            flipped[rows, 0] = plane[negated, 0]
+            flipped[rows, 1:] = plane[negated, n - 1 : n - width : -1]
     # Multiply, then conjugate: the other order gives equal values with other
     # zero signs, so the saved bytes of a field would change.
-    c *= buffers.profile
+    c *= buffers.box_profile
     np.conjugate(c, out=c)
-    ahead *= buffers.profile
+    ahead *= buffers.box_profile
     c += ahead
     c *= 0.5
     c[0, 0] = 0.0
@@ -94,56 +112,52 @@ def _finish(buffers: SampleBuffers) -> np.ndarray:
 
 
 def draw_coeffs(buffers: SampleBuffers, rng: np.random.Generator) -> np.ndarray:
-    """One draw into ``buffers``: its half spectrum, ``buffers.coeffs``,
-    which the next draw overwrites.
+    """One draw into ``buffers``: its modes on the box, ``buffers.coeffs``
+    (by default the half spectrum), which the next draw overwrites.
 
     The noise is one ``(2, n, n)`` fill, the same bytes as two ``(n, n)``
     draws in turn.
     """
     rng.standard_normal(out=buffers.noise)
-    return _finish(buffers)
+    return _finish(buffers, buffers.noise)
 
 
 class _DrawAhead:
-    """``n_samples`` draws shaped like ``buffers``, each made while the
+    """``n_samples`` noise fills shaped like ``noise``, each made while the
     previous sample is in use: a context manager whose iteration yields
-    each sample's half spectrum in turn.
+    each sample's noise in turn, for the iterating thread to finish
+    (:func:`_finish`).
 
-    Sample ``i`` is lane ``i % 2``'s ``coeffs`` (lane 0 is ``buffers``),
-    owned by the iterating thread until it asks for sample ``i + 1``.
-    ``__enter__`` draws sample 0 on the calling thread; with more samples
-    it adds lane 1 and starts one helper thread, which draws sample
-    ``i + 1`` into the other lane while sample ``i`` is in use.  The draws
-    are those of :func:`draw_coeffs`, in the same order, and never more
-    than ``n_samples``, so ``rng`` ends where sequential draws leave it;
-    nothing else may use it until ``__exit__``, which stops and joins the
-    helper, also when the iterating code raises.  A draw that raises on
-    the helper is raised by the iteration.
-
-    A draw is ``rng.standard_normal`` into the lane's noise, then
-    :func:`_finish`: private calls only, so a recorder that wraps the
-    public ones sees no call from the helper.  Both release the GIL, so a
-    draw overlaps the work done on the previous sample.
+    Sample ``i`` is lane ``i % 2`` (lane 0 is ``noise``), owned by the
+    iterating thread until it asks for sample ``i + 1``.  ``__enter__``
+    fills sample 0 on the calling thread; with more samples it adds lane 1
+    and starts one helper thread, which fills sample ``i + 1`` into the
+    other lane while sample ``i`` is in use.  A fill is one
+    ``rng.standard_normal(out=lane)`` call, which releases the GIL, so it
+    overlaps the work done on the previous sample; it is the helper's only
+    work.  The fills are those of :func:`draw_coeffs`, in the same order,
+    and never more than ``n_samples``, so ``rng`` ends where sequential
+    draws leave it; nothing else may use it until ``__exit__``, which stops
+    and joins the helper, also when the iterating code raises.  A fill that
+    raises on the helper is raised by the iteration, in place of the sample
+    it was filling.  The helper calls no public function of the package, so
+    a recorder that wraps them sees no call from it.
     """
 
-    def __init__(self, buffers: SampleBuffers, rng: np.random.Generator, n_samples: int):
-        self.lanes = [buffers]
+    def __init__(self, noise: np.ndarray, rng: np.random.Generator, n_samples: int):
+        self.lanes = [noise]
         self.rng, self.n_samples = rng, n_samples
-        # free[k]: lane k may be drawn into; ready[k]: lane k holds a sample.
+        # free[k]: lane k may be filled; ready[k]: lane k holds a sample.
         # Lane 0 starts out holding sample 0.
         self.free = [threading.Semaphore(0), threading.Semaphore(1)]
         self.ready = [threading.Semaphore(1), threading.Semaphore(0)]
         self.stopped = False
-        self.error: Optional[Exception] = None
-        self.helper = threading.Thread(target=self._draw, name="sqglab-draw-ahead",
+        # errors[k]: what the fill of lane k raised, read once lane k is ready.
+        self.errors: list[Optional[Exception]] = [None, None]
+        self.helper = threading.Thread(target=self._fill_ahead, name="sqglab-draw-ahead",
                                        daemon=True)
 
-    def _fill(self, lane: int) -> None:
-        buffers = self.lanes[lane]
-        self.rng.standard_normal(out=buffers.noise)
-        _finish(buffers)
-
-    def _draw(self) -> None:
+    def _fill_ahead(self) -> None:
         lane = 1
         try:
             for i in range(1, self.n_samples):
@@ -151,16 +165,16 @@ class _DrawAhead:
                 self.free[lane].acquire()
                 if self.stopped:
                     return
-                self._fill(lane)
+                self.rng.standard_normal(out=self.lanes[lane])
                 self.ready[lane].release()
         except Exception as exc:  # raised again by the iterating thread
-            self.error = exc
+            self.errors[lane] = exc
             self.ready[lane].release()
 
     def __enter__(self) -> "_DrawAhead":
-        self._fill(0)
+        self.rng.standard_normal(out=self.lanes[0])
         if self.n_samples > 1:
-            self.lanes.append(SampleBuffers(self.lanes[0].grid, self.lanes[0].profile))
+            self.lanes.append(np.empty_like(self.lanes[0]))
             self.helper.start()
         return self
 
@@ -168,9 +182,9 @@ class _DrawAhead:
         for i in range(self.n_samples):
             lane = i % 2
             self.ready[lane].acquire()
-            if self.error is not None:
-                raise self.error
-            yield self.lanes[lane].coeffs
+            if self.errors[lane] is not None:
+                raise self.errors[lane]
+            yield self.lanes[lane]
             self.free[lane].release()
 
     def __exit__(self, *exc_info) -> None:

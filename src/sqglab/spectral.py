@@ -415,13 +415,24 @@ def _support_box(table: np.ndarray) -> tuple[int, int, int]:
     return top, bottom, width
 
 
+def _on_box(table: np.ndarray, box: tuple[int, int, int]) -> np.ndarray:
+    """``table``'s entries on the support box ``box`` (:func:`_support_box`)
+    over its last two axes: a contiguous ``(..., top + bottom, width)``
+    array of the box's upper rows, then its lower rows."""
+    top, bottom, width = box
+    n = table.shape[-2]
+    return np.ascontiguousarray(table[..., np.r_[0:top, n - bottom : n], :width])
+
+
 class _SupportSynthesis:
     """The samples of ``ops * coeffs`` for a fixed stack ``ops`` of ``k``
-    half-spectrum tables and half spectra ``coeffs`` that vanish off the
-    support box of ``support`` (:func:`_support_box`), in buffers allocated
-    once and overwritten by each call (single-threaded use):
+    half-spectrum tables and a half spectrum that vanishes off the support
+    box ``box`` (:func:`_support_box`), given as ``coeffs``, its modes on the
+    box (:func:`_on_box`'s layout, which ``sampling._finish`` writes).  The
+    buffers are allocated once and overwritten by each call (single-threaded
+    use):
 
-    * ``ops``, ``(k, rows, width)``: the stack gathered on the box;
+    * ``ops``, ``(k, rows, width)``: the stack on the box;
     * ``spectrum``, ``(k, n, width)``: the product, whose rows off the box
       stay zero;
     * ``columns``, ``(k, n, n/2 + 1)``: the column pass, zero from
@@ -429,25 +440,21 @@ class _SupportSynthesis:
     * ``samples``, ``(k, n, n)``: the result of the last call.
 
     The whole stack goes through one inverse pass (see :func:`synthesize`).
-    Off the box ``coeffs`` may hold zeros of either sign, which a product of
-    the whole arrays would pass to the column pass; here those rows stay
-    ``+0``, which changes no sample that is not itself zero.
     """
 
-    def __init__(self, grid: GridSpec, ops: np.ndarray, support: np.ndarray):
+    def __init__(self, grid: GridSpec, ops: np.ndarray, box: tuple[int, int, int]):
         n = grid.n
-        self.top, self.bottom, width = _support_box(support)
-        rows = np.r_[0 : self.top, n - self.bottom : n]
-        self.ops = np.ascontiguousarray(ops[:, rows, :width])
+        self.top, bottom, width = box
+        self.lower = n - bottom
+        self.ops = _on_box(ops, box)
         self.spectrum = np.zeros((len(ops), n, width), np.complex128)
         self.columns = np.zeros(ops.shape, np.complex128)
         self.samples = np.empty((len(ops), n, n))
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        top, spec = self.top, self.spectrum
-        width, lower = spec.shape[-1], spec.shape[-2] - self.bottom
-        np.multiply(self.ops[:, :top], coeffs[:top, :width], out=spec[:, :top])
-        np.multiply(self.ops[:, top:], coeffs[lower:, :width], out=spec[:, lower:])
+        top, lower, spec = self.top, self.lower, self.spectrum
+        np.multiply(self.ops[:, :top], coeffs[:top], out=spec[:, :top])
+        np.multiply(self.ops[:, top:], coeffs[top:], out=spec[:, lower:])
         return _inverse_pass(spec, self.columns, self.samples)
 
 
@@ -895,8 +902,13 @@ def sobolev_norm(field: SpectralField, r: float, homogeneous: bool = False) -> f
     return weighted_norm(grid, sobolev_weights(grid, r, homogeneous), half_power(grid, c))
 
 
-def lp_norm(samples: np.ndarray, p: float, cell_volume: float = 1.0) -> float:
-    """L^p norm of a sample array with uniform-cell quadrature weight."""
+def lp_norm(samples: np.ndarray, p: float, cell_volume: float = 1.0,
+            out: Optional[np.ndarray] = None) -> float:
+    """L^p norm of a sample array with uniform-cell quadrature weight.
+
+    For finite ``p``, ``out``, a float array shaped like ``samples``, takes
+    ``|x|`` and its powers instead of new arrays.
+    """
     if p < 1.0:
         raise UsageError(f"L^p norm needs p >= 1, got {p}")
     a = np.asarray(samples, dtype=float)
@@ -904,17 +916,20 @@ def lp_norm(samples: np.ndarray, p: float, cell_volume: float = 1.0) -> float:
         # max |x| from the two extremes, without an |x| copy; abs() turns
         # -0.0 into +0.0 and keeps a NaN either extreme carries.
         return max(abs(float(a.max())), abs(float(a.min()))) if a.size else 0.0
-    return _magnitude_lp_norm(np.abs(a), p, cell_volume)
+    return _magnitude_lp_norm(np.abs(a, out=out), p, cell_volume, out)
 
 
-def _magnitude_lp_norm(mag: np.ndarray, p: float, cell_volume: float) -> float:
+def _magnitude_lp_norm(mag: np.ndarray, p: float, cell_volume: float,
+                       out: Optional[np.ndarray] = None) -> float:
     """:func:`lp_norm` for finite ``p`` of samples whose magnitudes ``|x|``
-    are ``mag``."""
+    are ``mag``; ``out`` (``mag`` itself too) takes the powers instead of a
+    new array.  The powers take the path of ``mag ** p``: ``np.power``, or
+    ``mag * mag`` at ``p = 2``."""
     if p == 1.0:
         return float(mag.sum()) * cell_volume
     if p == 2.0:
-        return math.sqrt(float(np.sum(mag * mag)) * cell_volume)
-    return float(np.sum(mag ** p) * cell_volume) ** (1.0 / p)
+        return math.sqrt(float(np.sum(np.multiply(mag, mag, out=out))) * cell_volume)
+    return float(np.sum(np.power(mag, p, out=out)) * cell_volume) ** (1.0 / p)
 
 
 def field_lp_norm(field: SpectralField, p: float) -> float:

@@ -8,13 +8,15 @@ import threading
 import numpy as np
 import pytest
 
-from sqglab import sampling
+from sqglab import inequalities, sampling
+from sqglab.inequalities import _block_sweep, _operator_stack
 from sqglab.errors import UsageError
 from sqglab.sampling import (
     OneDGrid,
     SampleBuffers,
     _block_buffers,
     _DrawAhead,
+    _finish,
     band_limited_field,
     bump_field_1d,
     draw_coeffs,
@@ -25,8 +27,12 @@ from sqglab.sampling import (
 from sqglab.spectral import (
     GridSpec,
     PROFILE_OUTER,
+    _on_box,
+    _support_box,
+    block_symbol,
     full_spectrum,
     grid_arrays,
+    k_power,
 )
 
 from oracles import conjugate_flip, full_lattice, full_profile, parent_sampler_coeffs
@@ -198,47 +204,90 @@ def test_one_plane_pair_draw_is_two_square_draws(n):
     assert one.bit_generator.state == two.bit_generator.state
 
 
+class RecordingGenerator:
+    """A generator whose ``standard_normal`` calls are recorded as
+    ``(thread, out)`` pairs; the call numbered ``fail_at`` raises."""
+
+    def __init__(self, seed, fail_at=None):
+        self.rng, self.calls, self.fail_at = np.random.default_rng(seed), [], fail_at
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls.append((threading.current_thread(), kwargs.get("out")))
+        if len(self.calls) == self.fail_at:
+            raise MemoryError(f"fill {self.fail_at}")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def box_buffers(grid, j):
+    """The whole-spectrum and the support-box buffers of block-j draws."""
+    whole = _block_buffers(grid, j)
+    return whole, SampleBuffers(grid, whole.profile, _support_box(whole.profile))
+
+
 @pytest.mark.parametrize("n_samples", [1, 2, 5])
 def test_draw_ahead_makes_the_sequential_draws_on_a_helper_thread(monkeypatch, n_samples):
-    # Sample i is the i-th draw_coeffs of a twin generator, to the byte; the
-    # generator ends where n_samples draws leave it, not one draw further;
-    # sample 0 is drawn on entry, every later one off the iterating thread.
+    # A block sweep whose every sample sets a new minimum, so that each is
+    # finished on its box and on the whole half spectrum.  Each finish equals
+    # the draw_coeffs of a twin generator, to the byte, and runs on the
+    # sweeping thread.  The generator ends where n_samples draws leave it,
+    # not one fill further; its only calls are one standard_normal(out=lane)
+    # per sample, sample 0 on the sweeping thread, every later one on the
+    # helper, alternating between two noise lanes.
     grid = GridSpec(32)
-    rng = np.random.default_rng(3)
-    twin, twin_buffers = copy.deepcopy(rng), _block_buffers(grid, 2)
-    finish, threads = sampling._finish, []
+    rng, twin = RecordingGenerator(3), np.random.default_rng(3)
+    finish, finished = sampling._finish, []
 
-    def recorded(buffers):
-        threads.append(threading.current_thread())
-        return finish(buffers)
+    def recorded(buffers, noise):
+        coeffs = finish(buffers, noise)
+        finished.append((threading.current_thread(), buffers.box, coeffs.tobytes()))
+        return coeffs
 
-    monkeypatch.setattr(sampling, "_finish", recorded)
+    monkeypatch.setattr(inequalities, "_finish", recorded)
+    ops = _operator_stack([k_power(grid, 0.5)])
+    scores = iter(range(n_samples, 0, -1))
     before = threading.active_count()
-    with _DrawAhead(_block_buffers(grid, 2), rng, n_samples) as samples:
-        drawn = [coeffs.tobytes() for coeffs in samples]
+    _block_sweep(grid, 2, ops, lambda stack: {"x": next(scores)}, n_samples, rng)
     assert threading.active_count() == before
     monkeypatch.undo()
-    assert drawn == [draw_coeffs(twin_buffers, twin).tobytes() for _ in range(n_samples)]
-    assert rng.bit_generator.state == twin.bit_generator.state
-    assert len(threads) == n_samples
+
+    twin_buffers, box = _block_buffers(grid, 2), _support_box(block_symbol(grid, 2))
+    want = []
+    for _ in range(n_samples):
+        coeffs = draw_coeffs(twin_buffers, twin)
+        want += [(box, _on_box(coeffs, box).tobytes()), (twin_buffers.box, coeffs.tobytes())]
+    assert [(b, data) for _, b, data in finished] == want
+    assert box != twin_buffers.box
     me = threading.current_thread()
+    assert all(thread is me for thread, _, _ in finished)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    threads, lanes = zip(*rng.calls)
+    assert len(threads) == n_samples
     assert threads[0] is me and me not in threads[1:]
+    assert all(lane.shape == (2, 32, 32) for lane in lanes)
+    assert all(lane is lanes[i % 2] for i, lane in enumerate(lanes))
+    assert n_samples == 1 or lanes[0] is not lanes[1]
 
 
 def test_draw_ahead_under_stress_keeps_every_sample():
     # Four iterating threads, more than the cores, each with its own helper,
-    # at a 1 us switch interval: a sample overwritten while in use, or a draw
-    # out of order, would change the bytes read after some work on it.
+    # at a 1 us switch interval, each finishing its samples on the box and
+    # on the whole half spectrum after some work on them: a lane filled
+    # while in use, or a fill out of order, would change the bytes.
     grid, n_samples, seeds = GridSpec(32), 40, range(4)
     results = {}
 
     def sweep(seed):
         drawn = []
-        with _DrawAhead(_block_buffers(grid, 2), np.random.default_rng(seed),
-                        n_samples) as samples:
-            for coeffs in samples:
+        whole, boxed = box_buffers(grid, 2)
+        with _DrawAhead(boxed.noise, np.random.default_rng(seed), n_samples) as lanes:
+            for noise in lanes:
+                coeffs = _finish(boxed, noise)
                 np.abs(coeffs).sum()
-                drawn.append(coeffs.tobytes())
+                drawn.append((coeffs.tobytes(), _finish(whole, noise).tobytes()))
         results[seed] = drawn
 
     interval = sys.getswitchinterval()
@@ -253,26 +302,63 @@ def test_draw_ahead_under_stress_keeps_every_sample():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     for seed in seeds:
-        rng, buffers = np.random.default_rng(seed), _block_buffers(grid, 2)
-        want = [draw_coeffs(buffers, rng).tobytes() for _ in range(n_samples)]
+        rng, (buffers, boxed) = np.random.default_rng(seed), box_buffers(grid, 2)
+        want = []
+        for _ in range(n_samples):
+            coeffs = draw_coeffs(buffers, rng)
+            want.append((_on_box(coeffs, boxed.box).tobytes(), coeffs.tobytes()))
         assert results[seed] == want, seed
 
 
-def test_a_draw_that_raises_is_raised_by_the_iteration(monkeypatch):
-    finish, calls = sampling._finish, []
-
-    def failing(buffers):
-        calls.append(None)
-        if len(calls) == 3:
-            raise MemoryError("third draw")
-        return finish(buffers)
-
-    monkeypatch.setattr(sampling, "_finish", failing)
+def test_a_draw_that_raises_is_raised_by_the_iteration():
+    # The third fill, made on the helper, raises: the iteration raises it
+    # after two samples, and the helper is joined.
+    rng = RecordingGenerator(0, fail_at=3)
     before, seen = threading.active_count(), 0
-    with pytest.raises(MemoryError, match="third draw"):
-        with _DrawAhead(_block_buffers(GridSpec(32), 2), np.random.default_rng(0),
-                        10) as samples:
-            for _ in samples:
+    with pytest.raises(MemoryError, match="fill 3"):
+        with _DrawAhead(np.empty((2, 32, 32)), rng, 10) as lanes:
+            for _ in lanes:
                 seen += 1
     assert seen == 2
+    assert len(rng.calls) == 3 and rng.calls[2][0] is not threading.current_thread()
     assert threading.active_count() == before
+
+
+#: Grids whose every block the box finish is checked on: 16^2 (block 3's box
+#: is the whole half spectrum), 32^2, 96^2 (n divisible by 3), 128^2 (blocks
+#: 6 and 7 hold the Nyquist row and column), a period other than 2 pi, whose
+#: blocks run from j = -1, and dealias_fraction 1.
+FINISH_GRIDS = {
+    "16": GridSpec(16),
+    "32": GridSpec(32),
+    "96": GridSpec(96),
+    "128": GridSpec(128),
+    "32-period-5": GridSpec(32, period=5.0 * math.pi),
+    "32-fraction-1": GridSpec(32, dealias_fraction=1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(FINISH_GRIDS))
+def test_box_finish_is_the_whole_finish_and_the_parent_sampler_on_the_box(name):
+    # Both oracles to the byte, so zero signs count: the whole-spectrum
+    # finish gathered on the box, and the full-lattice formula the samplers
+    # replaced, on the half spectrum's columns gathered on the box.  Every
+    # block of the grid, on its support box and on boxes no radial table
+    # has: the Nyquist row without the Nyquist column and the Nyquist column
+    # without the Nyquist row; and on the whole half spectrum.
+    grid = FINISH_GRIDS[name]
+    n = grid.n
+    blocks = [j for j in range(-4, 12) if block_symbol(grid, j).any()]
+    assert -4 < blocks[0] and blocks[-1] < 11  # the range holds every block
+    for j in blocks:
+        table = block_symbol(grid, j)
+        rng = np.random.default_rng(1000 + j)
+        parent = parent_sampler_coeffs(grid, copy.deepcopy(rng), full_profile(grid, "block", j))
+        noise = rng.standard_normal((2, n, n))
+        whole = _finish(SampleBuffers(grid, table), noise)
+        for box in (_support_box(table), (3, n // 2, 4), (2, 1, n // 2 + 1),
+                    (n // 2, n // 2, n // 2 + 1)):
+            got = _finish(SampleBuffers(grid, table, box), noise)
+            assert got.shape == (box[0] + box[1], box[2]), (j, box)
+            assert got.tobytes() == _on_box(whole, box).tobytes(), (j, box)
+            assert got.tobytes() == _on_box(parent[:, : n // 2 + 1], box).tobytes(), (j, box)
