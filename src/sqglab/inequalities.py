@@ -98,12 +98,13 @@ def _block_sweep(grid, j, ops, statistic, n_samples, rng) -> dict:
     finished, into a field (a read-only copy), only when it sets a new
     minimum.  ``statistic`` must not keep the stack it is passed.
 
-    The noise fills run one sample ahead on a helper thread
-    (:class:`_DrawAhead`), into the other of two noise lanes, while this
-    thread finishes, synthesizes and scores the current sample; each lane
-    has one owner at a time.  ``rng`` makes the draws of ``n_samples``
-    calls of ``draw_coeffs`` in turn, and a mode is finished alike on any
-    box, so the minima and their fields are those of a sequential sweep.
+    The noise fills run ahead as queued jobs of one helper thread
+    (:class:`_DrawAhead`, on ``_helper._Helper``), into the other of two
+    noise lanes, while this thread finishes, synthesizes and scores the
+    current sample; each lane has one owner at a time.  ``rng`` makes the
+    draws of ``n_samples`` calls of ``draw_coeffs`` in turn, and a mode is
+    finished alike on any box, so the minima and their fields are those of
+    a sequential sweep.
     The helper is joined before this returns or raises.
     """
     _check_sample_count(n_samples)

@@ -2,11 +2,11 @@
 
 Both schemes reuse the solver's steppers and run on one engine that
 advances all iterates together, one step at a time, each held as its rfft
-half spectrum, the later iterates on a helper thread.  A Galerkin iterate
-integrates the frequency-truncated tendency with truncated data; a Picard
-iterate solves a linear advection-diffusion problem whose advecting
-velocity is frozen from the previous iterate (interpolated linearly in time
-within each step).
+half spectrum, the later iterates as jobs of one helper thread
+(``_helper._Helper``).  A Galerkin iterate integrates the
+frequency-truncated tendency with truncated data; a Picard iterate solves a
+linear advection-diffusion problem whose advecting velocity is frozen from
+the previous iterate (interpolated linearly in time within each step).
 Traces record per-iterate norms and successive differences so the
 contraction rates asserted by the well-posedness argument can be fitted
 rather than assumed.
@@ -15,12 +15,12 @@ rather than assumed.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
+from ._helper import _Helper
 from .dyadic import _RowCore, besov_norm, default_partition
 from .errors import UsageError
 from .reports import IterateTrace, fit_log2
@@ -122,53 +122,6 @@ def _split(costs) -> int:
     return min(max(m, 1), len(costs) - 1)
 
 
-class _Behind:
-    """The helper thread of :func:`_lockstep`, which runs one job per
-    hand-off: :meth:`hand` gives it one, :meth:`take` waits for it and
-    returns ``(result, error)``, with the exception the job raised (then the
-    result is None).  A context manager, whose exit stops and joins the
-    thread, also when the calling thread raises.
-    """
-
-    def __init__(self):
-        self.go, self.done = threading.Semaphore(0), threading.Semaphore(0)
-        self.job = self.result = self.error = None
-        self.thread = threading.Thread(target=self._run, name="sqglab-lockstep",
-                                       daemon=True)
-
-    def _run(self) -> None:
-        while True:
-            self.go.acquire()
-            job, self.job = self.job, None
-            if job is None:
-                return
-            try:
-                self.result = job()
-            except BaseException as exc:  # raised again by the calling thread
-                self.error = exc
-            del job  # the states it read are dead
-            self.done.release()
-
-    def hand(self, job) -> None:
-        self.job = job
-        self.go.release()
-
-    def take(self) -> tuple:
-        self.done.acquire()
-        result, error = self.result, self.error
-        self.result = self.error = None
-        return result, error
-
-    def __enter__(self) -> "_Behind":
-        self.thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.job = None
-        self.go.release()
-        self.thread.join()
-
-
 def _lockstep(
     scheme: str,
     n_values: list,
@@ -195,14 +148,15 @@ def _lockstep(
     (:func:`_split` of ``costs``, one number per iterate, such as the points
     of its step grid).  The front group, ``0..m-1``, steps on the calling
     thread; the back group, ``m..N-1``, on one helper thread
-    (:class:`_Behind`) in scratch of its own, one step behind, since its
+    (``_helper._Helper``) in scratch of its own, one step behind, since its
     first iterate at step k reads iterate m-1 at step k.  So wave w steps
-    the front group to step w while the back group steps to w-1, with one
-    hand-off each way.  After each wave the calling thread settles the
-    back lane (its CFL peaks and advisories) and raises the back group's
-    error, records the rows of step w-1, then settles the front lane and
-    raises the front group's error: the order of a sequential run, whose
-    every output, warning and error this engine reproduces.  The helper is
+    the front group to step w while the back group steps to w-1: one job
+    handed to the helper, and its result taken.  After each wave the
+    calling thread settles the back lane (its CFL peaks and advisories) and
+    raises the back group's error, records the rows of step w-1, then
+    settles the front lane and raises the front group's error: the order of
+    a sequential run, whose every output, warning and error this engine
+    reproduces.  The helper is
     joined before the engine returns or raises.
 
     At every stored time each state's norm row, and the row of its
@@ -242,7 +196,7 @@ def _lockstep(
     front, back = states[:m], states[m:]
     states.clear()
     front_lane, back_lane = _Lane(), _Lane(own_scratch=True)
-    with _Behind() as helper:
+    with _Helper("sqglab-lockstep") as helper:
         for wave in range(1, n_steps + 2):
             k = wave - 1  # the back group's step
             if k:

@@ -8,20 +8,21 @@ of the resulting field, as a half spectrum built from the planes with
 slices: no full-lattice complex array is formed.  All of them go through
 one draw, :func:`draw_coeffs`: the noise fill, then :func:`_finish`, into a
 :class:`SampleBuffers`.  A block sweep fills its noise through
-:class:`_DrawAhead` instead: the same fills, each after the first made on a
-helper thread while the previous sample is in use; the sweeping thread
-finishes each sample itself, on the support box of its block.  Fields are
-mean-free unless stated otherwise.
+:class:`_DrawAhead` instead: the same fills, each after the first queued
+to one helper thread (``_helper._Helper``) and made while an earlier sample
+is in use; the sweeping thread finishes each sample itself, on the support
+box of its block.  Fields are mean-free unless stated otherwise.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from ._helper import _Helper
 from .errors import UsageError
 from .spectral import (
     GridSpec,
@@ -129,70 +130,52 @@ class _DrawAhead:
     (:func:`_finish`).
 
     Sample ``i`` is lane ``i % 2`` (lane 0 is ``noise``), owned by the
-    iterating thread until it asks for sample ``i + 1``.  ``__enter__``
-    fills sample 0 on the calling thread; with more samples it adds lane 1
-    and starts one helper thread, which fills sample ``i + 1`` into the
-    other lane while sample ``i`` is in use.  A fill is one
-    ``rng.standard_normal(out=lane)`` call, which releases the GIL, so it
-    overlaps the work done on the previous sample; it is the helper's only
-    work.  The fills are those of :func:`draw_coeffs`, in the same order,
-    and never more than ``n_samples``, so ``rng`` ends where sequential
-    draws leave it; nothing else may use it until ``__exit__``, which stops
-    and joins the helper, also when the iterating code raises.  A fill that
-    raises on the helper is raised by the iteration, in place of the sample
-    it was filling.  The helper calls no public function of the package, so
-    a recorder that wraps them sees no call from it.
+    iterating thread until it asks for sample ``i + 1``; lane 1 exists only
+    with more than one sample.  ``__enter__`` fills sample 0 on the calling
+    thread, then queues sample 1's fill to a helper thread
+    (``_helper._Helper``).
+    Once sample ``i`` is done, the iteration queues sample ``i + 2``'s fill
+    into its lane, then takes sample ``i + 1``: the helper goes straight
+    from one fill to the next.  A fill is one ``rng.standard_normal(out=lane)``
+    call, which releases the GIL, so it overlaps the work done on the
+    previous sample; it is the helper's only work.  The fills are those of
+    :func:`draw_coeffs`, in the same order, and never more than
+    ``n_samples``, so ``rng`` ends where sequential draws leave it; nothing
+    else may use it until ``__exit__``, which joins the helper, also when
+    the iterating code raises.  A fill that raises on the helper is raised
+    by the iteration, in place of its sample, and no later fill is made.
+    The helper calls no public function of the package, so a recorder that
+    wraps them sees no call from it.
     """
 
     def __init__(self, noise: np.ndarray, rng: np.random.Generator, n_samples: int):
-        self.lanes = [noise]
+        self.lanes = [noise, np.empty_like(noise)] if n_samples > 1 else [noise]
         self.rng, self.n_samples = rng, n_samples
-        # free[k]: lane k may be filled; ready[k]: lane k holds a sample.
-        # Lane 0 starts out holding sample 0.
-        self.free = [threading.Semaphore(0), threading.Semaphore(1)]
-        self.ready = [threading.Semaphore(1), threading.Semaphore(0)]
-        self.stopped = False
-        # errors[k]: what the fill of lane k raised, read once lane k is ready.
-        self.errors: list[Optional[Exception]] = [None, None]
-        self.helper = threading.Thread(target=self._fill_ahead, name="sqglab-draw-ahead",
-                                       daemon=True)
+        self.helper = _Helper("sqglab-draw-ahead") if n_samples > 1 else None
 
-    def _fill_ahead(self) -> None:
-        lane = 1
-        try:
-            for i in range(1, self.n_samples):
-                lane = i % 2
-                self.free[lane].acquire()
-                if self.stopped:
-                    return
-                self.rng.standard_normal(out=self.lanes[lane])
-                self.ready[lane].release()
-        except Exception as exc:  # raised again by the iterating thread
-            self.errors[lane] = exc
-            self.ready[lane].release()
+    def _hand(self, i: int) -> None:
+        if i < self.n_samples:
+            self.helper.hand(partial(self.rng.standard_normal, out=self.lanes[i % 2]))
 
     def __enter__(self) -> "_DrawAhead":
         self.rng.standard_normal(out=self.lanes[0])
-        if self.n_samples > 1:
-            self.lanes.append(np.empty_like(self.lanes[0]))
-            self.helper.start()
+        if self.helper is not None:
+            self.helper.__enter__()
+            self._hand(1)
         return self
 
     def __iter__(self):
-        for i in range(self.n_samples):
-            lane = i % 2
-            self.ready[lane].acquire()
-            if self.errors[lane] is not None:
-                raise self.errors[lane]
-            yield self.lanes[lane]
-            self.free[lane].release()
+        yield self.lanes[0]
+        for i in range(1, self.n_samples):
+            self._hand(i + 1)
+            error = self.helper.take()[1]
+            if error is not None:
+                raise error
+            yield self.lanes[i % 2]
 
     def __exit__(self, *exc_info) -> None:
-        self.stopped = True
-        for free in self.free:
-            free.release()
-        if self.helper.ident is not None:
-            self.helper.join()
+        if self.helper is not None:
+            self.helper.__exit__(*exc_info)
 
 
 def _field(buffers: SampleBuffers, rng: np.random.Generator) -> SpectralField:

@@ -439,23 +439,21 @@ class _SupportSynthesis:
       ``width`` on;
     * ``samples``, ``(k, n, n)``: the result of the last call.
 
-    The whole stack goes through one inverse pass (see :func:`synthesize`).
+    The whole stack goes through one inverse pass (see :func:`synthesize`)
+    in :func:`_synthesize_product`, which reads ``top`` and ``bottom`` of
+    the box as of a :class:`_Block`.
     """
 
     def __init__(self, grid: GridSpec, ops: np.ndarray, box: tuple[int, int, int]):
         n = grid.n
-        self.top, bottom, width = box
-        self.lower = n - bottom
+        self.top, self.bottom, width = box
         self.ops = _on_box(ops, box)
         self.spectrum = np.zeros((len(ops), n, width), np.complex128)
         self.columns = np.zeros(ops.shape, np.complex128)
         self.samples = np.empty((len(ops), n, n))
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        top, lower, spec = self.top, self.lower, self.spectrum
-        np.multiply(self.ops[:, :top], coeffs[:top], out=spec[:, :top])
-        np.multiply(self.ops[:, top:], coeffs[top:], out=spec[:, lower:])
-        return _inverse_pass(spec, self.columns, self.samples)
+        return _synthesize_product(self, self.ops, coeffs, self.samples)
 
 
 def analyze(grid: GridSpec, samples: np.ndarray) -> np.ndarray:
@@ -737,12 +735,15 @@ def _dealias_block(grid: GridSpec) -> _Block:
     return _Block(grid)
 
 
-def _synthesize_product(block: _Block, symbol: np.ndarray, coeffs: np.ndarray,
+def _synthesize_product(block, symbol: np.ndarray, coeffs: np.ndarray,
                         out: np.ndarray) -> np.ndarray:
-    """Samples of ``symbol * coeffs``, two arrays on ``block``, into ``out``."""
+    """Samples of ``symbol * coeffs`` into ``out``: ``coeffs`` is an array
+    on the box of ``block`` (a :class:`_Block` or :class:`_SupportSynthesis`),
+    and ``symbol`` one such array or a stack of them."""
     spec, top = block.spectrum, block.top
-    np.multiply(symbol[:top], coeffs[:top], out=spec[:top])
-    np.multiply(symbol[top:], coeffs[top:], out=spec[spec.shape[0] - block.bottom :])
+    np.multiply(symbol[..., :top, :], coeffs[:top], out=spec[..., :top, :])
+    np.multiply(symbol[..., top:, :], coeffs[top:],
+                out=spec[..., spec.shape[-2] - block.bottom :, :])
     return _inverse_pass(spec, block.columns, out)
 
 

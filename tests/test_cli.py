@@ -805,7 +805,8 @@ def test_commands_load_no_scipy_integrate_optimize_special_or_numpy_ma(cold_star
     # scipy.special they pull in may load.  No command takes a median with
     # np.median, which would import numpy.ma.  Only spectral_mass_contraction
     # can reach brentq; the verify ids run one sample where they take a count.
-    # The block sweeps' draw-ahead thread comes from threading alone:
+    # The helper thread of the block sweeps and of the iterate lockstep
+    # (sqglab._helper) comes from threading and queue alone:
     # concurrent.futures cost about 7 ms of every command's start.
     for name, (rc, modules, _) in cold_start.items():
         assert (rc, modules) == (0, []), name

@@ -5,6 +5,7 @@ frozen-seed sweep whose verdict (and rough constant) is pinned.
 """
 
 import copy
+import gc
 import math
 import threading
 import tracemalloc
@@ -802,3 +803,18 @@ def test_a_statistic_that_raises_mid_sweep_joins_the_draw_helper():
         _block_sweep(grid, 2, ops, statistic, 10, np.random.default_rng(0))
     assert len(calls) == 3
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("check", [check_sign_integral, check_coercivity])
+def test_a_block_sweep_leaves_no_reference_cycle(check):
+    # The draw-ahead helper, its thread and its queues must go with the
+    # sweep, not wait in a reference cycle for the collector: a thread
+    # whose target held the helper would make one until it ran.
+    check(n_samples=20)
+    gc.collect()
+    gc.disable()
+    try:
+        check(n_samples=20)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -7,9 +7,16 @@ as the heat flow, theta(t) = e^{-nu r^gamma t} theta(0), however large it
 is, so every diagnostics column has a closed form.  Unlike a single mode,
 such a field has pairwise products that do not vanish one by one: only
 their sum cancels, and only for the velocity R_perp theta.
+
+The equation's scaling is an oracle too: if theta solves it, so does
+theta_lam(x, t) = lam^{gamma-1} theta(lam x, lam^gamma t).  On the lattice
+(lam n)^2, with dt and t_final divided by lam^gamma, data moved to the modes
+lam k meet the same integrating factors, dealias mask and CFL numbers as on
+n^2, so a run there is the n^2 run, mode for mode, to round-off.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +29,9 @@ from sqglab.iterates import (
     _norm_row,
     picard_besov_sequence,
 )
+from sqglab.sampling import power_law_field
 from sqglab.solver import BESOV_GEVREY_WEIGHT, INTEGRATORS, SolverConfig, run_simulation
-from sqglab.spectral import GridSpec, SpectralField, grid_arrays, velocity
+from sqglab.spectral import GridSpec, SpectralField, grid_arrays, sobolev_norm, velocity
 
 #: (grid size, |m|^2 of the shell): 8 half-spectrum modes of |m|^2 = 65 on
 #: 64^2, 12 of |m|^2 = 325 on 128^2, none on an axis.
@@ -122,3 +130,43 @@ def test_picard_iterates_of_shell_data_are_the_heat_flow(integrator):
                                    rtol=1e-12, atol=1e-12 * scale, err_msg=label)
         np.testing.assert_allclose(trace.final_diffs[label], [d[label] for d in diffs],
                                    rtol=1e-12, atol=1e-12 * scale, err_msg=label)
+
+
+def on_finer_lattice(coeffs, lam, factor):
+    """``factor`` times the ``(n, n/2 + 1)`` half spectrum ``coeffs``, moved
+    to the modes ``lam k`` of the ``(lam n)^2`` lattice: the half spectrum
+    of ``factor * f(lam x)`` for the field f of ``coeffs``.  Every other
+    mode is 0."""
+    n = coeffs.shape[0]
+    out = np.zeros((lam * n, lam * n // 2 + 1), np.complex128)
+    rows = lam * np.fft.fftfreq(n, 1.0 / n).astype(int) % (lam * n)
+    out[np.ix_(rows, lam * np.arange(n // 2 + 1))] = factor * coeffs
+    return out
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9, 1.5])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_lattice_scaling_maps_a_run_onto_a_run(integrator, gamma):
+    # Power-law data of L2 norm 3 on 32^2, and the same data on the modes
+    # 2k of 64^2, times 2^{gamma-1}, run for dt and t_final divided by
+    # 2^gamma: the final states agree to round-off, the modes off 2Z^2
+    # stay exactly 0, and so do the CFL numbers.  A dissipation exponent
+    # of gamma + 0.01 breaks the match by 7e-5, a dealias radius one unit
+    # larger by 3.5e-5 to 4.9e-5.
+    small, large = GridSpec(32), GridSpec(64)
+    field = power_law_field(small, 2.7, np.random.default_rng(21))
+    theta0 = field.with_coeffs(field.coeffs * 3.0 / sobolev_norm(field, 0.0))
+    factor, speedup = 2.0 ** (gamma - 1.0), 2.0 ** gamma
+    cfg = SolverConfig(grid=small, nu=0.5, gamma=gamma, dt=2e-3, t_final=0.02,
+                       integrator=integrator, output_stride=10)
+    fine = replace(cfg, grid=large, dt=cfg.dt / speedup, t_final=cfg.t_final / speedup)
+    coarse_run = run_simulation(theta0, cfg)
+    fine_run = run_simulation(
+        SpectralField(large, on_finer_lattice(theta0.coeffs, 2, factor)), fine)
+    assert not coarse_run.aborted and not fine_run.aborted
+    want = on_finer_lattice(coarse_run.final_state.coeffs, 2, factor)
+    got = fine_run.final_state.coeffs
+    on = on_finer_lattice(np.ones_like(theta0.coeffs), 2, 1.0) != 0
+    assert not got[~on].any()
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+    assert math.isclose(fine_run.cfl_max, coarse_run.cfl_max, rel_tol=1e-15)
