@@ -51,31 +51,67 @@ from .spectral import (
 
 CONFIG_SCHEMA_VERSION = 1
 
-#: Keys of the config's "solver" section, every SolverConfig field but the
-#: grid, with the type each is read as and whether it may be null.
-_SOLVER_TYPES = {
-    f.name: ({"float": float, "int": int, "str": str}[f.type.split(" | ")[0]],
-             f.type.endswith("| None"))
-    for f in dataclasses.fields(SolverConfig) if f.name != "grid"
+
+def _field_types(cls) -> dict:
+    """Field -> (the type a config value is read as, whether it may be null),
+    for every field of the dataclass ``cls`` but a grid."""
+    return {
+        f.name: ({"float": float, "int": int, "str": str}[f.type.split(" | ")[0]],
+                 f.type.endswith("| None"))
+        for f in dataclasses.fields(cls) if f.name != "grid"
+    }
+
+
+#: The keys of the "grid" and "solver" sections: the fields they build.
+_GRID_TYPES = _field_types(GridSpec)
+_SOLVER_TYPES = _field_types(SolverConfig)
+
+
+def _mode(value) -> list:
+    """A ``single_mode`` pair of integer wave numbers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise UsageError(f"config initial_data.mode must be a pair, got {value!r}")
+    return [_read("initial_data", "mode", m, int) for m in value]
+
+
+def _single_mode(grid: GridSpec, rng, mode: list) -> SpectralField:
+    """cos(k . x) for the wave numbers ``mode``; it draws nothing."""
+    x = grid.axis_points()
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    k1, k2 = (m * grid.freq_scale for m in mode)
+    return forward_transform(np.cos(k1 * xx + k2 * yy), grid)
+
+
+#: The ``initial_data`` keys every kind reads, with their defaults.
+_DATA_KEYS = {"kind": "power_law", "seed": 0, "normalize": None, "amplitude": 1.0}
+
+#: ``initial_data`` kind -> (builder, {key it reads: (default, type)}).  The
+#: builder takes the grid, the seeded generator ``rng`` and those keys; a key
+#: whose default is None may also be null.
+_KINDS = {
+    "power_law": (power_law_field, {"alpha": (2.7, float), "k_cut": (None, float)}),
+    "band_limited": (band_limited_field, {"k_max": (20.0, float)}),
+    "block": (gaussian_block_field, {"j": (3, int)}),
+    "low_pass": (low_pass_field, {"j": (3, int)}),
+    "single_mode": (_single_mode, {"mode": ([3, 2], _mode)}),
 }
 
-#: The keys each config section knows (``initial_data``: the keys every kind
-#: reads).  Any other key, there or at the top level, is a usage error.
+#: The "iterate" keys with their defaults and types; ``picard`` alone reads
+#: the Besov indices of its data, ``galerkin`` takes solver.besov_p/q.
+_ITERATE_KEYS = {"n_min": (3, int), "n_max": (6, int), "s0": (DEFAULT_S0, float)}
+_PICARD_KEYS = {"p": (2.0, float), "q": (2.0, float)}
+
+#: The "output" keys with their defaults; ``iterate``'s prefix is its scheme.
+_OUTPUT_KEYS = {"prefix": "run", "save_final_state": True, "save_snapshots": False}
+
+#: The keys each config section knows (``initial_data``: besides those its
+#: kind reads).  Any other key, there or at the top level, is a usage error.
 _SECTION_KEYS = {
-    "grid": ("n", "period", "dealias_fraction"),
-    "solver": tuple(_SOLVER_TYPES),
-    "initial_data": ("kind", "seed", "normalize", "amplitude"),
-    "iterate": ("n_min", "n_max", "s0", "p", "q"),
-    "output": ("prefix", "save_final_state", "save_snapshots"),
-}
-
-#: The ``initial_data`` keys each kind reads besides those every kind reads.
-_KIND_KEYS = {
-    "power_law": ("alpha", "k_cut"),
-    "band_limited": ("k_max",),
-    "block": ("j",),
-    "low_pass": ("j",),
-    "single_mode": ("mode",),
+    "grid": _GRID_TYPES,
+    "solver": _SOLVER_TYPES,
+    "initial_data": _DATA_KEYS,
+    "iterate": {**_ITERATE_KEYS, **_PICARD_KEYS},
+    "output": _OUTPUT_KEYS,
 }
 
 
@@ -135,17 +171,18 @@ def _load_config(path: str) -> dict:
         if not isinstance(section, dict):
             raise UsageError(f"config section {name!r} must be a JSON object")
         if name == "initial_data":
-            kind = section.get("kind", "power_law")
-            if not isinstance(kind, str) or kind not in _KIND_KEYS:
+            kind = section.get("kind", _DATA_KEYS["kind"])
+            if not isinstance(kind, str) or kind not in _KINDS:
                 raise UsageError(f"unknown initial_data kind {kind!r}")
-            known += _KIND_KEYS[kind]
+            known = [*known, *_KINDS[kind][1]]
         _reject_unknown(name, section, known)
     return data
 
 
 def _read(where: str, key: str, value, kind: type, nullable: bool = False):
     """The config value ``where.key`` as a ``kind`` (None stays None when
-    ``nullable``); a usage error naming the key when it is not one.  An
+    ``nullable``); a usage error naming the key when it is not one, or the
+    usage error of a reader ``kind`` such as :func:`_mode`.  An
     ``int`` key takes no bool and no number with a fractional part, a
     ``float`` key no bool and no NaN (an infinity, as ``"inf"``, it takes;
     the fields that need a finite value refuse one where they are built)."""
@@ -160,35 +197,35 @@ def _read(where: str, key: str, value, kind: type, nullable: bool = False):
         if kind is float and math.isnan(result):
             raise ValueError
         return result
+    except UsageError:
+        raise
     except (TypeError, ValueError, OverflowError):
         raise UsageError(
             f"config {where}.{key} must be {kind.__name__}, got {value!r}"
         ) from None
 
 
-def _output_options(config: dict, default_prefix: str) -> tuple[str, bool, bool]:
-    """The ``output`` section's prefix, save_final_state and save_snapshots;
-    a usage error naming the key when one has the wrong type."""
-    section = config.get("output", {})
-    prefix = section.get("prefix", default_prefix)
+def _output_options(config: dict, **defaults) -> tuple[str, bool, bool]:
+    """The ``output`` section's prefix, save_final_state and save_snapshots,
+    over ``defaults`` and ``_OUTPUT_KEYS``; a usage error naming the key when
+    one has the wrong type."""
+    section = {**_OUTPUT_KEYS, **defaults, **config.get("output", {})}
+    prefix = section.pop("prefix")
     if not isinstance(prefix, str) or not prefix:
         raise UsageError(f"config output.prefix must be a non-empty string, got {prefix!r}")
-    flags = {"save_final_state": section.get("save_final_state", True),
-             "save_snapshots": section.get("save_snapshots", False)}
-    for key, value in flags.items():
+    for key, value in section.items():
         if not isinstance(value, bool):
             raise UsageError(f"config output.{key} must be true or false, got {value!r}")
-    return prefix, flags["save_final_state"], flags["save_snapshots"]
+    return prefix, section["save_final_state"], section["save_snapshots"]
 
 
 def _grid_from_config(config: dict, args) -> GridSpec:
-    section = dict(config.get("grid", {}))
+    # n comes first, so it is read first; GridSpec holds the other defaults.
+    section = {"n": 128, **config.get("grid", {})}
     if getattr(args, "grid", None) is not None:
         section["n"] = args.grid
-    n = _read("grid", "n", section.pop("n", 128), int)
-    # period and dealias_fraction, when given; GridSpec holds their defaults.
-    return GridSpec(n, **{key: _read("grid", key, value, float)
-                          for key, value in section.items()})
+    return GridSpec(**{key: _read("grid", key, value, *_GRID_TYPES[key])
+                       for key, value in section.items()})
 
 
 def _solver_from_config(config: dict, args) -> SolverConfig:
@@ -201,42 +238,19 @@ def _solver_from_config(config: dict, args) -> SolverConfig:
 
 def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralField, int]:
     grid = solver.grid
-    section = dict(config.get("initial_data", {}))
-
-    def read(key, default, kind, nullable=False):
-        return _read("initial_data", key, section.get(key, default), kind, nullable)
-
-    seed = read("seed", 0, int)
+    section = {**_DATA_KEYS, **config.get("initial_data", {})}
+    seed = _read("initial_data", "seed", section["seed"], int)
     if seed < 0:
         raise UsageError(f"config initial_data.seed must be a non-negative integer, "
                          f"got {seed}")
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    rng = np.random.default_rng(seed)
-    kind = section.get("kind", "power_law")
-    if kind == "power_law":
-        field = power_law_field(
-            grid,
-            read("alpha", 2.7, float),
-            rng,
-            k_cut=read("k_cut", None, float, nullable=True),
-        )
-    elif kind == "band_limited":
-        field = band_limited_field(grid, read("k_max", 20.0, float), rng)
-    elif kind == "block":
-        field = gaussian_block_field(grid, read("j", 3, int), rng)
-    elif kind == "low_pass":
-        field = low_pass_field(grid, read("j", 3, int), rng)
-    else:  # single_mode, the last kind _load_config lets through
-        mode = section.get("mode", [3, 2])
-        if not isinstance(mode, list) or len(mode) != 2:
-            raise UsageError(f"config initial_data.mode must be a pair, got {mode!r}")
-        x = grid.axis_points()
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        k1, k2 = (_read("initial_data", "mode", m, int) * grid.freq_scale
-                  for m in mode)
-        field = forward_transform(np.cos(k1 * xx + k2 * yy), grid)
-    normalize = section.get("normalize")
+    builder, keys = _KINDS[section["kind"]]
+    field = builder(grid, rng=np.random.default_rng(seed), **{
+        key: _read("initial_data", key, section.get(key, default), kind, default is None)
+        for key, (default, kind) in keys.items()
+    })
+    normalize = section["normalize"]
     if normalize == "l2":
         field = field.with_coeffs(field.coeffs / sobolev_norm(field, 0.0))
     elif normalize == "h_crit":
@@ -245,7 +259,7 @@ def _initial_field(config: dict, solver: SolverConfig, args) -> tuple[SpectralFi
         )
     elif normalize not in (None, "none"):
         raise UsageError(f"unknown normalize mode {normalize!r}")
-    amplitude = read("amplitude", 1.0, float)
+    amplitude = _read("initial_data", "amplitude", section["amplitude"], float)
     if not math.isfinite(amplitude):
         raise UsageError(f"config initial_data.amplitude must be finite, got {amplitude}")
     if amplitude != 1.0:
@@ -269,8 +283,7 @@ def _resolved(solver: SolverConfig, seed: int, **sections) -> dict:
     """The manifest's ``config.resolved`` block: grid, solver, seed and extras."""
     grid = solver.grid
     return {
-        "grid": {"n": grid.n, "period": grid.period,
-                 "dealias_fraction": grid.dealias_fraction},
+        "grid": {k: getattr(grid, k) for k in _GRID_TYPES},
         "solver": {k: getattr(solver, k) for k in _SOLVER_TYPES},
         "seed": seed,
         **sections,
@@ -279,7 +292,7 @@ def _resolved(solver: SolverConfig, seed: int, **sections) -> dict:
 
 def cmd_simulate(args, argv: list) -> int:
     config = _load_config(args.config)
-    prefix, save_final_state, save_snapshots = _output_options(config, "run")
+    prefix, save_final_state, save_snapshots = _output_options(config)
     solver = _solver_from_config(config, args)
     theta0, seed = _initial_field(config, solver, args)
     out = _output_dir(args)
@@ -327,69 +340,34 @@ def cmd_simulate(args, argv: list) -> int:
     return 0
 
 
-def _spectral_mass_contraction(
-    grid: GridSpec = lab.DEFAULT_GRID,
-    eps0: float = 0.5,
-    n0: float = 8.0,
-    gamma: float = 0.5,
-    seed: int = 808,
-):
-    """Build a field whose high-frequency mass fraction clears eps0, then check it."""
-    rng = np.random.default_rng(seed)
-    high = gaussian_block_field(grid, max(3, int(math.log2(max(n0, 2.0)))), rng)
-    low = low_pass_field(grid, 1, rng)
-    # Scale the split so the high-frequency fraction strictly clears eps0.
-    target = min(0.5 * (eps0 + 1.0), 0.99)
-    high = high.with_coeffs(high.coeffs / sobolev_norm(high, 0.0) * math.sqrt(target))
-    low = low.with_coeffs(
-        low.coeffs / sobolev_norm(low, 0.0) * math.sqrt(1.0 - target)
-    )
-    g = high.with_coeffs(high.coeffs + low.coeffs)
-    return lab.check_spectral_mass_contraction(g, n0, eps0, gamma)
+def _flags(check) -> tuple:
+    """The verify flags ``check`` takes: the names of its parameters."""
+    code = check.__code__
+    return code.co_varnames[:code.co_argcount]
 
 
-#: Lemma id -> (check, the verify flags it takes).  Only flags the user set
-#: are passed, so each check's signature supplies its defaults; flags a
-#: check does not take are ignored.
-VERIFY_CHECKS = {
-    "heat_decay": (lab.check_heat_decay, "grid j gamma q n_samples seed"),
-    "coercivity_q": (lab.check_coercivity, "grid j gamma q n_samples seed"),
-    "sign_integral_q1": (lab.check_sign_integral, "grid j gamma n_samples seed"),
-    "max_point_bound": (lab.check_max_point, "grid j gamma n_samples seed"),
-    "lq_semigroup_decay": (
-        lab.check_lq_semigroup_decay, "grid j gamma n_samples seed"
-    ),
-    "bilinear_ratio": (
-        lab.check_trilinear_bounds, "grid gamma regime n_samples seed"
-    ),
-    "gagliardo_equiv": (lab.check_gagliardo_equivalence, "n_samples seed"),
-    "ab_pointwise": (lab.check_ab_inequality, "q n_samples seed"),
-    "spectral_mass_contraction": (
-        _spectral_mass_contraction, "grid eps0 n0 gamma seed"
-    ),
-    "phase_lower_bound": (lab.check_phase_bounds, "gamma"),
-    "counterexample_gamma2": (lab.counterexample_gamma2_q1, ""),
-}
-
-
-def _set_flags(args, flags: str) -> dict:
-    """Keyword arguments for the flags in ``flags`` that the user set."""
+def _verify_call(args) -> tuple:
+    """The lemma's check and the keyword arguments of the flags it takes that
+    the user set; the check's own defaults fill the rest.  A flag the check
+    does not take is ignored.  The check is looked up on ``lab`` at the call,
+    so a wrapper bound there after import (perfbench's span recorder) runs."""
+    check = lab.LEMMAS.get(args.lemma_id)
+    if check is None:
+        raise UsageError(
+            f"unknown lemma id {args.lemma_id!r}; known: {sorted(lab.LEMMAS)}"
+        )
     kwargs = {}
-    for flag in flags.split():
+    for flag in _flags(check):
         value = getattr(args, flag)
         if value is not None:
             kwargs[flag] = GridSpec(value) if flag == "grid" else value
-    return kwargs
+    return getattr(lab, check.__name__), kwargs
 
 
 def cmd_verify(args, argv: list) -> int:
-    if args.lemma_id not in VERIFY_CHECKS:
-        raise UsageError(
-            f"unknown lemma id {args.lemma_id!r}; known: {sorted(VERIFY_CHECKS)}"
-        )
-    check, flags = VERIFY_CHECKS[args.lemma_id]
+    check, kwargs = _verify_call(args)
     out = _output_dir(args)
-    report = check(**_set_flags(args, flags))
+    report = check(**kwargs)
     path = os.path.join(out, f"verify_{args.lemma_id}.json")
     report.write_json(path)
     verdict = "pass" if report.verdict else "fail"
@@ -402,18 +380,18 @@ def cmd_verify(args, argv: list) -> int:
 
 def cmd_iterate(args, argv: list) -> int:
     config = _load_config(args.config)
-    prefix = _output_options(config, args.scheme)[0]
+    prefix = _output_options(config, prefix=args.scheme)[0]
     solver = _solver_from_config(config, args)
     theta0, seed = _initial_field(config, solver, args)
-    section = dict(config.get("iterate", {}))
-    defaults = {"n_min": (3, int), "n_max": (6, int), "s0": (DEFAULT_S0, float)}
+    section = config.get("iterate", {})
+    keys = _ITERATE_KEYS
     if args.scheme == "picard":
-        defaults.update(p=(2.0, float), q=(2.0, float))
-    elif {"p", "q"} & set(section):
+        keys = {**keys, **_PICARD_KEYS}
+    elif _PICARD_KEYS.keys() & section.keys():
         raise UsageError("config iterate.p and iterate.q apply to picard only; "
                          "galerkin uses solver.besov_p and solver.besov_q")
     iterate = {key: _read("iterate", key, section.get(key, default), kind)
-               for key, (default, kind) in defaults.items()}
+               for key, (default, kind) in keys.items()}
     n_range = range(iterate["n_min"], iterate["n_max"] + 1)
     out = _output_dir(args)
     started = _now()
@@ -522,11 +500,14 @@ def build_parser() -> _Parser:
         )
 
     p_sim = sub.add_parser("simulate", help="run a time integration from a config")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("config", help="JSON config path")
     common(p_sim)
 
     p_ver = sub.add_parser("verify", help="run one inequality check")
-    p_ver.add_argument("lemma_id", help="which estimate to check")
+    p_ver.set_defaults(run=cmd_verify)
+    p_ver.add_argument("lemma_id",
+                       help=f"which estimate to check: {', '.join(lab.LEMMAS)}")
     p_ver.add_argument("--q", type=float, default=None)
     p_ver.add_argument("--j", type=int, default=None)
     p_ver.add_argument("--n-samples", type=_count, default=None, dest="n_samples")
@@ -536,11 +517,13 @@ def build_parser() -> _Parser:
     common(p_ver)
 
     p_it = sub.add_parser("iterate", help="run an approximation-scheme sweep")
+    p_it.set_defaults(run=cmd_iterate)
     p_it.add_argument("scheme", choices=("galerkin", "picard"))
     p_it.add_argument("config", help="JSON config path")
     common(p_it)
 
     p_no = sub.add_parser("norms", help="norm table of a stored field")
+    p_no.set_defaults(run=cmd_norms)
     p_no.add_argument("field", help="binary field container path")
     p_no.add_argument("--json", default=None, help="also write the table here")
     p_no.add_argument("--gamma", type=_gamma, default=0.5,
@@ -554,15 +537,7 @@ def main(argv: list | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return cmd_simulate(args, argv)
-        if args.command == "verify":
-            return cmd_verify(args, argv)
-        if args.command == "iterate":
-            return cmd_iterate(args, argv)
-        if args.command == "norms":
-            return cmd_norms(args, argv)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args, argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

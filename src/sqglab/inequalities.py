@@ -783,6 +783,27 @@ def check_spectral_mass_contraction(
     )
 
 
+def _spectral_mass_contraction(
+    grid: GridSpec = DEFAULT_GRID,
+    eps0: float = 0.5,
+    n0: float = 8.0,
+    gamma: float = 0.5,
+    seed: int = 808,
+) -> InequalityReport:
+    """Build a field whose high-frequency mass fraction clears eps0, then check it."""
+    rng = np.random.default_rng(seed)
+    high = gaussian_block_field(grid, max(3, int(math.log2(max(n0, 2.0)))), rng)
+    low = low_pass_field(grid, 1, rng)
+    # Scale the split so the high-frequency fraction strictly clears eps0.
+    target = min(0.5 * (eps0 + 1.0), 0.99)
+    high = high.with_coeffs(high.coeffs / sobolev_norm(high, 0.0) * math.sqrt(target))
+    low = low.with_coeffs(
+        low.coeffs / sobolev_norm(low, 0.0) * math.sqrt(1.0 - target)
+    )
+    g = high.with_coeffs(high.coeffs + low.coeffs)
+    return check_spectral_mass_contraction(g, n0, eps0, gamma)
+
+
 def check_lq_semigroup_decay(
     grid: GridSpec | None = None,
     j: int = 3,
@@ -1076,3 +1097,20 @@ def check_trilinear_bounds(
         details={"growth": growth, "growth_limit": TRILINEAR_SPREAD, "by_j": by_j},
         witness=worst,
     )
+
+
+#: Lemma id -> its check, which ``sqglab verify <id>`` runs with the flags
+#: named by the check's parameters.  An InequalityReport refuses any other id.
+LEMMAS = {
+    "heat_decay": check_heat_decay,
+    "coercivity_q": check_coercivity,
+    "sign_integral_q1": check_sign_integral,
+    "max_point_bound": check_max_point,
+    "lq_semigroup_decay": check_lq_semigroup_decay,
+    "bilinear_ratio": check_trilinear_bounds,
+    "gagliardo_equiv": check_gagliardo_equivalence,
+    "ab_pointwise": check_ab_inequality,
+    "spectral_mass_contraction": _spectral_mass_contraction,
+    "phase_lower_bound": check_phase_bounds,
+    "counterexample_gamma2": counterexample_gamma2_q1,
+}

@@ -21,22 +21,6 @@ from .errors import UsageError
 
 SCHEMA_VERSION = 1
 
-LEMMA_IDS = frozenset(
-    {
-        "heat_decay",
-        "coercivity_q",
-        "sign_integral_q1",
-        "max_point_bound",
-        "gagliardo_equiv",
-        "ab_pointwise",
-        "spectral_mass_contraction",
-        "lq_semigroup_decay",
-        "phase_lower_bound",
-        "counterexample_gamma2",
-        "bilinear_ratio",
-    }
-)
-
 
 def _jsonable(value):
     """Coerce numpy scalars/arrays to plain python for json.dumps."""
@@ -92,7 +76,9 @@ class InequalityReport:
     witness: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.lemma_id not in LEMMA_IDS:
+        from .inequalities import LEMMAS  # imported here: it imports this module
+
+        if self.lemma_id not in LEMMAS:
             raise UsageError(f"unknown lemma_id {self.lemma_id!r}")
 
     def to_dict(self) -> dict:

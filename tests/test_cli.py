@@ -1,19 +1,24 @@
 """Command-line harness: exit codes, artifacts, determinism, precedence."""
 
+import importlib.util
 import inspect
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from sqglab.cli import VERIFY_CHECKS, build_parser, main
-from sqglab.reports import LEMMA_IDS, manifest_from_json, sha256_of_file
+from sqglab.cli import _flags, _verify_call, build_parser, main
+from sqglab.inequalities import LEMMAS
+from sqglab.reports import manifest_from_json, sha256_of_file
 from sqglab.solver import _factor_tables
 from sqglab.spectral import _dealias_block
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def write_config(path, **overrides):
@@ -375,17 +380,72 @@ def test_verify_j_flag_reaches_coercivity(tmp_path):
     assert json.loads(path.read_text())["parameters"]["j"] == 2
 
 
-def test_every_lemma_id_has_a_verify_route():
-    assert set(VERIFY_CHECKS) == set(LEMMA_IDS)
+def test_every_lemma_id_has_a_verify_route(capsys):
+    parser = build_parser()
+    for lemma_id, check in LEMMAS.items():
+        assert _verify_call(parser.parse_args(["verify", lemma_id]))[0] is check
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--help"])
+    assert f"check: {', '.join(LEMMAS)}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_verify_runs_the_check_the_module_binds_at_the_call(monkeypatch):
+    # perfbench's traced runs wrap each check on sqglab.inequalities after
+    # import; a check taken from the table itself would bypass the wrapper.
+    from sqglab import inequalities
+
+    original = inequalities.check_phase_bounds
+
+    def wrapper(**kwargs):
+        return original(**kwargs)
+
+    monkeypatch.setattr(inequalities, "check_phase_bounds", wrapper)
+    args = build_parser().parse_args(["verify", "phase_lower_bound", "--gamma", "1"])
+    assert _verify_call(args) == (wrapper, {"gamma": 1.0})
 
 
 def test_every_verify_flag_names_a_parameter_of_its_check():
-    for lemma_id, (check, flags) in VERIFY_CHECKS.items():
+    # A check's flags are its parameters, each of them a verify flag.
+    for lemma_id, check in LEMMAS.items():
         args = build_parser().parse_args(["verify", lemma_id])
-        params = inspect.signature(check).parameters
-        for flag in flags.split():
+        assert _flags(check) == tuple(inspect.signature(check).parameters), lemma_id
+        for flag in _flags(check):
             assert hasattr(args, flag), (lemma_id, flag)
-            assert flag in params, (lemma_id, flag)
+
+
+def test_readme_verify_table_is_the_lemma_table():
+    # Each row of README.md's verify table: lemma ids, then their flags in
+    # the order of the check's parameters (text after a ";" is a note).
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| lemma id | flags |") + 2
+    rows = {}
+    for line in lines[start:lines.index("", start)]:
+        ids, flags = line.strip("|").split("|")
+        flags = tuple(flag.replace("-", "_")
+                      for flag in re.findall(r"--([\w-]+)", flags.split(";")[0]))
+        for lemma_id in re.findall(r"`(\w+)`", ids):
+            assert lemma_id not in rows, lemma_id
+            rows[lemma_id] = flags
+    assert rows == {lemma_id: _flags(check) for lemma_id, check in LEMMAS.items()}
+
+
+def test_perfbench_verify_calls_parse_with_every_flag(tmp_path):
+    # perfbench's verify-all passes --seed to every id it times and its
+    # warm-up --n-samples 1, though phase_lower_bound and
+    # counterexample_gamma2 take neither.  Refusing a flag that a lemma does
+    # not take, or a verify parser per lemma, fails that benchmark's gate, so
+    # either has to land together with a change of the benchmark.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rounds, warmup = workloads.verify_all(workloads.DEFAULT_SEED, str(tmp_path))
+    for calls in (rounds, warmup):
+        assert [call.lemma_id for call in calls] == list(workloads.VERIFY_IDS)
+        for call in calls:
+            check, kwargs = _verify_call(build_parser().parse_args(call.argv))
+            assert check is LEMMAS[call.lemma_id]
+            assert set(kwargs) <= set(_flags(check))
 
 
 # The ids the benchmark times; its warm-up runs each with one sample.  The
@@ -581,7 +641,7 @@ FAILING_AT_DEFAULTS = {
 @pytest.mark.parametrize("lemma_id", [
     pytest.param(lemma_id, marks=pytest.mark.xfail(strict=True, reason=reason))
     if (reason := FAILING_AT_DEFAULTS.get(lemma_id)) else lemma_id
-    for lemma_id in VERIFY_CHECKS
+    for lemma_id in LEMMAS
 ])
 def test_every_lemma_id_passes_at_its_cli_defaults(tmp_path, lemma_id):
     assert main(["verify", lemma_id, "--output-dir", str(tmp_path)]) == 0
@@ -760,9 +820,9 @@ def loaded():
 config, picard, out = sys.argv[1:]
 runs = [("simulate", ["simulate", config]), ("iterate", ["iterate", "galerkin", config]),
         ("iterate picard", ["iterate", "picard", picard])]
-for lemma_id, (_, flags) in cli.VERIFY_CHECKS.items():
+for lemma_id, check in cli.lab.LEMMAS.items():
     if lemma_id != "spectral_mass_contraction":
-        fewer = ["--n-samples", "1"] if "n_samples" in flags.split() else []
+        fewer = ["--n-samples", "1"] if "n_samples" in cli._flags(check) else []
         runs.append((lemma_id, ["verify", lemma_id, *fewer]))
 seen = {"import": (0, loaded(), threading.active_count())}
 for name, argv in runs:
@@ -795,7 +855,7 @@ def cold_start(tmp_path_factory):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert set(seen) == {"import", "simulate", "iterate", "iterate picard"} | (
-        set(VERIFY_CHECKS) - {"spectral_mass_contraction"})
+        set(LEMMAS) - {"spectral_mass_contraction"})
     return seen
 
 

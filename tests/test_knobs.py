@@ -7,8 +7,9 @@ reaches that value.
 Calls are matched by the callee's name (``f(...)`` or ``obj.f(...)``; a
 class name calls its ``__init__`` or its dataclass fields).  A parameter
 counts as set when a call passes it by keyword or by position, or passes
-``*args``/``**kwargs`` that may carry it, and the flags of
-``cli.VERIFY_CHECKS`` count as calls of their checks.  A dataclass field
+``*args``/``**kwargs`` that may carry it; the verify flags of each check
+in ``inequalities.LEMMAS`` and the config keys of each ``initial_data``
+kind in ``cli._KINDS`` count as calls of the check or the kind's builder.  A dataclass field
 that code assigns (``obj.field = ...``) or grows in place
 (``obj.field.append(...)``) is run state filled in after construction, so
 it counts as set too.
@@ -16,7 +17,7 @@ it counts as set too.
 Caller lint: every public top-level function and class of ``src/sqglab`` is
 referenced in code by some module in ``src/`` or ``perfbench/``, the same
 callers as the knob lint's.  Strings, ``__all__`` and the ``__init__``
-re-exports are not references; the entries of ``cli.VERIFY_CHECKS`` are.
+re-exports are not references; the entries of ``inequalities.LEMMAS`` are.
 The names that have no such caller are pinned, and the pinned set may only
 shrink.
 """
@@ -24,7 +25,8 @@ shrink.
 import ast
 import pathlib
 
-from sqglab.cli import VERIFY_CHECKS
+from sqglab.cli import _KINDS, _flags
+from sqglab.inequalities import LEMMAS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sqglab"
@@ -115,8 +117,10 @@ def caller_usage() -> tuple:
                     wildcard.add(name)
                 keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
                 positions[name] = max(positions.get(name, 0), len(node.args))
-    for check, flags in VERIFY_CHECKS.values():
-        keywords.setdefault(check.__name__, set()).update(flags.split())
+    for check in LEMMAS.values():
+        keywords.setdefault(check.__name__, set()).update(_flags(check))
+    for builder, keys in _KINDS.values():
+        keywords.setdefault(builder.__name__, set()).update(keys)
     return keywords, positions, wildcard, written
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from sqglab.errors import UsageError
+from sqglab.inequalities import LEMMAS
 from sqglab.reports import (
-    LEMMA_IDS,
     InequalityReport,
     IterateTrace,
     RunManifest,
@@ -40,11 +40,17 @@ def sample_report(**overrides):
     return InequalityReport(**base)
 
 
-def test_lemma_id_enum_is_closed():
-    assert "heat_decay" in LEMMA_IDS
-    assert len(LEMMA_IDS) == 11
+def test_lemma_id_enum_is_closed(tmp_path):
+    assert "heat_decay" in LEMMAS
+    assert len(LEMMAS) == 11
     with pytest.raises(UsageError):
         sample_report(lemma_id="not_a_lemma")
+    # A report read from disk is refused too.
+    path = tmp_path / "r.json"
+    sample_report().write_json(str(path))
+    path.write_text(path.read_text().replace('"heat_decay"', '"not_a_lemma"'))
+    with pytest.raises(UsageError, match="unknown lemma_id 'not_a_lemma'"):
+        report_from_json(str(path))
 
 
 def test_report_roundtrip(tmp_path):

@@ -170,3 +170,29 @@ def test_lattice_scaling_maps_a_run_onto_a_run(integrator, gamma):
     assert not got[~on].any()
     assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
     assert math.isclose(fine_run.cfl_max, coarse_run.cfl_max, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("lam", [2.0, 1.7, 0.37])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_period_scaling_maps_a_run_onto_a_run(integrator, lam):
+    # The period form of the same symmetry: on the box of period 2 pi / lam
+    # the same n^2 samples stand for f(lam x).  The data times
+    # lam^{gamma-1}, run for dt and t_final divided by lam^gamma, give the
+    # 2 pi run times lam^{gamma-1}, mode for mode, and the same CFL numbers.
+    gamma = 0.5
+    grid = GridSpec(32)
+    field = power_law_field(grid, 2.7, np.random.default_rng(21))
+    theta0 = field.with_coeffs(field.coeffs * 3.0 / sobolev_norm(field, 0.0))
+    factor, speedup = lam ** (gamma - 1.0), lam ** gamma
+    cfg = SolverConfig(grid=grid, nu=0.5, gamma=gamma, dt=2e-3, t_final=0.02,
+                       integrator=integrator, output_stride=10)
+    box = replace(cfg, grid=GridSpec(32, period=2.0 * math.pi / lam),
+                  dt=cfg.dt / speedup, t_final=cfg.t_final / speedup)
+    run = run_simulation(theta0, cfg)
+    scaled = run_simulation(SpectralField(box.grid, factor * theta0.coeffs), box)
+    assert not run.aborted and not scaled.aborted
+    assert len(scaled.column("t")) == len(run.column("t"))
+    want = factor * run.final_state.coeffs
+    gap = np.max(np.abs(scaled.final_state.coeffs - want)) / np.max(np.abs(want))
+    assert gap <= 4e-15
+    assert math.isclose(scaled.cfl_max, run.cfl_max, rel_tol=4e-15)
